@@ -23,7 +23,6 @@ fn benches(c: &mut Criterion) {
             ("seq", MttkrpStrategy::Seq),
             ("atomic", MttkrpStrategy::Atomic),
             ("privatized", MttkrpStrategy::Privatized),
-            ("row_locked", MttkrpStrategy::RowLocked),
             ("scheduled", MttkrpStrategy::Scheduled),
         ] {
             group.bench_function(BenchmarkId::from_parameter(name), |b| {

@@ -6,15 +6,12 @@
 //! tenbench generate <kron|pl> --dims 1024,1024,64 --nnz 100000 [--seed S] --out <file>
 //! tenbench kernel   <tew|ts|ttv|ttm|mttkrp> <file> [--mode N] [--rank R]
 //!                   [--format coo|hicoo] [--block-bits B] [--reps K]
-//!                   [--strategy seq|atomic|privatized|row_locked|scheduled]
+//!                   [--strategy seq|atomic|privatized|scheduled]
 //!                   [--max-seconds S] [--fallback on|off]
 //! tenbench kernel   --all [file] [--dataset s4] [--nnz N] [--mode N] ...
 //! tenbench ablate-mttkrp [--dataset s4] [--nnz N] [--rank R]
 //!                   [--block-bits B] [--reps K] [--threads 1,2,4,8]
 //!                   [--out results.json] [--max-seconds S]
-//! tenbench ablate-simd [--dataset s4] [--nnz N] [--ranks 4,8,16]
-//!                   [--block-bits B] [--reps K] [--out BENCH_simd.json]
-//!                   [--min-speedup X]
 //! tenbench convert-bench [--dataset s4] [--nnz N] [--block-bits B]
 //!                   [--threads 1,2,4,8] [--reps K] [--out BENCH_convert.json]
 //!                   [--min-speedup X]
@@ -50,12 +47,8 @@
 //! report). `report` validates and summarizes a written trace;
 //! `obs-overhead` measures the traced-vs-untraced cost of the capture.
 //!
-//! Every subcommand accepts `--backend auto|scalar|simd`: it installs a
-//! process-wide kernel-backend override (outranking the `TENBENCH_BACKEND`
-//! environment variable), so `kernel --backend scalar` times the reference
-//! loops and `ablate-simd` can be forced either way for CI equivalence
-//! runs. `serve` and `stress` additionally accept `--layout hicoo|vb-hicoo`
-//! to select the cached tensor layout the service prepares and executes.
+//! `serve` and `stress` additionally accept `--layout hicoo|vb-hicoo` to
+//! select the cached tensor layout the service prepares and executes.
 //!
 //! `--max-seconds` or `--fallback` switch `kernel` to supervised mode:
 //! the run executes on a watchdogged worker thread under panic isolation,
@@ -167,13 +160,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             .unwrap_or(Ok(default))
     };
     let block_bits = get_usize("block-bits", 7)? as u8;
-    // `--backend auto|scalar|simd` installs a process-wide override that
-    // outranks TENBENCH_BACKEND; every kernel entry point below sees it.
-    if let Some(b) = opts.get("backend") {
-        let choice = tenbench_core::simd::BackendChoice::parse(b)
-            .ok_or_else(|| format!("bad --backend {b:?} (expected auto, scalar, or simd)"))?;
-        tenbench_core::simd::force_backend(Some(choice));
-    }
     let max_seconds: Option<f64> = opts
         .get("max-seconds")
         .map(|v| v.parse().map_err(|_| "bad --max-seconds".to_string()))
@@ -318,32 +304,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
                     &threads,
                     opts.get("out").map(PathBuf::from).as_deref(),
                     &supervisor_cfg(),
-                )
-            })?)
-        }
-        Some("ablate-simd") => {
-            let nnz = get_usize("nnz", 200_000)?;
-            let reps = get_usize("reps", 3)?;
-            let ranks: Vec<usize> = opts
-                .get("ranks")
-                .map(String::as_str)
-                .unwrap_or("4,8,16")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --ranks"))
-                .collect::<Result<_, _>>()?;
-            let min_speedup: Option<f64> = opts
-                .get("min-speedup")
-                .map(|v| v.parse().map_err(|_| "bad --min-speedup".to_string()))
-                .transpose()?;
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::ablate_simd(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
-                    &ranks,
-                    block_bits,
-                    reps,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    min_speedup,
                 )
             })?)
         }
@@ -535,6 +495,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::chaos(&chaos_opts)?)
         }
-        _ => Err("usage: tenbench <convert|stats|generate|kernel|ablate-mttkrp|ablate-simd|convert-bench|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
+        _ => Err("usage: tenbench <convert|stats|generate|kernel|ablate-mttkrp|convert-bench|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
     }
 }

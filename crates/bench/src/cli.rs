@@ -252,11 +252,10 @@ fn parse_strategy(strategy: &str) -> CliResult<mttkrp::MttkrpStrategy> {
         "seq" => Seq,
         "atomic" => Atomic,
         "privatized" => Privatized,
-        "row_locked" => RowLocked,
         "scheduled" => Scheduled,
         other => {
             return Err(CliError::Usage(format!(
-                "unknown strategy {other:?} (expected seq, atomic, privatized, row_locked, or scheduled)"
+                "unknown strategy {other:?} (expected seq, atomic, privatized, or scheduled)"
             )))
         }
     })
@@ -1030,162 +1029,6 @@ pub fn ablate_mttkrp(
     Ok(out)
 }
 
-/// `ablate-simd`: measure every kernel cell (COO, HiCOO, and the
-/// value-blocked HiCOO layout where it exists) under the Scalar and Simd
-/// backends on a generated dataset, annotate each side against the host's
-/// ERT Roofline, render the pairs as a table, and optionally write
-/// `BENCH_simd.json`. With `min_speedup`, the Simd-vs-Scalar ratio of the
-/// scheduled HiCOO Mttkrp cell at the largest measured rank is enforced as
-/// a CI regression gate (the floor lives in `ci/simd-floor.txt`).
-pub fn ablate_simd(
-    dataset: &str,
-    nnz: usize,
-    ranks: &[usize],
-    block_bits: u8,
-    reps: usize,
-    out_json: Option<&Path>,
-    min_speedup: Option<f64>,
-) -> CliResult<String> {
-    use tenbench_core::simd::{self, KernelBackend};
-
-    if ranks.is_empty() {
-        return Err(CliError::Usage("--ranks list is empty".to_string()));
-    }
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
-
-    // Real obtainable ceilings for the %-of-roofline columns: a quick ERT
-    // sweep on this host, exactly as the harness figures do.
-    let ert = tenbench_roofline::ert::run(&tenbench_roofline::ert::ErtConfig::quick());
-    let machine = crate::suite::MachineModel {
-        name: format!("host-{}t", ert.threads),
-        ert_dram_gbs: ert.dram_gbs,
-        peak_gflops: ert.peak_gflops,
-    };
-
-    let rows = crate::suite::run_simd_ablation(&x, &machine, ranks, block_bits, reps);
-    // `run_simd_ablation` emits scalar-then-simd per cell; re-pair them.
-    let pairs: Vec<(
-        &crate::suite::SimdAblationRow,
-        &crate::suite::SimdAblationRow,
-    )> = rows
-        .chunks(2)
-        .map(|c| {
-            debug_assert_eq!(c[0].backend, KernelBackend::Scalar);
-            debug_assert_eq!(c[1].backend, KernelBackend::Simd);
-            (&c[0], &c[1])
-        })
-        .collect();
-    let speedup = |s: &crate::suite::SimdAblationRow, v: &crate::suite::SimdAblationRow| -> f64 {
-        if s.time_s.is_finite() && v.time_s > 0.0 {
-            s.time_s / v.time_s
-        } else {
-            f64::NAN
-        }
-    };
-
-    let mut out = format!(
-        "SIMD backend ablation on {dataset} ({}, {} nnz, B = {}, ranks {:?})\n\
-         host: {} logical CPUs, avx2 {}, ERT {} GB/s DRAM / {} GFLOPS peak\n",
-        x.shape(),
-        fint(x.nnz() as u64),
-        1u32 << block_bits,
-        ranks,
-        host_cpus(),
-        if simd::avx2_available() { "yes" } else { "no" },
-        fnum(machine.ert_dram_gbs),
-        fnum(machine.peak_gflops),
-    );
-    let mut tab = TextTable::new([
-        "Kernel",
-        "Format",
-        "R",
-        "Scalar (s)",
-        "Simd (s)",
-        "Speedup",
-        "Scalar %roof",
-        "Simd %roof",
-    ]);
-    for (s, v) in &pairs {
-        tab.row([
-            s.kernel.name().to_string(),
-            s.format.to_string(),
-            s.rank.to_string(),
-            fnum(s.time_s),
-            fnum(v.time_s),
-            format!("{:.2}x", speedup(s, v)),
-            format!("{:.1}%", s.pct_of_roof),
-            format!("{:.1}%", v.pct_of_roof),
-        ]);
-    }
-    out.push_str(&tab.render());
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"ranks\": {:?},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {},\n  \"avx2\": {},\n  \"ert_dram_gbs\": {},\n  \"ert_peak_gflops\": {},\n",
-            x.shape(),
-            x.nnz(),
-            ranks,
-            host_cpus(),
-            simd::avx2_available(),
-            obs::json::json_f64_fixed(machine.ert_dram_gbs, 3),
-            obs::json::json_f64_fixed(machine.peak_gflops, 3),
-        ));
-        json.push_str("  \"cells\": [\n");
-        for (i, (s, v)) in pairs.iter().enumerate() {
-            let side = |r: &crate::suite::SimdAblationRow| {
-                format!(
-                    "{{\"time_s\": {}, \"gflops\": {}, \"ai\": {}, \"pct_of_roof\": {}}}",
-                    obs::json::json_f64(r.time_s),
-                    obs::json::json_f64_fixed(r.gflops, 4),
-                    obs::json::json_f64_fixed(r.ai_measured, 4),
-                    obs::json::json_f64_fixed(r.pct_of_roof, 2),
-                )
-            };
-            json.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"format\": \"{}\", \"rank\": {}, \"scalar\": {}, \"simd\": {}, \"simd_speedup\": {}}}{}\n",
-                s.kernel.name(),
-                s.format,
-                s.rank,
-                side(s),
-                side(v),
-                obs::json::json_f64_fixed(speedup(s, v), 3),
-                if i + 1 < pairs.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-
-    if let Some(floor) = min_speedup {
-        let gate_rank = *ranks.iter().max().expect("ranks nonempty");
-        let (s, v) = pairs
-            .iter()
-            .find(|(s, _)| {
-                s.kernel == tenbench_core::kernels::Kernel::Mttkrp
-                    && s.format == "HiCOO"
-                    && s.rank == gate_rank
-            })
-            .ok_or_else(|| {
-                CliError::Usage("no scheduled HiCOO Mttkrp cell to gate on".to_string())
-            })?;
-        let got = speedup(s, v);
-        if got.is_nan() || got < floor {
-            return Err(CliError::Usage(format!(
-                "SIMD speedup regression: scheduled HiCOO Mttkrp at R = {gate_rank} is \
-                 {got:.2}x scalar, below the floor of {floor:.2}x"
-            )));
-        }
-        out.push_str(&format!(
-            "simd gate: mttkrp/HiCOO @ R={gate_rank} {got:.2}x >= {floor:.2}x ok\n"
-        ));
-    }
-    Ok(out)
-}
-
 /// One measured configuration of the conversion pipeline.
 struct ConvertRow {
     algo: &'static str,
@@ -1224,7 +1067,7 @@ pub fn convert_bench(
     let m = x.nnz();
 
     // Best-of-reps per configuration; each rep re-clones the (lex-sorted)
-    // generator output so both backends start from the identical order.
+    // generator output so both sort algorithms start from the identical order.
     let measure = |threads: usize, algo: SortAlgo, label: &'static str| -> CliResult<ConvertRow> {
         let mut best: Option<ConvertRow> = None;
         for _ in 0..reps.max(1) {
@@ -2885,7 +2728,7 @@ mod tests {
                 assert!(r.contains("GFLOPS"), "{k}/{f}: {r}");
             }
         }
-        for s in ["seq", "privatized", "row_locked"] {
+        for s in ["seq", "privatized"] {
             let r = run_kernel_on(&x, "mttkrp", 1, 4, "coo", 3, 1, s).unwrap();
             assert!(r.contains("GFLOPS"), "{s}: {r}");
         }
@@ -2927,36 +2770,6 @@ mod tests {
         assert!(body.contains("\"status\": \"ok\""));
         assert!(matches!(
             ablate_mttkrp("zz99", 1_000, 4, 3, 1, &[], None, &cfg),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn ablate_simd_writes_json_and_gates() {
-        let dir = std::env::temp_dir().join("tenbench-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("ablate_simd.json");
-        // A floor of 0.0 always passes: this exercises the gate plumbing
-        // without asserting a speedup a 1-core CI box cannot promise.
-        let r = ablate_simd("s4", 3_000, &[4], 3, 1, Some(&json), Some(0.0)).unwrap();
-        assert!(r.contains("Speedup"), "{r}");
-        assert!(r.contains("simd gate: mttkrp/HiCOO @ R=4"), "{r}");
-        let body = std::fs::read_to_string(&json).unwrap();
-        assert!(body.contains("\"simd_speedup\""), "{body}");
-        assert!(body.contains("\"format\": \"VbHiCOO\""), "{body}");
-        assert!(body.contains("\"avx2\""), "{body}");
-        assert!(body.contains("\"host_cpus\""), "{body}");
-        // An impossible floor fails as a usage error (the CI gate path).
-        assert!(matches!(
-            ablate_simd("s4", 3_000, &[4], 3, 1, None, Some(1.0e9)),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            ablate_simd("zz99", 1_000, &[4], 3, 1, None, None),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            ablate_simd("s4", 1_000, &[], 3, 1, None, None),
             Err(CliError::Usage(_))
         ));
     }

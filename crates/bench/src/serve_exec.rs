@@ -121,7 +121,6 @@ impl StepRunner for SupervisedStepRunner {
         };
         let trials = [Trial {
             strategy: label.to_string(),
-            backend: None,
             run: step,
         }];
         let cell = format!("job/{label}");

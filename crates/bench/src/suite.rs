@@ -14,10 +14,9 @@ use std::time::Instant;
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::{DenseMatrix, DenseVector};
-use tenbench_core::hicoo::{GHicooTensor, HicooTensor, VbHicooTensor};
+use tenbench_core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
 use tenbench_core::par::Schedule;
-use tenbench_core::simd::KernelBackend;
 use tenbench_gen::TensorStats;
 use tenbench_gpusim::device::DeviceSpec;
 use tenbench_gpusim::kernels as gpuk;
@@ -130,31 +129,6 @@ pub fn time_avg<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     total / reps.max(1) as f64
 }
 
-/// Best-of-`reps` seconds per call, with the same calibration and batching
-/// as [`time_avg`]. Scheduler jitter only ever *adds* time, so the minimum
-/// of each side is the noise-robust estimator for paired A/B comparisons —
-/// the SIMD ablation gates on a scalar/SIMD ratio, which stays stable under
-/// min-timing even on small shared hosts where the mean wobbles by ±10%.
-pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64();
-    let batch = if once < 1e-3 {
-        ((1e-3 / once.max(1e-9)).ceil() as usize).clamp(1, 10_000)
-    } else {
-        1
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / batch as f64);
-    }
-    best
-}
-
 /// One timed cell with its instrumented-counter deltas: the average call
 /// time plus the FLOPs, cost-model bytes, and kernel entries charged while
 /// the cell ran. Per-call figures divide by `calls`, which includes the
@@ -202,23 +176,6 @@ pub fn measure_cell<F: FnMut()>(reps: usize, f: F) -> CellMeasure {
     let b0 = ctr::BYTES.get();
     let c0 = ctr::KERNEL_CALLS.get();
     let secs = time_avg(reps, f);
-    CellMeasure {
-        secs,
-        flops: ctr::FLOPS.get().wrapping_sub(f0),
-        bytes: ctr::BYTES.get().wrapping_sub(b0),
-        calls: ctr::KERNEL_CALLS.get().wrapping_sub(c0),
-    }
-}
-
-/// [`measure_cell`] timing with [`time_min`] instead of [`time_avg`] — used
-/// by the SIMD ablation, whose regression gate is a scalar/SIMD time ratio.
-pub fn measure_cell_min<F: FnMut()>(reps: usize, f: F) -> CellMeasure {
-    use obs::counters as ctr;
-    let _scope = ctr::counters_scope();
-    let f0 = ctr::FLOPS.get();
-    let b0 = ctr::BYTES.get();
-    let c0 = ctr::KERNEL_CALLS.get();
-    let secs = time_min(reps, f);
     CellMeasure {
         secs,
         flops: ctr::FLOPS.get().wrapping_sub(f0),
@@ -463,11 +420,10 @@ pub fn run_mttkrp_ablation(
 }
 
 /// The strategy labels `run_mttkrp_ablation_supervised` reports, in order.
-pub const ABLATION_STRATEGIES: [&str; 7] = [
+pub const ABLATION_STRATEGIES: [&str; 6] = [
     "coo/seq",
     "coo/atomic",
     "coo/privatized",
-    "coo/row_locked",
     "coo/scheduled",
     "hicoo/atomic",
     "hicoo/scheduled",
@@ -514,11 +470,10 @@ pub fn run_mttkrp_ablation_supervised_at(
         HicooAtomic,
         HicooSched,
     }
-    let variants: [(&str, Variant); 7] = [
+    let variants: [(&str, Variant); 6] = [
         ("coo/seq", Variant::Coo(MttkrpStrategy::Seq)),
         ("coo/atomic", Variant::Coo(MttkrpStrategy::Atomic)),
         ("coo/privatized", Variant::Coo(MttkrpStrategy::Privatized)),
-        ("coo/row_locked", Variant::Coo(MttkrpStrategy::RowLocked)),
         ("coo/scheduled", Variant::Coo(MttkrpStrategy::Scheduled)),
         ("hicoo/atomic", Variant::HicooAtomic),
         ("hicoo/scheduled", Variant::HicooSched),
@@ -637,165 +592,6 @@ pub fn run_mttkrp_ablation_supervised_at(
         });
     }
     rows
-}
-
-/// One row of the SIMD backend ablation: a kernel × format × rank cell
-/// measured under one explicit kernel backend.
-#[derive(Debug, Clone)]
-pub struct SimdAblationRow {
-    /// Which kernel.
-    pub kernel: Kernel,
-    /// `"COO"`, `"HiCOO"`, or `"VbHiCOO"` (the value-blocked layout).
-    pub format: &'static str,
-    /// Factor rank (0 for the rank-free kernels Tew/Ts/Ttv).
-    pub rank: usize,
-    /// The backend the cell was forced to.
-    pub backend: KernelBackend,
-    /// Best-of-reps kernel time in seconds (mode-averaged where
-    /// applicable; see [`time_min`]).
-    pub time_s: f64,
-    /// Achieved GFLOPS from the instrumented counters.
-    pub gflops: f64,
-    /// Measured arithmetic intensity.
-    pub ai_measured: f64,
-    /// Achieved GFLOPS as a percentage of the binding roof.
-    pub pct_of_roof: f64,
-}
-
-/// Measure every kernel under the scalar and SIMD backends on COO, HiCOO,
-/// and (where a value-blocked kernel exists: Tew/Ts/Mttkrp) the vb-HiCOO
-/// layout. Rank-free kernels contribute one cell pair each; Ttm and Mttkrp
-/// contribute one pair per entry of `ranks`. Pre-processing (conversions,
-/// fiber partitions, schedules) happens once, untimed, exactly as in
-/// [`run_cpu_suite`]; rows for the same cell appear scalar-first then
-/// SIMD, so consumers can pair them positionally.
-pub fn run_simd_ablation(
-    x: &CooTensor<f32>,
-    machine: &MachineModel,
-    ranks: &[usize],
-    block_bits: u8,
-    reps: usize,
-) -> Vec<SimdAblationRow> {
-    use tenbench_core::sched;
-
-    let order = x.order();
-    let y = make_partner(x);
-    let hx = HicooTensor::from_coo(x, block_bits).expect("valid block bits");
-    let hy = HicooTensor::from_coo(&y, block_bits).expect("valid block bits");
-    let vx = VbHicooTensor::from_hicoo(&hx);
-    let vy = VbHicooTensor::from_hicoo(&hy);
-    let roof = machine.roofline();
-
-    // Untimed pre-warm: fiber partitions are taken per mode below; warm
-    // the schedule caches the scheduled kernels will hit.
-    for mode in 0..order {
-        let _ = sched::row_schedule(x, mode);
-        let _ = sched::mode_schedule(&hx, mode);
-        let _ = sched::vb_mode_schedule(&vx, mode);
-    }
-
-    let mut out: Vec<SimdAblationRow> = Vec::new();
-    let backends = [KernelBackend::Scalar, KernelBackend::Simd];
-    let cell = |kernel: Kernel,
-                format: &'static str,
-                rank: usize,
-                out: &mut Vec<SimdAblationRow>,
-                body: &mut dyn FnMut(KernelBackend)| {
-        for backend in backends {
-            let c = measure_cell_min(reps, || body(backend));
-            let modes = if matches!(kernel, Kernel::Ttv | Kernel::Ttm | Kernel::Mttkrp) {
-                order as f64
-            } else {
-                1.0
-            };
-            let c = CellMeasure {
-                secs: c.secs / modes,
-                ..c
-            };
-            let a = c.annotate(&roof);
-            out.push(SimdAblationRow {
-                kernel,
-                format,
-                rank,
-                backend,
-                time_s: c.secs,
-                gflops: a.gflops,
-                ai_measured: a.oi,
-                pct_of_roof: a.pct_of_roof,
-            });
-        }
-    };
-
-    // Rank-free kernels.
-    cell(Kernel::Tew, "COO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_same_pattern_backend(x, &y, EwOp::Add, b).unwrap());
-    });
-    cell(Kernel::Tew, "HiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_hicoo_same_pattern_backend(&hx, &hy, EwOp::Add, b).unwrap());
-    });
-    cell(Kernel::Tew, "VbHiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_vb_same_pattern_backend(&vx, &vy, EwOp::Add, b).unwrap());
-    });
-    cell(Kernel::Ts, "COO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_backend(x, 1.000_1, EwOp::Mul, b).unwrap());
-    });
-    cell(Kernel::Ts, "HiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_hicoo_backend(&hx, 1.000_1, EwOp::Mul, b).unwrap());
-    });
-    cell(Kernel::Ts, "VbHiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_vb_backend(&vx, 1.000_1, EwOp::Mul, b).unwrap());
-    });
-    let vecs: Vec<DenseVector<f32>> = (0..order)
-        .map(|mode| DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i % 100) as f32 * 0.01))
-        .collect();
-    cell(Kernel::Ttv, "COO", 0, &mut out, &mut |b| {
-        for (mode, v) in vecs.iter().enumerate() {
-            std::hint::black_box(ttv::ttv_backend(x, v, mode, b).unwrap());
-        }
-    });
-    cell(Kernel::Ttv, "HiCOO", 0, &mut out, &mut |b| {
-        for (mode, v) in vecs.iter().enumerate() {
-            std::hint::black_box(ttv::ttv_hicoo_sched_backend(&hx, v, mode, b).unwrap());
-        }
-    });
-
-    // Ranked kernels: one cell pair per rank.
-    for &r in ranks {
-        let factors = make_factors(x, r);
-        let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-        cell(Kernel::Ttm, "COO", r, &mut out, &mut |b| {
-            for mode in 0..order {
-                std::hint::black_box(ttm::ttm_backend(x, frefs[mode], mode, b).unwrap());
-            }
-        });
-        cell(Kernel::Ttm, "HiCOO", r, &mut out, &mut |b| {
-            for mode in 0..order {
-                std::hint::black_box(
-                    ttm::ttm_hicoo_sched_backend(&hx, frefs[mode], mode, b).unwrap(),
-                );
-            }
-        });
-        cell(Kernel::Mttkrp, "COO", r, &mut out, &mut |b| {
-            for mode in 0..order {
-                std::hint::black_box(mttkrp::mttkrp_sched_backend(x, &frefs, mode, b).unwrap());
-            }
-        });
-        cell(Kernel::Mttkrp, "HiCOO", r, &mut out, &mut |b| {
-            for mode in 0..order {
-                std::hint::black_box(
-                    mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, b).unwrap(),
-                );
-            }
-        });
-        cell(Kernel::Mttkrp, "VbHiCOO", r, &mut out, &mut |b| {
-            for mode in 0..order {
-                std::hint::black_box(
-                    mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, b).unwrap(),
-                );
-            }
-        });
-    }
-    out
 }
 
 /// Run the full simulated GPU suite on one tensor.
@@ -1014,7 +810,6 @@ mod tests {
                 "coo/seq",
                 "coo/atomic",
                 "coo/privatized",
-                "coo/row_locked",
                 "coo/scheduled",
                 "hicoo/atomic",
                 "hicoo/scheduled"
@@ -1023,35 +818,6 @@ mod tests {
         for r in &rows {
             assert!(r.time_s > 0.0, "{}", r.name);
             assert!(r.melem_s > 0.0, "{}", r.name);
-        }
-    }
-
-    #[test]
-    fn simd_ablation_pairs_backends_per_cell() {
-        let x = small_tensor();
-        let rows = run_simd_ablation(&x, &host(), &[4, 8], 4, 1);
-        // 8 rank-free cells (tew/ts × 3 layouts, ttv × 2) + per rank: ttm
-        // × 2 + mttkrp × 3 — each cell contributing a scalar and a simd
-        // row.
-        assert_eq!(rows.len(), (8 + 2 * 5) * 2);
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0].backend, KernelBackend::Scalar);
-            assert_eq!(pair[1].backend, KernelBackend::Simd);
-            assert_eq!(pair[0].kernel, pair[1].kernel);
-            assert_eq!(pair[0].format, pair[1].format);
-            assert_eq!(pair[0].rank, pair[1].rank);
-            for r in pair {
-                assert!(r.time_s > 0.0, "{:?}/{}", r.kernel, r.format);
-                assert!(r.gflops > 0.0, "{:?}/{}", r.kernel, r.format);
-                assert!(r.pct_of_roof > 0.0, "{:?}/{}", r.kernel, r.format);
-            }
-        }
-        // The vb layout shows up for every kernel that has a vb path.
-        for k in [Kernel::Tew, Kernel::Ts, Kernel::Mttkrp] {
-            assert!(
-                rows.iter().any(|r| r.kernel == k && r.format == "VbHiCOO"),
-                "{k:?} missing vb rows"
-            );
         }
     }
 

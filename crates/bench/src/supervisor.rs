@@ -40,7 +40,6 @@ use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
 use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::mttkrp::{self, MttkrpStrategy};
-use tenbench_core::simd::{self, KernelBackend};
 use tenbench_obs as obs;
 
 /// Tuning knobs for supervised execution.
@@ -145,10 +144,6 @@ impl AttemptOutcome {
 pub struct Attempt {
     /// Strategy label (e.g. `"scheduled"`).
     pub strategy: String,
-    /// Kernel backend the attempt ran with (`"simd"`/`"scalar"`), when the
-    /// trial pinned one. `None` for trials that run whatever the session
-    /// default resolves to.
-    pub backend: Option<String>,
     /// How the attempt ended.
     pub outcome: AttemptOutcome,
 }
@@ -216,9 +211,6 @@ pub struct RunReport {
     pub attempts: Vec<Attempt>,
     /// Strategy that produced the accepted result, if any.
     pub strategy: Option<String>,
-    /// Kernel backend of the accepted attempt (`"simd"`/`"scalar"`), when
-    /// the accepted trial pinned one.
-    pub backend: Option<String>,
     /// Wall-clock seconds of the accepted attempt, if any. This is the
     /// guarded closure's time only — validation is timed separately in
     /// [`RunReport::validate_s`] so it never pollutes the kernel number.
@@ -239,7 +231,6 @@ impl RunReport {
             status: RunStatus::Failed(message.into()),
             attempts: Vec::new(),
             strategy: None,
-            backend: None,
             time_s: None,
             validate_s: None,
             checksum: None,
@@ -262,9 +253,6 @@ impl RunReport {
         if let Some(st) = &self.strategy {
             s.push_str(&format!(", \"strategy\": \"{}\"", escape_json(st)));
         }
-        if let Some(b) = &self.backend {
-            s.push_str(&format!(", \"backend\": \"{}\"", escape_json(b)));
-        }
         if let Some(t) = self.time_s {
             s.push_str(&format!(", \"time_s\": {}", obs::json::json_f64(t)));
         }
@@ -284,9 +272,6 @@ impl RunReport {
                 escape_json(&a.strategy),
                 a.outcome.kind()
             ));
-            if let Some(b) = &a.backend {
-                s.push_str(&format!(", \"backend\": \"{}\"", escape_json(b)));
-            }
             if let AttemptOutcome::Ok { time_s } = a.outcome {
                 s.push_str(&format!(", \"time_s\": {}", obs::json::json_f64(time_s)));
             }
@@ -388,10 +373,6 @@ impl SweepReport {
 pub struct Trial<T> {
     /// Strategy label for reports.
     pub strategy: String,
-    /// Kernel backend this trial pins, when it pins one. Only a report
-    /// label — the closure itself decides what backend to pass to the
-    /// kernel.
-    pub backend: Option<KernelBackend>,
     /// The work. `Fn` (not `FnOnce`) so retries can re-run it.
     pub run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
 }
@@ -404,21 +385,6 @@ impl<T> Trial<T> {
     ) -> Self {
         Trial {
             strategy: strategy.into(),
-            backend: None,
-            run: Arc::new(run),
-        }
-    }
-
-    /// Build a trial that pins a kernel backend (recorded per attempt and
-    /// in the accepted report).
-    pub fn with_backend(
-        strategy: impl Into<String>,
-        backend: KernelBackend,
-        run: impl Fn() -> Result<T, String> + Send + Sync + 'static,
-    ) -> Self {
-        Trial {
-            strategy: strategy.into(),
-            backend: Some(backend),
             run: Arc::new(run),
         }
     }
@@ -428,7 +394,6 @@ impl<T> Clone for Trial<T> {
     fn clone(&self) -> Self {
         Trial {
             strategy: self.strategy.clone(),
-            backend: self.backend,
             run: self.run.clone(),
         }
     }
@@ -554,7 +519,6 @@ pub fn supervise<T: Send + 'static>(
                             .unwrap_or_default();
                         attempts.push(Attempt {
                             strategy: trial.strategy.clone(),
-                            backend: trial.backend.map(|b| b.name().to_string()),
                             outcome: AttemptOutcome::Ok { time_s: dt },
                         });
                         let report = RunReport {
@@ -566,7 +530,6 @@ pub fn supervise<T: Send + 'static>(
                             },
                             attempts,
                             strategy: Some(trial.strategy.clone()),
-                            backend: trial.backend.map(|b| b.name().to_string()),
                             time_s: Some(dt),
                             validate_s: Some(validate_s),
                             checksum,
@@ -619,7 +582,6 @@ pub fn supervise<T: Send + 'static>(
             );
             attempts.push(Attempt {
                 strategy: trial.strategy.clone(),
-                backend: trial.backend.map(|b| b.name().to_string()),
                 outcome,
             });
             if deterministic {
@@ -642,7 +604,6 @@ pub fn supervise<T: Send + 'static>(
             status,
             attempts,
             strategy: None,
-            backend: None,
             time_s: None,
             validate_s: None,
             checksum: None,
@@ -718,30 +679,8 @@ fn strategy_label(s: MttkrpStrategy) -> &'static str {
         MttkrpStrategy::Seq => "seq",
         MttkrpStrategy::Atomic => "atomic",
         MttkrpStrategy::Privatized => "privatized",
-        MttkrpStrategy::RowLocked => "row_locked",
         MttkrpStrategy::Scheduled => "scheduled",
     }
-}
-
-/// Expand a strategy chain into (strategy, backend) steps. When the active
-/// backend is SIMD, the requested strategy is retried with the scalar
-/// backend before the chain moves on to other strategies — a failure in
-/// the vector path should not cost the requested strategy — and the later
-/// strategies run scalar (by the time the chain reaches them the vector
-/// path is already suspect).
-fn backend_steps<S: Copy>(chain: Vec<S>, active: KernelBackend) -> Vec<(S, KernelBackend)> {
-    let mut steps = Vec::with_capacity(chain.len() + 1);
-    for (i, strat) in chain.into_iter().enumerate() {
-        if i == 0 {
-            steps.push((strat, active));
-            if active == KernelBackend::Simd {
-                steps.push((strat, KernelBackend::Scalar));
-            }
-        } else {
-            steps.push((strat, KernelBackend::Scalar));
-        }
-    }
-    steps
 }
 
 /// Build the COO Mttkrp trial chain for one mode. Inputs are shared via
@@ -753,72 +692,33 @@ pub fn mttkrp_coo_trials(
     requested: MttkrpStrategy,
     fallback: bool,
 ) -> Vec<Trial<DenseMatrix<f32>>> {
-    mttkrp_coo_trials_with_backend(
-        x,
-        factors,
-        mode,
-        requested,
-        fallback,
-        simd::current_backend(),
-    )
-}
-
-/// [`mttkrp_coo_trials`] with an explicit active backend (tests pin it).
-pub fn mttkrp_coo_trials_with_backend(
-    x: &Arc<CooTensor<f32>>,
-    factors: &Arc<Vec<DenseMatrix<f32>>>,
-    mode: usize,
-    requested: MttkrpStrategy,
-    fallback: bool,
-    active: KernelBackend,
-) -> Vec<Trial<DenseMatrix<f32>>> {
     let chain = if fallback {
         mttkrp_chain(requested)
     } else {
         vec![requested]
     };
-    backend_steps(chain, active)
+    chain
         .into_iter()
-        .map(|(strat, backend)| {
+        .map(|strat| {
             let x = x.clone();
             let factors = factors.clone();
-            Trial::with_backend(strategy_label(strat), backend, move || {
+            Trial::new(strategy_label(strat), move || {
                 let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-                mttkrp::mttkrp_with_backend(&x, &frefs, mode, strat, backend)
-                    .map_err(|e| e.to_string())
+                mttkrp::mttkrp_with(&x, &frefs, mode, strat).map_err(|e| e.to_string())
             })
         })
         .collect()
 }
 
 /// Build the HiCOO Mttkrp trial chain for one mode: `scheduled -> atomic
-/// -> seq`, rotated so the requested strategy runs first (`privatized` and
-/// `row_locked` map to the atomic HiCOO kernel).
+/// -> seq`, rotated so the requested strategy runs first (`privatized`
+/// maps to the atomic HiCOO kernel).
 pub fn mttkrp_hicoo_trials(
     hx: &Arc<HicooTensor<f32>>,
     factors: &Arc<Vec<DenseMatrix<f32>>>,
     mode: usize,
     requested: MttkrpStrategy,
     fallback: bool,
-) -> Vec<Trial<DenseMatrix<f32>>> {
-    mttkrp_hicoo_trials_with_backend(
-        hx,
-        factors,
-        mode,
-        requested,
-        fallback,
-        simd::current_backend(),
-    )
-}
-
-/// [`mttkrp_hicoo_trials`] with an explicit active backend (tests pin it).
-pub fn mttkrp_hicoo_trials_with_backend(
-    hx: &Arc<HicooTensor<f32>>,
-    factors: &Arc<Vec<DenseMatrix<f32>>>,
-    mode: usize,
-    requested: MttkrpStrategy,
-    fallback: bool,
-    active: KernelBackend,
 ) -> Vec<Trial<DenseMatrix<f32>>> {
     let requested = match requested {
         MttkrpStrategy::Scheduled => "scheduled",
@@ -834,17 +734,17 @@ pub fn mttkrp_hicoo_trials_with_backend(
     if !fallback {
         chain.truncate(1);
     }
-    backend_steps(chain, active)
+    chain
         .into_iter()
-        .map(|(name, backend)| {
+        .map(|name| {
             let hx = hx.clone();
             let factors = factors.clone();
-            Trial::with_backend(name, backend, move || {
+            Trial::new(name, move || {
                 let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
                 match name {
-                    "scheduled" => mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, backend),
-                    "seq" => mttkrp::mttkrp_hicoo_seq_backend(&hx, &frefs, mode, backend),
-                    _ => mttkrp::mttkrp_hicoo_backend(&hx, &frefs, mode, backend),
+                    "scheduled" => mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode),
+                    "seq" => mttkrp::mttkrp_hicoo_seq(&hx, &frefs, mode),
+                    _ => mttkrp::mttkrp_hicoo(&hx, &frefs, mode),
                 }
                 .map_err(|e| e.to_string())
             })
@@ -1197,91 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_failure_falls_back_to_scalar_backend_first() {
-        // A chain the builders produce under an active SIMD backend: the
-        // requested strategy twice (simd, then scalar), then the next
-        // strategy scalar. The simd attempt panics; the scalar retry of
-        // the SAME strategy must win before any cross-strategy fallback.
-        let trials = vec![
-            Trial::with_backend(
-                "scheduled",
-                KernelBackend::Simd,
-                || -> Result<i32, String> { panic!("lane fault") },
-            ),
-            Trial::with_backend("scheduled", KernelBackend::Scalar, || Ok(11)),
-            Trial::with_backend("atomic", KernelBackend::Scalar, || Ok(22)),
-        ];
-        let (r, v) = supervise("cell", &trials, accept, &SupervisorConfig::default());
-        assert_eq!(
-            r.status,
-            RunStatus::Recovered {
-                from: "scheduled".into()
-            }
-        );
-        assert_eq!(v, Some(11));
-        assert_eq!(r.strategy.as_deref(), Some("scheduled"));
-        assert_eq!(r.backend.as_deref(), Some("scalar"));
-        assert_eq!(r.attempts.len(), 2);
-        assert_eq!(r.attempts[0].backend.as_deref(), Some("simd"));
-        assert_eq!(r.attempts[1].backend.as_deref(), Some("scalar"));
-        let j = r.to_json();
-        assert!(j.contains("\"backend\": \"scalar\""), "{j}");
-        assert!(j.contains("\"backend\": \"simd\""), "{j}");
-    }
-
-    #[test]
-    fn trial_chains_insert_scalar_backend_retry_under_simd() {
-        let x = Arc::new(small_tensor());
-        let factors = Arc::new(crate::suite::make_factors(&x, 4));
-        let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
-
-        let trials = mttkrp_coo_trials_with_backend(
-            &x,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Simd,
-        );
-        let shape: Vec<(&str, Option<KernelBackend>)> = trials
-            .iter()
-            .map(|t| (t.strategy.as_str(), t.backend))
-            .collect();
-        assert_eq!(shape[0], ("scheduled", Some(KernelBackend::Simd)));
-        assert_eq!(shape[1], ("scheduled", Some(KernelBackend::Scalar)));
-        assert!(shape[2..]
-            .iter()
-            .all(|(_, b)| *b == Some(KernelBackend::Scalar)));
-
-        // Under a scalar active backend there is no backend retry.
-        let trials = mttkrp_hicoo_trials_with_backend(
-            &hx,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Scalar,
-        );
-        let labels: Vec<&str> = trials.iter().map(|t| t.strategy.as_str()).collect();
-        assert_eq!(labels, vec!["scheduled", "atomic", "seq"]);
-        assert!(trials
-            .iter()
-            .all(|t| t.backend == Some(KernelBackend::Scalar)));
-
-        // Every trial in the simd hicoo chain actually runs.
-        for t in mttkrp_hicoo_trials_with_backend(
-            &hx,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Simd,
-        ) {
-            assert!((t.run)().is_ok(), "{} should run", t.strategy);
-        }
-    }
-
-    #[test]
     fn mttkrp_chain_starts_with_requested_and_ends_with_seq() {
         use MttkrpStrategy::*;
         assert_eq!(
@@ -1293,8 +1108,26 @@ mod tests {
             vec![Atomic, Scheduled, Privatized, Seq]
         );
         assert_eq!(mttkrp_chain(Seq), vec![Seq, Scheduled, Atomic, Privatized]);
-        let rl = mttkrp_chain(RowLocked);
-        assert_eq!(rl[0], RowLocked);
-        assert_eq!(*rl.last().unwrap(), Seq);
+    }
+
+    #[test]
+    fn trial_chains_have_one_step_per_strategy() {
+        let x = Arc::new(small_tensor());
+        let factors = Arc::new(crate::suite::make_factors(&x, 4));
+        let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
+        let labels = |trials: &[Trial<DenseMatrix<f32>>]| -> Vec<String> {
+            trials.iter().map(|t| t.strategy.clone()).collect()
+        };
+
+        let coo = mttkrp_coo_trials(&x, &factors, 0, MttkrpStrategy::Scheduled, true);
+        assert_eq!(labels(&coo), ["scheduled", "atomic", "privatized", "seq"]);
+        let hicoo = mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true);
+        assert_eq!(labels(&hicoo), ["scheduled", "atomic", "seq"]);
+        for t in coo.iter().chain(&hicoo) {
+            assert!((t.run)().is_ok(), "{} should run", t.strategy);
+        }
+
+        let only = mttkrp_coo_trials(&x, &factors, 0, MttkrpStrategy::Atomic, false);
+        assert_eq!(labels(&only), ["atomic"]);
     }
 }

@@ -16,19 +16,16 @@ fn poisoned_report() -> RunReport {
         attempts: vec![
             Attempt {
                 strategy: "scheduled".to_string(),
-                backend: Some("simd".to_string()),
                 outcome: AttemptOutcome::Ok { time_s: f64::NAN },
             },
             Attempt {
                 strategy: "atomic".to_string(),
-                backend: None,
                 outcome: AttemptOutcome::Ok {
                     time_s: f64::INFINITY,
                 },
             },
         ],
         strategy: Some("scheduled".to_string()),
-        backend: Some("simd".to_string()),
         time_s: Some(f64::NAN),
         validate_s: Some(f64::NEG_INFINITY),
         checksum: Some(f64::INFINITY),
@@ -43,6 +40,8 @@ fn run_report_with_non_finite_floats_still_emits_valid_json() {
     // The poisoned slots must surface as null, not as bare NaN/inf tokens.
     assert!(matches!(v.get("time_s"), Some(Value::Null)), "{json}");
     assert!(matches!(v.get("checksum"), Some(Value::Null)), "{json}");
+    // Neither the report nor its attempts have a `backend` key.
+    assert!(!json.contains("backend"), "{json}");
 }
 
 #[test]

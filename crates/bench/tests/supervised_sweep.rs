@@ -10,15 +10,14 @@ use std::time::Duration;
 
 use tenbench_bench::suite::make_factors;
 use tenbench_bench::supervisor::{
-    mttkrp_reference_digest, supervise, supervised_mttkrp, validate_matrix, RunReport, RunStatus,
-    SupervisorConfig, SweepReport, Trial,
+    mttkrp_hicoo_trials, mttkrp_reference_digest, supervise, supervised_mttkrp, validate_matrix,
+    RunReport, RunStatus, SupervisorConfig, SweepReport, Trial,
 };
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
 use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::mttkrp::{self, MttkrpStrategy};
 use tenbench_core::shape::Shape;
-use tenbench_core::simd::KernelBackend;
 
 fn make_tensor(seed: u32) -> CooTensor<f32> {
     CooTensor::from_entries(
@@ -36,13 +35,12 @@ fn make_tensor(seed: u32) -> CooTensor<f32> {
     .unwrap()
 }
 
-/// Fault injection on the backend axis: the SIMD-backend attempt of the
-/// requested strategy dies, and the supervisor must fall back to the
-/// *scalar backend of the same strategy* — not skip to the next strategy —
-/// with a reference-matching checksum, recording which backend ran in the
-/// report and in every attempt.
+/// Fault injection on the strategy axis: the requested strategy's attempt
+/// dies, and the supervisor must accept the *next strategy* of the chain the
+/// builders produce, with a reference-matching checksum and both attempts on
+/// record.
 #[test]
-fn simd_fault_recovers_on_scalar_backend_before_changing_strategy() {
+fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
     let x = Arc::new(make_tensor(3));
     let factors = Arc::new(make_factors(&x, 4));
     let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
@@ -52,27 +50,15 @@ fn simd_fault_recovers_on_scalar_backend_before_changing_strategy() {
     };
     let reference = mttkrp_reference_digest(&x, &factors, 0, cfg.sample).unwrap();
 
-    // The chain `mttkrp_hicoo_trials_with_backend` would build under an
-    // active SIMD backend, with the SIMD step replaced by an injected
+    // The real HiCOO chain with its first step replaced by an injected
     // fault.
-    let (fa, ha) = (factors.clone(), hx.clone());
-    let trials = vec![
-        Trial::with_backend(
-            "scheduled",
-            KernelBackend::Simd,
-            || -> Result<DenseMatrix<f32>, String> { panic!("injected SIMD fault") },
-        ),
-        Trial::with_backend("scheduled", KernelBackend::Scalar, move || {
-            let frefs: Vec<&DenseMatrix<f32>> = fa.iter().collect();
-            mttkrp::mttkrp_hicoo_sched_backend(&ha, &frefs, 0, KernelBackend::Scalar)
-                .map_err(|e| e.to_string())
-        }),
-        Trial::new("atomic", || -> Result<DenseMatrix<f32>, String> {
-            panic!("strategy fallback must not be reached")
-        }),
-    ];
+    let mut trials = mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true);
+    assert_eq!(trials[0].strategy, "scheduled");
+    trials[0] = Trial::new("scheduled", || -> Result<DenseMatrix<f32>, String> {
+        panic!("injected kernel fault")
+    });
     let (report, out) = supervise(
-        "mttkrp/hicoo/backend-fault",
+        "mttkrp/hicoo/strategy-fault",
         &trials,
         |m| validate_matrix(m, &reference, cfg.sample, cfg.rel_tol),
         &cfg,
@@ -83,15 +69,16 @@ fn simd_fault_recovers_on_scalar_backend_before_changing_strategy() {
         "{:?}",
         report.status
     );
-    assert_eq!(report.strategy.as_deref(), Some("scheduled"));
-    assert_eq!(report.backend.as_deref(), Some("scalar"));
-    assert!(report.checksum.is_some());
-    assert_eq!(report.attempts.len(), 2);
-    assert_eq!(report.attempts[0].backend.as_deref(), Some("simd"));
-    assert_eq!(report.attempts[1].backend.as_deref(), Some("scalar"));
-    let json = report.to_json();
-    assert!(json.contains("\"backend\": \"scalar\""), "{json}");
-    assert!(json.contains("\"backend\": \"simd\""), "{json}");
+    assert_eq!(report.strategy.as_deref(), Some("atomic"));
+    let want: f64 = reference.iter().sum();
+    let got = report.checksum.expect("accepted output carries a checksum");
+    assert!((got - want).abs() <= cfg.rel_tol * want.abs().max(1.0));
+    let ran: Vec<&str> = report
+        .attempts
+        .iter()
+        .map(|a| a.strategy.as_str())
+        .collect();
+    assert_eq!(ran, ["scheduled", "atomic"]);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! both must relay the submitter's context explicitly. These tests pin
 //! that relay: the id minted at submission must be observed *inside* the
 //! guarded closure (watchdog thread) and inside pool worker chunks, and
-//! must survive supervisor retries, strategy demotion through the
-//! fallback chain, and kernel-backend fallback — at 1 and 4 pool threads.
+//! must survive supervisor retries and strategy demotion through the
+//! fallback chain — at 1 and 4 pool threads.
 //!
 //! The flight recorder's dump sink is process-global state, so the tests
 //! that touch it serialize through a lock.
@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use tenbench_bench::supervisor::{supervise, RunStatus, SupervisorConfig, Trial};
-use tenbench_core::simd::KernelBackend;
 use tenbench_obs as obs;
 
 fn ctx_lock() -> MutexGuard<'static, ()> {
@@ -90,27 +89,23 @@ fn ctx_survives_watchdog_retry_and_strategy_demotion() {
     }
 }
 
-/// Backend fallback: a chain of trials pinned to different kernel
-/// backends (SIMD first, scalar as the terminal fallback) keeps one
-/// causal identity across the demotion.
+/// Strategy fallback without a retry in between: the first trial panics,
+/// `max_retries: 0` sends the supervisor straight to the next strategy, and
+/// both attempts keep one causal identity.
 #[test]
-fn ctx_survives_backend_fallback() {
+fn ctx_survives_strategy_fallback() {
     let _g = ctx_lock();
     let ctx = obs::TraceCtx::mint("request");
     let _guard = obs::ctx::install(ctx);
     let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
     let s1 = seen.clone();
-    let simd = Trial::with_backend(
-        "simd",
-        KernelBackend::Simd,
-        move || -> Result<(), String> {
-            s1.lock().unwrap().push(obs::ctx::current_id());
-            Err("backend unsupported here".into())
-        },
-    );
+    let first = Trial::new("scheduled", move || -> Result<(), String> {
+        s1.lock().unwrap().push(obs::ctx::current_id());
+        panic!("injected kernel fault");
+    });
     let s2 = seen.clone();
-    let scalar = Trial::with_backend("scalar", KernelBackend::Scalar, move || {
+    let second = Trial::new("atomic", move || {
         s2.lock().unwrap().push(obs::ctx::current_id());
         Ok(())
     });
@@ -119,12 +114,14 @@ fn ctx_survives_backend_fallback() {
         max_retries: 0,
         ..quiet_cfg()
     };
-    let (report, value) = supervise("test/backend", &[simd, scalar], |_: &()| Ok(None), &cfg);
+    let (report, value) = supervise("test/fallback", &[first, second], |_: &()| Ok(None), &cfg);
     assert!(matches!(report.status, RunStatus::Recovered { .. }));
-    assert_eq!(report.backend.as_deref(), Some("scalar"));
+    assert_eq!(report.strategy.as_deref(), Some("atomic"));
     assert_eq!(value, Some(()));
-    for &id in seen.lock().unwrap().iter() {
-        assert_eq!(id, ctx.id, "both backends charged to the same request");
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 2, "one attempt per strategy");
+    for &id in seen.iter() {
+        assert_eq!(id, ctx.id, "both strategies charged to the same request");
     }
 }
 

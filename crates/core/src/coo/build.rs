@@ -3,6 +3,7 @@
 
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 
 use super::{CooTensor, SortState};
@@ -39,6 +40,7 @@ pub(super) fn from_entries<S: Scalar>(
         inds,
         vals,
         sort: SortState::Lexicographic((0..order).collect()),
+        id: StructureId::fresh(),
     })
 }
 
@@ -75,6 +77,7 @@ pub(super) fn from_parts<S: Scalar>(
         inds,
         vals,
         sort: SortState::Unsorted,
+        id: StructureId::fresh(),
     })
 }
 

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 
 /// A general sparse tensor of arbitrary order in coordinate format.
@@ -38,6 +39,7 @@ pub struct CooTensor<S: Scalar> {
     inds: Vec<Vec<u32>>,
     vals: Vec<S>,
     sort: SortState,
+    id: StructureId,
 }
 
 impl<S: Scalar> CooTensor<S> {
@@ -49,6 +51,7 @@ impl<S: Scalar> CooTensor<S> {
             inds: vec![Vec::new(); order],
             vals: Vec::new(),
             sort: SortState::Unsorted,
+            id: StructureId::fresh(),
         }
     }
 
@@ -85,6 +88,7 @@ impl<S: Scalar> CooTensor<S> {
             inds,
             vals,
             sort,
+            id: StructureId::fresh(),
         }
     }
 
@@ -127,6 +131,12 @@ impl<S: Scalar> CooTensor<S> {
     #[inline]
     pub fn vals(&self) -> &[S] {
         &self.vals
+    }
+
+    /// Identity of the current index structure (see [`StructureId`]).
+    #[inline]
+    pub(crate) fn structure_id(&self) -> &StructureId {
+        &self.id
     }
 
     /// The value array, mutably (indices are immutable through this — value
@@ -222,6 +232,7 @@ impl<S: Scalar> CooTensor<S> {
             *i = perm[*i as usize];
         }
         self.sort = SortState::Unsorted;
+        self.id = StructureId::fresh();
     }
 
     /// Storage footprint in bytes: `order` index arrays of `u32` plus values.

@@ -33,6 +33,7 @@ use rayon::prelude::*;
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 
 /// Validate the block-bits parameter: element indices are stored in `u8`, so
@@ -54,6 +55,7 @@ pub struct HicooTensor<S: Scalar> {
     binds: Vec<Vec<u32>>,
     einds: Vec<Vec<u8>>,
     vals: Vec<S>,
+    id: StructureId,
 }
 
 impl<S: Scalar> HicooTensor<S> {
@@ -155,6 +157,7 @@ impl<S: Scalar> HicooTensor<S> {
             binds,
             einds,
             vals,
+            id: StructureId::fresh(),
         })
     }
 
@@ -175,9 +178,16 @@ impl<S: Scalar> HicooTensor<S> {
             binds,
             einds,
             vals,
+            id: StructureId::fresh(),
         };
         debug_assert!(t.validate().is_ok());
         t
+    }
+
+    /// Identity of the index structure (see [`StructureId`]).
+    #[inline]
+    pub(crate) fn structure_id(&self) -> &StructureId {
+        &self.id
     }
 
     /// The tensor shape.

@@ -1,10 +1,10 @@
-//! Value-blocked HiCOO (vb-HiCOO): a HiCOO variant co-designed with the
-//! explicit SIMD backend (see [`crate::simd`]).
+//! Value-blocked HiCOO (vb-HiCOO): a HiCOO variant whose value runs are
+//! laid out for vector loads.
 //!
 //! Plain HiCOO stores one contiguous value array; a block's value run can
 //! start at any element offset, so vector loads in block-oriented kernels
 //! straddle cache lines. vb-HiCOO pads every block's value run to a multiple
-//! of [`crate::simd::pad_unit`] (64 bytes worth of elements) and stores the
+//! of [`crate::align::pad_unit`] (64 bytes worth of elements) and stores the
 //! runs in 64-byte-aligned storage ([`AlignedVec`]): every run starts on a
 //! cache-line/vector-register boundary, and whole-array element-wise kernels
 //! can stream aligned full lanes with the padding lanes re-zeroed afterwards.
@@ -15,12 +15,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::align::{AlignedVec, SIMD_ALIGN};
+use crate::align::{pad_unit, AlignedVec, SIMD_ALIGN};
 use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
-use crate::simd::pad_unit;
 
 /// A sparse tensor in value-blocked HiCOO format.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +37,7 @@ pub struct VbHicooTensor<S: Scalar> {
     /// aligned.
     vptr: Vec<u64>,
     vals: AlignedVec<S>,
+    id: StructureId,
 }
 
 impl<S: Scalar> VbHicooTensor<S> {
@@ -71,6 +72,7 @@ impl<S: Scalar> VbHicooTensor<S> {
             einds: h.einds().to_vec(),
             vptr,
             vals,
+            id: StructureId::fresh(),
         }
     }
 
@@ -88,6 +90,12 @@ impl<S: Scalar> VbHicooTensor<S> {
             self.einds.clone(),
             vals,
         )
+    }
+
+    /// Identity of the index structure (see [`StructureId`]).
+    #[inline]
+    pub(crate) fn structure_id(&self) -> &StructureId {
+        &self.id
     }
 
     /// The tensor shape.
@@ -278,7 +286,6 @@ impl<S: Scalar> VbHicooTensor<S> {
 #[cfg(test)]
 mod tests {
     use crate::coo::CooTensor;
-    use crate::simd::pad_unit;
 
     use super::*;
 

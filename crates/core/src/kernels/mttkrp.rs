@@ -37,7 +37,7 @@ use crate::par::ScratchArena;
 use crate::scalar::Scalar;
 use crate::sched::{ModeSchedule, RowSchedule};
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 /// Charge one COO Mttkrp invocation to the obs counters using the paper's
 /// Table 1 cost model (`analysis::mttkrp_coo_cost`).
@@ -94,8 +94,6 @@ pub enum MttkrpStrategy {
     /// Nonzero-parallel with one private output copy per worker, reduced at
     /// the end. Lock-free but needs `threads x I_n x R` scratch memory.
     Privatized,
-    /// Nonzero-parallel with one mutex per output row.
-    RowLocked,
     /// Output-partitioned: nonzeros are pre-grouped by output row (cached
     /// [`crate::sched::RowSchedule`]) so tasks own disjoint output stripes.
     /// Atomic-free, lock-free, and bitwise-deterministic.
@@ -163,13 +161,8 @@ fn check_factors<S: Scalar>(
 /// Collect the non-mode factor rows of COO nonzero `z` into `rows` (reused
 /// across nonzeros to avoid reallocation).
 ///
-/// The rank loop is the SIMD backend's target: the gathered rows feed one
-/// fused [`simd::accum_rows`] / [`simd::product_rows`] call per nonzero —
-/// `#[target_feature]` code cannot inline into scalar callers, so splitting
-/// the body into fill/mul/add primitives costs 3-4 dispatched calls of ~2
-/// vectors each and loses to the auto-vectorized scalar loop. The fused
-/// body keeps the per-element product order of the scratch flow, so both
-/// backends stay bitwise-identical.
+/// The gathered rows feed one fused [`simd::accum_rows`] /
+/// [`simd::product_rows`] call per nonzero, which covers the whole rank loop.
 #[inline]
 fn gather_rows<'a, S: Scalar>(
     x: &CooTensor<S>,
@@ -222,27 +215,16 @@ pub fn mttkrp_seq<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_seq_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Sequential COO Mttkrp with an explicit backend.
-pub fn mttkrp_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.seq");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros(x.shape().dim(mode) as usize, r);
     let rows = x.mode_inds(mode);
     let mut rows_buf = Vec::with_capacity(factors.len());
     for z in 0..x.nnz() {
         gather_rows(x, factors, mode, z, &mut rows_buf);
         let dst = out.row_mut(rows[z] as usize);
-        simd::accum_rows(backend, dst, x.vals()[z], &rows_buf);
+        simd::accum_rows(dst, x.vals()[z], &rows_buf);
     }
     Ok(out)
 }
@@ -254,20 +236,9 @@ pub fn mttkrp_atomic<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_atomic_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Atomic COO Mttkrp with an explicit backend.
-pub fn mttkrp_atomic_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.atomic");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros_par(x.shape().dim(mode) as usize, r);
     {
         let cells = S::as_atomic_slice(out.data_mut());
@@ -281,7 +252,7 @@ pub fn mttkrp_atomic_backend<S: Scalar>(
                 let end = ((c + 1) * grain).min(m);
                 for z in c * grain..end {
                     gather_rows(x, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(backend, scratch, x.vals()[z], &rows_buf);
+                    simd::product_rows(scratch, x.vals()[z], &rows_buf);
                     let base = rows[z] as usize * r;
                     for (k, &s) in scratch.iter().enumerate() {
                         cells[base + k].fetch_add(s);
@@ -305,20 +276,9 @@ pub fn mttkrp_privatized<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_privatized_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Privatized COO Mttkrp with an explicit backend.
-pub fn mttkrp_privatized_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.privatized");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
     let rows_n = x.shape().dim(mode) as usize;
     let rows = x.mode_inds(mode);
     let m = x.nnz();
@@ -338,7 +298,7 @@ pub fn mttkrp_privatized_backend<S: Scalar>(
             for z in c * grain..end {
                 gather_rows(x, factors, mode, z, &mut rows_buf);
                 let dst = acc.row_mut(rows[z] as usize);
-                simd::accum_rows(backend, dst, x.vals()[z], &rows_buf);
+                simd::accum_rows(dst, x.vals()[z], &rows_buf);
             }
         }
         local
@@ -355,56 +315,9 @@ pub fn mttkrp_privatized_backend<S: Scalar>(
             let base = ci * stripe;
             for p in &partials {
                 let src = &p.data()[base..base + dst.len()];
-                simd::add_assign(backend, dst, src);
+                simd::add_assign(dst, src);
             }
         });
-    Ok(out)
-}
-
-/// Nonzero-parallel COO Mttkrp with one mutex per output row (ablation).
-pub fn mttkrp_row_locked<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_row_locked_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Row-locked COO Mttkrp with an explicit backend.
-pub fn mttkrp_row_locked_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.row_locked");
-    charge_coo(x, r);
-    simd::note_dispatch(backend);
-    let rows_n = x.shape().dim(mode) as usize;
-    let locked: Vec<parking_lot::Mutex<Vec<S>>> = (0..rows_n)
-        .map(|_| parking_lot::Mutex::new(vec![S::ZERO; r]))
-        .collect();
-    let rows = x.mode_inds(mode);
-    let m = x.nnz();
-    let grain = 1024usize;
-    let arena = ScratchArena::new(|| AlignedVec::filled(r, S::ZERO));
-    (0..m.div_ceil(grain)).into_par_iter().for_each(|c| {
-        arena.with(|scratch| {
-            let mut rows_buf = Vec::with_capacity(factors.len());
-            let end = ((c + 1) * grain).min(m);
-            for z in c * grain..end {
-                gather_rows(x, factors, mode, z, &mut rows_buf);
-                simd::product_rows(backend, scratch, x.vals()[z], &rows_buf);
-                let mut row = locked[rows[z] as usize].lock();
-                simd::add_assign(backend, &mut row, scratch);
-            }
-        });
-    });
-    let mut out = DenseMatrix::zeros(rows_n, r);
-    for (i, cell) in locked.into_iter().enumerate() {
-        out.row_mut(i).copy_from_slice(&cell.into_inner());
-    }
     Ok(out)
 }
 
@@ -420,18 +333,6 @@ pub fn mttkrp_sched<S: Scalar>(
     mttkrp_sched_with(x, factors, mode, &sched)
 }
 
-/// Scheduled COO Mttkrp with an explicit backend (cached schedule).
-pub fn mttkrp_sched_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::row_schedule(x, mode);
-    mttkrp_sched_with_backend(x, factors, mode, &sched, backend)
-}
-
 /// Output-partitioned COO Mttkrp against a prebuilt [`RowSchedule`].
 ///
 /// Every task owns a contiguous output row range; within it, rows are
@@ -444,20 +345,6 @@ pub fn mttkrp_sched_with<S: Scalar>(
     mode: usize,
     sched: &RowSchedule,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_sched_with_backend(x, factors, mode, sched, simd::current_backend())
-}
-
-/// Scheduled COO Mttkrp against a prebuilt schedule, with an explicit
-/// backend. The backend only changes *how* each lane-wise product is
-/// computed, never the accumulation order, so results stay bitwise
-/// identical across backends, runs, and thread counts.
-pub fn mttkrp_sched_with_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &RowSchedule,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     if sched.mode() != mode {
         return Err(TensorError::FactorMismatch(format!(
@@ -467,7 +354,6 @@ pub fn mttkrp_sched_with_backend<S: Scalar>(
     }
     let _span = obs::span!("mttkrp.scheduled");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
     let rows_n = x.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let mut tasks = split_row_ranges(
@@ -484,38 +370,25 @@ pub fn mttkrp_sched_with_backend<S: Scalar>(
             for &z in sched.row_entries(i) {
                 let z = z as usize;
                 gather_rows(x, factors, mode, z, &mut rows_buf);
-                simd::accum_rows(backend, dst, x.vals()[z], &rows_buf);
+                simd::accum_rows(dst, x.vals()[z], &rows_buf);
             }
         }
     });
     Ok(out)
 }
 
-/// COO Mttkrp with an explicit strategy (ambient backend).
+/// COO Mttkrp with an explicit strategy.
 pub fn mttkrp_with<S: Scalar>(
     x: &CooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
     strategy: MttkrpStrategy,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_with_backend(x, factors, mode, strategy, simd::current_backend())
-}
-
-/// COO Mttkrp with an explicit strategy *and* backend — the entry point
-/// the supervisor's per-cell (strategy, backend) fallback chain drives.
-pub fn mttkrp_with_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    strategy: MttkrpStrategy,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     match strategy {
-        MttkrpStrategy::Seq => mttkrp_seq_backend(x, factors, mode, backend),
-        MttkrpStrategy::Atomic => mttkrp_atomic_backend(x, factors, mode, backend),
-        MttkrpStrategy::Privatized => mttkrp_privatized_backend(x, factors, mode, backend),
-        MttkrpStrategy::RowLocked => mttkrp_row_locked_backend(x, factors, mode, backend),
-        MttkrpStrategy::Scheduled => mttkrp_sched_backend(x, factors, mode, backend),
+        MttkrpStrategy::Seq => mttkrp_seq(x, factors, mode),
+        MttkrpStrategy::Atomic => mttkrp_atomic(x, factors, mode),
+        MttkrpStrategy::Privatized => mttkrp_privatized(x, factors, mode),
+        MttkrpStrategy::Scheduled => mttkrp_sched(x, factors, mode),
     }
 }
 
@@ -556,20 +429,9 @@ pub fn mttkrp_hicoo<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_backend(h, factors, mode, simd::current_backend())
-}
-
-/// Block-parallel atomic HiCOO Mttkrp with an explicit backend.
-pub fn mttkrp_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.hicoo");
     charge_hicoo(h, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros_par(h.shape().dim(mode) as usize, r);
     let bits = h.block_bits();
     {
@@ -585,7 +447,7 @@ pub fn mttkrp_hicoo_backend<S: Scalar>(
                 }
                 for z in h.block_range(b) {
                     gather_block_rows(h.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(backend, scratch, h.vals()[z], &rows_buf);
+                    simd::product_rows(scratch, h.vals()[z], &rows_buf);
                     let out_row = base[mode] + h.einds()[mode][z] as usize;
                     for (k, &s) in scratch.iter().enumerate() {
                         cells[out_row * r + k].fetch_add(s);
@@ -609,18 +471,6 @@ pub fn mttkrp_hicoo_sched<S: Scalar>(
     mttkrp_hicoo_sched_with(h, factors, mode, &sched)
 }
 
-/// Scheduled HiCOO Mttkrp with an explicit backend (cached schedule).
-pub fn mttkrp_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    check_factors(h.shape(), factors, mode)?;
-    let sched = crate::sched::mode_schedule(h, mode);
-    mttkrp_hicoo_sched_with_backend(h, factors, mode, &sched, backend)
-}
-
 /// Output-partitioned HiCOO Mttkrp against a prebuilt [`ModeSchedule`].
 ///
 /// All blocks that write a given output row block are grouped into the same
@@ -634,20 +484,6 @@ pub fn mttkrp_hicoo_sched_with<S: Scalar>(
     mode: usize,
     sched: &ModeSchedule,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_sched_with_backend(h, factors, mode, sched, simd::current_backend())
-}
-
-/// Scheduled HiCOO Mttkrp against a prebuilt [`ModeSchedule`] with an
-/// explicit backend — the strategy CP-ALS pins, now vectorized. Backend
-/// choice never changes the accumulation order, so results stay bitwise
-/// identical across backends, runs, and thread counts.
-pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &ModeSchedule,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
     if sched.mode() != mode {
         return Err(TensorError::FactorMismatch(format!(
@@ -657,7 +493,6 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
     }
     let _span = obs::span!("mttkrp.hicoo.scheduled");
     charge_hicoo(h, r);
-    simd::note_dispatch(backend);
     let rows_n = h.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let bits = h.block_bits();
@@ -667,8 +502,7 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
         r,
         (0..sched.num_tasks()).map(|t| sched.task_row_range(t, rows_n)),
     );
-    // Order-3 fast path: one fused call per *block*, so the dispatch
-    // boundary is crossed per block rather than per nonzero.
+    // Order-3 fast path: one fused call per *block* rather than per nonzero.
     let three = (order == 3).then(|| non_mode_pair(mode));
     tasks.par_iter_mut().enumerate().for_each(|(t, task)| {
         let (row_base, slice) = (task.0, &mut *task.1);
@@ -683,7 +517,6 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
                 if let Some((ma, mb)) = three {
                     let zs = h.block_range(b);
                     simd::mttkrp_block3(
-                        backend,
                         slice,
                         row_base,
                         r,
@@ -704,7 +537,7 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
                     gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
                     let out_row = base[mode] + h.einds()[mode][z] as usize;
                     let dst = &mut slice[(out_row - row_base) * r..][..r];
-                    simd::accum_rows(backend, dst, h.vals()[z], &rows_buf);
+                    simd::accum_rows(dst, h.vals()[z], &rows_buf);
                 }
             }
         }
@@ -718,20 +551,9 @@ pub fn mttkrp_hicoo_seq<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_seq_backend(h, factors, mode, simd::current_backend())
-}
-
-/// Sequential HiCOO Mttkrp with an explicit backend.
-pub fn mttkrp_hicoo_seq_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.hicoo.seq");
     charge_hicoo(h, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros(h.shape().dim(mode) as usize, r);
     let bits = h.block_bits();
     let order = h.order();
@@ -743,7 +565,7 @@ pub fn mttkrp_hicoo_seq_backend<S: Scalar>(
         for z in h.block_range(b) {
             gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
             let dst = out.row_mut(base[mode] + h.einds()[mode][z] as usize);
-            simd::accum_rows(backend, dst, h.vals()[z], &rows_buf);
+            simd::accum_rows(dst, h.vals()[z], &rows_buf);
         }
     }
     Ok(out)
@@ -756,20 +578,9 @@ pub fn mttkrp_vb<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb`] with an explicit kernel backend.
-pub fn mttkrp_vb_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.vb");
     charge_vb(x, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros_par(x.shape().dim(mode) as usize, r);
     let bits = x.block_bits();
     {
@@ -785,7 +596,7 @@ pub fn mttkrp_vb_backend<S: Scalar>(
                 let bvals = x.block_vals(b);
                 for (k, z) in x.block_range(b).enumerate() {
                     gather_block_rows(x.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(backend, scratch, bvals[k], &rows_buf);
+                    simd::product_rows(scratch, bvals[k], &rows_buf);
                     let out_row = base[mode] + x.einds()[mode][z] as usize;
                     for (k, &s) in scratch.iter().enumerate() {
                         cells[out_row * r + k].fetch_add(s);
@@ -804,31 +615,20 @@ pub fn mttkrp_vb_sched<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_sched_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb_sched`] with an explicit kernel backend.
-pub fn mttkrp_vb_sched_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     check_factors(x.shape(), factors, mode)?;
     let sched = crate::sched::vb_mode_schedule(x, mode);
-    mttkrp_vb_sched_with_backend(x, factors, mode, &sched, backend)
+    mttkrp_vb_sched_with(x, factors, mode, &sched)
 }
 
 /// Scheduled vb-HiCOO Mttkrp against a prebuilt [`ModeSchedule`] (the
 /// schedule of the source HiCOO tensor is structurally identical and may be
 /// reused). Same disjoint-stripe, fixed-order accumulation as the HiCOO
-/// variant: bitwise-deterministic, and bitwise-identical across backends.
-pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
+/// variant, so the result is bitwise-deterministic.
+pub fn mttkrp_vb_sched_with<S: Scalar>(
     x: &VbHicooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
     sched: &ModeSchedule,
-    backend: KernelBackend,
 ) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     if sched.mode() != mode {
@@ -839,7 +639,6 @@ pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
     }
     let _span = obs::span!("mttkrp.vb.scheduled");
     charge_vb(x, r);
-    simd::note_dispatch(backend);
     let rows_n = x.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let bits = x.block_bits();
@@ -864,7 +663,6 @@ pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
                 let bvals = x.block_vals(b);
                 if let Some((ma, mb)) = three {
                     simd::mttkrp_block3(
-                        backend,
                         slice,
                         row_base,
                         r,
@@ -885,7 +683,7 @@ pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
                     gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
                     let out_row = base[mode] + x.einds()[mode][z] as usize;
                     let dst = &mut slice[(out_row - row_base) * r..][..r];
-                    simd::accum_rows(backend, dst, bvals[k], &rows_buf);
+                    simd::accum_rows(dst, bvals[k], &rows_buf);
                 }
             }
         }
@@ -899,20 +697,9 @@ pub fn mttkrp_vb_seq<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_seq_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb_seq`] with an explicit kernel backend.
-pub fn mttkrp_vb_seq_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.vb.seq");
     charge_vb(x, r);
-    simd::note_dispatch(backend);
     let mut out = DenseMatrix::zeros(x.shape().dim(mode) as usize, r);
     let bits = x.block_bits();
     let order = x.order();
@@ -925,7 +712,7 @@ pub fn mttkrp_vb_seq_backend<S: Scalar>(
         for (k, z) in x.block_range(b).enumerate() {
             gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
             let dst = out.row_mut(base[mode] + x.einds()[mode][z] as usize);
-            simd::accum_rows(backend, dst, bvals[k], &rows_buf);
+            simd::accum_rows(dst, bvals[k], &rows_buf);
         }
     }
     Ok(out)
@@ -1006,7 +793,6 @@ mod tests {
                 MttkrpStrategy::Seq,
                 MttkrpStrategy::Atomic,
                 MttkrpStrategy::Privatized,
-                MttkrpStrategy::RowLocked,
                 MttkrpStrategy::Scheduled,
             ] {
                 let got = mttkrp_with(&x, &refs(&f), mode, strat).unwrap();
@@ -1077,64 +863,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_bitwise_identical_across_strategies() {
-        // The SIMD backend is lane-wise and order-preserving, so every
-        // strategy must produce bit-for-bit the same output either way —
-        // including non-lane-multiple ranks that exercise vector tails.
-        let entries: Vec<(Vec<u32>, f32)> = (0..3000)
-            .map(|i| {
-                (
-                    vec![(i * 13) % 20, (i * 7) % 30, (i * 3) % 25],
-                    0.01 * i as f32 - 3.0,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![20, 30, 25]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        for r in [3usize, 8, 16, 17] {
-            let f = factors(x.shape(), r);
-            for mode in 0..3 {
-                for strat in [
-                    MttkrpStrategy::Seq,
-                    MttkrpStrategy::Atomic,
-                    MttkrpStrategy::Privatized,
-                    MttkrpStrategy::RowLocked,
-                    MttkrpStrategy::Scheduled,
-                ] {
-                    let s = mttkrp_with_backend(&x, &refs(&f), mode, strat, KernelBackend::Scalar)
-                        .unwrap();
-                    let v = mttkrp_with_backend(&x, &refs(&f), mode, strat, KernelBackend::Simd)
-                        .unwrap();
-                    // Atomic/privatized strategies are order-nondeterministic
-                    // across *runs*, but single-threaded here they agree;
-                    // compare approximately for those, bitwise for the rest.
-                    if matches!(strat, MttkrpStrategy::Seq | MttkrpStrategy::Scheduled) {
-                        assert_eq!(s.data(), v.data(), "{strat:?} r={r} mode={mode}");
-                    } else {
-                        for (a, b) in s.data().iter().zip(v.data()) {
-                            assert!(approx_eq(*a, *b, 1e-4), "{strat:?} r={r}: {a} vs {b}");
-                        }
-                    }
-                }
-                let hs =
-                    mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, KernelBackend::Scalar).unwrap();
-                let hv =
-                    mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, KernelBackend::Simd).unwrap();
-                assert_eq!(hs.data(), hv.data(), "hicoo sched r={r} mode={mode}");
-                let qs =
-                    mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, KernelBackend::Scalar).unwrap();
-                let qv =
-                    mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, KernelBackend::Simd).unwrap();
-                assert_eq!(qs.data(), qv.data(), "hicoo seq r={r} mode={mode}");
-            }
-        }
-    }
-
-    #[test]
     fn vb_matches_hicoo_bitwise() {
         // The value-blocked layout only moves value storage; the iteration
         // order is identical to HiCOO, so seq/sched results must be bitwise
-        // equal to the HiCOO kernels in both backends.
+        // equal to the HiCOO kernels.
         let entries: Vec<(Vec<u32>, f32)> = (0..3000)
             .map(|i| {
                 (
@@ -1149,21 +881,15 @@ mod tests {
         for r in [3usize, 8, 16] {
             let f = factors(x.shape(), r);
             for mode in 0..3 {
-                for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    let want = mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, backend).unwrap();
-                    let got = mttkrp_vb_seq_backend(&vb, &refs(&f), mode, backend).unwrap();
-                    assert_eq!(want.data(), got.data(), "seq r={r} mode={mode} {backend:?}");
-                    let want = mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, backend).unwrap();
-                    let got = mttkrp_vb_sched_backend(&vb, &refs(&f), mode, backend).unwrap();
-                    assert_eq!(
-                        want.data(),
-                        got.data(),
-                        "sched r={r} mode={mode} {backend:?}"
-                    );
-                    let atom = mttkrp_vb_backend(&vb, &refs(&f), mode, backend).unwrap();
-                    for (a, b) in want.data().iter().zip(atom.data()) {
-                        assert!(approx_eq(*a, *b, 1e-4), "atomic r={r}: {a} vs {b}");
-                    }
+                let want = mttkrp_hicoo_seq(&h, &refs(&f), mode).unwrap();
+                let got = mttkrp_vb_seq(&vb, &refs(&f), mode).unwrap();
+                assert_eq!(want.data(), got.data(), "seq r={r} mode={mode}");
+                let want = mttkrp_hicoo_sched(&h, &refs(&f), mode).unwrap();
+                let got = mttkrp_vb_sched(&vb, &refs(&f), mode).unwrap();
+                assert_eq!(want.data(), got.data(), "sched r={r} mode={mode}");
+                let atom = mttkrp_vb(&vb, &refs(&f), mode).unwrap();
+                for (a, b) in want.data().iter().zip(atom.data()) {
+                    assert!(approx_eq(*a, *b, 1e-4), "atomic r={r}: {a} vs {b}");
                 }
             }
         }

@@ -23,12 +23,12 @@ use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::hicoo::{HicooTensor, VbHicooTensor};
 use crate::scalar::Scalar;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 use super::EwOp;
 
-/// Chunk size for the parallel value loops; large enough that the SIMD body
-/// amortizes rayon's per-task overhead.
+/// Chunk size for the parallel value loops; large enough that the vectorized
+/// body amortizes rayon's per-task overhead.
 const CHUNK: usize = 1024;
 
 /// Compare the coordinates of `a`'s nonzero `i` and `b`'s nonzero `j`
@@ -87,28 +87,17 @@ pub fn tew_same_pattern<S: Scalar>(
     y: &CooTensor<S>,
     op: EwOp,
 ) -> Result<CooTensor<S>> {
-    tew_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_same_pattern`] with an explicit kernel backend.
-pub fn tew_same_pattern_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    y: &CooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_same_shape(x, y)?;
     if !x.same_pattern(y) {
         return Err(TensorError::PatternMismatch);
     }
     let _span = obs::span!("tew.coo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     vals.par_chunks_mut(CHUNK)
         .zip(x.vals().par_chunks(CHUNK))
         .zip(y.vals().par_chunks(CHUNK))
-        .for_each(|((o, a), b)| simd::ew_combine_into(backend, op, a, b, o));
+        .for_each(|((o, a), b)| simd::ew_combine_into(op, a, b, o));
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -123,25 +112,14 @@ pub fn tew_same_pattern_seq<S: Scalar>(
     y: &CooTensor<S>,
     op: EwOp,
 ) -> Result<CooTensor<S>> {
-    tew_same_pattern_seq_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_same_pattern_seq`] with an explicit kernel backend.
-pub fn tew_same_pattern_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    y: &CooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_same_shape(x, y)?;
     if !x.same_pattern(y) {
         return Err(TensorError::PatternMismatch);
     }
     let _span = obs::span!("tew.seq");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    simd::ew_combine_into(backend, op, x.vals(), y.vals(), &mut vals);
+    simd::ew_combine_into(op, x.vals(), y.vals(), &mut vals);
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -381,16 +359,6 @@ pub fn tew_hicoo_same_pattern<S: Scalar>(
     y: &HicooTensor<S>,
     op: EwOp,
 ) -> Result<HicooTensor<S>> {
-    tew_hicoo_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_hicoo_same_pattern`] with an explicit kernel backend.
-pub fn tew_hicoo_same_pattern_backend<S: Scalar>(
-    x: &HicooTensor<S>,
-    y: &HicooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     if x.shape() != y.shape() {
         return Err(TensorError::ShapeMismatch {
             left: x.shape().dims().to_vec(),
@@ -402,12 +370,11 @@ pub fn tew_hicoo_same_pattern_backend<S: Scalar>(
     }
     let _span = obs::span!("tew.hicoo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut out = x.clone();
     out.vals_mut()
         .par_chunks_mut(CHUNK)
         .zip(y.vals().par_chunks(CHUNK))
-        .for_each(|(a, b)| simd::ew_combine_assign(backend, op, a, b));
+        .for_each(|(a, b)| simd::ew_combine_assign(op, a, b));
     Ok(out)
 }
 
@@ -418,16 +385,6 @@ pub fn tew_vb_same_pattern<S: Scalar>(
     x: &VbHicooTensor<S>,
     y: &VbHicooTensor<S>,
     op: EwOp,
-) -> Result<VbHicooTensor<S>> {
-    tew_vb_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_vb_same_pattern`] with an explicit kernel backend.
-pub fn tew_vb_same_pattern_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    y: &VbHicooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
 ) -> Result<VbHicooTensor<S>> {
     if x.shape() != y.shape() {
         return Err(TensorError::ShapeMismatch {
@@ -440,12 +397,11 @@ pub fn tew_vb_same_pattern_backend<S: Scalar>(
     }
     let _span = obs::span!("tew.vb");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut out = x.clone();
     out.padded_vals_mut()
         .par_chunks_mut(CHUNK)
         .zip(y.padded_vals().par_chunks(CHUNK))
-        .for_each(|(a, b)| simd::ew_combine_assign(backend, op, a, b));
+        .for_each(|(a, b)| simd::ew_combine_assign(op, a, b));
     out.rezero_padding();
     Ok(out)
 }
@@ -606,45 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_bitwise_identical() {
-        let n = 777u32; // not a lane multiple
-        let xe: Vec<(Vec<u32>, f32)> = (0..n)
-            .map(|i| (vec![i % 50, i / 50], ((i * 31 % 19) as f32) - 9.0))
-            .collect();
-        let ye: Vec<(Vec<u32>, f32)> = (0..n)
-            .map(|i| (vec![i % 50, i / 50], ((i * 13 % 23) as f32) - 11.0))
-            .collect();
-        let shape = Shape::new(vec![50, 16]);
-        let x = CooTensor::from_entries(shape.clone(), xe).unwrap();
-        let y = CooTensor::from_entries(shape, ye).unwrap();
-        let hx = HicooTensor::from_coo(&x, 2).unwrap();
-        let hy = HicooTensor::from_coo(&y, 2).unwrap();
-        for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            use crate::simd::KernelBackend::{Scalar, Simd};
-            let zs = tew_same_pattern_backend(&x, &y, op, Scalar).unwrap();
-            let zv = tew_same_pattern_backend(&x, &y, op, Simd).unwrap();
-            assert_eq!(
-                zs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                zv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{op:?} parallel"
-            );
-            let zq = tew_same_pattern_seq_backend(&x, &y, op, Simd).unwrap();
-            assert_eq!(
-                zs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                zq.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{op:?} seq"
-            );
-            let hs = tew_hicoo_same_pattern_backend(&hx, &hy, op, Scalar).unwrap();
-            let hv = tew_hicoo_same_pattern_backend(&hx, &hy, op, Simd).unwrap();
-            assert_eq!(
-                hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{op:?} hicoo"
-            );
-        }
-    }
-
-    #[test]
     fn vb_matches_hicoo_and_keeps_padding_clean() {
         let n = 333u32;
         let xe: Vec<(Vec<u32>, f32)> = (0..n)
@@ -671,20 +588,15 @@ mod tests {
         let vx = VbHicooTensor::from_hicoo(&hx);
         let vy = VbHicooTensor::from_hicoo(&hy);
         for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            for backend in [
-                crate::simd::KernelBackend::Scalar,
-                crate::simd::KernelBackend::Simd,
-            ] {
-                let h = tew_hicoo_same_pattern_backend(&hx, &hy, op, backend).unwrap();
-                let v = tew_vb_same_pattern_backend(&vx, &vy, op, backend).unwrap();
-                assert!(v.validate().is_ok(), "{op:?} {backend:?} padding");
-                let vh = v.to_hicoo();
-                assert_eq!(
-                    h.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    vh.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    "{op:?} {backend:?}"
-                );
-            }
+            let h = tew_hicoo_same_pattern(&hx, &hy, op).unwrap();
+            let v = tew_vb_same_pattern(&vx, &vy, op).unwrap();
+            assert!(v.validate().is_ok(), "{op:?} padding");
+            let vh = v.to_hicoo();
+            assert_eq!(
+                h.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                vh.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                "{op:?}"
+            );
         }
     }
 

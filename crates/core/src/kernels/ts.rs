@@ -15,11 +15,11 @@ use crate::coo::CooTensor;
 use crate::error::{Result, TensorError};
 use crate::hicoo::{HicooTensor, VbHicooTensor};
 use crate::scalar::Scalar;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 use super::EwOp;
 
-/// Chunk size for the parallel value loops; large enough that the SIMD body
+/// Chunk size for the parallel value loops; large enough that the vectorized body
 /// amortizes rayon's per-task overhead.
 const CHUNK: usize = 1024;
 
@@ -43,24 +43,13 @@ fn charge(m: usize) {
 
 /// Tensor–scalar operation, parallel over nonzeros (COO-Ts-OMP).
 pub fn ts<S: Scalar>(x: &CooTensor<S>, s: S, op: EwOp) -> Result<CooTensor<S>> {
-    ts_backend(x, s, op, simd::current_backend())
-}
-
-/// [`ts`] with an explicit kernel backend.
-pub fn ts_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    s: S,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.coo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     vals.par_chunks_mut(CHUNK)
         .zip(x.vals().par_chunks(CHUNK))
-        .for_each(|(o, a)| simd::ew_scalar_into(backend, op, a, s, o));
+        .for_each(|(o, a)| simd::ew_scalar_into(op, a, s, o));
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -71,22 +60,11 @@ pub fn ts_backend<S: Scalar>(
 
 /// Sequential tensor–scalar baseline.
 pub fn ts_seq<S: Scalar>(x: &CooTensor<S>, s: S, op: EwOp) -> Result<CooTensor<S>> {
-    ts_seq_backend(x, s, op, simd::current_backend())
-}
-
-/// [`ts_seq`] with an explicit kernel backend.
-pub fn ts_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    s: S,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.seq");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    simd::ew_scalar_into(backend, op, x.vals(), s, &mut vals);
+    simd::ew_scalar_into(op, x.vals(), s, &mut vals);
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -98,24 +76,13 @@ pub fn ts_seq_backend<S: Scalar>(
 /// Tensor–scalar over HiCOO (HiCOO-Ts-OMP): identical value loop, output in
 /// HiCOO with the input's block structure.
 pub fn ts_hicoo<S: Scalar>(x: &HicooTensor<S>, s: S, op: EwOp) -> Result<HicooTensor<S>> {
-    ts_hicoo_backend(x, s, op, simd::current_backend())
-}
-
-/// [`ts_hicoo`] with an explicit kernel backend.
-pub fn ts_hicoo_backend<S: Scalar>(
-    x: &HicooTensor<S>,
-    s: S,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.hicoo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut out = x.clone();
     out.vals_mut()
         .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(backend, op, a, s));
+        .for_each(|a| simd::ew_scalar_assign(op, a, s));
     Ok(out)
 }
 
@@ -123,24 +90,13 @@ pub fn ts_hicoo_backend<S: Scalar>(
 /// full-lane chunks) and re-zeroes the padding lanes afterwards (Add/Sub/Div
 /// would otherwise leave them nonzero or NaN).
 pub fn ts_vb<S: Scalar>(x: &VbHicooTensor<S>, s: S, op: EwOp) -> Result<VbHicooTensor<S>> {
-    ts_vb_backend(x, s, op, simd::current_backend())
-}
-
-/// [`ts_vb`] with an explicit kernel backend.
-pub fn ts_vb_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    s: S,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<VbHicooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.vb");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     let mut out = x.clone();
     out.padded_vals_mut()
         .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(backend, op, a, s));
+        .for_each(|a| simd::ew_scalar_assign(op, a, s));
     out.rezero_padding();
     Ok(out)
 }
@@ -148,23 +104,12 @@ pub fn ts_vb_backend<S: Scalar>(
 /// In-place variant reusing the input's allocation (the form tensor methods
 /// use when the operand is a scratch tensor).
 pub fn ts_in_place<S: Scalar>(x: &mut CooTensor<S>, s: S, op: EwOp) -> Result<()> {
-    ts_in_place_backend(x, s, op, simd::current_backend())
-}
-
-/// [`ts_in_place`] with an explicit kernel backend.
-pub fn ts_in_place_backend<S: Scalar>(
-    x: &mut CooTensor<S>,
-    s: S,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<()> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.in_place");
     charge(x.nnz());
-    simd::note_dispatch(backend);
     x.vals_mut()
         .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(backend, op, a, s));
+        .for_each(|a| simd::ew_scalar_assign(op, a, s));
     Ok(())
 }
 
@@ -231,38 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_bitwise_identical() {
-        use crate::simd::KernelBackend::{Scalar, Simd};
-        let entries: Vec<(Vec<u32>, f32)> = (0..333u32)
-            .map(|i| {
-                (
-                    vec![i % 4, (i / 4) % 4, i / 16],
-                    ((i * 29 % 17) as f32) - 8.0,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![4, 4, 21]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            let s = 2.75f32;
-            let zs = ts_backend(&x, s, op, Scalar).unwrap();
-            let zv = ts_backend(&x, s, op, Simd).unwrap();
-            assert_eq!(
-                zs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                zv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{op:?} parallel"
-            );
-            assert_eq!(zs.vals(), ts_seq_backend(&x, s, op, Simd).unwrap().vals());
-            let hs = ts_hicoo_backend(&h, s, op, Scalar).unwrap();
-            let hv = ts_hicoo_backend(&h, s, op, Simd).unwrap();
-            assert_eq!(hs.vals(), hv.vals(), "{op:?} hicoo");
-            let mut xi = x.clone();
-            ts_in_place_backend(&mut xi, s, op, Simd).unwrap();
-            assert_eq!(zs.vals(), xi.vals(), "{op:?} in-place");
-        }
-    }
-
-    #[test]
     fn vb_matches_hicoo_and_keeps_padding_clean() {
         let entries: Vec<(Vec<u32>, f32)> = (0..333u32)
             .map(|i| {
@@ -276,23 +189,18 @@ mod tests {
         let h = HicooTensor::from_coo(&x, 2).unwrap();
         let v = VbHicooTensor::from_hicoo(&h);
         for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            for backend in [
-                crate::simd::KernelBackend::Scalar,
-                crate::simd::KernelBackend::Simd,
-            ] {
-                let hy = ts_hicoo_backend(&h, 2.75, op, backend).unwrap();
-                let vy = ts_vb_backend(&v, 2.75, op, backend).unwrap();
-                assert!(vy.validate().is_ok(), "{op:?} {backend:?} padding");
-                assert_eq!(
-                    hy.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    vy.to_hicoo()
-                        .vals()
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect::<Vec<_>>(),
-                    "{op:?} {backend:?}"
-                );
-            }
+            let hy = ts_hicoo(&h, 2.75, op).unwrap();
+            let vy = ts_vb(&v, 2.75, op).unwrap();
+            assert!(vy.validate().is_ok(), "{op:?} padding");
+            assert_eq!(
+                hy.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                vy.to_hicoo()
+                    .vals()
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect::<Vec<_>>(),
+                "{op:?}"
+            );
         }
     }
 

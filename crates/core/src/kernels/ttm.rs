@@ -22,7 +22,7 @@ use crate::par::Schedule;
 use crate::scalar::Scalar;
 use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 fn check_operand<S: Scalar>(shape: &Shape, mode: usize, u: &DenseMatrix<S>) -> Result<()> {
     shape.check_mode(mode)?;
@@ -60,17 +60,6 @@ pub fn ttm_prepared<S: Scalar>(
     u: &DenseMatrix<S>,
     sched: Schedule,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_prepared_backend(x, fp, u, sched, simd::current_backend())
-}
-
-/// [`ttm_prepared`] with an explicit kernel backend.
-pub fn ttm_prepared_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    u: &DenseMatrix<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, u)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -82,7 +71,6 @@ pub fn ttm_prepared_backend<S: Scalar>(
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf, r);
-    simd::note_dispatch(backend);
     let out_shape = x.shape().with_mode_size(mode, r as u32)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -90,7 +78,7 @@ pub fn ttm_prepared_backend<S: Scalar>(
     let mut vals = crate::par::first_touch_filled(mf * r, S::ZERO);
     let body = |f: usize, stripe: &mut [S]| {
         for m in fp.fiber_range(f) {
-            simd::axpy(backend, stripe, u.row(xk[m] as usize), xv[m]);
+            simd::axpy(stripe, u.row(xk[m] as usize), xv[m]);
         }
     };
     match sched {
@@ -135,16 +123,6 @@ pub fn ttm_prepared_seq<S: Scalar>(
     fp: &FiberPartition,
     u: &DenseMatrix<S>,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_prepared_seq_backend(x, fp, u, simd::current_backend())
-}
-
-/// [`ttm_prepared_seq`] with an explicit kernel backend.
-pub fn ttm_prepared_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    u: &DenseMatrix<S>,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, u)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -156,7 +134,6 @@ pub fn ttm_prepared_seq_backend<S: Scalar>(
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf, r);
-    simd::note_dispatch(backend);
     let out_shape = x.shape().with_mode_size(mode, r as u32)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -165,7 +142,7 @@ pub fn ttm_prepared_seq_backend<S: Scalar>(
     for f in 0..mf {
         let stripe = &mut vals[f * r..(f + 1) * r];
         for m in fp.fiber_range(f) {
-            simd::axpy(backend, stripe, u.row(xk[m] as usize), xv[m]);
+            simd::axpy(stripe, u.row(xk[m] as usize), xv[m]);
         }
     }
     let mut inds: Vec<Vec<u32>> = vec![Vec::new(); x.order()];
@@ -187,24 +164,14 @@ pub fn ttm<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_backend(x, u, mode, simd::current_backend())
-}
-
-/// [`ttm`] with an explicit kernel backend.
-pub fn ttm_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     check_operand(x.shape(), mode, u)?;
     if x.sort_state().is_mode_last(x.order(), mode) {
         let fp = x.fibers_sorted(mode)?;
-        ttm_prepared_backend(x, &fp, u, Schedule::default(), backend)
+        ttm_prepared(x, &fp, u, Schedule::default())
     } else {
         let mut c = x.clone();
         let fp = c.fibers(mode)?;
-        ttm_prepared_backend(&c, &fp, u, Schedule::default(), backend)
+        ttm_prepared(&c, &fp, u, Schedule::default())
     }
 }
 
@@ -216,24 +183,12 @@ pub fn ttm_ghicoo<S: Scalar>(
     u: &DenseMatrix<S>,
     sched: Schedule,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_ghicoo_backend(g, fp, u, sched, simd::current_backend())
-}
-
-/// [`ttm_ghicoo`] with an explicit kernel backend.
-pub fn ttm_ghicoo_backend<S: Scalar>(
-    g: &GHicooTensor<S>,
-    fp: &GhFiberPartition,
-    u: &DenseMatrix<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     let mode = fp.mode;
     check_operand(g.shape(), mode, u)?;
     let _span = obs::span!("ttm.ghicoo");
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(g.order(), g.nnz(), mf, r);
-    simd::note_dispatch(backend);
     let nb = g.num_blocks();
     let out_shape = g.shape().with_mode_size(mode, r as u32)?;
     let gv = g.vals();
@@ -242,7 +197,7 @@ pub fn ttm_ghicoo_backend<S: Scalar>(
     let mut vals = crate::par::first_touch_filled(mf * r, S::ZERO);
     let body = |f: usize, stripe: &mut [S]| {
         for m in fp.fiber_range(f) {
-            simd::axpy(backend, stripe, u.row(gk[m] as usize), gv[m]);
+            simd::axpy(stripe, u.row(gk[m] as usize), gv[m]);
         }
     };
     match sched {
@@ -293,20 +248,10 @@ pub fn ttm_hicoo<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_backend(h, u, mode, simd::current_backend())
-}
-
-/// [`ttm_hicoo`] with an explicit kernel backend.
-pub fn ttm_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
     let g = GHicooTensor::from_coo_for_mode(&h.to_coo(), h.block_bits(), mode)?;
     let fp = g.fibers(mode)?;
-    ttm_ghicoo_backend(&g, &fp, u, Schedule::default(), backend)
+    ttm_ghicoo(&g, &fp, u, Schedule::default())
 }
 
 /// Scheduled HiCOO-Ttm: contracts `mode` directly on the HiCOO blocks using
@@ -319,22 +264,12 @@ pub fn ttm_hicoo_sched<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_sched_backend(h, u, mode, simd::current_backend())
-}
-
-/// [`ttm_hicoo_sched`] with an explicit kernel backend.
-pub fn ttm_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
     if h.order() > MAX_SCHED_ORDER {
-        return ttm_hicoo_backend(h, u, mode, backend);
+        return ttm_hicoo(h, u, mode);
     }
     let cs = crate::sched::complement_schedule(h, mode);
-    ttm_hicoo_sched_with_backend(h, u, mode, &cs, backend)
+    ttm_hicoo_sched_with(h, u, mode, &cs)
 }
 
 /// Scheduled HiCOO-Ttm against a prebuilt [`ComplementSchedule`]. Same
@@ -347,17 +282,6 @@ pub fn ttm_hicoo_sched_with<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
     cs: &ComplementSchedule,
-) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_sched_with_backend(h, u, mode, cs, simd::current_backend())
-}
-
-/// [`ttm_hicoo_sched_with`] with an explicit kernel backend.
-pub fn ttm_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-    backend: KernelBackend,
 ) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
     if cs.mode() != mode {
@@ -373,7 +297,6 @@ pub fn ttm_hicoo_sched_with_backend<S: Scalar>(
         )));
     }
     let _span = obs::span!("ttm.hicoo.scheduled");
-    simd::note_dispatch(backend);
     let r = u.cols();
     let out_shape = h.shape().with_mode_size(mode, r as u32)?;
     let other: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
@@ -408,7 +331,6 @@ pub fn ttm_hicoo_sched_with_backend<S: Scalar>(
                 while i < entries.len() && entries[i].0 == key {
                     let (_, idx, z) = entries[i];
                     simd::axpy(
-                        backend,
                         &mut vals[start..start + r],
                         u.row(idx as usize),
                         h.vals()[z as usize],
@@ -601,41 +523,6 @@ mod tests {
         let cs = crate::sched::complement_schedule(&h, 2);
         let u = DenseMatrix::constant(4, 2, 1.0f32);
         assert!(ttm_hicoo_sched_with(&h, &u, 1, &cs).is_err());
-    }
-
-    #[test]
-    fn backends_are_bitwise_identical() {
-        use crate::simd::KernelBackend::{Scalar, Simd};
-        let entries: Vec<(Vec<u32>, f32)> = (0..2500)
-            .map(|i| {
-                (
-                    vec![(i * 3) % 18, (i * 7) % 18, (i * 5) % 18],
-                    0.25 * ((i % 15) as f32) - 1.5,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![18, 18, 18]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        // Ranks spanning partial lanes, exact lanes, and lanes plus a tail.
-        for rank in [3usize, 8, 17] {
-            for mode in 0..3 {
-                let u = DenseMatrix::from_fn(18, rank, |i, j| (i * rank + j) as f32 * 0.1 - 4.0);
-                let a = ttm_backend(&x, &u, mode, Scalar).unwrap();
-                let b = ttm_backend(&x, &u, mode, Simd).unwrap();
-                assert_eq!(
-                    a.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "coo rank {rank} mode {mode}"
-                );
-                let hs = ttm_hicoo_sched_backend(&h, &u, mode, Scalar).unwrap();
-                let hv = ttm_hicoo_sched_backend(&h, &u, mode, Simd).unwrap();
-                assert_eq!(
-                    hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "hicoo sched rank {rank} mode {mode}"
-                );
-            }
-        }
     }
 
     #[test]

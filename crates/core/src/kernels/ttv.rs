@@ -23,7 +23,7 @@ use crate::par::{par_for_each_indexed, Schedule};
 use crate::scalar::Scalar;
 use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 /// Largest tensor order for which the scheduled HiCOO contraction kernels
 /// can pack the `order - 1` surviving 8-bit element coordinates of a fiber
@@ -66,17 +66,6 @@ pub fn ttv_prepared<S: Scalar>(
     v: &DenseVector<S>,
     sched: Schedule,
 ) -> Result<CooTensor<S>> {
-    ttv_prepared_backend(x, fp, v, sched, simd::current_backend())
-}
-
-/// [`ttv_prepared`] with an explicit kernel backend.
-pub fn ttv_prepared_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    v: &DenseVector<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, v)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -87,7 +76,6 @@ pub fn ttv_prepared_backend<S: Scalar>(
     let _span = obs::span!("ttv.coo");
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf);
-    simd::note_dispatch(backend);
     let out_shape = x.shape().without_mode(mode)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -96,7 +84,7 @@ pub fn ttv_prepared_backend<S: Scalar>(
     let mut vals = crate::par::first_touch_filled(mf, S::ZERO);
     par_for_each_indexed(&mut vals, sched, |f, out| {
         let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(backend, &xv[r.clone()], &xk[r], vv);
+        *out = simd::fiber_dot(&xv[r.clone()], &xk[r], vv);
     });
 
     let other_modes: Vec<usize> = (0..x.order()).filter(|&m| m != mode).collect();
@@ -127,16 +115,6 @@ pub fn ttv_prepared_seq<S: Scalar>(
     fp: &FiberPartition,
     v: &DenseVector<S>,
 ) -> Result<CooTensor<S>> {
-    ttv_prepared_seq_backend(x, fp, v, simd::current_backend())
-}
-
-/// [`ttv_prepared_seq`] with an explicit kernel backend.
-pub fn ttv_prepared_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    v: &DenseVector<S>,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, v)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -147,7 +125,6 @@ pub fn ttv_prepared_seq_backend<S: Scalar>(
     let _span = obs::span!("ttv.seq");
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf);
-    simd::note_dispatch(backend);
     let out_shape = x.shape().without_mode(mode)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -156,7 +133,7 @@ pub fn ttv_prepared_seq_backend<S: Scalar>(
     let mut vals = Vec::with_capacity(mf);
     for f in 0..mf {
         let r = fp.fiber_range(f);
-        vals.push(simd::fiber_dot(backend, &xv[r.clone()], &xk[r], vv));
+        vals.push(simd::fiber_dot(&xv[r.clone()], &xk[r], vv));
     }
     let other_modes: Vec<usize> = (0..x.order()).filter(|&m| m != mode).collect();
     let out_inds: Vec<Vec<u32>> = other_modes
@@ -196,24 +173,14 @@ pub fn ttv_prepared_seq_backend<S: Scalar>(
 /// # Ok::<(), TensorError>(())
 /// ```
 pub fn ttv<S: Scalar>(x: &CooTensor<S>, v: &DenseVector<S>, mode: usize) -> Result<CooTensor<S>> {
-    ttv_backend(x, v, mode, simd::current_backend())
-}
-
-/// [`ttv`] with an explicit kernel backend.
-pub fn ttv_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_operand(x.shape(), mode, v)?;
     if x.sort_state().is_mode_last(x.order(), mode) {
         let fp = x.fibers_sorted(mode)?;
-        ttv_prepared_backend(x, &fp, v, Schedule::default(), backend)
+        ttv_prepared(x, &fp, v, Schedule::default())
     } else {
         let mut c = x.clone();
         let fp = c.fibers(mode)?;
-        ttv_prepared_backend(&c, &fp, v, Schedule::default(), backend)
+        ttv_prepared(&c, &fp, v, Schedule::default())
     }
 }
 
@@ -226,23 +193,11 @@ pub fn ttv_ghicoo<S: Scalar>(
     v: &DenseVector<S>,
     sched: Schedule,
 ) -> Result<HicooTensor<S>> {
-    ttv_ghicoo_backend(g, fp, v, sched, simd::current_backend())
-}
-
-/// [`ttv_ghicoo`] with an explicit kernel backend.
-pub fn ttv_ghicoo_backend<S: Scalar>(
-    g: &GHicooTensor<S>,
-    fp: &GhFiberPartition,
-    v: &DenseVector<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     let mode = fp.mode;
     check_operand(g.shape(), mode, v)?;
     let _span = obs::span!("ttv.ghicoo");
     let mf = fp.num_fibers();
     charge(g.order(), g.nnz(), mf);
-    simd::note_dispatch(backend);
     let nb = g.num_blocks();
     let out_shape = g.shape().without_mode(mode)?;
     let out_order = out_shape.order();
@@ -255,7 +210,7 @@ pub fn ttv_ghicoo_backend<S: Scalar>(
     let mut vals = crate::par::first_touch_filled(mf, S::ZERO);
     par_for_each_indexed(&mut vals, sched, |f, out| {
         let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(backend, &gv[r.clone()], &gk[r], vv);
+        *out = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
     });
 
     // Output structure: block b of the output holds the fibers of input
@@ -299,11 +254,10 @@ pub fn ttv_ghicoo_seq<S: Scalar>(
     let gv = g.vals();
     let gk = g.find(mode);
     let vv = v.as_slice();
-    let backend = simd::current_backend();
     let mut vals = vec![S::ZERO; mf];
     for (f, out) in vals.iter_mut().enumerate() {
         let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(backend, &gv[r.clone()], &gk[r], vv);
+        *out = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
     }
     // Assemble through the parallel path's structure code by substituting
     // the computed values.
@@ -320,20 +274,10 @@ pub fn ttv_hicoo<S: Scalar>(
     v: &DenseVector<S>,
     mode: usize,
 ) -> Result<HicooTensor<S>> {
-    ttv_hicoo_backend(h, v, mode, simd::current_backend())
-}
-
-/// [`ttv_hicoo`] with an explicit kernel backend.
-pub fn ttv_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
     let g = GHicooTensor::from_coo_for_mode(&h.to_coo(), h.block_bits(), mode)?;
     let fp = g.fibers(mode)?;
-    ttv_ghicoo_backend(&g, &fp, v, Schedule::default(), backend)
+    ttv_ghicoo(&g, &fp, v, Schedule::default())
 }
 
 /// Scheduled HiCOO-Ttv: contracts `mode` directly on the HiCOO blocks using
@@ -346,22 +290,12 @@ pub fn ttv_hicoo_sched<S: Scalar>(
     v: &DenseVector<S>,
     mode: usize,
 ) -> Result<HicooTensor<S>> {
-    ttv_hicoo_sched_backend(h, v, mode, simd::current_backend())
-}
-
-/// [`ttv_hicoo_sched`] with an explicit kernel backend.
-pub fn ttv_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
     if h.order() > MAX_SCHED_ORDER {
-        return ttv_hicoo_backend(h, v, mode, backend);
+        return ttv_hicoo(h, v, mode);
     }
     let cs = crate::sched::complement_schedule(h, mode);
-    ttv_hicoo_sched_with_backend(h, v, mode, &cs, backend)
+    ttv_hicoo_sched_with(h, v, mode, &cs)
 }
 
 /// Scheduled HiCOO-Ttv against a prebuilt [`ComplementSchedule`].
@@ -379,17 +313,6 @@ pub fn ttv_hicoo_sched_with<S: Scalar>(
     mode: usize,
     cs: &ComplementSchedule,
 ) -> Result<HicooTensor<S>> {
-    ttv_hicoo_sched_with_backend(h, v, mode, cs, simd::current_backend())
-}
-
-/// [`ttv_hicoo_sched_with`] with an explicit kernel backend.
-pub fn ttv_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
     if cs.mode() != mode {
         return Err(TensorError::InvalidStructure(format!(
@@ -404,7 +327,6 @@ pub fn ttv_hicoo_sched_with_backend<S: Scalar>(
         )));
     }
     let _span = obs::span!("ttv.hicoo.scheduled");
-    simd::note_dispatch(backend);
     let out_shape = h.shape().without_mode(mode)?;
     let other: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
     let out_order = other.len();
@@ -449,7 +371,7 @@ pub fn ttv_hicoo_sched_with_backend<S: Scalar>(
                     i += 1;
                 }
                 keys.push(key);
-                vals.push(simd::fiber_dot(backend, &rvals, &ridx, vv));
+                vals.push(simd::fiber_dot(&rvals, &ridx, vv));
             }
             (keys, vals)
         })
@@ -661,43 +583,6 @@ mod tests {
         let cs = crate::sched::complement_schedule(&h, 0);
         let v = DenseVector::constant(4, 1.0f32);
         assert!(ttv_hicoo_sched_with(&h, &v, 1, &cs).is_err());
-    }
-
-    #[test]
-    fn backends_are_bitwise_identical() {
-        use crate::simd::KernelBackend::{Scalar, Simd};
-        // Long fibers so the vectorized dot product exercises full lanes
-        // plus a scalar tail.
-        let entries: Vec<(Vec<u32>, f32)> = (0..4000)
-            .map(|i| {
-                (
-                    vec![(i * 3) % 10, (i * 7) % 10, i % 40],
-                    0.5 * ((i % 13) as f32) - 3.0,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![10, 10, 40]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        for mode in 0..3 {
-            let v = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i as f32) * 0.25 - 2.0);
-            let a = ttv_backend(&x, &v, mode, Scalar).unwrap();
-            let b = ttv_backend(&x, &v, mode, Simd).unwrap();
-            assert_eq!(
-                a.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "coo mode {mode}"
-            );
-            let hs = ttv_hicoo_sched_backend(&h, &v, mode, Scalar).unwrap();
-            let hv = ttv_hicoo_sched_backend(&h, &v, mode, Simd).unwrap();
-            assert_eq!(
-                hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "hicoo sched mode {mode}"
-            );
-            let gs = ttv_hicoo_backend(&h, &v, mode, Scalar).unwrap();
-            let gv = ttv_hicoo_backend(&h, &v, mode, Simd).unwrap();
-            assert_eq!(gs.vals(), gv.vals(), "ghicoo mode {mode}");
-        }
     }
 
     #[test]

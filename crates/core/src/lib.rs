@@ -92,7 +92,6 @@ pub mod prelude {
     pub use crate::kernels::{EwOp, Kernel};
     pub use crate::scalar::Scalar;
     pub use crate::shape::Shape;
-    pub use crate::simd::{BackendChoice, KernelBackend};
 }
 
 pub use crate::error::{Result, TensorError};

@@ -155,7 +155,7 @@ pub fn cp_als<S: Scalar>(x: &CooTensor<S>, opts: &CpAlsOptions) -> Result<CpDeco
     let backend = Backend::build(x, opts.backend, opts.strategy)?;
     let mut state = cp_als_init(x, opts);
     while state.iteration < opts.max_iters {
-        if step_with_backend(x, &backend, opts, &mut state)? {
+        if step_on(x, &backend, opts, &mut state)? {
             break;
         }
     }
@@ -221,10 +221,10 @@ pub fn cp_als_step<S: Scalar>(
     state: &mut CpAlsState<S>,
 ) -> Result<bool> {
     let backend = Backend::build(x, opts.backend, opts.strategy)?;
-    step_with_backend(x, &backend, opts, state)
+    step_on(x, &backend, opts, state)
 }
 
-fn step_with_backend<S: Scalar>(
+fn step_on<S: Scalar>(
     x: &CooTensor<S>,
     backend: &Backend<S>,
     opts: &CpAlsOptions,

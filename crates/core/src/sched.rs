@@ -403,18 +403,42 @@ impl ComplementSchedule {
 // Schedule cache
 // ---------------------------------------------------------------------------
 
-/// Identity of a cached schedule. The tensor is identified by the address
-/// and length of its value array plus its structural counts: a tensor that
-/// was dropped and replaced by a different one at the same address would
-/// also have to match nnz, block count, block bits, mode, and thread count
-/// for a stale hit — call [`clear_cache`] when exact control is needed
-/// (tests do).
+/// Identity of one tensor's index structure, as the schedule cache sees it.
+///
+/// Ids come from a process-wide counter and are never reused: a tensor gets
+/// a fresh one when it is constructed, when it is cloned, and whenever its
+/// index arrays are reordered or relabelled, so a cached schedule can only
+/// ever be found by the structure it was built from. Value edits keep the
+/// id — schedules do not depend on values.
+#[derive(Debug)]
+pub struct StructureId(u64);
+
+impl StructureId {
+    /// A never-before-seen id.
+    pub fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        StructureId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for StructureId {
+    fn clone(&self) -> Self {
+        StructureId::fresh()
+    }
+}
+
+/// Ids take no part in tensor equality: two tensors with equal contents
+/// compare equal whatever their identities.
+impl PartialEq for StructureId {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// Identity of a cached schedule.
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
 struct CacheKey {
-    data_ptr: usize,
-    nnz: usize,
-    blocks: usize,
-    block_bits: u8,
+    tensor: u64,
     mode: usize,
     threads: usize,
     kind: u8,
@@ -478,14 +502,16 @@ pub fn clear_cache() {
     cache().lock().unwrap().clear();
 }
 
-/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`.
-pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSchedule> {
+fn cached_mode_schedule(
+    id: &StructureId,
+    binds_mode: &[u32],
+    bptr: &[u64],
+    block_bits: u8,
+    mode: usize,
+) -> Arc<ModeSchedule> {
     let threads = current_threads().max(1);
     let key = CacheKey {
-        data_ptr: h.vals().as_ptr() as usize,
-        nnz: h.nnz(),
-        blocks: h.num_blocks(),
-        block_bits: h.block_bits(),
+        tensor: id.0,
         mode,
         threads,
         kind: KIND_MODE,
@@ -494,57 +520,45 @@ pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSche
         return s;
     }
     let s = Arc::new(ModeSchedule::build(
-        &h.binds()[mode],
-        h.bptr(),
-        h.block_bits(),
-        mode,
-        threads,
+        binds_mode, bptr, block_bits, mode, threads,
     ));
     cache_put(key, CachedSchedule::Mode(Arc::clone(&s)));
     s
 }
 
-/// Cached [`ModeSchedule`] for a value-blocked HiCOO tensor, keyed on its
-/// padded value buffer. Built from the same `binds`/`bptr` arrays as the
-/// plain HiCOO schedule, so a vb tensor converted from a HiCOO tensor
-/// yields an identical schedule (and the scheduled vb kernel bitwise-
-/// matches the scheduled HiCOO kernel).
+/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`.
+pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSchedule> {
+    cached_mode_schedule(
+        h.structure_id(),
+        &h.binds()[mode],
+        h.bptr(),
+        h.block_bits(),
+        mode,
+    )
+}
+
+/// Cached [`ModeSchedule`] for a value-blocked HiCOO tensor. Built from
+/// the same `binds`/`bptr` arrays as the plain HiCOO schedule, so a vb
+/// tensor converted from a HiCOO tensor yields an identical schedule (and
+/// the scheduled vb kernel bitwise-matches the scheduled HiCOO kernel).
 pub fn vb_mode_schedule<S: Scalar>(
     x: &crate::hicoo::VbHicooTensor<S>,
     mode: usize,
 ) -> Arc<ModeSchedule> {
-    let threads = current_threads().max(1);
-    let key = CacheKey {
-        data_ptr: x.padded_vals().as_ptr() as usize,
-        nnz: x.nnz(),
-        blocks: x.num_blocks(),
-        block_bits: x.block_bits(),
-        mode,
-        threads,
-        kind: KIND_MODE,
-    };
-    if let Some(CachedSchedule::Mode(s)) = cache_get(&key) {
-        return s;
-    }
-    let s = Arc::new(ModeSchedule::build(
+    cached_mode_schedule(
+        x.structure_id(),
         &x.binds()[mode],
         x.bptr(),
         x.block_bits(),
         mode,
-        threads,
-    ));
-    cache_put(key, CachedSchedule::Mode(Arc::clone(&s)));
-    s
+    )
 }
 
 /// Cached [`RowSchedule`] for `(x, mode, current_threads())`.
 pub fn row_schedule<S: Scalar>(x: &CooTensor<S>, mode: usize) -> Arc<RowSchedule> {
     let threads = current_threads().max(1);
     let key = CacheKey {
-        data_ptr: x.vals().as_ptr() as usize,
-        nnz: x.nnz(),
-        blocks: 0,
-        block_bits: 0,
+        tensor: x.structure_id().0,
         mode,
         threads,
         kind: KIND_ROW,
@@ -565,10 +579,7 @@ pub fn row_schedule<S: Scalar>(x: &CooTensor<S>, mode: usize) -> Arc<RowSchedule
 /// Cached [`ComplementSchedule`] for `(h, mode)` (thread-independent).
 pub fn complement_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ComplementSchedule> {
     let key = CacheKey {
-        data_ptr: h.vals().as_ptr() as usize,
-        nnz: h.nnz(),
-        blocks: h.num_blocks(),
-        block_bits: h.block_bits(),
+        tensor: h.structure_id().0,
         mode,
         threads: 0,
         kind: KIND_COMPLEMENT,

@@ -1,8 +1,6 @@
 //! Compact binary tensor format.
 //!
-//! Two on-disk layouts share the `.tnb` extension (both little-endian):
-//!
-//! `TNB2` (current, written by [`write_bin`]):
+//! The `.tnb` layout, `TNB2` (little-endian, written by [`write_bin`]):
 //!
 //! ```text
 //! magic   [u8; 4] = b"TNB2"
@@ -17,8 +15,8 @@
 //! vcrc    u32          CRC-32 of the vals section
 //! ```
 //!
-//! `TNB1` (legacy, still readable): the same layout minus the three CRC
-//! words.
+//! Any other magic — including the CRC-less `TNB1` layout that preceded
+//! this one — is rejected as a bad magic.
 //!
 //! Reloading a generated tensor from this format is orders of magnitude
 //! faster than re-running the generator or re-parsing `.tns`, which matters
@@ -26,8 +24,8 @@
 //! damaged cache file. Readers therefore treat the input as untrusted:
 //! the header's `order`/`dims`/`nnz` are validated against the remaining
 //! input length and a configurable allocation budget *before* any
-//! size-derived allocation, all arithmetic is checked, and (for `TNB2`)
-//! every section must pass its CRC. Corruption surfaces as [`IoError`],
+//! size-derived allocation, all arithmetic is checked, and every section
+//! must pass its CRC. Corruption surfaces as [`IoError`],
 //! never a panic or an OOM.
 
 use std::io::{Read, Write};
@@ -40,8 +38,7 @@ use tenbench_core::shape::Shape;
 use crate::crc32::crc32;
 use crate::{IoError, Result};
 
-const MAGIC_V1: &[u8; 4] = b"TNB1";
-const MAGIC_V2: &[u8; 4] = b"TNB2";
+const MAGIC: &[u8; 4] = b"TNB2";
 
 /// Highest tensor order the binary reader accepts. The suite's kernels and
 /// generators top out at order 4; 16 leaves generous headroom while keeping
@@ -133,27 +130,13 @@ fn checked_payload_bytes(nnz: u64, order: usize, vwidth: u8) -> Result<u64> {
         .ok_or(IoError::Tensor(tenbench_core::TensorError::SizeOverflow))
 }
 
-/// Serialize a tensor into the current (`TNB2`) binary format.
-pub fn write_bin<S: Scalar, W: Write>(tensor: &CooTensor<S>, writer: W) -> Result<()> {
-    write_bin_impl(tensor, writer, true)
-}
-
-/// Serialize a tensor into the legacy (`TNB1`) format, for compatibility
-/// testing and producing files older tools can read.
-pub fn write_bin_legacy<S: Scalar, W: Write>(tensor: &CooTensor<S>, writer: W) -> Result<()> {
-    write_bin_impl(tensor, writer, false)
-}
-
-fn write_bin_impl<S: Scalar, W: Write>(
-    tensor: &CooTensor<S>,
-    mut writer: W,
-    crcs: bool,
-) -> Result<()> {
+/// Serialize a tensor into the `TNB2` binary format.
+pub fn write_bin<S: Scalar, W: Write>(tensor: &CooTensor<S>, mut writer: W) -> Result<()> {
     let order = tensor.order();
     let nnz = tensor.nnz();
 
     let mut header = BytesMut::with_capacity(18 + order * 4);
-    header.put_slice(if crcs { MAGIC_V2 } else { MAGIC_V1 });
+    header.put_slice(MAGIC);
     header.put_u8(S::BYTES as u8);
     header.put_u8(order as u8);
     for &d in tensor.shape().dims() {
@@ -177,22 +160,16 @@ fn write_bin_impl<S: Scalar, W: Write>(
     }
 
     writer.write_all(&header)?;
-    if crcs {
-        writer.write_all(&crc32(&header).to_le_bytes())?;
-    }
+    writer.write_all(&crc32(&header).to_le_bytes())?;
     writer.write_all(&inds)?;
-    if crcs {
-        writer.write_all(&crc32(&inds).to_le_bytes())?;
-    }
+    writer.write_all(&crc32(&inds).to_le_bytes())?;
     writer.write_all(&vals)?;
-    if crcs {
-        writer.write_all(&crc32(&vals).to_le_bytes())?;
-    }
+    writer.write_all(&crc32(&vals).to_le_bytes())?;
     writer.flush()?;
     Ok(())
 }
 
-/// Deserialize a tensor from either binary format with default limits.
+/// Deserialize a tensor from the binary format with default limits.
 pub fn read_bin<S: Scalar, R: Read>(reader: R) -> Result<CooTensor<S>> {
     read_bin_with(reader, ReadOptions::default())
 }
@@ -216,11 +193,9 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
     let mut cur = Cursor::new(&raw);
     let mut magic = [0u8; 4];
     magic.copy_from_slice(cur.take(4, "header")?);
-    let v2 = match &magic {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
-        _ => return Err(IoError::Parse(format!("bad magic {magic:?}"))),
-    };
+    if &magic != MAGIC {
+        return Err(IoError::Parse(format!("bad magic {magic:?}")));
+    }
 
     let vwidth = cur.u8("header")?;
     if vwidth as u64 != S::BYTES {
@@ -256,8 +231,8 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
             budget: opts.max_bytes,
         });
     }
-    let crc_overhead = if v2 { 8 } else { 0 };
-    if payload + crc_overhead > cur.remaining() as u64 {
+    // The header and indices CRC words precede the last payload byte.
+    if payload + 8 > cur.remaining() as u64 {
         return Err(IoError::Corrupt {
             section: "header",
             detail: format!(
@@ -268,16 +243,14 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
     }
     let nnz = nnz64 as usize;
 
-    if v2 {
-        let header_end = cur.pos;
-        let expect = cur.u32("header")?;
-        let got = crc32(&raw[..header_end]);
-        if got != expect {
-            return Err(IoError::Corrupt {
-                section: "header",
-                detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
-            });
-        }
+    let header_end = cur.pos;
+    let expect = cur.u32("header")?;
+    let got = crc32(&raw[..header_end]);
+    if got != expect {
+        return Err(IoError::Corrupt {
+            section: "header",
+            detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
+        });
     }
 
     let ind_start = cur.pos;
@@ -290,15 +263,13 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
                 .collect(),
         );
     }
-    if v2 {
-        let expect = cur.u32("indices")?;
-        let got = crc32(&raw[ind_start..ind_start + nnz * 4 * order]);
-        if got != expect {
-            return Err(IoError::Corrupt {
-                section: "indices",
-                detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
-            });
-        }
+    let expect = cur.u32("indices")?;
+    let got = crc32(&raw[ind_start..ind_start + nnz * 4 * order]);
+    if got != expect {
+        return Err(IoError::Corrupt {
+            section: "indices",
+            detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
+        });
     }
 
     let val_start = cur.pos;
@@ -318,21 +289,19 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
             })
             .collect(),
     };
-    if v2 {
-        let expect = cur.u32("values")?;
-        let got = crc32(&raw[val_start..val_start + nnz * vwidth as usize]);
-        if got != expect {
-            return Err(IoError::Corrupt {
-                section: "values",
-                detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
-            });
-        }
-        if cur.remaining() != 0 {
-            return Err(IoError::Corrupt {
-                section: "values",
-                detail: format!("{} trailing bytes after final crc", cur.remaining()),
-            });
-        }
+    let expect = cur.u32("values")?;
+    let got = crc32(&raw[val_start..val_start + nnz * vwidth as usize]);
+    if got != expect {
+        return Err(IoError::Corrupt {
+            section: "values",
+            detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
+        });
+    }
+    if cur.remaining() != 0 {
+        return Err(IoError::Corrupt {
+            section: "values",
+            detail: format!("{} trailing bytes after final crc", cur.remaining()),
+        });
     }
 
     Ok(CooTensor::from_parts(Shape::new(dims), inds, vals)?)
@@ -359,7 +328,7 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write_bin(&t, &mut buf).unwrap();
-        assert_eq!(&buf[..4], MAGIC_V2);
+        assert_eq!(&buf[..4], MAGIC);
         let back: CooTensor<f32> = read_bin(buf.as_slice()).unwrap();
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.to_map(), t.to_map());
@@ -378,14 +347,30 @@ mod tests {
         assert_eq!(back.vals()[0], std::f64::consts::PI);
     }
 
+    /// The header of `sample()` in the CRC-less layout that preceded
+    /// `TNB2`, claiming `nnz` nonzeros.
+    fn tnb1_header(nnz: u64) -> Vec<u8> {
+        let mut buf = b"TNB1\x04\x03".to_vec();
+        for d in [10u32, 20, 30] {
+            buf.extend_from_slice(&d.to_le_bytes());
+        }
+        buf.extend_from_slice(&nnz.to_le_bytes());
+        buf
+    }
+
     #[test]
-    fn legacy_tnb1_still_reads() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_bin_legacy(&t, &mut buf).unwrap();
-        assert_eq!(&buf[..4], MAGIC_V1);
-        let back: CooTensor<f32> = read_bin(buf.as_slice()).unwrap();
-        assert_eq!(back.to_map(), t.to_map());
+    fn tnb1_magic_is_rejected_before_its_header_is_trusted() {
+        // A well-formed legacy file, and forged ones whose `nnz` would be
+        // an allocation bomb: all stop at the magic.
+        let mut whole = tnb1_header(3);
+        whole.extend_from_slice(&[0u8; 3 * (3 * 4 + 4)]);
+        for buf in [whole, tnb1_header(1 << 40), tnb1_header(u64::MAX)] {
+            let r: Result<CooTensor<f32>> = read_bin(buf.as_slice());
+            assert!(
+                matches!(&r, Err(IoError::Parse(m)) if m.contains("bad magic")),
+                "{r:?}"
+            );
+        }
     }
 
     #[test]
@@ -399,18 +384,12 @@ mod tests {
 
     #[test]
     fn rejects_truncated_input() {
-        for legacy in [false, true] {
-            let t = sample();
-            let mut buf = Vec::new();
-            if legacy {
-                write_bin_legacy(&t, &mut buf).unwrap();
-            } else {
-                write_bin(&t, &mut buf).unwrap();
-            }
-            for cut in [3usize, 10, buf.len() - 1] {
-                let r: Result<CooTensor<f32>> = read_bin(&buf[..cut]);
-                assert!(r.is_err(), "cut at {cut}");
-            }
+        let t = sample();
+        let mut buf = Vec::new();
+        write_bin(&t, &mut buf).unwrap();
+        for cut in [3usize, 10, buf.len() - 1] {
+            let r: Result<CooTensor<f32>> = read_bin(&buf[..cut]);
+            assert!(r.is_err(), "cut at {cut}");
         }
     }
 
@@ -431,38 +410,36 @@ mod tests {
     }
 
     /// The original allocation-bomb: a tiny file whose header claims a
-    /// gigantic `nnz`. Must be rejected before any allocation, in both
-    /// formats, including values that overflow `nnz * bytes_per_nnz`.
+    /// gigantic `nnz`. Must be rejected before any allocation, including
+    /// values that overflow `nnz * bytes_per_nnz`.
     #[test]
     fn rejects_allocation_bomb_headers() {
-        for magic in [MAGIC_V1, MAGIC_V2] {
-            for nnz in [u64::MAX, u64::MAX / 8, 1u64 << 61, 1u64 << 40] {
-                let mut buf = Vec::new();
-                buf.extend_from_slice(magic);
-                buf.push(4); // f32
-                buf.push(3); // order
-                for d in [10u32, 10, 10] {
-                    buf.extend_from_slice(&d.to_le_bytes());
-                }
-                buf.extend_from_slice(&nnz.to_le_bytes());
-                let r: Result<CooTensor<f32>> = read_bin(buf.as_slice());
-                assert!(
-                    matches!(
-                        r,
-                        Err(IoError::Corrupt { .. })
-                            | Err(IoError::BudgetExceeded { .. })
-                            | Err(IoError::Tensor(_))
-                    ),
-                    "nnz {nnz:#x} accepted"
-                );
+        for nnz in [u64::MAX, u64::MAX / 8, 1u64 << 61, 1u64 << 40] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.push(4); // f32
+            buf.push(3); // order
+            for d in [10u32, 10, 10] {
+                buf.extend_from_slice(&d.to_le_bytes());
             }
+            buf.extend_from_slice(&nnz.to_le_bytes());
+            let r: Result<CooTensor<f32>> = read_bin(buf.as_slice());
+            assert!(
+                matches!(
+                    r,
+                    Err(IoError::Corrupt { .. })
+                        | Err(IoError::BudgetExceeded { .. })
+                        | Err(IoError::Tensor(_))
+                ),
+                "nnz {nnz:#x} accepted"
+            );
         }
     }
 
     #[test]
     fn rejects_excessive_order() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
+        buf.extend_from_slice(MAGIC);
         buf.push(4);
         buf.push(200); // order 200
         let r: Result<CooTensor<f32>> = read_bin(buf.as_slice());
@@ -509,10 +486,12 @@ mod tests {
             CooTensor::<f32>::from_entries(Shape::new(vec![100, 100]), vec![(vec![50, 99], 1.0)])
                 .unwrap();
         let mut buf = Vec::new();
-        write_bin_legacy(&t, &mut buf).unwrap();
-        // Shrink dims in the legacy header (no CRC to fix up): dims start
-        // at offset 6.
+        write_bin(&t, &mut buf).unwrap();
+        // Shrink the first dim (dims start at offset 6) and re-seal the
+        // 22-byte header so only the index check can object.
         buf[6..10].copy_from_slice(&10u32.to_le_bytes());
+        let hcrc = crc32(&buf[..22]);
+        buf[22..26].copy_from_slice(&hcrc.to_le_bytes());
         let r: Result<CooTensor<f32>> = read_bin(buf.as_slice());
         assert!(matches!(
             r,

@@ -7,8 +7,7 @@
 //!   collections ("the benchmark suite can be run against any set of
 //!   tensors provided that they are expressed using coordinate format").
 //! * [`bin`] — a compact little-endian binary format for fast reloads of
-//!   generated tensors: `TNB2` with per-section CRC-32s (written by
-//!   default), with transparent read support for the legacy `TNB1` layout.
+//!   generated tensors: `TNB2` with per-section CRC-32s.
 //! * [`ckpt`] — the `TNC1` factor-matrix checkpoint container used by
 //!   long-running decomposition jobs, with the same CRC-32-per-section
 //!   discipline as `TNB2`.

@@ -5,13 +5,13 @@
 //! the proptest corpus adds randomized structural damage.
 //!
 //! Shared invariant: when a damaged read somehow still returns `Ok` (only
-//! possible where no CRC covers the bytes, e.g. legacy `TNB1` values),
-//! the resulting tensor must still pass `validate()`.
+//! possible where no CRC covers the bytes, i.e. `.tns` text), the resulting
+//! tensor must still pass `validate()`.
 
 use proptest::prelude::*;
 use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
-use tenbench_io::bin::{read_bin, read_bin_with, write_bin, write_bin_legacy, ReadOptions};
+use tenbench_io::bin::{read_bin, read_bin_with, write_bin, ReadOptions};
 use tenbench_io::ckpt::{read_ckpt, write_ckpt, Checkpoint, CheckpointMatrix};
 use tenbench_io::fault::{Fault, FaultReader, FaultWriter};
 use tenbench_io::tns;
@@ -33,10 +33,25 @@ fn tnb2_bytes() -> Vec<u8> {
     buf
 }
 
+/// The CRC-less layout that preceded `TNB2`, which nothing writes any more:
+/// the `TNB2` bytes with the three CRC words cut out and the magic
+/// relabelled.
 fn tnb1_bytes() -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_bin_legacy(&sample_tensor(), &mut buf).unwrap();
-    buf
+    let t = sample_tensor();
+    let b = tnb2_bytes();
+    let header = 4 + 1 + 1 + 4 * t.order() + 8;
+    let inds = 4 * t.order() * t.nnz();
+    let vals = 4 * t.nnz();
+    let mut out = b[..header].to_vec();
+    out.extend_from_slice(&b[header + 4..][..inds]);
+    out.extend_from_slice(&b[header + 4 + inds + 4..][..vals]);
+    assert_eq!(out.len() + 12, b.len());
+    out[..4].copy_from_slice(b"TNB1");
+    out
+}
+
+fn is_bad_magic(r: &Result<CooTensor<f32>, IoError>) -> bool {
+    matches!(r, Err(IoError::Parse(m)) if m.contains("bad magic"))
 }
 
 fn tns_text() -> String {
@@ -55,12 +70,33 @@ fn assert_err_or_valid(r: Result<CooTensor<f32>, IoError>, context: &str) {
 
 #[test]
 fn truncation_at_every_offset_is_rejected() {
-    for (label, bytes) in [("tnb2", tnb2_bytes()), ("tnb1", tnb1_bytes())] {
-        for at in 0..bytes.len() {
-            let reader = FaultReader::truncated(bytes.as_slice(), at as u64);
-            let r: Result<CooTensor<f32>, _> = read_bin(reader);
-            assert!(r.is_err(), "{label} truncated at byte {at} was accepted");
-        }
+    let bytes = tnb2_bytes();
+    for at in 0..bytes.len() {
+        let reader = FaultReader::truncated(bytes.as_slice(), at as u64);
+        let r: Result<CooTensor<f32>, _> = read_bin(reader);
+        assert!(r.is_err(), "tnb2 truncated at byte {at} was accepted");
+    }
+}
+
+#[test]
+fn tnb1_is_rejected_whole_and_at_every_truncation() {
+    let bytes = tnb1_bytes();
+    for at in 0..=bytes.len() {
+        let reader = FaultReader::truncated(bytes.as_slice(), at as u64);
+        let r = read_bin(reader);
+        // Under four bytes there is no magic to object to yet.
+        let typed = if at < 4 {
+            matches!(
+                r,
+                Err(IoError::Corrupt {
+                    section: "header",
+                    ..
+                })
+            )
+        } else {
+            is_bad_magic(&r)
+        };
+        assert!(typed, "tnb1 cut at {at}: {r:?}");
     }
 }
 
@@ -81,15 +117,22 @@ fn bit_flip_at_every_offset_is_rejected_in_tnb2() {
 }
 
 #[test]
-fn bit_flip_in_tnb1_never_panics() {
-    // Legacy TNB1 has no CRCs: flips in the values section legitimately
-    // read back Ok, but structural damage must still error, and nothing
-    // may panic or trigger a giant allocation.
+fn bit_flip_in_tnb1_is_a_typed_error() {
+    // No flip may turn a legacy file into an accepted one — not even the
+    // one that relabels its magic `TNB2` (0x03 on the version byte), which
+    // leaves a file without the CRC words that layout requires.
     let bytes = tnb1_bytes();
     for at in 0..bytes.len() {
-        let reader = FaultReader::bit_flipped(bytes.as_slice(), at as u64, 0xFF);
-        let r: Result<CooTensor<f32>, _> = read_bin(reader);
-        assert_err_or_valid(r, &format!("tnb1 byte {at} xor 0xff"));
+        for mask in [0x01u8, 0x03, 0x80, 0xFF] {
+            let reader = FaultReader::bit_flipped(bytes.as_slice(), at as u64, mask);
+            let r = read_bin(reader);
+            let typed = if (at, mask) == (3, 0x03) {
+                matches!(r, Err(IoError::Corrupt { .. }))
+            } else {
+                is_bad_magic(&r)
+            };
+            assert!(typed, "tnb1 byte {at} xor {mask:#x}: {r:?}");
+        }
     }
 }
 
@@ -97,11 +140,10 @@ fn bit_flip_in_tnb1_never_panics() {
 fn short_reads_do_not_corrupt() {
     // Delivering the stream 3 bytes at a time is not a fault; the reader
     // must reassemble it losslessly.
-    for bytes in [tnb2_bytes(), tnb1_bytes()] {
-        let reader = FaultReader::new(bytes.as_slice(), vec![Fault::ShortReads { max: 3 }]);
-        let t: CooTensor<f32> = read_bin(reader).unwrap();
-        assert_eq!(t.to_map(), sample_tensor().to_map());
-    }
+    let bytes = tnb2_bytes();
+    let reader = FaultReader::new(bytes.as_slice(), vec![Fault::ShortReads { max: 3 }]);
+    let t: CooTensor<f32> = read_bin(reader).unwrap();
+    assert_eq!(t.to_map(), sample_tensor().to_map());
 }
 
 #[test]
@@ -144,17 +186,22 @@ fn allocation_bombs_are_rejected_within_budget() {
     // check, not by attempting the allocation.
     let nnz_off = 4 + 1 + 1 + 3 * 4; // magic, vwidth, order, dims
                                      // In-budget-arithmetic bomb: rejected against the allocation budget.
-    let mut bytes = tnb1_bytes();
+    let mut bytes = tnb2_bytes();
     bytes[nnz_off..nnz_off + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
     let r: Result<CooTensor<f32>, _> =
         read_bin_with(bytes.as_slice(), ReadOptions { max_bytes: 1 << 20 });
     assert!(matches!(r, Err(IoError::BudgetExceeded { .. })), "{r:?}");
     // Arithmetic-overflow bomb: rejected by checked size math.
-    let mut bytes = tnb1_bytes();
+    let mut bytes = tnb2_bytes();
     bytes[nnz_off..nnz_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let r: Result<CooTensor<f32>, _> =
         read_bin_with(bytes.as_slice(), ReadOptions { max_bytes: 1 << 20 });
     assert!(matches!(r, Err(IoError::Tensor(_))), "{r:?}");
+    // The same forged count behind the legacy magic is never even read.
+    let mut bytes = tnb1_bytes();
+    bytes[nnz_off..nnz_off + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+    let r = read_bin_with(bytes.as_slice(), ReadOptions { max_bytes: 1 << 20 });
+    assert!(is_bad_magic(&r), "{r:?}");
 }
 
 // ------------------------------------------------------------------

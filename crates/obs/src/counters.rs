@@ -144,15 +144,6 @@ pub static JOB_CKPT_CORRUPT: Counter = Counter::new("job.checkpoint_corrupt");
 /// Faults injected by a chaos harness (panics, hangs, corruptions, bursts).
 pub static CHAOS_FAULTS: Counter = Counter::new("chaos.faults_injected");
 
-/// Kernel inner loops executed through the SIMD backend's vector path.
-pub static BACKEND_SIMD_CALLS: Counter = Counter::new("backend.simd_calls");
-/// Kernel inner loops that ran the scalar path while a SIMD backend was
-/// requested or active (explicit scalar dispatch or supervisor fallback).
-pub static BACKEND_SCALAR_FALLBACKS: Counter = Counter::new("backend.scalar_fallbacks");
-/// SIMD dispatches degraded to the portable lane path because the host
-/// lacks the required vector ISA (e.g. forced Simd without AVX2).
-pub static BACKEND_UNSUPPORTED_TARGET: Counter = Counter::new("backend.unsupported_target");
-
 /// Connections accepted by the networked serving tier.
 pub static NET_CONNECTIONS: Counter = Counter::new("net.connections");
 /// Request frames decoded off the wire.
@@ -170,7 +161,7 @@ pub static NET_BYTES_OUT: Counter = Counter::new("net.bytes_out");
 pub static POOL_WORKERS: Gauge = Gauge::new("pool.workers");
 
 /// All registered counters, in a stable order.
-pub fn all() -> [&'static Counter; 23] {
+pub fn all() -> [&'static Counter; 20] {
     [
         &FLOPS,
         &BYTES,
@@ -186,9 +177,6 @@ pub fn all() -> [&'static Counter; 23] {
         &JOB_RESUMES,
         &JOB_CKPT_CORRUPT,
         &CHAOS_FAULTS,
-        &BACKEND_SIMD_CALLS,
-        &BACKEND_SCALAR_FALLBACKS,
-        &BACKEND_UNSUPPORTED_TARGET,
         &NET_CONNECTIONS,
         &NET_REQUESTS,
         &NET_RESPONSES,

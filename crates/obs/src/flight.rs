@@ -56,7 +56,7 @@ pub enum FlightKind {
     ExecOk,
     /// The supervisor retried after a fault.
     Retry,
-    /// The supervisor fell back (backend or strategy demotion).
+    /// The supervisor fell back to the next strategy of the chain.
     Fallback,
     /// A supervised attempt panicked.
     Panic,

@@ -6,7 +6,7 @@
 use tenbench::core::coo::CooTensor;
 use tenbench::core::csf::{mttkrp_csf, CsfTensor};
 use tenbench::core::dense::{DenseMatrix, DenseVector};
-use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
+use tenbench::core::hicoo::{GHicooTensor, HicooTensor, VbHicooTensor};
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
 use tenbench::core::par::Schedule;
 use tenbench::core::scalar::approx_eq;
@@ -16,6 +16,9 @@ use tenbench::gpusim::kernels as gpuk;
 
 const BLOCK_BITS: u8 = 5;
 const RANK: usize = 8;
+/// Ranks the CPU kernels additionally run at: none is a multiple of a vector
+/// width, so every rank loop ends in a partial vector.
+const TAIL_RANKS: [usize; 4] = [3, 5, 7, 17];
 
 fn datasets() -> Vec<CooTensor<f32>> {
     ["s1", "s4", "s13", "r3"]
@@ -132,6 +135,18 @@ fn ttm_agrees_across_formats_and_devices() {
             for (k, b) in &base {
                 assert!(approx_eq(gm[k], *b, 1e-4), "gpu mode {mode} {k:?}");
             }
+            let mut xm = x.clone();
+            let fp = xm.fibers(mode).unwrap();
+            for rank in TAIL_RANKS {
+                let u = DenseMatrix::from_fn(rows, rank, |i, j| ((i * 7 + j) % 9) as f32 - 4.0);
+                let base = ttm::ttm_prepared_seq(&xm, &fp, &u).unwrap().to_map();
+                assert_eq!(ttm::ttm(&x, &u, mode).unwrap().to_map(), base);
+                let hic = ttm::ttm_hicoo_sched(&hx, &u, mode).unwrap().to_map();
+                assert_eq!(hic.len(), base.len(), "rank {rank} mode {mode}");
+                for (k, b) in &base {
+                    assert!(approx_eq(hic[k], *b, 1e-4), "rank {rank} mode {mode} {k:?}");
+                }
+            }
         }
     }
 }
@@ -139,13 +154,16 @@ fn ttm_agrees_across_formats_and_devices() {
 #[test]
 fn mttkrp_agrees_across_everything() {
     for x in datasets() {
-        let factors: Vec<DenseMatrix<f32>> = (0..x.order())
-            .map(|m| {
-                DenseMatrix::from_fn(x.shape().dim(m) as usize, RANK, |i, j| {
-                    (((i * 3 + j * 11 + m) % 7) as f32 - 3.0) * 0.25
+        let factors_at = |rank: usize| -> Vec<DenseMatrix<f32>> {
+            (0..x.order())
+                .map(|m| {
+                    DenseMatrix::from_fn(x.shape().dim(m) as usize, rank, |i, j| {
+                        (((i * 3 + j * 11 + m) % 7) as f32 - 3.0) * 0.25
+                    })
                 })
-            })
-            .collect();
+                .collect()
+        };
+        let factors = factors_at(RANK);
         let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
         let hx = HicooTensor::from_coo(&x, BLOCK_BITS).unwrap();
         let dev = DeviceSpec::v100();
@@ -154,7 +172,6 @@ fn mttkrp_agrees_across_everything() {
             for strat in [
                 mttkrp::MttkrpStrategy::Atomic,
                 mttkrp::MttkrpStrategy::Privatized,
-                mttkrp::MttkrpStrategy::RowLocked,
             ] {
                 let got = mttkrp::mttkrp_with(&x, &frefs, mode, strat).unwrap();
                 assert_mat_eq(&got, &base, 1e-3, &format!("{strat:?} mode {mode}"));
@@ -173,6 +190,30 @@ fn mttkrp_agrees_across_everything() {
             assert_mat_eq(&ggot, &base, 1e-3, &format!("gpu mode {mode}"));
             let (hgot, _) = gpuk::mttkrp_hicoo_gpu(&dev, &hx, &frefs, mode).unwrap();
             assert_mat_eq(&hgot, &base, 1e-3, &format!("gpu hicoo mode {mode}"));
+        }
+
+        let vx = VbHicooTensor::from_hicoo(&hx);
+        for rank in TAIL_RANKS {
+            let factors = factors_at(rank);
+            let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+            for mode in 0..x.order() {
+                let base = mttkrp::mttkrp_seq(&x, &frefs, mode).unwrap();
+                let what = |name: &str| format!("{name} rank {rank} mode {mode}");
+                for strat in [
+                    mttkrp::MttkrpStrategy::Atomic,
+                    mttkrp::MttkrpStrategy::Privatized,
+                    mttkrp::MttkrpStrategy::Scheduled,
+                ] {
+                    let got = mttkrp::mttkrp_with(&x, &frefs, mode, strat).unwrap();
+                    assert_mat_eq(&got, &base, 1e-3, &what(&format!("{strat:?}")));
+                }
+                let got = mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &what("hicoo"));
+                let got = mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &what("hicoo sched"));
+                let got = mttkrp::mttkrp_vb_sched(&vx, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &what("vb sched"));
+            }
         }
     }
 }

@@ -6,9 +6,10 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tenbench::core::coo::CooTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
-use tenbench::core::hicoo::HicooTensor;
+use tenbench::core::hicoo::{HicooTensor, VbHicooTensor};
 use tenbench::core::kernels::mttkrp::MttkrpStrategy;
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
+use tenbench::core::par::with_threads;
 use tenbench::core::scalar::approx_eq;
 use tenbench::prelude::*;
 
@@ -219,44 +220,73 @@ proptest! {
 mod scheduled_edge_cases {
     use super::*;
 
+    /// 4 is the everyday case; the rest end every rank loop in a partial
+    /// vector.
+    const RANKS: [usize; 5] = [4, 3, 5, 7, 17];
+
     fn check_all_scheduled(x: &CooTensor<f64>, bits: u8) {
         let h = HicooTensor::from_coo(x, bits).unwrap();
-        let factors: Vec<DenseMatrix<f64>> = (0..x.order())
-            .map(|m| {
-                DenseMatrix::from_fn(x.shape().dim(m) as usize, 4, |i, j| {
-                    ((i + j + m) % 3) as f64 + 0.5
+        for rank in RANKS {
+            let factors: Vec<DenseMatrix<f64>> = (0..x.order())
+                .map(|m| {
+                    DenseMatrix::from_fn(x.shape().dim(m) as usize, rank, |i, j| {
+                        ((i + j + m) % 3) as f64 + 0.5
+                    })
                 })
-            })
-            .collect();
-        let frefs: Vec<&DenseMatrix<f64>> = factors.iter().collect();
-        for mode in 0..x.order() {
-            let want = mttkrp::mttkrp_seq(x, &frefs, mode).unwrap();
-            let coo = mttkrp::mttkrp_with(x, &frefs, mode, MttkrpStrategy::Scheduled).unwrap();
-            let hic = mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
-            for (p, q) in want.data().iter().zip(coo.data()) {
-                assert!(approx_eq(*p, *q, 1e-5), "coo mttkrp mode {mode}");
-            }
-            for (p, q) in want.data().iter().zip(hic.data()) {
-                assert!(approx_eq(*p, *q, 1e-5), "hicoo mttkrp mode {mode}");
-            }
+                .collect();
+            let frefs: Vec<&DenseMatrix<f64>> = factors.iter().collect();
+            for mode in 0..x.order() {
+                let want = mttkrp::mttkrp_seq(x, &frefs, mode).unwrap();
+                let coo = mttkrp::mttkrp_with(x, &frefs, mode, MttkrpStrategy::Scheduled).unwrap();
+                let hic = mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
+                for (p, q) in want.data().iter().zip(coo.data()) {
+                    assert!(
+                        approx_eq(*p, *q, 1e-5),
+                        "coo mttkrp rank {rank} mode {mode}"
+                    );
+                }
+                for (p, q) in want.data().iter().zip(hic.data()) {
+                    assert!(
+                        approx_eq(*p, *q, 1e-5),
+                        "hicoo mttkrp rank {rank} mode {mode}"
+                    );
+                }
 
+                let n = x.shape().dim(mode) as usize;
+                let u = DenseMatrix::from_fn(n, rank, |i, j| (i + j) as f64 * 0.25);
+                let want = ttm::ttm(x, &u, mode).unwrap().to_map();
+                let got = ttm::ttm_hicoo_sched(&h, &u, mode).unwrap().to_map();
+                assert_eq!(want, got, "ttm rank {rank} mode {mode}");
+            }
+        }
+        for mode in 0..x.order() {
             let n = x.shape().dim(mode) as usize;
             let v = DenseVector::from_fn(n, |i| i as f64 + 1.0);
             let want = ttv::ttv(x, &v, mode).unwrap().to_map();
             let got = ttv::ttv_hicoo_sched(&h, &v, mode).unwrap().to_map();
             assert_eq!(want, got, "ttv mode {mode}");
+        }
+    }
 
-            let u = DenseMatrix::from_fn(n, 2, |i, j| (i + j) as f64 * 0.25);
-            let want = ttm::ttm(x, &u, mode).unwrap().to_map();
-            let got = ttm::ttm_hicoo_sched(&h, &u, mode).unwrap().to_map();
-            assert_eq!(want, got, "ttm mode {mode}");
+    /// The degenerate tensors must come out the same however many workers
+    /// split the (nearly) empty work.
+    fn check_at_every_thread_count(x: &CooTensor<f64>, bits: u8) {
+        for threads in 1..=4 {
+            with_threads(threads, || check_all_scheduled(x, bits));
         }
     }
 
     #[test]
     fn empty_tensor() {
         let x = CooTensor::<f64>::empty(Shape::new(vec![6, 5, 4]));
-        check_all_scheduled(&x, 2);
+        check_at_every_thread_count(&x, 2);
+    }
+
+    #[test]
+    fn singleton_tensor() {
+        let x =
+            CooTensor::from_entries(Shape::new(vec![8, 8, 8]), vec![(vec![3, 5, 2], 2.5)]).unwrap();
+        check_at_every_thread_count(&x, 2);
     }
 
     #[test]
@@ -281,5 +311,51 @@ mod scheduled_edge_cases {
             .collect();
         let x = CooTensor::from_entries(Shape::new(vec![64, 16, 8]), entries).unwrap();
         check_all_scheduled(&x, 2);
+    }
+
+    /// Scheduled MTTKRP fixes its accumulation order, so the result is the
+    /// same bits run after run and at every thread count, and the
+    /// value-blocked layout agrees with plain HiCOO. Checkpoint resume and
+    /// the chaos harness's bitwise job comparison rest on this.
+    #[test]
+    fn scheduled_mttkrp_is_bitwise_stable_across_runs_and_threads() {
+        // Mixed signs and magnitudes, so a reassociated sum would move bits.
+        let entries: Vec<(Vec<u32>, f32)> = (0..2500u32)
+            .map(|i| {
+                let mag = ((i * 7919) % 1000 + 1) as f32 * 1e-3 * (1 + i % 7) as f32;
+                let v = if i % 3 == 0 { -mag } else { mag };
+                (vec![(i * 13) % 23, (i * 7) % 19, (i * 3) % 17], v)
+            })
+            .collect();
+        let x = CooTensor::from_entries(Shape::new(vec![23, 19, 17]), entries).unwrap();
+        let h = HicooTensor::from_coo(&x, 2).unwrap();
+        let vb = VbHicooTensor::from_hicoo(&h);
+        let factors: Vec<DenseMatrix<f32>> = (0..3)
+            .map(|m| {
+                DenseMatrix::from_fn(x.shape().dim(m) as usize, 17, |i, j| {
+                    (((i * 31 + j * 17 + m * 7) % 1000) as f32 - 500.0) * 1e-3
+                })
+            })
+            .collect();
+        let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+        let bits =
+            |m: DenseMatrix<f32>| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+        for mode in 0..3 {
+            let coo = bits(mttkrp::mttkrp_sched(&x, &frefs, mode).unwrap());
+            let hic = bits(mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap());
+            for threads in [1usize, 3, 4] {
+                with_threads(threads, || {
+                    for rep in 0..3 {
+                        let what = format!("mode {mode} threads {threads} rep {rep}");
+                        let again = mttkrp::mttkrp_sched(&x, &frefs, mode).unwrap();
+                        assert_eq!(bits(again), coo, "coo {what}");
+                        let again = mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
+                        assert_eq!(bits(again), hic, "hicoo {what}");
+                        let again = mttkrp::mttkrp_vb_sched(&vb, &frefs, mode).unwrap();
+                        assert_eq!(bits(again), hic, "vb {what}");
+                    }
+                });
+            }
+        }
     }
 }
