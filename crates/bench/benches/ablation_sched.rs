@@ -6,20 +6,28 @@
 //! conflict-free complement-scheduled variants that assemble outputs directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tenbench_bench::data::{hicoo_fixture, BENCH_RANK};
+use tenbench_bench::cells::Inputs;
+use tenbench_bench::data::dataset_tensor;
+use tenbench_bench::suite::{DEFAULT_BLOCK_BITS, DEFAULT_RANK};
 use tenbench_core::dense::DenseVector;
 use tenbench_core::kernels::{ttm, ttv, Kernel};
 use tenbench_core::par::Schedule;
 use tenbench_core::sched::{complement_schedule, mode_schedule};
+use tenbench_gen::registry::find;
+
+fn s4_inputs() -> Inputs {
+    let x = dataset_tensor(find("s4").expect("a registry id"), 0.25);
+    Inputs::new(x, DEFAULT_RANK, DEFAULT_BLOCK_BITS)
+}
 
 fn bench_grain_sweep(c: &mut Criterion) {
-    let fx = hicoo_fixture("s4", 0.25);
+    let inputs = s4_inputs();
     // Mode 0 fibers of a power-law tensor are heavily skewed.
     let mode = 0;
-    let mut xm = fx.coo.clone();
-    let fp = xm.fibers(mode).unwrap();
-    let v = DenseVector::constant(fx.coo.shape().dim(mode) as usize, 1.0f32);
-    let m = fx.coo.nnz() as u64;
+    let fibers = inputs.fibers(mode).unwrap();
+    let (xm, fp) = (&fibers.0, &fibers.1);
+    let v = DenseVector::constant(inputs.x.shape().dim(mode) as usize, 1.0f32);
+    let m = inputs.x.nnz() as u64;
 
     let mut group = c.benchmark_group("ablation/sched/ttv");
     group.throughput(Throughput::Elements(2 * m));
@@ -31,43 +39,44 @@ fn bench_grain_sweep(c: &mut Criterion) {
     ];
     for (name, sched) in schedules {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| ttv::ttv_prepared(&xm, &fp, &v, sched).unwrap())
+            b.iter(|| ttv::ttv_prepared(xm, fp, &v, sched).unwrap())
         });
     }
     group.finish();
 }
 
 fn bench_hicoo_scheduled(c: &mut Criterion) {
-    let fx = hicoo_fixture("s4", 0.25);
+    let inputs = s4_inputs();
+    let hx = inputs.hx().unwrap();
     let mode = 0;
-    let order = fx.coo.order();
-    let m = fx.coo.nnz() as u64;
-    let v = DenseVector::constant(fx.coo.shape().dim(mode) as usize, 1.0f32);
-    let u = &fx.factors[mode];
+    let order = inputs.x.order();
+    let m = inputs.x.nnz() as u64;
+    let v = DenseVector::constant(inputs.x.shape().dim(mode) as usize, 1.0f32);
+    let u = &inputs.factors[mode];
 
     // Build the cached schedules outside the timed region, matching how the
     // suite treats schedule construction as untimed pre-processing.
-    let _ = complement_schedule(&fx.hicoo, mode);
-    let _ = mode_schedule(&fx.hicoo, mode);
+    let _ = complement_schedule(&hx, mode);
+    let _ = mode_schedule(&hx, mode);
 
     let mut group = c.benchmark_group("ablation/sched/hicoo");
     group.throughput(Throughput::Elements(Kernel::Ttv.flops(order, m, 0)));
     group.bench_function(BenchmarkId::new("Ttv", "convert"), |b| {
-        b.iter(|| ttv::ttv_hicoo(&fx.hicoo, &v, mode).unwrap())
+        b.iter(|| ttv::ttv_hicoo(&hx, &v, mode).unwrap())
     });
     group.bench_function(BenchmarkId::new("Ttv", "scheduled"), |b| {
-        b.iter(|| ttv::ttv_hicoo_sched(&fx.hicoo, &v, mode).unwrap())
+        b.iter(|| ttv::ttv_hicoo_sched(&hx, &v, mode).unwrap())
     });
     group.throughput(Throughput::Elements(Kernel::Ttm.flops(
         order,
         m,
-        BENCH_RANK as u64,
+        DEFAULT_RANK as u64,
     )));
     group.bench_function(BenchmarkId::new("Ttm", "convert"), |b| {
-        b.iter(|| ttm::ttm_hicoo(&fx.hicoo, u, mode).unwrap())
+        b.iter(|| ttm::ttm_hicoo(&hx, u, mode).unwrap())
     });
     group.bench_function(BenchmarkId::new("Ttm", "scheduled"), |b| {
-        b.iter(|| ttm::ttm_hicoo_sched(&fx.hicoo, u, mode).unwrap())
+        b.iter(|| ttm::ttm_hicoo_sched(&hx, u, mode).unwrap())
     });
     group.finish();
 }

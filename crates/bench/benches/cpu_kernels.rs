@@ -1,75 +1,35 @@
-//! Criterion benchmarks behind Figures 4–5: the five CPU kernels over COO
-//! and HiCOO on a representative irregular power-law tensor (`s4`) and a
-//! regular Kronecker tensor (`s1`).
+//! Criterion benchmarks behind Figures 4–5: the paper's ten cells — five
+//! CPU kernels over COO and HiCOO — on a representative irregular power-law
+//! tensor (`s4`) and a regular Kronecker tensor (`s1`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tenbench_bench::data::{factor_refs, hicoo_fixture, BENCH_BLOCK_BITS, BENCH_RANK};
-use tenbench_bench::suite::make_partner;
-use tenbench_core::dense::DenseVector;
-use tenbench_core::hicoo::{GHicooTensor, HicooTensor};
-use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
-use tenbench_core::par::Schedule;
+use tenbench_bench::cells::{prepare, Cell, Inputs};
+use tenbench_bench::data::dataset_tensor;
+use tenbench_bench::suite::{DEFAULT_BLOCK_BITS, DEFAULT_RANK};
+use tenbench_core::kernels::Kernel;
+use tenbench_gen::registry::find;
 
 fn bench_dataset(c: &mut Criterion, id: &str) {
-    let fx = hicoo_fixture(id, 0.25);
-    let x = &fx.coo;
-    let hx = &fx.hicoo;
-    let y = make_partner(x);
-    let hy = HicooTensor::from_coo(&y, BENCH_BLOCK_BITS).unwrap();
-    let frefs = factor_refs(&fx.factors);
-    let m = x.nnz() as u64;
-    let order = x.order();
+    let x = dataset_tensor(find(id).expect("a registry id"), 0.25);
+    let inputs = Inputs::new(x, DEFAULT_RANK, DEFAULT_BLOCK_BITS);
+    let (order, m) = (inputs.x.order(), inputs.x.nnz() as u64);
     let mode = order - 1;
-    let mut xm = x.clone();
-    let fp = xm.fibers(mode).unwrap();
-    let g = GHicooTensor::from_coo_for_mode(x, BENCH_BLOCK_BITS, mode).unwrap();
-    let gfp = g.fibers(mode).unwrap();
-    let v = DenseVector::constant(x.shape().dim(mode) as usize, 1.0f32);
-    let u = &fx.factors[mode];
 
     let mut group = c.benchmark_group(format!("cpu/{id}"));
-    group.throughput(Throughput::Elements(m));
-    group.bench_function(BenchmarkId::new("Tew", "COO"), |b| {
-        b.iter(|| tew::tew_same_pattern(x, &y, EwOp::Add).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Tew", "HiCOO"), |b| {
-        b.iter(|| tew::tew_hicoo_same_pattern(hx, &hy, EwOp::Add).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Ts", "COO"), |b| {
-        b.iter(|| ts::ts(x, 1.01, EwOp::Mul).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Ts", "HiCOO"), |b| {
-        b.iter(|| ts::ts_hicoo(hx, 1.01, EwOp::Mul).unwrap())
-    });
-    group.throughput(Throughput::Elements(Kernel::Ttv.flops(order, m, 0)));
-    group.bench_function(BenchmarkId::new("Ttv", "COO"), |b| {
-        b.iter(|| ttv::ttv_prepared(&xm, &fp, &v, Schedule::default()).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Ttv", "HiCOO"), |b| {
-        b.iter(|| ttv::ttv_ghicoo(&g, &gfp, &v, Schedule::default()).unwrap())
-    });
-    group.throughput(Throughput::Elements(Kernel::Ttm.flops(
-        order,
-        m,
-        BENCH_RANK as u64,
-    )));
-    group.bench_function(BenchmarkId::new("Ttm", "COO"), |b| {
-        b.iter(|| ttm::ttm_prepared(&xm, &fp, u, Schedule::default()).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Ttm", "HiCOO"), |b| {
-        b.iter(|| ttm::ttm_ghicoo(&g, &gfp, u, Schedule::default()).unwrap())
-    });
-    group.throughput(Throughput::Elements(Kernel::Mttkrp.flops(
-        order,
-        m,
-        BENCH_RANK as u64,
-    )));
-    group.bench_function(BenchmarkId::new("Mttkrp", "COO"), |b| {
-        b.iter(|| mttkrp::mttkrp_atomic(x, &frefs, mode).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("Mttkrp", "HiCOO"), |b| {
-        b.iter(|| mttkrp::mttkrp_hicoo(hx, &frefs, mode).unwrap())
-    });
+    for kernel in Kernel::ALL {
+        group.throughput(Throughput::Elements(kernel.flops(
+            order,
+            m,
+            DEFAULT_RANK as u64,
+        )));
+        for format in ["coo", "hicoo"] {
+            let cell = Cell::resolve(kernel.name(), format, "atomic").unwrap();
+            let p = prepare(&inputs, cell, mode).unwrap();
+            group.bench_function(BenchmarkId::from_parameter(cell.name), |b| {
+                b.iter(|| p.call().unwrap())
+            });
+        }
+    }
     group.finish();
 }
 

@@ -9,12 +9,6 @@
 //!                   [--strategy seq|atomic|privatized|scheduled]
 //!                   [--max-seconds S] [--fallback on|off]
 //! tenbench kernel   --all [file] [--dataset s4] [--nnz N] [--mode N] ...
-//! tenbench ablate-mttkrp [--dataset s4] [--nnz N] [--rank R]
-//!                   [--block-bits B] [--reps K] [--threads 1,2,4,8]
-//!                   [--out results.json] [--max-seconds S]
-//! tenbench convert-bench [--dataset s4] [--nnz N] [--block-bits B]
-//!                   [--threads 1,2,4,8] [--reps K] [--out BENCH_convert.json]
-//!                   [--min-speedup X]
 //! tenbench scale-bench [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
 //!                   [--threads 1,2,4,8] [--reps K] [--out BENCH_scaling.json]
 //!                   [--floors ci/scaling-floor.txt]
@@ -40,12 +34,23 @@
 //!                   [--floors ci/chaos-floor.txt] [--flight-dump-dir DIR]
 //! ```
 //!
-//! The measuring subcommands (`kernel`, `ablate-mttkrp`, `convert-bench`)
-//! additionally accept `--trace <path>` (write a chrome-trace JSON of the
-//! run, viewable in `about:tracing` / Perfetto) and `--profile` (append
-//! the hierarchical span profile, counters, and pool telemetry to the
-//! report). `report` validates and summarizes a written trace;
-//! `obs-overhead` measures the traced-vs-untraced cost of the capture.
+//! `kernel` resolves `(kernel, --format, --strategy)` to one cell of the
+//! table in `tenbench_bench::cells` and names it in its report. Every
+//! kernel validates `--strategy`: Mttkrp has a cell per strategy, HiCOO
+//! Ttv/Ttm run the scheduled kernel under `scheduled` and the gHiCOO one
+//! otherwise, the remaining cells accept any of the four values, and an
+//! unknown value is a usage error that lists the cells. `scale-bench`
+//! sweeps the whole table (every strategy, and the conversion pipeline
+//! under the radix and the comparator sort) across `--threads`; a
+//! `--floors` file holds `<cell>@<threads> <min_self_speedup>` and
+//! `<cell>@<t>/<cell>@<t> <min_ratio>` lines.
+//!
+//! The measuring subcommands (`kernel`, `scale-bench`) additionally accept
+//! `--trace <path>` (write a chrome-trace JSON of the run, viewable in
+//! `about:tracing` / Perfetto) and `--profile` (append the hierarchical
+//! span profile, counters, and pool telemetry to the report). `report`
+//! validates and summarizes a written trace; `obs-overhead` measures the
+//! traced-vs-untraced cost of the capture.
 //!
 //! `serve` and `stress` additionally accept `--layout hicoo|vb-hicoo` to
 //! select the cached tensor layout the service prepares and executes.
@@ -53,9 +58,10 @@
 //! `--max-seconds` or `--fallback` switch `kernel` to supervised mode:
 //! the run executes on a watchdogged worker thread under panic isolation,
 //! the output is validated (NaN/Inf scan; Mttkrp additionally checksums
-//! against the sequential reference), and on failure the strategy falls
-//! back through the chain (e.g. `scheduled -> atomic -> privatized ->
-//! seq`). `verify` runs the full integrity battery on one tensor file.
+//! against the sequential reference), and on failure the run falls back
+//! (Mttkrp through `scheduled -> atomic -> privatized -> seq`, HiCOO
+//! Ttv/Ttm to the other HiCOO cell). `verify` runs the full integrity
+//! battery on one tensor file.
 //!
 //! `serve` starts the in-process batched kernel service (supervised
 //! executor, format/schedule cache, admission-controlled queue) and runs a
@@ -159,6 +165,12 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
             .unwrap_or(Ok(default))
     };
+    let get_threads = |default: &str| -> Result<Vec<usize>, String> {
+        let list = opts.get("threads").map(String::as_str).unwrap_or(default);
+        list.split(',')
+            .map(|t| t.parse().map_err(|_| "bad --threads".to_string()))
+            .collect()
+    };
     let block_bits = get_usize("block-bits", 7)? as u8;
     let max_seconds: Option<f64> = opts
         .get("max-seconds")
@@ -255,92 +267,24 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             let [_, kernel, input] = &pos[..] else {
                 return Err("usage: tenbench kernel <name> <file> [options]".into());
             };
+            let supervised =
+                (max_seconds.is_some() || fallback.is_some()).then(supervisor_cfg);
             Ok(cli::with_obs(&obs_opts, || {
-                if max_seconds.is_some() || fallback.is_some() {
-                    cli::run_kernel_supervised(
-                        kernel,
-                        &PathBuf::from(input),
-                        mode,
-                        rank,
-                        format,
-                        block_bits,
-                        reps,
-                        strategy,
-                        &supervisor_cfg(),
-                    )
-                } else {
-                    cli::run_kernel(
-                        kernel,
-                        &PathBuf::from(input),
-                        mode,
-                        rank,
-                        format,
-                        block_bits,
-                        reps,
-                        strategy,
-                    )
-                }
-            })?)
-        }
-        Some("ablate-mttkrp") => {
-            let nnz = get_usize("nnz", 1_000_000)?;
-            let rank = get_usize("rank", 16)?;
-            let reps = get_usize("reps", 3)?;
-            // Without --threads, a single sweep at the ambient pool size.
-            let threads: Vec<usize> = match opts.get("threads") {
-                Some(v) => v
-                    .split(',')
-                    .map(|t| t.parse().map_err(|_| "bad --threads"))
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            };
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::ablate_mttkrp(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
+                cli::run_kernel_on(
+                    cli::load_tensor(&PathBuf::from(input))?,
+                    kernel,
+                    mode,
                     rank,
+                    format,
                     block_bits,
                     reps,
-                    &threads,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    &supervisor_cfg(),
-                )
-            })?)
-        }
-        Some("convert-bench") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4,8")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
-            let min_speedup: Option<f64> = opts
-                .get("min-speedup")
-                .map(|v| v.parse().map_err(|_| "bad --min-speedup".to_string()))
-                .transpose()?;
-            let nnz = get_usize("nnz", 1_000_000)?;
-            let reps = get_usize("reps", 3)?;
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::convert_bench(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
-                    block_bits,
-                    &threads,
-                    reps,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    min_speedup,
+                    strategy,
+                    supervised.as_ref(),
                 )
             })?)
         }
         Some("scale-bench") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4,8")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
+            let threads = get_threads("1,2,4,8")?;
             let sb = cli::ScaleBenchOpts {
                 dataset: opts
                     .get("dataset")
@@ -379,13 +323,7 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             Ok(cli::report(&PathBuf::from(input))?)
         }
         Some("obs-overhead") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
+            let threads = get_threads("1,2,4")?;
             let max_overhead_pct: Option<f64> = opts
                 .get("max-overhead-pct")
                 .map(|v| v.parse().map_err(|_| "bad --max-overhead-pct".to_string()))
@@ -495,6 +433,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::chaos(&chaos_opts)?)
         }
-        _ => Err("usage: tenbench <convert|stats|generate|kernel|ablate-mttkrp|convert-bench|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
+        _ => Err("usage: tenbench <convert|stats|generate|kernel|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
     }
 }

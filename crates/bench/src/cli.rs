@@ -17,15 +17,16 @@ use rand::SeedableRng;
 use tenbench_obs as obs;
 
 use tenbench_core::coo::{CooTensor, SortAlgo};
-use tenbench_core::dense::{DenseMatrix, DenseVector};
 use tenbench_core::hicoo::HicooTensor;
-use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
+use tenbench_core::kernels::mttkrp::MttkrpStrategy;
+use tenbench_core::kernels::Kernel;
 use tenbench_core::shape::Shape;
 use tenbench_gen::zipf::ZipfSampler;
 use tenbench_gen::{KroneckerGenerator, PowerLawGenerator, TensorStats};
 
+use crate::cells::{self, Cell, Inputs};
 use crate::format::{fint, fnum, TextTable};
-use crate::suite::{make_factors, make_partner, time_avg};
+use crate::suite::make_factors;
 use crate::supervisor::{self, RunReport, SupervisorConfig, Trial};
 
 /// CLI errors: anything the underlying crates report, plus usage problems.
@@ -230,45 +231,14 @@ pub fn generate(
     ))
 }
 
-/// `kernel <name> <file> ...`: run one kernel and report GFLOPS.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel(
-    kernel: &str,
-    input: &Path,
-    mode: usize,
-    rank: usize,
-    format: &str,
-    block_bits: u8,
-    reps: usize,
-    strategy: &str,
-) -> CliResult<String> {
-    let x = load_tensor(input)?;
-    run_kernel_on(&x, kernel, mode, rank, format, block_bits, reps, strategy)
-}
-
-fn parse_strategy(strategy: &str) -> CliResult<mttkrp::MttkrpStrategy> {
-    use mttkrp::MttkrpStrategy::*;
-    Ok(match strategy {
-        "seq" => Seq,
-        "atomic" => Atomic,
-        "privatized" => Privatized,
-        "scheduled" => Scheduled,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown strategy {other:?} (expected seq, atomic, privatized, or scheduled)"
-            )))
-        }
-    })
-}
-
-/// Run one kernel on an in-memory tensor and report time/GFLOPS.
-///
-/// `strategy` selects the Mttkrp parallelization (and, for HiCOO Ttv/Ttm,
-/// `scheduled` switches to the conflict-free scheduled kernels); other
-/// kernel/format combinations ignore it.
+/// `kernel <name> <file> ...`: run the cell `(kernel, format, strategy)`
+/// resolve to on a tensor and report GFLOPS. Every kernel validates
+/// `strategy`, and the report names the cell that ran. With a supervisor
+/// config the same prepared call runs on a watchdogged worker thread under
+/// panic isolation, with output validation and fallback (see [`run_cell`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_on(
-    x: &CooTensor<f32>,
+    x: CooTensor<f32>,
     kernel: &str,
     mode: usize,
     rank: usize,
@@ -276,153 +246,17 @@ pub fn run_kernel_on(
     block_bits: u8,
     reps: usize,
     strategy: &str,
+    supervised: Option<&SupervisorConfig>,
 ) -> CliResult<String> {
-    x.shape().check_mode(mode)?;
-    let hicoo = match format {
-        "coo" => false,
-        "hicoo" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format {other:?} (expected coo or hicoo)"
-            )))
-        }
-    };
-    let m = x.nnz() as u64;
-    let order = x.order();
-    let (kname, flops, secs) = match kernel {
-        "tew" => {
-            let y = make_partner(x);
-            let t = if hicoo {
-                let hx = HicooTensor::from_coo(x, block_bits)?;
-                let hy = HicooTensor::from_coo(&y, block_bits)?;
-                time_avg(reps, || {
-                    std::hint::black_box(tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap());
-                })
-            } else {
-                time_avg(reps, || {
-                    std::hint::black_box(tew::tew_same_pattern(x, &y, EwOp::Add).unwrap());
-                })
-            };
-            (Kernel::Tew, Kernel::Tew.flops(order, m, 0), t)
-        }
-        "ts" => {
-            let t = if hicoo {
-                let hx = HicooTensor::from_coo(x, block_bits)?;
-                time_avg(reps, || {
-                    std::hint::black_box(ts::ts_hicoo(&hx, 1.01, EwOp::Mul).unwrap());
-                })
-            } else {
-                time_avg(reps, || {
-                    std::hint::black_box(ts::ts(x, 1.01, EwOp::Mul).unwrap());
-                })
-            };
-            (Kernel::Ts, Kernel::Ts.flops(order, m, 0), t)
-        }
-        "ttv" => {
-            let v = DenseVector::constant(x.shape().dim(mode) as usize, 1.0f32);
-            let t = if hicoo && strategy == "scheduled" {
-                let hx = HicooTensor::from_coo(x, block_bits)?;
-                let _ = tenbench_core::sched::complement_schedule(&hx, mode); // untimed build
-                time_avg(reps, || {
-                    std::hint::black_box(ttv::ttv_hicoo_sched(&hx, &v, mode).unwrap());
-                })
-            } else if hicoo {
-                let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(x, block_bits, mode)?;
-                let fp = g.fibers(mode)?;
-                time_avg(reps, || {
-                    std::hint::black_box(ttv::ttv_ghicoo(&g, &fp, &v, Default::default()).unwrap());
-                })
-            } else {
-                let mut xm = x.clone();
-                let fp = xm.fibers(mode)?;
-                time_avg(reps, || {
-                    std::hint::black_box(
-                        ttv::ttv_prepared(&xm, &fp, &v, Default::default()).unwrap(),
-                    );
-                })
-            };
-            (Kernel::Ttv, Kernel::Ttv.flops(order, m, 0), t)
-        }
-        "ttm" => {
-            let u = DenseMatrix::constant(x.shape().dim(mode) as usize, rank, 0.5f32);
-            let t = if hicoo && strategy == "scheduled" {
-                let hx = HicooTensor::from_coo(x, block_bits)?;
-                let _ = tenbench_core::sched::complement_schedule(&hx, mode); // untimed build
-                time_avg(reps, || {
-                    std::hint::black_box(ttm::ttm_hicoo_sched(&hx, &u, mode).unwrap());
-                })
-            } else if hicoo {
-                let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(x, block_bits, mode)?;
-                let fp = g.fibers(mode)?;
-                time_avg(reps, || {
-                    std::hint::black_box(ttm::ttm_ghicoo(&g, &fp, &u, Default::default()).unwrap());
-                })
-            } else {
-                let mut xm = x.clone();
-                let fp = xm.fibers(mode)?;
-                time_avg(reps, || {
-                    std::hint::black_box(
-                        ttm::ttm_prepared(&xm, &fp, &u, Default::default()).unwrap(),
-                    );
-                })
-            };
-            (Kernel::Ttm, Kernel::Ttm.flops(order, m, rank as u64), t)
-        }
-        "mttkrp" => {
-            let factors = make_factors(x, rank);
-            let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-            let strat = parse_strategy(strategy)?;
-            let t = if hicoo {
-                let hx = HicooTensor::from_coo(x, block_bits)?;
-                let run: Box<dyn Fn() -> DenseMatrix<f32>> = match strat {
-                    mttkrp::MttkrpStrategy::Seq => {
-                        Box::new(|| mttkrp::mttkrp_hicoo_seq(&hx, &frefs, mode).unwrap())
-                    }
-                    mttkrp::MttkrpStrategy::Scheduled => {
-                        let _ = tenbench_core::sched::mode_schedule(&hx, mode); // untimed build
-                        Box::new(|| mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap())
-                    }
-                    _ => Box::new(|| mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap()),
-                };
-                time_avg(reps, || {
-                    std::hint::black_box(run());
-                })
-            } else {
-                if strat == mttkrp::MttkrpStrategy::Scheduled {
-                    let _ = tenbench_core::sched::row_schedule(x, mode); // untimed build
-                }
-                time_avg(reps, || {
-                    std::hint::black_box(mttkrp::mttkrp_with(x, &frefs, mode, strat).unwrap());
-                })
-            };
-            (
-                Kernel::Mttkrp,
-                Kernel::Mttkrp.flops(order, m, rank as u64),
-                t,
-            )
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown kernel {other:?} (expected tew, ts, ttv, ttm, or mttkrp)"
-            )))
-        }
-    };
-    Ok(format!(
-        "{} [{}] on {} ({} nnz): {} s avg over {} reps = {} GFLOPS",
-        kname.name(),
-        format,
-        x.shape(),
-        fint(m),
-        fnum(secs),
-        reps,
-        fnum(flops as f64 / secs / 1e9)
-    ))
+    let cell = Cell::resolve(kernel, format, strategy).map_err(CliError::Usage)?;
+    let inputs = Arc::new(Inputs::new(x, rank, block_bits));
+    run_cell(&inputs, cell, mode, reps, supervised)
 }
 
-/// `kernel --all ...`: run every kernel on both formats against one
-/// tensor (loaded from `input`, or generated from the dataset registry
-/// when no file is given), one report line per cell. Under `--trace`
-/// this produces a capture spanning the full ten-cell sweep.
+/// `kernel --all ...`: run the ten cells `strategy` selects — every kernel
+/// on both formats — against one tensor (loaded from `input`, or generated
+/// from the dataset registry when no file is given), one report line per
+/// cell. Under `--trace` this produces a capture spanning the full sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_all(
     input: Option<&Path>,
@@ -436,300 +270,107 @@ pub fn run_kernel_all(
 ) -> CliResult<String> {
     let x = match input {
         Some(p) => load_tensor(p)?,
-        None => {
-            let d = tenbench_gen::registry::find(dataset)
-                .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-            d.generate_with(nnz, d.default_seed())
-        }
+        None => generate_dataset(dataset, nnz)?,
     };
-    let mut out = String::new();
-    for kernel in ["tew", "ts", "ttv", "ttm", "mttkrp"] {
+    let inputs = Arc::new(Inputs::new(x, rank, block_bits));
+    let mut out = Vec::new();
+    for kernel in Kernel::ALL {
         for format in ["coo", "hicoo"] {
-            out.push_str(&run_kernel_on(
-                &x, kernel, mode, rank, format, block_bits, reps, strategy,
-            )?);
-            out.push('\n');
+            let cell = Cell::resolve(kernel.name(), format, strategy).map_err(CliError::Usage)?;
+            out.push(run_cell(&inputs, cell, mode, reps, None)?);
         }
     }
-    Ok(out.trim_end().to_string())
+    Ok(out.join("\n"))
 }
 
-/// `kernel ... --max-seconds S` / `--fallback on`: run one kernel under
-/// supervision (watchdog timeout, panic isolation, strategy fallback,
-/// output validation) and report the structured outcome alongside the
-/// timing. The reported GFLOPS uses the kernel-only seconds measured
-/// inside the accepted attempt (the `time_avg` batch), never the attempt
-/// wall time, which additionally covers a warmup run and thread handoff;
-/// validation time is reported separately as `validate_s`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_supervised(
-    kernel: &str,
-    input: &Path,
-    mode: usize,
-    rank: usize,
-    format: &str,
-    block_bits: u8,
-    reps: usize,
-    strategy: &str,
-    cfg: &SupervisorConfig,
-) -> CliResult<String> {
-    let x = load_tensor(input)?;
-    run_kernel_supervised_on(
-        &x, kernel, mode, rank, format, block_bits, reps, strategy, cfg,
-    )
+/// Generate registry dataset `id` at `nnz` nonzeros with its default seed.
+fn generate_dataset(id: &str, nnz: usize) -> CliResult<CooTensor<f32>> {
+    let d = tenbench_gen::registry::find(id)
+        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {id:?}")))?;
+    Ok(d.generate_with(nnz, d.default_seed()))
 }
 
-/// Supervised single-kernel run on an in-memory tensor (see
-/// [`run_kernel_supervised`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_supervised_on(
-    x: &CooTensor<f32>,
-    kernel: &str,
+/// Time one cell at one mode. Unsupervised, the prepared call goes straight
+/// to the sampler. Supervised, a [`Trial`] wraps the same prepare-and-sample
+/// and supervision adds only the fallback order: the requested cell, then
+/// the other cells of its kernel and format. Mttkrp instead goes through
+/// [`supervisor::supervised_mttkrp`], which checksums against the
+/// sequential reference. The reported GFLOPS uses the kernel-only seconds
+/// the sampler measured inside the accepted attempt, never the attempt wall
+/// time, which also covers preparation, a validation call and thread
+/// hand-off; validation time is reported separately as `validate_s`.
+fn run_cell(
+    inputs: &Arc<Inputs>,
+    cell: &'static Cell,
     mode: usize,
-    rank: usize,
-    format: &str,
-    block_bits: u8,
     reps: usize,
-    strategy: &str,
-    cfg: &SupervisorConfig,
+    supervised: Option<&SupervisorConfig>,
 ) -> CliResult<String> {
+    let x = &inputs.x;
     x.shape().check_mode(mode)?;
-    let hicoo = match format {
-        "coo" => false,
-        "hicoo" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format {other:?} (expected coo or hicoo)"
-            )))
-        }
+    let kernel = cell.kernel.expect("`kernel` resolves kernel cells only");
+    let flops = kernel.flops(x.order(), x.nnz() as u64, inputs.rank as u64);
+    let label = format!("{}/mode{mode}", cell.name);
+    let Some(cfg) = supervised else {
+        let s = cells::prepare(inputs, cell, mode)?.sample(reps)?;
+        return Ok(format!(
+            "{label} on {} ({} nnz): {} s avg over {reps} reps = {} GFLOPS",
+            x.shape(),
+            fint(x.nnz() as u64),
+            fnum(s.mean_s),
+            fnum(flops as f64 / s.mean_s / 1e9)
+        ));
     };
-    let m = x.nnz() as u64;
-    let order = x.order();
-    let cell = format!("{kernel}/{format}/{strategy}/mode{mode}");
-    let xa = Arc::new(x.clone());
-    let count_bad = |vals: &[f32]| vals.iter().filter(|v| !v.is_finite()).count();
-
-    let (kname, report, kernel_secs) = match kernel {
-        "mttkrp" => {
-            let strat = parse_strategy(strategy)?;
-            let factors = Arc::new(make_factors(x, rank));
-            let hx = if hicoo {
-                Some(Arc::new(HicooTensor::from_coo(x, block_bits)?))
-            } else {
-                None
-            };
-            let (report, _) =
-                supervisor::supervised_mttkrp(&cell, &xa, &factors, mode, hx.as_ref(), strat, cfg);
-            // The Mttkrp trials time a single guarded execution, so the
-            // attempt wall time is the kernel time.
-            (Kernel::Mttkrp, report, None)
-        }
-        "tew" => {
-            let trial = if hicoo {
-                let hx = Arc::new(HicooTensor::from_coo(x, block_bits)?);
-                let hy = Arc::new(HicooTensor::from_coo(&make_partner(x), block_bits)?);
-                Trial::new("same_pattern", move || {
-                    let out = tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add)
-                        .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(
-                            tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap(),
-                        );
-                    });
-                    Ok((secs, out.nonfinite_count()))
+    let (report, kernel_secs) = if kernel == Kernel::Mttkrp {
+        let hx = match cell.format {
+            "hicoo" => Some(inputs.hx()?),
+            _ => None,
+        };
+        let (report, _) = supervisor::supervised_mttkrp(
+            &label,
+            x,
+            &inputs.factors,
+            mode,
+            hx.as_ref(),
+            cell.mttkrp_strategy(),
+            cfg,
+        );
+        // The Mttkrp trials time a single guarded execution, so the
+        // attempt wall time is the kernel time.
+        (report, None)
+    } else {
+        let fallbacks = cells::CELLS
+            .iter()
+            .filter(|c| c.kernel == cell.kernel && c.format == cell.format && c.name != cell.name);
+        let trials: Vec<Trial<(f64, usize)>> = std::iter::once(cell)
+            .chain(fallbacks)
+            .map(|c| {
+                let inputs = inputs.clone();
+                Trial::new(c.name, move || {
+                    let p = cells::prepare(&inputs, c, mode).map_err(|e| e.to_string())?;
+                    let bad = p.call().map_err(|e| e.to_string())?.nonfinite();
+                    let s = p.sample(reps).map_err(|e| e.to_string())?;
+                    Ok((s.mean_s, bad))
                 })
-            } else {
-                let ya = Arc::new(make_partner(x));
-                let xa = xa.clone();
-                Trial::new("same_pattern", move || {
-                    let out =
-                        tew::tew_same_pattern(&xa, &ya, EwOp::Add).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(tew::tew_same_pattern(&xa, &ya, EwOp::Add).unwrap());
-                    });
-                    Ok((secs, out.nonfinite_count()))
-                })
-            };
-            let (report, value) = supervise_scalar(&cell, vec![trial], cfg);
-            (Kernel::Tew, report, value.map(|(s, _)| s))
-        }
-        "ts" => {
-            let trial = if hicoo {
-                let hx = Arc::new(HicooTensor::from_coo(x, block_bits)?);
-                Trial::new("default", move || {
-                    let out = ts::ts_hicoo(&hx, 1.01, EwOp::Mul).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(ts::ts_hicoo(&hx, 1.01, EwOp::Mul).unwrap());
-                    });
-                    Ok((secs, out.nonfinite_count()))
-                })
-            } else {
-                let xa = xa.clone();
-                Trial::new("default", move || {
-                    let out = ts::ts(&xa, 1.01, EwOp::Mul).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(ts::ts(&xa, 1.01, EwOp::Mul).unwrap());
-                    });
-                    Ok((secs, out.nonfinite_count()))
-                })
-            };
-            let (report, value) = supervise_scalar(&cell, vec![trial], cfg);
-            (Kernel::Ts, report, value.map(|(s, _)| s))
-        }
-        "ttv" => {
-            let v = Arc::new(DenseVector::constant(x.shape().dim(mode) as usize, 1.0f32));
-            let trials = if hicoo {
-                let hx = Arc::new(HicooTensor::from_coo(x, block_bits)?);
-                let sched = {
-                    let hx = hx.clone();
-                    let v = v.clone();
-                    Trial::new("scheduled", move || {
-                        let out = ttv::ttv_hicoo_sched(&hx, &v, mode).map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
-                            std::hint::black_box(ttv::ttv_hicoo_sched(&hx, &v, mode).unwrap());
-                        });
-                        Ok((secs, out.nonfinite_count()))
-                    })
-                };
-                let default = {
-                    let xa = xa.clone();
-                    let v = v.clone();
-                    Trial::new("ghicoo", move || {
-                        let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(
-                            &xa, block_bits, mode,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        let fp = g.fibers(mode).map_err(|e| e.to_string())?;
-                        let out = ttv::ttv_ghicoo(&g, &fp, &v, Default::default())
-                            .map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
-                            std::hint::black_box(
-                                ttv::ttv_ghicoo(&g, &fp, &v, Default::default()).unwrap(),
-                            );
-                        });
-                        Ok((secs, out.nonfinite_count()))
-                    })
-                };
-                if strategy == "scheduled" {
-                    vec![sched, default]
-                } else {
-                    vec![default, sched]
-                }
-            } else {
-                let xa = xa.clone();
-                let v = v.clone();
-                vec![Trial::new("default", move || {
-                    let mut xm = (*xa).clone();
-                    let fp = xm.fibers(mode).map_err(|e| e.to_string())?;
-                    let out = ttv::ttv_prepared(&xm, &fp, &v, Default::default())
-                        .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(
-                            ttv::ttv_prepared(&xm, &fp, &v, Default::default()).unwrap(),
-                        );
-                    });
-                    Ok((secs, out.nonfinite_count()))
-                })]
-            };
-            let (report, value) = supervise_scalar(&cell, trials, cfg);
-            (Kernel::Ttv, report, value.map(|(s, _)| s))
-        }
-        "ttm" => {
-            let u = Arc::new(DenseMatrix::constant(
-                x.shape().dim(mode) as usize,
-                rank,
-                0.5f32,
-            ));
-            let trials = if hicoo {
-                let hx = Arc::new(HicooTensor::from_coo(x, block_bits)?);
-                let sched = {
-                    let hx = hx.clone();
-                    let u = u.clone();
-                    Trial::new("scheduled", move || {
-                        let out = ttm::ttm_hicoo_sched(&hx, &u, mode).map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
-                            std::hint::black_box(ttm::ttm_hicoo_sched(&hx, &u, mode).unwrap());
-                        });
-                        Ok((secs, count_bad(out.vals())))
-                    })
-                };
-                let default = {
-                    let xa = xa.clone();
-                    let u = u.clone();
-                    Trial::new("ghicoo", move || {
-                        let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(
-                            &xa, block_bits, mode,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        let fp = g.fibers(mode).map_err(|e| e.to_string())?;
-                        let out = ttm::ttm_ghicoo(&g, &fp, &u, Default::default())
-                            .map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
-                            std::hint::black_box(
-                                ttm::ttm_ghicoo(&g, &fp, &u, Default::default()).unwrap(),
-                            );
-                        });
-                        Ok((secs, count_bad(out.vals())))
-                    })
-                };
-                if strategy == "scheduled" {
-                    vec![sched, default]
-                } else {
-                    vec![default, sched]
-                }
-            } else {
-                let xa = xa.clone();
-                let u = u.clone();
-                vec![Trial::new("default", move || {
-                    let mut xm = (*xa).clone();
-                    let fp = xm.fibers(mode).map_err(|e| e.to_string())?;
-                    let out = ttm::ttm_prepared(&xm, &fp, &u, Default::default())
-                        .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
-                        std::hint::black_box(
-                            ttm::ttm_prepared(&xm, &fp, &u, Default::default()).unwrap(),
-                        );
-                    });
-                    Ok((secs, count_bad(out.vals())))
-                })]
-            };
-            let (report, value) = supervise_scalar(&cell, trials, cfg);
-            (Kernel::Ttm, report, value.map(|(s, _)| s))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown kernel {other:?} (expected tew, ts, ttv, ttm, or mttkrp)"
-            )))
-        }
+            })
+            .collect();
+        let (report, value) = supervisor::supervise(
+            &label,
+            &trials,
+            |&(_, bad)| match bad {
+                0 => Ok(None),
+                _ => Err(format!("{bad} non-finite values in output")),
+            },
+            cfg,
+        );
+        (report, value.map(|(secs, _)| secs))
     };
-    let flops = kname.flops(order, m, rank as u64);
     Ok(render_supervised(x, &report, flops, kernel_secs))
-}
-
-/// Supervise a chain of `(kernel seconds, non-finite count)` trials,
-/// accepting only all-finite outputs.
-fn supervise_scalar(
-    cell: &str,
-    trials: Vec<Trial<(f64, usize)>>,
-    cfg: &SupervisorConfig,
-) -> (RunReport, Option<(f64, usize)>) {
-    supervisor::supervise(
-        cell,
-        &trials,
-        |&(_, bad)| {
-            if bad == 0 {
-                Ok(None)
-            } else {
-                Err(format!("{bad} non-finite values in output"))
-            }
-        },
-        cfg,
-    )
 }
 
 /// Render a supervised run. GFLOPS comes from the kernel-only seconds the
 /// trial measured (`kernel_secs`) when available; the attempt wall time in
-/// the report also covers setup and the untimed warmup run, so using it
+/// the report also covers preparation and the validation call, so using it
 /// would understate throughput.
 fn render_supervised(
     x: &CooTensor<f32>,
@@ -862,7 +503,7 @@ pub fn verify(
             &mut out,
         );
         let factors = Arc::new(make_factors(&t, rank));
-        let strat = mttkrp::MttkrpStrategy::Scheduled;
+        let strat = MttkrpStrategy::Scheduled;
         let (r, _) =
             supervisor::supervised_mttkrp("mttkrp/coo", &xa, &factors, 0, None, strat, cfg);
         check(
@@ -899,292 +540,13 @@ pub fn verify(
     Ok(out)
 }
 
-/// `ablate-mttkrp`: measure every Mttkrp strategy (COO and HiCOO, atomic
-/// and scheduled) on a generated dataset, render a table, and optionally
-/// write the rows as JSON for committed benchmark artifacts.
-#[allow(clippy::too_many_arguments)]
-pub fn ablate_mttkrp(
-    dataset: &str,
-    nnz: usize,
-    rank: usize,
-    block_bits: u8,
-    reps: usize,
-    threads_list: &[usize],
-    out_json: Option<&Path>,
-    cfg: &SupervisorConfig,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
-
-    // One supervised sweep per requested pool size; an empty list keeps
-    // the single-sweep behavior at the ambient pool size.
-    let sweeps: Vec<Option<usize>> = if threads_list.is_empty() {
-        vec![None]
-    } else {
-        threads_list.iter().map(|&t| Some(t)).collect()
-    };
-
-    let mut out = format!(
-        "Mttkrp scheduling ablation on {dataset} ({}, {} nnz, R = {rank}, B = {})\n",
-        x.shape(),
-        fint(x.nnz() as u64),
-        1u32 << block_bits,
-    );
-    let mut measured: Vec<(usize, Vec<crate::suite::AblationRow>)> = Vec::new();
-    for threads in sweeps {
-        let rows = crate::suite::run_mttkrp_ablation_supervised_at(
-            &x, rank, block_bits, reps, threads, cfg,
-        );
-        let shown = threads.unwrap_or_else(tenbench_core::par::current_threads);
-        let atomic_hicoo = rows
-            .iter()
-            .find(|r| r.name == "hicoo/atomic")
-            .map(|r| r.time_s)
-            .unwrap_or(0.0);
-        let atomic_coo = rows
-            .iter()
-            .find(|r| r.name == "coo/atomic")
-            .map(|r| r.time_s)
-            .unwrap_or(0.0);
-        let speedup = |r: &crate::suite::AblationRow| -> String {
-            let base = if r.name.starts_with("hicoo") {
-                atomic_hicoo
-            } else {
-                atomic_coo
-            };
-            let s = base / r.time_s;
-            if s.is_finite() {
-                format!("{s:.2}x")
-            } else {
-                "-".to_string()
-            }
-        };
-        let mut tab = TextTable::new(["Strategy", "Time (s)", "Melem/s", "vs atomic", "Status"]);
-        for r in &rows {
-            tab.row([
-                r.name.clone(),
-                if r.time_s.is_finite() {
-                    fnum(r.time_s)
-                } else {
-                    "-".to_string()
-                },
-                fnum(r.melem_s),
-                speedup(r),
-                r.status.to_string(),
-            ]);
-        }
-        out.push_str(&format!("-- {shown} threads --\n"));
-        out.push_str(&tab.render());
-        measured.push((shown, rows));
-    }
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {},\n",
-            x.shape(),
-            x.nnz(),
-            host_cpus(),
-        ));
-        json.push_str("  \"sweeps\": [\n");
-        for (si, (threads, rows)) in measured.iter().enumerate() {
-            let atomic_hicoo = rows
-                .iter()
-                .find(|r| r.name == "hicoo/atomic")
-                .map(|r| r.time_s)
-                .unwrap_or(0.0);
-            let atomic_coo = rows
-                .iter()
-                .find(|r| r.name == "coo/atomic")
-                .map(|r| r.time_s)
-                .unwrap_or(0.0);
-            json.push_str(&format!("    {{\"threads\": {threads}, \"rows\": [\n"));
-            for (i, r) in rows.iter().enumerate() {
-                let base = if r.name.starts_with("hicoo") {
-                    atomic_hicoo
-                } else {
-                    atomic_coo
-                };
-                let s = base / r.time_s;
-                json.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"time_s\": {}, \"melem_s\": {}, \"speedup_vs_atomic\": {}, \"status\": \"{}\"}}{}\n",
-                    r.name,
-                    obs::json::json_f64(r.time_s),
-                    obs::json::json_f64_fixed(r.melem_s, 3),
-                    obs::json::json_f64_fixed(s, 3),
-                    r.status.label(),
-                    if i + 1 < rows.len() { "," } else { "" }
-                ));
-            }
-            json.push_str(&format!(
-                "    ]}}{}\n",
-                if si + 1 < measured.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-    Ok(out)
-}
-
-/// One measured configuration of the conversion pipeline.
-struct ConvertRow {
-    algo: &'static str,
+/// One measured row of the sweep: a cell at a pool width.
+struct ScaleRow {
+    cell: &'static str,
     threads: usize,
-    sort_s: f64,
-    build_s: f64,
-}
-
-impl ConvertRow {
-    fn total_s(&self) -> f64 {
-        self.sort_s + self.build_s
-    }
-}
-
-/// `convert-bench`: measure the COO→HiCOO conversion pipeline (Morton sort
-/// then block build) across thread counts. The first row is the sequential
-/// comparator-sort baseline; the remaining rows run the parallel radix
-/// pipeline at each requested thread count. Optionally writes the rows as
-/// JSON (`BENCH_convert.json`) and enforces a minimum radix speedup at the
-/// highest thread count (the CI regression gate).
-pub fn convert_bench(
-    dataset: &str,
-    nnz: usize,
-    block_bits: u8,
-    threads_list: &[usize],
-    reps: usize,
-    out_json: Option<&Path>,
-    min_speedup: Option<f64>,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    if threads_list.is_empty() {
-        return Err(CliError::Usage("--threads list is empty".to_string()));
-    }
-    let x = d.generate_with(nnz, d.default_seed());
-    let m = x.nnz();
-
-    // Best-of-reps per configuration; each rep re-clones the (lex-sorted)
-    // generator output so both sort algorithms start from the identical order.
-    let measure = |threads: usize, algo: SortAlgo, label: &'static str| -> CliResult<ConvertRow> {
-        let mut best: Option<ConvertRow> = None;
-        for _ in 0..reps.max(1) {
-            let mut c = x.clone();
-            let (sort_s, build_s) = tenbench_core::par::with_threads(threads, || {
-                let t0 = Instant::now();
-                c.sort_morton_with(block_bits, algo);
-                let sort_s = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                // The internal re-sort is a no-op: the sort state already
-                // says Morton(block_bits), so this times the build alone.
-                let r = HicooTensor::from_coo_inplace(&mut c, block_bits);
-                let build_s = t1.elapsed().as_secs_f64();
-                r.map(|h| {
-                    std::hint::black_box(h.num_blocks());
-                    (sort_s, build_s)
-                })
-            })?;
-            let row = ConvertRow {
-                algo: label,
-                threads,
-                sort_s,
-                build_s,
-            };
-            if best.as_ref().is_none_or(|b| row.total_s() < b.total_s()) {
-                best = Some(row);
-            }
-        }
-        Ok(best.expect("reps >= 1"))
-    };
-
-    let baseline = measure(1, SortAlgo::Comparator, "comparator")?;
-    let mut rows = vec![baseline];
-    for &threads in threads_list {
-        rows.push(measure(threads, SortAlgo::Radix, "radix")?);
-    }
-
-    let base_total = rows[0].total_s();
-    let mnnz = |r: &ConvertRow| m as f64 / r.total_s() / 1e6;
-    let mut tab = TextTable::new([
-        "Pipeline",
-        "Threads",
-        "Sort (s)",
-        "Build (s)",
-        "Total (s)",
-        "Mnnz/s",
-        "Speedup",
-    ]);
-    for r in &rows {
-        tab.row([
-            r.algo.to_string(),
-            r.threads.to_string(),
-            fnum(r.sort_s),
-            fnum(r.build_s),
-            fnum(r.total_s()),
-            fnum(mnnz(r)),
-            format!("{:.2}x", base_total / r.total_s()),
-        ]);
-    }
-    let mut out = format!(
-        "COO -> HiCOO conversion pipeline on {dataset} ({}, {} nnz, B = {}, best of {reps})\n",
-        x.shape(),
-        fint(m as u64),
-        1u32 << block_bits,
-    );
-    out.push_str(&tab.render());
-
-    let final_speedup = base_total / rows.last().expect("rows nonempty").total_s();
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {m},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n",
-            x.shape(),
-        ));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"pipeline\": \"{}\", \"threads\": {}, \"sort_s\": {}, \"build_s\": {}, \"total_s\": {}, \"mnnz_per_s\": {}, \"speedup_vs_baseline\": {}}}{}\n",
-                r.algo,
-                r.threads,
-                obs::json::json_f64(r.sort_s),
-                obs::json::json_f64(r.build_s),
-                obs::json::json_f64(r.total_s()),
-                obs::json::json_f64_fixed(mnnz(r), 3),
-                obs::json::json_f64_fixed(base_total / r.total_s(), 3),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"speedup_at_max_threads\": {}\n}}\n",
-            obs::json::json_f64_fixed(final_speedup, 3)
-        ));
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-
-    if let Some(floor) = min_speedup {
-        if final_speedup < floor {
-            return Err(CliError::Usage(format!(
-                "conversion speedup regression: radix at {} threads is {final_speedup:.2}x vs \
-                 sequential comparator baseline, below the floor of {floor:.2}x",
-                rows.last().expect("rows nonempty").threads,
-            )));
-        }
-        out.push_str(&format!(
-            "speedup gate: {final_speedup:.2}x >= {floor:.2}x ok\n"
-        ));
-    }
-    Ok(out)
-}
-
-/// One measured cell of the multicore scaling sweep.
-struct ScaleCell {
-    bench: &'static str,
-    threads: usize,
+    /// Seconds per call of the fastest batch; the gates read this.
     time_s: f64,
+    mean_s: f64,
     self_speedup: f64,
     busy_frac: f64,
     park_frac: f64,
@@ -1204,7 +566,7 @@ pub struct ScaleBenchOpts {
     pub block_bits: u8,
     /// Pool sizes to sweep (sorted and deduplicated before measuring).
     pub threads: Vec<usize>,
-    /// Timed repetitions per cell (best-of).
+    /// Timed batches per cell.
     pub reps: usize,
     /// Where to write `BENCH_scaling.json`, if anywhere.
     pub out_json: Option<PathBuf>,
@@ -1221,50 +583,109 @@ pub fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Parse a scaling-floor file: one `<bench>@<threads> <min_self_speedup>`
-/// per line, `#` comments. Keys without an `@` belong to other consumers
-/// of the same file (the conversion-bench single-point gate reads its
-/// floor from here too) and are ignored.
-fn parse_scaling_floors(path: &Path) -> CliResult<Vec<(String, usize, f64)>> {
-    let text = std::fs::read_to_string(path)?;
+/// One line of a scaling-floor file: `num` must be at least `min` times as
+/// fast as `den`. A self-speedup line has no `den`; it compares against
+/// the same cell at the sweep's smallest pool width.
+#[derive(Debug, PartialEq)]
+struct Floor {
+    num: (&'static str, usize),
+    den: Option<(&'static str, usize)>,
+    min: f64,
+}
+
+/// Parse a scaling-floor file, `#` comments allowed. Two line forms:
+/// `<cell>@<threads> <min_self_speedup>` and
+/// `<cell>@<threads>/<cell>@<threads> <min_ratio>`. `origin` names the file
+/// in error messages.
+fn parse_scaling_floors(origin: &str, text: &str) -> CliResult<Vec<Floor>> {
     let mut floors = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let bad = |what: &str| {
-            CliError::Usage(format!(
-                "{}:{}: {what}: {raw:?}",
-                path.display(),
-                lineno + 1
-            ))
+        let bad = |what: &str| CliError::Usage(format!("{origin}:{}: {what}: {raw:?}", lineno + 1));
+        let point = |key: &str| -> CliResult<(&'static str, usize)> {
+            let (name, t) = key
+                .split_once('@')
+                .ok_or_else(|| bad("expected `<cell>@<threads>`"))?;
+            let cell = Cell::named(name).ok_or_else(|| bad("unknown cell"))?;
+            Ok((cell.name, t.parse().map_err(|_| bad("bad thread count"))?))
         };
         let mut it = line.split_whitespace();
-        let (Some(key), Some(val)) = (it.next(), it.next()) else {
-            return Err(bad("expected `<bench>@<threads> <floor>`"));
+        let (Some(key), Some(val), None) = (it.next(), it.next(), it.next()) else {
+            return Err(bad(
+                "expected `<cell>@<threads> <floor>` or `<cell>@<t>/<cell>@<t> <floor>`",
+            ));
         };
-        let Some((bench, t)) = key.split_once('@') else {
-            continue;
+        let (num, den) = match key.split_once('/') {
+            Some((num, den)) => (point(num)?, Some(point(den)?)),
+            None => (point(key)?, None),
         };
-        let t: usize = t.parse().map_err(|_| bad("bad thread count"))?;
-        let floor: f64 = val.parse().map_err(|_| bad("bad floor"))?;
-        floors.push((bench.to_string(), t, floor));
+        let min = val.parse().map_err(|_| bad("bad floor"))?;
+        floors.push(Floor { num, den, min });
     }
     Ok(floors)
 }
 
-/// `scale-bench`: sweep every kernel and the conversion pipeline across
-/// thread counts and report per-cell wall time, self-speedup (vs the
-/// smallest measured thread count), and pool telemetry (busy/park ratio
-/// and steal fraction over the measured reps). Optionally writes
-/// `BENCH_scaling.json` (with a `host_cpus` field so downstream gates can
-/// tell real flat curves from core-starved hosts) and enforces
-/// self-speedup floors from a `ci/scaling-floor.txt`-style file; floors
-/// whose thread count exceeds the host's cores are reported as skipped.
+/// Check every floor against the measured rows; returns one `gate` line per
+/// floor, or the list of violations. A floor naming a pool width above
+/// `host` is skipped.
+fn check_scaling_floors(floors: &[Floor], rows: &[ScaleRow], host: usize) -> CliResult<String> {
+    let mut out = String::new();
+    let mut violations = Vec::new();
+    let base_threads = rows.iter().map(|r| r.threads).min().unwrap_or(1);
+    for f in floors {
+        let (num, den) = (f.num, f.den.unwrap_or((f.num.0, base_threads)));
+        let key = match f.den {
+            Some(_) => format!("{}@{}/{}@{}", num.0, num.1, den.0, den.1),
+            None => format!("{}@{}", num.0, num.1),
+        };
+        let floor = f.min;
+        if num.1.max(den.1) > host {
+            out.push_str(&format!(
+                "gate {key}: skipped (floor {floor:.2}x, host has {host} cpus)\n"
+            ));
+            continue;
+        }
+        let time = |(cell, t): (&str, usize)| {
+            rows.iter()
+                .find(|r| r.cell == cell && r.threads == t)
+                .map(|r| r.time_s)
+                .ok_or(t)
+        };
+        match (time(num), time(den)) {
+            (Err(t), _) | (_, Err(t)) => violations.push(format!(
+                "{key}: floor {floor:.2}x but no measured row (pass --threads including {t})"
+            )),
+            (Ok(n), Ok(d)) if d / n < floor => {
+                violations.push(format!("{key}: {:.2}x below floor {floor:.2}x", d / n))
+            }
+            (Ok(n), Ok(d)) => {
+                out.push_str(&format!("gate {key}: {:.2}x >= {floor:.2}x ok\n", d / n))
+            }
+        }
+    }
+    if violations.is_empty() {
+        Ok(out)
+    } else {
+        Err(CliError::Usage(format!(
+            "scaling gate failed:\n  {}",
+            violations.join("\n  ")
+        )))
+    }
+}
+
+/// `scale-bench`: sweep the whole cell table at mode 0 across thread counts
+/// (cells sequential by construction run once, at the smallest) and report
+/// per-row wall time, self-speedup (vs the smallest measured thread count),
+/// and pool telemetry (busy/park ratio and steal fraction over the timed
+/// batches). Optionally writes `BENCH_scaling.json` (with a `host_cpus`
+/// field so downstream gates can tell real flat curves from core-starved
+/// hosts) and enforces the floors of a `ci/scaling-floor.txt`-style file;
+/// floors whose thread count exceeds the host's cores are reported as
+/// skipped.
 pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
     let mut threads = opts.threads.clone();
     threads.sort_unstable();
     threads.dedup();
@@ -1273,143 +694,47 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
             "--threads must be a non-empty list of positive counts".to_string(),
         ));
     }
+    // Parsed before measuring so a bad floors file fails in milliseconds.
+    let floors = match &opts.floors {
+        Some(path) => {
+            parse_scaling_floors(&path.display().to_string(), &std::fs::read_to_string(path)?)?
+        }
+        None => Vec::new(),
+    };
     let reps = opts.reps.max(1);
-    let rank = opts.rank;
-    let block_bits = opts.block_bits;
+    let (rank, block_bits) = (opts.rank, opts.block_bits);
     let mode = 0usize;
-    let x = d.generate_with(opts.nnz, d.default_seed());
+    let inputs = Inputs::new(generate_dataset(&opts.dataset, opts.nnz)?, rank, block_bits);
+    let x = &inputs.x;
 
-    // Inputs shared by every cell, built once and untimed.
-    let y = make_partner(&x);
-    let factors = make_factors(&x, rank);
-    let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-    let v = DenseVector::constant(x.shape().dim(mode) as usize, 1.0f32);
-    let u = DenseMatrix::constant(x.shape().dim(mode) as usize, rank, 0.5f32);
-    let mut xm = x.clone();
-    let fp = xm.fibers(mode)?;
-    let hx = HicooTensor::from_coo(&x, block_bits)?;
-
-    // Each bench does its own untimed setup (e.g. re-cloning the tensor
-    // the conversion pipeline is about to sort) and returns the wall
-    // seconds of the timed section alone.
-    type Bench<'a> = (&'static str, Box<dyn FnMut() -> CliResult<f64> + Send + 'a>);
-    let mut benches: Vec<Bench<'_>> = vec![
-        (
-            "convert",
-            Box::new(|| {
-                let mut c = x.clone();
-                let t0 = Instant::now();
-                c.sort_morton_with(block_bits, SortAlgo::Radix);
-                let h = HicooTensor::from_coo_inplace(&mut c, block_bits)?;
-                std::hint::black_box(h.num_blocks());
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "tew",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(tew::tew_same_pattern(&x, &y, EwOp::Add)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ts",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ts::ts(&x, 1.01, EwOp::Mul)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ttv",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ttv::ttv_prepared(&xm, &fp, &v, Default::default())?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ttm",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ttm::ttm_prepared(&xm, &fp, &u, Default::default())?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_atomic",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_with(
-                    &x,
-                    &frefs,
-                    mode,
-                    mttkrp::MttkrpStrategy::Atomic,
-                )?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_sched",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_with(
-                    &x,
-                    &frefs,
-                    mode,
-                    mttkrp::MttkrpStrategy::Scheduled,
-                )?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_hicoo_sched",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-    ];
-
-    let mut cells: Vec<ScaleCell> = Vec::new();
-    for (name, run) in benches.iter_mut() {
+    let mut rows: Vec<ScaleRow> = Vec::new();
+    for cell in &cells::CELLS {
+        let swept = if cell.sequential { 1 } else { threads.len() };
         let mut base: Option<f64> = None;
-        for &t in &threads {
-            let (time_s, stats) = tenbench_core::par::with_threads(t, || -> CliResult<_> {
-                // Warm-up rep: builds this thread count's schedules, warms
-                // the pool and scratch, and prefaults outputs — all
+        for &t in &threads[..swept] {
+            let (s, stats) = tenbench_core::par::with_threads(t, || -> CliResult<_> {
+                // Preparation (this width's schedules included) and the
+                // calibration call warm the pool and prefault outputs
                 // outside the telemetry window.
-                run()?;
-                rayon::reset_pool_stats();
-                let prev = rayon::set_pool_telemetry(true);
-                let mut best = f64::INFINITY;
-                let mut failed = None;
-                for _ in 0..reps {
-                    match run() {
-                        Ok(s) => best = best.min(s),
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
+                let p = cells::prepare(&inputs, cell, mode)?;
+                let mut prev = false;
+                let s = p.sample_with(reps, || {
+                    rayon::reset_pool_stats();
+                    prev = rayon::set_pool_telemetry(true);
+                });
                 rayon::set_pool_telemetry(prev);
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                Ok((best, rayon::pool_stats()))
+                Ok((s?, rayon::pool_stats()))
             })?;
             let busy: u64 =
                 stats.workers.iter().map(|w| w.busy_ns).sum::<u64>() + stats.caller.busy_ns;
             let park: u64 = stats.workers.iter().map(|w| w.park_ns).sum();
-            let base_s = *base.get_or_insert(time_s);
-            cells.push(ScaleCell {
-                bench: name,
+            let base_s = *base.get_or_insert(s.min_s);
+            rows.push(ScaleRow {
+                cell: cell.name,
                 threads: t,
-                time_s,
-                self_speedup: base_s / time_s,
+                time_s: s.min_s,
+                mean_s: s.mean_s,
+                self_speedup: base_s / s.min_s,
                 busy_frac: busy as f64 / (busy + park).max(1) as f64,
                 park_frac: park as f64 / (busy + park).max(1) as f64,
                 steal_frac: stats.chunks_stolen as f64 / stats.chunks_total.max(1) as f64,
@@ -1420,27 +745,29 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
 
     let host = host_cpus();
     let mut tab = TextTable::new([
-        "Bench",
+        "Cell",
         "Threads",
         "Time (s)",
+        "Mean (s)",
         "Self-speedup",
         "Busy",
         "Steal",
         "Chunks",
     ]);
-    for c in &cells {
+    for r in &rows {
         tab.row([
-            c.bench.to_string(),
-            c.threads.to_string(),
-            fnum(c.time_s),
-            format!("{:.2}x", c.self_speedup),
-            format!("{:.0}%", c.busy_frac * 100.0),
-            format!("{:.0}%", c.steal_frac * 100.0),
-            fint(c.chunks),
+            r.cell.to_string(),
+            r.threads.to_string(),
+            fnum(r.time_s),
+            fnum(r.mean_s),
+            format!("{:.2}x", r.self_speedup),
+            format!("{:.0}%", r.busy_frac * 100.0),
+            format!("{:.0}%", r.steal_frac * 100.0),
+            fint(r.chunks),
         ]);
     }
     let mut out = format!(
-        "Multicore scaling sweep on {} ({}, {} nnz, R = {rank}, B = {}, best of {reps}, host cpus = {host})\n",
+        "Multicore scaling sweep on {} ({}, {} nnz, mode {mode}, R = {rank}, B = {}, {reps} reps, host cpus = {host})\n",
         opts.dataset,
         x.shape(),
         fint(x.nnz() as u64),
@@ -1451,24 +778,25 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
     if let Some(path) = &opts.out_json {
         let mut json = String::from("{\n");
         json.push_str(&format!(
-            "  \"dataset\": \"{}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {host},\n",
+            "  \"host_cpus\": {host},\n  \"dataset\": \"{}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"mode\": {mode},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n",
             opts.dataset,
             x.shape(),
             x.nnz(),
         ));
         json.push_str("  \"rows\": [\n");
-        for (i, c) in cells.iter().enumerate() {
+        for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"bench\": \"{}\", \"threads\": {}, \"time_s\": {}, \"self_speedup\": {}, \"busy_frac\": {}, \"park_frac\": {}, \"steal_frac\": {}, \"chunks\": {}}}{}\n",
-                c.bench,
-                c.threads,
-                obs::json::json_f64(c.time_s),
-                obs::json::json_f64_fixed(c.self_speedup, 3),
-                obs::json::json_f64_fixed(c.busy_frac, 3),
-                obs::json::json_f64_fixed(c.park_frac, 3),
-                obs::json::json_f64_fixed(c.steal_frac, 3),
-                c.chunks,
-                if i + 1 < cells.len() { "," } else { "" }
+                "    {{\"cell\": \"{}\", \"threads\": {}, \"time_s\": {}, \"mean_s\": {}, \"self_speedup\": {}, \"busy_frac\": {}, \"park_frac\": {}, \"steal_frac\": {}, \"chunks\": {}}}{}\n",
+                r.cell,
+                r.threads,
+                obs::json::json_f64(r.time_s),
+                obs::json::json_f64(r.mean_s),
+                obs::json::json_f64_fixed(r.self_speedup, 3),
+                obs::json::json_f64_fixed(r.busy_frac, 3),
+                obs::json::json_f64_fixed(r.park_frac, 3),
+                obs::json::json_f64_fixed(r.steal_frac, 3),
+                r.chunks,
+                if i + 1 < rows.len() { "," } else { "" }
             ));
         }
         json.push_str("  ]\n}\n");
@@ -1476,38 +804,7 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
         out.push_str(&format!("wrote {}\n", path.display()));
     }
 
-    if let Some(floor_path) = &opts.floors {
-        let floors = parse_scaling_floors(floor_path)?;
-        let mut violations = Vec::new();
-        for (bench, t, floor) in &floors {
-            if *t > host {
-                out.push_str(&format!(
-                    "gate {bench}@{t}: skipped (floor {floor:.2}x, host has {host} cpus)\n"
-                ));
-                continue;
-            }
-            match cells.iter().find(|c| c.bench == bench && c.threads == *t) {
-                None => violations.push(format!(
-                    "{bench}@{t}: floor {floor:.2}x but no measured row \
-                     (pass --threads including {t})"
-                )),
-                Some(c) if c.self_speedup < *floor => violations.push(format!(
-                    "{bench}@{t}: self-speedup {:.2}x below floor {floor:.2}x",
-                    c.self_speedup
-                )),
-                Some(c) => out.push_str(&format!(
-                    "gate {bench}@{t}: {:.2}x >= {floor:.2}x ok\n",
-                    c.self_speedup
-                )),
-            }
-        }
-        if !violations.is_empty() {
-            return Err(CliError::Usage(format!(
-                "scaling gate failed:\n  {}",
-                violations.join("\n  ")
-            )));
-        }
-    }
+    out.push_str(&check_scaling_floors(&floors, &rows, host)?);
     Ok(out)
 }
 
@@ -1544,12 +841,58 @@ pub fn report(input: &Path) -> CliResult<String> {
     ))
 }
 
+/// One traced-vs-untraced comparison of a workload.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceOverhead {
+    /// Best untraced wall seconds.
+    pub untraced_s: f64,
+    /// Best wall seconds under a full [`crate::metrics::Capture`].
+    pub traced_s: f64,
+    /// Trace events the captures dropped, summed over the rounds.
+    pub dropped_events: u64,
+}
+
+impl TraceOverhead {
+    /// Traced over untraced, in percent. Guarded: a degenerate zero-time
+    /// untraced baseline must not turn the overhead into a non-finite
+    /// number (it would poison the JSON gate).
+    pub fn overhead_pct(&self) -> f64 {
+        if self.untraced_s > 0.0 && self.untraced_s.is_finite() && self.traced_s.is_finite() {
+            (self.traced_s / self.untraced_s - 1.0) * 100.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Run `workload` untraced and traced, interleaved, `rounds` times, keeping
+/// the best of each side so one-off scheduling noise cannot manufacture (or
+/// hide) overhead.
+pub fn trace_overhead(rounds: usize, mut workload: impl FnMut()) -> TraceOverhead {
+    let mut best = TraceOverhead {
+        untraced_s: f64::INFINITY,
+        traced_s: f64::INFINITY,
+        dropped_events: 0,
+    };
+    for _ in 0..rounds.max(1) {
+        let t0 = Instant::now();
+        workload();
+        best.untraced_s = best.untraced_s.min(t0.elapsed().as_secs_f64());
+
+        let cap = crate::metrics::Capture::begin();
+        let t0 = Instant::now();
+        workload();
+        best.traced_s = best.traced_s.min(t0.elapsed().as_secs_f64());
+        best.dropped_events += cap.finish().0.dropped_events;
+    }
+    best
+}
+
 /// `obs-overhead`: measure the wall-time cost of full tracing over the
-/// measured CPU suite at each requested thread count. Untraced and traced
-/// runs are interleaved and the best of `rounds` is kept on both sides, so
-/// one-off scheduling noise cannot manufacture (or hide) overhead.
-/// Optionally writes `BENCH_obs_overhead.json` and enforces a maximum
-/// overhead percentage at every thread count (the CI gate).
+/// measured CPU suite at each requested thread count, with
+/// [`trace_overhead`]. Optionally writes `BENCH_obs_overhead.json` and
+/// enforces a maximum overhead percentage at every thread count (the CI
+/// gate).
 #[allow(clippy::too_many_arguments)]
 pub fn obs_overhead(
     dataset: &str,
@@ -1562,9 +905,7 @@ pub fn obs_overhead(
     out_json: Option<&Path>,
     max_overhead_pct: Option<f64>,
 ) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
+    let x = generate_dataset(dataset, nnz)?;
     let machine = crate::suite::MachineModel {
         name: "obs-overhead".into(),
         ert_dram_gbs: 100.0,
@@ -1572,57 +913,26 @@ pub fn obs_overhead(
     };
     let rounds = rounds.max(1);
 
-    struct Row {
-        threads: usize,
-        untraced_s: f64,
-        traced_s: f64,
-    }
-    let mut rows = Vec::new();
-    for &threads in threads_list {
-        let mut untraced_s = f64::INFINITY;
-        let mut traced_s = f64::INFINITY;
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            tenbench_core::par::with_threads(threads, || {
-                std::hint::black_box(crate::suite::run_cpu_suite(
-                    &x, &machine, rank, block_bits, reps,
-                ));
+    let rows: Vec<(usize, TraceOverhead)> = threads_list
+        .iter()
+        .map(|&threads| {
+            let o = trace_overhead(rounds, || {
+                tenbench_core::par::with_threads(threads, || {
+                    std::hint::black_box(crate::suite::run_cpu_suite(
+                        &x, &machine, rank, block_bits, reps,
+                    ));
+                });
             });
-            untraced_s = untraced_s.min(t0.elapsed().as_secs_f64());
-
-            let cap = crate::metrics::Capture::begin();
-            let t0 = Instant::now();
-            tenbench_core::par::with_threads(threads, || {
-                std::hint::black_box(crate::suite::run_cpu_suite(
-                    &x, &machine, rank, block_bits, reps,
-                ));
-            });
-            traced_s = traced_s.min(t0.elapsed().as_secs_f64());
-            let _ = cap.finish();
-        }
-        rows.push(Row {
-            threads,
-            untraced_s,
-            traced_s,
-        });
-    }
-    // Guarded: a degenerate zero-time untraced baseline must not turn the
-    // overhead into a non-finite number (it would poison the JSON gate).
-    let pct = |r: &Row| {
-        if r.untraced_s > 0.0 && r.untraced_s.is_finite() && r.traced_s.is_finite() {
-            (r.traced_s / r.untraced_s - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    };
-
+            (threads, o)
+        })
+        .collect();
     let mut tab = TextTable::new(["Threads", "Untraced (s)", "Traced (s)", "Overhead"]);
-    for r in &rows {
+    for (threads, o) in &rows {
         tab.row([
-            r.threads.to_string(),
-            fnum(r.untraced_s),
-            fnum(r.traced_s),
-            format!("{:+.2}%", pct(r)),
+            threads.to_string(),
+            fnum(o.untraced_s),
+            fnum(o.traced_s),
+            format!("{:+.2}%", o.overhead_pct()),
         ]);
     }
     let mut out = format!(
@@ -1641,13 +951,13 @@ pub fn obs_overhead(
             x.nnz(),
         ));
         json.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
+        for (i, (threads, o)) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"threads\": {}, \"untraced_s\": {}, \"traced_s\": {}, \"overhead_pct\": {}}}{}\n",
-                r.threads,
-                obs::json::json_f64(r.untraced_s),
-                obs::json::json_f64(r.traced_s),
-                obs::json::json_f64_fixed(pct(r), 3),
+                "    {{\"threads\": {threads}, \"untraced_s\": {}, \"traced_s\": {}, \"overhead_pct\": {}, \"dropped_events\": {}}}{}\n",
+                obs::json::json_f64(o.untraced_s),
+                obs::json::json_f64(o.traced_s),
+                obs::json::json_f64_fixed(o.overhead_pct(), 3),
+                o.dropped_events,
                 if i + 1 < rows.len() { "," } else { "" }
             ));
         }
@@ -1657,11 +967,10 @@ pub fn obs_overhead(
     }
 
     if let Some(ceiling) = max_overhead_pct {
-        if let Some(r) = rows.iter().find(|r| pct(r) > ceiling) {
+        if let Some((threads, o)) = rows.iter().find(|(_, o)| o.overhead_pct() > ceiling) {
             return Err(CliError::Usage(format!(
-                "tracing overhead regression: {:+.2}% at {} threads, above the ceiling of {ceiling:.2}%",
-                pct(r),
-                r.threads,
+                "tracing overhead regression: {:+.2}% at {threads} threads, above the ceiling of {ceiling:.2}%",
+                o.overhead_pct(),
             )));
         }
         out.push_str(&format!("overhead gate: all <= {ceiling:.2}% ok\n"));
@@ -2710,77 +2019,180 @@ mod tests {
 
     #[test]
     fn run_kernel_on_every_kernel_and_format() {
-        let x = tiny();
         for k in ["tew", "ts", "ttv", "ttm", "mttkrp"] {
             for f in ["coo", "hicoo"] {
-                let r = run_kernel_on(&x, k, 0, 4, f, 3, 1, "atomic").unwrap();
+                let r = run_kernel_on(tiny(), k, 0, 4, f, 3, 1, "atomic", None).unwrap();
                 assert!(r.contains("GFLOPS"), "{k}/{f}: {r}");
+                let cell = Cell::resolve(k, f, "atomic").unwrap();
+                assert!(r.starts_with(&format!("{}/mode0 ", cell.name)), "{r}");
             }
         }
     }
 
     #[test]
     fn run_kernel_on_scheduled_strategy() {
-        let x = tiny();
         for k in ["ttv", "ttm", "mttkrp"] {
-            for f in ["coo", "hicoo"] {
-                let r = run_kernel_on(&x, k, 0, 4, f, 3, 1, "scheduled").unwrap();
+            for (f, suffix) in [("coo", ""), ("hicoo", ".hicoo_sched")] {
+                let r = run_kernel_on(tiny(), k, 0, 4, f, 3, 1, "scheduled", None).unwrap();
                 assert!(r.contains("GFLOPS"), "{k}/{f}: {r}");
+                assert!(r.contains(suffix), "{k}/{f}: {r}");
             }
         }
         for s in ["seq", "privatized"] {
-            let r = run_kernel_on(&x, "mttkrp", 1, 4, "coo", 3, 1, s).unwrap();
+            let r = run_kernel_on(tiny(), "mttkrp", 1, 4, "coo", 3, 1, s, None).unwrap();
             assert!(r.contains("GFLOPS"), "{s}: {r}");
+            assert!(r.starts_with(&format!("mttkrp.coo_{s}/mode1 ")), "{r}");
         }
     }
 
     #[test]
     fn run_kernel_rejects_bad_input() {
-        let x = tiny();
+        let run = |k, mode, f, s| run_kernel_on(tiny(), k, mode, 4, f, 3, 1, s, None);
         assert!(matches!(
-            run_kernel_on(&x, "nope", 0, 4, "coo", 3, 1, "atomic"),
+            run("nope", 0, "coo", "atomic"),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            run_kernel_on(&x, "ttv", 0, 4, "csr", 3, 1, "atomic"),
+            run("ttv", 0, "csr", "atomic"),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            run_kernel_on(&x, "ttv", 9, 4, "coo", 3, 1, "atomic"),
+            run("ttv", 9, "coo", "atomic"),
             Err(CliError::Tensor(_))
         ));
+        // Every kernel validates the strategy, not only Mttkrp, and the
+        // error lists the cells that do exist.
+        for k in ["mttkrp", "ttv", "tew"] {
+            match run(k, 0, "hicoo", "speculative") {
+                Err(CliError::Usage(m)) => assert!(m.contains("ttv.hicoo_sched"), "{m}"),
+                other => panic!("{k}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn scale_bench_sweeps_the_table_and_writes_json() {
+        let dir = std::env::temp_dir().join("tenbench-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = dir.join("scaling.json");
+        let opts = |dataset: &str| ScaleBenchOpts {
+            dataset: dataset.to_string(),
+            nnz: 3_000,
+            rank: 4,
+            block_bits: 3,
+            threads: vec![2, 1, 2],
+            reps: 1,
+            out_json: Some(json.clone()),
+            floors: None,
+        };
+        let r = scale_bench(&opts("s4")).unwrap();
+        let body = std::fs::read_to_string(&json).unwrap();
+        assert!(body.contains("\"host_cpus\""), "{body}");
+        assert!(body.contains("\"self_speedup\""), "{body}");
+        for cell in &cells::CELLS {
+            assert!(r.contains(cell.name), "{}: {r}", cell.name);
+            // One row per swept pool width; sequential cells run once.
+            let rows = body.matches(&format!("\"{}\"", cell.name)).count();
+            assert_eq!(rows, if cell.sequential { 1 } else { 2 }, "{}", cell.name);
+        }
         assert!(matches!(
-            run_kernel_on(&x, "mttkrp", 0, 4, "coo", 3, 1, "speculative"),
+            scale_bench(&opts("zz99")),
             Err(CliError::Usage(_))
         ));
     }
 
+    fn row(cell: &'static str, threads: usize, time_s: f64) -> ScaleRow {
+        ScaleRow {
+            cell,
+            threads,
+            time_s,
+            mean_s: time_s,
+            self_speedup: 1.0,
+            busy_frac: 1.0,
+            park_frac: 0.0,
+            steal_frac: 0.0,
+            chunks: 0,
+        }
+    }
+
     #[test]
-    fn ablate_mttkrp_writes_json() {
-        let dir = std::env::temp_dir().join("tenbench-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("ablate.json");
-        let cfg = SupervisorConfig::default();
-        let r = ablate_mttkrp("s4", 3_000, 4, 3, 1, &[], Some(&json), &cfg).unwrap();
-        assert!(r.contains("hicoo/scheduled"), "{r}");
-        assert!(r.contains("Status"), "{r}");
-        let body = std::fs::read_to_string(&json).unwrap();
-        assert!(body.contains("\"speedup_vs_atomic\""));
-        assert!(body.contains("coo/privatized"));
-        assert!(body.contains("\"status\": \"ok\""));
-        assert!(matches!(
-            ablate_mttkrp("zz99", 1_000, 4, 3, 1, &[], None, &cfg),
-            Err(CliError::Usage(_))
-        ));
+    fn scaling_floors_bind_skip_and_reject() {
+        let rows = [
+            row("convert.radix", 1, 0.06),
+            row("convert.radix", 4, 0.02),
+            row("convert.comparator", 1, 0.27),
+        ];
+        let check = |text: &str, host: usize| {
+            check_scaling_floors(&parse_scaling_floors("floors", text)?, &rows, host)
+        };
+        // Self-speedup and ratio lines both bind.
+        let out = check(
+            "convert.radix@4 2.5  # curve\nconvert.radix@1/convert.comparator@1 1.5\n",
+            4,
+        )
+        .unwrap();
+        assert!(
+            out.contains("gate convert.radix@4: 3.00x >= 2.50x ok"),
+            "{out}"
+        );
+        assert!(
+            out.contains("gate convert.radix@1/convert.comparator@1: 4.50x >= 1.50x ok"),
+            "{out}"
+        );
+        for text in [
+            "convert.radix@4 3.5",
+            "convert.radix@1/convert.comparator@1 5.0",
+        ] {
+            match check(text, 4) {
+                Err(CliError::Usage(m)) => assert!(m.contains("below floor"), "{m}"),
+                other => panic!("{text}: expected a violation, got {other:?}"),
+            }
+        }
+        // Above the host's cores either form is skipped, on either side.
+        for text in [
+            "convert.radix@4 9.0",
+            "convert.radix@4/convert.comparator@1 9.0",
+            "convert.comparator@1/convert.radix@4 9.0",
+        ] {
+            let out = check(text, 2).unwrap();
+            assert!(out.contains("skipped"), "{text}: {out}");
+        }
+        // A width that was not swept is a violation that says what to pass.
+        match check("convert.comparator@2 1.0", 4) {
+            Err(CliError::Usage(m)) => assert!(m.contains("--threads including 2"), "{m}"),
+            other => panic!("expected a violation, got {other:?}"),
+        }
+        // A name outside the table is its own error, whichever side.
+        for text in [
+            "convert@4 2.0",
+            "convert.radix@1/convert_vs_comparator@1 1.5",
+        ] {
+            match check(text, 4) {
+                Err(CliError::Usage(m)) => assert!(m.contains("unknown cell"), "{m}"),
+                other => panic!("{text}: expected unknown cell, got {other:?}"),
+            }
+        }
+        assert!(check("convert_vs_comparator 1.5", 4).is_err());
+        assert!(check("convert.radix@x 1.5", 4).is_err());
+    }
+
+    #[test]
+    fn committed_scaling_floors_parse() {
+        let text = include_str!("../../../ci/scaling-floor.txt");
+        let floors = parse_scaling_floors("ci/scaling-floor.txt", text).unwrap();
+        let mins: Vec<f64> = floors.iter().map(|f| f.min).collect();
+        assert_eq!(mins, [2.0, 2.5, 2.5, 1.5]);
+        // The radix-vs-comparator ratio is written at one thread on both
+        // sides, so it binds on any host.
+        assert_eq!(floors[3].num.1.max(floors[3].den.unwrap().1), 1);
     }
 
     #[test]
     fn supervised_kernel_runs_report_ok() {
-        let x = tiny();
         let cfg = SupervisorConfig::default();
         for k in ["tew", "ts", "ttv", "ttm", "mttkrp"] {
             for f in ["coo", "hicoo"] {
-                let r = run_kernel_supervised_on(&x, k, 0, 4, f, 3, 1, "scheduled", &cfg).unwrap();
+                let r = run_kernel_on(tiny(), k, 0, 4, f, 3, 1, "scheduled", Some(&cfg)).unwrap();
                 assert!(r.contains("status ok"), "{k}/{f}: {r}");
                 assert!(r.contains("GFLOPS"), "{k}/{f}: {r}");
                 assert!(r.contains("\"status\": \"ok\""), "{k}/{f}: {r}");
@@ -2793,12 +2205,11 @@ mod tests {
         // A cap short enough that the watchdog fires during the attempt on
         // any machine is impractical for these tiny kernels; instead check
         // the flag plumbing accepts a generous cap and still succeeds.
-        let x = tiny();
         let cfg = SupervisorConfig::with_max_seconds(30.0);
-        let r = run_kernel_supervised_on(&x, "mttkrp", 0, 4, "coo", 3, 1, "atomic", &cfg).unwrap();
+        let r = run_kernel_on(tiny(), "mttkrp", 0, 4, "coo", 3, 1, "atomic", Some(&cfg)).unwrap();
         assert!(r.contains("status ok"), "{r}");
         assert!(matches!(
-            run_kernel_supervised_on(&x, "nope", 0, 4, "coo", 3, 1, "atomic", &cfg),
+            run_kernel_on(tiny(), "nope", 0, 4, "coo", 3, 1, "atomic", Some(&cfg)),
             Err(CliError::Usage(_))
         ));
     }

@@ -8,17 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use tenbench_core::coo::CooTensor;
-use tenbench_core::dense::DenseMatrix;
-use tenbench_core::hicoo::HicooTensor;
-use tenbench_gen::{registry::find, Dataset};
-
-use crate::suite::make_factors;
-
-/// Factor-matrix rank shared by the kernel benchmarks (the paper's R=16).
-pub const BENCH_RANK: usize = 16;
-
-/// HiCOO block bits shared by the kernel benchmarks (B = 128).
-pub const BENCH_BLOCK_BITS: u8 = 7;
+use tenbench_gen::Dataset;
 
 /// Directory used for cached tensors.
 pub fn cache_dir() -> PathBuf {
@@ -50,38 +40,6 @@ pub fn dataset_tensor(d: &Dataset, scale: f64) -> CooTensor<f32> {
     t
 }
 
-/// A materialized tensor in both formats plus factor matrices, so every
-/// benchmark measures the same inputs without duplicating setup code.
-pub struct KernelFixture {
-    /// The tensor in COO format.
-    pub coo: CooTensor<f32>,
-    /// The same tensor in HiCOO format at [`BENCH_BLOCK_BITS`].
-    pub hicoo: HicooTensor<f32>,
-    /// One rank-[`BENCH_RANK`] factor matrix per mode.
-    pub factors: Vec<DenseMatrix<f32>>,
-}
-
-/// Materialize dataset `id` at `scale` in both formats with factors.
-///
-/// Panics on an unknown dataset id: benchmarks hard-code ids from the
-/// registry, so a miss is a programming error, not an input error.
-pub fn hicoo_fixture(id: &str, scale: f64) -> KernelFixture {
-    let d = find(id).unwrap_or_else(|| panic!("unknown dataset id {id:?}"));
-    let coo = dataset_tensor(d, scale);
-    let hicoo = HicooTensor::from_coo(&coo, BENCH_BLOCK_BITS).unwrap();
-    let factors = make_factors(&coo, BENCH_RANK);
-    KernelFixture {
-        coo,
-        hicoo,
-        factors,
-    }
-}
-
-/// Borrow a factor slice as the `&[&DenseMatrix]` view the kernels take.
-pub fn factor_refs(factors: &[DenseMatrix<f32>]) -> Vec<&DenseMatrix<f32>> {
-    factors.iter().collect()
-}
-
 /// The default dataset selection for quick runs: one small dataset per
 /// family (regular Kronecker, irregular power-law, 4th-order, surrogate
 /// real).
@@ -102,18 +60,6 @@ mod tests {
         let b = dataset_tensor(d, 0.05); // second call hits the cache
         assert_eq!(a.to_map(), b.to_map());
         assert_eq!(a.nnz(), (d.bench_nnz() as f64 * 0.05) as usize);
-    }
-
-    #[test]
-    fn fixture_formats_agree() {
-        let fx = hicoo_fixture("s4", 0.05);
-        assert_eq!(fx.coo.nnz(), fx.hicoo.nnz());
-        assert_eq!(fx.factors.len(), fx.coo.order());
-        for (mode, f) in fx.factors.iter().enumerate() {
-            assert_eq!(f.rows(), fx.coo.shape().dim(mode) as usize);
-            assert_eq!(f.cols(), BENCH_RANK);
-        }
-        assert_eq!(factor_refs(&fx.factors).len(), fx.factors.len());
     }
 
     #[test]

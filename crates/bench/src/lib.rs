@@ -7,8 +7,11 @@
 //! * [`format`] — aligned text tables and ASCII log-log plots for terminal
 //!   "figures".
 //! * [`data`] — dataset materialization with an on-disk cache.
-//! * [`suite`] — the measured CPU kernel suite (Figures 4–5) and the
-//!   simulated GPU suite (Figures 6–7), with per-tensor Roofline bounds.
+//! * [`cells`] — the kernel-cell table: every timed kernel × format ×
+//!   strategy and the conversion pipeline, with their prepared inputs.
+//! * [`suite`] — the one sampler, the measured CPU kernel suite (Figures
+//!   4–5) and the simulated GPU suite (Figures 6–7), with per-tensor
+//!   Roofline bounds.
 //! * [`supervisor`] — watchdog timeouts, panic isolation, strategy
 //!   fallback, and output validation for long sweeps.
 //! * [`metrics`] — observability glue: trace/counter capture lifecycle
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cells;
 pub mod chaos;
 pub mod cli;
 pub mod data;

@@ -6,8 +6,11 @@
 //!
 //! This lives in its own integration-test binary because the obs counters
 //! are process-wide; sharing a process with other counter-charging tests
-//! would pollute the deltas.
+//! would pollute the deltas. Its own two tests charge them too, and cargo
+//! runs them on parallel threads, so each holds [`COUNTERS`] while it
+//! measures.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
 use tenbench_bench::suite::measure_cell;
@@ -15,6 +18,10 @@ use tenbench_obs::counters;
 
 const FLOPS_PER_CALL: u64 = 1000;
 const BYTES_PER_CALL: u64 = 64;
+
+/// Serializes the tests of this binary: both read deltas of the same
+/// process-wide counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn charge() {
     counters::FLOPS.add(FLOPS_PER_CALL);
@@ -24,6 +31,7 @@ fn charge() {
 
 #[test]
 fn slow_cell_counts_warmup_plus_reps() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let reps = 3;
     // Slower than the 1 ms calibration threshold, so the inner batch is 1
     // and the cell makes exactly `reps + 1` calls (warmup included).
@@ -40,8 +48,9 @@ fn slow_cell_counts_warmup_plus_reps() {
 
 #[test]
 fn fast_cell_counts_every_batched_call() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let reps = 2;
-    // Much faster than 1 ms: time_avg batches the timed loop, so the call
+    // Much faster than 1 ms: the sampler batches the timed loop, so the call
     // count exceeds warmup + reps. The counters must still agree with the
     // per-call charge exactly — that is only true when every batched call
     // is counted.

@@ -1,17 +1,19 @@
-//! Degenerate-tensor battery: every kernel on both formats must handle an
-//! empty (nnz = 0) tensor and a singleton (nnz = 1) tensor without
-//! panicking and without producing non-finite values, and the statistics
-//! and Roofline paths that summarize them must stay finite too. A serving
-//! layer cannot pick its inputs, so "no nonzeros" is an input class, not
-//! an error.
+//! Degenerate-tensor battery: every cell of `tenbench_bench::cells` — every
+//! kernel on both formats under every strategy, and both conversion
+//! pipelines — must handle an empty (nnz = 0) tensor and a singleton
+//! (nnz = 1) tensor, as well as an order-3 and an order-4 one, at 1 and 4
+//! threads, without panicking and without producing non-finite values, and
+//! the statistics and Roofline paths that summarize them must stay finite
+//! too. A serving layer cannot pick its inputs, so "no nonzeros" is an
+//! input class, not an error.
 
 use std::sync::Arc;
 
-use tenbench_bench::suite::{make_factors, make_partner};
+use tenbench_bench::cells::{prepare, Cell, Inputs, Output, CELLS, STRATEGIES};
+use tenbench_bench::supervisor::{mttkrp_reference_digest, validate_matrix, SupervisorConfig};
 use tenbench_core::coo::CooTensor;
-use tenbench_core::dense::{DenseMatrix, DenseVector};
 use tenbench_core::hicoo::HicooTensor;
-use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
+use tenbench_core::kernels::Kernel;
 use tenbench_core::shape::Shape;
 
 const RANK: usize = 4;
@@ -25,59 +27,105 @@ fn singleton() -> CooTensor<f32> {
     CooTensor::from_entries(Shape::new(vec![8, 8, 8]), vec![(vec![3, 5, 2], 2.5)]).unwrap()
 }
 
-fn assert_finite(label: &str, vals: &[f32]) {
-    for (i, v) in vals.iter().enumerate() {
-        assert!(v.is_finite(), "{label}: non-finite value {v} at {i}");
-    }
+/// `nnz` distinct nonzeros spread over `dims` (37 is coprime to both
+/// products used here, so the linear indices never repeat).
+fn spread(dims: &[u32], nnz: u32) -> CooTensor<f32> {
+    let total: u32 = dims.iter().product();
+    let entries = (0..nnz)
+        .map(|i| {
+            let mut lin = (i * 37) % total;
+            let coords = dims
+                .iter()
+                .map(|&d| {
+                    let c = lin % d;
+                    lin /= d;
+                    c
+                })
+                .collect();
+            (coords, (i % 17) as f32 * 0.5 + 1.0)
+        })
+        .collect();
+    CooTensor::from_entries(Shape::new(dims.to_vec()), entries).unwrap()
 }
 
-/// Run all five kernels on both formats for one degenerate tensor.
-fn exercise(name: &str, x: &CooTensor<f32>) {
-    let hx = HicooTensor::from_coo(x, BLOCK_BITS)
-        .unwrap_or_else(|e| panic!("{name}: hicoo conversion failed: {e}"));
-    let partner = make_partner(x);
-    let hpartner = HicooTensor::from_coo(&partner, BLOCK_BITS).unwrap();
-    let factors = make_factors(x, RANK);
-    let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+#[test]
+fn every_cell_runs_and_validates_on_every_tensor_class() {
+    let mut names: Vec<&str> = CELLS.iter().map(|c| c.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), CELLS.len(), "cell names are unique");
 
-    for mode in 0..x.order() {
-        let label = |k: Kernel, f: &str| format!("{name}/{}/{f}/mode{mode}", k.name());
-
-        let y = tew::tew_same_pattern(x, &partner, EwOp::Add).unwrap();
-        assert_eq!(y.nnz(), x.nnz());
-        assert_finite(&label(Kernel::Tew, "coo"), y.vals());
-        let y = tew::tew_hicoo_same_pattern(&hx, &hpartner, EwOp::Add).unwrap();
-        assert_finite(&label(Kernel::Tew, "hicoo"), y.vals());
-
-        let y = ts::ts(x, 1.5, EwOp::Mul).unwrap();
-        assert_finite(&label(Kernel::Ts, "coo"), y.vals());
-        let y = ts::ts_hicoo(&hx, 1.5, EwOp::Mul).unwrap();
-        assert_finite(&label(Kernel::Ts, "hicoo"), y.vals());
-
-        let v = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| i as f32 * 0.5);
-        let y = ttv::ttv(x, &v, mode).unwrap();
-        assert_finite(&label(Kernel::Ttv, "coo"), y.vals());
-
-        let y = ttm::ttm(x, frefs[mode], mode).unwrap();
-        assert_finite(&label(Kernel::Ttm, "coo"), y.vals());
-        let y = ttm::ttm_hicoo_sched(&hx, frefs[mode], mode).unwrap();
-        assert_finite(&label(Kernel::Ttm, "hicoo"), y.vals());
-
-        let y = mttkrp::mttkrp_atomic(x, &frefs, mode).unwrap();
-        assert_finite(&label(Kernel::Mttkrp, "coo"), y.data());
-        let y = mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap();
-        assert_finite(&label(Kernel::Mttkrp, "hicoo"), y.data());
+    let cfg = SupervisorConfig::default();
+    let tensors = [
+        ("order3", spread(&[20, 16, 12], 900)),
+        ("order4", spread(&[12, 10, 9, 7], 600)),
+        ("empty", empty()),
+        ("singleton", singleton()),
+    ];
+    println!("{:<22} {:<10} threads modes", "cell", "tensor");
+    for (tname, x) in &tensors {
+        let inputs = Inputs::new(x.clone(), RANK, BLOCK_BITS);
+        let mut converted = Vec::new();
+        for cell in &CELLS {
+            for threads in [1, 4] {
+                for mode in 0..x.order() {
+                    let label = format!("{}/{tname}/{threads}t/mode{mode}", cell.name);
+                    let out = tenbench_core::par::with_threads(threads, || {
+                        prepare(&inputs, cell, mode).and_then(|p| p.call())
+                    })
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(out.nonfinite(), 0, "{label}");
+                    if matches!(cell.kernel, Some(Kernel::Tew | Kernel::Ts)) {
+                        assert_eq!(out.vals().len(), x.nnz(), "{label}");
+                    }
+                    match out {
+                        Output::Matrix(m) => {
+                            let reference =
+                                mttkrp_reference_digest(x, &inputs.factors, mode, cfg.sample)
+                                    .unwrap();
+                            validate_matrix(&m, &reference, cfg.sample, cfg.rel_tol)
+                                .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        }
+                        Output::Hicoo(h) if cell.kernel.is_none() => converted.push(h),
+                        _ => {}
+                    }
+                }
+                println!(
+                    "{:<22} {tname:<10} {threads:<7} 0..{}",
+                    cell.name,
+                    x.order()
+                );
+            }
+        }
+        // Radix and comparator conversions, at every width, agree.
+        let reference = HicooTensor::from_coo(x, BLOCK_BITS).unwrap();
+        assert_eq!(converted.len(), 2 * 2 * x.order(), "{tname}");
+        assert!(converted.iter().all(|h| *h == reference), "{tname}");
     }
 }
 
 #[test]
-fn empty_tensor_runs_every_kernel_on_both_formats() {
-    exercise("empty", &empty());
-}
-
-#[test]
-fn singleton_tensor_runs_every_kernel_on_both_formats() {
-    exercise("singleton", &singleton());
+fn documented_kernel_format_strategy_triples_resolve() {
+    for kernel in Kernel::ALL {
+        for format in ["coo", "hicoo"] {
+            for strategy in STRATEGIES {
+                let cell = Cell::resolve(&kernel.name().to_lowercase(), format, strategy)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(cell.kernel, Some(kernel));
+                assert_eq!(cell.format, format);
+            }
+        }
+    }
+    // "ttv on hicoo" is one of two named cells, chosen by the strategy.
+    let name = |s| Cell::resolve("ttv", "hicoo", s).unwrap().name;
+    assert_eq!(name("atomic"), "ttv.ghicoo");
+    assert_eq!(name("scheduled"), "ttv.hicoo_sched");
+    let err = Cell::resolve("ttv", "hicoo", "bogus")
+        .err()
+        .expect("rejected");
+    assert!(err.contains("ttv.hicoo_sched"), "{err}");
+    assert!(Cell::resolve("convert", "hicoo", "atomic").is_err());
+    assert!(Cell::resolve("ttv", "csf", "atomic").is_err());
 }
 
 #[test]

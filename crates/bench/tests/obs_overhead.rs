@@ -3,13 +3,13 @@
 //!
 //! This is the only test in its binary on purpose: cargo runs test
 //! binaries sequentially, so nothing else competes for cores or toggles
-//! the global capture state while the timing comparison runs. Untraced
-//! and traced runs are interleaved and the best of three is kept on both
-//! sides, which cancels one-off scheduling noise in either direction.
+//! the global capture state while the timing comparison runs. The
+//! comparison itself is [`trace_overhead`], the loop `tenbench
+//! obs-overhead` runs: untraced and traced runs interleaved, best of three
+//! kept on both sides, which cancels one-off scheduling noise in either
+//! direction.
 
-use std::time::Instant;
-
-use tenbench_bench::metrics::Capture;
+use tenbench_bench::cli::trace_overhead;
 use tenbench_bench::suite::{run_cpu_suite, MachineModel};
 use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
@@ -44,20 +44,9 @@ fn full_trace_costs_under_five_percent() {
     // Warm caches and the lazy pool once before timing anything.
     workload();
 
-    let mut untraced = f64::INFINITY;
-    let mut traced = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        workload();
-        untraced = untraced.min(t0.elapsed().as_secs_f64());
-
-        let cap = Capture::begin();
-        let t0 = Instant::now();
-        workload();
-        traced = traced.min(t0.elapsed().as_secs_f64());
-        let (trace, _) = cap.finish();
-        assert_eq!(trace.dropped_events, 0, "capture must not drop events");
-    }
+    let o = trace_overhead(3, workload);
+    assert_eq!(o.dropped_events, 0, "capture must not drop events");
+    let (untraced, traced) = (o.untraced_s, o.traced_s);
 
     let ratio = traced / untraced;
     assert!(
