@@ -526,7 +526,7 @@ fn observations(opt: &Options) {
     for d in &opt.datasets {
         let x = dataset_tensor(d, opt.scale);
         eprintln!("[obs] {} ({} nnz)...", d.id, x.nnz());
-        let stats = TensorStats::compute(&x, DEFAULT_BLOCK_BITS);
+        let stats = TensorStats::compute(&x, DEFAULT_BLOCK_BITS).expect("valid block bits");
         cpu.push((
             d.id.to_string(),
             run_cpu_suite(&x, &machine, DEFAULT_RANK, DEFAULT_BLOCK_BITS, opt.reps),
@@ -708,7 +708,7 @@ fn stats_table(opt: &Options) {
     ]);
     for d in &opt.datasets {
         let x = dataset_tensor(d, opt.scale);
-        let s = TensorStats::compute(&x, DEFAULT_BLOCK_BITS);
+        let s = TensorStats::compute(&x, DEFAULT_BLOCK_BITS).expect("valid block bits");
         let dims: Vec<String> = s.dims.iter().map(|&v| short(v as u64)).collect();
         t.row([
             d.id.to_string(),

@@ -52,8 +52,8 @@
 //! validates and summarizes a written trace; `obs-overhead` measures the
 //! traced-vs-untraced cost of the capture.
 //!
-//! `serve` and `stress` additionally accept `--layout hicoo|vb-hicoo` to
-//! select the cached tensor layout the service prepares and executes.
+//! A flag the subcommand does not read is a usage error (exit code 2),
+//! not a silently dropped typo.
 //!
 //! `--max-seconds` or `--fallback` switch `kernel` to supervised mode:
 //! the run executes on a watchdogged worker thread under panic isolation,
@@ -98,7 +98,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tenbench_bench::cli;
+use tenbench_bench::cli::{self, CliError};
 
 fn main() -> ExitCode {
     match run() {
@@ -113,33 +113,59 @@ fn main() -> ExitCode {
     }
 }
 
+/// Flags every subcommand accepts, space-separated like [`flags_of`].
+const GLOBAL_FLAGS: &str = "trace profile flight-dump-dir";
+
+/// The space-separated flags `sub` reads besides [`GLOBAL_FLAGS`]; `None`
+/// for an unknown subcommand (the dispatch below reports that one).
+fn flags_of(sub: &str) -> Option<&'static str> {
+    Some(match sub {
+        "convert" | "report" => "",
+        "stats" => "block-bits",
+        "generate" => "dims nnz seed out",
+        "kernel" => {
+            "all mode rank format block-bits reps strategy max-seconds fallback dataset nnz"
+        }
+        "scale-bench" => "dataset nnz rank block-bits threads reps out floors",
+        "verify" => "block-bits rank max-seconds fallback",
+        "obs-overhead" => "dataset nnz rank block-bits reps threads rounds out max-overhead-pct",
+        "serve" => {
+            "dataset nnz rank workers queue-bound max-batch cache-mb block-bits max-seconds \
+             fallback"
+        }
+        "stress" => {
+            "dataset nnz rank workers queue-bound max-batch cache-mb block-bits max-seconds \
+             fallback tensors duration concurrency alpha deadline-ms max-p99-ms min-hit-ratio \
+             out net connections shards"
+        }
+        "chaos" => {
+            "seed duration jobs dim nnz tensors alpha clients rank max-iters fault-rate \
+             max-step-seconds job-workers max-recoveries out floors"
+        }
+        _ => return None,
+    })
+}
+
 /// Build the service tuning knobs shared by `serve` and `stress` from the
 /// parsed options.
 fn serve_config(
     get_usize: &dyn Fn(&str, usize) -> Result<usize, String>,
     block_bits: u8,
-    layout: Option<&str>,
 ) -> Result<tenbench_serve::ServeConfig, String> {
     let defaults = tenbench_serve::ServeConfig::default();
-    let layout = match layout {
-        Some(s) => tenbench_serve::PrepLayout::parse(s)
-            .ok_or_else(|| format!("bad --layout {s:?} (expected hicoo or vb-hicoo)"))?,
-        None => defaults.layout,
-    };
     Ok(tenbench_serve::ServeConfig {
         workers: get_usize("workers", defaults.workers)?,
         queue_bound: get_usize("queue-bound", defaults.queue_bound)?,
         max_batch: get_usize("max-batch", defaults.max_batch)?,
         cache_bytes: (get_usize("cache-mb", (defaults.cache_bytes >> 20) as usize)? as u64) << 20,
         block_bits,
-        layout,
     })
 }
 
 fn run() -> Result<String, Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut pos: Vec<String> = Vec::new();
-    let mut opts: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let mut opts: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
     // Flags that do not consume a value.
     const SWITCHES: [&str; 3] = ["profile", "all", "net"];
     let mut i = 0;
@@ -160,6 +186,19 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             i += 1;
         }
     }
+    if let Some((sub, allowed)) = pos.first().and_then(|s| Some((s, flags_of(s)?))) {
+        let known = |key: &str| {
+            allowed
+                .split(' ')
+                .chain(GLOBAL_FLAGS.split(' '))
+                .any(|f| f == key)
+        };
+        if let Some(key) = opts.keys().find(|k| !known(k)) {
+            return Err(
+                CliError::Usage(format!("unknown flag --{key} for `tenbench {sub}`")).into(),
+            );
+        }
+    }
     let get_usize = |key: &str, default: usize| -> Result<usize, String> {
         opts.get(key)
             .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
@@ -171,7 +210,15 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             .map(|t| t.parse().map_err(|_| "bad --threads".to_string()))
             .collect()
     };
-    let block_bits = get_usize("block-bits", 7)? as u8;
+    // HiCOO element indices are `u8`, so the block edge `2^bits` is at most 256.
+    let block_bits: u8 = match opts.get("block-bits") {
+        None => 7,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|b| (1..=8).contains(b))
+            .ok_or_else(|| CliError::Usage(format!("bad --block-bits {v} (expected 1..=8)")))?,
+    };
     let max_seconds: Option<f64> = opts
         .get("max-seconds")
         .map(|v| v.parse().map_err(|_| "bad --max-seconds".to_string()))
@@ -341,7 +388,7 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             )?)
         }
         Some("serve") => {
-            let serve_cfg = serve_config(&get_usize, block_bits, opts.get("layout").map(String::as_str))?;
+            let serve_cfg = serve_config(&get_usize, block_bits)?;
             Ok(cli::serve_demo(
                 opts.get("dataset").map(String::as_str).unwrap_or("s4"),
                 get_usize("nnz", 20_000)?,
@@ -351,7 +398,7 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             )?)
         }
         Some("stress") => {
-            let serve_cfg = serve_config(&get_usize, block_bits, opts.get("layout").map(String::as_str))?;
+            let serve_cfg = serve_config(&get_usize, block_bits)?;
             let max_p99_ms: Option<f64> = opts
                 .get("max-p99-ms")
                 .map(|v| v.parse().map_err(|_| "bad --max-p99-ms".to_string()))

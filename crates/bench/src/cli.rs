@@ -163,12 +163,12 @@ pub fn convert(input: &Path, output: &Path) -> CliResult<String> {
 /// `stats <file> [block_bits]`: structural statistics report.
 pub fn stats(input: &Path, block_bits: u8) -> CliResult<String> {
     let t = load_tensor(input)?;
-    Ok(stats_report(&t, block_bits))
+    stats_report(&t, block_bits)
 }
 
 /// Render the statistics report for an in-memory tensor.
-pub fn stats_report(t: &CooTensor<f32>, block_bits: u8) -> String {
-    let s = TensorStats::compute(t, block_bits);
+pub fn stats_report(t: &CooTensor<f32>, block_bits: u8) -> CliResult<String> {
+    let s = TensorStats::compute(t, block_bits)?;
     let mut out = String::new();
     out.push_str(&format!(
         "shape {}  order {}  nnz {}  density {:.3e}\n",
@@ -200,7 +200,7 @@ pub fn stats_report(t: &CooTensor<f32>, block_bits: u8) -> String {
         fint(s.hicoo_bytes),
         s.compression_ratio()
     ));
-    out
+    Ok(out)
 }
 
 /// `generate <kron|pl> dims nnz seed out`: synthesize a tensor to a file.
@@ -221,6 +221,13 @@ pub fn generate(
             )))
         }
     };
+    if t.nnz() < nnz {
+        return Err(CliError::Usage(format!(
+            "generator produced {} of the {nnz} nonzeros requested for shape {}",
+            t.nnz(),
+            t.shape()
+        )));
+    }
     save_tensor(&t, output)?;
     Ok(format!(
         "generated {} ({}): {} nonzeros -> {}",
@@ -2011,7 +2018,7 @@ mod tests {
 
     #[test]
     fn stats_report_mentions_key_numbers() {
-        let r = stats_report(&tiny(), 3);
+        let r = stats_report(&tiny(), 3).unwrap();
         assert!(r.contains("16x16x16"));
         assert!(r.contains("HiCOO (B = 8)"));
         assert!(r.contains("storage"));
@@ -2267,6 +2274,9 @@ mod tests {
             generate("weird", &[4, 4], 10, 1, &out),
             Err(CliError::Usage(_))
         ));
+        // An over-dense request fails with both counts, not a short file.
+        let short = generate("pl", &[4, 4, 4], 1_000, 1, &out).unwrap_err();
+        assert!(short.to_string().contains("64 of the 1000"), "{short}");
     }
 
     #[test]

@@ -293,7 +293,7 @@ pub fn run_cpu_suite(
     block_bits: u8,
     reps: usize,
 ) -> Vec<KernelResult> {
-    let stats = TensorStats::compute(x, block_bits);
+    let stats = TensorStats::compute(x, block_bits).expect("valid block bits");
     let inputs = Inputs::new(x.clone(), r, block_bits);
     let mut out = Vec::new();
     for kernel in Kernel::ALL {
@@ -323,7 +323,7 @@ pub fn run_gpu_suite(
     r: usize,
     block_bits: u8,
 ) -> Vec<KernelResult> {
-    let stats = TensorStats::compute(x, block_bits);
+    let stats = TensorStats::compute(x, block_bits).expect("valid block bits");
     let machine = MachineModel::from_device(dev);
 
     // The same operands the CPU cells read.

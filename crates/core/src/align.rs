@@ -4,10 +4,10 @@
 //! on most 64-bit targets), so a buffer handed to a 256-bit kernel may
 //! straddle cache lines on every load. [`AlignedVec`] allocates at
 //! [`SIMD_ALIGN`] (one cache line, and ≥ any vector width up to AVX-512)
-//! so vectorized inner loops and the value-blocked HiCOO layout can assume
-//! aligned, non-line-splitting starts. The element type is restricted to
-//! `Copy` — the suite only stores plain scalars and indices here — which
-//! keeps growth, clone, and drop trivially correct (no element drops).
+//! so vectorized inner loops can assume aligned, non-line-splitting
+//! starts. The element type is restricted to `Copy` — the suite only
+//! stores plain scalars and indices here — which keeps growth, clone, and
+//! drop trivially correct (no element drops).
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::fmt;
@@ -19,19 +19,12 @@ use rayon::prelude::*;
 /// also covers every vector width this suite targets (AVX2 needs 32).
 pub const SIMD_ALIGN: usize = 64;
 
-/// Elements of `S` per [`SIMD_ALIGN`] bytes (16 for f32, 8 for f64). The
-/// value-blocked HiCOO layout pads each block's value run to a multiple of
-/// this so every run starts cache-line- and vector-aligned.
-pub fn pad_unit<S: crate::scalar::Scalar>() -> usize {
-    ((SIMD_ALIGN as u64 / S::BYTES) as usize).max(1)
-}
-
 /// A fixed-length heap buffer whose first element is 64-byte aligned.
 ///
 /// Unlike `Vec`, an `AlignedVec` does not grow: it is built at its final
 /// length (`filled` / `from_slice` / `first_touch_filled`) and then only
 /// read or written in place, which is exactly the lifecycle of kernel
-/// scratch, factor-matrix storage, and value-blocked HiCOO runs.
+/// scratch and factor-matrix storage.
 pub struct AlignedVec<T: Copy> {
     ptr: *mut T,
     len: usize,
@@ -254,12 +247,6 @@ mod tests {
         let w = crate::par::with_threads(4, || AlignedVec::first_touch_filled(70_003, 1.5f64));
         assert_aligned(&w);
         assert!(w.iter().all(|&x| x == 1.5));
-    }
-
-    #[test]
-    fn pad_unit_is_one_cache_line_of_elements() {
-        assert_eq!(pad_unit::<f32>(), 16);
-        assert_eq!(pad_unit::<f64>(), 8);
     }
 
     #[test]

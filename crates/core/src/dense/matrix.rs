@@ -13,9 +13,8 @@ use crate::scalar::Scalar;
 /// A dense `rows x cols` matrix in row-major order.
 ///
 /// Values live in an [`AlignedVec`], so `data()` (and row 0) always starts
-/// on a 64-byte boundary — the SIMD backend's vector loads never straddle
-/// a cache line at the buffer head, and the value-blocked HiCOO layout can
-/// assume factor storage alignment.
+/// on a 64-byte boundary — the vectorized inner loops' loads never
+/// straddle a cache line at the buffer head.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix<S: Scalar> {
     rows: usize,

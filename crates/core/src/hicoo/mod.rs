@@ -20,11 +20,9 @@
 mod ghicoo;
 pub mod morton;
 mod shicoo;
-pub mod vb;
 
 pub use ghicoo::{GHicooTensor, GhFiberPartition};
 pub use shicoo::SemiSparseHicooTensor;
-pub use vb::VbHicooTensor;
 
 use std::collections::BTreeMap;
 

@@ -32,7 +32,7 @@ use crate::atomic::AtomicScalar;
 use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
-use crate::hicoo::{HicooTensor, VbHicooTensor};
+use crate::hicoo::HicooTensor;
 use crate::par::ScratchArena;
 use crate::scalar::Scalar;
 use crate::sched::{ModeSchedule, RowSchedule};
@@ -59,23 +59,6 @@ fn charge_hicoo<S: Scalar>(h: &HicooTensor<S>, r: usize) {
             r as u64,
             h.num_blocks() as u64,
             1u64 << h.block_bits(),
-        );
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
-}
-
-/// Charge one vb-HiCOO Mttkrp invocation (same cost model as HiCOO — the
-/// padding only moves storage, not work).
-fn charge_vb<S: Scalar>(x: &VbHicooTensor<S>, r: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::mttkrp_hicoo_cost(
-            x.order(),
-            x.nnz() as u64,
-            r as u64,
-            x.num_blocks() as u64,
-            1u64 << x.block_bits(),
         );
         obs::counters::FLOPS.add(c.flops);
         obs::counters::BYTES.add(c.bytes);
@@ -190,8 +173,8 @@ fn non_mode_pair(mode: usize) -> (usize, usize) {
     }
 }
 
-/// Collect the non-mode factor rows of blocked nonzero `z` (HiCOO / vb-
-/// HiCOO: row index = block base + element offset) into `rows`.
+/// Collect the non-mode factor rows of blocked nonzero `z` (HiCOO: row
+/// index = block base + element offset) into `rows`.
 #[inline]
 fn gather_block_rows<'a, S: Scalar>(
     einds: &[Vec<u8>],
@@ -571,153 +554,6 @@ pub fn mttkrp_hicoo_seq<S: Scalar>(
     Ok(out)
 }
 
-/// Block-parallel atomic Mttkrp over vb-HiCOO: the HiCOO algorithm with the
-/// value loads taken from the padded, 64-byte-aligned runs.
-pub fn mttkrp_vb<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.vb");
-    charge_vb(x, r);
-    let mut out = DenseMatrix::zeros_par(x.shape().dim(mode) as usize, r);
-    let bits = x.block_bits();
-    {
-        let cells = S::as_atomic_slice(out.data_mut());
-        let order = x.order();
-        let arena = ScratchArena::new(|| (AlignedVec::filled(r, S::ZERO), vec![0usize; order]));
-        (0..x.num_blocks()).into_par_iter().for_each(|b| {
-            arena.with(|(scratch, base)| {
-                let mut rows_buf = Vec::with_capacity(order);
-                for m in 0..order {
-                    base[m] = (x.block_ind(b, m) as usize) << bits;
-                }
-                let bvals = x.block_vals(b);
-                for (k, z) in x.block_range(b).enumerate() {
-                    gather_block_rows(x.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(scratch, bvals[k], &rows_buf);
-                    let out_row = base[mode] + x.einds()[mode][z] as usize;
-                    for (k, &s) in scratch.iter().enumerate() {
-                        cells[out_row * r + k].fetch_add(s);
-                    }
-                }
-            });
-        });
-    }
-    Ok(out)
-}
-
-/// Output-partitioned vb-HiCOO Mttkrp: builds a [`ModeSchedule`] from the
-/// vb tensor's own block structure and runs the scheduled kernel.
-pub fn mttkrp_vb_sched<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::vb_mode_schedule(x, mode);
-    mttkrp_vb_sched_with(x, factors, mode, &sched)
-}
-
-/// Scheduled vb-HiCOO Mttkrp against a prebuilt [`ModeSchedule`] (the
-/// schedule of the source HiCOO tensor is structurally identical and may be
-/// reused). Same disjoint-stripe, fixed-order accumulation as the HiCOO
-/// variant, so the result is bitwise-deterministic.
-pub fn mttkrp_vb_sched_with<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &ModeSchedule,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
-    let _span = obs::span!("mttkrp.vb.scheduled");
-    charge_vb(x, r);
-    let rows_n = x.shape().dim(mode) as usize;
-    let mut out = DenseMatrix::zeros_par(rows_n, r);
-    let bits = x.block_bits();
-    let order = x.order();
-    let mut tasks = split_row_ranges(
-        out.data_mut(),
-        r,
-        (0..sched.num_tasks()).map(|t| sched.task_row_range(t, rows_n)),
-    );
-    // Order-3 fast path: one fused call per block (see the HiCOO variant).
-    let three = (order == 3).then(|| non_mode_pair(mode));
-    tasks.par_iter_mut().enumerate().for_each(|(t, task)| {
-        let (row_base, slice) = (task.0, &mut *task.1);
-        let mut base = vec![0usize; order];
-        let mut rows_buf = Vec::with_capacity(order);
-        for g in sched.task_groups(t) {
-            for &b in sched.group_blocks(g) {
-                let b = b as usize;
-                for m in 0..order {
-                    base[m] = (x.block_ind(b, m) as usize) << bits;
-                }
-                let bvals = x.block_vals(b);
-                if let Some((ma, mb)) = three {
-                    simd::mttkrp_block3(
-                        slice,
-                        row_base,
-                        r,
-                        bvals,
-                        x.block_range(b),
-                        &x.einds()[mode],
-                        base[mode],
-                        factors[ma].data(),
-                        &x.einds()[ma],
-                        base[ma],
-                        factors[mb].data(),
-                        &x.einds()[mb],
-                        base[mb],
-                    );
-                    continue;
-                }
-                for (k, z) in x.block_range(b).enumerate() {
-                    gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
-                    let out_row = base[mode] + x.einds()[mode][z] as usize;
-                    let dst = &mut slice[(out_row - row_base) * r..][..r];
-                    simd::accum_rows(dst, bvals[k], &rows_buf);
-                }
-            }
-        }
-    });
-    Ok(out)
-}
-
-/// Sequential vb-HiCOO Mttkrp baseline.
-pub fn mttkrp_vb_seq<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.vb.seq");
-    charge_vb(x, r);
-    let mut out = DenseMatrix::zeros(x.shape().dim(mode) as usize, r);
-    let bits = x.block_bits();
-    let order = x.order();
-    let mut rows_buf = Vec::with_capacity(order);
-    for b in 0..x.num_blocks() {
-        let base: Vec<usize> = (0..order)
-            .map(|m| (x.block_ind(b, m) as usize) << bits)
-            .collect();
-        let bvals = x.block_vals(b);
-        for (k, z) in x.block_range(b).enumerate() {
-            gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
-            let dst = out.row_mut(base[mode] + x.einds()[mode][z] as usize);
-            simd::accum_rows(dst, bvals[k], &rows_buf);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use crate::scalar::approx_eq;
@@ -859,39 +695,6 @@ mod tests {
             let hb =
                 crate::par::with_threads(4, || mttkrp_hicoo_sched(&h, &refs(&f), mode).unwrap());
             assert_eq!(ha.data(), hb.data(), "HiCOO mode {mode} not bitwise equal");
-        }
-    }
-
-    #[test]
-    fn vb_matches_hicoo_bitwise() {
-        // The value-blocked layout only moves value storage; the iteration
-        // order is identical to HiCOO, so seq/sched results must be bitwise
-        // equal to the HiCOO kernels.
-        let entries: Vec<(Vec<u32>, f32)> = (0..3000)
-            .map(|i| {
-                (
-                    vec![(i * 13) % 20, (i * 7) % 30, (i * 3) % 25],
-                    0.01 * i as f32 - 3.0,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![20, 30, 25]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        let vb = VbHicooTensor::from_hicoo(&h);
-        for r in [3usize, 8, 16] {
-            let f = factors(x.shape(), r);
-            for mode in 0..3 {
-                let want = mttkrp_hicoo_seq(&h, &refs(&f), mode).unwrap();
-                let got = mttkrp_vb_seq(&vb, &refs(&f), mode).unwrap();
-                assert_eq!(want.data(), got.data(), "seq r={r} mode={mode}");
-                let want = mttkrp_hicoo_sched(&h, &refs(&f), mode).unwrap();
-                let got = mttkrp_vb_sched(&vb, &refs(&f), mode).unwrap();
-                assert_eq!(want.data(), got.data(), "sched r={r} mode={mode}");
-                let atom = mttkrp_vb(&vb, &refs(&f), mode).unwrap();
-                for (a, b) in want.data().iter().zip(atom.data()) {
-                    assert!(approx_eq(*a, *b, 1e-4), "atomic r={r}: {a} vs {b}");
-                }
-            }
         }
     }
 

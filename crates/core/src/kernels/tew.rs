@@ -21,7 +21,7 @@ use tenbench_obs as obs;
 use crate::analysis;
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
-use crate::hicoo::{HicooTensor, VbHicooTensor};
+use crate::hicoo::HicooTensor;
 use crate::scalar::Scalar;
 use crate::simd;
 
@@ -378,46 +378,6 @@ pub fn tew_hicoo_same_pattern<S: Scalar>(
     Ok(out)
 }
 
-/// Same-pattern Tew over vb-HiCOO operands: streams the *padded* value
-/// arrays — every chunk starts 64-byte aligned and full lanes cover the
-/// padding — then re-zeroes the padding lanes (Div writes `0/0` there).
-pub fn tew_vb_same_pattern<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    y: &VbHicooTensor<S>,
-    op: EwOp,
-) -> Result<VbHicooTensor<S>> {
-    if x.shape() != y.shape() {
-        return Err(TensorError::ShapeMismatch {
-            left: x.shape().dims().to_vec(),
-            right: y.shape().dims().to_vec(),
-        });
-    }
-    if !x.same_pattern(y) {
-        return Err(TensorError::PatternMismatch);
-    }
-    let _span = obs::span!("tew.vb");
-    charge(x.nnz());
-    let mut out = x.clone();
-    out.padded_vals_mut()
-        .par_chunks_mut(CHUNK)
-        .zip(y.padded_vals().par_chunks(CHUNK))
-        .for_each(|(a, b)| simd::ew_combine_assign(op, a, b));
-    out.rezero_padding();
-    Ok(out)
-}
-
-/// General-pattern Tew for HiCOO operands. The paper analyzes only the
-/// same-pattern case; for completeness the general case routes through COO
-/// expansion and re-blocks the result.
-pub fn tew_hicoo_general<S: Scalar>(
-    x: &HicooTensor<S>,
-    y: &HicooTensor<S>,
-    op: EwOp,
-) -> Result<HicooTensor<S>> {
-    let z = tew(&x.to_coo(), &y.to_coo(), op)?;
-    HicooTensor::from_coo(&z, x.block_bits())
-}
-
 #[cfg(test)]
 mod tests {
     use crate::shape::Shape;
@@ -548,56 +508,6 @@ mod tests {
         let hz = tew_hicoo_same_pattern(&hx, &hy, EwOp::Mul).unwrap();
         let z = tew(&x, &y, EwOp::Mul).unwrap();
         assert_eq!(hz.to_map(), z.to_map());
-    }
-
-    #[test]
-    fn hicoo_general_reblocks() {
-        let x = t(vec![(vec![0, 0], 1.0), (vec![2, 2], 3.0)]);
-        let y = t(vec![(vec![1, 1], 20.0)]);
-        let hx = HicooTensor::from_coo(&x, 1).unwrap();
-        let hy = HicooTensor::from_coo(&y, 1).unwrap();
-        let hz = tew_hicoo_general(&hx, &hy, EwOp::Add).unwrap();
-        assert_eq!(hz.nnz(), 3);
-        assert!(hz.validate().is_ok());
-    }
-
-    #[test]
-    fn vb_matches_hicoo_and_keeps_padding_clean() {
-        let n = 333u32;
-        let xe: Vec<(Vec<u32>, f32)> = (0..n)
-            .map(|i| {
-                (
-                    vec![i % 9, (i / 9) % 9, i / 81],
-                    ((i * 7 % 17) as f32) - 8.0,
-                )
-            })
-            .collect();
-        let ye: Vec<(Vec<u32>, f32)> = (0..n)
-            .map(|i| {
-                (
-                    vec![i % 9, (i / 9) % 9, i / 81],
-                    ((i * 11 % 13) as f32) - 6.0,
-                )
-            })
-            .collect();
-        let shape = Shape::new(vec![9, 9, 38]);
-        let x = CooTensor::from_entries(shape.clone(), xe).unwrap();
-        let y = CooTensor::from_entries(shape, ye).unwrap();
-        let hx = HicooTensor::from_coo(&x, 2).unwrap();
-        let hy = HicooTensor::from_coo(&y, 2).unwrap();
-        let vx = VbHicooTensor::from_hicoo(&hx);
-        let vy = VbHicooTensor::from_hicoo(&hy);
-        for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            let h = tew_hicoo_same_pattern(&hx, &hy, op).unwrap();
-            let v = tew_vb_same_pattern(&vx, &vy, op).unwrap();
-            assert!(v.validate().is_ok(), "{op:?} padding");
-            let vh = v.to_hicoo();
-            assert_eq!(
-                h.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                vh.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "{op:?}"
-            );
-        }
     }
 
     #[test]

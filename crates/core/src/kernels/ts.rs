@@ -13,7 +13,7 @@ use tenbench_obs as obs;
 use crate::analysis;
 use crate::coo::CooTensor;
 use crate::error::{Result, TensorError};
-use crate::hicoo::{HicooTensor, VbHicooTensor};
+use crate::hicoo::HicooTensor;
 use crate::scalar::Scalar;
 use crate::simd;
 
@@ -86,33 +86,6 @@ pub fn ts_hicoo<S: Scalar>(x: &HicooTensor<S>, s: S, op: EwOp) -> Result<HicooTe
     Ok(out)
 }
 
-/// Ts over a vb-HiCOO tensor: streams the padded value array (aligned,
-/// full-lane chunks) and re-zeroes the padding lanes afterwards (Add/Sub/Div
-/// would otherwise leave them nonzero or NaN).
-pub fn ts_vb<S: Scalar>(x: &VbHicooTensor<S>, s: S, op: EwOp) -> Result<VbHicooTensor<S>> {
-    check_scalar(op, s)?;
-    let _span = obs::span!("ts.vb");
-    charge(x.nnz());
-    let mut out = x.clone();
-    out.padded_vals_mut()
-        .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(op, a, s));
-    out.rezero_padding();
-    Ok(out)
-}
-
-/// In-place variant reusing the input's allocation (the form tensor methods
-/// use when the operand is a scratch tensor).
-pub fn ts_in_place<S: Scalar>(x: &mut CooTensor<S>, s: S, op: EwOp) -> Result<()> {
-    check_scalar(op, s)?;
-    let _span = obs::span!("ts.in_place");
-    charge(x.nnz());
-    x.vals_mut()
-        .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(op, a, s));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use crate::shape::Shape;
@@ -173,41 +146,5 @@ mod tests {
         let y = ts(&x, 5.0, EwOp::Mul).unwrap();
         assert_eq!(hy.to_map(), y.to_map());
         assert!(hy.same_pattern(&h));
-    }
-
-    #[test]
-    fn vb_matches_hicoo_and_keeps_padding_clean() {
-        let entries: Vec<(Vec<u32>, f32)> = (0..333u32)
-            .map(|i| {
-                (
-                    vec![i % 4, (i / 4) % 4, i / 16],
-                    ((i * 29 % 17) as f32) - 8.0,
-                )
-            })
-            .collect();
-        let x = CooTensor::from_entries(Shape::new(vec![4, 4, 21]), entries).unwrap();
-        let h = HicooTensor::from_coo(&x, 2).unwrap();
-        let v = VbHicooTensor::from_hicoo(&h);
-        for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-            let hy = ts_hicoo(&h, 2.75, op).unwrap();
-            let vy = ts_vb(&v, 2.75, op).unwrap();
-            assert!(vy.validate().is_ok(), "{op:?} padding");
-            assert_eq!(
-                hy.vals().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                vy.to_hicoo()
-                    .vals()
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>(),
-                "{op:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn in_place_updates_values() {
-        let mut x = sample();
-        ts_in_place(&mut x, 10.0, EwOp::Add).unwrap();
-        assert_eq!(x.vals(), &[12.0, 14.0, 4.0]);
     }
 }

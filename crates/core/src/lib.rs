@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::coo::{CooTensor, SemiSparseTensor};
     pub use crate::dense::{DenseMatrix, DenseVector};
     pub use crate::error::{Result, TensorError};
-    pub use crate::hicoo::{GHicooTensor, HicooTensor, SemiSparseHicooTensor, VbHicooTensor};
+    pub use crate::hicoo::{GHicooTensor, HicooTensor, SemiSparseHicooTensor};
     pub use crate::kernels::{EwOp, Kernel};
     pub use crate::scalar::Scalar;
     pub use crate::shape::Shape;

@@ -502,16 +502,11 @@ pub fn clear_cache() {
     cache().lock().unwrap().clear();
 }
 
-fn cached_mode_schedule(
-    id: &StructureId,
-    binds_mode: &[u32],
-    bptr: &[u64],
-    block_bits: u8,
-    mode: usize,
-) -> Arc<ModeSchedule> {
+/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`.
+pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSchedule> {
     let threads = current_threads().max(1);
     let key = CacheKey {
-        tensor: id.0,
+        tensor: h.structure_id().0,
         mode,
         threads,
         kind: KIND_MODE,
@@ -520,38 +515,14 @@ fn cached_mode_schedule(
         return s;
     }
     let s = Arc::new(ModeSchedule::build(
-        binds_mode, bptr, block_bits, mode, threads,
-    ));
-    cache_put(key, CachedSchedule::Mode(Arc::clone(&s)));
-    s
-}
-
-/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`.
-pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSchedule> {
-    cached_mode_schedule(
-        h.structure_id(),
         &h.binds()[mode],
         h.bptr(),
         h.block_bits(),
         mode,
-    )
-}
-
-/// Cached [`ModeSchedule`] for a value-blocked HiCOO tensor. Built from
-/// the same `binds`/`bptr` arrays as the plain HiCOO schedule, so a vb
-/// tensor converted from a HiCOO tensor yields an identical schedule (and
-/// the scheduled vb kernel bitwise-matches the scheduled HiCOO kernel).
-pub fn vb_mode_schedule<S: Scalar>(
-    x: &crate::hicoo::VbHicooTensor<S>,
-    mode: usize,
-) -> Arc<ModeSchedule> {
-    cached_mode_schedule(
-        x.structure_id(),
-        &x.binds()[mode],
-        x.bptr(),
-        x.block_bits(),
-        mode,
-    )
+        threads,
+    ));
+    cache_put(key, CachedSchedule::Mode(Arc::clone(&s)));
+    s
 }
 
 /// Cached [`RowSchedule`] for `(x, mode, current_threads())`.

@@ -108,8 +108,8 @@ pub fn product_rows<S: Scalar>(out: &mut [S], val: S, rows: &[&[S]]) {
     }
 }
 
-/// Whole-block fused MTTKRP body for order-3 blocked layouts (HiCOO /
-/// vb-HiCOO): for every nonzero `z` in `zs`,
+/// Whole-block fused MTTKRP body for order-3 HiCOO: for every nonzero `z`
+/// in `zs`,
 /// `out[base_m + em[z] - row_base][i] += vals[z - zs.start] * fa_row[i] * fb_row[i]`
 /// where `fa_row`/`fb_row` are the factor rows `base_a + ea[z]` /
 /// `base_b + eb[z]` of the row-major matrices `fa`/`fb` (each `r` columns).

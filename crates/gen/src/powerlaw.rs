@@ -5,9 +5,9 @@
 //! such streams into slices of higher-order tensors ("this process, when
 //! repeated on 3rd order tensors can generate a sparse tensor with N
 //! modes"). Here each *sparse* mode draws its index from a bounded Zipf
-//! distribution while each *dense* mode cycles through its (much smaller)
-//! extent, which makes those modes completely dense — the structure the
-//! paper ascribes to its irregular tensors.
+//! distribution while the *dense* modes together count through their (much
+//! smaller) extents in mixed radix, which makes those modes completely
+//! dense — the structure the paper ascribes to its irregular tensors.
 
 use std::collections::HashSet;
 
@@ -48,10 +48,11 @@ impl PowerLawGenerator {
         }
     }
 
-    /// Generate the tensor. Dense modes are guaranteed covered (the first
-    /// draws cycle deterministically through their extents); sparse modes
-    /// are Zipf-distributed. Duplicate coordinates are rejected; generation
-    /// gives up after a generous attempt budget on over-dense requests.
+    /// Generate the tensor. Dense modes are guaranteed covered (the draws
+    /// count deterministically through every combination of their
+    /// indices); sparse modes are Zipf-distributed. Duplicate coordinates
+    /// are rejected; generation gives up after a generous attempt budget on
+    /// over-dense requests.
     pub fn generate(&self, seed: u64) -> CooTensor<f32> {
         let order = self.shape.order();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -74,12 +75,19 @@ impl PowerLawGenerator {
         while entries.len() < self.nnz && attempts < max_attempts {
             attempts += 1;
             let mut coord = vec![0u32; order];
+            // Dense modes are the digits of `serial` in mixed radix: every
+            // combination of their indices comes up once per period, so
+            // each is fully covered and its marginal stays uniform.
+            let mut place = 1u64;
             for m in 0..order {
                 coord[m] = match &samplers[m] {
                     Some(z) => z.sample_index(&mut rng) as u32,
-                    // Dense mode: round-robin guarantees full coverage once
-                    // nnz >= extent, then keeps the marginal uniform.
-                    None => (serial % self.shape.dim(m) as u64) as u32,
+                    None => {
+                        let dim = self.shape.dim(m) as u64;
+                        let digit = (serial / place) % dim;
+                        place = place.saturating_mul(dim);
+                        digit as u32
+                    }
                 };
             }
             serial += 1;
@@ -156,6 +164,29 @@ mod tests {
         let t = g.generate(4);
         assert_eq!(t.order(), 4);
         assert_eq!(t.nnz(), 8_000);
+    }
+
+    #[test]
+    fn all_dense_shape_yields_the_requested_nnz() {
+        // No mode above the threshold: the dense modes must enumerate the
+        // whole index space, not walk one diagonal of period lcm(dims).
+        let g = PowerLawGenerator::with_threshold(Shape::new(vec![64, 64, 16]), 1.4, 2_000, 1000);
+        assert!(g.sparse_modes.is_empty());
+        assert_eq!(g.generate(6).nnz(), 2_000);
+    }
+
+    #[test]
+    fn one_dense_mode_output_is_unchanged() {
+        // With a single dense mode the mixed-radix walk is `serial % dim`,
+        // the rule before it: the s4 and s6 shapes keep the fingerprints
+        // (every entry sampled at 1000 nnz) the generator had then.
+        for (dims, pinned) in [
+            ([32_768, 32_768, 76], 0x31f0_9a61_837c_a2a9u64),
+            ([4_200_000, 4_200_000, 168], 0x58a1_5f3e_0252_9681),
+        ] {
+            let g = PowerLawGenerator::with_threshold(Shape::new(dims.to_vec()), 1.4, 1_000, 1000);
+            assert_eq!(g.generate(42).fingerprint(), pinned, "{dims:?}");
+        }
     }
 
     #[test]

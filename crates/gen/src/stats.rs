@@ -2,6 +2,7 @@
 //! the harness tables need (`M`, per-mode `M_F`, HiCOO `n_b`, storage).
 
 use tenbench_core::coo::CooTensor;
+use tenbench_core::error::Result;
 use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::scalar::Scalar;
 
@@ -36,8 +37,9 @@ pub struct TensorStats {
 
 impl TensorStats {
     /// Compute all statistics for `x` with HiCOO blocks of edge
-    /// `2^block_bits`.
-    pub fn compute<S: Scalar>(x: &CooTensor<S>, block_bits: u8) -> Self {
+    /// `2^block_bits`; an out-of-range `block_bits` is the conversion's
+    /// [`tenbench_core::TensorError::InvalidBlockBits`].
+    pub fn compute<S: Scalar>(x: &CooTensor<S>, block_bits: u8) -> Result<Self> {
         let mut work = x.clone();
         let order = x.order();
         let mut fibers_per_mode = Vec::with_capacity(order);
@@ -47,8 +49,8 @@ impl TensorStats {
             fibers_per_mode.push(fp.num_fibers());
             max_fiber_len_per_mode.push(fp.max_fiber_len());
         }
-        let h = HicooTensor::from_coo_inplace(&mut work, block_bits).expect("valid block bits");
-        TensorStats {
+        let h = HicooTensor::from_coo_inplace(&mut work, block_bits)?;
+        Ok(TensorStats {
             order,
             dims: x.shape().dims().to_vec(),
             nnz: x.nnz(),
@@ -61,7 +63,7 @@ impl TensorStats {
             max_nnz_per_block: h.max_nnz_per_block(),
             coo_bytes: x.storage_bytes(),
             hicoo_bytes: h.storage_bytes(),
-        }
+        })
     }
 
     /// Mean fiber count across modes (the paper averages Ttv/Ttm over all
@@ -97,7 +99,7 @@ mod tests {
 
     #[test]
     fn counts_match_hand_computation() {
-        let s = TensorStats::compute(&sample(), 1);
+        let s = TensorStats::compute(&sample(), 1).unwrap();
         assert_eq!(s.nnz, 4);
         assert_eq!(s.order, 3);
         // Mode-2 fibers: (0,0,*) x2, (1,1,*), (3,3,*) -> 3 fibers.
@@ -113,14 +115,14 @@ mod tests {
     #[test]
     fn storage_numbers_are_consistent() {
         let x = sample();
-        let s = TensorStats::compute(&x, 1);
+        let s = TensorStats::compute(&x, 1).unwrap();
         assert_eq!(s.coo_bytes, x.storage_bytes());
         assert!(s.compression_ratio() > 0.0);
     }
 
     #[test]
     fn mean_fibers_averages_modes() {
-        let s = TensorStats::compute(&sample(), 1);
+        let s = TensorStats::compute(&sample(), 1).unwrap();
         let expect = s.fibers_per_mode.iter().sum::<usize>() as f64 / 3.0;
         assert_eq!(s.mean_fibers(), expect);
     }

@@ -22,39 +22,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
-use tenbench_core::hicoo::{HicooTensor, VbHicooTensor};
+use tenbench_core::hicoo::HicooTensor;
 use tenbench_obs::flight::{self, FlightKind};
 
-/// Which blocked layout a cache entry materializes. The value-blocked
-/// variant pads each block's value run to a full SIMD lane multiple on a
-/// 64-byte-aligned base (see `tenbench_core::hicoo::vb`), trading a little
-/// memory for aligned full-lane vector loads.
+/// The one blocked layout the cache materializes. Named by
+/// `benchmark/src/serve.rs`; the next `benchmark` PR removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrepLayout {
     /// Plain HiCOO value storage.
     #[default]
     Hicoo,
-    /// Value-blocked HiCOO: lane-padded, 64-byte-aligned value runs.
-    VbHicoo,
-}
-
-impl PrepLayout {
-    /// Stable label for reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            PrepLayout::Hicoo => "hicoo",
-            PrepLayout::VbHicoo => "vb-hicoo",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<PrepLayout> {
-        match s {
-            "hicoo" => Some(PrepLayout::Hicoo),
-            "vb-hicoo" | "vb" => Some(PrepLayout::VbHicoo),
-            _ => None,
-        }
-    }
 }
 
 /// Cache key: content fingerprint plus the preparation parameters that
@@ -68,9 +45,7 @@ pub struct CacheKey {
     /// Factor-matrix rank (0 for the rank-free kernels, which then share
     /// one entry per tensor).
     pub rank: usize,
-    /// Blocked value layout the entry materializes. Part of the key: a
-    /// service switching layouts must not serve one layout's buffers to
-    /// the other's kernels.
+    /// Always `Hicoo`; the next `benchmark` PR removes it.
     pub layout: PrepLayout,
 }
 
@@ -81,15 +56,12 @@ pub struct Prepared {
     pub coo: Arc<CooTensor<f32>>,
     /// The HiCOO conversion.
     pub hicoo: Arc<HicooTensor<f32>>,
-    /// The value-blocked conversion, present iff the key's layout asked
-    /// for it.
-    pub vb: Option<Arc<VbHicooTensor<f32>>>,
+    /// Always `None`; the next `benchmark` PR removes it.
+    pub vb: Option<std::convert::Infallible>,
     /// Per-mode factor matrices of the key's rank (empty when rank is 0).
     pub factors: Arc<Vec<DenseMatrix<f32>>>,
-    /// The layout this entry was prepared for (mirrors the key).
-    pub layout: PrepLayout,
-    /// Bytes this entry charges against the budget (HiCOO + vb-HiCOO +
-    /// factors; the COO `Arc` is shared with the caller and not counted).
+    /// Bytes this entry charges against the budget (HiCOO + factors; the
+    /// COO `Arc` is shared with the caller and not counted).
     pub bytes: u64,
 }
 
@@ -259,19 +231,12 @@ impl PrepCache {
                 })
                 .collect()
         };
-        let vb = match key.layout {
-            PrepLayout::Hicoo => None,
-            PrepLayout::VbHicoo => Some(Arc::new(VbHicooTensor::from_hicoo(&hicoo))),
-        };
-        let bytes = hicoo.storage_bytes()
-            + vb.as_ref().map_or(0, |v| v.storage_bytes())
-            + factors.iter().map(|f| f.storage_bytes()).sum::<u64>();
+        let bytes = hicoo.storage_bytes() + factors.iter().map(|f| f.storage_bytes()).sum::<u64>();
         let prepared = Arc::new(Prepared {
             coo: coo.clone(),
             hicoo,
-            vb,
+            vb: None,
             factors: Arc::new(factors),
-            layout: key.layout,
             bytes,
         });
         let mut g = self.lock();
@@ -412,30 +377,6 @@ mod tests {
         assert!(hit3);
         let (_, hit1) = cache.get_or_prepare(key_of(&x1, 4), &x1).unwrap();
         assert!(!hit1);
-    }
-
-    #[test]
-    fn layouts_key_separate_entries_and_record_themselves() {
-        let cache = PrepCache::new(64 << 20);
-        let x = tensor(5);
-        let hk = key_of(&x, 8);
-        let vk = CacheKey {
-            layout: PrepLayout::VbHicoo,
-            ..hk
-        };
-        let (h, _) = cache.get_or_prepare(hk, &x).unwrap();
-        // Same tensor under the vb layout is a distinct entry, not a hit.
-        let (v, hit) = cache.get_or_prepare(vk, &x).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(h.layout, PrepLayout::Hicoo);
-        assert!(h.vb.is_none());
-        assert_eq!(v.layout, PrepLayout::VbHicoo);
-        let vb = v.vb.as_ref().expect("vb layout materializes the tensor");
-        assert!(vb.validate().is_ok());
-        assert!(vb.same_pattern(&VbHicooTensor::from_hicoo(&v.hicoo)));
-        // The padded layout charges at least the plain one.
-        assert!(v.bytes >= h.bytes);
     }
 
     /// Two distinct tensors whose fingerprints collide: with 2048

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::{DenseMatrix, DenseVector};
-use tenbench_core::hicoo::{HicooTensor, VbHicooTensor};
+use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
 use tenbench_obs as obs;
 
@@ -197,8 +197,6 @@ pub struct ServeConfig {
     pub cache_bytes: u64,
     /// HiCOO block bits for conversions.
     pub block_bits: u8,
-    /// Blocked value layout the cache materializes for HiCOO requests.
-    pub layout: PrepLayout,
 }
 
 impl Default for ServeConfig {
@@ -209,7 +207,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_bytes: 64 << 20,
             block_bits: 7,
-            layout: PrepLayout::Hicoo,
         }
     }
 }
@@ -229,9 +226,8 @@ pub struct BatchJob {
     pub coo: Arc<CooTensor<f32>>,
     /// The cached HiCOO conversion.
     pub hicoo: Arc<HicooTensor<f32>>,
-    /// The cached value-blocked conversion, when the service is configured
-    /// for the vb layout. Kernels with a vb path prefer it.
-    pub vb: Option<Arc<VbHicooTensor<f32>>>,
+    /// Always `None`; the next `benchmark` PR removes it.
+    pub vb: Option<std::convert::Infallible>,
     /// Cached factor matrices (empty when rank is 0).
     pub factors: Arc<Vec<DenseMatrix<f32>>>,
 }
@@ -285,30 +281,18 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
             let y = tew::tew_same_pattern(x, x, EwOp::Add).map_err(err)?;
             (digest_slice(y.vals()), "parallel")
         }
-        (Kernel::Tew, FormatKind::Hicoo) => match &job.vb {
-            Some(vx) => {
-                let y = tew::tew_vb_same_pattern(vx, vx, EwOp::Add).map_err(err)?;
-                (digest_slice(y.padded_vals()), "vb_parallel")
-            }
-            None => {
-                let y = tew::tew_hicoo_same_pattern(hx, hx, EwOp::Add).map_err(err)?;
-                (digest_slice(y.vals()), "parallel")
-            }
-        },
+        (Kernel::Tew, FormatKind::Hicoo) => {
+            let y = tew::tew_hicoo_same_pattern(hx, hx, EwOp::Add).map_err(err)?;
+            (digest_slice(y.vals()), "parallel")
+        }
         (Kernel::Ts, FormatKind::Coo) => {
             let y = ts::ts(x, 1.000_1, EwOp::Mul).map_err(err)?;
             (digest_slice(y.vals()), "parallel")
         }
-        (Kernel::Ts, FormatKind::Hicoo) => match &job.vb {
-            Some(vx) => {
-                let y = ts::ts_vb(vx, 1.000_1, EwOp::Mul).map_err(err)?;
-                (digest_slice(y.padded_vals()), "vb_parallel")
-            }
-            None => {
-                let y = ts::ts_hicoo(hx, 1.000_1, EwOp::Mul).map_err(err)?;
-                (digest_slice(y.vals()), "parallel")
-            }
-        },
+        (Kernel::Ts, FormatKind::Hicoo) => {
+            let y = ts::ts_hicoo(hx, 1.000_1, EwOp::Mul).map_err(err)?;
+            (digest_slice(y.vals()), "parallel")
+        }
         (Kernel::Ttv, _) => {
             let v = DenseVector::from_fn(x.shape().dim(job.mode) as usize, |i| {
                 (i % 100) as f32 * 0.01
@@ -339,16 +323,8 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
             if frefs.is_empty() {
                 return Err("mttkrp requires rank >= 1".into());
             }
-            match &job.vb {
-                Some(vx) => {
-                    let y = mttkrp::mttkrp_vb_sched(vx, &frefs, job.mode).map_err(err)?;
-                    (digest_matrix(&y), "vb_scheduled")
-                }
-                None => {
-                    let y = mttkrp::mttkrp_hicoo_sched(hx, &frefs, job.mode).map_err(err)?;
-                    (digest_matrix(&y), "scheduled")
-                }
-            }
+            let y = mttkrp::mttkrp_hicoo_sched(hx, &frefs, job.mode).map_err(err)?;
+            (digest_matrix(&y), "scheduled")
         }
     };
     Ok(ExecOutcome {
@@ -602,7 +578,7 @@ fn worker_loop(sh: &Shared) {
             fingerprint: key.fingerprint,
             block_bits: sh.cfg.block_bits,
             rank: key.rank,
-            layout: sh.cfg.layout,
+            layout: PrepLayout::Hicoo,
         };
         let prepared = sh.cache.get_or_prepare(cache_key, &group[0].req.tensor);
         let outcome = prepared.and_then(|(prep, hit)| {
@@ -613,7 +589,7 @@ fn worker_loop(sh: &Shared) {
                 rank: key.rank,
                 coo: prep.coo.clone(),
                 hicoo: prep.hicoo.clone(),
-                vb: prep.vb.clone(),
+                vb: prep.vb,
                 factors: prep.factors.clone(),
             };
             // A panicking executor must not take the worker thread (and

@@ -22,7 +22,7 @@ fn main() {
         x.density()
     );
 
-    let stats = TensorStats::compute(&x, 7);
+    let stats = TensorStats::compute(&x, 7).expect("valid block bits");
     println!("fibers per mode:    {:?}", stats.fibers_per_mode);
     println!("longest fiber/mode: {:?}", stats.max_fiber_len_per_mode);
     println!(

@@ -6,7 +6,7 @@
 use tenbench::core::coo::CooTensor;
 use tenbench::core::csf::{mttkrp_csf, CsfTensor};
 use tenbench::core::dense::{DenseMatrix, DenseVector};
-use tenbench::core::hicoo::{GHicooTensor, HicooTensor, VbHicooTensor};
+use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
 use tenbench::core::par::Schedule;
 use tenbench::core::scalar::approx_eq;
@@ -192,7 +192,6 @@ fn mttkrp_agrees_across_everything() {
             assert_mat_eq(&hgot, &base, 1e-3, &format!("gpu hicoo mode {mode}"));
         }
 
-        let vx = VbHicooTensor::from_hicoo(&hx);
         for rank in TAIL_RANKS {
             let factors = factors_at(rank);
             let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
@@ -211,8 +210,6 @@ fn mttkrp_agrees_across_everything() {
                 assert_mat_eq(&got, &base, 1e-3, &what("hicoo"));
                 let got = mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap();
                 assert_mat_eq(&got, &base, 1e-3, &what("hicoo sched"));
-                let got = mttkrp::mttkrp_vb_sched(&vx, &frefs, mode).unwrap();
-                assert_mat_eq(&got, &base, 1e-3, &what("vb sched"));
             }
         }
     }

@@ -37,7 +37,7 @@ fn generate_serialize_reload_compute() {
     // Convert and compute on the reloaded tensor.
     let h = HicooTensor::from_coo(&back2, 6).unwrap();
     assert_eq!(h.to_map(), x.to_map());
-    let stats = TensorStats::compute(&back2, 6);
+    let stats = TensorStats::compute(&back2, 6).unwrap();
     assert_eq!(stats.nnz, 8_000);
     assert!(stats.hicoo_blocks > 0);
 }
