@@ -2,18 +2,16 @@
 //! bandwidth at cache-resident and DRAM-resident working sets).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rayon::prelude::*;
+use tenbench_core::par::{self, Schedule};
 
 fn triad(a: &mut [f32], b: &[f32], c: &[f32]) {
-    let chunk = (a.len() / rayon::current_num_threads().max(1)).max(1024);
-    a.par_chunks_mut(chunk)
-        .zip(b.par_chunks(chunk))
-        .zip(c.par_chunks(chunk))
-        .for_each(|((ac, bc), cc)| {
-            for i in 0..ac.len() {
-                ac[i] = bc[i] * 2.0 + cc[i];
-            }
-        });
+    let chunk = (a.len() / par::current_threads().max(1)).max(1024);
+    par::chunks_mut(a, chunk, Schedule::DYNAMIC, |k, ac| {
+        let (bc, cc) = (&b[k * chunk..][..ac.len()], &c[k * chunk..][..ac.len()]);
+        for i in 0..ac.len() {
+            ac[i] = bc[i] * 2.0 + cc[i];
+        }
+    });
 }
 
 fn benches(cr: &mut Criterion) {

@@ -20,6 +20,7 @@ use tenbench_core::coo::{CooTensor, SortAlgo};
 use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::mttkrp::MttkrpStrategy;
 use tenbench_core::kernels::Kernel;
+use tenbench_core::par;
 use tenbench_core::shape::Shape;
 use tenbench_gen::zipf::ZipfSampler;
 use tenbench_gen::{KroneckerGenerator, PowerLawGenerator, TensorStats};
@@ -719,21 +720,21 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
         let swept = if cell.sequential { 1 } else { threads.len() };
         let mut base: Option<f64> = None;
         for &t in &threads[..swept] {
-            let (s, stats) = tenbench_core::par::with_threads(t, || -> CliResult<_> {
+            let (s, stats) = par::with_threads(t, || -> CliResult<_> {
                 // Preparation (this width's schedules included) and the
                 // calibration call warm the pool and prefault outputs
                 // outside the telemetry window.
                 let p = cells::prepare(&inputs, cell, mode)?;
                 let mut prev = false;
                 let s = p.sample_with(reps, || {
-                    rayon::reset_pool_stats();
-                    prev = rayon::set_pool_telemetry(true);
+                    par::reset_pool_stats();
+                    prev = par::set_pool_telemetry(true);
                 });
-                rayon::set_pool_telemetry(prev);
-                Ok((s?, rayon::pool_stats()))
+                par::set_pool_telemetry(prev);
+                Ok((s?, par::pool_snapshot()))
             })?;
-            let busy: u64 =
-                stats.workers.iter().map(|w| w.busy_ns).sum::<u64>() + stats.caller.busy_ns;
+            // The caller lane is the snapshot's last entry; it never parks.
+            let busy: u64 = stats.workers.iter().map(|w| w.busy_ns).sum();
             let park: u64 = stats.workers.iter().map(|w| w.park_ns).sum();
             let base_s = *base.get_or_insert(s.min_s);
             rows.push(ScaleRow {
@@ -924,7 +925,7 @@ pub fn obs_overhead(
         .iter()
         .map(|&threads| {
             let o = trace_overhead(rounds, || {
-                tenbench_core::par::with_threads(threads, || {
+                par::with_threads(threads, || {
                     std::hint::black_box(crate::suite::run_cpu_suite(
                         &x, &machine, rank, block_bits, reps,
                     ));

@@ -1,35 +1,13 @@
-//! Glue between the dependency-free `tenbench-obs` crate and the rest of
-//! the harness: capture lifecycle (spans + counters + pool telemetry in
-//! one switch) and the conversion from the rayon shim's [`PoolStats`] to
-//! the report's [`PoolSnapshot`].
+//! Capture lifecycle for the harness: spans, counters and pool telemetry
+//! behind one switch.
 //!
 //! `tenbench-obs` cannot depend on the pool (the pool instruments itself
-//! *with* obs), so the join happens here, in the one crate that sees both
-//! sides.
+//! *with* obs), so the pool's snapshot is attached to the report here, in
+//! a crate that sees both sides.
 
+use tenbench_core::par;
 use tenbench_obs as obs;
-use tenbench_obs::report::{MetricsReport, PoolSnapshot, WorkerSnap};
-
-/// Convert the rayon shim's telemetry snapshot into the report form
-/// (spawned workers first, then the aggregate caller lane).
-pub fn pool_snapshot() -> PoolSnapshot {
-    let s = rayon::pool_stats();
-    let to_snap = |w: &rayon::WorkerStats| WorkerSnap {
-        worker: w.worker,
-        busy_ns: w.busy_ns,
-        park_ns: w.park_ns,
-        regions: w.regions,
-        chunks: w.chunks,
-    };
-    let mut workers: Vec<WorkerSnap> = s.workers.iter().map(to_snap).collect();
-    workers.push(to_snap(&s.caller));
-    PoolSnapshot {
-        workers,
-        regions: s.regions,
-        chunks_total: s.chunks_total,
-        chunks_stolen: s.chunks_stolen,
-    }
-}
+use tenbench_obs::report::MetricsReport;
 
 /// An in-flight observability capture: spans, counters, and pool
 /// telemetry all recording. End it with [`Capture::finish`].
@@ -40,9 +18,9 @@ pub struct Capture {
 impl Capture {
     /// Start recording: clears previous pool telemetry and counter state.
     pub fn begin() -> Capture {
-        let telemetry_was_on = rayon::set_pool_telemetry(true);
-        rayon::reset_pool_stats();
-        obs::counters::POOL_WORKERS.set(rayon::current_num_threads() as u64);
+        let telemetry_was_on = par::set_pool_telemetry(true);
+        par::reset_pool_stats();
+        obs::counters::POOL_WORKERS.set(par::current_threads() as u64);
         obs::start_trace();
         Capture { telemetry_was_on }
     }
@@ -52,8 +30,8 @@ impl Capture {
     pub fn finish(self) -> (obs::Trace, MetricsReport) {
         let trace = obs::stop_trace();
         let mut report = MetricsReport::from_trace(&trace);
-        report.pool = Some(pool_snapshot());
-        rayon::set_pool_telemetry(self.telemetry_was_on);
+        report.pool = Some(par::pool_snapshot());
+        par::set_pool_telemetry(self.telemetry_was_on);
         (trace, report)
     }
 }
@@ -61,14 +39,13 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn capture_collects_spans_counters_and_pool_telemetry() {
         let cap = Capture::begin();
         {
             let _outer = obs::span!("test.outer");
-            let v: Vec<usize> = (0..50_000usize).into_par_iter().map(|i| i * 2).collect();
+            let v: Vec<usize> = par::map_collect(50_000, 1, |i| i * 2);
             std::hint::black_box(v);
             obs::counters::FLOPS.add(123);
         }

@@ -130,14 +130,14 @@ fn traced_suite_run_exports_valid_chrome_trace_with_pool_telemetry() {
 /// nested regions.
 #[test]
 fn spans_inside_nested_pool_regions_close_cleanly() {
-    use rayon::prelude::*;
+    use tenbench_core::par;
     let _g = obs_lock();
     obs::start_trace();
     {
         let _outer = obs::span!("nested.outer");
-        (0..4usize).into_par_iter().with_min_len(1).for_each(|_| {
+        par::for_each(4, 1, |_| {
             let _worker = obs::span!("nested.region");
-            (0..64usize).into_par_iter().with_min_len(16).for_each(|i| {
+            par::for_each(64, 16, |i| {
                 std::hint::black_box(i * 3);
             });
         });

@@ -135,8 +135,7 @@ fn ctx_reaches_pool_worker_chunks() {
         let _guard = obs::ctx::install(ctx);
         let ids: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
         tenbench_core::par::with_threads(threads, || {
-            use rayon::prelude::*;
-            (0..64usize).into_par_iter().with_min_len(4).for_each(|_| {
+            tenbench_core::par::for_each(64, 4, |_| {
                 ids.lock().unwrap().insert(obs::ctx::current_id());
             });
         });
@@ -150,8 +149,7 @@ fn ctx_reaches_pool_worker_chunks() {
     // And with no ctx installed, workers see none either (id 0).
     let ids: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
     tenbench_core::par::with_threads(2, || {
-        use rayon::prelude::*;
-        (0..16usize).into_par_iter().with_min_len(2).for_each(|_| {
+        tenbench_core::par::for_each(16, 2, |_| {
             ids.lock().unwrap().insert(obs::ctx::current_id());
         });
     });

@@ -13,8 +13,6 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use rayon::prelude::*;
-
 /// Alignment (bytes) guaranteed by [`AlignedVec`]: one cache line, which
 /// also covers every vector width this suite targets (AVX2 needs 32).
 pub const SIMD_ALIGN: usize = 64;
@@ -90,10 +88,8 @@ impl<T: Copy> AlignedVec<T> {
             // Safety: the buffer is uniquely owned and chunks are disjoint;
             // every element is written exactly once before `v` is returned.
             let slice = unsafe { std::slice::from_raw_parts_mut(v.ptr, len) };
-            slice
-                .par_chunks_mut(1 << 15)
-                .with_min_len(1)
-                .for_each(|chunk| chunk.fill(value));
+            let sched = crate::par::Schedule::DYNAMIC;
+            crate::par::chunks_mut(slice, 1 << 15, sched, |_, chunk| chunk.fill(value));
         }
         v
     }

@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// `fetch_add` via a compare-and-swap loop.
 ///
 /// Relaxed ordering is sufficient here: the additions commute, nothing is
-/// published through the cells, and the surrounding rayon join forms the
-/// happens-before edge back to the owning thread (see *Rust Atomics and
-/// Locks*, ch. 2–3).
+/// published through the cells, and the join of the surrounding parallel
+/// region forms the happens-before edge back to the owning thread (see
+/// *Rust Atomics and Locks*, ch. 2–3).
 pub trait AtomicScalar: Sync + Send + Sized {
     /// The plain value type stored in the cell.
     type Value: Copy;

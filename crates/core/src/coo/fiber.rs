@@ -4,8 +4,6 @@
 //! mode `n`. After a mode-last sort these are consecutive runs; `fptr`
 //! records the start of each run, exactly as in the paper's COO-Ttv-OMP.
 
-use rayon::prelude::*;
-
 use crate::error::Result;
 use crate::scalar::Scalar;
 
@@ -72,15 +70,18 @@ pub(super) fn fibers_from_sorted<S: Scalar>(
     }
     let inds = t.inds();
     let order = t.order();
-    // A new fiber starts wherever any non-product-mode index changes.
-    let mut starts: Vec<usize> = (1..m)
-        .into_par_iter()
-        .filter(|&i| {
-            (0..order)
-                .filter(|&md| md != mode)
-                .any(|md| inds[md][i] != inds[md][i - 1])
-        })
-        .collect();
+    // A new fiber starts wherever any non-product-mode index changes;
+    // chunk `r` of `0..m - 1` looks at positions `r.start + 1..=r.end`.
+    let mut starts: Vec<usize> = crate::par::map_chunks(m - 1, 1, |r| {
+        (r.start + 1..=r.end)
+            .filter(|&i| {
+                (0..order)
+                    .filter(|&md| md != mode)
+                    .any(|md| inds[md][i] != inds[md][i - 1])
+            })
+            .collect::<Vec<_>>()
+    })
+    .concat();
     let mut fptr = Vec::with_capacity(starts.len() + 2);
     fptr.push(0);
     fptr.append(&mut starts);

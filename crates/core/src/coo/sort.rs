@@ -1,9 +1,8 @@
 //! Nonzero ordering: lexicographic (per mode precedence) and Morton (block)
 //! sorts, with sort-state tracking so kernels can skip redundant re-sorts.
 
-use rayon::prelude::*;
-
 use crate::hicoo::morton;
+use crate::par;
 use crate::radix;
 use crate::scalar::Scalar;
 use crate::sched::StructureId;
@@ -74,11 +73,12 @@ impl SortState {
 /// Apply a gather permutation to every array of the tensor.
 fn apply_perm<S: Scalar>(t: &mut CooTensor<S>, perm: &[u32]) {
     let gather_u32 =
-        |src: &[u32]| -> Vec<u32> { perm.par_iter().map(|&p| src[p as usize]).collect() };
+        |src: &[u32]| -> Vec<u32> { par::map_collect(perm.len(), 1, |i| src[perm[i] as usize]) };
     for m in 0..t.order() {
         t.inds[m] = gather_u32(&t.inds[m]);
     }
-    t.vals = perm.par_iter().map(|&p| t.vals[p as usize]).collect();
+    let vals = &t.vals;
+    t.vals = par::map_collect(perm.len(), 1, |i| vals[perm[i] as usize]);
     t.id = StructureId::fresh();
 }
 
@@ -102,7 +102,7 @@ pub(super) fn sort_lexicographic<S: Scalar>(
         lex_perm_radix(&t.inds, t.shape.dims(), mode_order, &mut perm);
     } else {
         let inds = &t.inds;
-        perm.par_sort_unstable_by(|&a, &b| {
+        par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             for &mode in mode_order {
                 let arr = &inds[mode];
@@ -131,17 +131,13 @@ fn lex_perm_radix(inds: &[Vec<u32>], dims: &[u32], mode_order: &[usize], perm: &
         return;
     }
     if total_bits <= 128 {
-        let keys: Vec<u128> = (0..perm.len())
-            .into_par_iter()
-            .with_min_len(4096)
-            .map(|i| {
-                let mut key = 0u128;
-                for &mode in mode_order {
-                    key = (key << width(mode)) | inds[mode][i] as u128;
-                }
-                key
-            })
-            .collect();
+        let keys: Vec<u128> = par::map_collect(perm.len(), 4096, |i| {
+            let mut key = 0u128;
+            for &mode in mode_order {
+                key = (key << width(mode)) | inds[mode][i] as u128;
+            }
+            key
+        });
         let max_key = if total_bits == 128 {
             u128::MAX
         } else {
@@ -169,18 +165,15 @@ pub(super) fn sort_morton<S: Scalar>(t: &mut CooTensor<S>, block_bits: u8, algo:
         morton_perm_radix(&t.inds, t.shape.dims(), block_bits, &mut perm);
     } else if order <= 4 {
         // Packed 128-bit Morton block keys, comparator merge sort.
-        let keys: Vec<u128> = (0..m)
-            .into_par_iter()
-            .map(|i| {
-                let mut bc = [0u32; 4];
-                for (mode, arr) in t.inds.iter().enumerate() {
-                    bc[mode] = arr[i] >> block_bits;
-                }
-                morton::interleave_key(&bc[..order])
-            })
-            .collect();
+        let keys: Vec<u128> = par::map_collect(m, 1, |i| {
+            let mut bc = [0u32; 4];
+            for (mode, arr) in t.inds.iter().enumerate() {
+                bc[mode] = arr[i] >> block_bits;
+            }
+            morton::interleave_key(&bc[..order])
+        });
         let inds = &t.inds;
-        perm.par_sort_unstable_by(|&a, &b| {
+        par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             keys[a]
                 .cmp(&keys[b])
@@ -199,7 +192,7 @@ pub(super) fn sort_morton<S: Scalar>(t: &mut CooTensor<S>, block_bits: u8, algo:
     } else {
         // Orders above 4: the comparison-based most-significant-bit trick.
         let inds = &t.inds;
-        perm.par_sort_unstable_by(|&a, &b| {
+        par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             let ba = |mode: usize| inds[mode][a] >> block_bits;
             let bb = |mode: usize| inds[mode][b] >> block_bits;
@@ -258,19 +251,15 @@ fn morton_perm_radix(inds: &[Vec<u32>], dims: &[u32], block_bits: u8, perm: &mut
     if total_bits == 0 {
         return;
     }
-    let keys: Vec<u128> = (0..perm.len())
-        .into_par_iter()
-        .with_min_len(4096)
-        .map(|i| {
-            let mut bc = [0u32; 4];
-            let mut e = 0u128;
-            for (mode, arr) in inds.iter().enumerate() {
-                bc[mode] = arr[i] >> block_bits;
-                e = (e << bb) | (arr[i] & emask) as u128;
-            }
-            (morton::interleave_key_bits(&bc[..order], maxbits) << ebits_total) | e
-        })
-        .collect();
+    let keys: Vec<u128> = par::map_collect(perm.len(), 4096, |i| {
+        let mut bc = [0u32; 4];
+        let mut e = 0u128;
+        for (mode, arr) in inds.iter().enumerate() {
+            bc[mode] = arr[i] >> block_bits;
+            e = (e << bb) | (arr[i] & emask) as u128;
+        }
+        (morton::interleave_key_bits(&bc[..order], maxbits) << ebits_total) | e
+    });
     let max_key = if total_bits >= 128 {
         u128::MAX
     } else {

@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
-
 use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
@@ -296,14 +294,11 @@ pub fn mttkrp_csf<S: Scalar>(
         }
     }
 
-    let rows: Vec<(u32, Vec<S>)> = (0..t.num_nodes(0))
-        .into_par_iter()
-        .map(|root| {
-            let mut acc: Vec<Vec<S>> = (0..order).map(|_| vec![S::ZERO; r]).collect();
-            reduce(t, factors, 0, root, &mut acc);
-            (t.fids[0][root], std::mem::take(&mut acc[0]))
-        })
-        .collect();
+    let rows: Vec<(u32, Vec<S>)> = crate::par::map_collect(t.num_nodes(0), 1, |root| {
+        let mut acc: Vec<Vec<S>> = (0..order).map(|_| vec![S::ZERO; r]).collect();
+        reduce(t, factors, 0, root, &mut acc);
+        (t.fids[0][root], std::mem::take(&mut acc[0]))
+    });
     for (i, v) in rows {
         let dst = out.row_mut(i as usize);
         for (d, s) in dst.iter_mut().zip(v) {

@@ -15,10 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
-
 use crate::coo::CooTensor;
 use crate::error::{Result, TensorError};
+use crate::par;
 use crate::radix;
 use crate::scalar::Scalar;
 use crate::shape::Shape;
@@ -110,7 +109,7 @@ impl<S: Scalar> GHicooTensor<S> {
             let inds = coo.inds();
             let cm = &cmodes;
             let um = &umodes;
-            perm.par_sort_unstable_by(|&a, &b| {
+            par::sort_unstable_by(&mut perm, |&a, &b| {
                 let (a, b) = (a as usize, b as usize);
                 let bca: Vec<u32> = cm.iter().map(|&md| inds[md][a] >> block_bits).collect();
                 let bcb: Vec<u32> = cm.iter().map(|&md| inds[md][b] >> block_bits).collect();
@@ -415,28 +414,24 @@ fn ghicoo_perm_radix(
 
     if total_bits <= 128 {
         let emask = (1u32 << block_bits) - 1;
-        let keys: Vec<u128> = (0..perm.len())
-            .into_par_iter()
-            .with_min_len(4096)
-            .map(|i| {
-                let mut key: u128 = if ncm == 0 {
-                    0
-                } else {
-                    let mut bc = [0u32; 4];
-                    for (ci, &md) in cmodes.iter().enumerate() {
-                        bc[ci] = inds[md][i] >> block_bits;
-                    }
-                    morton::interleave_key_bits(&bc[..ncm], maxbits)
-                };
-                for &md in cmodes {
-                    key = (key << bb) | (inds[md][i] & emask) as u128;
+        let keys: Vec<u128> = par::map_collect(perm.len(), 4096, |i| {
+            let mut key: u128 = if ncm == 0 {
+                0
+            } else {
+                let mut bc = [0u32; 4];
+                for (ci, &md) in cmodes.iter().enumerate() {
+                    bc[ci] = inds[md][i] >> block_bits;
                 }
-                for (u, &md) in umodes.iter().enumerate() {
-                    key = (key << uwidths[u]) | inds[md][i] as u128;
-                }
-                key
-            })
-            .collect();
+                morton::interleave_key_bits(&bc[..ncm], maxbits)
+            };
+            for &md in cmodes {
+                key = (key << bb) | (inds[md][i] & emask) as u128;
+            }
+            for (u, &md) in umodes.iter().enumerate() {
+                key = (key << uwidths[u]) | inds[md][i] as u128;
+            }
+            key
+        });
         let max_key = if total_bits >= 128 {
             u128::MAX
         } else {
@@ -457,17 +452,13 @@ fn ghicoo_perm_radix(
         radix::sort_perm_by_u32_key(perm, |p| arr[p as usize], dims[md].saturating_sub(1));
     }
     if ncm > 0 && maxbits > 0 {
-        let keys: Vec<u128> = (0..perm.len())
-            .into_par_iter()
-            .with_min_len(4096)
-            .map(|i| {
-                let mut bc = [0u32; 4];
-                for (ci, &md) in cmodes.iter().enumerate() {
-                    bc[ci] = inds[md][i] >> block_bits;
-                }
-                morton::interleave_key_bits(&bc[..ncm], maxbits)
-            })
-            .collect();
+        let keys: Vec<u128> = par::map_collect(perm.len(), 4096, |i| {
+            let mut bc = [0u32; 4];
+            for (ci, &md) in cmodes.iter().enumerate() {
+                bc[ci] = inds[md][i] >> block_bits;
+            }
+            morton::interleave_key_bits(&bc[..ncm], maxbits)
+        });
         let mbits = ncm * maxbits;
         let max_key = if mbits >= 128 {
             u128::MAX

@@ -26,10 +26,9 @@ pub use shicoo::SemiSparseHicooTensor;
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
-
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
+use crate::par;
 use crate::scalar::Scalar;
 use crate::sched::StructureId;
 use crate::shape::Shape;
@@ -100,50 +99,34 @@ impl<S: Scalar> HicooTensor<S> {
         let mut bptr: Vec<u64> = if m == 0 {
             Vec::new()
         } else {
-            let threads = rayon::current_num_threads().max(1);
+            let threads = par::current_threads().max(1);
             let nchunks = threads.min(m.div_ceil(4096)).max(1);
             let bounds: Vec<usize> = (0..=nchunks).map(|c| c * m / nchunks).collect();
-            let per_chunk: Vec<Vec<u64>> = (0..nchunks)
-                .into_par_iter()
-                .with_min_len(1)
-                .map(|c| {
-                    let mut v = Vec::new();
-                    for i in bounds[c]..bounds[c + 1] {
-                        let boundary = i == 0
-                            || inds
-                                .iter()
-                                .any(|arr| arr[i] >> block_bits != arr[i - 1] >> block_bits);
-                        if boundary {
-                            v.push(i as u64);
-                        }
+            let per_chunk: Vec<Vec<u64>> = par::map_collect(nchunks, 1, |c| {
+                let mut v = Vec::new();
+                for i in bounds[c]..bounds[c + 1] {
+                    let boundary = i == 0
+                        || inds
+                            .iter()
+                            .any(|arr| arr[i] >> block_bits != arr[i - 1] >> block_bits);
+                    if boundary {
+                        v.push(i as u64);
                     }
-                    v
-                })
-                .collect();
+                }
+                v
+            });
             per_chunk.concat()
         };
         bptr.push(m as u64);
 
         let nb = bptr.len() - 1;
-        let bptr_ref = &bptr;
         let binds: Vec<Vec<u32>> = inds
             .iter()
-            .map(|arr| {
-                (0..nb)
-                    .into_par_iter()
-                    .with_min_len(256)
-                    .map(|b| arr[bptr_ref[b] as usize] >> block_bits)
-                    .collect()
-            })
+            .map(|arr| par::map_collect(nb, 256, |b| arr[bptr[b] as usize] >> block_bits))
             .collect();
         let einds: Vec<Vec<u8>> = inds
             .iter()
-            .map(|arr| {
-                arr.par_iter()
-                    .with_min_len(4096)
-                    .map(|&x| (x & emask) as u8)
-                    .collect()
-            })
+            .map(|arr| par::map_collect(arr.len(), 4096, |i| (arr[i] & emask) as u8))
             .collect();
         let vals: Vec<S> = coo.vals().to_vec();
         tenbench_obs::counters::CONVERT_BLOCKS.add(nb as u64);

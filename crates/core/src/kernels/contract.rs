@@ -11,8 +11,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
@@ -79,7 +77,7 @@ pub fn contract<S: Scalar>(
     let out_shape = Shape::new(out_dims);
 
     // Merge the two sorted k-group lists; matched pairs contribute outer
-    // products, accumulated per rayon task and merged at the end.
+    // products, accumulated per matched pair and merged at the end.
     let gx = groups_by_mode(&xs, mode_x);
     let gy = groups_by_mode(&ys, mode_y);
     let mut pairs: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
@@ -96,27 +94,24 @@ pub fn contract<S: Scalar>(
         }
     }
 
-    let partials: Vec<HashMap<Vec<u32>, S>> = pairs
-        .par_iter()
-        .with_min_len(8)
-        .map(|(rx, ry)| {
-            let mut acc: HashMap<Vec<u32>, S> = HashMap::new();
-            for px in rx.clone() {
-                let xv = xs.vals()[px];
-                for py in ry.clone() {
-                    let mut coord = Vec::with_capacity(out_order);
-                    for &m in &x_free {
-                        coord.push(xs.mode_inds(m)[px]);
-                    }
-                    for &m in &y_free {
-                        coord.push(ys.mode_inds(m)[py]);
-                    }
-                    *acc.entry(coord).or_insert(S::ZERO) += xv * ys.vals()[py];
+    let partials: Vec<HashMap<Vec<u32>, S>> = crate::par::map_collect(pairs.len(), 8, |p| {
+        let (rx, ry) = &pairs[p];
+        let mut acc: HashMap<Vec<u32>, S> = HashMap::new();
+        for px in rx.clone() {
+            let xv = xs.vals()[px];
+            for py in ry.clone() {
+                let mut coord = Vec::with_capacity(out_order);
+                for &m in &x_free {
+                    coord.push(xs.mode_inds(m)[px]);
                 }
+                for &m in &y_free {
+                    coord.push(ys.mode_inds(m)[py]);
+                }
+                *acc.entry(coord).or_insert(S::ZERO) += xv * ys.vals()[py];
             }
-            acc
-        })
-        .collect();
+        }
+        acc
+    });
 
     let mut total: HashMap<Vec<u32>, S> = HashMap::new();
     for p in partials {

@@ -1,4 +1,4 @@
-//! The five benchmark kernels (paper §2) with sequential and rayon-parallel
+//! The five benchmark kernels (paper §2) with sequential and parallel
 //! CPU implementations over COO and HiCOO (paper §3.2, §3.4).
 //!
 //! Conventions shared by all kernels:

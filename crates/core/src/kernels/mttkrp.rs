@@ -22,8 +22,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
 
 use crate::align::AlignedVec;
@@ -33,7 +31,7 @@ use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
-use crate::par::ScratchArena;
+use crate::par::{self, Schedule, ScratchArena};
 use crate::scalar::Scalar;
 use crate::sched::{ModeSchedule, RowSchedule};
 use crate::shape::Shape;
@@ -229,7 +227,7 @@ pub fn mttkrp_atomic<S: Scalar>(
         let m = x.nnz();
         let grain = 1024usize;
         let arena = ScratchArena::new(|| AlignedVec::filled(r, S::ZERO));
-        (0..m.div_ceil(grain)).into_par_iter().for_each(|c| {
+        par::for_each(m.div_ceil(grain), 1, |c| {
             arena.with(|scratch| {
                 let mut rows_buf = Vec::with_capacity(factors.len());
                 let end = ((c + 1) * grain).min(m);
@@ -268,7 +266,8 @@ pub fn mttkrp_privatized<S: Scalar>(
     let grain = 4096usize;
     let nchunks = m.div_ceil(grain);
     let next = AtomicUsize::new(0);
-    let partials: Vec<DenseMatrix<S>> = rayon::broadcast(|_ctx| {
+    // Once per logical worker: each drains chunks off `next`.
+    let partials: Vec<DenseMatrix<S>> = par::map_collect(par::current_threads(), 1, |_| {
         let mut local: Option<DenseMatrix<S>> = None;
         let mut rows_buf = Vec::with_capacity(factors.len());
         loop {
@@ -291,16 +290,13 @@ pub fn mttkrp_privatized<S: Scalar>(
     .collect();
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let stripe = 4096usize;
-    out.data_mut()
-        .par_chunks_mut(stripe)
-        .enumerate()
-        .for_each(|(ci, dst)| {
-            let base = ci * stripe;
-            for p in &partials {
-                let src = &p.data()[base..base + dst.len()];
-                simd::add_assign(dst, src);
-            }
-        });
+    par::chunks_mut(out.data_mut(), stripe, Schedule::DYNAMIC, |ci, dst| {
+        let base = ci * stripe;
+        for p in &partials {
+            let src = &p.data()[base..base + dst.len()];
+            simd::add_assign(dst, src);
+        }
+    });
     Ok(out)
 }
 
@@ -344,9 +340,8 @@ pub fn mttkrp_sched_with<S: Scalar>(
         r,
         (0..sched.num_tasks()).map(|t| sched.task_rows(t)),
     );
-    tasks.par_iter_mut().for_each(|(row_base, slice)| {
-        let row_base = *row_base;
-        let slice = &mut **slice;
+    par::chunks_mut(&mut tasks, 1, Schedule::DYNAMIC, |_, task| {
+        let (row_base, slice) = (task[0].0, &mut *task[0].1);
         let mut rows_buf = Vec::with_capacity(factors.len());
         for i in row_base..row_base + slice.len() / r {
             let dst = &mut slice[(i - row_base) * r..][..r];
@@ -421,7 +416,7 @@ pub fn mttkrp_hicoo<S: Scalar>(
         let cells = S::as_atomic_slice(out.data_mut());
         let order = h.order();
         let arena = ScratchArena::new(|| (AlignedVec::filled(r, S::ZERO), vec![0usize; order]));
-        (0..h.num_blocks()).into_par_iter().for_each(|b| {
+        par::for_each(h.num_blocks(), 1, |b| {
             arena.with(|(scratch, base)| {
                 let mut rows_buf = Vec::with_capacity(order);
                 // Base row offsets of this block in every factor matrix.
@@ -487,8 +482,8 @@ pub fn mttkrp_hicoo_sched_with<S: Scalar>(
     );
     // Order-3 fast path: one fused call per *block* rather than per nonzero.
     let three = (order == 3).then(|| non_mode_pair(mode));
-    tasks.par_iter_mut().enumerate().for_each(|(t, task)| {
-        let (row_base, slice) = (task.0, &mut *task.1);
+    par::chunks_mut(&mut tasks, 1, Schedule::DYNAMIC, |t, task| {
+        let (row_base, slice) = (task[0].0, &mut *task[0].1);
         let mut base = vec![0usize; order];
         let mut rows_buf = Vec::with_capacity(order);
         for g in sched.task_groups(t) {

@@ -14,21 +14,20 @@
 
 use std::cmp::Ordering;
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
 
 use crate::analysis;
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
+use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
 use crate::simd;
 
 use super::EwOp;
 
 /// Chunk size for the parallel value loops; large enough that the vectorized
-/// body amortizes rayon's per-task overhead.
+/// body amortizes the pool's per-chunk claim.
 const CHUNK: usize = 1024;
 
 /// Compare the coordinates of `a`'s nonzero `i` and `b`'s nonzero `j`
@@ -94,10 +93,11 @@ pub fn tew_same_pattern<S: Scalar>(
     let _span = obs::span!("tew.coo");
     charge(x.nnz());
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    vals.par_chunks_mut(CHUNK)
-        .zip(x.vals().par_chunks(CHUNK))
-        .zip(y.vals().par_chunks(CHUNK))
-        .for_each(|((o, a), b)| simd::ew_combine_into(op, a, b, o));
+    let (xv, yv) = (x.vals(), y.vals());
+    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
+        let at = c * CHUNK..c * CHUNK + o.len();
+        simd::ew_combine_into(op, &xv[at.clone()], &yv[at], o)
+    });
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -269,7 +269,7 @@ pub fn tew_general<S: Scalar>(
         ));
     }
     let _span = obs::span!("tew.general");
-    let segments = (rayon::current_num_threads() * 4).max(1);
+    let segments = (par::current_threads() * 4).max(1);
     let mx = x.nnz();
     if mx == 0 || segments == 1 {
         return tew_general_seq(x, y, op);
@@ -291,23 +291,20 @@ pub fn tew_general<S: Scalar>(
         })
         .collect();
 
-    let parts: Vec<(Vec<Vec<u32>>, Vec<S>)> = (0..xb.len() - 1)
-        .into_par_iter()
-        .map(|s| {
-            let mut inds: Vec<Vec<u32>> = vec![Vec::new(); x.order()];
-            let mut vals: Vec<S> = Vec::new();
-            merge_range(
-                x,
-                xb[s]..xb[s + 1],
-                y,
-                yb[s]..yb[s + 1],
-                op,
-                &mut inds,
-                &mut vals,
-            );
-            (inds, vals)
-        })
-        .collect();
+    let parts: Vec<(Vec<Vec<u32>>, Vec<S>)> = par::map_collect(xb.len() - 1, 1, |s| {
+        let mut inds: Vec<Vec<u32>> = vec![Vec::new(); x.order()];
+        let mut vals: Vec<S> = Vec::new();
+        merge_range(
+            x,
+            xb[s]..xb[s + 1],
+            y,
+            yb[s]..yb[s + 1],
+            op,
+            &mut inds,
+            &mut vals,
+        );
+        (inds, vals)
+    });
 
     let total: usize = parts.iter().map(|(_, v)| v.len()).sum();
     let mut out_inds: Vec<Vec<u32>> = vec![Vec::with_capacity(total); x.order()];
@@ -371,10 +368,10 @@ pub fn tew_hicoo_same_pattern<S: Scalar>(
     let _span = obs::span!("tew.hicoo");
     charge(x.nnz());
     let mut out = x.clone();
-    out.vals_mut()
-        .par_chunks_mut(CHUNK)
-        .zip(y.vals().par_chunks(CHUNK))
-        .for_each(|(a, b)| simd::ew_combine_assign(op, a, b));
+    let yv = y.vals();
+    par::chunks_mut(out.vals_mut(), CHUNK, Schedule::DYNAMIC, |c, a| {
+        simd::ew_combine_assign(op, a, &yv[c * CHUNK..c * CHUNK + a.len()])
+    });
     Ok(out)
 }
 

@@ -6,21 +6,20 @@
 //! supports all four operations, with division by a zero scalar reported as
 //! an error rather than silently producing infinities.
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
 
 use crate::analysis;
 use crate::coo::CooTensor;
 use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
+use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
 use crate::simd;
 
 use super::EwOp;
 
 /// Chunk size for the parallel value loops; large enough that the vectorized body
-/// amortizes rayon's per-task overhead.
+/// amortizes the pool's per-chunk claim.
 const CHUNK: usize = 1024;
 
 fn check_scalar<S: Scalar>(op: EwOp, s: S) -> Result<()> {
@@ -47,9 +46,10 @@ pub fn ts<S: Scalar>(x: &CooTensor<S>, s: S, op: EwOp) -> Result<CooTensor<S>> {
     let _span = obs::span!("ts.coo");
     charge(x.nnz());
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    vals.par_chunks_mut(CHUNK)
-        .zip(x.vals().par_chunks(CHUNK))
-        .for_each(|(o, a)| simd::ew_scalar_into(op, a, s, o));
+    let xv = x.vals();
+    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
+        simd::ew_scalar_into(op, &xv[c * CHUNK..c * CHUNK + o.len()], s, o)
+    });
     Ok(CooTensor::from_parts_unchecked(
         x.shape().clone(),
         x.inds().to_vec(),
@@ -80,9 +80,9 @@ pub fn ts_hicoo<S: Scalar>(x: &HicooTensor<S>, s: S, op: EwOp) -> Result<HicooTe
     let _span = obs::span!("ts.hicoo");
     charge(x.nnz());
     let mut out = x.clone();
-    out.vals_mut()
-        .par_chunks_mut(CHUNK)
-        .for_each(|a| simd::ew_scalar_assign(op, a, s));
+    par::chunks_mut(out.vals_mut(), CHUNK, Schedule::DYNAMIC, |_, a| {
+        simd::ew_scalar_assign(op, a, s)
+    });
     Ok(out)
 }
 

@@ -8,8 +8,6 @@
 //! (HiCOO kernels) with `M_F` fibers, and fibers are parallelized without
 //! races — COO-Ttm-OMP mirrors COO-Ttv-OMP (§3.2.1).
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
 
 use crate::analysis;
@@ -18,7 +16,7 @@ use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
 use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor, SemiSparseHicooTensor};
 use crate::kernels::ttv::MAX_SCHED_ORDER;
-use crate::par::Schedule;
+use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
 use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
@@ -75,41 +73,18 @@ pub fn ttm_prepared<S: Scalar>(
     let xv = x.vals();
     let xk = x.mode_inds(mode);
 
-    let mut vals = crate::par::first_touch_filled(mf * r, S::ZERO);
-    let body = |f: usize, stripe: &mut [S]| {
+    let mut vals = par::first_touch_filled(mf * r, S::ZERO);
+    par::chunks_mut(&mut vals, r, sched, |f, stripe| {
         for m in fp.fiber_range(f) {
             simd::axpy(stripe, u.row(xk[m] as usize), xv[m]);
         }
-    };
-    match sched {
-        Schedule::Static => {
-            let workers = rayon::current_num_threads().max(1);
-            let chunk = mf.div_ceil(workers).max(1);
-            vals.par_chunks_mut(chunk * r)
-                .enumerate()
-                .for_each(|(c, slice)| {
-                    for (off, stripe) in slice.chunks_mut(r).enumerate() {
-                        body(c * chunk + off, stripe);
-                    }
-                });
-        }
-        Schedule::Dynamic { grain } => {
-            vals.par_chunks_mut(r)
-                .with_min_len(grain.max(1))
-                .enumerate()
-                .for_each(|(f, stripe)| body(f, stripe));
-        }
-    }
+    });
 
     let mut inds: Vec<Vec<u32>> = vec![Vec::new(); x.order()];
     for (md, arr) in inds.iter_mut().enumerate() {
         if md != mode {
             let src = x.mode_inds(md);
-            *arr = (0..mf)
-                .into_par_iter()
-                .with_min_len(1024)
-                .map(|f| src[fp.fptr[f]])
-                .collect();
+            *arr = par::map_collect(mf, 1024, |f| src[fp.fptr[f]]);
         }
     }
     Ok(SemiSparseTensor::from_parts_unchecked(
@@ -194,31 +169,12 @@ pub fn ttm_ghicoo<S: Scalar>(
     let gv = g.vals();
     let gk = g.find(mode);
 
-    let mut vals = crate::par::first_touch_filled(mf * r, S::ZERO);
-    let body = |f: usize, stripe: &mut [S]| {
+    let mut vals = par::first_touch_filled(mf * r, S::ZERO);
+    par::chunks_mut(&mut vals, r, sched, |f, stripe| {
         for m in fp.fiber_range(f) {
             simd::axpy(stripe, u.row(gk[m] as usize), gv[m]);
         }
-    };
-    match sched {
-        Schedule::Static => {
-            let workers = rayon::current_num_threads().max(1);
-            let chunk = mf.div_ceil(workers).max(1);
-            vals.par_chunks_mut(chunk * r)
-                .enumerate()
-                .for_each(|(c, slice)| {
-                    for (off, stripe) in slice.chunks_mut(r).enumerate() {
-                        body(c * chunk + off, stripe);
-                    }
-                });
-        }
-        Schedule::Dynamic { grain } => {
-            vals.par_chunks_mut(r)
-                .with_min_len(grain.max(1))
-                .enumerate()
-                .for_each(|(f, stripe)| body(f, stripe));
-        }
-    }
+    });
 
     let other_modes: Vec<usize> = (0..g.order()).filter(|&m| m != mode).collect();
     let bptr: Vec<u64> = fp.block_fiber_ptr.iter().map(|&f| f as u64).collect();
@@ -304,44 +260,41 @@ pub fn ttm_hicoo_sched_with<S: Scalar>(
     let bits = h.block_bits();
 
     // One output block per group: fiber keys and folded `R`-stripes.
-    let groups: Vec<(Vec<u64>, Vec<S>)> = (0..cs.num_groups())
-        .into_par_iter()
-        .map(|g| {
-            let mut entries: Vec<(u64, u32, u32)> = Vec::new();
-            for &b in cs.group_blocks(g) {
-                let b = b as usize;
-                let mode_base = (h.block_ind(b, mode) as usize) << bits;
-                for z in h.block_range(b) {
-                    let mut key = 0u64;
-                    for (j, &m) in other.iter().enumerate() {
-                        key |= (h.einds()[m][z] as u64) << ((key_width - 1 - j) * 8);
-                    }
-                    let idx = mode_base + h.einds()[mode][z] as usize;
-                    entries.push((key, idx as u32, z as u32));
+    let groups: Vec<(Vec<u64>, Vec<S>)> = par::map_collect(cs.num_groups(), 1, |g| {
+        let mut entries: Vec<(u64, u32, u32)> = Vec::new();
+        for &b in cs.group_blocks(g) {
+            let b = b as usize;
+            let mode_base = (h.block_ind(b, mode) as usize) << bits;
+            for z in h.block_range(b) {
+                let mut key = 0u64;
+                for (j, &m) in other.iter().enumerate() {
+                    key |= (h.einds()[m][z] as u64) << ((key_width - 1 - j) * 8);
                 }
+                let idx = mode_base + h.einds()[mode][z] as usize;
+                entries.push((key, idx as u32, z as u32));
             }
-            entries.sort_unstable();
-            let mut keys = Vec::new();
-            let mut vals = Vec::new();
-            let mut i = 0;
-            while i < entries.len() {
-                let key = entries[i].0;
-                let start = vals.len();
-                vals.resize(start + r, S::ZERO);
-                while i < entries.len() && entries[i].0 == key {
-                    let (_, idx, z) = entries[i];
-                    simd::axpy(
-                        &mut vals[start..start + r],
-                        u.row(idx as usize),
-                        h.vals()[z as usize],
-                    );
-                    i += 1;
-                }
-                keys.push(key);
+        }
+        entries.sort_unstable();
+        let mut keys = Vec::new();
+        let mut vals = Vec::new();
+        let mut i = 0;
+        while i < entries.len() {
+            let key = entries[i].0;
+            let start = vals.len();
+            vals.resize(start + r, S::ZERO);
+            while i < entries.len() && entries[i].0 == key {
+                let (_, idx, z) = entries[i];
+                simd::axpy(
+                    &mut vals[start..start + r],
+                    u.row(idx as usize),
+                    h.vals()[z as usize],
+                );
+                i += 1;
             }
-            (keys, vals)
-        })
-        .collect();
+            keys.push(key);
+        }
+        (keys, vals)
+    });
 
     // Sequential assembly in group order. sHiCOO keeps full-order index
     // arrays with the dense mode's left empty.

@@ -10,8 +10,6 @@
 //! gHiCOO with the product mode left uncompressed, which keeps every fiber
 //! inside a single block and produces the output directly in HiCOO.
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
 
 use crate::analysis;
@@ -19,7 +17,7 @@ use crate::coo::{CooTensor, FiberPartition, SortState};
 use crate::dense::DenseVector;
 use crate::error::{Result, TensorError};
 use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor};
-use crate::par::{par_for_each_indexed, Schedule};
+use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
 use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
@@ -81,10 +79,10 @@ pub fn ttv_prepared<S: Scalar>(
     let xk = x.mode_inds(mode);
     let vv = v.as_slice();
 
-    let mut vals = crate::par::first_touch_filled(mf, S::ZERO);
-    par_for_each_indexed(&mut vals, sched, |f, out| {
+    let mut vals = par::first_touch_filled(mf, S::ZERO);
+    par::chunks_mut(&mut vals, 1, sched, |f, out| {
         let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(&xv[r.clone()], &xk[r], vv);
+        out[0] = simd::fiber_dot(&xv[r.clone()], &xk[r], vv);
     });
 
     let other_modes: Vec<usize> = (0..x.order()).filter(|&m| m != mode).collect();
@@ -92,11 +90,7 @@ pub fn ttv_prepared<S: Scalar>(
         .iter()
         .map(|&md| {
             let src = x.mode_inds(md);
-            (0..mf)
-                .into_par_iter()
-                .with_min_len(1024)
-                .map(|f| src[fp.fptr[f]])
-                .collect()
+            par::map_collect(mf, 1024, |f| src[fp.fptr[f]])
         })
         .collect();
 
@@ -207,10 +201,10 @@ pub fn ttv_ghicoo<S: Scalar>(
     let gv = g.vals();
     let gk = g.find(mode);
     let vv = v.as_slice();
-    let mut vals = crate::par::first_touch_filled(mf, S::ZERO);
-    par_for_each_indexed(&mut vals, sched, |f, out| {
+    let mut vals = par::first_touch_filled(mf, S::ZERO);
+    par::chunks_mut(&mut vals, 1, sched, |f, out| {
         let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
+        out[0] = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
     });
 
     // Output structure: block b of the output holds the fibers of input
@@ -335,47 +329,44 @@ pub fn ttv_hicoo_sched_with<S: Scalar>(
 
     // One output block per group: fiber keys (packed surviving element
     // coords, lexicographic order) and the folded dot-product values.
-    let groups: Vec<(Vec<u64>, Vec<S>)> = (0..cs.num_groups())
-        .into_par_iter()
-        .map(|g| {
-            // (key, input value index in mode, nonzero position).
-            let mut entries: Vec<(u64, u32, u32)> = Vec::new();
-            for &b in cs.group_blocks(g) {
-                let b = b as usize;
-                let mode_base = (h.block_ind(b, mode) as usize) << bits;
-                for z in h.block_range(b) {
-                    let mut key = 0u64;
-                    for (j, &m) in other.iter().enumerate() {
-                        key |= (h.einds()[m][z] as u64) << ((out_order - 1 - j) * 8);
-                    }
-                    let idx = mode_base + h.einds()[mode][z] as usize;
-                    entries.push((key, idx as u32, z as u32));
+    let groups: Vec<(Vec<u64>, Vec<S>)> = par::map_collect(cs.num_groups(), 1, |g| {
+        // (key, input value index in mode, nonzero position).
+        let mut entries: Vec<(u64, u32, u32)> = Vec::new();
+        for &b in cs.group_blocks(g) {
+            let b = b as usize;
+            let mode_base = (h.block_ind(b, mode) as usize) << bits;
+            for z in h.block_range(b) {
+                let mut key = 0u64;
+                for (j, &m) in other.iter().enumerate() {
+                    key |= (h.einds()[m][z] as u64) << ((out_order - 1 - j) * 8);
                 }
+                let idx = mode_base + h.einds()[mode][z] as usize;
+                entries.push((key, idx as u32, z as u32));
             }
-            entries.sort_unstable();
-            let mut keys = Vec::new();
-            let mut vals = Vec::new();
-            // Equal-key runs gathered into contiguous buffers so the dot
-            // product can use the vectorized primitive.
-            let mut rvals: Vec<S> = Vec::new();
-            let mut ridx: Vec<u32> = Vec::new();
-            let mut i = 0;
-            while i < entries.len() {
-                let key = entries[i].0;
-                rvals.clear();
-                ridx.clear();
-                while i < entries.len() && entries[i].0 == key {
-                    let (_, idx, z) = entries[i];
-                    rvals.push(h.vals()[z as usize]);
-                    ridx.push(idx);
-                    i += 1;
-                }
-                keys.push(key);
-                vals.push(simd::fiber_dot(&rvals, &ridx, vv));
+        }
+        entries.sort_unstable();
+        let mut keys = Vec::new();
+        let mut vals = Vec::new();
+        // Equal-key runs gathered into contiguous buffers so the dot
+        // product can use the vectorized primitive.
+        let mut rvals: Vec<S> = Vec::new();
+        let mut ridx: Vec<u32> = Vec::new();
+        let mut i = 0;
+        while i < entries.len() {
+            let key = entries[i].0;
+            rvals.clear();
+            ridx.clear();
+            while i < entries.len() && entries[i].0 == key {
+                let (_, idx, z) = entries[i];
+                rvals.push(h.vals()[z as usize]);
+                ridx.push(idx);
+                i += 1;
             }
-            (keys, vals)
-        })
-        .collect();
+            keys.push(key);
+            vals.push(simd::fiber_dot(&rvals, &ridx, vv));
+        }
+        (keys, vals)
+    });
 
     // Sequential assembly in group order (groups are lexicographically
     // sorted by surviving block coords, keys sorted within each group).

@@ -21,7 +21,8 @@
 //! ## Kernels
 //!
 //! The five benchmark kernels of the paper, each with sequential and
-//! rayon-parallel CPU implementations over COO and HiCOO:
+//! parallel CPU implementations over COO and HiCOO ([`par`] is the runtime:
+//! one persistent pool under a chunked parallel-for):
 //!
 //! * [`kernels::tew`] — element-wise add/sub/mul/div of two tensors,
 //! * [`kernels::ts`] — tensor–scalar add/sub/mul/div,

@@ -1,10 +1,28 @@
-//! Parallel execution helpers — the suite's stand-in for the paper's OpenMP
-//! runtime configuration (`§5.1.2`: scheduling strategies and thread counts).
+//! The suite's parallel runtime — its stand-in for the paper's OpenMP
+//! `parallel for` (§5.1.2: static or dynamic chunking, a thread count).
+//!
+//! One persistent pool ([`pool`]: parked workers, a shared chunk counter per
+//! region, the submitting caller always participating) and five loop
+//! functions on top of it, one per loop shape the suite has:
+//! [`for_each`] and [`map_collect`] over an index range, [`map_chunks`] for
+//! ordered per-chunk results, [`chunks_mut`] for disjoint output rows under
+//! a [`Schedule`], and the comparator [`sort_unstable_by`]. Each passes its
+//! `(len, grain)` straight to the pool, so the way a loop is cut into chunks
+//! is decided in exactly one place.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
-use rayon::prelude::*;
+mod pool;
+mod sort;
+
+pub use pool::{
+    current_threads, pool_max_workers, pool_snapshot, reset_pool_stats, set_pool_telemetry,
+    stable_worker_index, with_threads,
+};
+pub use sort::sort_unstable_by;
 
 /// Loop scheduling strategy, mirroring OpenMP's `schedule(static)` /
 /// `schedule(dynamic, grain)` clauses that the paper tunes per kernel.
@@ -12,88 +30,118 @@ use rayon::prelude::*;
 pub enum Schedule {
     /// One contiguous range per worker thread.
     Static,
-    /// Work-stealing chunks of at least `grain` iterations.
+    /// Chunks of at least `grain` iterations, claimed off a shared counter.
     Dynamic {
         /// Minimum chunk size handed to a worker.
         grain: usize,
     },
 }
 
+impl Schedule {
+    /// Dynamic chunking with no minimum of the loop's own: rows that are
+    /// already coarse (value chunks, stripes, tasks) take the pool's cut.
+    pub const DYNAMIC: Schedule = Schedule::Dynamic { grain: 1 };
+}
+
 impl Default for Schedule {
     fn default() -> Self {
-        // Rayon's adaptive splitting behaves like guided/dynamic scheduling;
-        // a modest grain keeps per-task overhead low for short fibers.
+        // Dynamic claiming absorbs the skew of power-law fiber lengths; a
+        // modest grain keeps the per-chunk claim cheap for short fibers.
         Schedule::Dynamic { grain: 64 }
     }
 }
 
-/// Run `body(i, &mut out[i])` for every element of `out` in parallel under
-/// the given schedule. This is the shape of every fiber- and nonzero-
-/// parallel loop in the suite: disjoint output slots, shared read-only
-/// inputs.
-pub fn par_for_each_indexed<T: Send, F>(out: &mut [T], sched: Schedule, body: F)
-where
-    F: Fn(usize, &mut T) + Sync + Send,
-{
-    match sched {
-        Schedule::Static => {
-            let n = out.len();
-            let workers = rayon::current_num_threads().max(1);
-            let chunk = n.div_ceil(workers).max(1);
-            out.par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(c, slice)| {
-                    let base = c * chunk;
-                    for (off, item) in slice.iter_mut().enumerate() {
-                        body(base + off, item);
-                    }
-                });
-        }
-        Schedule::Dynamic { grain } => {
-            out.par_iter_mut()
-                .with_min_len(grain.max(1))
-                .enumerate()
-                .for_each(|(i, item)| body(i, item));
-        }
+/// A raw pointer the loop functions share with their workers. Each use
+/// argues why the elements written through it are disjoint.
+struct SharedPtr<T>(*mut T);
+
+// SAFETY: only used to hand disjoint elements of a `T: Send` buffer to the
+// participants of one region, which the caller outlives.
+unsafe impl<T: Send> Sync for SharedPtr<T> {}
+
+impl<T> SharedPtr<T> {
+    fn get(&self) -> *mut T {
+        self.0
     }
 }
 
-/// Run `f` on a dedicated rayon pool with `threads` workers. Used by the
-/// harness to emulate machines with different core counts (Figure 4 vs 5).
-pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build thread pool")
-        .install(f)
+/// Run `f(i)` for every `i` in `0..n`, in chunks of at least `grain`
+/// indices.
+pub fn for_each(n: usize, grain: usize, f: impl Fn(usize) + Sync) {
+    pool::run_region(n, grain, &|r: Range<usize>| r.for_each(&f));
 }
 
-/// Number of worker threads in the current pool.
-pub fn current_threads() -> usize {
-    rayon::current_num_threads()
+/// `(0..n).map(f).collect()`, in chunks of at least `grain` indices; the
+/// result is in index order whatever the width. With `n = current_threads()`
+/// and `grain = 1` this is the once-per-logical-worker loop.
+pub fn map_collect<T: Send>(n: usize, grain: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    let slots = SharedPtr(out.as_mut_ptr());
+    pool::run_region(n, grain, &|r: Range<usize>| {
+        for i in r {
+            // SAFETY: the region yields each index exactly once, and slot
+            // `i` lies inside the capacity reserved above.
+            unsafe { slots.get().add(i).write(f(i)) };
+        }
+    });
+    // SAFETY: every slot in 0..n was initialized by the region, which has
+    // joined.
+    unsafe { out.set_len(n) };
+    out
 }
 
-/// Index of the calling worker thread within the current pool, if any.
-///
-/// This is a *region-relative* participant slot: it resets in nested
-/// regions and sequential fast paths. Keys for per-thread caches should
-/// use [`stable_thread_id`] instead.
-pub fn current_thread_index() -> Option<usize> {
-    rayon::current_thread_index()
+/// Run `f` once per chunk of `0..n` (chunks of at least `grain` indices)
+/// and return the results in chunk order.
+pub fn map_chunks<T: Send>(n: usize, grain: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
+    let parts: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
+    pool::run_region(n, grain, &|r: Range<usize>| {
+        let start = r.start;
+        let v = f(r);
+        // Held across the push only, so it is never poisoned.
+        parts.lock().expect("unpoisoned").push((start, v));
+    });
+    let mut parts = parts.into_inner().expect("unpoisoned");
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    parts.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Stable identifier of the calling OS thread (the pool's stable worker
-/// index for pool workers, a unique id past the worker range otherwise).
-/// Unlike [`current_thread_index`] it never changes across nested
-/// parallel regions, so per-thread caches keyed by it cannot collide
-/// between two live threads.
-pub fn stable_thread_id() -> usize {
-    rayon::stable_thread_id()
-}
-
-/// The pool's stable worker index for this thread (`None` off-pool).
-pub fn stable_worker_index() -> Option<usize> {
-    rayon::stable_worker_index()
+/// Cut `slice` into rows of `width` elements (the last may be short) and
+/// run `f(row, &mut slice[row * width..][..width])` for every row under the
+/// given schedule. This is the shape of every fiber-, stripe- and
+/// nonzero-parallel loop in the suite: disjoint output rows, shared
+/// read-only inputs indexed by the row number.
+pub fn chunks_mut<T: Send>(
+    slice: &mut [T],
+    width: usize,
+    sched: Schedule,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(width > 0, "row width must be positive");
+    let len = slice.len();
+    let rows = len.div_ceil(width);
+    let base = SharedPtr(slice.as_mut_ptr());
+    let row = |i: usize| {
+        let lo = i * width;
+        // SAFETY: rows are disjoint in-bounds pieces of `slice`, which is
+        // exclusively borrowed for the call, and the region yields each row
+        // index exactly once.
+        f(i, unsafe {
+            std::slice::from_raw_parts_mut(base.get().add(lo), width.min(len - lo))
+        })
+    };
+    match sched {
+        Schedule::Dynamic { grain } => {
+            pool::run_region(rows, grain, &|r: Range<usize>| r.for_each(&row))
+        }
+        Schedule::Static => {
+            let per = rows.div_ceil(current_threads().max(1)).max(1);
+            pool::run_region(rows.div_ceil(per), 1, &|r: Range<usize>| {
+                for piece in r {
+                    (piece * per..((piece + 1) * per).min(rows)).for_each(&row);
+                }
+            });
+        }
+    }
 }
 
 /// Elements per first-touch chunk: large enough to span whole pages so the
@@ -114,14 +162,11 @@ const FIRST_TOUCH_GRAIN: usize = 1 << 15;
 pub fn first_touch_filled<T: Copy + Send + Sync>(n: usize, value: T) -> Vec<T> {
     let mut v: Vec<T> = Vec::with_capacity(n);
     let spare = &mut v.spare_capacity_mut()[..n];
-    spare
-        .par_chunks_mut(FIRST_TOUCH_GRAIN)
-        .with_min_len(1)
-        .for_each(|chunk| {
-            for slot in chunk {
-                slot.write(value);
-            }
-        });
+    chunks_mut(spare, FIRST_TOUCH_GRAIN, Schedule::DYNAMIC, |_, chunk| {
+        for slot in chunk {
+            slot.write(value);
+        }
+    });
     // SAFETY: every slot in 0..n was initialized by exactly one chunk.
     unsafe { v.set_len(n) };
     v
@@ -153,12 +198,11 @@ unsafe impl<T: Send> Sync for ArenaSlot<T> {}
 /// assert_eq!(sum, 16.0);
 /// ```
 ///
-/// Slots are claimed with an atomic try-lock keyed by the pool's *stable*
-/// thread id (not the region-relative `current_thread_index`, which resets
-/// to 0 in nested regions and sequential fast paths — two sibling workers
-/// running nested loops used to fold onto slot 0 and evict each other), so
-/// the arena is safe under nested parallelism or oversubscription: a thread
-/// that finds its slot busy simply builds a fresh buffer for that one call.
+/// Slots are keyed by [`stable_worker_index`], which names the OS thread
+/// and so stays put in nested regions and sequential fast paths, and are
+/// claimed with an atomic try-lock, so the arena is safe under nested
+/// parallelism or oversubscription: a thread that finds its slot busy
+/// simply builds a fresh buffer for that one call.
 /// Buffers are handed out dirty — callers must fully initialize the scratch
 /// before reading it (every kernel here starts with a `fill`).
 pub struct ScratchArena<T, F: Fn() -> T> {
@@ -175,7 +219,7 @@ impl<T: Send, F: Fn() -> T + Sync> ScratchArena<T, F> {
     /// lazily filled `Option`s, so the unreached ones cost a word each,
     /// not a buffer.
     pub fn new(make: F) -> Self {
-        let n = 1 + rayon::pool_max_workers();
+        let n = 1 + pool_max_workers();
         let slots = (0..n)
             .map(|_| ArenaSlot {
                 busy: AtomicBool::new(false),
@@ -183,25 +227,6 @@ impl<T: Send, F: Fn() -> T + Sync> ScratchArena<T, F> {
             })
             .collect();
         ScratchArena { make, slots }
-    }
-
-    /// Pre-build scratch buffers on the pool workers that will use them.
-    ///
-    /// Buffers are created lazily on first use, which already places each
-    /// worker's buffer on the memory local to that worker — but the first
-    /// use then pays allocation and page faults *inside* the measured
-    /// kernel. `warm()` broadcasts over the current pool so every
-    /// participating worker (and the caller) faults its own slot's buffer
-    /// in, outside any timed region. Workers that don't participate in
-    /// the broadcast simply stay lazy; warming is an optimization, not a
-    /// correctness requirement.
-    pub fn warm(&self) {
-        rayon::broadcast(|_| {
-            self.with(|_| {});
-        });
-        // The broadcast caller participates as one of the logical workers,
-        // but make its slot 0 warm unconditionally.
-        self.with(|_| {});
     }
 
     /// Run `f` with this thread's scratch buffer (creating it on first use).
@@ -241,21 +266,23 @@ mod tests {
     #[test]
     fn static_schedule_covers_every_index() {
         let mut v = vec![0usize; 1000];
-        par_for_each_indexed(&mut v, Schedule::Static, |i, x| *x = i * 2);
+        chunks_mut(&mut v, 1, Schedule::Static, |i, x| x[0] = i * 2);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
     }
 
     #[test]
     fn dynamic_schedule_covers_every_index() {
         let mut v = vec![0usize; 1000];
-        par_for_each_indexed(&mut v, Schedule::Dynamic { grain: 16 }, |i, x| *x = i + 1);
+        chunks_mut(&mut v, 1, Schedule::Dynamic { grain: 16 }, |i, x| {
+            x[0] = i + 1
+        });
         assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
     #[test]
     fn zero_grain_is_clamped() {
         let mut v = vec![0u8; 10];
-        par_for_each_indexed(&mut v, Schedule::Dynamic { grain: 0 }, |_, x| *x = 1);
+        chunks_mut(&mut v, 1, Schedule::Dynamic { grain: 0 }, |_, x| x[0] = 1);
         assert_eq!(v, vec![1; 10]);
     }
 
@@ -268,7 +295,63 @@ mod tests {
     #[test]
     fn empty_slice_is_a_no_op() {
         let mut v: Vec<u32> = vec![];
-        par_for_each_indexed(&mut v, Schedule::Static, |_, _| unreachable!());
+        chunks_mut(&mut v, 1, Schedule::Static, |_, _| unreachable!());
+        chunks_mut(&mut v, 4, Schedule::default(), |_, _| unreachable!());
+    }
+
+    #[test]
+    fn range_map_collect_preserves_order() {
+        let v: Vec<usize> = map_collect(10_000, 1, |i| i * 2);
+        assert_eq!(v.len(), 10_000);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i));
+    }
+
+    #[test]
+    fn filter_collect_preserves_order() {
+        let v: Vec<usize> =
+            map_chunks(10_000, 1, |r| r.filter(|&i| i % 3 == 0).collect::<Vec<_>>()).concat();
+        let expect: Vec<usize> = (0..10_000).filter(|&i| i % 3 == 0).collect();
+        assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn mut_iteration_covers_every_slot() {
+        let mut v = vec![0u32; 5_000];
+        chunks_mut(&mut v, 1, Schedule::Dynamic { grain: 64 }, |i, x| {
+            x[0] = i as u32 + 1
+        });
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u32 + 1));
+    }
+
+    #[test]
+    fn chunked_zip_matches_sequential_triad() {
+        let n = 4096 + 17; // a short last row
+        let b: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let c: Vec<f32> = (0..n).map(|i| (i * 3) as f32).collect();
+        let mut a = vec![0.0f32; n];
+        chunks_mut(&mut a, 128, Schedule::DYNAMIC, |row, ac| {
+            let lo = row * 128;
+            let (bc, cc) = (&b[lo..lo + ac.len()], &c[lo..lo + ac.len()]);
+            for i in 0..ac.len() {
+                ac[i] = bc[i] * 2.0 + cc[i];
+            }
+        });
+        assert!(a
+            .iter()
+            .enumerate()
+            .all(|(i, &x)| x == (i as f32) * 2.0 + (i * 3) as f32));
+    }
+
+    #[test]
+    fn for_each_visits_every_index_once() {
+        use std::sync::atomic::AtomicU8;
+        let seen: Vec<AtomicU8> = (0..3_000).map(|_| AtomicU8::new(0)).collect();
+        with_threads(3, || {
+            for_each(seen.len(), 7, |i| {
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            })
+        });
+        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -307,15 +390,12 @@ mod tests {
     #[test]
     fn scratch_arena_parallel_use_is_consistent() {
         let arena = ScratchArena::new(|| vec![0usize; 16]);
-        let results: Vec<usize> = (0..64usize)
-            .into_par_iter()
-            .map(|i| {
-                arena.with(|s| {
-                    s.fill(i);
-                    s.iter().sum::<usize>()
-                })
+        let results: Vec<usize> = map_collect(64, 1, |i| {
+            arena.with(|s| {
+                s.fill(i);
+                s.iter().sum::<usize>()
             })
-            .collect();
+        });
         assert!(results.iter().enumerate().all(|(i, &r)| r == i * 16));
     }
 
@@ -323,9 +403,9 @@ mod tests {
     fn scratch_arena_keys_by_stable_worker_index_under_nesting() {
         use std::sync::atomic::AtomicUsize;
         use std::sync::Barrier;
-        // Regression: arena slots used to be keyed by the region-relative
-        // `current_thread_index()`, which resets to Some(0) inside nested
-        // (fast-path) regions — two sibling outer workers holding scratch
+        // Regression: arena slots used to be keyed by a region-relative
+        // participant index, which reset to 0 inside nested (fast-path)
+        // regions — two sibling outer workers holding scratch
         // simultaneously both mapped to slot 0, so one of them built a
         // fresh fallback buffer on every call. Stable worker ids give each
         // OS thread its own slot: the allocation count stays bounded by
@@ -339,12 +419,11 @@ mod tests {
         let rounds = 16;
         with_threads(2, || {
             let barrier = Barrier::new(2);
-            (0..2usize).into_par_iter().with_min_len(1).for_each(|_| {
+            for_each(2, 1, |_| {
                 for _ in 0..rounds {
                     // A 1-element nested region takes the sequential fast
-                    // path, where current_thread_index() is Some(0) on
-                    // both workers but stable ids stay distinct.
-                    (0..1usize).into_par_iter().for_each(|_| {
+                    // path on both workers.
+                    for_each(1, 1, |_| {
                         barrier.wait();
                         arena.with(|s| {
                             s[0] += 1;
@@ -376,23 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_arena_warm_prefaults_caller_slot() {
-        use std::sync::atomic::AtomicUsize;
-        let allocs = AtomicUsize::new(0);
-        let arena = ScratchArena::new(|| {
-            allocs.fetch_add(1, Ordering::Relaxed);
-            vec![0u8; 8]
-        });
-        with_threads(2, || arena.warm());
-        let warmed = allocs.load(Ordering::Relaxed);
-        assert!(warmed >= 1, "warm() builds at least the caller's buffer");
-        // The caller's slot is now warm: sequential reuse allocates nothing.
-        arena.with(|s| s[0] = 1);
-        arena.with(|s| assert_eq!(s[0], 1));
-        assert_eq!(allocs.load(Ordering::Relaxed), warmed);
-    }
-
-    #[test]
     fn scratch_arena_buffers_are_simd_aligned() {
         use crate::align::{AlignedVec, SIMD_ALIGN};
         // Kernel scratch factories build AlignedVecs, so every buffer the
@@ -400,7 +462,7 @@ mod tests {
         // 64-byte aligned and vector loads never take the unaligned path.
         let arena = ScratchArena::new(|| AlignedVec::filled(17, 0.0f32));
         with_threads(2, || {
-            (0..32usize).into_par_iter().with_min_len(1).for_each(|_| {
+            for_each(32, 1, |_| {
                 arena.with(|s| {
                     assert_eq!(s.as_slice().as_ptr() as usize % SIMD_ALIGN, 0);
                     // Nested use exercises the contended-fallback buffer.

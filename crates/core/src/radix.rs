@@ -15,9 +15,9 @@
 //! so the final permutation is the unique stable order of the full key —
 //! identical to a sequential comparator sort with an index tie-break.
 
-use rayon::prelude::*;
-
 use tenbench_obs as obs;
+
+use crate::par;
 
 /// Number of distinct 8-bit digits.
 const BUCKETS: usize = 256;
@@ -70,12 +70,12 @@ where
     }
     let _span = obs::span!("radix.sort");
     obs::counters::SORT_KEYS.add(n as u64);
-    let threads = rayon::current_num_threads().max(1);
+    let threads = par::current_threads().max(1);
     if threads > 1 && n >= PAR_MIN {
         // First-touch the scratch from the pool workers: the scatter is
         // bandwidth-bound, and pages committed by the allocating thread
         // would otherwise serve every worker's writes from one node.
-        let mut buf: Vec<u32> = crate::par::first_touch_filled(n, 0);
+        let mut buf: Vec<u32> = par::first_touch_filled(n, 0);
         for pass in 0..passes {
             if !parallel_pass(perm, &mut buf, pass, &digit, threads) {
                 std::mem::swap(perm, &mut buf);
@@ -136,17 +136,13 @@ where
     let bounds: Vec<usize> = (0..=nchunks).map(|c| c * n / nchunks).collect();
 
     // Per-chunk digit histograms.
-    let mut hists: Vec<[u32; BUCKETS]> = (0..nchunks)
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|c| {
-            let mut h = [0u32; BUCKETS];
-            for &p in &perm[bounds[c]..bounds[c + 1]] {
-                h[digit(p, pass) as usize] += 1;
-            }
-            h
-        })
-        .collect();
+    let mut hists: Vec<[u32; BUCKETS]> = par::map_collect(nchunks, 1, |c| {
+        let mut h = [0u32; BUCKETS];
+        for &p in &perm[bounds[c]..bounds[c + 1]] {
+            h[digit(p, pass) as usize] += 1;
+        }
+        h
+    });
 
     // Skip the pass outright when a single digit owns every element.
     let mut totals = [0u32; BUCKETS];
@@ -176,7 +172,7 @@ where
         }
         let cells = RawOut(hists.as_mut_ptr() as *mut u32);
         let cells_ref = &cells;
-        (0..BUCKETS).into_par_iter().with_min_len(16).for_each(|d| {
+        par::for_each(BUCKETS, 16, |d| {
             let mut running = bases[d];
             for c in 0..nchunks {
                 // SAFETY: digit d's column touches exactly the cells
@@ -205,7 +201,7 @@ where
     let out_ref = &out;
     let hists_ref = &hists;
     let bounds_ref = &bounds;
-    (0..nchunks).into_par_iter().with_min_len(1).for_each(|c| {
+    par::for_each(nchunks, 1, |c| {
         let mut offs = hists_ref[c];
         for &p in &perm[bounds_ref[c]..bounds_ref[c + 1]] {
             let d = digit(p, pass) as usize;

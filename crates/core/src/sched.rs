@@ -34,8 +34,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rayon::prelude::*;
-
 use crate::coo::CooTensor;
 use crate::hicoo::HicooTensor;
 use crate::par::current_threads;
@@ -270,7 +268,7 @@ impl RowSchedule {
             let out = RawPtr(rptr.as_mut_ptr());
             let out_ref = &out;
             let perm_ref = &perm;
-            (0..m).into_par_iter().with_min_len(4096).for_each(|j| {
+            crate::par::for_each(m, 4096, |j| {
                 let r = rows[perm_ref[j] as usize] as usize;
                 let lo = if j == 0 {
                     0

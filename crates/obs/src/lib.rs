@@ -22,7 +22,7 @@
 //!    recorded; and a bounded-memory log-bucketed latency histogram.
 //!
 //! The crate deliberately has no dependencies so that every other crate
-//! in the workspace — including the vendored `rayon` shim — can
+//! in the workspace — including the thread pool in `tenbench-core` — can
 //! instrument itself without creating an import cycle.
 //!
 //! # Quick start

@@ -2,8 +2,8 @@
 //!
 //! A [`MetricsReport`] condenses one capture — counter totals, per-span
 //! aggregates, and an optional pool-telemetry snapshot supplied by the
-//! embedder (the `bench` crate glues the rayon shim's `pool_stats()` in
-//! here) — into a structure the supervisor can merge into its
+//! embedder (`tenbench_core::par::pool_snapshot()` returns the
+//! [`PoolSnapshot`] defined here) — into a structure the supervisor can merge into its
 //! `SweepReport` JSON and `tenbench report` can render.
 
 use std::fmt::Write as _;

@@ -10,7 +10,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rayon::prelude::*;
+use tenbench_core::par::{self, Schedule};
 
 /// Configuration for one ERT run.
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ pub struct ErtReport {
 
 /// Run the bandwidth sweep and peak measurement.
 pub fn run(config: &ErtConfig) -> ErtReport {
-    let threads = rayon::current_num_threads().max(1);
+    let threads = par::current_threads().max(1);
     let mut points = Vec::new();
     let mut ws = config.min_working_set.max(12 * threads * 64);
     while ws <= config.max_working_set {
@@ -133,19 +133,17 @@ fn measure_triad(ws: usize, config: &ErtConfig) -> f64 {
     let mut reps = ((config.target_seconds * assumed_gbs) / bytes_per_pass).ceil() as usize;
     reps = reps.clamp(2, 1_000_000);
 
-    let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(1024);
+    let chunk = n.div_ceil(par::current_threads().max(1)).max(1024);
     let mut best = 0.0f64;
     for _ in 0..config.trials.max(1) {
         let t0 = Instant::now();
         for _ in 0..reps {
-            a.par_chunks_mut(chunk)
-                .zip(b.par_chunks(chunk))
-                .zip(c.par_chunks(chunk))
-                .for_each(|((ac, bc), cc)| {
-                    for i in 0..ac.len() {
-                        ac[i] = bc[i] * s + cc[i];
-                    }
-                });
+            par::chunks_mut(&mut a, chunk, Schedule::DYNAMIC, |k, ac| {
+                let (bc, cc) = (&b[k * chunk..][..ac.len()], &c[k * chunk..][..ac.len()]);
+                for i in 0..ac.len() {
+                    ac[i] = bc[i] * s + cc[i];
+                }
+            });
         }
         let dt = t0.elapsed().as_secs_f64();
         black_box(&a);
@@ -157,23 +155,23 @@ fn measure_triad(ws: usize, config: &ErtConfig) -> f64 {
 
 /// Register-resident FMA chains; returns GFLOPS.
 fn measure_peak(config: &ErtConfig) -> f64 {
-    let threads = rayon::current_num_threads().max(1);
+    let threads = par::current_threads().max(1);
     let iters: u64 = (config.target_seconds * 2.0e9).max(1.0e6) as u64;
     let t0 = Instant::now();
-    let sums: f64 = (0..threads)
-        .into_par_iter()
-        .map(|t| {
-            let mut x = [1.0f32 + t as f32 * 1e-3; 8];
-            let a = 1.000001f32;
-            let b = 1e-7f32;
-            for _ in 0..iters {
-                for xi in &mut x {
-                    *xi = *xi * a + b;
-                }
+    // Once per logical worker.
+    let sums: f64 = par::map_collect(threads, 1, |t| {
+        let mut x = [1.0f32 + t as f32 * 1e-3; 8];
+        let a = 1.000001f32;
+        let b = 1e-7f32;
+        for _ in 0..iters {
+            for xi in &mut x {
+                *xi = *xi * a + b;
             }
-            x.iter().map(|&v| v as f64).sum::<f64>()
-        })
-        .sum();
+        }
+        x.iter().map(|&v| v as f64).sum::<f64>()
+    })
+    .into_iter()
+    .sum();
     let dt = t0.elapsed().as_secs_f64();
     black_box(sums);
     // 8 chains x 2 flops per iteration per thread.

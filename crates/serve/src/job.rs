@@ -614,10 +614,7 @@ impl Method {
                 _ => {}
             }
             match threads {
-                Some(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-                    Ok(pool) => pool.install(|| body()),
-                    Err(_) => body(),
-                },
+                Some(n) => tenbench_core::par::with_threads(n, || body()),
                 None => body(),
             }
         })

@@ -1,5 +1,5 @@
 //! Cross-crate consistency: every implementation of every kernel —
-//! sequential, rayon-parallel, HiCOO, gHiCOO, CSF, and the simulated GPU
+//! sequential, parallel, HiCOO, gHiCOO, CSF, and the simulated GPU
 //! variants — must agree on generated datasets from both generator
 //! families.
 
