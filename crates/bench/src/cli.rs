@@ -243,7 +243,7 @@ pub fn generate(
 /// resolve to on a tensor and report GFLOPS. Every kernel validates
 /// `strategy`, and the report names the cell that ran. With a supervisor
 /// config the same prepared call runs on a watchdogged worker thread under
-/// panic isolation, with output validation and fallback (see [`run_cell`]).
+/// panic isolation, with output validation and fallback (see `run_cell`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_on(
     x: CooTensor<f32>,

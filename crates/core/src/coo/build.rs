@@ -1,6 +1,8 @@
 //! COO assembly: entry validation, lexicographic ordering, duplicate
 //! combination.
 
+use std::sync::Arc;
+
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
 use crate::sched::StructureId;
@@ -37,7 +39,7 @@ pub(super) fn from_entries<S: Scalar>(
 
     Ok(CooTensor {
         shape,
-        inds,
+        inds: Arc::from(inds),
         vals,
         sort: SortState::Lexicographic((0..order).collect()),
         id: StructureId::fresh(),
@@ -74,7 +76,7 @@ pub(super) fn from_parts<S: Scalar>(
     }
     Ok(CooTensor {
         shape,
-        inds,
+        inds: Arc::from(inds),
         vals,
         sort: SortState::Unsorted,
         id: StructureId::fresh(),

@@ -1,6 +1,8 @@
 //! Nonzero ordering: lexicographic (per mode precedence) and Morton (block)
 //! sorts, with sort-state tracking so kernels can skip redundant re-sorts.
 
+use std::sync::Arc;
+
 use crate::hicoo::morton;
 use crate::par;
 use crate::radix;
@@ -70,12 +72,20 @@ impl SortState {
     }
 }
 
-/// Apply a gather permutation to every array of the tensor.
+/// Apply a gather permutation to every array of the tensor. Index arrays
+/// shared with another tensor are gathered into new ones and left to their
+/// other owners; a sole owner replaces its arrays one mode at a time, so at
+/// most one extra index array is live.
 fn apply_perm<S: Scalar>(t: &mut CooTensor<S>, perm: &[u32]) {
     let gather_u32 =
         |src: &[u32]| -> Vec<u32> { par::map_collect(perm.len(), 1, |i| src[perm[i] as usize]) };
-    for m in 0..t.order() {
-        t.inds[m] = gather_u32(&t.inds[m]);
+    match Arc::get_mut(&mut t.inds) {
+        Some(inds) => {
+            for arr in inds.iter_mut() {
+                *arr = gather_u32(arr);
+            }
+        }
+        None => t.inds = t.inds.iter().map(|arr| gather_u32(arr)).collect(),
     }
     let vals = &t.vals;
     t.vals = par::map_collect(perm.len(), 1, |i| vals[perm[i] as usize]);
@@ -101,7 +111,7 @@ pub(super) fn sort_lexicographic<S: Scalar>(
     if algo.use_radix() {
         lex_perm_radix(&t.inds, t.shape.dims(), mode_order, &mut perm);
     } else {
-        let inds = &t.inds;
+        let inds: &[Vec<u32>] = &t.inds;
         par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             for &mode in mode_order {
@@ -172,7 +182,7 @@ pub(super) fn sort_morton<S: Scalar>(t: &mut CooTensor<S>, block_bits: u8, algo:
             }
             morton::interleave_key(&bc[..order])
         });
-        let inds = &t.inds;
+        let inds: &[Vec<u32>] = &t.inds;
         par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             keys[a]
@@ -191,7 +201,7 @@ pub(super) fn sort_morton<S: Scalar>(t: &mut CooTensor<S>, block_bits: u8, algo:
         });
     } else {
         // Orders above 4: the comparison-based most-significant-bit trick.
-        let inds = &t.inds;
+        let inds: &[Vec<u32>] = &t.inds;
         par::sort_unstable_by(&mut perm, |&a, &b| {
             let (a, b) = (a as usize, b as usize);
             let ba = |mode: usize| inds[mode][a] >> block_bits;

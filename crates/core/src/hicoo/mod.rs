@@ -25,6 +25,7 @@ pub use ghicoo::{GHicooTensor, GhFiberPartition};
 pub use shicoo::SemiSparseHicooTensor;
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
@@ -44,22 +45,34 @@ pub(crate) fn check_block_bits(block_bits: u8) -> Result<()> {
 }
 
 /// A general sparse tensor in HiCOO format.
+///
+/// The block structure is shared copy-on-write, as [`CooTensor`]'s index
+/// arrays are: a clone and a value-only kernel output point at their
+/// source's block pointers and indices. Values are never shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HicooTensor<S: Scalar> {
     shape: Shape,
     block_bits: u8,
-    bptr: Vec<u64>,
-    binds: Vec<Vec<u32>>,
-    einds: Vec<Vec<u8>>,
+    blocks: Arc<Blocks>,
     vals: Vec<S>,
     id: StructureId,
 }
 
+/// Everything of a [`HicooTensor`] but its values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Blocks {
+    bptr: Vec<u64>,
+    binds: Vec<Vec<u32>>,
+    einds: Vec<Vec<u8>>,
+}
+
 impl<S: Scalar> HicooTensor<S> {
     /// Convert from COO with block edge `2^block_bits` (the paper's default
-    /// is `B = 128`, i.e. `block_bits = 7`). The input is cloned and
-    /// Morton-sorted; use [`HicooTensor::from_coo_inplace`] to reuse an
-    /// existing tensor's allocation and keep its new sort order.
+    /// is `B = 128`, i.e. `block_bits = 7`). The input is left untouched: a
+    /// copy of its values is Morton-sorted together with its index arrays,
+    /// which are shared rather than copied until the sort replaces them. Use
+    /// [`HicooTensor::from_coo_inplace`] to sort an existing tensor instead
+    /// and keep its new order.
     ///
     /// # Examples
     /// ```
@@ -134,9 +147,7 @@ impl<S: Scalar> HicooTensor<S> {
         Ok(HicooTensor {
             shape: coo.shape().clone(),
             block_bits,
-            bptr,
-            binds,
-            einds,
+            blocks: Arc::new(Blocks { bptr, binds, einds }),
             vals,
             id: StructureId::fresh(),
         })
@@ -155,14 +166,26 @@ impl<S: Scalar> HicooTensor<S> {
         let t = HicooTensor {
             shape,
             block_bits,
-            bptr,
-            binds,
-            einds,
+            blocks: Arc::new(Blocks { bptr, binds, einds }),
             vals,
             id: StructureId::fresh(),
         };
         debug_assert!(t.validate().is_ok());
         t
+    }
+
+    /// A tensor with this one's block structure (shared, not copied) and
+    /// shape, holding `vals` instead — the output of every value-only
+    /// kernel. Its structure id is fresh, as for any new tensor.
+    pub(crate) fn with_vals(&self, vals: Vec<S>) -> Self {
+        debug_assert_eq!(vals.len(), self.nnz());
+        HicooTensor {
+            shape: self.shape.clone(),
+            block_bits: self.block_bits,
+            blocks: Arc::clone(&self.blocks),
+            vals,
+            id: StructureId::fresh(),
+        }
     }
 
     /// Identity of the index structure (see [`StructureId`]).
@@ -192,7 +215,7 @@ impl<S: Scalar> HicooTensor<S> {
     /// Number of nonempty blocks (`n_b`).
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.bptr.len().saturating_sub(1)
+        self.bptr().len().saturating_sub(1)
     }
 
     /// log2 of the block edge length.
@@ -221,7 +244,7 @@ impl<S: Scalar> HicooTensor<S> {
     /// indicator (paper §3.4.2).
     pub fn max_nnz_per_block(&self) -> usize {
         (0..self.num_blocks())
-            .map(|b| (self.bptr[b + 1] - self.bptr[b]) as usize)
+            .map(|b| (self.bptr()[b + 1] - self.bptr()[b]) as usize)
             .max()
             .unwrap_or(0)
     }
@@ -229,31 +252,31 @@ impl<S: Scalar> HicooTensor<S> {
     /// Half-open nonzero range of block `b`.
     #[inline]
     pub fn block_range(&self, b: usize) -> std::ops::Range<usize> {
-        self.bptr[b] as usize..self.bptr[b + 1] as usize
+        self.bptr()[b] as usize..self.bptr()[b + 1] as usize
     }
 
     /// Block coordinate of block `b` in `mode`.
     #[inline]
     pub fn block_ind(&self, b: usize, mode: usize) -> u32 {
-        self.binds[mode][b]
+        self.binds()[mode][b]
     }
 
     /// The per-mode block coordinate arrays.
     #[inline]
     pub fn binds(&self) -> &[Vec<u32>] {
-        &self.binds
+        &self.blocks.binds
     }
 
     /// The per-mode element (within-block) offset arrays.
     #[inline]
     pub fn einds(&self) -> &[Vec<u8>] {
-        &self.einds
+        &self.blocks.einds
     }
 
     /// The block pointer array.
     #[inline]
     pub fn bptr(&self) -> &[u64] {
-        &self.bptr
+        &self.blocks.bptr
     }
 
     /// The values.
@@ -272,7 +295,7 @@ impl<S: Scalar> HicooTensor<S> {
     #[inline]
     pub fn coord_of(&self, b: usize, x: usize, buf: &mut [u32]) {
         for mode in 0..self.order() {
-            buf[mode] = (self.binds[mode][b] << self.block_bits) | self.einds[mode][x] as u32;
+            buf[mode] = (self.binds()[mode][b] << self.block_bits) | self.einds()[mode][x] as u32;
         }
     }
 
@@ -284,7 +307,9 @@ impl<S: Scalar> HicooTensor<S> {
         for b in 0..self.num_blocks() {
             for x in self.block_range(b) {
                 for (mode, arr) in inds.iter_mut().enumerate() {
-                    arr.push((self.binds[mode][b] << self.block_bits) | self.einds[mode][x] as u32);
+                    arr.push(
+                        (self.binds()[mode][b] << self.block_bits) | self.einds()[mode][x] as u32,
+                    );
                 }
             }
         }
@@ -304,13 +329,13 @@ impl<S: Scalar> HicooTensor<S> {
     }
 
     /// `true` if two HiCOO tensors share block structure and element pattern
-    /// (the same-pattern Tew fast-path requirement).
+    /// (the same-pattern Tew fast-path requirement). Tensors that share
+    /// their structure answer without a scan; separately converted ones are
+    /// compared array by array.
     pub fn same_pattern(&self, other: &HicooTensor<S>) -> bool {
         self.shape == other.shape
             && self.block_bits == other.block_bits
-            && self.bptr == other.bptr
-            && self.binds == other.binds
-            && self.einds == other.einds
+            && (Arc::ptr_eq(&self.blocks, &other.blocks) || self.blocks == other.blocks)
     }
 
     /// Storage bytes: `u64` block pointers, `u32` block indices per mode,
@@ -332,27 +357,28 @@ impl<S: Scalar> HicooTensor<S> {
     pub fn validate(&self) -> Result<()> {
         check_block_bits(self.block_bits)?;
         let nb = self.num_blocks();
-        if self.bptr.first() != Some(&0) || *self.bptr.last().unwrap_or(&0) != self.nnz() as u64 {
+        if self.bptr().first() != Some(&0) || *self.bptr().last().unwrap_or(&0) != self.nnz() as u64
+        {
             return Err(TensorError::InvalidStructure(
                 "bptr must start at 0 and end at nnz".into(),
             ));
         }
         for b in 0..nb {
-            if self.bptr[b] >= self.bptr[b + 1] {
+            if self.bptr()[b] >= self.bptr()[b + 1] {
                 return Err(TensorError::InvalidStructure(format!(
                     "block {b} is empty or bptr not strictly increasing"
                 )));
             }
         }
-        if self.binds.len() != self.order() || self.einds.len() != self.order() {
+        if self.binds().len() != self.order() || self.einds().len() != self.order() {
             return Err(TensorError::InvalidStructure(format!(
                 "{} binds / {} einds arrays for order-{} tensor",
-                self.binds.len(),
-                self.einds.len(),
+                self.binds().len(),
+                self.einds().len(),
                 self.order()
             )));
         }
-        for (mode, arr) in self.binds.iter().enumerate() {
+        for (mode, arr) in self.binds().iter().enumerate() {
             if arr.len() != nb {
                 return Err(TensorError::InvalidStructure(format!(
                     "mode-{mode} binds length {} != block count {nb}",
@@ -361,7 +387,7 @@ impl<S: Scalar> HicooTensor<S> {
             }
         }
         let edge = self.block_size();
-        for (mode, arr) in self.einds.iter().enumerate() {
+        for (mode, arr) in self.einds().iter().enumerate() {
             if arr.len() != self.nnz() {
                 return Err(TensorError::InvalidStructure(format!(
                     "mode-{mode} einds length {} != nnz {}",
@@ -384,7 +410,7 @@ impl<S: Scalar> HicooTensor<S> {
         let mut prev = vec![0u32; self.order()];
         let mut curr = vec![0u32; self.order()];
         for b in 1..nb {
-            for (mode, arr) in self.binds.iter().enumerate() {
+            for (mode, arr) in self.binds().iter().enumerate() {
                 prev[mode] = arr[b - 1];
                 curr[mode] = arr[b];
             }
@@ -530,7 +556,8 @@ mod tests {
 
         // Element index at or above the block edge.
         let mut t = good.clone();
-        t.einds[0][0] = t.block_size() as u8;
+        let edge = t.block_size() as u8;
+        Arc::make_mut(&mut t.blocks).einds[0][0] = edge;
         assert!(matches!(
             t.validate(),
             Err(TensorError::InvalidStructure(_))
@@ -538,7 +565,7 @@ mod tests {
 
         // Duplicated adjacent block coordinate.
         let mut t = good.clone();
-        for arr in &mut t.binds {
+        for arr in &mut Arc::make_mut(&mut t.blocks).binds {
             let first = arr[0];
             arr[1] = first;
         }
@@ -549,8 +576,9 @@ mod tests {
 
         // Blocks in neither Morton nor lexicographic order.
         let mut t = good.clone();
-        for arr in &mut t.binds {
-            arr.swap(0, t.bptr.len() - 2);
+        let last = t.num_blocks() - 1;
+        for arr in &mut Arc::make_mut(&mut t.blocks).binds {
+            arr.swap(0, last);
         }
         assert!(matches!(
             t.validate(),
@@ -559,7 +587,7 @@ mod tests {
 
         // einds array length out of sync with nnz.
         let mut t = good.clone();
-        t.einds[1].pop();
+        Arc::make_mut(&mut t.blocks).einds[1].pop();
         assert!(matches!(
             t.validate(),
             Err(TensorError::InvalidStructure(_))

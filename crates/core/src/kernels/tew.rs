@@ -2,6 +2,8 @@
 //!
 //! The trivial case is two tensors with exactly the same nonzero pattern:
 //! one loop over the value arrays (the case Table 1 analyzes, OI = 1/12).
+//! Its output shares the left operand's index structure, so a call moves
+//! values only, in COO and HiCOO alike.
 //! The general case iterates both tensors in lexicographic order and matches
 //! coordinates as execution proceeds; the output pattern depends on the
 //! operation:
@@ -79,8 +81,30 @@ fn charge(m: usize) {
     }
 }
 
+/// The value loop of every parallel same-pattern Tew: `op` over two
+/// equal-length value arrays, into a new one.
+fn combine<S: Scalar>(xv: &[S], yv: &[S], op: EwOp) -> Vec<S> {
+    let mut vals: Vec<S> = vec![S::ZERO; xv.len()];
+    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
+        let at = c * CHUNK..c * CHUNK + o.len();
+        simd::ew_combine_into(op, &xv[at.clone()], &yv[at], o)
+    });
+    vals
+}
+
+/// [`tew_same_pattern`] without its checks, for callers that made them.
+fn tew_same_pattern_unchecked<S: Scalar>(
+    x: &CooTensor<S>,
+    y: &CooTensor<S>,
+    op: EwOp,
+) -> CooTensor<S> {
+    let _span = obs::span!("tew.coo");
+    charge(x.nnz());
+    x.with_vals(combine(x.vals(), y.vals(), op))
+}
+
 /// Same-pattern Tew, parallel over nonzeros (COO-Tew-OMP). The output shares
-/// the inputs' index arrays and sort state; only values are computed.
+/// `x`'s index arrays and sort state; only values are computed.
 pub fn tew_same_pattern<S: Scalar>(
     x: &CooTensor<S>,
     y: &CooTensor<S>,
@@ -90,20 +114,7 @@ pub fn tew_same_pattern<S: Scalar>(
     if !x.same_pattern(y) {
         return Err(TensorError::PatternMismatch);
     }
-    let _span = obs::span!("tew.coo");
-    charge(x.nnz());
-    let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    let (xv, yv) = (x.vals(), y.vals());
-    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
-        let at = c * CHUNK..c * CHUNK + o.len();
-        simd::ew_combine_into(op, &xv[at.clone()], &yv[at], o)
-    });
-    Ok(CooTensor::from_parts_unchecked(
-        x.shape().clone(),
-        x.inds().to_vec(),
-        vals,
-        x.sort_state().clone(),
-    ))
+    Ok(tew_same_pattern_unchecked(x, y, op))
 }
 
 /// Sequential same-pattern Tew (the single-thread baseline).
@@ -120,12 +131,7 @@ pub fn tew_same_pattern_seq<S: Scalar>(
     charge(x.nnz());
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     simd::ew_combine_into(op, x.vals(), y.vals(), &mut vals);
-    Ok(CooTensor::from_parts_unchecked(
-        x.shape().clone(),
-        x.inds().to_vec(),
-        vals,
-        x.sort_state().clone(),
-    ))
+    Ok(x.with_vals(vals))
 }
 
 /// Merge one aligned coordinate range of `x` and `y` into the output arrays.
@@ -328,7 +334,7 @@ pub fn tew_general<S: Scalar>(
 pub fn tew<S: Scalar>(x: &CooTensor<S>, y: &CooTensor<S>, op: EwOp) -> Result<CooTensor<S>> {
     check_same_shape(x, y)?;
     if x.same_pattern(y) {
-        return tew_same_pattern(x, y, op);
+        return Ok(tew_same_pattern_unchecked(x, y, op));
     }
     let ord = default_order(x.order());
     let sorted = |t: &CooTensor<S>| -> CooTensor<S> {
@@ -347,10 +353,10 @@ pub fn tew<S: Scalar>(x: &CooTensor<S>, y: &CooTensor<S>, op: EwOp) -> Result<Co
     }
 }
 
-/// Same-pattern Tew over HiCOO operands (HiCOO-Tew-OMP): identical value
-/// loop; the output shares the inputs' block structure. The pre-processing
-/// difference (allocating HiCOO instead of COO indices) is what
-/// distinguishes it from the COO kernel in the paper's measurements.
+/// Same-pattern Tew over HiCOO operands (HiCOO-Tew-OMP): the COO kernel's
+/// value loop; the output shares `x`'s block structure. Operands converted
+/// separately share no structure, so their pattern check compares the
+/// block arrays in full.
 pub fn tew_hicoo_same_pattern<S: Scalar>(
     x: &HicooTensor<S>,
     y: &HicooTensor<S>,
@@ -367,12 +373,7 @@ pub fn tew_hicoo_same_pattern<S: Scalar>(
     }
     let _span = obs::span!("tew.hicoo");
     charge(x.nnz());
-    let mut out = x.clone();
-    let yv = y.vals();
-    par::chunks_mut(out.vals_mut(), CHUNK, Schedule::DYNAMIC, |c, a| {
-        simd::ew_combine_assign(op, a, &yv[c * CHUNK..c * CHUNK + a.len()])
-    });
-    Ok(out)
+    Ok(x.with_vals(combine(x.vals(), y.vals(), op)))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Ts — tensor–scalar operations (paper §2.2).
 //!
 //! One loop over the nonzero values; the output pattern equals the input
-//! pattern, so pre-processing only clones the index arrays. The paper
-//! implements Tsa and Tsm ("sufficient to support them all"); this module
-//! supports all four operations, with division by a zero scalar reported as
-//! an error rather than silently producing infinities.
+//! pattern, so the output shares the input's index structure and a call
+//! moves values only, in COO and HiCOO alike. The paper implements Tsa and
+//! Tsm ("sufficient to support them all"); this module supports all four
+//! operations, with division by a zero scalar reported as an error rather
+//! than silently producing infinities.
 
 use tenbench_obs as obs;
 
@@ -40,22 +41,23 @@ fn charge(m: usize) {
     }
 }
 
-/// Tensor–scalar operation, parallel over nonzeros (COO-Ts-OMP).
+/// The value loop of every parallel Ts: `op` with `s` over a value array,
+/// into a new one.
+fn scale<S: Scalar>(xv: &[S], s: S, op: EwOp) -> Vec<S> {
+    let mut vals: Vec<S> = vec![S::ZERO; xv.len()];
+    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
+        simd::ew_scalar_into(op, &xv[c * CHUNK..c * CHUNK + o.len()], s, o)
+    });
+    vals
+}
+
+/// Tensor–scalar operation, parallel over nonzeros (COO-Ts-OMP). The output
+/// shares `x`'s index arrays and sort state.
 pub fn ts<S: Scalar>(x: &CooTensor<S>, s: S, op: EwOp) -> Result<CooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.coo");
     charge(x.nnz());
-    let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
-    let xv = x.vals();
-    par::chunks_mut(&mut vals, CHUNK, Schedule::DYNAMIC, |c, o| {
-        simd::ew_scalar_into(op, &xv[c * CHUNK..c * CHUNK + o.len()], s, o)
-    });
-    Ok(CooTensor::from_parts_unchecked(
-        x.shape().clone(),
-        x.inds().to_vec(),
-        vals,
-        x.sort_state().clone(),
-    ))
+    Ok(x.with_vals(scale(x.vals(), s, op)))
 }
 
 /// Sequential tensor–scalar baseline.
@@ -65,25 +67,16 @@ pub fn ts_seq<S: Scalar>(x: &CooTensor<S>, s: S, op: EwOp) -> Result<CooTensor<S
     charge(x.nnz());
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     simd::ew_scalar_into(op, x.vals(), s, &mut vals);
-    Ok(CooTensor::from_parts_unchecked(
-        x.shape().clone(),
-        x.inds().to_vec(),
-        vals,
-        x.sort_state().clone(),
-    ))
+    Ok(x.with_vals(vals))
 }
 
-/// Tensor–scalar over HiCOO (HiCOO-Ts-OMP): identical value loop, output in
-/// HiCOO with the input's block structure.
+/// Tensor–scalar over HiCOO (HiCOO-Ts-OMP): the COO kernel's value loop;
+/// the output shares `x`'s block structure.
 pub fn ts_hicoo<S: Scalar>(x: &HicooTensor<S>, s: S, op: EwOp) -> Result<HicooTensor<S>> {
     check_scalar(op, s)?;
     let _span = obs::span!("ts.hicoo");
     charge(x.nnz());
-    let mut out = x.clone();
-    par::chunks_mut(out.vals_mut(), CHUNK, Schedule::DYNAMIC, |_, a| {
-        simd::ew_scalar_assign(op, a, s)
-    });
-    Ok(out)
+    Ok(x.with_vals(scale(x.vals(), s, op)))
 }
 
 #[cfg(test)]

@@ -212,9 +212,8 @@ pub fn ttm_hicoo<S: Scalar>(
 
 /// Scheduled HiCOO-Ttm: contracts `mode` directly on the HiCOO blocks using
 /// the cached [`crate::sched::complement_schedule`], with no COO round-trip
-/// and no gHiCOO re-blocking. Tensors of order above
-/// [`MAX_SCHED_ORDER`](crate::kernels::ttv::MAX_SCHED_ORDER) fall back to
-/// [`ttm_hicoo`].
+/// and no gHiCOO re-blocking. Tensors of order above 9 (the scheduled
+/// Ttv's limit) fall back to [`ttm_hicoo`].
 pub fn ttm_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     u: &DenseMatrix<S>,

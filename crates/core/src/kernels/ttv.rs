@@ -277,7 +277,7 @@ pub fn ttv_hicoo<S: Scalar>(
 /// Scheduled HiCOO-Ttv: contracts `mode` directly on the HiCOO blocks using
 /// the cached [`crate::sched::complement_schedule`], with no COO round-trip
 /// and no gHiCOO re-blocking (the pre-processing `ttv_hicoo` pays on every
-/// call). Tensors of order above [`MAX_SCHED_ORDER`] fall back to
+/// call). Tensors of order above 9 (`MAX_SCHED_ORDER`) fall back to
 /// [`ttv_hicoo`].
 pub fn ttv_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,

@@ -1,7 +1,7 @@
 //! The suite's parallel runtime — its stand-in for the paper's OpenMP
 //! `parallel for` (§5.1.2: static or dynamic chunking, a thread count).
 //!
-//! One persistent pool ([`pool`]: parked workers, a shared chunk counter per
+//! One persistent pool (`pool`: parked workers, a shared chunk counter per
 //! region, the submitting caller always participating) and five loop
 //! functions on top of it, one per loop shape the suite has:
 //! [`for_each`] and [`map_collect`] over an index range, [`map_chunks`] for

@@ -179,7 +179,8 @@ fn note_caller_region(elapsed_ns: u64, scheduled_chunks: u64, executed_chunks: u
 /// Hard cap on pool worker (helper) threads for the whole process.
 const MAX_WORKERS: usize = 255;
 
-/// [`MAX_WORKERS`]: stable worker indices are always below it.
+/// The process-wide cap on pool worker threads (`MAX_WORKERS`): stable
+/// worker indices are always below it.
 pub fn pool_max_workers() -> usize {
     MAX_WORKERS
 }

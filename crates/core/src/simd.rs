@@ -151,27 +151,11 @@ pub fn ew_combine_into<S: Scalar>(op: EwOp, a: &[S], b: &[S], out: &mut [S]) {
     }
 }
 
-/// `dst[i] = op(dst[i], src[i])` (in-place TEW over HiCOO values).
-#[inline]
-pub fn ew_combine_assign<S: Scalar>(op: EwOp, dst: &mut [S], src: &[S]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = op.apply(*d, s);
-    }
-}
-
 /// `out[i] = op(src[i], s)` (TS body).
 #[inline]
 pub fn ew_scalar_into<S: Scalar>(op: EwOp, src: &[S], s: S, out: &mut [S]) {
     for (o, &x) in out.iter_mut().zip(src) {
         *o = op.apply(x, s);
-    }
-}
-
-/// `dst[i] = op(dst[i], s)` (in-place TS).
-#[inline]
-pub fn ew_scalar_assign<S: Scalar>(op: EwOp, dst: &mut [S], s: S) {
-    for d in dst.iter_mut() {
-        *d = op.apply(*d, s);
     }
 }
 
@@ -209,19 +193,13 @@ mod tests {
             for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
                 let mut into = vec![0.0f32; n];
                 ew_combine_into(op, &a, &b, &mut into);
-                let mut assign = a.clone();
-                ew_combine_assign(op, &mut assign, &b);
                 let mut s_into = vec![0.0f32; n];
                 ew_scalar_into(op, &a, 1.5, &mut s_into);
-                let mut s_assign = a.clone();
-                ew_scalar_assign(op, &mut s_assign, 1.5);
                 for i in 0..n {
                     let want = op.apply(a[i], b[i]).to_bits();
                     assert_eq!(into[i].to_bits(), want, "combine_into {op:?} n={n}");
-                    assert_eq!(assign[i].to_bits(), want, "combine_assign {op:?} n={n}");
                     let want = op.apply(a[i], 1.5).to_bits();
                     assert_eq!(s_into[i].to_bits(), want, "scalar_into {op:?} n={n}");
-                    assert_eq!(s_assign[i].to_bits(), want, "scalar_assign {op:?} n={n}");
                 }
             }
         }

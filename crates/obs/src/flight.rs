@@ -13,7 +13,7 @@
 //! `--flight-dump-dir` on the CLI), so the fault ships with the last-N
 //! events of context that explain it.
 //!
-//! Rings mirror the claim discipline of [`crate::span`]'s buffers: an
+//! Rings mirror the claim discipline of [`mod@crate::span`]'s buffers: an
 //! `AtomicBool` CAS serializes the owner's push against a dump's
 //! snapshot. A push that loses the claim (a dump is copying this ring)
 //! increments a drop counter instead of spinning unboundedly.

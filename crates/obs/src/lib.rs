@@ -2,7 +2,7 @@
 //!
 //! The crate has three layers:
 //!
-//! 1. **Span recording** ([`span`]): RAII guards created with
+//! 1. **Span recording** ([`mod@span`]): RAII guards created with
 //!    [`span!("name")`](crate::span!) push `Begin`/`End` events into a
 //!    per-thread buffer. A *disabled* span costs one relaxed atomic load;
 //!    an enabled one costs two `Vec` pushes and two monotonic clock reads.

@@ -18,8 +18,8 @@
 //! hot tensor cannot stall admission for the rest of the key space.
 //!
 //! Causal tracing crosses the socket in the frame header's `ctx` word:
-//! the client stamps its [`TraceCtx`] id, the connection handler mints a
-//! child of that id ([`TraceCtx::mint_with_parent`]) and installs it
+//! the client stamps its [`obs::TraceCtx`] id, the connection handler mints a
+//! child of that id ([`obs::TraceCtx::mint_with_parent`]) and installs it
 //! around the submit, and the service mints the request ctx as a child of
 //! *that* — a flight-recorder dump stitches client → connection → shard →
 //! pool worker into one chain.
@@ -262,7 +262,7 @@ fn get_str(payload: &mut Bytes) -> Result<String, String> {
     Ok(s)
 }
 
-/// Decode a response payload (the client side of [`encode_response`]).
+/// Decode a response payload (the client side of `encode_response`).
 pub fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
     if !payload.has_remaining() {
         return Err("empty response payload".into());
