@@ -54,7 +54,7 @@ fn bench_hicoo_scheduled(c: &mut Criterion) {
     let v = DenseVector::constant(inputs.x.shape().dim(mode) as usize, 1.0f32);
     let u = &inputs.factors[mode];
 
-    // Build the cached schedules outside the timed region, matching how the
+    // Build `hx`'s schedules outside the timed region, matching how the
     // suite treats schedule construction as untimed pre-processing.
     let _ = complement_schedule(&hx, mode);
     let _ = mode_schedule(&hx, mode);

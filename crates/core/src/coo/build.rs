@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
-use crate::sched::StructureId;
+use crate::sched;
 use crate::shape::Shape;
 
 use super::{CooTensor, SortState};
@@ -40,9 +40,9 @@ pub(super) fn from_entries<S: Scalar>(
     Ok(CooTensor {
         shape,
         inds: Arc::from(inds),
+        scheds: sched::empty_slots(order),
         vals,
         sort: SortState::Lexicographic((0..order).collect()),
-        id: StructureId::fresh(),
     })
 }
 
@@ -75,11 +75,11 @@ pub(super) fn from_parts<S: Scalar>(
         }
     }
     Ok(CooTensor {
+        scheds: sched::empty_slots(shape.order()),
         shape,
         inds: Arc::from(inds),
         vals,
         sort: SortState::Unsorted,
-        id: StructureId::fresh(),
     })
 }
 

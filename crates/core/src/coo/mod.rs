@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
-use crate::sched::StructureId;
+use crate::sched::{self, RowSlot};
 use crate::shape::Shape;
 
 /// A general sparse tensor of arbitrary order in coordinate format.
@@ -37,8 +37,9 @@ use crate::shape::Shape;
 /// The index arrays are shared copy-on-write: a clone, and the output of a
 /// value-only kernel (same-pattern Tew, Ts), points at the same arrays as
 /// its source, and whichever side later sorts or relabels gets its own
-/// copy first. Values are never shared.
-#[derive(Debug, Clone, PartialEq)]
+/// copy first. Values are never shared. The schedules built for the index
+/// arrays (see [`crate::sched`]) sit beside them and are shared with them.
+#[derive(Debug, Clone)]
 pub struct CooTensor<S: Scalar> {
     shape: Shape,
     /// One index array per mode; all have length `nnz()`. A slice rather
@@ -47,9 +48,19 @@ pub struct CooTensor<S: Scalar> {
     /// loads than through a plain `Vec`. Loops that re-read `mode_inds` per
     /// nonzero (atomic Mttkrp) measured 12–37 % slower with the extra hop.
     inds: Arc<[Vec<u32>]>,
+    /// One schedule slot per mode, describing `inds`: shared exactly when
+    /// `inds` is, and replaced by empty ones whenever it is written
+    /// ([`CooTensor::inds_mut`]).
+    scheds: Arc<[RowSlot]>,
     vals: Vec<S>,
     sort: SortState,
-    id: StructureId,
+}
+
+/// Equal shape, coordinates, values and sort state; schedules take no part.
+impl<S: Scalar> PartialEq for CooTensor<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_pattern(other) && self.vals == other.vals && self.sort == other.sort
+    }
 }
 
 impl<S: Scalar> CooTensor<S> {
@@ -59,9 +70,9 @@ impl<S: Scalar> CooTensor<S> {
         CooTensor {
             shape,
             inds: Arc::from(vec![Vec::new(); order]),
+            scheds: sched::empty_slots(order),
             vals: Vec::new(),
             sort: SortState::Unsorted,
-            id: StructureId::fresh(),
         }
     }
 
@@ -94,26 +105,35 @@ impl<S: Scalar> CooTensor<S> {
         debug_assert_eq!(inds.len(), shape.order());
         debug_assert!(inds.iter().all(|a| a.len() == vals.len()));
         CooTensor {
+            scheds: sched::empty_slots(shape.order()),
             shape,
             inds: Arc::from(inds),
             vals,
             sort,
-            id: StructureId::fresh(),
         }
     }
 
-    /// A tensor with this one's index arrays (shared, not copied), shape and
-    /// sort state, holding `vals` instead — the output of every value-only
-    /// kernel. Its structure id is fresh, as for any new tensor.
+    /// A tensor with this one's index arrays and schedules (shared, not
+    /// copied), shape and sort state, holding `vals` instead — the output of
+    /// every value-only kernel.
     pub(crate) fn with_vals(&self, vals: Vec<S>) -> Self {
         debug_assert_eq!(vals.len(), self.nnz());
         CooTensor {
             shape: self.shape.clone(),
             inds: Arc::clone(&self.inds),
+            scheds: Arc::clone(&self.scheds),
             vals,
             sort: self.sort.clone(),
-            id: StructureId::fresh(),
         }
+    }
+
+    /// The index arrays, for writing. The schedule slots are replaced by
+    /// empty ones first: whatever the caller does to the arrays, the old
+    /// schedules no longer describe them. Every index write goes through
+    /// here.
+    fn inds_mut(&mut self) -> &mut Arc<[Vec<u32>]> {
+        self.scheds = sched::empty_slots(self.order());
+        &mut self.inds
     }
 
     /// The tensor shape.
@@ -157,10 +177,10 @@ impl<S: Scalar> CooTensor<S> {
         &self.vals
     }
 
-    /// Identity of the current index structure (see [`StructureId`]).
+    /// The per-mode schedule slots of the index structure.
     #[inline]
-    pub(crate) fn structure_id(&self) -> &StructureId {
-        &self.id
+    pub(crate) fn schedule_slots(&self) -> &[RowSlot] {
+        &self.scheds
     }
 
     /// The value array, mutably (indices are immutable through this — value
@@ -252,11 +272,10 @@ impl<S: Scalar> CooTensor<S> {
     /// Relabel one mode's indices through a permutation (validated by the
     /// caller, `crate::reorder`); invalidates the sort state.
     pub(crate) fn relabel_mode(&mut self, mode: usize, perm: &[u32]) {
-        for i in Arc::make_mut(&mut self.inds)[mode].iter_mut() {
+        for i in Arc::make_mut(self.inds_mut())[mode].iter_mut() {
             *i = perm[*i as usize];
         }
         self.sort = SortState::Unsorted;
-        self.id = StructureId::fresh();
     }
 
     /// Storage footprint in bytes: `order` index arrays of `u32` plus values.
@@ -272,10 +291,9 @@ impl<S: Scalar> CooTensor<S> {
     /// Two tensors with the same fingerprint are treated as
     /// interchangeable by the serving layer's format/schedule cache, so
     /// the hash mixes values (not just the pattern); sampling keeps it
-    /// O(1) regardless of nnz. This is content-addressed, unlike the
-    /// schedule cache in [`crate::sched`], which keys on each tensor's
-    /// [`StructureId`] — so a cached tensor keeps its schedules for as long
-    /// as the serving layer holds it.
+    /// O(1) regardless of nnz. Schedules need no key: they live on the
+    /// tensor (see [`crate::sched`]), so a cached tensor keeps its schedules
+    /// for as long as the serving layer holds it.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -492,7 +510,7 @@ mod tests {
     fn validate_detects_false_sort_claims() {
         // Claims lexicographic order but the nonzeros are shuffled.
         let mut t = small();
-        for arr in Arc::make_mut(&mut t.inds) {
+        for arr in Arc::make_mut(t.inds_mut()) {
             arr.swap(0, 2);
         }
         assert!(matches!(
@@ -503,7 +521,7 @@ mod tests {
         // Claims Morton block order but blocks run backwards.
         let mut t = small();
         t.sort_morton(1);
-        for arr in Arc::make_mut(&mut t.inds) {
+        for arr in Arc::make_mut(t.inds_mut()) {
             arr.reverse();
         }
         t.vals.reverse();

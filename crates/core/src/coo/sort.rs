@@ -7,7 +7,6 @@ use crate::hicoo::morton;
 use crate::par;
 use crate::radix;
 use crate::scalar::Scalar;
-use crate::sched::StructureId;
 
 use super::CooTensor;
 
@@ -79,17 +78,17 @@ impl SortState {
 fn apply_perm<S: Scalar>(t: &mut CooTensor<S>, perm: &[u32]) {
     let gather_u32 =
         |src: &[u32]| -> Vec<u32> { par::map_collect(perm.len(), 1, |i| src[perm[i] as usize]) };
-    match Arc::get_mut(&mut t.inds) {
-        Some(inds) => {
-            for arr in inds.iter_mut() {
+    let inds = t.inds_mut();
+    match Arc::get_mut(inds) {
+        Some(arrs) => {
+            for arr in arrs.iter_mut() {
                 *arr = gather_u32(arr);
             }
         }
-        None => t.inds = t.inds.iter().map(|arr| gather_u32(arr)).collect(),
+        None => *inds = inds.iter().map(|arr| gather_u32(arr)).collect(),
     }
     let vals = &t.vals;
     t.vals = par::map_collect(perm.len(), 1, |i| vals[perm[i] as usize]);
-    t.id = StructureId::fresh();
 }
 
 pub(super) fn sort_lexicographic<S: Scalar>(

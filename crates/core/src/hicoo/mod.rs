@@ -31,7 +31,7 @@ use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::par;
 use crate::scalar::Scalar;
-use crate::sched::StructureId;
+use crate::sched::{self, BlockSlots};
 use crate::shape::Shape;
 
 /// Validate the block-bits parameter: element indices are stored in `u8`, so
@@ -48,14 +48,26 @@ pub(crate) fn check_block_bits(block_bits: u8) -> Result<()> {
 ///
 /// The block structure is shared copy-on-write, as [`CooTensor`]'s index
 /// arrays are: a clone and a value-only kernel output point at their
-/// source's block pointers and indices. Values are never shared.
-#[derive(Debug, Clone, PartialEq)]
+/// source's block pointers and indices. Values are never shared. The
+/// schedules built for the blocks (see [`crate::sched`]) sit beside them
+/// and are shared with them.
+#[derive(Debug, Clone)]
 pub struct HicooTensor<S: Scalar> {
     shape: Shape,
     block_bits: u8,
     blocks: Arc<Blocks>,
+    /// One pair of schedule slots per mode, describing `blocks`: shared
+    /// exactly when `blocks` is, and replaced by empty ones whenever it is
+    /// written.
+    scheds: Arc<[BlockSlots]>,
     vals: Vec<S>,
-    id: StructureId,
+}
+
+/// Equal shape, block structure and values; schedules take no part.
+impl<S: Scalar> PartialEq for HicooTensor<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_pattern(other) && self.vals == other.vals
+    }
 }
 
 /// Everything of a [`HicooTensor`] but its values.
@@ -148,8 +160,8 @@ impl<S: Scalar> HicooTensor<S> {
             shape: coo.shape().clone(),
             block_bits,
             blocks: Arc::new(Blocks { bptr, binds, einds }),
+            scheds: sched::empty_slots(coo.order()),
             vals,
-            id: StructureId::fresh(),
         })
     }
 
@@ -164,34 +176,34 @@ impl<S: Scalar> HicooTensor<S> {
         vals: Vec<S>,
     ) -> Self {
         let t = HicooTensor {
+            scheds: sched::empty_slots(shape.order()),
             shape,
             block_bits,
             blocks: Arc::new(Blocks { bptr, binds, einds }),
             vals,
-            id: StructureId::fresh(),
         };
         debug_assert!(t.validate().is_ok());
         t
     }
 
-    /// A tensor with this one's block structure (shared, not copied) and
-    /// shape, holding `vals` instead — the output of every value-only
-    /// kernel. Its structure id is fresh, as for any new tensor.
+    /// A tensor with this one's block structure and schedules (shared, not
+    /// copied) and shape, holding `vals` instead — the output of every
+    /// value-only kernel.
     pub(crate) fn with_vals(&self, vals: Vec<S>) -> Self {
         debug_assert_eq!(vals.len(), self.nnz());
         HicooTensor {
             shape: self.shape.clone(),
             block_bits: self.block_bits,
             blocks: Arc::clone(&self.blocks),
+            scheds: Arc::clone(&self.scheds),
             vals,
-            id: StructureId::fresh(),
         }
     }
 
-    /// Identity of the index structure (see [`StructureId`]).
+    /// The per-mode schedule slots of the block structure.
     #[inline]
-    pub(crate) fn structure_id(&self) -> &StructureId {
-        &self.id
+    pub(crate) fn schedule_slots(&self) -> &[BlockSlots] {
+        &self.scheds
     }
 
     /// The tensor shape.
@@ -471,6 +483,13 @@ mod tests {
         .unwrap()
     }
 
+    /// The block structure, for writing, with fresh, empty schedule slots:
+    /// the old schedules no longer describe what the caller writes.
+    fn blocks_mut(t: &mut HicooTensor<f32>) -> &mut Blocks {
+        t.scheds = sched::empty_slots(t.order());
+        Arc::make_mut(&mut t.blocks)
+    }
+
     #[test]
     fn round_trip_preserves_entries() {
         let coo = fig2_tensor();
@@ -557,7 +576,7 @@ mod tests {
         // Element index at or above the block edge.
         let mut t = good.clone();
         let edge = t.block_size() as u8;
-        Arc::make_mut(&mut t.blocks).einds[0][0] = edge;
+        blocks_mut(&mut t).einds[0][0] = edge;
         assert!(matches!(
             t.validate(),
             Err(TensorError::InvalidStructure(_))
@@ -565,7 +584,7 @@ mod tests {
 
         // Duplicated adjacent block coordinate.
         let mut t = good.clone();
-        for arr in &mut Arc::make_mut(&mut t.blocks).binds {
+        for arr in &mut blocks_mut(&mut t).binds {
             let first = arr[0];
             arr[1] = first;
         }
@@ -577,7 +596,7 @@ mod tests {
         // Blocks in neither Morton nor lexicographic order.
         let mut t = good.clone();
         let last = t.num_blocks() - 1;
-        for arr in &mut Arc::make_mut(&mut t.blocks).binds {
+        for arr in &mut blocks_mut(&mut t).binds {
             arr.swap(0, last);
         }
         assert!(matches!(
@@ -587,7 +606,7 @@ mod tests {
 
         // einds array length out of sync with nnz.
         let mut t = good.clone();
-        Arc::make_mut(&mut t.blocks).einds[1].pop();
+        blocks_mut(&mut t).einds[1].pop();
         assert!(matches!(
             t.validate(),
             Err(TensorError::InvalidStructure(_))

@@ -33,7 +33,6 @@ use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
 use crate::par::{self, Schedule, ScratchArena};
 use crate::scalar::Scalar;
-use crate::sched::{ModeSchedule, RowSchedule};
 use crate::shape::Shape;
 use crate::simd;
 
@@ -75,9 +74,9 @@ pub enum MttkrpStrategy {
     /// Nonzero-parallel with one private output copy per worker, reduced at
     /// the end. Lock-free but needs `threads x I_n x R` scratch memory.
     Privatized,
-    /// Output-partitioned: nonzeros are pre-grouped by output row (cached
-    /// [`crate::sched::RowSchedule`]) so tasks own disjoint output stripes.
-    /// Atomic-free, lock-free, and bitwise-deterministic.
+    /// Output-partitioned: nonzeros are pre-grouped by output row (the
+    /// tensor's [`crate::sched::RowSchedule`]) so tasks own disjoint output
+    /// stripes. Atomic-free, lock-free, and bitwise-deterministic.
     Scheduled,
 }
 
@@ -300,46 +299,27 @@ pub fn mttkrp_privatized<S: Scalar>(
     Ok(out)
 }
 
-/// Output-partitioned COO Mttkrp (see [`MttkrpStrategy::Scheduled`]). Uses
-/// the cached [`crate::sched::row_schedule`] for `(x, mode)`.
-pub fn mttkrp_sched<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::row_schedule(x, mode);
-    mttkrp_sched_with(x, factors, mode, &sched)
-}
-
-/// Output-partitioned COO Mttkrp against a prebuilt [`RowSchedule`].
+/// Output-partitioned COO Mttkrp (see [`MttkrpStrategy::Scheduled`]) over
+/// `x`'s [`crate::sched::row_schedule`] for `mode`.
 ///
 /// Every task owns a contiguous output row range; within it, rows are
 /// processed in ascending order and each row's nonzeros in ascending
 /// original position, so the accumulation order — and hence the floating-
 /// point result — is identical across runs and thread counts.
-pub fn mttkrp_sched_with<S: Scalar>(
+pub fn mttkrp_sched<S: Scalar>(
     x: &CooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
-    sched: &RowSchedule,
 ) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
+    // Borrowed out of its `Arc`, so the row loop below reads the schedule
+    // through one pointer, not two.
+    let sched = &*crate::sched::row_schedule(x, mode);
     let _span = obs::span!("mttkrp.scheduled");
     charge_coo(x, r);
     let rows_n = x.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
-    let mut tasks = split_row_ranges(
-        out.data_mut(),
-        r,
-        (0..sched.num_tasks()).map(|t| sched.task_rows(t)),
-    );
+    let mut tasks = split_row_ranges(out.data_mut(), r, sched.tasks().into_iter());
     par::chunks_mut(&mut tasks, 1, Schedule::DYNAMIC, |_, task| {
         let (row_base, slice) = (task[0].0, &mut *task[0].1);
         let mut rows_buf = Vec::with_capacity(factors.len());
@@ -437,48 +417,32 @@ pub fn mttkrp_hicoo<S: Scalar>(
     Ok(out)
 }
 
-/// Output-partitioned HiCOO Mttkrp (the tentpole variant of this module).
-/// Uses the cached [`crate::sched::mode_schedule`] for `(h, mode)`.
-pub fn mttkrp_hicoo_sched<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    check_factors(h.shape(), factors, mode)?;
-    let sched = crate::sched::mode_schedule(h, mode);
-    mttkrp_hicoo_sched_with(h, factors, mode, &sched)
-}
-
-/// Output-partitioned HiCOO Mttkrp against a prebuilt [`ModeSchedule`].
+/// Output-partitioned HiCOO Mttkrp (the tentpole variant of this module)
+/// over `h`'s [`crate::sched::mode_schedule`] for `mode`.
 ///
 /// All blocks that write a given output row block are grouped into the same
 /// task, so tasks write disjoint `&mut` stripes of the output — no atomics,
 /// no locks. Groups are visited in ascending output order, blocks ascending
 /// within a group, and nonzeros ascending within a block, fixing the
 /// floating-point accumulation order across runs and thread counts.
-pub fn mttkrp_hicoo_sched_with<S: Scalar>(
+pub fn mttkrp_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
-    sched: &ModeSchedule,
 ) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
+    let sched = &*crate::sched::mode_schedule(h, mode);
     let _span = obs::span!("mttkrp.hicoo.scheduled");
     charge_hicoo(h, r);
     let rows_n = h.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let bits = h.block_bits();
     let order = h.order();
+    let groups = sched.tasks();
     let mut tasks = split_row_ranges(
         out.data_mut(),
         r,
-        (0..sched.num_tasks()).map(|t| sched.task_row_range(t, rows_n)),
+        groups.iter().map(|g| sched.task_row_range(g, rows_n)),
     );
     // Order-3 fast path: one fused call per *block* rather than per nonzero.
     let three = (order == 3).then(|| non_mode_pair(mode));
@@ -486,7 +450,7 @@ pub fn mttkrp_hicoo_sched_with<S: Scalar>(
         let (row_base, slice) = (task[0].0, &mut *task[0].1);
         let mut base = vec![0usize; order];
         let mut rows_buf = Vec::with_capacity(order);
-        for g in sched.task_groups(t) {
+        for g in groups[t].clone() {
             for &b in sched.group_blocks(g) {
                 let b = b as usize;
                 for m in 0..order {
@@ -691,17 +655,6 @@ mod tests {
                 crate::par::with_threads(4, || mttkrp_hicoo_sched(&h, &refs(&f), mode).unwrap());
             assert_eq!(ha.data(), hb.data(), "HiCOO mode {mode} not bitwise equal");
         }
-    }
-
-    #[test]
-    fn scheduled_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let f = factors(x.shape(), 4);
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let s = crate::sched::mode_schedule(&h, 0);
-        assert!(mttkrp_hicoo_sched_with(&h, &refs(&f), 1, &s).is_err());
-        let rs = crate::sched::row_schedule(&x, 2);
-        assert!(mttkrp_sched_with(&x, &refs(&f), 0, &rs).is_err());
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor, SemiSparseHicooT
 use crate::kernels::ttv::MAX_SCHED_ORDER;
 use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
-use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
 use crate::simd;
 
@@ -211,46 +210,26 @@ pub fn ttm_hicoo<S: Scalar>(
 }
 
 /// Scheduled HiCOO-Ttm: contracts `mode` directly on the HiCOO blocks using
-/// the cached [`crate::sched::complement_schedule`], with no COO round-trip
-/// and no gHiCOO re-blocking. Tensors of order above 9 (the scheduled
-/// Ttv's limit) fall back to [`ttm_hicoo`].
+/// `h`'s [`crate::sched::complement_schedule`], with no COO round-trip and
+/// no gHiCOO re-blocking. Tensors of order above 9 (the scheduled Ttv's
+/// limit) fall back to [`ttm_hicoo`].
+///
+/// Same group structure as [`super::ttv::ttv_hicoo_sched`], but every
+/// output fiber is a dense length-`R` stripe accumulated from
+/// `val * U[i_n, :]`. Groups write disjoint output blocks, so there is no
+/// synchronization and the accumulation order is fixed
+/// (bitwise-deterministic results).
 pub fn ttm_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
-    if h.order() > MAX_SCHED_ORDER {
-        return ttm_hicoo(h, u, mode);
-    }
-    let cs = crate::sched::complement_schedule(h, mode);
-    ttm_hicoo_sched_with(h, u, mode, &cs)
-}
-
-/// Scheduled HiCOO-Ttm against a prebuilt [`ComplementSchedule`]. Same
-/// group structure as [`super::ttv::ttv_hicoo_sched_with`], but every output
-/// fiber is a dense length-`R` stripe accumulated from `val * U[i_n, :]`.
-/// Groups write disjoint output blocks, so there is no synchronization and
-/// the accumulation order is fixed (bitwise-deterministic results).
-pub fn ttm_hicoo_sched_with<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-) -> Result<SemiSparseHicooTensor<S>> {
-    check_operand(h.shape(), mode, u)?;
-    if cs.mode() != mode {
-        return Err(TensorError::InvalidStructure(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            cs.mode()
-        )));
-    }
     let order = h.order();
     if order > MAX_SCHED_ORDER {
-        return Err(TensorError::InvalidStructure(format!(
-            "scheduled Ttm supports order <= {MAX_SCHED_ORDER}, got {order}"
-        )));
+        return ttm_hicoo(h, u, mode);
     }
+    let cs = &*crate::sched::complement_schedule(h, mode);
     let _span = obs::span!("ttm.hicoo.scheduled");
     let r = u.cols();
     let out_shape = h.shape().with_mode_size(mode, r as u32)?;
@@ -466,15 +445,6 @@ mod tests {
         let y = ttm_hicoo_sched(&h, &u, 0).unwrap();
         assert_eq!(y.num_fibers(), 0);
         assert!(y.validate().is_ok());
-    }
-
-    #[test]
-    fn sched_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let cs = crate::sched::complement_schedule(&h, 2);
-        let u = DenseMatrix::constant(4, 2, 1.0f32);
-        assert!(ttm_hicoo_sched_with(&h, &u, 1, &cs).is_err());
     }
 
     #[test]

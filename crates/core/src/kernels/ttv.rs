@@ -19,7 +19,6 @@ use crate::error::{Result, TensorError};
 use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor};
 use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
-use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
 use crate::simd;
 
@@ -275,24 +274,10 @@ pub fn ttv_hicoo<S: Scalar>(
 }
 
 /// Scheduled HiCOO-Ttv: contracts `mode` directly on the HiCOO blocks using
-/// the cached [`crate::sched::complement_schedule`], with no COO round-trip
-/// and no gHiCOO re-blocking (the pre-processing `ttv_hicoo` pays on every
+/// `h`'s [`crate::sched::complement_schedule`], with no COO round-trip and
+/// no gHiCOO re-blocking (the pre-processing `ttv_hicoo` pays on every
 /// call). Tensors of order above 9 (`MAX_SCHED_ORDER`) fall back to
 /// [`ttv_hicoo`].
-pub fn ttv_hicoo_sched<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-) -> Result<HicooTensor<S>> {
-    check_operand(h.shape(), mode, v)?;
-    if h.order() > MAX_SCHED_ORDER {
-        return ttv_hicoo(h, v, mode);
-    }
-    let cs = crate::sched::complement_schedule(h, mode);
-    ttv_hicoo_sched_with(h, v, mode, &cs)
-}
-
-/// Scheduled HiCOO-Ttv against a prebuilt [`ComplementSchedule`].
 ///
 /// Each schedule group collects the blocks that share every block
 /// coordinate except mode `n` — exactly the blocks whose nonzeros fold into
@@ -301,25 +286,17 @@ pub fn ttv_hicoo_sched<S: Scalar>(
 /// packing the surviving element coordinates into a `u64` key, sorting, and
 /// folding equal-key runs in a fixed order, so the result is
 /// bitwise-deterministic across runs and thread counts.
-pub fn ttv_hicoo_sched_with<S: Scalar>(
+pub fn ttv_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     v: &DenseVector<S>,
     mode: usize,
-    cs: &ComplementSchedule,
 ) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
-    if cs.mode() != mode {
-        return Err(TensorError::InvalidStructure(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            cs.mode()
-        )));
-    }
     let order = h.order();
     if order > MAX_SCHED_ORDER {
-        return Err(TensorError::InvalidStructure(format!(
-            "scheduled Ttv supports order <= {MAX_SCHED_ORDER}, got {order}"
-        )));
+        return ttv_hicoo(h, v, mode);
     }
+    let cs = &*crate::sched::complement_schedule(h, mode);
     let _span = obs::span!("ttv.hicoo.scheduled");
     let out_shape = h.shape().without_mode(mode)?;
     let other: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
@@ -565,15 +542,6 @@ mod tests {
         let y = ttv_hicoo_sched(&h, &v, 1).unwrap();
         assert_eq!(y.nnz(), 0);
         assert!(y.validate().is_ok());
-    }
-
-    #[test]
-    fn sched_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let cs = crate::sched::complement_schedule(&h, 0);
-        let v = DenseVector::constant(4, 1.0f32);
-        assert!(ttv_hicoo_sched_with(&h, &v, 1, &cs).is_err());
     }
 
     #[test]

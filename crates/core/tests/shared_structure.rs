@@ -1,11 +1,21 @@
 //! Copy-on-write index structure: value-only kernels (same-pattern Tew, Ts)
 //! return tensors that share their input's index arrays, and a write on
 //! either side — a sort, a relabel, a value edit — never shows on the other.
+//! The schedules built for a structure live on it: shared with it, kept as
+//! long as it lives, one per mode whatever the pool width, and replaced
+//! whenever the indices are written.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use tenbench_core::coo::SortState;
+use tenbench_core::kernels::mttkrp::{mttkrp_hicoo_sched, mttkrp_sched, mttkrp_seq};
+use tenbench_core::kernels::ttm::{ttm_hicoo_sched, ttm_prepared_seq};
 use tenbench_core::kernels::{tew, ts};
+use tenbench_core::par::with_threads;
 use tenbench_core::prelude::*;
 use tenbench_core::reorder;
+use tenbench_core::sched::{complement_schedule, mode_schedule, row_schedule};
 
 /// Enough nonzeros for several parallel value chunks, in a few HiCOO blocks.
 fn tensor() -> CooTensor<f32> {
@@ -213,4 +223,140 @@ fn pattern_check_still_compares_unshared_patterns() {
         tew::tew_hicoo_same_pattern(&hx, &hm, EwOp::Add).map(|_| ()),
         Err(TensorError::PatternMismatch)
     );
+}
+
+#[test]
+fn value_only_outputs_share_the_input_schedules() {
+    let x = tensor();
+    for (kind, out) in [
+        ("clone", x.clone()),
+        ("ts", ts::ts(&x, 2.0, EwOp::Mul).unwrap()),
+        ("tew", tew::tew_same_pattern(&x, &x, EwOp::Add).unwrap()),
+    ] {
+        for mode in 0..3 {
+            let theirs = row_schedule(&out, mode);
+            assert!(
+                Arc::ptr_eq(&theirs, &row_schedule(&x, mode)),
+                "{kind} mode {mode}"
+            );
+        }
+    }
+
+    let h = HicooTensor::from_coo(&x, 3).unwrap();
+    let out = ts::ts_hicoo(&h, 2.0, EwOp::Mul).unwrap();
+    for mode in 0..3 {
+        let theirs = mode_schedule(&out, mode);
+        assert!(
+            Arc::ptr_eq(&theirs, &mode_schedule(&h, mode)),
+            "mode {mode}"
+        );
+        let theirs = complement_schedule(&out, mode);
+        assert!(
+            Arc::ptr_eq(&theirs, &complement_schedule(&h, mode)),
+            "complement mode {mode}"
+        );
+    }
+}
+
+#[test]
+fn schedules_live_as_long_as_their_tensor() {
+    let x = tensor();
+    let h = HicooTensor::from_coo(&x, 3).unwrap();
+    let first = mode_schedule(&h, 0);
+    // Thirty-two other live tensors, every mode scheduled: 96 schedules,
+    // all built after `h`'s.
+    let others: Vec<HicooTensor<f32>> = (0..32)
+        .map(|_| HicooTensor::from_coo(&x, 3).unwrap())
+        .collect();
+    for other in &others {
+        for mode in 0..3 {
+            assert!(!Arc::ptr_eq(&mode_schedule(other, mode), &first));
+        }
+    }
+    assert!(Arc::ptr_eq(&mode_schedule(&h, 0), &first));
+}
+
+/// `tasks` are non-empty, disjoint and ascending, and together cover `0..n`.
+fn assert_tiles(tasks: &[Range<usize>], n: usize, what: &str) {
+    let mut next = 0;
+    for t in tasks {
+        assert_eq!(t.start, next, "{what}: gap or overlap at {t:?}");
+        assert!(t.end > t.start, "{what}: empty task at {t:?}");
+        next = t.end;
+    }
+    assert_eq!(next, n, "{what}: tasks end at {next} of {n}");
+}
+
+#[test]
+fn one_schedule_serves_every_width() {
+    let x = tensor();
+    let h = HicooTensor::from_coo(&x, 3).unwrap();
+    for mode in 0..3 {
+        let rows = with_threads(1, || row_schedule(&x, mode));
+        assert!(Arc::ptr_eq(
+            &rows,
+            &with_threads(4, || row_schedule(&x, mode))
+        ));
+        let blocks = with_threads(1, || mode_schedule(&h, mode));
+        assert!(Arc::ptr_eq(
+            &blocks,
+            &with_threads(4, || mode_schedule(&h, mode))
+        ));
+        let rows_n = x.shape().dim(mode) as usize;
+        for w in [1, 2, 3, 4, 8] {
+            let what = format!("mode {mode} width {w}");
+            assert_tiles(&with_threads(w, || rows.tasks()), rows_n, &what);
+            assert_tiles(
+                &with_threads(w, || blocks.tasks()),
+                blocks.num_groups(),
+                &what,
+            );
+        }
+    }
+}
+
+#[test]
+fn index_writes_give_fresh_schedules_and_keep_results_exact() {
+    let x = tensor();
+    // Small integers: with `tensor()`'s half-integer values every sum is
+    // exact in f32, so each scheduled kernel must equal its sequential
+    // reference bit for bit.
+    let factors: Vec<DenseMatrix<f32>> = (0..3)
+        .map(|m| {
+            let rows = x.shape().dim(m) as usize;
+            DenseMatrix::from_fn(rows, 4, |i, j| ((i + 2 * j + m) % 3) as f32)
+        })
+        .collect();
+    let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+    for (name, write) in coo_writes() {
+        let mut c = x.clone();
+        for mode in 0..3 {
+            assert!(Arc::ptr_eq(
+                &row_schedule(&c, mode),
+                &row_schedule(&x, mode)
+            ));
+        }
+        write(&mut c);
+        for mode in 0..3 {
+            let shared = Arc::ptr_eq(&row_schedule(&c, mode), &row_schedule(&x, mode));
+            // Values are no part of a schedule: only index writes replace it.
+            assert_eq!(shared, name == "vals_mut", "{name} mode {mode}");
+        }
+        for (side, t) in [("source", &x), ("written", &c)] {
+            let h = HicooTensor::from_coo(t, 3).unwrap();
+            for mode in 0..3 {
+                let what = format!("{name}, {side} side, mode {mode}");
+                let want = mttkrp_seq(t, &frefs, mode).unwrap();
+                let coo = mttkrp_sched(t, &frefs, mode).unwrap();
+                assert_eq!(coo.data(), want.data(), "COO Mttkrp: {what}");
+                let hicoo = mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
+                assert_eq!(hicoo.data(), want.data(), "HiCOO Mttkrp: {what}");
+                let mut sorted = t.clone();
+                let fp = sorted.fibers(mode).unwrap();
+                let want = ttm_prepared_seq(&sorted, &fp, frefs[mode]).unwrap();
+                let got = ttm_hicoo_sched(&h, frefs[mode], mode).unwrap();
+                assert_eq!(got.to_map(), want.to_map(), "HiCOO Ttm: {what}");
+            }
+        }
+    }
 }

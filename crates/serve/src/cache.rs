@@ -13,10 +13,10 @@
 //! entry just inserted is never evicted, so a single over-budget tensor
 //! still serves its own batch.
 //!
-//! Mode schedules are not stored here directly: `tenbench_core::sched`
-//! already caches them keyed on buffer identity. Holding the converted
-//! tensors behind stable `Arc`s is what makes that cache hit — every
-//! reuse of a `Prepared` entry re-presents the same data pointer.
+//! Mode schedules are not stored here directly: they live on the tensors
+//! they were built for (`tenbench_core::sched`), so the first scheduled
+//! call on `Prepared::hicoo` builds them, every later hit on the entry
+//! reuses them, and they are dropped with the entry.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -248,9 +248,9 @@ impl PrepCache {
             return Ok((prepared, false));
         }
         // Another worker may have prepared the same key while we did; use
-        // the resident entry so schedule caching keys on one buffer — but
-        // only after the same content check a hit gets, since the racing
-        // insert may belong to a colliding tensor.
+        // the resident entry, whose tensors may already carry schedules —
+        // but only after the same content check a hit gets, since the
+        // racing insert may belong to a colliding tensor.
         if let Some(at) = g.entries.iter().position(|(k, _)| *k == key) {
             if Arc::ptr_eq(&g.entries[at].1.coo, coo) || same_content(&g.entries[at].1.coo, coo) {
                 let entry = g.entries.remove(at);
@@ -347,7 +347,7 @@ mod tests {
         let (b, hit_b) = cache.get_or_prepare(key_of(&x, 8), &x).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
-        // Identical Arc — this is what keys the core schedule cache.
+        // Identical Arc, so the hit also reuses any schedules it carries.
         assert!(Arc::ptr_eq(&a.hicoo, &b.hicoo));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));

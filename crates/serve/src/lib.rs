@@ -16,9 +16,8 @@
 //!   while queued are shed at dequeue.
 //! - **Format/schedule caching** ([`cache`]): an LRU keyed by tensor
 //!   fingerprint that holds the HiCOO conversion and factor matrices,
-//!   evicted by byte budget. Cached tensors live behind stable `Arc`s, so
-//!   the identity-keyed mode-schedule cache in `tenbench_core::sched`
-//!   hits on every reuse too.
+//!   evicted by byte budget. The mode schedules live on the cached
+//!   tensors themselves, so every reuse of an entry reuses them too.
 //! - **Micro-batching** ([`service`]): same-tensor/same-kernel requests
 //!   waiting in the queue coalesce into one supervised execution whose
 //!   result fans back out to every waiter.
