@@ -1,6 +1,9 @@
 //! The `tenbench` command-line tool.
 //!
 //! ```text
+//! tenbench paper    <table1..4|fig1..7|stats|reorder|observations|all>
+//!                   [--datasets r1,s4] [--quick] [--scale F] [--reps N]
+//!                   [--csv PATH]
 //! tenbench convert  <in.{tns,tnb}> <out.{tns,tnb}>
 //! tenbench stats    <file> [--block-bits B]
 //! tenbench generate <kron|pl> --dims 1024,1024,64 --nnz 100000 [--seed S] --out <file>
@@ -33,6 +36,10 @@
 //!                   [--max-recoveries K] [--out BENCH_chaos.json]
 //!                   [--floors ci/chaos-floor.txt] [--flight-dump-dir DIR]
 //! ```
+//!
+//! `paper` regenerates the paper's tables and figures (see
+//! `tenbench_bench::paper` for the artifact list); it writes each section
+//! to stdout as soon as it is done and its progress to stderr.
 //!
 //! `kernel` resolves `(kernel, --format, --strategy)` to one cell of the
 //! table in `tenbench_bench::cells` and names it in its report. Every
@@ -99,11 +106,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tenbench_bench::cli::{self, CliError};
+use tenbench_bench::paper;
 
 fn main() -> ExitCode {
     match run() {
         Ok(msg) => {
-            println!("{msg}");
+            // `paper` has already streamed its report.
+            if !msg.is_empty() {
+                println!("{msg}");
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -120,6 +131,7 @@ const GLOBAL_FLAGS: &str = "trace profile flight-dump-dir";
 /// for an unknown subcommand (the dispatch below reports that one).
 fn flags_of(sub: &str) -> Option<&'static str> {
     Some(match sub {
+        "paper" => "datasets quick scale reps csv",
         "convert" | "report" => "",
         "stats" => "block-bits",
         "generate" => "dims nnz seed out",
@@ -167,7 +179,7 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
     let mut pos: Vec<String> = Vec::new();
     let mut opts: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
     // Flags that do not consume a value.
-    const SWITCHES: [&str; 3] = ["profile", "all", "net"];
+    const SWITCHES: [&str; 4] = ["profile", "all", "net", "quick"];
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
@@ -200,6 +212,11 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
         }
     }
     let get_usize = |key: &str, default: usize| -> Result<usize, String> {
+        opts.get(key)
+            .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
+            .unwrap_or(Ok(default))
+    };
+    let get_f64 = |key: &str, default: f64| -> Result<f64, String> {
         opts.get(key)
             .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
             .unwrap_or(Ok(default))
@@ -255,6 +272,22 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
     }
 
     match pos.first().map(String::as_str) {
+        Some("paper") => {
+            let [_, artifact] = &pos[..] else {
+                return Err("usage: tenbench paper <artifact> [options] (see the module docs)".into());
+            };
+            let paper_opts = paper::PaperOpts::new(
+                opts.get("datasets").map(String::as_str),
+                opts.contains_key("quick"),
+                get_f64("scale", 1.0)?,
+                get_usize("reps", tenbench_bench::suite::DEFAULT_REPS)?,
+                opts.get("csv").map(PathBuf::from),
+            )?;
+            Ok(cli::with_obs(&obs_opts, || {
+                paper::run(artifact, &paper_opts, &mut std::io::stdout().lock())?;
+                Ok(String::new())
+            })?)
+        }
         Some("convert") => {
             let [_, input, output] = &pos[..] else {
                 return Err("usage: tenbench convert <in> <out>".into());
@@ -448,11 +481,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
         }
         Some("chaos") => {
             let defaults = tenbench_bench::chaos::ChaosConfig::default();
-            let get_f64 = |key: &str, default: f64| -> Result<f64, String> {
-                opts.get(key)
-                    .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
-                    .unwrap_or(Ok(default))
-            };
             let cfg = tenbench_bench::chaos::ChaosConfig {
                 duration: cli::parse_duration(
                     opts.get("duration").map(String::as_str).unwrap_or("3s"),
@@ -480,6 +508,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::chaos(&chaos_opts)?)
         }
-        _ => Err("usage: tenbench <convert|stats|generate|kernel|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
+        _ => Err("usage: tenbench <paper|convert|stats|generate|kernel|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
     }
 }

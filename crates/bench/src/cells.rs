@@ -1,13 +1,13 @@
-//! The kernel-cell table: the one place the CLI, the paper suite and the
-//! kernel criterion benches name a kernel entry point.
+//! The kernel-cell table: the one place the CLI and the paper suite name a
+//! kernel entry point.
 //!
 //! A [`Cell`] is one timed thing — a kernel on a format under a
 //! parallelization strategy, or the COO→HiCOO conversion pipeline under a
 //! sort algorithm. [`Inputs`] holds everything the cells of one tensor
 //! read, [`prepare`] does a cell's untimed work and returns the timed call,
 //! and [`crate::suite::sample`] is the one loop that times it. Every
-//! consumer (`tenbench kernel`, `tenbench scale-bench`, `harness`, the
-//! criterion benches) is a loop over [`CELLS`].
+//! consumer (`tenbench kernel`, `tenbench scale-bench`, `tenbench paper`)
+//! is a loop over [`CELLS`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -34,8 +34,8 @@ const SCHEDULED: &[&str] = &["scheduled"];
 
 /// One row of the table.
 pub struct Cell {
-    /// The name every report line, supervisor label, sweep row, floors key
-    /// and criterion id prints.
+    /// The name every report line, supervisor label, sweep row and floors
+    /// key prints.
     pub name: &'static str,
     /// The kernel timed; `None` for the conversion pipeline.
     pub kernel: Option<Kernel>,
@@ -430,8 +430,8 @@ impl Prepared {
         self.scratch.as_deref().cloned()
     }
 
-    /// One call, set-up included: for validation and for harnesses that
-    /// bring their own timing loop.
+    /// One call, set-up included: for validation and for
+    /// [`crate::suite::measure_cell`], which wraps [`sample`] in counters.
     pub fn call(&self) -> Result<Output> {
         (self.run)(self.scratch())
     }

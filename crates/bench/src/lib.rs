@@ -1,12 +1,14 @@
 //! # tenbench-bench
 //!
-//! The experiment harness: everything needed to regenerate the paper's
-//! tables and figures from this repository (see the `harness` binary), plus
-//! shared plumbing for the Criterion micro-benchmarks.
+//! The library behind the `tenbench` binary: everything needed to
+//! regenerate the paper's tables and figures from this repository
+//! (`tenbench paper`), and to time, sweep, verify and serve the kernel
+//! cells.
 //!
+//! * [`paper`] — the paper's tables, figures and observations, one run
+//!   generating each selected dataset once, in memory.
 //! * [`mod@format`] — aligned text tables and ASCII log-log plots for terminal
 //!   "figures".
-//! * [`data`] — dataset materialization with an on-disk cache.
 //! * [`cells`] — the kernel-cell table: every timed kernel × format ×
 //!   strategy and the conversion pipeline, with their prepared inputs.
 //! * [`suite`] — the one sampler, the measured CPU kernel suite (Figures
@@ -33,9 +35,9 @@
 pub mod cells;
 pub mod chaos;
 pub mod cli;
-pub mod data;
 pub mod format;
 pub mod metrics;
+pub mod paper;
 pub mod serve_exec;
 pub mod suite;
 pub mod supervisor;

@@ -104,8 +104,8 @@ impl KernelResult {
 /// What [`sample`] measured.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
-    /// Mean seconds per call over the timed batches: the figure the paper
-    /// harness prints.
+    /// Mean seconds per call over the timed batches: the figure `tenbench
+    /// paper` prints.
     pub mean_s: f64,
     /// Seconds per call of the fastest batch: the figure the gates use.
     pub min_s: f64,

@@ -1,7 +1,8 @@
 //! Process-level checks of `tenbench`'s argument handling: a flag the
-//! subcommand does not read, or a `--block-bits` outside `1..=8`, is a
-//! usage error (exit code 2, the flag named on stderr, no panic) — and a
-//! well-formed call still runs.
+//! subcommand does not read, a `--block-bits` outside `1..=8`, and a
+//! `paper` artifact, dataset, `--reps` or `--scale` it cannot use are
+//! usage errors (exit code 2, the culprit named on stderr, no panic, no
+//! output) — and well-formed calls still run.
 
 use std::process::{Command, Output};
 
@@ -29,13 +30,30 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
         ("serve --layout vb".to_string(), "--layout"),
         (format!("stats {file} --block-bits 263"), "--block-bits"),
         (format!("stats {file} --block-bits 12"), "--block-bits"),
+        ("paper fig9 --quick".to_string(), "fig9"),
+        ("paper fig6 --datasets s4,zz".to_string(), "zz"),
+        ("paper table1 --reps x".to_string(), "--reps"),
+        ("paper stats --scale x".to_string(), "--scale"),
+        ("paper stats --scale -1".to_string(), "--scale"),
+        ("paper stats --scale 0".to_string(), "--scale"),
+        ("paper stats --scale inf".to_string(), "--scale"),
+        ("paper stats --scale NaN".to_string(), "--scale"),
+        ("paper table1 --rank 4".to_string(), "--rank"),
     ] {
         let out = tenbench(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
         assert!(stderr.contains(flag), "{args}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args}: wrote output before failing");
     }
+
+    let paper = tenbench("paper --quick table2");
+    assert!(
+        paper.status.success(),
+        "paper --quick table2 failed: {paper:?}"
+    );
+    assert!(String::from_utf8_lossy(&paper.stdout).contains("Table 2"));
 
     let ok = tenbench(&format!(
         "kernel mttkrp {file} --format hicoo --strategy scheduled --rank 8 --block-bits 8 --reps 1"

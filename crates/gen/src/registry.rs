@@ -104,8 +104,8 @@ impl Dataset {
         self.generate_with(self.bench_nnz(), self.default_seed())
     }
 
-    /// Generate with an explicit nonzero count and seed (the harness's
-    /// `--scale` knob multiplies the default count).
+    /// Generate with an explicit nonzero count and seed (`tenbench
+    /// paper --scale` multiplies the default count).
     pub fn generate_with(&self, nnz: usize, seed: u64) -> CooTensor<f32> {
         let shape = Shape::new(self.bench_dims());
         match self.kind {

@@ -1,5 +1,5 @@
 //! Per-tensor structural statistics: the quantities the Roofline bounds and
-//! the harness tables need (`M`, per-mode `M_F`, HiCOO `n_b`, storage).
+//! the paper's tables need (`M`, per-mode `M_F`, HiCOO `n_b`, storage).
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::error::Result;

@@ -18,10 +18,9 @@
 //! Any other magic — including the CRC-less `TNB1` layout that preceded
 //! this one — is rejected as a bad magic.
 //!
-//! Reloading a generated tensor from this format is orders of magnitude
-//! faster than re-running the generator or re-parsing `.tns`, which matters
-//! when the harness sweeps all thirty datasets — and a sweep must survive a
-//! damaged cache file. Readers therefore treat the input as untrusted:
+//! Reloading a tensor from this format is orders of magnitude faster than
+//! re-parsing `.tns`, and a file may arrive damaged or hostile (from disk
+//! or over the wire). Readers therefore treat the input as untrusted:
 //! the header's `order`/`dims`/`nnz` are validated against the remaining
 //! input length and a configurable allocation budget *before* any
 //! size-derived allocation, all arithmetic is checked, and every section
