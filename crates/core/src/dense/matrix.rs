@@ -5,31 +5,74 @@
 //! under the row-major storage convention of the C language"), with `R`
 //! typically 16 to reflect low-rank tensor methods.
 
+use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::align::AlignedVec;
+use crate::par;
 use crate::scalar::Scalar;
+
+/// Bytes in a cache line, the boundary every matrix's values start on.
+const LINE: usize = 64;
+
+/// Padding elements that move `ptr` forward onto the next line boundary.
+fn line_offset<S>(ptr: *const S) -> usize {
+    (LINE - ptr as usize % LINE) % LINE / std::mem::size_of::<S>()
+}
+
+/// Buffer length for `n` values plus room for the padding in front.
+fn padded_len<S>(n: usize) -> usize {
+    n + LINE / std::mem::size_of::<S>()
+}
 
 /// A dense `rows x cols` matrix in row-major order.
 ///
-/// Values live in an [`AlignedVec`], so `data()` (and row 0) always starts
-/// on a 64-byte boundary — the vectorized inner loops' loads never
-/// straddle a cache line at the buffer head.
-#[derive(Debug, Clone, PartialEq)]
+/// The values always start on a 64-byte boundary, so with the paper's
+/// `R = 16` every `f32` row is exactly one cache line. Clones are re-aligned,
+/// and the padding in front of the values takes part in no comparison.
 pub struct DenseMatrix<S: Scalar> {
     rows: usize,
     cols: usize,
-    data: AlignedVec<S>,
+    /// `off` elements of padding, then the `rows * cols` values.
+    buf: Vec<S>,
+    off: usize,
 }
 
 impl<S: Scalar> DenseMatrix<S> {
-    /// Zero-filled matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    /// Wrap `buf`, at least `padded_len(rows * cols)` long, with the values
+    /// starting at its first line boundary.
+    fn from_padded(rows: usize, cols: usize, mut buf: Vec<S>) -> Self {
+        let off = line_offset(buf.as_ptr());
+        buf.truncate(off + rows * cols);
         DenseMatrix {
             rows,
             cols,
-            data: AlignedVec::filled(rows * cols, S::ZERO),
+            buf,
+            off,
         }
+    }
+
+    /// Matrix of exactly `rows * cols` values, in row-major order.
+    fn collect(rows: usize, cols: usize, vals: impl IntoIterator<Item = S>) -> Self {
+        let mut buf = Vec::with_capacity(padded_len::<S>(rows * cols));
+        let off = line_offset(buf.as_ptr());
+        buf.resize(off, S::ZERO);
+        buf.extend(vals);
+        debug_assert_eq!(
+            buf.len(),
+            off + rows * cols,
+            "value count must be rows*cols"
+        );
+        DenseMatrix {
+            rows,
+            cols,
+            buf,
+            off,
+        }
+    }
+
+    /// Zero-filled matrix.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self::constant(rows, cols, S::ZERO)
     }
 
     /// Zero-filled matrix whose backing pages are first-touched by the
@@ -39,20 +82,13 @@ impl<S: Scalar> DenseMatrix<S> {
     /// scheduled kernel, and remote-node page placement penalizes every
     /// write after it.
     pub fn zeros_par(rows: usize, cols: usize) -> Self {
-        DenseMatrix {
-            rows,
-            cols,
-            data: AlignedVec::first_touch_filled(rows * cols, S::ZERO),
-        }
+        let n = padded_len::<S>(rows * cols);
+        Self::from_padded(rows, cols, par::first_touch_filled(n, S::ZERO))
     }
 
     /// Matrix filled with a constant.
     pub fn constant(rows: usize, cols: usize, v: S) -> Self {
-        DenseMatrix {
-            rows,
-            cols,
-            data: AlignedVec::filled(rows * cols, v),
-        }
+        Self::from_padded(rows, cols, vec![v; padded_len::<S>(rows * cols)])
     }
 
     /// Build from a row-major data vector.
@@ -61,26 +97,13 @@ impl<S: Scalar> DenseMatrix<S> {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<S>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        DenseMatrix {
-            rows,
-            cols,
-            data: data.into(),
-        }
+        Self::collect(rows, cols, data)
     }
 
     /// Build by evaluating `f(row, col)` at every position.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> S) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
-        DenseMatrix {
-            rows,
-            cols,
-            data: data.into(),
-        }
+        let cells = (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j)));
+        Self::collect(rows, cols, cells.map(|(i, j)| f(i, j)))
     }
 
     /// Number of rows.
@@ -99,48 +122,51 @@ impl<S: Scalar> DenseMatrix<S> {
     #[inline]
     pub fn row(&self, i: usize) -> &[S] {
         debug_assert!(i < self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        let lo = self.off + i * self.cols;
+        &self.buf[lo..lo + self.cols]
     }
 
     /// Borrow one row mutably.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [S] {
         debug_assert!(i < self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+        let lo = self.off + i * self.cols;
+        &mut self.buf[lo..lo + self.cols]
     }
 
     /// The raw row-major data.
     #[inline]
     pub fn data(&self) -> &[S] {
-        &self.data
+        &self.buf[self.off..]
     }
 
     /// The raw row-major data, mutably.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [S] {
-        &mut self.data
+        &mut self.buf[self.off..]
     }
 
     /// Set every element to zero (reusing the allocation).
     pub fn fill_zero(&mut self) {
-        self.data.fill(S::ZERO);
+        self.data_mut().fill(S::ZERO);
     }
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> S {
-        self.data.iter().map(|&x| x * x).sum::<S>().sqrt()
+        self.data().iter().map(|&x| x * x).sum::<S>().sqrt()
     }
 
     /// Gram matrix `A^T A` (`cols x cols`); used by CP-ALS.
     pub fn gram(&self) -> DenseMatrix<S> {
         let r = self.cols;
         let mut g = DenseMatrix::zeros(r, r);
+        let gd = g.data_mut();
         for i in 0..self.rows {
             let row = self.row(i);
             for a in 0..r {
                 let ra = row[a];
                 for b in 0..r {
-                    g.data[a * r + b] += ra * row[b];
+                    gd[a * r + b] += ra * row[b];
                 }
             }
         }
@@ -153,17 +179,8 @@ impl<S: Scalar> DenseMatrix<S> {
     /// Panics on shape mismatch.
     pub fn hadamard(&self, other: &DenseMatrix<S>) -> DenseMatrix<S> {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data: Vec<S> = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| a * b)
-            .collect();
-        DenseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: data.into(),
-        }
+        let vals = self.data().iter().zip(other.data()).map(|(&a, &b)| a * b);
+        Self::collect(self.rows, self.cols, vals)
     }
 
     /// Normalize each column to unit 2-norm, returning the norms.
@@ -171,7 +188,7 @@ impl<S: Scalar> DenseMatrix<S> {
     pub fn normalize_columns(&mut self) -> Vec<S> {
         let mut norms = vec![S::ZERO; self.cols];
         for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
+            let row = self.row(i);
             for (j, &v) in row.iter().enumerate() {
                 norms[j] += v * v;
             }
@@ -180,7 +197,7 @@ impl<S: Scalar> DenseMatrix<S> {
             *n = n.sqrt();
         }
         for i in 0..self.rows {
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
+            let row = self.row_mut(i);
             for (j, v) in row.iter_mut().enumerate() {
                 if norms[j] != S::ZERO {
                     *v /= norms[j];
@@ -199,7 +216,7 @@ impl<S: Scalar> DenseMatrix<S> {
         assert_eq!(rhs.cols, self.rows, "rhs width must match system size");
         let r = self.rows;
         // Build augmented inverse of `self` (with a small ridge if singular).
-        let mut a: Vec<f64> = self.data.iter().map(|&x| x.to_f64()).collect();
+        let mut a: Vec<f64> = self.data().iter().map(|&x| x.to_f64()).collect();
         let mut inv = vec![0.0f64; r * r];
         for i in 0..r {
             inv[i * r + i] = 1.0;
@@ -264,7 +281,7 @@ impl<S: Scalar> DenseMatrix<S> {
 
     /// Storage in bytes (values only), for the accounting of Table 1.
     pub fn storage_bytes(&self) -> u64 {
-        self.data.len() as u64 * S::BYTES
+        self.data().len() as u64 * S::BYTES
     }
 }
 
@@ -272,14 +289,36 @@ impl<S: Scalar> Index<(usize, usize)> for DenseMatrix<S> {
     type Output = S;
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &S {
-        &self.data[i * self.cols + j]
+        &self.buf[self.off + i * self.cols + j]
     }
 }
 
 impl<S: Scalar> IndexMut<(usize, usize)> for DenseMatrix<S> {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut S {
-        &mut self.data[i * self.cols + j]
+        &mut self.buf[self.off + i * self.cols + j]
+    }
+}
+
+impl<S: Scalar> Clone for DenseMatrix<S> {
+    fn clone(&self) -> Self {
+        Self::collect(self.rows, self.cols, self.data().iter().copied())
+    }
+}
+
+impl<S: Scalar> PartialEq for DenseMatrix<S> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.data() == other.data()
+    }
+}
+
+impl<S: Scalar> fmt::Debug for DenseMatrix<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DenseMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data())
+            .finish()
     }
 }
 
@@ -347,19 +386,61 @@ mod tests {
 
     #[test]
     fn storage_is_simd_aligned() {
-        use crate::align::SIMD_ALIGN;
-        // Every constructor must produce 64-byte-aligned value storage so
-        // the SIMD backend's loads never straddle a line at the head.
-        let z = DenseMatrix::<f32>::zeros(5, 7);
-        let zp = DenseMatrix::<f64>::zeros_par(13, 3);
-        let c = DenseMatrix::constant(4, 4, 1.5f32);
-        let v = DenseMatrix::from_vec(2, 3, vec![0.0f64; 6]);
-        let f = DenseMatrix::from_fn(3, 3, |i, j| (i + j) as f32);
-        assert_eq!(z.data().as_ptr() as usize % SIMD_ALIGN, 0);
-        assert_eq!(zp.data().as_ptr() as usize % SIMD_ALIGN, 0);
-        assert_eq!(c.data().as_ptr() as usize % SIMD_ALIGN, 0);
-        assert_eq!(v.data().as_ptr() as usize % SIMD_ALIGN, 0);
-        assert_eq!(f.data().as_ptr() as usize % SIMD_ALIGN, 0);
-        assert_eq!(f.clone().data().as_ptr() as usize % SIMD_ALIGN, 0);
+        // Every constructor, kernel-facing or not, and a clone of each must
+        // start the values on a cache line: an R = 16 f32 row is one line.
+        fn check<S: Scalar>(what: &str, m: &DenseMatrix<S>) {
+            assert_eq!(m.data().as_ptr() as usize % LINE, 0, "{what}");
+            assert_eq!(m.data().len(), m.rows() * m.cols(), "{what}");
+            let c = m.clone();
+            assert_eq!(c.data().as_ptr() as usize % LINE, 0, "clone of {what}");
+            assert_eq!(&c, m, "clone of {what}");
+        }
+        fn every_constructor<S: Scalar>() {
+            for (rows, cols) in [(0, 4), (1, 1), (5, 7), (13, 16), (4_099, 16)] {
+                check("zeros", &DenseMatrix::<S>::zeros(rows, cols));
+                check("constant", &DenseMatrix::constant(rows, cols, S::ONE));
+                let n = rows * cols;
+                check(
+                    "from_vec",
+                    &DenseMatrix::from_vec(rows, cols, vec![S::ONE; n]),
+                );
+                let f = DenseMatrix::from_fn(rows, cols, |i, j| S::from_f64((i + 2 * j) as f64));
+                check("from_fn", &f);
+                check("hadamard", &f.hadamard(&f));
+                check("gram", &f.gram());
+                let sys =
+                    DenseMatrix::from_fn(cols, cols, |i, j| S::from_f64((i == j) as u8 as f64));
+                check("solve_spd_rhs", &sys.solve_spd_rhs(&f));
+                // 4 099 x 16 spans two first-touch chunks.
+                let zp = crate::par::with_threads(4, || DenseMatrix::<S>::zeros_par(rows, cols));
+                check("zeros_par", &zp);
+            }
+        }
+        every_constructor::<f32>();
+        every_constructor::<f64>();
+    }
+
+    #[test]
+    fn padding_takes_no_part_in_eq_clone_or_debug() {
+        let aligned = DenseMatrix::from_vec(2, 2, vec![1.0f32, 2.0, 3.0, 4.0]);
+        // The same values one and three elements further into the buffer,
+        // behind padding that differs from the values and between the two.
+        let shifted = |off: usize, pad: f32| {
+            let mut buf = vec![pad; off];
+            buf.extend_from_slice(aligned.data());
+            DenseMatrix {
+                rows: 2,
+                cols: 2,
+                buf,
+                off,
+            }
+        };
+        let (a, b) = (shifted(1, 9.0), shifted(3, -7.0));
+        assert_eq!(a, aligned);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{aligned:?}"));
+        assert_eq!(a.clone(), b.clone());
+        assert_eq!(a.clone().data().as_ptr() as usize % LINE, 0);
+        assert_ne!(a, DenseMatrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
     }
 }

@@ -24,14 +24,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tenbench_obs as obs;
 
-use crate::align::AlignedVec;
 use crate::analysis;
 use crate::atomic::AtomicScalar;
 use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
 use crate::hicoo::HicooTensor;
-use crate::par::{self, Schedule, ScratchArena};
+use crate::par::{self, Schedule};
 use crate::scalar::Scalar;
 use crate::shape::Shape;
 use crate::simd;
@@ -225,20 +224,18 @@ pub fn mttkrp_atomic<S: Scalar>(
         let rows = x.mode_inds(mode);
         let m = x.nnz();
         let grain = 1024usize;
-        let arena = ScratchArena::new(|| AlignedVec::filled(r, S::ZERO));
         par::for_each(m.div_ceil(grain), 1, |c| {
-            arena.with(|scratch| {
-                let mut rows_buf = Vec::with_capacity(factors.len());
-                let end = ((c + 1) * grain).min(m);
-                for z in c * grain..end {
-                    gather_rows(x, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(scratch, x.vals()[z], &rows_buf);
-                    let base = rows[z] as usize * r;
-                    for (k, &s) in scratch.iter().enumerate() {
-                        cells[base + k].fetch_add(s);
-                    }
+            let mut scratch = vec![S::ZERO; r];
+            let mut rows_buf = Vec::with_capacity(factors.len());
+            let end = ((c + 1) * grain).min(m);
+            for z in c * grain..end {
+                gather_rows(x, factors, mode, z, &mut rows_buf);
+                simd::product_rows(&mut scratch, x.vals()[z], &rows_buf);
+                let base = rows[z] as usize * r;
+                for (k, &s) in scratch.iter().enumerate() {
+                    cells[base + k].fetch_add(s);
                 }
-            });
+            }
         });
     }
     Ok(out)
@@ -395,23 +392,24 @@ pub fn mttkrp_hicoo<S: Scalar>(
     {
         let cells = S::as_atomic_slice(out.data_mut());
         let order = h.order();
-        let arena = ScratchArena::new(|| (AlignedVec::filled(r, S::ZERO), vec![0usize; order]));
-        par::for_each(h.num_blocks(), 1, |b| {
-            arena.with(|(scratch, base)| {
-                let mut rows_buf = Vec::with_capacity(order);
+        par::map_chunks(h.num_blocks(), 1, |blocks| {
+            let mut scratch = vec![S::ZERO; r];
+            let mut base = vec![0usize; order];
+            let mut rows_buf = Vec::with_capacity(order);
+            for b in blocks {
                 // Base row offsets of this block in every factor matrix.
                 for m in 0..order {
                     base[m] = (h.block_ind(b, m) as usize) << bits;
                 }
                 for z in h.block_range(b) {
-                    gather_block_rows(h.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(scratch, h.vals()[z], &rows_buf);
+                    gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
+                    simd::product_rows(&mut scratch, h.vals()[z], &rows_buf);
                     let out_row = base[mode] + h.einds()[mode][z] as usize;
                     for (k, &s) in scratch.iter().enumerate() {
                         cells[out_row * r + k].fetch_add(s);
                     }
                 }
-            });
+            }
         });
     }
     Ok(out)

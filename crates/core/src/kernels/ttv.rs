@@ -191,10 +191,6 @@ pub fn ttv_ghicoo<S: Scalar>(
     let _span = obs::span!("ttv.ghicoo");
     let mf = fp.num_fibers();
     charge(g.order(), g.nnz(), mf);
-    let nb = g.num_blocks();
-    let out_shape = g.shape().without_mode(mode)?;
-    let out_order = out_shape.order();
-    let other_modes: Vec<usize> = (0..g.order()).filter(|&m| m != mode).collect();
 
     // Value computation: one dot product per fiber (same loop as COO).
     let gv = g.vals();
@@ -205,32 +201,7 @@ pub fn ttv_ghicoo<S: Scalar>(
         let r = fp.fiber_range(f);
         out[0] = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
     });
-
-    // Output structure: block b of the output holds the fibers of input
-    // block b; block indices are the compressed block coords, element
-    // indices are the compressed element coords at each fiber start.
-    let bptr: Vec<u64> = fp.block_fiber_ptr.iter().map(|&f| f as u64).collect();
-    let binds: Vec<Vec<u32>> = other_modes
-        .iter()
-        .map(|&md| (0..nb).map(|b| g.block_ind(b, md)).collect())
-        .collect();
-    let einds: Vec<Vec<u8>> = other_modes
-        .iter()
-        .map(|&md| {
-            let src = g.eind(md);
-            (0..mf).map(|f| src[fp.fptr[f]]).collect()
-        })
-        .collect();
-
-    debug_assert_eq!(binds.len(), out_order);
-    Ok(HicooTensor::from_parts_unchecked(
-        out_shape,
-        g.block_bits(),
-        bptr,
-        binds,
-        einds,
-        vals,
-    ))
+    ghicoo_output(g, fp, vals)
 }
 
 /// Sequential HiCOO-Ttv baseline.
@@ -239,24 +210,52 @@ pub fn ttv_ghicoo_seq<S: Scalar>(
     fp: &GhFiberPartition,
     v: &DenseVector<S>,
 ) -> Result<HicooTensor<S>> {
-    // The parallel version is deterministic per fiber; reuse it on one lane
-    // by running with a sequential schedule over a local loop.
     let mode = fp.mode;
     check_operand(g.shape(), mode, v)?;
-    let mf = fp.num_fibers();
+    let _span = obs::span!("ttv.ghicoo.seq");
+    charge(g.order(), g.nnz(), fp.num_fibers());
     let gv = g.vals();
     let gk = g.find(mode);
     let vv = v.as_slice();
-    let mut vals = vec![S::ZERO; mf];
-    for (f, out) in vals.iter_mut().enumerate() {
-        let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(&gv[r.clone()], &gk[r], vv);
-    }
-    // Assemble through the parallel path's structure code by substituting
-    // the computed values.
-    let mut out = ttv_ghicoo(g, fp, v, Schedule::default())?;
-    out.vals_mut().copy_from_slice(&vals);
-    Ok(out)
+    let vals = (0..fp.num_fibers())
+        .map(|f| {
+            let r = fp.fiber_range(f);
+            simd::fiber_dot(&gv[r.clone()], &gk[r], vv)
+        })
+        .collect();
+    ghicoo_output(g, fp, vals)
+}
+
+/// The HiCOO output of a gHiCOO Ttv with one value per fiber of `fp`.
+/// Block b of the output holds the fibers of input block b; block indices
+/// are the compressed block coords, element indices are the compressed
+/// element coords at each fiber start.
+fn ghicoo_output<S: Scalar>(
+    g: &GHicooTensor<S>,
+    fp: &GhFiberPartition,
+    vals: Vec<S>,
+) -> Result<HicooTensor<S>> {
+    let other_modes: Vec<usize> = (0..g.order()).filter(|&m| m != fp.mode).collect();
+    let bptr: Vec<u64> = fp.block_fiber_ptr.iter().map(|&f| f as u64).collect();
+    let binds: Vec<Vec<u32>> = other_modes
+        .iter()
+        .map(|&md| (0..g.num_blocks()).map(|b| g.block_ind(b, md)).collect())
+        .collect();
+    let einds: Vec<Vec<u8>> = other_modes
+        .iter()
+        .map(|&md| {
+            let src = g.eind(md);
+            (0..fp.num_fibers()).map(|f| src[fp.fptr[f]]).collect()
+        })
+        .collect();
+    Ok(HicooTensor::from_parts_unchecked(
+        g.shape().without_mode(fp.mode)?,
+        g.block_bits(),
+        bptr,
+        binds,
+        einds,
+        vals,
+    ))
 }
 
 /// Convenience HiCOO-Ttv: re-blocks the input into the gHiCOO layout for

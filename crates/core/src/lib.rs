@@ -66,7 +66,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod align;
 pub mod analysis;
 pub mod atomic;
 pub mod coo;

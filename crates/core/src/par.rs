@@ -10,17 +10,14 @@
 //! `(len, grain)` straight to the pool, so the way a loop is cut into chunks
 //! is decided in exactly one place.
 
-use std::cell::UnsafeCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 mod pool;
 mod sort;
 
 pub use pool::{
-    current_threads, pool_max_workers, pool_snapshot, reset_pool_stats, set_pool_telemetry,
-    stable_worker_index, with_threads,
+    current_threads, pool_snapshot, reset_pool_stats, set_pool_telemetry, with_threads,
 };
 pub use sort::sort_unstable_by;
 
@@ -172,93 +169,6 @@ pub fn first_touch_filled<T: Copy + Send + Sync>(n: usize, value: T) -> Vec<T> {
     v
 }
 
-struct ArenaSlot<T> {
-    busy: AtomicBool,
-    data: UnsafeCell<Option<T>>,
-}
-
-// Safety: `data` is only accessed by the thread that won the `busy`
-// try-lock, and `T: Send` allows moving values between threads.
-unsafe impl<T: Send> Sync for ArenaSlot<T> {}
-
-/// Reusable per-thread scratch buffers for parallel kernels.
-///
-/// The atomic kernels in the seed allocated a fresh `vec![S::ZERO; r]` per
-/// work chunk — a malloc on the hot path of every chunk of every kernel
-/// call. `ScratchArena` keeps one lazily-initialized buffer per worker
-/// thread and lends it out for the duration of a closure:
-///
-/// ```
-/// use tenbench_core::par::ScratchArena;
-/// let arena = ScratchArena::new(|| vec![0.0f32; 16]);
-/// let sum: f32 = arena.with(|scratch| {
-///     scratch.fill(1.0);
-///     scratch.iter().sum()
-/// });
-/// assert_eq!(sum, 16.0);
-/// ```
-///
-/// Slots are keyed by [`stable_worker_index`], which names the OS thread
-/// and so stays put in nested regions and sequential fast paths, and are
-/// claimed with an atomic try-lock, so the arena is safe under nested
-/// parallelism or oversubscription: a thread that finds its slot busy
-/// simply builds a fresh buffer for that one call.
-/// Buffers are handed out dirty — callers must fully initialize the scratch
-/// before reading it (every kernel here starts with a `fill`).
-pub struct ScratchArena<T, F: Fn() -> T> {
-    make: F,
-    slots: Box<[ArenaSlot<T>]>,
-}
-
-impl<T: Send, F: Fn() -> T + Sync> ScratchArena<T, F> {
-    /// Create an arena with one slot per *possible* pool worker plus one
-    /// for off-pool callers. Regions are served by whichever pool workers
-    /// wake first — not necessarily workers `0..threads` — so sizing by
-    /// the instantaneous (or even the widest installed) thread count
-    /// would fold distinct live workers onto shared slots. Slots are
-    /// lazily filled `Option`s, so the unreached ones cost a word each,
-    /// not a buffer.
-    pub fn new(make: F) -> Self {
-        let n = 1 + pool_max_workers();
-        let slots = (0..n)
-            .map(|_| ArenaSlot {
-                busy: AtomicBool::new(false),
-                data: UnsafeCell::new(None),
-            })
-            .collect();
-        ScratchArena { make, slots }
-    }
-
-    /// Run `f` with this thread's scratch buffer (creating it on first use).
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        // Pool worker `w` owns slot `1 + w`; every other thread (usually
-        // just the submitting caller) shares slot 0, where the CAS
-        // fallback below keeps concurrent foreign threads safe.
-        let idx = match stable_worker_index() {
-            Some(w) => 1 + w,
-            None => 0,
-        };
-        let slot = &self.slots[idx];
-        if slot
-            .busy
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            // Safety: the CAS above grants exclusive access until the
-            // release store below.
-            let data = unsafe { &mut *slot.data.get() };
-            let out = f(data.get_or_insert_with(&self.make));
-            slot.busy.store(false, Ordering::Release);
-            out
-        } else {
-            // Slot contended (nested parallel section): fall back to a
-            // one-shot buffer rather than blocking.
-            let mut fresh = (self.make)();
-            f(&mut fresh)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +254,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_every_index_once() {
-        use std::sync::atomic::AtomicU8;
+        use std::sync::atomic::{AtomicU8, Ordering};
         let seen: Vec<AtomicU8> = (0..3_000).map(|_| AtomicU8::new(0)).collect();
         with_threads(3, || {
             for_each(seen.len(), 7, |i| {
@@ -352,95 +262,6 @@ mod tests {
             })
         });
         assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn scratch_arena_reuses_buffers_across_calls() {
-        use std::sync::atomic::AtomicUsize;
-        let allocs = AtomicUsize::new(0);
-        let arena = ScratchArena::new(|| {
-            allocs.fetch_add(1, Ordering::Relaxed);
-            vec![0.0f64; 8]
-        });
-        for i in 0..100 {
-            arena.with(|s| {
-                s.fill(i as f64);
-                assert_eq!(s[7], i as f64);
-            });
-        }
-        // Sequential caller: exactly one buffer ever built.
-        assert_eq!(allocs.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn scratch_arena_nested_use_falls_back_safely() {
-        let arena = ScratchArena::new(|| vec![0u32; 4]);
-        let out = arena.with(|outer| {
-            outer.fill(1);
-            // Same thread re-enters: slot is busy, fallback buffer used.
-            let inner_sum: u32 = arena.with(|inner| {
-                inner.fill(2);
-                inner.iter().sum()
-            });
-            outer.iter().sum::<u32>() + inner_sum
-        });
-        assert_eq!(out, 4 + 8);
-    }
-
-    #[test]
-    fn scratch_arena_parallel_use_is_consistent() {
-        let arena = ScratchArena::new(|| vec![0usize; 16]);
-        let results: Vec<usize> = map_collect(64, 1, |i| {
-            arena.with(|s| {
-                s.fill(i);
-                s.iter().sum::<usize>()
-            })
-        });
-        assert!(results.iter().enumerate().all(|(i, &r)| r == i * 16));
-    }
-
-    #[test]
-    fn scratch_arena_keys_by_stable_worker_index_under_nesting() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Barrier;
-        // Regression: arena slots used to be keyed by a region-relative
-        // participant index, which reset to 0 inside nested (fast-path)
-        // regions — two sibling outer workers holding scratch
-        // simultaneously both mapped to slot 0, so one of them built a
-        // fresh fallback buffer on every call. Stable worker ids give each
-        // OS thread its own slot: the allocation count stays bounded by
-        // the number of participating threads no matter how many rounds
-        // run.
-        let allocs = AtomicUsize::new(0);
-        let arena = ScratchArena::new(|| {
-            allocs.fetch_add(1, Ordering::Relaxed);
-            vec![0u64; 4]
-        });
-        let rounds = 16;
-        with_threads(2, || {
-            let barrier = Barrier::new(2);
-            for_each(2, 1, |_| {
-                for _ in 0..rounds {
-                    // A 1-element nested region takes the sequential fast
-                    // path on both workers.
-                    for_each(1, 1, |_| {
-                        barrier.wait();
-                        arena.with(|s| {
-                            s[0] += 1;
-                            // Both threads are inside `with` right now, so
-                            // a slot collision would force a fallback
-                            // allocation this round.
-                            barrier.wait();
-                        });
-                    });
-                }
-            });
-        });
-        let n = allocs.load(Ordering::Relaxed);
-        assert!(
-            n <= 2,
-            "one buffer per OS thread expected, saw {n} allocations"
-        );
     }
 
     #[test]
@@ -452,34 +273,5 @@ mod tests {
         assert!(w.iter().all(|&x| x == 1.5));
         let empty: Vec<f32> = first_touch_filled(0, 0.0);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn scratch_arena_buffers_are_simd_aligned() {
-        use crate::align::{AlignedVec, SIMD_ALIGN};
-        // Kernel scratch factories build AlignedVecs, so every buffer the
-        // arena lends out — per-worker slot or contended fallback — starts
-        // 64-byte aligned and vector loads never take the unaligned path.
-        let arena = ScratchArena::new(|| AlignedVec::filled(17, 0.0f32));
-        with_threads(2, || {
-            for_each(32, 1, |_| {
-                arena.with(|s| {
-                    assert_eq!(s.as_slice().as_ptr() as usize % SIMD_ALIGN, 0);
-                    // Nested use exercises the contended-fallback buffer.
-                    arena.with(|inner| {
-                        assert_eq!(inner.as_slice().as_ptr() as usize % SIMD_ALIGN, 0);
-                    });
-                });
-            });
-        });
-    }
-
-    #[test]
-    fn scratch_arena_sized_for_installed_pools() {
-        // Installing a wide pool first means an arena created *outside* any
-        // install scope still gets one slot per potential worker.
-        with_threads(5, || {});
-        let arena = ScratchArena::new(|| 0u8);
-        assert!(arena.slots.len() >= 5, "slots = {}", arena.slots.len());
     }
 }

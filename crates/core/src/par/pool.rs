@@ -28,8 +28,6 @@ thread_local! {
     /// host's available parallelism. Set by `with_threads` and, on a
     /// helper, by the region it is draining.
     static CURRENT_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-    /// The spawn index of a pool worker, constant for its lifetime.
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Number of worker threads parallel calls on this thread will use.
@@ -53,15 +51,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(CURRENT_THREADS.with(|c| c.replace(Some(threads.max(1)))));
     f()
-}
-
-/// The pool's stable worker index for the calling thread (its spawn
-/// index, constant for the thread's lifetime and matching its
-/// `tenbench-pool-N` name), or `None` for threads the pool does not own.
-/// It does not change in nested regions or sequential fast paths, which
-/// makes it the key for per-thread scratch.
-pub fn stable_worker_index() -> Option<usize> {
-    WORKER_INDEX.with(|c| c.get())
 }
 
 /// Telemetry for one pool participant. All relaxed: totals are read
@@ -179,12 +168,6 @@ fn note_caller_region(elapsed_ns: u64, scheduled_chunks: u64, executed_chunks: u
 /// Hard cap on pool worker (helper) threads for the whole process.
 const MAX_WORKERS: usize = 255;
 
-/// The process-wide cap on pool worker threads (`MAX_WORKERS`): stable
-/// worker indices are always below it.
-pub fn pool_max_workers() -> usize {
-    MAX_WORKERS
-}
-
 type Body = dyn Fn(Range<usize>) + Sync;
 
 struct JobState {
@@ -277,7 +260,6 @@ fn registry() -> &'static Registry {
 }
 
 fn worker_loop(reg: &'static Registry, worker_id: usize) {
-    WORKER_INDEX.with(|c| c.set(Some(worker_id)));
     loop {
         // Claim a helper slot on some open, undrained job.
         let job = {
@@ -373,8 +355,8 @@ fn submit(job: Arc<Job>, helpers: usize) {
         if !spawned {
             // Out of OS threads: the reserved index stays dead (its
             // stats lane reads zero) and the caller still drains the
-            // region. Indices are never reused, so stable worker ids
-            // stay unique.
+            // region. Indices are never reused, so each telemetry lane
+            // belongs to one thread.
             break;
         }
     }

@@ -45,12 +45,31 @@ use std::sync::{Arc, OnceLock};
 
 use crate::coo::CooTensor;
 use crate::hicoo::HicooTensor;
-use crate::par::current_threads;
+use crate::par::{current_threads, Schedule};
 use crate::scalar::Scalar;
 
 /// How many tasks to aim for per worker thread; more tasks means better
 /// dynamic load balance at slightly higher scheduling overhead.
 const TASKS_PER_THREAD: usize = 8;
+
+/// Row boundaries a [`RowSchedule`] build fills per parallel piece.
+const RPTR_PIECE: usize = 4096;
+/// Nonzeros of one row a [`RowSchedule`] build steps over one at a time
+/// before it gallops.
+const ROW_WALK: usize = 8;
+
+/// The first position at or after `j` whose element fails `below`, where
+/// `below` holds on a prefix of `perm` that reaches at least `j`: probe
+/// `j`, `j + 1`, `j + 3`, `j + 7`, … and binary-search the last stride.
+fn gallop(perm: &[u32], mut j: usize, below: impl Fn(&u32) -> bool) -> usize {
+    let (mut probe, mut stride) = (j, 1);
+    while probe < perm.len() && below(&perm[probe]) {
+        j = probe + 1;
+        probe = j + stride - 1;
+        stride *= 2;
+    }
+    j + perm[j..probe.min(perm.len())].partition_point(below)
+}
 
 /// Cut the groups `0..prefix.len() - 1`, whose running nonzero counts are
 /// `prefix`, into at most `current_threads() * TASKS_PER_THREAD`
@@ -241,39 +260,27 @@ impl RowSchedule {
             (rows_n as u32).saturating_sub(1),
         );
         // Row boundaries from the sorted permutation: `rptr[i]` is the
-        // first sorted position whose row is `>= i`. Each boundary range
-        // is owned by exactly one sorted position, so the fill runs in
-        // parallel with disjoint writes — replacing the serial
-        // per-nonzero counting pass plus prefix scan that used to front
-        // every schedule build.
+        // number of sorted positions whose row is `< i`. Each piece of
+        // `rptr` binary-searches its first boundary and walks forward from
+        // there, galloping past a row longer than `ROW_WALK` nonzeros, so
+        // one skewed row costs its piece a logarithmic search, not a scan.
+        let below = |i: usize| move |&p: &u32| (rows[p as usize] as usize) < i;
         let mut rptr = vec![0u32; rows_n + 1];
-        if m > 0 {
-            struct RawPtr(*mut u32);
-            unsafe impl Sync for RawPtr {}
-            let out = RawPtr(rptr.as_mut_ptr());
-            let out_ref = &out;
-            let perm_ref = &perm;
-            crate::par::for_each(m, 4096, |j| {
-                let r = rows[perm_ref[j] as usize] as usize;
-                let lo = if j == 0 {
-                    0
-                } else {
-                    let prev = rows[perm_ref[j - 1] as usize] as usize;
-                    if prev == r {
-                        return;
+        crate::par::chunks_mut(&mut rptr, RPTR_PIECE, Schedule::DYNAMIC, |c, piece| {
+            let first = c * RPTR_PIECE;
+            let mut j = perm.partition_point(below(first));
+            for (i, slot) in (first..).zip(piece.iter_mut()) {
+                let start = j;
+                while j < m && below(i)(&perm[j]) {
+                    j += 1;
+                    if j - start == ROW_WALK {
+                        j = gallop(&perm, j, below(i));
+                        break;
                     }
-                    prev + 1
-                };
-                for i in lo..=r {
-                    // SAFETY: sorted rows ascend, so `(prev_row, row]`
-                    // ranges are disjoint across positions and in-bounds
-                    // (`row < rows_n`).
-                    unsafe { out_ref.0.add(i).write(j as u32) };
                 }
-            });
-            let last = rows[perm[m - 1] as usize] as usize;
-            rptr[last + 1..].fill(m as u32);
-        }
+                *slot = j as u32;
+            }
+        });
         RowSchedule { perm, rptr }
     }
 
@@ -472,6 +479,51 @@ mod tests {
             covered = r.end;
         }
         assert_eq!(covered, 3);
+    }
+
+    #[test]
+    fn row_boundaries_match_a_sequential_count() {
+        // A multiplicative hash of `k`, spread over 0..1.
+        let unit =
+            |k: u64| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+        let cases: [(&str, usize, Vec<u32>); 3] = [
+            // Power-law rows: row 0 alone holds over a quarter of the
+            // nonzeros, and the first piece of boundaries most of the rest.
+            (
+                "skewed",
+                20_000,
+                (0..60_000)
+                    .map(|k| (unit(k).powi(8) * 20_000.0) as u32)
+                    .collect(),
+            ),
+            // Only every seventh row is populated.
+            (
+                "empty rows",
+                9_000,
+                (0..20_000)
+                    .map(|k| (k * 7 % 9_000) as u32 / 7 * 7)
+                    .collect(),
+            ),
+            // Far more rows than nonzeros.
+            (
+                "rows >> nnz",
+                1_000_000,
+                (0..50).map(|k| (unit(k) * 1e6) as u32).collect(),
+            ),
+        ];
+        for (what, rows_n, rows) in cases {
+            let mut want = vec![0u32; rows_n + 1];
+            for &r in &rows {
+                want[r as usize + 1] += 1;
+            }
+            for i in 0..rows_n {
+                want[i + 1] += want[i];
+            }
+            for threads in [1, 4] {
+                let s = crate::par::with_threads(threads, || RowSchedule::build(&rows, rows_n));
+                assert!(s.rptr == want, "{what} at {threads} threads");
+            }
+        }
     }
 
     #[test]

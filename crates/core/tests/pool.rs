@@ -107,13 +107,15 @@ fn with_threads_restores_width_after_panic() {
     // barrier puts the two chunks on two threads; the helper's one panics.
     let barrier = Barrier::new(2);
     let panicked = Mutex::new(None);
+    let caller = thread::current().id();
     let r = catch_unwind(AssertUnwindSafe(|| {
         par::with_threads(wide, || {
             par::for_each(2, 1, |_| {
                 barrier.wait();
-                if let Some(w) = par::stable_worker_index() {
-                    *panicked.lock().unwrap() = Some(w);
-                    panic!("injected fault on helper {w}");
+                let me = thread::current().id();
+                if me != caller {
+                    *panicked.lock().unwrap() = Some(me);
+                    panic!("injected fault on helper {me:?}");
                 }
             })
         })
@@ -138,7 +140,7 @@ fn with_threads_restores_width_after_panic() {
                 assert!(r.is_err());
                 seen.lock()
                     .unwrap()
-                    .push((par::stable_worker_index(), par::current_threads()));
+                    .push((thread::current().id(), par::current_threads()));
                 barrier.wait();
             })
         });
@@ -148,52 +150,13 @@ fn with_threads_restores_width_after_panic() {
             seen.iter().all(|&(_, threads)| threads == width),
             "every participant runs at the region's width: {seen:?}"
         );
-        if seen.iter().any(|&(w, _)| w == Some(panicked)) {
+        if seen.iter().any(|&(w, _)| w == panicked) {
             served = true;
             break;
         }
     }
-    assert!(served, "helper {panicked} never served another region");
+    assert!(served, "helper {panicked:?} never served another region");
     assert_eq!(par::current_threads(), own);
-}
-
-#[test]
-fn stable_worker_index_is_stable_across_nested_regions() {
-    let _g = lock();
-    // Distinct OS threads must observe distinct stable indices (`None` for
-    // the one thread the pool does not own), and a thread's index must not
-    // change when it enters a nested region or a sequential fast path —
-    // a region-relative index resets there, the bug that used to collide
-    // ScratchArena slots.
-    let seen = Mutex::new(Vec::new());
-    par::with_threads(4, || {
-        par::for_each(16, 1, |_| {
-            let outer = par::stable_worker_index();
-            // Nested small region takes the sequential fast path.
-            par::for_each(4, 64, |_| {
-                assert_eq!(
-                    par::stable_worker_index(),
-                    outer,
-                    "stable index changed inside a nested region"
-                );
-            });
-            seen.lock().unwrap().push((thread::current().id(), outer));
-        });
-    });
-    let seen = seen.into_inner().unwrap();
-    let os_threads: HashSet<_> = seen.iter().map(|(os, _)| *os).collect();
-    let stable_ids: HashSet<_> = seen.iter().map(|(_, id)| *id).collect();
-    assert_eq!(
-        os_threads.len(),
-        stable_ids.len(),
-        "stable indices must be 1:1 with OS threads"
-    );
-    // And the mapping itself is consistent: one stable index per OS thread,
-    // `None` exactly on the submitting thread.
-    for (os, id) in seen.iter() {
-        assert!(seen.iter().filter(|(o, _)| o == os).all(|(_, i)| i == id));
-        assert_eq!(id.is_none(), *os == thread::current().id());
-    }
 }
 
 #[test]
@@ -379,4 +342,31 @@ fn chunk_geometry_is_pinned() {
         );
         assert!(v.iter().enumerate().all(|(i, &x)| x == i / width + 1));
     }
+}
+
+#[test]
+fn sequential_ghicoo_ttv_opens_no_region() {
+    use tenbench_core::kernels::ttv::ttv_ghicoo_seq;
+    use tenbench_core::prelude::*;
+
+    let _g = lock();
+    // Every coordinate of a 16 x 16 x 4 box: 256 mode-2 fibers.
+    let entries: Vec<(Vec<u32>, f32)> = (0..16u32)
+        .flat_map(|i| (0..16).flat_map(move |j| (0..4).map(move |k| (vec![i, j, k], 1.0))))
+        .collect();
+    let x = CooTensor::from_entries(Shape::new(vec![16, 16, 4]), entries).unwrap();
+    let g = GHicooTensor::from_coo_for_mode(&x, 2, 2).unwrap();
+    let fp = g.fibers(2).unwrap();
+    assert!(fp.num_fibers() > 64);
+    let v = DenseVector::from_fn(4, |i| i as f32 + 1.0);
+    par::reset_pool_stats();
+    let prev = par::set_pool_telemetry(true);
+    let out = par::with_threads(4, || ttv_ghicoo_seq(&g, &fp, &v)).unwrap();
+    par::set_pool_telemetry(prev);
+    assert_eq!(out.nnz(), fp.num_fibers());
+    assert_eq!(
+        par::pool_snapshot().regions,
+        0,
+        "the sequential kernel submitted a parallel region"
+    );
 }

@@ -1,8 +1,8 @@
 //! Lock-free per-thread span recording.
 //!
 //! Each thread owns a buffer of [`Event`]s guarded by an `AtomicBool`
-//! claim flag (the same single-owner pattern as `core::par::ScratchArena`):
-//! the owning thread claims it for the duration of a push, the drain in
+//! claim flag (the same single-owner pattern as the [`crate::flight`]
+//! rings): the owning thread claims it for the duration of a push, the drain in
 //! [`crate::stop_trace`] claims it to `mem::take` the contents. There are
 //! no locks on the recording path; the registry mutex is touched only
 //! once per thread (registration) and once per drain.

@@ -266,11 +266,9 @@ fn digest_matrix(m: &DenseMatrix<f32>) -> f64 {
     digest_slice(m.data())
 }
 
-/// Run one [`BatchJob`] inline and digest its output. The HiCOO paths use
-/// the scheduled kernels where they exist; Ttv has no direct
-/// `HicooTensor` kernel, so both formats dispatch to the COO
-/// implementation (the conversion cache still pays for Tew/Ts/Ttm/Mttkrp
-/// reuse of the same tensor).
+/// Run one [`BatchJob`] inline and digest its output. The HiCOO paths run
+/// on the cached HiCOO conversion, through the scheduled kernels for
+/// Ttv, Ttm and Mttkrp.
 pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
     let _span = obs::span!("serve.execute");
     let x = job.coo.as_ref();
@@ -293,12 +291,14 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
             let y = ts::ts_hicoo(hx, 1.000_1, EwOp::Mul).map_err(err)?;
             (digest_slice(y.vals()), "parallel")
         }
-        (Kernel::Ttv, _) => {
-            let v = DenseVector::from_fn(x.shape().dim(job.mode) as usize, |i| {
-                (i % 100) as f32 * 0.01
-            });
-            let y = ttv::ttv(x, &v, job.mode).map_err(err)?;
+        (Kernel::Ttv, FormatKind::Coo) => {
+            let y = ttv::ttv(x, &ttv_operand(x, job.mode), job.mode).map_err(err)?;
             (digest_slice(y.vals()), "fiber_parallel")
+        }
+        (Kernel::Ttv, FormatKind::Hicoo) => {
+            let v = ttv_operand(x, job.mode);
+            let y = ttv::ttv_hicoo_sched(hx, &v, job.mode).map_err(err)?;
+            (digest_slice(y.vals()), "scheduled")
         }
         (Kernel::Ttm, FormatKind::Coo) => {
             let u = factor(job, job.mode)?;
@@ -331,6 +331,11 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
         digest,
         strategy: strategy.to_string(),
     })
+}
+
+/// The vector a Ttv request contracts `x`'s `mode` with.
+fn ttv_operand(x: &CooTensor<f32>, mode: usize) -> DenseVector<f32> {
+    DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i % 100) as f32 * 0.01)
 }
 
 fn factor(job: &BatchJob, mode: usize) -> Result<&DenseMatrix<f32>, String> {
@@ -850,6 +855,26 @@ mod tests {
         // rank 8), so at most two misses.
         assert!(report.cache.hits >= 1, "{:?}", report.cache);
         obs::json::Value::parse(&report.to_json()).expect("report JSON parses");
+    }
+
+    #[test]
+    fn hicoo_ttv_runs_the_scheduled_hicoo_kernel() {
+        let svc = KernelService::start(
+            ServeConfig {
+                block_bits: 4,
+                ..ServeConfig::default()
+            },
+            Box::new(DirectExecutor),
+        );
+        let x = tensor(3);
+        let mut r = req(&x, Kernel::Ttv, FormatKind::Hicoo);
+        r.mode = 1;
+        let got = svc.submit(r).expect("admitted").wait().expect("served");
+        svc.shutdown();
+        let h = HicooTensor::from_coo(&x, 4).unwrap();
+        let want = ttv::ttv_hicoo_sched(&h, &ttv_operand(&x, 1), 1).unwrap();
+        assert_eq!(got.strategy, "scheduled");
+        assert_eq!(got.digest, digest_slice(want.vals()));
     }
 
     /// Blocks every execution until the gate opens, so tests can queue a
