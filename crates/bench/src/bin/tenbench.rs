@@ -9,7 +9,7 @@
 //! tenbench generate <kron|pl> --dims 1024,1024,64 --nnz 100000 [--seed S] --out <file>
 //! tenbench kernel   <tew|ts|ttv|ttm|mttkrp> <file> [--mode N] [--rank R]
 //!                   [--format coo|hicoo] [--block-bits B] [--reps K]
-//!                   [--strategy seq|atomic|privatized|scheduled]
+//!                   [--strategy seq|atomic|scheduled]
 //!                   [--max-seconds S] [--fallback on|off]
 //! tenbench kernel   --all [file] [--dataset s4] [--nnz N] [--mode N] ...
 //! tenbench scale-bench [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
@@ -20,9 +20,6 @@
 //! tenbench obs-overhead [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
 //!                   [--reps K] [--threads 1,2,4] [--rounds 3]
 //!                   [--out BENCH_obs_overhead.json] [--max-overhead-pct X]
-//! tenbench serve    [--dataset s4] [--nnz N] [--rank R] [--workers W]
-//!                   [--queue-bound Q] [--max-batch B] [--cache-mb M]
-//!                   [--block-bits B] [--max-seconds S] [--flight-dump-dir DIR]
 //! tenbench stress   [--dataset s4] [--nnz N] [--tensors T] [--duration 5s]
 //!                   [--concurrency C] [--alpha A] [--rank R] [--workers W]
 //!                   [--queue-bound Q] [--max-batch B] [--cache-mb M]
@@ -45,7 +42,7 @@
 //! table in `tenbench_bench::cells` and names it in its report. Every
 //! kernel validates `--strategy`: Mttkrp has a cell per strategy, HiCOO
 //! Ttv/Ttm run the scheduled kernel under `scheduled` and the gHiCOO one
-//! otherwise, the remaining cells accept any of the four values, and an
+//! otherwise, the remaining cells accept any of the three values, and an
 //! unknown value is a usage error that lists the cells. `scale-bench`
 //! sweeps the whole table (every strategy, and the conversion pipeline
 //! under the radix and the comparator sort) across `--threads`; a
@@ -66,15 +63,14 @@
 //! the run executes on a watchdogged worker thread under panic isolation,
 //! the output is validated (NaN/Inf scan; Mttkrp additionally checksums
 //! against the sequential reference), and on failure the run falls back
-//! (Mttkrp through `scheduled -> atomic -> privatized -> seq`, HiCOO
-//! Ttv/Ttm to the other HiCOO cell). `verify` runs the full integrity
+//! (Mttkrp through the requested kernel, then `scheduled`, then `seq`;
+//! HiCOO Ttv/Ttm to the other HiCOO cell). `verify` runs the full integrity
 //! battery on one tensor file.
 //!
-//! `serve` starts the in-process batched kernel service (supervised
-//! executor, format/schedule cache, admission-controlled queue) and runs a
-//! demonstration request mix; `stress` drives it closed-loop with
-//! Zipf-skewed tensor popularity, probes overload shedding, and writes
-//! `BENCH_serve.json` with p50/p90/p99 latency, throughput, and cache hit
+//! `stress` starts the in-process batched kernel service (supervised
+//! executor, format/schedule cache, admission-controlled queue), drives it
+//! closed-loop with Zipf-skewed tensor popularity, probes overload
+//! shedding, and writes `BENCH_serve.json` with p50/p90/p99 latency, throughput, and cache hit
 //! ratio. Its gates (`--max-p99-ms`, `--min-hit-ratio`, and a mandatory
 //! typed queue-full rejection under overload) fail the process for CI.
 //! With `--net` the same load instead travels over loopback TCP: a
@@ -93,7 +89,7 @@
 //! fault kind fired, and every completed CP-ALS job bitwise-matches an
 //! uninterrupted reference run.
 //!
-//! `--flight-dump-dir DIR` (on `serve`, `stress`, and `chaos`) routes
+//! `--flight-dump-dir DIR` (on `stress` and `chaos`) routes
 //! flight-recorder fault dumps to DIR: the always-on per-thread ring of
 //! recent causal events is snapshotted into
 //! `DIR/flight-<seq>-<reason>.json` the moment the supervisor records a
@@ -141,10 +137,6 @@ fn flags_of(sub: &str) -> Option<&'static str> {
         "scale-bench" => "dataset nnz rank block-bits threads reps out floors",
         "verify" => "block-bits rank max-seconds fallback",
         "obs-overhead" => "dataset nnz rank block-bits reps threads rounds out max-overhead-pct",
-        "serve" => {
-            "dataset nnz rank workers queue-bound max-batch cache-mb block-bits max-seconds \
-             fallback"
-        }
         "stress" => {
             "dataset nnz rank workers queue-bound max-batch cache-mb block-bits max-seconds \
              fallback tensors duration concurrency alpha deadline-ms max-p99-ms min-hit-ratio \
@@ -158,8 +150,7 @@ fn flags_of(sub: &str) -> Option<&'static str> {
     })
 }
 
-/// Build the service tuning knobs shared by `serve` and `stress` from the
-/// parsed options.
+/// Build the service tuning knobs of `stress` from the parsed options.
 fn serve_config(
     get_usize: &dyn Fn(&str, usize) -> Result<usize, String>,
     block_bits: u8,
@@ -420,16 +411,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
                 max_overhead_pct,
             )?)
         }
-        Some("serve") => {
-            let serve_cfg = serve_config(&get_usize, block_bits)?;
-            Ok(cli::serve_demo(
-                opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                get_usize("nnz", 20_000)?,
-                get_usize("rank", 16)?,
-                serve_cfg,
-                &supervisor_cfg(),
-            )?)
-        }
         Some("stress") => {
             let serve_cfg = serve_config(&get_usize, block_bits)?;
             let max_p99_ms: Option<f64> = opts
@@ -508,6 +489,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::chaos(&chaos_opts)?)
         }
-        _ => Err("usage: tenbench <paper|convert|stats|generate|kernel|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
+        _ => Err("usage: tenbench <paper|convert|stats|generate|kernel|scale-bench|verify|report|obs-overhead|stress|chaos> ... (see the module docs)".into()),
     }
 }

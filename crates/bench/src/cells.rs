@@ -14,22 +14,22 @@ use std::sync::{Arc, OnceLock};
 use tenbench_core::coo::{CooTensor, FiberPartition, SemiSparseTensor, SortAlgo};
 use tenbench_core::dense::{DenseMatrix, DenseVector};
 use tenbench_core::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor, SemiSparseHicooTensor};
-use tenbench_core::kernels::mttkrp::MttkrpStrategy;
 use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
 use tenbench_core::par::Schedule;
 use tenbench_core::{sched, Result};
 
 use crate::suite::{make_factors, make_partner, sample, Sample};
+use crate::supervisor::MttkrpFn;
 
 /// Scalar operand of Ts.
 pub const TS_SCALAR: f32 = 1.000_1;
 
 /// The `--strategy` values; a cell lists the ones that select it.
-pub const STRATEGIES: [&str; 4] = ["seq", "atomic", "privatized", "scheduled"];
+pub const STRATEGIES: [&str; 3] = ["seq", "atomic", "scheduled"];
 /// Cells without strategy variants take any of them.
 const ANY: &[&str] = &STRATEGIES;
 /// HiCOO Ttv/Ttm: `scheduled` selects the scheduled kernel, the rest gHiCOO.
-const UNSCHEDULED: &[&str] = &["seq", "atomic", "privatized"];
+const UNSCHEDULED: &[&str] = &["seq", "atomic"];
 const SCHEDULED: &[&str] = &["scheduled"];
 
 /// One row of the table.
@@ -78,7 +78,7 @@ const TTM: Option<Kernel> = Some(Kernel::Ttm);
 const MTTKRP: Option<Kernel> = Some(Kernel::Mttkrp);
 
 /// Every cell, in report order.
-pub static CELLS: [Cell; 19] = [
+pub static CELLS: [Cell; 18] = [
     cell("tew.coo", TEW, "coo", ANY, |i, _| {
         let (x, y) = (i.x.clone(), i.y.clone());
         Ok(timed(Output::Coo, move || {
@@ -144,7 +144,7 @@ pub static CELLS: [Cell; 19] = [
         MTTKRP,
         "coo",
         &["seq"],
-        |i, mode| mttkrp_coo(i, mode, MttkrpStrategy::Seq),
+        |i, mode| mttkrp_coo(i, mode, mttkrp::mttkrp_seq),
     )),
     // The paper's Algorithm: nonzero-parallel, atomic updates.
     cell(
@@ -152,18 +152,11 @@ pub static CELLS: [Cell; 19] = [
         MTTKRP,
         "coo",
         &["atomic"],
-        |i, mode| mttkrp_coo(i, mode, MttkrpStrategy::Atomic),
-    ),
-    cell(
-        "mttkrp.coo_privatized",
-        MTTKRP,
-        "coo",
-        &["privatized"],
-        |i, mode| mttkrp_coo(i, mode, MttkrpStrategy::Privatized),
+        |i, mode| mttkrp_coo(i, mode, mttkrp::mttkrp_atomic),
     ),
     cell("mttkrp.coo_sched", MTTKRP, "coo", SCHEDULED, |i, mode| {
         let _ = sched::row_schedule(&i.x, mode);
-        mttkrp_coo(i, mode, MttkrpStrategy::Scheduled)
+        mttkrp_coo(i, mode, mttkrp::mttkrp_sched)
     }),
     sequential(cell(
         "mttkrp.hicoo_seq",
@@ -176,7 +169,7 @@ pub static CELLS: [Cell; 19] = [
         "mttkrp.hicoo_atomic",
         MTTKRP,
         "hicoo",
-        &["atomic", "privatized"],
+        &["atomic"],
         |i, mode| mttkrp_hicoo(i, mode, mttkrp::mttkrp_hicoo),
     ),
     cell(
@@ -201,17 +194,12 @@ fn refs(factors: &[DenseMatrix<f32>]) -> Vec<&DenseMatrix<f32>> {
     factors.iter().collect()
 }
 
-fn mttkrp_coo(i: &Inputs, mode: usize, strategy: MttkrpStrategy) -> Result<Prepared> {
+fn mttkrp_coo(i: &Inputs, mode: usize, kernel: MttkrpFn<CooTensor<f32>>) -> Result<Prepared> {
     let (x, u) = (i.x.clone(), i.factors.clone());
-    Ok(timed(Output::Matrix, move || {
-        mttkrp::mttkrp_with(&x, &refs(&u), mode, strategy)
-    }))
+    Ok(timed(Output::Matrix, move || kernel(&x, &refs(&u), mode)))
 }
 
-/// A HiCOO Mttkrp entry point.
-type MttkrpHicoo = fn(&HicooTensor<f32>, &[&DenseMatrix<f32>], usize) -> Result<DenseMatrix<f32>>;
-
-fn mttkrp_hicoo(i: &Inputs, mode: usize, kernel: MttkrpHicoo) -> Result<Prepared> {
+fn mttkrp_hicoo(i: &Inputs, mode: usize, kernel: MttkrpFn<HicooTensor<f32>>) -> Result<Prepared> {
     let (hx, u) = (i.hx()?, i.factors.clone());
     Ok(timed(Output::Matrix, move || kernel(&hx, &refs(&u), mode)))
 }
@@ -271,16 +259,6 @@ impl Cell {
     /// The cell with this name.
     pub fn named(name: &str) -> Option<&'static Cell> {
         CELLS.iter().find(|c| c.name == name)
-    }
-
-    /// The Mttkrp strategy a supervised run requests for this cell.
-    pub fn mttkrp_strategy(&self) -> MttkrpStrategy {
-        match self.strategies.first() {
-            Some(&"seq") => MttkrpStrategy::Seq,
-            Some(&"privatized") => MttkrpStrategy::Privatized,
-            Some(&"scheduled") => MttkrpStrategy::Scheduled,
-            _ => MttkrpStrategy::Atomic,
-        }
     }
 }
 

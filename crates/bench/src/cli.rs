@@ -18,7 +18,6 @@ use tenbench_obs as obs;
 
 use tenbench_core::coo::{CooTensor, SortAlgo};
 use tenbench_core::hicoo::HicooTensor;
-use tenbench_core::kernels::mttkrp::MttkrpStrategy;
 use tenbench_core::kernels::Kernel;
 use tenbench_core::par;
 use tenbench_core::shape::Shape;
@@ -340,7 +339,7 @@ fn run_cell(
             &inputs.factors,
             mode,
             hx.as_ref(),
-            cell.mttkrp_strategy(),
+            cell.strategies.first().copied().unwrap_or("scheduled"),
             cfg,
         );
         // The Mttkrp trials time a single guarded execution, so the
@@ -511,9 +510,8 @@ pub fn verify(
             &mut out,
         );
         let factors = Arc::new(make_factors(&t, rank));
-        let strat = MttkrpStrategy::Scheduled;
         let (r, _) =
-            supervisor::supervised_mttkrp("mttkrp/coo", &xa, &factors, 0, None, strat, cfg);
+            supervisor::supervised_mttkrp("mttkrp/coo", &xa, &factors, 0, None, "scheduled", cfg);
         check(
             "mttkrp coo vs sequential reference",
             if r.status.is_success() {
@@ -530,7 +528,7 @@ pub fn verify(
                 &factors,
                 0,
                 Some(hx),
-                strat,
+                "scheduled",
                 cfg,
             );
             check(
@@ -1000,99 +998,6 @@ pub fn parse_duration(s: &str) -> CliResult<std::time::Duration> {
         return Err(bad());
     }
     Ok(std::time::Duration::from_secs_f64(v))
-}
-
-/// `serve`: start the in-process kernel service on the supervised
-/// executor, submit a demonstration mix of requests (every kernel × both
-/// formats across a few tensors), and print per-request metrics plus the
-/// service report. This is the smoke-level entry point; `stress` is the
-/// load generator.
-pub fn serve_demo(
-    dataset: &str,
-    nnz: usize,
-    rank: usize,
-    serve_cfg: tenbench_serve::ServeConfig,
-    sup_cfg: &SupervisorConfig,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let pool: Vec<Arc<CooTensor<f32>>> = (0..3u64)
-        .map(|i| Arc::new(d.generate_with(nnz, d.default_seed().wrapping_add(i))))
-        .collect();
-    let svc = tenbench_serve::KernelService::start(
-        serve_cfg,
-        Box::new(crate::serve_exec::SupervisedExecutor::new(sup_cfg.clone())),
-    );
-
-    let mut submitted = Vec::new();
-    for (i, x) in pool.iter().enumerate() {
-        for kernel in Kernel::ALL {
-            for format in [
-                tenbench_serve::FormatKind::Coo,
-                tenbench_serve::FormatKind::Hicoo,
-            ] {
-                let mode = i % x.order();
-                let ticket = svc
-                    .submit(tenbench_serve::Request {
-                        kernel,
-                        format,
-                        mode,
-                        rank,
-                        tensor: x.clone(),
-                        deadline: None,
-                    })
-                    .map_err(|e| CliError::Usage(format!("submit refused: {e}")))?;
-                submitted.push((kernel, format, mode, ticket));
-            }
-        }
-    }
-
-    let mut tab = TextTable::new([
-        "Kernel",
-        "Format",
-        "Mode",
-        "Strategy",
-        "Batch",
-        "Cache",
-        "Queued (ms)",
-        "Exec (ms)",
-        "Total (ms)",
-    ]);
-    for (kernel, format, mode, ticket) in submitted {
-        match ticket.wait() {
-            Ok(r) => tab.row([
-                kernel.name().to_string(),
-                format.as_str().to_string(),
-                mode.to_string(),
-                r.strategy,
-                r.batch_size.to_string(),
-                if r.cache_hit { "hit" } else { "miss" }.to_string(),
-                format!("{:.3}", r.queued_ms),
-                format!("{:.3}", r.exec_ms),
-                format!("{:.3}", r.total_ms),
-            ]),
-            Err(e) => tab.row([
-                kernel.name().to_string(),
-                format.as_str().to_string(),
-                mode.to_string(),
-                format!("ERROR: {e}"),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]),
-        }
-    }
-    let report = svc.shutdown();
-    let mut out = format!(
-        "kernel service demo on {dataset} x3 ({} nnz each, rank {rank})\n",
-        fint(pool[0].nnz() as u64),
-    );
-    out.push_str(&tab.render());
-    out.push_str("\nservice report\n");
-    out.push_str(&report.render());
-    Ok(out)
 }
 
 /// Knobs for [`stress`], bundling what would otherwise be a dozen
@@ -2046,7 +1951,7 @@ mod tests {
                 assert!(r.contains(suffix), "{k}/{f}: {r}");
             }
         }
-        for s in ["seq", "privatized"] {
+        for s in ["seq", "atomic"] {
             let r = run_kernel_on(tiny(), "mttkrp", 1, 4, "coo", 3, 1, s, None).unwrap();
             assert!(r.contains("GFLOPS"), "{s}: {r}");
             assert!(r.starts_with(&format!("mttkrp.coo_{s}/mode1 ")), "{r}");

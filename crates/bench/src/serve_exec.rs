@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use tenbench_core::kernels::mttkrp::MttkrpStrategy;
 use tenbench_core::kernels::Kernel;
 use tenbench_serve::{
     execute_direct, BatchJob, ExecOutcome, Executor, FormatKind, StepRunner, StepVerdict,
@@ -59,7 +58,7 @@ impl Executor for SupervisedExecutor {
                     &job.factors,
                     job.mode,
                     hicoo,
-                    MttkrpStrategy::Scheduled,
+                    "scheduled",
                     &self.cfg,
                 );
                 match out {

@@ -7,7 +7,7 @@
 //! wall-clock watchdog; the supervisor turns panics, timeouts, kernel
 //! errors, and invalid outputs into structured [`RunReport`]s instead of
 //! crashes, and can fall back through a chain of alternative strategies
-//! (e.g. `scheduled -> atomic -> privatized -> seq` for Mttkrp) so the
+//! (for Mttkrp the requested one, then `scheduled`, then `seq`) so the
 //! sweep still produces a trustworthy number for the cell.
 //!
 //! Output validation is part of supervision: a kernel that finishes fast
@@ -39,8 +39,9 @@ use std::time::{Duration, Instant};
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
 use tenbench_core::hicoo::HicooTensor;
-use tenbench_core::kernels::mttkrp::{self, MttkrpStrategy};
+use tenbench_core::kernels::mttkrp;
 use tenbench_obs as obs;
+use tenbench_obs::json::escape_json;
 
 /// Tuning knobs for supervised execution.
 #[derive(Debug, Clone)]
@@ -659,94 +660,64 @@ pub fn validate_matrix(
     Ok(Some(digest.iter().sum()))
 }
 
-/// The COO Mttkrp fallback chain: the requested strategy first, then the
-/// remainder of `scheduled -> atomic -> privatized -> seq` (so `seq`, the
-/// trusted reference implementation, is the terminal fallback unless it
-/// was the one requested).
-pub fn mttkrp_chain(requested: MttkrpStrategy) -> Vec<MttkrpStrategy> {
-    use MttkrpStrategy::*;
-    let mut chain = vec![requested];
-    for s in [Scheduled, Atomic, Privatized, Seq] {
-        if !chain.contains(&s) {
-            chain.push(s);
+/// A Mttkrp kernel over one tensor representation.
+pub type MttkrpFn<X> =
+    fn(&X, &[&DenseMatrix<f32>], usize) -> tenbench_core::Result<DenseMatrix<f32>>;
+
+/// The COO Mttkrp kernels, by strategy label.
+pub const COO_MTTKRP: [(&str, MttkrpFn<CooTensor<f32>>); 3] = [
+    ("seq", mttkrp::mttkrp_seq),
+    ("atomic", mttkrp::mttkrp_atomic),
+    ("scheduled", mttkrp::mttkrp_sched),
+];
+
+/// The HiCOO Mttkrp kernels, by strategy label.
+pub const HICOO_MTTKRP: [(&str, MttkrpFn<HicooTensor<f32>>); 3] = [
+    ("seq", mttkrp::mttkrp_hicoo_seq),
+    ("atomic", mttkrp::mttkrp_hicoo),
+    ("scheduled", mttkrp::mttkrp_hicoo_sched),
+];
+
+/// The Mttkrp fallback chain over one format's `kernels`: the `requested`
+/// label first, then `scheduled`, then `seq` (the trusted reference), each
+/// once; a label `kernels` lacks is skipped. The atomic kernel runs only
+/// when it is the one requested.
+pub fn mttkrp_chain<K: Copy>(
+    kernels: &[(&'static str, K)],
+    requested: &str,
+) -> Vec<(&'static str, K)> {
+    let mut chain: Vec<(&'static str, K)> = Vec::new();
+    for want in [requested, "scheduled", "seq"] {
+        if chain.iter().all(|&(label, _)| label != want) {
+            chain.extend(kernels.iter().find(|&&(label, _)| label == want));
         }
     }
     chain
 }
 
-fn strategy_label(s: MttkrpStrategy) -> &'static str {
-    match s {
-        MttkrpStrategy::Seq => "seq",
-        MttkrpStrategy::Atomic => "atomic",
-        MttkrpStrategy::Privatized => "privatized",
-        MttkrpStrategy::Scheduled => "scheduled",
-    }
-}
-
-/// Build the COO Mttkrp trial chain for one mode. Inputs are shared via
-/// `Arc` so detached (timed-out) workers cannot outlive their data.
-pub fn mttkrp_coo_trials(
-    x: &Arc<CooTensor<f32>>,
+/// The Mttkrp trials for one mode: [`mttkrp_chain`] over `kernels`, or its
+/// first step alone without `fallback`. Inputs are shared via `Arc` so
+/// detached (timed-out) workers cannot outlive their data.
+pub fn mttkrp_trials<X: Send + Sync + 'static>(
+    kernels: &[(&'static str, MttkrpFn<X>)],
+    x: &Arc<X>,
     factors: &Arc<Vec<DenseMatrix<f32>>>,
     mode: usize,
-    requested: MttkrpStrategy,
+    requested: &str,
     fallback: bool,
 ) -> Vec<Trial<DenseMatrix<f32>>> {
-    let chain = if fallback {
-        mttkrp_chain(requested)
-    } else {
-        vec![requested]
-    };
-    chain
-        .into_iter()
-        .map(|strat| {
-            let x = x.clone();
-            let factors = factors.clone();
-            Trial::new(strategy_label(strat), move || {
-                let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-                mttkrp::mttkrp_with(&x, &frefs, mode, strat).map_err(|e| e.to_string())
-            })
-        })
-        .collect()
-}
-
-/// Build the HiCOO Mttkrp trial chain for one mode: `scheduled -> atomic
-/// -> seq`, rotated so the requested strategy runs first (`privatized`
-/// maps to the atomic HiCOO kernel).
-pub fn mttkrp_hicoo_trials(
-    hx: &Arc<HicooTensor<f32>>,
-    factors: &Arc<Vec<DenseMatrix<f32>>>,
-    mode: usize,
-    requested: MttkrpStrategy,
-    fallback: bool,
-) -> Vec<Trial<DenseMatrix<f32>>> {
-    let requested = match requested {
-        MttkrpStrategy::Scheduled => "scheduled",
-        MttkrpStrategy::Seq => "seq",
-        _ => "atomic",
-    };
-    let mut chain = vec![requested];
-    for s in ["scheduled", "atomic", "seq"] {
-        if !chain.contains(&s) {
-            chain.push(s);
-        }
-    }
+    let mut chain = mttkrp_chain(kernels, requested);
     if !fallback {
         chain.truncate(1);
     }
     chain
         .into_iter()
-        .map(|name| {
-            let hx = hx.clone();
+        .map(|(label, kernel)| {
+            let x = x.clone();
             let factors = factors.clone();
-            Trial::new(name, move || {
+            Trial::new(label, move || {
                 let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-                match name {
-                    "scheduled" => mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode),
-                    "seq" => mttkrp::mttkrp_hicoo_seq(&hx, &frefs, mode),
-                    _ => mttkrp::mttkrp_hicoo(&hx, &frefs, mode),
-                }
-                .map_err(|e| e.to_string())
+                kernel(&x, &frefs, mode).map_err(|e| e.to_string())
             })
         })
         .collect()
@@ -775,7 +746,7 @@ pub fn supervised_mttkrp(
     factors: &Arc<Vec<DenseMatrix<f32>>>,
     mode: usize,
     hicoo: Option<&Arc<HicooTensor<f32>>>,
-    requested: MttkrpStrategy,
+    requested: &str,
     cfg: &SupervisorConfig,
 ) -> (RunReport, Option<DenseMatrix<f32>>) {
     let reference = match mttkrp_reference_digest(x, factors, mode, cfg.sample) {
@@ -788,8 +759,8 @@ pub fn supervised_mttkrp(
         }
     };
     let trials = match hicoo {
-        Some(hx) => mttkrp_hicoo_trials(hx, factors, mode, requested, cfg.fallback),
-        None => mttkrp_coo_trials(x, factors, mode, requested, cfg.fallback),
+        Some(hx) => mttkrp_trials(&HICOO_MTTKRP, hx, factors, mode, requested, cfg.fallback),
+        None => mttkrp_trials(&COO_MTTKRP, x, factors, mode, requested, cfg.fallback),
     };
     supervise(
         cell,
@@ -797,22 +768,6 @@ pub fn supervised_mttkrp(
         |out| validate_matrix(out, &reference, cfg.sample, cfg.rel_tol),
         cfg,
     )
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A shared counter for tests and demos that need a trial to fail a fixed
@@ -1057,7 +1012,7 @@ mod tests {
                 &factors,
                 mode,
                 None,
-                MttkrpStrategy::Scheduled,
+                "scheduled",
                 &cfg,
             );
             assert_eq!(r.status, RunStatus::Ok, "{}", r.summary());
@@ -1070,7 +1025,7 @@ mod tests {
                 &factors,
                 mode,
                 Some(&hx),
-                MttkrpStrategy::Scheduled,
+                "scheduled",
                 &cfg,
             );
             assert_eq!(r.status, RunStatus::Ok, "{}", r.summary());
@@ -1097,37 +1052,32 @@ mod tests {
     }
 
     #[test]
-    fn mttkrp_chain_starts_with_requested_and_ends_with_seq() {
-        use MttkrpStrategy::*;
-        assert_eq!(
-            mttkrp_chain(Scheduled),
-            vec![Scheduled, Atomic, Privatized, Seq]
-        );
-        assert_eq!(
-            mttkrp_chain(Atomic),
-            vec![Atomic, Scheduled, Privatized, Seq]
-        );
-        assert_eq!(mttkrp_chain(Seq), vec![Seq, Scheduled, Atomic, Privatized]);
+    fn one_chain_builder_serves_both_formats() {
+        fn labels<K>(chain: Vec<(&'static str, K)>) -> Vec<&'static str> {
+            chain.into_iter().map(|(label, _)| label).collect()
+        }
+        for (requested, want) in [
+            ("scheduled", &["scheduled", "seq"][..]),
+            ("atomic", &["atomic", "scheduled", "seq"][..]),
+            ("seq", &["seq", "scheduled"][..]),
+        ] {
+            assert_eq!(labels(mttkrp_chain(&COO_MTTKRP, requested)), want);
+            assert_eq!(labels(mttkrp_chain(&HICOO_MTTKRP, requested)), want);
+        }
     }
 
     #[test]
-    fn trial_chains_have_one_step_per_strategy() {
+    fn every_trial_runs_and_fallback_off_keeps_only_the_first() {
         let x = Arc::new(small_tensor());
         let factors = Arc::new(crate::suite::make_factors(&x, 4));
         let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
-        let labels = |trials: &[Trial<DenseMatrix<f32>>]| -> Vec<String> {
-            trials.iter().map(|t| t.strategy.clone()).collect()
-        };
-
-        let coo = mttkrp_coo_trials(&x, &factors, 0, MttkrpStrategy::Scheduled, true);
-        assert_eq!(labels(&coo), ["scheduled", "atomic", "privatized", "seq"]);
-        let hicoo = mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true);
-        assert_eq!(labels(&hicoo), ["scheduled", "atomic", "seq"]);
+        let coo = mttkrp_trials(&COO_MTTKRP, &x, &factors, 0, "atomic", true);
+        let hicoo = mttkrp_trials(&HICOO_MTTKRP, &hx, &factors, 0, "atomic", true);
         for t in coo.iter().chain(&hicoo) {
             assert!((t.run)().is_ok(), "{} should run", t.strategy);
         }
-
-        let only = mttkrp_coo_trials(&x, &factors, 0, MttkrpStrategy::Atomic, false);
-        assert_eq!(labels(&only), ["atomic"]);
+        let only = mttkrp_trials(&COO_MTTKRP, &x, &factors, 0, "atomic", false);
+        let only: Vec<&str> = only.iter().map(|t| t.strategy.as_str()).collect();
+        assert_eq!(only, ["atomic"]);
     }
 }

@@ -1,8 +1,8 @@
 //! Process-level checks of `tenbench`'s argument handling: a flag the
-//! subcommand does not read, a `--block-bits` outside `1..=8`, and a
-//! `paper` artifact, dataset, `--reps` or `--scale` it cannot use are
-//! usage errors (exit code 2, the culprit named on stderr, no panic, no
-//! output) — and well-formed calls still run.
+//! subcommand does not read, a `--strategy` no cell takes, a `--block-bits`
+//! outside `1..=8`, and a `paper` artifact, dataset, `--reps` or `--scale`
+//! it cannot use are usage errors (exit code 2, the culprit named on
+//! stderr, no panic, no output) — and well-formed calls still run.
 
 use std::process::{Command, Output};
 
@@ -27,7 +27,11 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
 
     for (args, flag) in [
         (format!("kernel mttkrp {file} --formt hicoo"), "--formt"),
-        ("serve --layout vb".to_string(), "--layout"),
+        ("stress --layout vb".to_string(), "--layout"),
+        (
+            format!("kernel mttkrp {file} --strategy privatized"),
+            "privatized",
+        ),
         (format!("stats {file} --block-bits 263"), "--block-bits"),
         (format!("stats {file} --block-bits 12"), "--block-bits"),
         ("paper fig9 --quick".to_string(), "fig9"),

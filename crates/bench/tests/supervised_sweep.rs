@@ -10,13 +10,13 @@ use std::time::Duration;
 
 use tenbench_bench::suite::make_factors;
 use tenbench_bench::supervisor::{
-    mttkrp_hicoo_trials, mttkrp_reference_digest, supervise, supervised_mttkrp, validate_matrix,
-    RunReport, RunStatus, SupervisorConfig, SweepReport, Trial,
+    mttkrp_reference_digest, mttkrp_trials, supervise, supervised_mttkrp, validate_matrix,
+    RunReport, RunStatus, SupervisorConfig, SweepReport, Trial, HICOO_MTTKRP,
 };
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
 use tenbench_core::hicoo::HicooTensor;
-use tenbench_core::kernels::mttkrp::{self, MttkrpStrategy};
+use tenbench_core::kernels::mttkrp;
 use tenbench_core::shape::Shape;
 
 fn make_tensor(seed: u32) -> CooTensor<f32> {
@@ -52,7 +52,7 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
 
     // The real HiCOO chain with its first step replaced by an injected
     // fault.
-    let mut trials = mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true);
+    let mut trials = mttkrp_trials(&HICOO_MTTKRP, &hx, &factors, 0, "scheduled", true);
     assert_eq!(trials[0].strategy, "scheduled");
     trials[0] = Trial::new("scheduled", || -> Result<DenseMatrix<f32>, String> {
         panic!("injected kernel fault")
@@ -69,7 +69,7 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
         "{:?}",
         report.status
     );
-    assert_eq!(report.strategy.as_deref(), Some("atomic"));
+    assert_eq!(report.strategy.as_deref(), Some("seq"));
     let want: f64 = reference.iter().sum();
     let got = report.checksum.expect("accepted output carries a checksum");
     assert!((got - want).abs() <= cfg.rel_tol * want.abs().max(1.0));
@@ -78,7 +78,7 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
         .iter()
         .map(|a| a.strategy.as_str())
         .collect();
-    assert_eq!(ran, ["scheduled", "atomic"]);
+    assert_eq!(ran, ["scheduled", "seq"]);
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn sweep_survives_panic_timeout_and_corruption() {
         let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
         let reference = mttkrp_reference_digest(&x, &factors, 0, cfg.sample).unwrap();
 
-        // Cell 1: injected panic in the first strategy; the atomic
+        // Cell 1: injected panic in the first strategy; the seq
         // fallback must recover with a reference-matching checksum.
         {
             let xa = x.clone();
@@ -133,10 +133,9 @@ fn sweep_survives_panic_timeout_and_corruption() {
                 Trial::new("injected_panic", || -> Result<DenseMatrix<f32>, String> {
                     panic!("injected fault for the sweep demo")
                 }),
-                Trial::new("atomic", move || {
+                Trial::new("seq", move || {
                     let frefs: Vec<&DenseMatrix<f32>> = fa.iter().collect();
-                    mttkrp::mttkrp_with(&xa, &frefs, 0, MttkrpStrategy::Atomic)
-                        .map_err(|e| e.to_string())
+                    mttkrp::mttkrp_seq(&xa, &frefs, 0).map_err(|e| e.to_string())
                 }),
             ];
             let (report, out) = supervise(
@@ -176,7 +175,7 @@ fn sweep_survives_panic_timeout_and_corruption() {
                 &factors,
                 0,
                 hicoo,
-                MttkrpStrategy::Scheduled,
+                "scheduled",
                 &cfg,
             );
             assert!(out.is_some(), "{}", report.summary());
@@ -206,7 +205,7 @@ fn sweep_survives_panic_timeout_and_corruption() {
             }
             RunStatus::Recovered { from } => {
                 assert_eq!(from, "injected_panic", "{}", r.cell);
-                assert_eq!(r.strategy.as_deref(), Some("atomic"), "{}", r.cell);
+                assert_eq!(r.strategy.as_deref(), Some("seq"), "{}", r.cell);
                 assert!(r.checksum.is_some(), "{}", r.cell);
             }
             RunStatus::TimedOut => assert!(r.cell.contains("timeout-cell"), "{}", r.cell),

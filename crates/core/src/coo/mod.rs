@@ -11,13 +11,11 @@
 mod build;
 mod fiber;
 mod matricize;
-mod mscoo;
 mod scoo;
 mod sort;
 
 pub use fiber::FiberPartition;
 pub use matricize::matricize;
-pub use mscoo::MultiSemiSparseTensor;
 pub use scoo::SemiSparseTensor;
 pub use sort::{SortAlgo, SortState};
 

@@ -6,21 +6,27 @@
 //! tend to be not implemented directly but rather integrated into tensor
 //! operations").
 //!
-//! The paper's reference COO-Mttkrp-OMP parallelizes over nonzeros and
-//! protects the output with `omp atomic`; that is [`MttkrpStrategy::Atomic`]
-//! here. Lock-avoiding alternatives are provided for the ablation study
-//! (A2 in DESIGN.md) — the paper deliberately keeps them out of the
-//! reference. HiCOO-Mttkrp-OMP (Algorithm 2) parallelizes over blocks and
-//! reuses per-block factor sub-matrices.
+//! Each format has three algorithms, and callers name the function they
+//! want:
 //!
-//! [`MttkrpStrategy::Scheduled`] goes one step further than the paper: a
+//! | | sequential | paper reference | output-partitioned |
+//! |---|---|---|---|
+//! | COO | [`mttkrp_seq`] | [`mttkrp_atomic`] (alias [`mttkrp`]) | [`mttkrp_sched`] |
+//! | HiCOO | [`mttkrp_hicoo_seq`] | [`mttkrp_hicoo`] | [`mttkrp_hicoo_sched`] |
+//!
+//! The paper's reference COO-Mttkrp-OMP parallelizes over nonzeros and
+//! protects the output with `omp atomic`; HiCOO-Mttkrp-OMP (Algorithm 2)
+//! parallelizes over blocks and reuses per-block factor sub-matrices. The
+//! paper deliberately keeps lock-avoiding alternatives out of the
+//! reference.
+//!
+//! The scheduled kernels go one step further than the paper: a
 //! precomputed output partition (see [`crate::sched`]) hands every parallel
 //! task a disjoint `&mut` stripe of the output, so the inner loop is plain
 //! scalar code — no atomics, no locks, and a fixed accumulation order that
 //! makes results bitwise-identical across runs and thread counts.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tenbench_obs as obs;
 
@@ -60,23 +66,6 @@ fn charge_hicoo<S: Scalar>(h: &HicooTensor<S>, r: usize) {
         obs::counters::BYTES.add(c.bytes);
         obs::counters::KERNEL_CALLS.add(1);
     }
-}
-
-/// Parallelization strategy for COO Mttkrp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MttkrpStrategy {
-    /// Single-threaded baseline.
-    Seq,
-    /// Nonzero-parallel with atomic output updates — the paper's reference
-    /// (`omp atomic` analogue).
-    Atomic,
-    /// Nonzero-parallel with one private output copy per worker, reduced at
-    /// the end. Lock-free but needs `threads x I_n x R` scratch memory.
-    Privatized,
-    /// Output-partitioned: nonzeros are pre-grouped by output row (the
-    /// tensor's [`crate::sched::RowSchedule`]) so tasks own disjoint output
-    /// stripes. Atomic-free, lock-free, and bitwise-deterministic.
-    Scheduled,
 }
 
 /// Split `data` (a row-major matrix with `r` columns) into one `&mut` slice
@@ -241,63 +230,9 @@ pub fn mttkrp_atomic<S: Scalar>(
     Ok(out)
 }
 
-/// Nonzero-parallel COO Mttkrp with per-worker private outputs (ablation).
-///
-/// Each *participating worker* (not each fold chunk, as in the seed) lazily
-/// allocates exactly one private `I_n x R` accumulator and drains chunks
-/// from a shared counter, so scratch memory scales with the thread count.
-/// The partial outputs are then summed in parallel over disjoint stripes of
-/// the final matrix.
-pub fn mttkrp_privatized<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.privatized");
-    charge_coo(x, r);
-    let rows_n = x.shape().dim(mode) as usize;
-    let rows = x.mode_inds(mode);
-    let m = x.nnz();
-    let grain = 4096usize;
-    let nchunks = m.div_ceil(grain);
-    let next = AtomicUsize::new(0);
-    // Once per logical worker: each drains chunks off `next`.
-    let partials: Vec<DenseMatrix<S>> = par::map_collect(par::current_threads(), 1, |_| {
-        let mut local: Option<DenseMatrix<S>> = None;
-        let mut rows_buf = Vec::with_capacity(factors.len());
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= nchunks {
-                break;
-            }
-            let acc = local.get_or_insert_with(|| DenseMatrix::zeros(rows_n, r));
-            let end = ((c + 1) * grain).min(m);
-            for z in c * grain..end {
-                gather_rows(x, factors, mode, z, &mut rows_buf);
-                let dst = acc.row_mut(rows[z] as usize);
-                simd::accum_rows(dst, x.vals()[z], &rows_buf);
-            }
-        }
-        local
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut out = DenseMatrix::zeros_par(rows_n, r);
-    let stripe = 4096usize;
-    par::chunks_mut(out.data_mut(), stripe, Schedule::DYNAMIC, |ci, dst| {
-        let base = ci * stripe;
-        for p in &partials {
-            let src = &p.data()[base..base + dst.len()];
-            simd::add_assign(dst, src);
-        }
-    });
-    Ok(out)
-}
-
-/// Output-partitioned COO Mttkrp (see [`MttkrpStrategy::Scheduled`]) over
-/// `x`'s [`crate::sched::row_schedule`] for `mode`.
+/// Output-partitioned COO Mttkrp over `x`'s [`crate::sched::row_schedule`]
+/// for `mode`: nonzeros are pre-grouped by output row so tasks own disjoint
+/// output stripes. Atomic-free, lock-free, and bitwise-deterministic.
 ///
 /// Every task owns a contiguous output row range; within it, rows are
 /// processed in ascending order and each row's nonzeros in ascending
@@ -330,21 +265,6 @@ pub fn mttkrp_sched<S: Scalar>(
         }
     });
     Ok(out)
-}
-
-/// COO Mttkrp with an explicit strategy.
-pub fn mttkrp_with<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    strategy: MttkrpStrategy,
-) -> Result<DenseMatrix<S>> {
-    match strategy {
-        MttkrpStrategy::Seq => mttkrp_seq(x, factors, mode),
-        MttkrpStrategy::Atomic => mttkrp_atomic(x, factors, mode),
-        MttkrpStrategy::Privatized => mttkrp_privatized(x, factors, mode),
-        MttkrpStrategy::Scheduled => mttkrp_sched(x, factors, mode),
-    }
 }
 
 /// COO Mttkrp with the paper's reference strategy (atomic).
@@ -577,18 +497,13 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_match_reference_every_mode() {
+    fn coo_kernels_match_reference_every_mode() {
         let x = sample();
         let f = factors(x.shape(), 4);
         for mode in 0..3 {
             let expect = reference(&x, &refs(&f), mode);
-            for strat in [
-                MttkrpStrategy::Seq,
-                MttkrpStrategy::Atomic,
-                MttkrpStrategy::Privatized,
-                MttkrpStrategy::Scheduled,
-            ] {
-                let got = mttkrp_with(&x, &refs(&f), mode, strat).unwrap();
+            for kernel in [mttkrp_seq, mttkrp_atomic, mttkrp_sched] {
+                let got = kernel(&x, &refs(&f), mode).unwrap();
                 assert_matches(&got, &expect);
             }
         }

@@ -6,7 +6,7 @@ use crate::csf::{mttkrp_csf, CsfTensor};
 use crate::dense::DenseMatrix;
 use crate::error::Result;
 use crate::hicoo::HicooTensor;
-use crate::kernels::mttkrp::{mttkrp_hicoo, mttkrp_with, MttkrpStrategy};
+use crate::kernels::mttkrp::{mttkrp_hicoo_sched, mttkrp_sched};
 use crate::scalar::Scalar;
 
 use super::XorShift64;
@@ -14,11 +14,13 @@ use super::XorShift64;
 /// Which Mttkrp implementation drives the ALS sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CpAlsBackend {
-    /// COO Mttkrp with [`CpAlsOptions::strategy`] (the suite's reference).
+    /// COO Mttkrp over the tensor's output-row schedule
+    /// ([`mttkrp_sched`]).
     #[default]
     Coo,
-    /// HiCOO Mttkrp; one mode-generic representation serves all modes
-    /// ("only one tensor representation is needed for all tensor
+    /// HiCOO Mttkrp over the blocks' output-row-block schedule
+    /// ([`mttkrp_hicoo_sched`]); one mode-generic representation serves all
+    /// modes ("only one tensor representation is needed for all tensor
     /// computations, even in different modes", §3).
     Hicoo {
         /// log2 of the HiCOO block edge.
@@ -39,8 +41,6 @@ pub struct CpAlsOptions {
     pub tol: f64,
     /// Seed for the factor initialization.
     pub seed: u64,
-    /// Mttkrp strategy to use inside the sweeps (COO backend).
-    pub strategy: MttkrpStrategy,
     /// Format backend for the Mttkrp sweeps.
     pub backend: CpAlsBackend,
 }
@@ -52,7 +52,6 @@ impl Default for CpAlsOptions {
             max_iters: 50,
             tol: 1e-5,
             seed: 0x5EED,
-            strategy: MttkrpStrategy::Atomic,
             backend: CpAlsBackend::Coo,
         }
     }
@@ -60,15 +59,15 @@ impl Default for CpAlsOptions {
 
 /// Pre-built per-format tensor representations shared by all sweeps.
 enum Backend<S: Scalar> {
-    Coo(MttkrpStrategy),
+    Coo,
     Hicoo(HicooTensor<S>),
     Csf(Vec<CsfTensor<S>>),
 }
 
 impl<S: Scalar> Backend<S> {
-    fn build(x: &CooTensor<S>, b: CpAlsBackend, strategy: MttkrpStrategy) -> Result<Self> {
+    fn build(x: &CooTensor<S>, b: CpAlsBackend) -> Result<Self> {
         Ok(match b {
-            CpAlsBackend::Coo => Backend::Coo(strategy),
+            CpAlsBackend::Coo => Backend::Coo,
             CpAlsBackend::Hicoo { block_bits } => {
                 Backend::Hicoo(HicooTensor::from_coo(x, block_bits)?)
             }
@@ -93,8 +92,8 @@ impl<S: Scalar> Backend<S> {
         mode: usize,
     ) -> Result<DenseMatrix<S>> {
         match self {
-            Backend::Coo(s) => mttkrp_with(x, factors, mode, *s),
-            Backend::Hicoo(h) => mttkrp_hicoo(h, factors, mode),
+            Backend::Coo => mttkrp_sched(x, factors, mode),
+            Backend::Hicoo(h) => mttkrp_hicoo_sched(h, factors, mode),
             Backend::Csf(trees) => mttkrp_csf(&trees[mode], factors, mode),
         }
     }
@@ -152,7 +151,7 @@ impl<S: Scalar> CpDecomposition<S> {
 /// `‖X‖^2 + ‖model‖^2 - 2 <X, model>` where the inner product reuses the
 /// last Mttkrp result.
 pub fn cp_als<S: Scalar>(x: &CooTensor<S>, opts: &CpAlsOptions) -> Result<CpDecomposition<S>> {
-    let backend = Backend::build(x, opts.backend, opts.strategy)?;
+    let backend = Backend::build(x, opts.backend)?;
     let mut state = cp_als_init(x, opts);
     while state.iteration < opts.max_iters {
         if step_on(x, &backend, opts, &mut state)? {
@@ -220,7 +219,7 @@ pub fn cp_als_step<S: Scalar>(
     opts: &CpAlsOptions,
     state: &mut CpAlsState<S>,
 ) -> Result<bool> {
-    let backend = Backend::build(x, opts.backend, opts.strategy)?;
+    let backend = Backend::build(x, opts.backend)?;
     step_on(x, &backend, opts, state)
 }
 
@@ -466,16 +465,46 @@ mod tests {
     }
 
     #[test]
-    fn strategy_choice_gives_same_fit() {
-        let x = rank_one_tensor();
-        let mk = |strategy| CpAlsOptions {
-            rank: 2,
-            max_iters: 15,
-            strategy,
-            ..Default::default()
-        };
-        let a = cp_als(&x, &mk(MttkrpStrategy::Seq)).unwrap();
-        let b = cp_als(&x, &mk(MttkrpStrategy::Privatized)).unwrap();
-        assert!((a.fit - b.fit).abs() < 1e-6);
+    fn sweeps_are_bitwise_identical_across_thread_counts() {
+        // Enough nonzeros (> 4096) that the parallel kernels split the work.
+        let entries: Vec<(Vec<u32>, f64)> = (0..6000u32)
+            .map(|i| {
+                (
+                    vec![(i * 7 + 3) % 64, (i * 13 + 1) % 61, (i * 29) % 59],
+                    (i % 97) as f64 * 0.125 + 0.5,
+                )
+            })
+            .collect();
+        let x = CooTensor::from_entries(Shape::new(vec![64, 61, 59]), entries).unwrap();
+        assert!(x.nnz() > 4096);
+        for backend in [CpAlsBackend::Coo, CpAlsBackend::Hicoo { block_bits: 3 }] {
+            let opts = CpAlsOptions {
+                rank: 4,
+                max_iters: 3,
+                tol: 0.0,
+                backend,
+                ..Default::default()
+            };
+            let run = |threads| {
+                crate::par::with_threads(threads, || {
+                    let mut st = cp_als_init(&x, &opts);
+                    for _ in 0..opts.max_iters {
+                        cp_als_step(&x, &opts, &mut st).unwrap();
+                    }
+                    st
+                })
+            };
+            let (a, b) = (run(1), run(4));
+            let bits = |st: &CpAlsState<f64>| -> (Vec<u64>, Vec<u64>, u64) {
+                let f = st
+                    .factors
+                    .iter()
+                    .flat_map(|f| f.data())
+                    .map(|v| v.to_bits());
+                let l = st.lambda.iter().map(|v| v.to_bits());
+                (f.collect(), l.collect(), st.fit.to_bits())
+            };
+            assert_eq!(bits(&a), bits(&b), "{backend:?}");
+        }
     }
 }

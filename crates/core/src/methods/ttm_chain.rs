@@ -2,37 +2,32 @@
 //! `G = X ×_1 U_1^T ×_2 U_2^T …`, listed by the paper (§7) as a future
 //! suite operation and provided here as an extension.
 
-use crate::coo::{CooTensor, MultiSemiSparseTensor};
+use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::Result;
+use crate::kernels::ttm::ttm;
 use crate::scalar::Scalar;
 
 /// Apply a chain of mode products `X ×_{n_1} U_1 ×_{n_2} U_2 …` in the given
-/// order. Each product densifies its mode (the sparse-dense property);
-/// intermediates stay in the multi-dense-mode semi-sparse representation
-/// ([`MultiSemiSparseTensor`]) so the chain never re-expands to COO until
-/// the final result — the layout a Tucker decomposition's core computation
-/// needs. The returned COO holds every stored stripe value (the dense core
-/// when every mode was contracted).
+/// order, each one the suite's COO [`ttm`]. Each product densifies its mode
+/// (the sparse-dense property); its semi-sparse output is expanded back to
+/// COO for the next product, so the result holds every stored stripe value
+/// (the dense core when every mode was contracted).
 pub fn ttm_chain<S: Scalar>(
     x: &CooTensor<S>,
     chain: &[(usize, &DenseMatrix<S>)],
 ) -> Result<CooTensor<S>> {
-    let mut cur = MultiSemiSparseTensor::from_coo(x);
-    for &(mode, u) in chain {
-        cur = cur.ttm(u, mode)?;
-    }
-    Ok(cur.to_coo())
+    let mut state = ttm_chain_init(x);
+    while !ttm_chain_step(chain, &mut state)? {}
+    Ok(state.current)
 }
 
 /// Resumable TTM-chain state: the stage index and the COO intermediate
 /// after the last completed mode product.
 ///
-/// The staged variant round-trips each intermediate through COO so it can
-/// be checkpointed between stages; a run resumed from a checkpointed stage
-/// is bitwise-identical to an uninterrupted *staged* run (both fold the
-/// same COO intermediates), though intermediates may be ordered differently
-/// from the single-pass [`ttm_chain`].
+/// Every intermediate is a COO tensor, so it can be checkpointed between
+/// stages; a run resumed from a checkpointed stage is bitwise-identical to
+/// an uninterrupted one (both fold the same COO intermediates).
 #[derive(Debug, Clone)]
 pub struct TtmChainState<S: Scalar> {
     /// Number of completed mode products.
@@ -59,9 +54,7 @@ pub fn ttm_chain_step<S: Scalar>(
         return Ok(true);
     }
     let (mode, u) = chain[state.stage];
-    state.current = MultiSemiSparseTensor::from_coo(&state.current)
-        .ttm(u, mode)?
-        .to_coo();
+    state.current = ttm(&state.current, u, mode)?.to_coo();
     state.stage += 1;
     Ok(state.stage >= chain.len())
 }

@@ -17,7 +17,7 @@
 //!   scheduled HiCOO-Mttkrp.
 //! * [`RowSchedule`] — COO nonzeros permuted (stable counting sort) so each
 //!   output row's nonzeros are contiguous; rows are cut into
-//!   nnz-balanced tasks. Used by [`crate::kernels::mttkrp::MttkrpStrategy::Scheduled`].
+//!   nnz-balanced tasks. Used by [`crate::kernels::mttkrp::mttkrp_sched`].
 //! * [`ComplementSchedule`] — HiCOO blocks grouped by the block coordinates
 //!   of every mode *except* `n`. Each group is exactly one output block of
 //!   a mode-`n` contraction, so scheduled Ttv/Ttm assemble their sparse

@@ -25,8 +25,9 @@
 //!   recomputed at step entry. `TNC1` round-trips `f32` factors and the
 //!   `f64` fit bit-exactly, so a run resumed from a checkpoint produces
 //!   factors bitwise-identical to an uninterrupted run at the same
-//!   iteration count — at any fixed thread count, enforced by pinning
-//!   CP-ALS to the deterministic [`MttkrpStrategy::Scheduled`].
+//!   iteration count — at any fixed thread count, because CP-ALS's COO
+//!   backend runs the deterministic
+//!   [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched).
 //! - **Injectable faults.** A [`FaultInjector`] decides, per (job,
 //!   iteration), whether the step panics, hangs, or the checkpoint written
 //!   after it gets a byte flipped — the hooks the chaos harness drives.
@@ -49,7 +50,6 @@ use std::time::Duration;
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::{DenseMatrix, DenseVector};
-use tenbench_core::kernels::mttkrp::MttkrpStrategy;
 use tenbench_core::methods::{
     cp_als_init, cp_als_step, power_method_init, power_method_step, ttm_chain_init, ttm_chain_step,
     CpAlsBackend, CpAlsOptions, CpAlsState, PowerMethodState, TtmChainState,
@@ -62,9 +62,9 @@ use crate::queue::{Bounded, PushError};
 /// Which decomposition a job runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobKind {
-    /// CP-ALS via Mttkrp sweeps. Pinned to [`MttkrpStrategy::Scheduled`]
-    /// internally: the atomic strategy is not bitwise-deterministic, which
-    /// would void the resume-determinism guarantee.
+    /// CP-ALS via Mttkrp sweeps on the COO backend, whose
+    /// [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched) is
+    /// bitwise-deterministic, as the resume-determinism guarantee requires.
     CpAls {
         /// Decomposition rank.
         rank: usize,
@@ -472,10 +472,6 @@ fn cp_opts(rank: usize, max_iters: usize, tol: f64, seed: u64) -> CpAlsOptions {
         max_iters,
         tol,
         seed,
-        // Scheduled is bitwise-deterministic at a fixed thread count;
-        // Atomic is not. Jobs guarantee resume determinism, so the
-        // strategy is pinned, not configurable.
-        strategy: MttkrpStrategy::Scheduled,
         backend: CpAlsBackend::Coo,
     }
 }

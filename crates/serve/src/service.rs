@@ -268,7 +268,7 @@ fn digest_matrix(m: &DenseMatrix<f32>) -> f64 {
 
 /// Run one [`BatchJob`] inline and digest its output. The HiCOO paths run
 /// on the cached HiCOO conversion, through the scheduled kernels for
-/// Ttv, Ttm and Mttkrp.
+/// Ttv, Ttm and Mttkrp; COO Mttkrp runs the scheduled kernel too.
 pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
     let _span = obs::span!("serve.execute");
     let x = job.coo.as_ref();
@@ -315,8 +315,8 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
             if frefs.is_empty() {
                 return Err("mttkrp requires rank >= 1".into());
             }
-            let y = mttkrp::mttkrp_atomic(x, &frefs, job.mode).map_err(err)?;
-            (digest_matrix(&y), "atomic")
+            let y = mttkrp::mttkrp_sched(x, &frefs, job.mode).map_err(err)?;
+            (digest_matrix(&y), "scheduled")
         }
         (Kernel::Mttkrp, FormatKind::Hicoo) => {
             let frefs: Vec<&DenseMatrix<f32>> = job.factors.iter().collect();
@@ -875,6 +875,28 @@ mod tests {
         let want = ttv::ttv_hicoo_sched(&h, &ttv_operand(&x, 1), 1).unwrap();
         assert_eq!(got.strategy, "scheduled");
         assert_eq!(got.digest, digest_slice(want.vals()));
+    }
+
+    #[test]
+    fn coo_mttkrp_runs_the_scheduled_coo_kernel() {
+        let svc = KernelService::start(ServeConfig::default(), Box::new(DirectExecutor));
+        let x = tensor(5);
+        let mut r = req(&x, Kernel::Mttkrp, FormatKind::Coo);
+        r.mode = 2;
+        let got = svc.submit(r).expect("admitted").wait().expect("served");
+        svc.shutdown();
+        // The factors the cache prepares for rank 8.
+        let factors: Vec<DenseMatrix<f32>> = (0..3)
+            .map(|m| {
+                DenseMatrix::from_fn(24, 8, |i, j| {
+                    (((i * 31 + j * 17 + m * 7) % 1000) as f32) * 1e-3
+                })
+            })
+            .collect();
+        let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+        let want = mttkrp::mttkrp_sched(&x, &frefs, 2).unwrap();
+        assert_eq!(got.strategy, "scheduled");
+        assert_eq!(got.digest, digest_matrix(&want));
     }
 
     /// Blocks every execution until the gate opens, so tests can queue a

@@ -5,9 +5,9 @@
 //! The comparison is on the serialized `TNC1` final checkpoint, which
 //! holds every factor matrix, lambda, the fit (f64 bits), and the
 //! iteration count: byte equality there IS bitwise factor equality.
-//! Thread-count determinism rests on jobs pinning CP-ALS to
-//! `MttkrpStrategy::Scheduled` and installing a fixed-size pool around
-//! every step (`JobConfig::threads`).
+//! Thread-count determinism rests on CP-ALS running the scheduled
+//! `mttkrp_sched` and on jobs installing a fixed-size pool around every
+//! step (`JobConfig::threads`).
 
 use std::sync::Arc;
 

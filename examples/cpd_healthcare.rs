@@ -11,7 +11,6 @@
 
 use std::time::Instant;
 
-use tenbench::core::kernels::mttkrp::MttkrpStrategy;
 use tenbench::core::kernels::Kernel;
 use tenbench::core::methods::{cp_als, CpAlsOptions};
 use tenbench::gen::registry::find;
@@ -33,7 +32,6 @@ fn main() {
             max_iters: 20,
             tol: 1e-4,
             seed: 7,
-            strategy: MttkrpStrategy::Atomic,
             backend: Default::default(),
         };
         let t0 = Instant::now();

@@ -3,7 +3,7 @@
 //! `f64`, where comparisons can be exact-ish (1e-12) instead of
 //! single-precision tolerances.
 
-use tenbench::core::coo::{CooTensor, MultiSemiSparseTensor};
+use tenbench::core::coo::CooTensor;
 use tenbench::core::csf::CsfTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::HicooTensor;
@@ -29,11 +29,6 @@ fn formats_round_trip_in_f64() {
     let x = sample();
     assert_eq!(HicooTensor::from_coo(&x, 3).unwrap().to_map(), x.to_map());
     assert_eq!(CsfTensor::from_coo(&x, None).unwrap().to_map(), x.to_map());
-    assert_eq!(MultiSemiSparseTensor::from_coo(&x).to_map(), {
-        let mut m = x.to_map();
-        m.retain(|_, v| *v != 0.0);
-        m
-    });
     // Binary I/O preserves f64 bit patterns.
     let mut blob = Vec::new();
     tenbench::io::bin::write_bin(&x, &mut blob).unwrap();

@@ -169,15 +169,21 @@ fn mttkrp_agrees_across_everything() {
         let dev = DeviceSpec::v100();
         for mode in 0..x.order() {
             let base = mttkrp::mttkrp_seq(&x, &frefs, mode).unwrap();
-            for strat in [
-                mttkrp::MttkrpStrategy::Atomic,
-                mttkrp::MttkrpStrategy::Privatized,
+            for (name, kernel) in [
+                ("atomic", mttkrp::mttkrp_atomic as fn(&_, &_, _) -> _),
+                ("sched", mttkrp::mttkrp_sched),
             ] {
-                let got = mttkrp::mttkrp_with(&x, &frefs, mode, strat).unwrap();
-                assert_mat_eq(&got, &base, 1e-3, &format!("{strat:?} mode {mode}"));
+                let got = kernel(&x, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &format!("{name} mode {mode}"));
             }
-            let hic = mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap();
-            assert_mat_eq(&hic, &base, 1e-3, &format!("hicoo mode {mode}"));
+            for (name, kernel) in [
+                ("hicoo", mttkrp::mttkrp_hicoo as fn(&_, &_, _) -> _),
+                ("hicoo sched", mttkrp::mttkrp_hicoo_sched),
+                ("hicoo seq", mttkrp::mttkrp_hicoo_seq),
+            ] {
+                let got = kernel(&hx, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &format!("{name} mode {mode}"));
+            }
 
             // CSF rooted at this mode.
             let mut order: Vec<usize> = (0..x.order()).filter(|&m| m != mode).collect();
@@ -198,14 +204,10 @@ fn mttkrp_agrees_across_everything() {
             for mode in 0..x.order() {
                 let base = mttkrp::mttkrp_seq(&x, &frefs, mode).unwrap();
                 let what = |name: &str| format!("{name} rank {rank} mode {mode}");
-                for strat in [
-                    mttkrp::MttkrpStrategy::Atomic,
-                    mttkrp::MttkrpStrategy::Privatized,
-                    mttkrp::MttkrpStrategy::Scheduled,
-                ] {
-                    let got = mttkrp::mttkrp_with(&x, &frefs, mode, strat).unwrap();
-                    assert_mat_eq(&got, &base, 1e-3, &what(&format!("{strat:?}")));
-                }
+                let got = mttkrp::mttkrp_atomic(&x, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &what("atomic"));
+                let got = mttkrp::mttkrp_sched(&x, &frefs, mode).unwrap();
+                assert_mat_eq(&got, &base, 1e-3, &what("sched"));
                 let got = mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap();
                 assert_mat_eq(&got, &base, 1e-3, &what("hicoo"));
                 let got = mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap();

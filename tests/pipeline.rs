@@ -4,7 +4,6 @@
 //! suite actually runs.
 
 use tenbench::core::hicoo::HicooTensor;
-use tenbench::core::kernels::mttkrp::MttkrpStrategy;
 use tenbench::core::methods::{cp_als, tensor_power_method, CpAlsOptions};
 use tenbench::gen::registry::{find, REAL_DATASETS, SYNTHETIC_DATASETS};
 use tenbench::gen::{KroneckerGenerator, TensorStats};
@@ -53,7 +52,6 @@ fn cp_als_runs_on_every_generator_family() {
                 max_iters: 8,
                 tol: 1e-4,
                 seed: 1,
-                strategy: MttkrpStrategy::Atomic,
                 backend: Default::default(),
             },
         )

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use tenbench::core::coo::CooTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::HicooTensor;
-use tenbench::core::kernels::mttkrp::MttkrpStrategy;
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
 use tenbench::core::par::with_threads;
 use tenbench::core::scalar::approx_eq;
@@ -162,7 +161,7 @@ proptest! {
         let frefs: Vec<&DenseMatrix<f64>> = factors.iter().collect();
         for mode in 0..x.order() {
             let reference = mttkrp::mttkrp_seq(&x, &frefs, mode).unwrap();
-            let coo_sched = mttkrp::mttkrp_with(&x, &frefs, mode, MttkrpStrategy::Scheduled).unwrap();
+            let coo_sched = mttkrp::mttkrp_sched(&x, &frefs, mode).unwrap();
             let hic_sched = mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
             for (p, q) in reference.data().iter().zip(coo_sched.data()) {
                 prop_assert!(approx_eq(*p, *q, 1e-5), "coo mode {mode}: {p} vs {q}");
@@ -237,7 +236,7 @@ mod scheduled_edge_cases {
             let frefs: Vec<&DenseMatrix<f64>> = factors.iter().collect();
             for mode in 0..x.order() {
                 let want = mttkrp::mttkrp_seq(x, &frefs, mode).unwrap();
-                let coo = mttkrp::mttkrp_with(x, &frefs, mode, MttkrpStrategy::Scheduled).unwrap();
+                let coo = mttkrp::mttkrp_sched(x, &frefs, mode).unwrap();
                 let hic = mttkrp::mttkrp_hicoo_sched(&h, &frefs, mode).unwrap();
                 for (p, q) in want.data().iter().zip(coo.data()) {
                     assert!(
