@@ -25,7 +25,7 @@
 //!                   [--queue-bound Q] [--max-batch B] [--cache-mb M]
 //!                   [--deadline-ms D] [--max-p99-ms X] [--min-hit-ratio H]
 //!                   [--out BENCH_serve.json] [--flight-dump-dir DIR]
-//!                   [--net] [--connections C] [--shards S]
+//!                   [--net [--shards S]]
 //! tenbench chaos    [--seed S] [--duration 3s] [--jobs J] [--dim D]
 //!                   [--nnz N] [--tensors T] [--alpha A] [--clients C]
 //!                   [--rank R] [--max-iters I] [--fault-rate P]
@@ -67,18 +67,19 @@
 //! HiCOO Ttv/Ttm to the other HiCOO cell). `verify` runs the full integrity
 //! battery on one tensor file.
 //!
-//! `stress` starts the in-process batched kernel service (supervised
-//! executor, format/schedule cache, admission-controlled queue), drives it
-//! closed-loop with Zipf-skewed tensor popularity, probes overload
-//! shedding, and writes `BENCH_serve.json` with p50/p90/p99 latency, throughput, and cache hit
-//! ratio. Its gates (`--max-p99-ms`, `--min-hit-ratio`, and a mandatory
-//! typed queue-full rejection under overload) fail the process for CI.
-//! With `--net` the same load instead travels over loopback TCP: a
-//! `NetServer` with `--shards` fingerprint-partitioned shards serves
-//! `--connections` concurrent client connections speaking the `TNF1`
-//! frame protocol, latency is measured client-side around the socket
-//! round trip, and two extra gates apply — zero requests lost without a
-//! typed answer, and zero server-side protocol errors.
+//! `stress` starts the batched kernel service (supervised executor,
+//! format/schedule cache, admission-controlled queue) — in this process,
+//! or with `--net` behind a loopback `NetServer` of `--shards`
+//! fingerprint-partitioned shards speaking the `TNF1` frame protocol. One
+//! load generator drives either: `--concurrency` closed-loop clients with
+//! Zipf-skewed tensor popularity, then an overload burst of clients
+//! released together against one shard with no deadline. It writes
+//! `BENCH_serve.json` with client-side p50/p90/p99 latency, shed counts,
+//! cache hit ratio and the server report, and the same gates fail the
+//! process on both transports: no completion, any request lost without a
+//! typed answer, any server-side protocol error, a closed-loop p99 over
+//! `--max-p99-ms` or hit ratio under `--min-hit-ratio`, and no typed
+//! queue-full rejection in the burst.
 //!
 //! `chaos` runs the fault-injection harness: kernel traffic plus
 //! long-running decomposition jobs on one live service stack, with
@@ -140,7 +141,7 @@ fn flags_of(sub: &str) -> Option<&'static str> {
         "stress" => {
             "dataset nnz rank workers queue-bound max-batch cache-mb block-bits max-seconds \
              fallback tensors duration concurrency alpha deadline-ms max-p99-ms min-hit-ratio \
-             out net connections shards"
+             out net shards"
         }
         "chaos" => {
             "seed duration jobs dim nnz tensors alpha clients rank max-iters fault-rate \
@@ -412,53 +413,39 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             )?)
         }
         Some("stress") => {
-            let serve_cfg = serve_config(&get_usize, block_bits)?;
-            let max_p99_ms: Option<f64> = opts
-                .get("max-p99-ms")
-                .map(|v| v.parse().map_err(|_| "bad --max-p99-ms".to_string()))
-                .transpose()?;
-            let min_hit_ratio: f64 = opts
-                .get("min-hit-ratio")
-                .map(|v| v.parse().map_err(|_| "bad --min-hit-ratio".to_string()))
-                .transpose()?
-                .unwrap_or(0.5);
-            let alpha: f64 = opts
-                .get("alpha")
-                .map(|v| v.parse().map_err(|_| "bad --alpha".to_string()))
-                .transpose()?
-                .unwrap_or(1.1);
-            let stress_opts = cli::StressOpts {
-                dataset: opts
-                    .get("dataset")
-                    .cloned()
-                    .unwrap_or_else(|| "s4".to_string()),
-                nnz: get_usize("nnz", 20_000)?,
-                tensors: get_usize("tensors", 12)?,
+            let shards = match (opts.contains_key("net"), opts.contains_key("shards")) {
+                (true, _) => Some(get_usize("shards", 2)?),
+                (false, true) => {
+                    return Err(CliError::Usage("--shards needs --net".to_string()).into())
+                }
+                (false, false) => None,
+            };
+            let defaults = tenbench_serve::StressConfig::default();
+            let cfg = tenbench_serve::StressConfig {
+                dataset: opts.get("dataset").cloned().unwrap_or(defaults.dataset),
+                nnz: get_usize("nnz", defaults.nnz)?,
+                tensors: get_usize("tensors", defaults.tensors)?,
                 duration: cli::parse_duration(
                     opts.get("duration").map(String::as_str).unwrap_or("5s"),
                 )?,
-                concurrency: get_usize("concurrency", 4)?,
-                alpha,
-                rank: get_usize("rank", 16)?,
-                deadline_ms: get_usize("deadline-ms", 0)? as u64,
-                max_p99_ms,
-                min_hit_ratio,
+                concurrency: get_usize("concurrency", defaults.concurrency)?,
+                alpha: get_f64("alpha", defaults.alpha)?,
+                rank: get_usize("rank", defaults.rank)?,
+                deadline_ms: get_usize("deadline-ms", defaults.deadline_ms as usize)? as u64,
+                seed: defaults.seed,
+                shards,
+                max_p99_ms: opts
+                    .get("max-p99-ms")
+                    .map(|v| v.parse().map_err(|_| "bad --max-p99-ms".to_string()))
+                    .transpose()?,
+                min_hit_ratio: get_f64("min-hit-ratio", defaults.min_hit_ratio)?,
                 out_json: opts.get("out").map(PathBuf::from),
             };
-            if opts.contains_key("net") {
-                let net_opts = cli::NetStressOpts {
-                    connections: get_usize("connections", 200)?,
-                    shards: get_usize("shards", 2)?,
-                };
-                Ok(cli::stress_net(
-                    &stress_opts,
-                    &net_opts,
-                    serve_cfg,
-                    &supervisor_cfg(),
-                )?)
-            } else {
-                Ok(cli::stress(&stress_opts, serve_cfg, &supervisor_cfg())?)
-            }
+            Ok(cli::stress(
+                &cfg,
+                serve_config(&get_usize, block_bits)?,
+                &supervisor_cfg(),
+            )?)
         }
         Some("chaos") => {
             let defaults = tenbench_bench::chaos::ChaosConfig::default();

@@ -38,9 +38,9 @@ use tenbench_core::shape::Shape;
 use tenbench_gen::KroneckerGenerator;
 use tenbench_obs as obs;
 use tenbench_serve::{
-    closed_loop, overload_probe, ClientTally, FaultInjector, InjectedFault, JobConfig, JobError,
-    JobKind, JobOutcome, JobProgress, JobService, JobSpec, JobTicket, KernelService, OverloadProbe,
-    ServeConfig, StressConfig,
+    burst, closed_loop, FaultInjector, InjectedFault, JobConfig, JobError, JobKind, JobOutcome,
+    JobProgress, JobService, JobSpec, JobTicket, KernelService, ServeConfig, StressConfig, Tally,
+    Transport,
 };
 
 use crate::serve_exec::{SupervisedExecutor, SupervisedStepRunner};
@@ -217,9 +217,9 @@ pub struct ChaosReport {
     /// Checkpoint corruptions injected.
     pub injected_corruptions: u64,
     /// Kernel-traffic client tally from the closed-loop phase.
-    pub kernel: ClientTally,
-    /// Kernel overload probe (queue-full burst against the service).
-    pub kernel_probe: OverloadProbe,
+    pub kernel: Tally,
+    /// Kernel overload burst against the service.
+    pub kernel_probe: Tally,
     /// Completed CP-ALS jobs re-run uninterrupted and compared bitwise.
     pub cp_checked: u64,
     /// Reference mismatches (gate: 0).
@@ -261,30 +261,8 @@ impl ChaosReport {
             self.injected_corruptions.to_string(),
             false,
         );
-        field(
-            "kernel",
-            format!(
-                "{{\"issued\": {}, \"ok\": {}, \"rejected_full\": {}, \"rejected_deadline\": {}, \"failed\": {}}}",
-                self.kernel.issued,
-                self.kernel.ok,
-                self.kernel.rejected_full,
-                self.kernel.rejected_deadline,
-                self.kernel.failed
-            ),
-            false,
-        );
-        field(
-            "kernel_probe",
-            format!(
-                "{{\"submitted\": {}, \"rejected_queue_full\": {}, \"completed\": {}, \"failed\": {}, \"lost\": {}}}",
-                self.kernel_probe.submitted,
-                self.kernel_probe.rejected_queue_full,
-                self.kernel_probe.completed,
-                self.kernel_probe.failed,
-                self.kernel_probe.lost
-            ),
-            false,
-        );
+        field("kernel", self.kernel.to_json(), false);
+        field("kernel_probe", self.kernel_probe.to_json(), false);
         field("cp_checked", self.cp_checked.to_string(), false);
         field("cp_mismatched", self.cp_mismatched.to_string(), false);
         field(
@@ -459,23 +437,22 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut burst_rejected = 0u64;
 
     let ((kernel, kernel_probe), results) = std::thread::scope(|s| {
-        // Kernel traffic + overload probe on a sibling thread while the
+        // Kernel traffic + overload burst on a sibling thread while the
         // jobs run and the fault thread (the injector, pulled from inside
         // the job workers) fires.
         let kernel_phase = s.spawn(|| {
-            let tally = closed_loop(
-                &ksvc,
-                &pool,
-                &StressConfig {
-                    duration: cfg.duration,
-                    concurrency: cfg.clients.max(1),
-                    zipf_alpha: cfg.alpha,
-                    rank: cfg.rank,
-                    deadline_ms: 250,
-                    seed: cfg.seed,
-                },
-            );
-            let probe = overload_probe(&ksvc, &pool);
+            let transport = Transport::InProcess(&ksvc);
+            let stress = StressConfig {
+                duration: cfg.duration,
+                concurrency: cfg.clients.max(1),
+                alpha: cfg.alpha,
+                rank: cfg.rank,
+                deadline_ms: 250,
+                seed: cfg.seed,
+                ..StressConfig::default()
+            };
+            let tally = closed_loop(&transport, &pool, &stress);
+            let (_, probe) = burst(&transport, &pool, stress.concurrency);
             (tally, probe)
         });
 

@@ -12,8 +12,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tenbench_obs as obs;
 
 use tenbench_core::coo::{CooTensor, SortAlgo};
@@ -21,7 +19,6 @@ use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::Kernel;
 use tenbench_core::par;
 use tenbench_core::shape::Shape;
-use tenbench_gen::zipf::ZipfSampler;
 use tenbench_gen::{KroneckerGenerator, PowerLawGenerator, TensorStats};
 
 use crate::cells::{self, Cell, Inputs};
@@ -994,578 +991,189 @@ pub fn parse_duration(s: &str) -> CliResult<std::time::Duration> {
     }
     let secs = s.strip_suffix('s').unwrap_or(s);
     let v: f64 = secs.parse().map_err(|_| bad())?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(bad());
-    }
-    Ok(std::time::Duration::from_secs_f64(v))
+    std::time::Duration::try_from_secs_f64(v).map_err(|_| bad())
 }
 
-/// Knobs for [`stress`], bundling what would otherwise be a dozen
-/// positional arguments.
-#[derive(Debug, Clone)]
-pub struct StressOpts {
-    /// Registry dataset id used to generate the tensor pool.
-    pub dataset: String,
-    /// Nonzeros per pool tensor.
-    pub nnz: usize,
-    /// Pool size (distinct tensors; Zipf popularity ranges over these).
-    pub tensors: usize,
-    /// Closed-loop phase length.
-    pub duration: std::time::Duration,
-    /// Closed-loop client workers.
-    pub concurrency: usize,
-    /// Zipf skew of tensor popularity.
-    pub alpha: f64,
-    /// Factor rank for Ttm/Mttkrp requests.
-    pub rank: usize,
-    /// Per-request queue deadline in ms for the closed loop (0 = none).
-    pub deadline_ms: u64,
-    /// Fail if the closed-loop p99 latency exceeds this many ms.
-    pub max_p99_ms: Option<f64>,
-    /// Fail if the closed-loop cache hit ratio falls below this.
-    pub min_hit_ratio: f64,
-    /// Write `BENCH_serve.json` here.
-    pub out_json: Option<PathBuf>,
-}
-
-/// `stress`: drive the kernel service closed-loop with Zipf-skewed tensor
-/// popularity, then probe overload behaviour with an open burst, and
-/// write `BENCH_serve.json`. Gates (each a usage error on violation):
-/// closed-loop p99 at or under `--max-p99-ms`; cache hit ratio at or over
-/// `--min-hit-ratio`; at least one typed queue-full rejection from the
-/// overload probe.
-pub fn stress(
-    opts: &StressOpts,
-    serve_cfg: tenbench_serve::ServeConfig,
-    sup_cfg: &SupervisorConfig,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
-    if opts.tensors == 0 {
-        return Err(CliError::Usage("--tensors must be at least 1".to_string()));
-    }
-    let pool: Vec<Arc<CooTensor<f32>>> = (0..opts.tensors as u64)
-        .map(|i| Arc::new(d.generate_with(opts.nnz, d.default_seed().wrapping_add(i))))
-        .collect();
-
-    let svc = tenbench_serve::KernelService::start(
-        serve_cfg.clone(),
-        Box::new(crate::serve_exec::SupervisedExecutor::new(sup_cfg.clone())),
-    );
-    let tally = tenbench_serve::closed_loop(
-        &svc,
-        &pool,
-        &tenbench_serve::StressConfig {
-            duration: opts.duration,
-            concurrency: opts.concurrency,
-            zipf_alpha: opts.alpha,
-            rank: opts.rank,
-            deadline_ms: opts.deadline_ms,
-            seed: d.default_seed(),
-        },
-    );
-    // Snapshot the closed-loop phase before the overload burst pollutes
-    // the latency distribution; the gates read this report.
-    let zipf_report = svc.report();
-    let probe = tenbench_serve::overload_probe(&svc, &pool);
-    let final_report = svc.shutdown();
-
-    let mut out = format!(
-        "serve stress on {} x{} ({} nnz each, alpha {}, {} clients, {:.1}s)\n\n",
-        opts.dataset,
-        opts.tensors,
-        fint(pool[0].nnz() as u64),
-        opts.alpha,
-        opts.concurrency,
-        opts.duration.as_secs_f64(),
-    );
-    out.push_str("zipf phase (closed loop)\n");
-    out.push_str(&format!(
-        "  clients         issued {} ok {} rejected {} (full) + {} (deadline), failed {}\n",
-        tally.issued, tally.ok, tally.rejected_full, tally.rejected_deadline, tally.failed,
-    ));
-    out.push_str(&zipf_report.render());
-    out.push_str("\noverload probe (open burst, tight deadlines)\n");
-    out.push_str(&format!(
-        "  submitted {} -> {} queue-full, {} deadline-shed, {} completed, {} failed\n",
-        probe.submitted,
-        probe.rejected_queue_full,
-        probe.rejected_deadline,
-        probe.completed,
-        probe.failed,
-    ));
-
-    if let Some(path) = &opts.out_json {
-        let json = format!(
-            concat!(
-                "{{\n  \"config\": {{\"dataset\": \"{}\", \"nnz\": {}, \"tensors\": {}, ",
-                "\"duration_s\": {}, \"concurrency\": {}, \"alpha\": {}, \"rank\": {}, ",
-                "\"workers\": {}, \"queue_bound\": {}, \"max_batch\": {}, ",
-                "\"cache_bytes\": {}, \"deadline_ms\": {}}},\n",
-                "  \"zipf_phase\": {{\"clients\": {{\"issued\": {}, \"ok\": {}, ",
-                "\"rejected_full\": {}, \"rejected_deadline\": {}, \"failed\": {}}}, ",
-                "\"service\": {}}},\n",
-                "  \"overload_probe\": {{\"submitted\": {}, \"rejected_queue_full\": {}, ",
-                "\"rejected_deadline\": {}, \"completed\": {}, \"failed\": {}}},\n",
-                "  \"final\": {}\n}}\n"
-            ),
-            opts.dataset,
-            opts.nnz,
-            opts.tensors,
-            obs::json::json_f64(opts.duration.as_secs_f64()),
-            opts.concurrency,
-            obs::json::json_f64(opts.alpha),
-            opts.rank,
-            serve_cfg.workers,
-            serve_cfg.queue_bound,
-            serve_cfg.max_batch,
-            serve_cfg.cache_bytes,
-            opts.deadline_ms,
-            tally.issued,
-            tally.ok,
-            tally.rejected_full,
-            tally.rejected_deadline,
-            tally.failed,
-            zipf_report.to_json(),
-            probe.submitted,
-            probe.rejected_queue_full,
-            probe.rejected_deadline,
-            probe.completed,
-            probe.failed,
-            final_report.to_json(),
-        );
-        // Self-check: the artifact must parse before it reaches disk.
-        obs::json::Value::parse(&json).map_err(|e| {
-            CliError::Usage(format!("internal: emitted BENCH_serve.json invalid: {e}"))
-        })?;
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("\nwrote {}\n", path.display()));
-    }
-
-    if tally.ok == 0 {
-        return Err(CliError::Usage(
-            "stress gate: no request completed in the closed-loop phase".to_string(),
-        ));
-    }
-    let hit = zipf_report.cache.hit_ratio();
-    if hit < opts.min_hit_ratio {
-        return Err(CliError::Usage(format!(
-            "stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
-            opts.min_hit_ratio,
-        )));
-    }
-    out.push_str(&format!(
-        "hit-ratio gate: {hit:.3} >= {:.3} ok\n",
-        opts.min_hit_ratio
-    ));
-    if let Some(ceiling) = opts.max_p99_ms {
-        if zipf_report.p99_ms > ceiling {
-            return Err(CliError::Usage(format!(
-                "stress gate: closed-loop p99 {:.2} ms above the ceiling of {ceiling:.2} ms",
-                zipf_report.p99_ms,
-            )));
-        }
-        out.push_str(&format!(
-            "p99 gate: {:.2} ms <= {ceiling:.2} ms ok\n",
-            zipf_report.p99_ms
-        ));
-    }
-    if probe.rejected_queue_full == 0 {
-        return Err(CliError::Usage(
-            "stress gate: overload probe saw no typed queue-full rejection — admission \
-             control did not engage"
-                .to_string(),
-        ));
-    }
-    out.push_str(&format!(
-        "overload gate: {} typed queue-full rejections ok\n",
-        probe.rejected_queue_full
-    ));
-    Ok(out)
-}
-
-/// Extra knobs for the networked stress path ([`stress_net`]).
-#[derive(Debug, Clone)]
-pub struct NetStressOpts {
-    /// Concurrent loopback client connections in the closed-loop phase.
-    pub connections: usize,
-    /// Fingerprint-partitioned shards behind the listener.
-    pub shards: usize,
-}
-
-/// Client-side outcome tally for the networked phases. Every issued
-/// request lands in exactly one bucket, so `issued == answered() + lost`
-/// must balance and `lost == 0` is the no-silent-drop gate: a lost
-/// request is one the transport swallowed without a response frame or a
-/// typed rejection.
-#[derive(Debug, Clone, Copy, Default)]
-struct WireTally {
-    issued: u64,
-    ok: u64,
-    rejected_full: u64,
-    rejected_deadline: u64,
-    shutting_down: u64,
-    failed: u64,
-    lost: u64,
-}
-
-impl WireTally {
-    fn absorb(&mut self, o: WireTally) {
-        self.issued += o.issued;
-        self.ok += o.ok;
-        self.rejected_full += o.rejected_full;
-        self.rejected_deadline += o.rejected_deadline;
-        self.shutting_down += o.shutting_down;
-        self.failed += o.failed;
-        self.lost += o.lost;
-    }
-
-    fn answered(&self) -> u64 {
-        self.ok + self.rejected_full + self.rejected_deadline + self.shutting_down + self.failed
-    }
-
-    fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"issued\": {}, \"ok\": {}, \"rejected_full\": {}, ",
-                "\"rejected_deadline\": {}, \"shutting_down\": {}, ",
-                "\"failed\": {}, \"lost\": {}}}"
-            ),
-            self.issued,
-            self.ok,
-            self.rejected_full,
-            self.rejected_deadline,
-            self.shutting_down,
-            self.failed,
-            self.lost,
-        )
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "issued {} ok {} rejected {} (full) + {} (deadline), failed {}, lost {}",
-            self.issued,
-            self.ok,
-            self.rejected_full,
-            self.rejected_deadline,
-            self.failed,
-            self.lost,
-        )
+/// Check a Zipf skew from the command line: finite and positive.
+fn check_alpha(alpha: f64) -> CliResult<()> {
+    if alpha.is_finite() && alpha > 0.0 {
+        Ok(())
+    } else {
+        Err(CliError::Usage(format!(
+            "bad --alpha {alpha} (expected a finite number > 0)"
+        )))
     }
 }
 
-/// Bucket one typed wire status into the tally; returns `false` when the
-/// client should stop (the server is shutting down).
-fn classify(tally: &mut WireTally, status: tenbench_serve::WireStatus) -> bool {
-    use tenbench_serve::WireStatus;
-    match status {
-        WireStatus::Ok => tally.ok += 1,
-        WireStatus::QueueFull => tally.rejected_full += 1,
-        WireStatus::DeadlineExpired => tally.rejected_deadline += 1,
-        WireStatus::ShuttingDown => {
-            tally.shutting_down += 1;
-            return false;
-        }
-        WireStatus::Failed | WireStatus::WorkerLost | WireStatus::BadRequest => tally.failed += 1,
-    }
-    true
-}
-
-/// `stress --net`: the networked variant of [`stress`]. Starts the TCP
-/// tier ([`tenbench_serve::NetServer`]) on loopback with
-/// fingerprint-partitioned shards, drives it closed-loop from
-/// `net.connections` concurrent client connections — Zipf-skewed tensor
-/// popularity, tensors shipped as pre-serialized `TNB2` bytes inside
-/// `TNF1` frames — then fires an overload burst of simultaneous
-/// short-deadline connections whose in-flight count dwarfs the shards'
-/// queue capacity. Latency is measured client-side around the socket
-/// round trip and merged across workers, so the reported p50/p90/p99 is
-/// genuinely wire-level. Gates (each a usage error on violation): at
-/// least one completion; zero lost requests (every request gets a
-/// response frame or a typed rejection); zero server-side protocol
-/// errors; aggregate cache hit ratio at or over `--min-hit-ratio`; wire
-/// p99 at or under `--max-p99-ms`; at least one typed queue-full
+/// `stress`: start the kernel service — in this process, or with
+/// `cfg.shards` set behind a loopback [`tenbench_serve::NetServer`] — and
+/// drive it with [`tenbench_serve::closed_loop`] (Zipf-skewed tensor
+/// popularity from `cfg.concurrency` clients) and then
+/// [`tenbench_serve::burst`]. Writes `BENCH_serve.json`. Gates (each a
+/// usage error on violation, both transports alike): at least one
+/// completion; zero lost requests; zero server-side protocol errors;
+/// closed-loop cache hit ratio at or over `--min-hit-ratio`; closed-loop
+/// client p99 at or under `--max-p99-ms`; at least one typed queue-full
 /// rejection in the burst.
-pub fn stress_net(
-    opts: &StressOpts,
-    net: &NetStressOpts,
+pub fn stress(
+    cfg: &tenbench_serve::StressConfig,
     serve_cfg: tenbench_serve::ServeConfig,
     sup_cfg: &SupervisorConfig,
 ) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
-    if opts.tensors == 0 {
-        return Err(CliError::Usage("--tensors must be at least 1".to_string()));
+    use tenbench_serve::{closed_loop, NetConfig, NetReport, NetServer, Transport};
+
+    let d = tenbench_gen::registry::find(&cfg.dataset)
+        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", cfg.dataset)))?;
+    let usage = |m: String| Err(CliError::Usage(m));
+    if cfg.tensors == 0 {
+        return usage("--tensors must be at least 1".to_string());
     }
-    if net.connections == 0 {
-        return Err(CliError::Usage(
-            "--connections must be at least 1".to_string(),
+    if cfg.concurrency == 0 {
+        return usage("--concurrency must be at least 1".to_string());
+    }
+    if cfg.shards == Some(0) {
+        return usage("--shards must be at least 1".to_string());
+    }
+    check_alpha(cfg.alpha)?;
+    if !(0.0..=1.0).contains(&cfg.min_hit_ratio) {
+        return usage(format!(
+            "bad --min-hit-ratio {} (expected a number in [0, 1])",
+            cfg.min_hit_ratio
         ));
     }
-    let seed0 = d.default_seed();
-    let pool: Vec<Arc<CooTensor<f32>>> = (0..opts.tensors as u64)
-        .map(|i| Arc::new(d.generate_with(opts.nnz, seed0.wrapping_add(i))))
+    if let Some(x) = cfg.max_p99_ms.filter(|x| !(x.is_finite() && *x >= 0.0)) {
+        return usage(format!(
+            "bad --max-p99-ms {x} (expected a finite number >= 0)"
+        ));
+    }
+    let pool: Vec<Arc<CooTensor<f32>>> = (0..cfg.tensors as u64)
+        .map(|i| Arc::new(d.generate_with(cfg.nnz, cfg.seed.wrapping_add(i))))
         .collect();
-    // Serialize each tensor once; every request reuses the TNB2 bytes.
-    let blobs: Vec<Vec<u8>> = pool
-        .iter()
-        .map(|t| {
-            let mut buf = Vec::new();
-            tenbench_io::bin::write_bin(t.as_ref(), &mut buf)?;
-            Ok::<_, tenbench_io::IoError>(buf)
-        })
-        .collect::<Result<_, _>>()?;
-
-    let net_cfg = tenbench_serve::NetConfig {
-        shards: net.shards.max(1),
-        serve: serve_cfg.clone(),
-        ..tenbench_serve::NetConfig::default()
-    };
-    let server = tenbench_serve::NetServer::start(net_cfg.clone(), "127.0.0.1:0", || {
+    let executor = || -> Box<dyn tenbench_serve::Executor> {
         Box::new(crate::serve_exec::SupervisedExecutor::new(sup_cfg.clone()))
-    })?;
-    let addr = server.addr();
-
-    // Closed-loop Zipf phase: one request in flight per connection.
-    let zipf = ZipfSampler::new(pool.len() as u64, opts.alpha);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let mut tally = WireTally::default();
-    let mut wire_hist = obs::LogHistogram::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..net.connections)
-            .map(|w| {
-                let zipf = &zipf;
-                let stop = &stop;
-                let pool = &pool;
-                let blobs = &blobs;
-                s.spawn(move || {
-                    let mut tally = WireTally::default();
-                    let mut hist = obs::LogHistogram::new();
-                    let mut client = match tenbench_serve::NetClient::connect(addr) {
-                        Ok(c) => c,
-                        Err(_) => {
-                            // A refused loopback connect is a lost client,
-                            // not a typed answer — the gate must see it.
-                            tally.lost += 1;
-                            return (tally, hist);
-                        }
-                    };
-                    let mut rng = StdRng::seed_from_u64(seed0.wrapping_add(w as u64));
-                    let mut turn = w;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let idx = zipf.sample_index(&mut rng) as usize;
-                        let kernel = Kernel::ALL[turn % Kernel::ALL.len()];
-                        let format = if turn % 2 == 0 {
-                            tenbench_serve::FormatKind::Hicoo
-                        } else {
-                            tenbench_serve::FormatKind::Coo
-                        };
-                        let mode = (turn % pool[idx].order()) as u8;
-                        turn += 1;
-                        tally.issued += 1;
-                        let req = tenbench_serve::WireRequest {
-                            kernel,
-                            format,
-                            mode,
-                            rank: opts.rank.min(u16::MAX as usize) as u16,
-                            deadline_ms: opts.deadline_ms.min(u64::from(u32::MAX)) as u32,
-                        };
-                        let t0 = Instant::now();
-                        match client.request(&req, &blobs[idx]) {
-                            Ok(resp) => {
-                                if resp.status == tenbench_serve::WireStatus::Ok {
-                                    hist.record(t0.elapsed().as_secs_f64() * 1e3);
-                                }
-                                if !classify(&mut tally, resp.status) {
-                                    break;
-                                }
-                            }
-                            Err(_) => {
-                                tally.lost += 1;
-                                break;
-                            }
-                        }
-                    }
-                    (tally, hist)
-                })
-            })
-            .collect();
-        std::thread::sleep(opts.duration);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for h in handles {
-            let (t, hist) = h.join().expect("net stress client");
-            tally.absorb(t);
-            wire_hist.merge(&hist);
-        }
-    });
-
-    // Overload burst: enough simultaneous one-in-flight connections that
-    // the in-flight count dwarfs one shard's queue capacity. Every burst
-    // request targets the same shard (the client computes the same
-    // fingerprint % shards routing the server uses), and none carries a
-    // deadline — deadline shedding drains a full queue almost as fast as
-    // it fills, so an undeadlined backlog is what makes the bound itself
-    // bind. Admission control must answer every request — a typed
-    // QueueFull, never silence.
-    let hot: Vec<usize> = {
-        let target = pool[0].fingerprint() % net_cfg.shards as u64;
-        (0..pool.len())
-            .filter(|&i| pool[i].fingerprint() % net_cfg.shards as u64 == target)
-            .collect()
     };
-    let burst_conns = (net_cfg.shards * serve_cfg.queue_bound * 2 + 16).max(net.connections);
-    let per_conn = 3usize;
-    let barrier = std::sync::Barrier::new(burst_conns);
-    let mut burst = WireTally::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..burst_conns)
-            .map(|w| {
-                let barrier = &barrier;
-                let pool = &pool;
-                let blobs = &blobs;
-                let hot = &hot;
-                s.spawn(move || {
-                    let mut tally = WireTally::default();
-                    let mut client = match tenbench_serve::NetClient::connect(addr) {
-                        Ok(c) => c,
-                        Err(_) => {
-                            tally.lost += 1;
-                            barrier.wait();
-                            return tally;
-                        }
-                    };
-                    barrier.wait();
-                    for i in 0..per_conn {
-                        let idx = hot[(w + i) % hot.len()];
-                        tally.issued += 1;
-                        let req = tenbench_serve::WireRequest {
-                            kernel: Kernel::ALL[(w + i) % Kernel::ALL.len()],
-                            format: tenbench_serve::FormatKind::Hicoo,
-                            mode: ((w + i) % pool[idx].order()) as u8,
-                            // A wide rank makes each admitted execution
-                            // slow enough that the shard cannot drain the
-                            // queue as fast as 200 connections refill it.
-                            rank: 256,
-                            deadline_ms: 0,
-                        };
-                        match client.request(&req, &blobs[idx]) {
-                            Ok(resp) => {
-                                if !classify(&mut tally, resp.status) {
-                                    break;
-                                }
-                            }
-                            Err(_) => {
-                                tally.lost += 1;
-                                break;
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        for h in handles {
-            burst.absorb(h.join().expect("net burst client"));
+
+    // The same two phases on either transport.
+    let phases = |transport: &Transport<'_>| {
+        (
+            closed_loop(transport, &pool, cfg),
+            tenbench_serve::burst(transport, &pool, cfg.concurrency),
+        )
+    };
+    let (zipf, (burst_clients, burst), server) = match cfg.shards {
+        None => {
+            let svc = tenbench_serve::KernelService::start(serve_cfg.clone(), executor());
+            let (zipf, burst) = phases(&Transport::InProcess(&svc));
+            // One service, no wire: the report is one shard's.
+            let server = NetReport {
+                shards: vec![svc.shutdown()],
+                connections: 0,
+                requests: 0,
+                responses: 0,
+                protocol_errors: 0,
+                bytes_in: 0,
+                bytes_out: 0,
+            };
+            (zipf, burst, server)
         }
-    });
+        Some(shards) => {
+            // Serialize each tensor once; every request reuses the bytes.
+            let tnb2 = pool
+                .iter()
+                .map(|t| {
+                    let mut buf = Vec::new();
+                    tenbench_io::bin::write_bin(t.as_ref(), &mut buf)?;
+                    Ok(buf)
+                })
+                .collect::<CliResult<Vec<_>>>()?;
+            let net_cfg = NetConfig {
+                shards,
+                serve: serve_cfg.clone(),
+                ..NetConfig::default()
+            };
+            let server = NetServer::start(net_cfg, "127.0.0.1:0", executor)?;
+            let (zipf, burst) = phases(&Transport::Tcp {
+                addr: server.addr(),
+                shards,
+                queue_bound: serve_cfg.queue_bound,
+                tnb2,
+            });
+            (zipf, burst, server.shutdown())
+        }
+    };
 
-    let report = server.shutdown();
-    let cache = report.cache();
-    let wire_p50 = wire_hist.percentile(50.0);
-    let wire_p90 = wire_hist.percentile(90.0);
-    let wire_p99 = wire_hist.percentile(99.0);
-
-    for (name, t) in [("closed-loop", &tally), ("burst", &burst)] {
+    for (name, t) in [("closed-loop", &zipf), ("burst", &burst)] {
         if t.issued != t.answered() + t.lost {
-            return Err(CliError::Usage(format!(
-                "internal: {name} tally does not balance: {t:?}"
-            )));
+            return usage(format!("internal: {name} tally does not balance: {t:?}"));
         }
     }
 
+    let (transport, shards) = match cfg.shards {
+        None => ("in-process", 1),
+        Some(n) => ("tcp", n),
+    };
     let mut out = format!(
-        "net stress on {} x{} ({} nnz each, alpha {}, {} shards, {:.1}s)\n\n",
-        opts.dataset,
-        opts.tensors,
+        "serve stress ({transport}, {shards} shards) on {} x{} ({} nnz each, alpha {}, {} clients, {:.1}s)\n\n",
+        cfg.dataset,
+        cfg.tensors,
         fint(pool[0].nnz() as u64),
-        opts.alpha,
-        net_cfg.shards,
-        opts.duration.as_secs_f64(),
+        cfg.alpha,
+        cfg.concurrency,
+        cfg.duration.as_secs_f64(),
     );
+    out.push_str(&format!("zipf phase (closed loop)\n  {}\n", zipf.render()));
     out.push_str(&format!(
-        "zipf phase (closed loop, {} connections)\n  clients         {}\n  wire latency    p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms (n={})\n",
-        net.connections,
-        tally.render(),
-        wire_p50,
-        wire_p90,
-        wire_p99,
-        wire_hist.count(),
-    ));
-    out.push_str(&format!(
-        "overload burst ({} connections, {} requests each, single-shard, no deadline)\n  clients         {}\n",
-        burst_conns,
-        per_conn,
+        "overload burst ({burst_clients} clients x {} requests, one shard, no deadline)\n  {}\n",
+        tenbench_serve::BURST_REQUESTS_PER_CLIENT,
         burst.render(),
     ));
     out.push_str("\nserver report\n");
-    out.push_str(&format!(
-        "  wire            {} connections, {} requests, {} responses, {} protocol errors\n  bytes           {} in, {} out\n  cache           {} hits / {} misses / {} collisions (hit ratio {:.3}), {} entries, {} evictions\n",
-        report.connections,
-        report.requests,
-        report.responses,
-        report.protocol_errors,
-        fint(report.bytes_in),
-        fint(report.bytes_out),
-        cache.hits,
-        cache.misses,
-        cache.collisions,
-        cache.hit_ratio(),
-        cache.entries,
-        cache.evictions,
-    ));
-    for (i, shard) in report.shards.iter().enumerate() {
+    if cfg.shards.is_some() {
         out.push_str(&format!(
-            "  shard {i}         {} completed, {} queue-full, {} deadline-shed, p99 {:.3} ms\n",
-            shard.completed, shard.rejected_queue_full, shard.rejected_deadline, shard.p99_ms,
+            "  wire            {} connections, {} requests, {} responses, {} protocol errors, {} bytes in, {} bytes out\n",
+            server.connections,
+            server.requests,
+            server.responses,
+            server.protocol_errors,
+            fint(server.bytes_in),
+            fint(server.bytes_out),
         ));
     }
+    for (i, shard) in server.shards.iter().enumerate() {
+        out.push_str(&format!("  shard {i}\n{}", shard.render()));
+    }
 
-    if let Some(path) = &opts.out_json {
+    if let Some(path) = &cfg.out_json {
         let json = format!(
             concat!(
-                "{{\n  \"config\": {{\"dataset\": \"{}\", \"nnz\": {}, \"tensors\": {}, ",
-                "\"duration_s\": {}, \"connections\": {}, \"shards\": {}, \"alpha\": {}, ",
-                "\"rank\": {}, \"workers\": {}, \"queue_bound\": {}, \"max_batch\": {}, ",
-                "\"cache_bytes\": {}, \"deadline_ms\": {}}},\n",
-                "  \"zipf_phase\": {{\"clients\": {}, ",
-                "\"wire_latency\": {{\"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, ",
-                "\"hist\": {}}}}},\n",
-                "  \"overload_burst\": {{\"connections\": {}, \"per_connection\": {}, ",
-                "\"clients\": {}}},\n",
+                "{{\n  \"config\": {{\"transport\": \"{}\", \"shards\": {}, \"dataset\": \"{}\", ",
+                "\"nnz\": {}, \"tensors\": {}, \"duration_s\": {}, \"concurrency\": {}, ",
+                "\"alpha\": {}, \"rank\": {}, \"deadline_ms\": {}, \"seed\": {}, ",
+                "\"workers\": {}, \"queue_bound\": {}, \"max_batch\": {}, \"cache_bytes\": {}}},\n",
+                "  \"zipf_phase\": {},\n",
+                "  \"overload_burst\": {{\"clients\": {}, \"per_client\": {}, \"tally\": {}}},\n",
                 "  \"final\": {}\n}}\n"
             ),
-            opts.dataset,
-            opts.nnz,
-            opts.tensors,
-            obs::json::json_f64(opts.duration.as_secs_f64()),
-            net.connections,
-            net_cfg.shards,
-            obs::json::json_f64(opts.alpha),
-            opts.rank,
+            transport,
+            shards,
+            obs::json::escape_json(&cfg.dataset),
+            cfg.nnz,
+            cfg.tensors,
+            obs::json::json_f64(cfg.duration.as_secs_f64()),
+            cfg.concurrency,
+            obs::json::json_f64(cfg.alpha),
+            cfg.rank,
+            cfg.deadline_ms,
+            cfg.seed,
             serve_cfg.workers,
             serve_cfg.queue_bound,
             serve_cfg.max_batch,
             serve_cfg.cache_bytes,
-            opts.deadline_ms,
-            tally.to_json(),
-            obs::json::json_f64(wire_p50),
-            obs::json::json_f64(wire_p90),
-            obs::json::json_f64(wire_p99),
-            wire_hist.to_json(),
-            burst_conns,
-            per_conn,
+            zipf.to_json(),
+            burst_clients,
+            tenbench_serve::BURST_REQUESTS_PER_CLIENT,
             burst.to_json(),
-            report.to_json(),
+            server.to_json(),
         );
         // Self-check: the artifact must parse before it reaches disk.
         obs::json::Value::parse(&json).map_err(|e| {
@@ -1575,51 +1183,50 @@ pub fn stress_net(
         out.push_str(&format!("\nwrote {}\n", path.display()));
     }
 
-    if tally.ok == 0 {
-        return Err(CliError::Usage(
-            "net stress gate: no request completed in the closed-loop phase".to_string(),
+    // The gates. The full report above is built first so a violated gate
+    // is judged against the same numbers the artifact records.
+    if zipf.ok == 0 {
+        return usage("stress gate: no request completed in the closed-loop phase".to_string());
+    }
+    let lost = zipf.lost + burst.lost;
+    if lost > 0 {
+        return usage(format!(
+            "stress gate: {lost} requests lost without a typed answer"
         ));
     }
-    let lost = tally.lost + burst.lost;
-    if lost > 0 {
-        return Err(CliError::Usage(format!(
-            "net stress gate: {lost} requests lost without a response frame or typed rejection"
-        )));
-    }
     out.push_str("\nlost gate: every request answered (0 lost) ok\n");
-    if report.protocol_errors > 0 {
-        return Err(CliError::Usage(format!(
-            "net stress gate: {} protocol errors on well-formed traffic",
-            report.protocol_errors,
-        )));
+    if server.protocol_errors > 0 {
+        return usage(format!(
+            "stress gate: {} protocol errors on well-formed traffic",
+            server.protocol_errors,
+        ));
     }
-    let hit = cache.hit_ratio();
-    if hit < opts.min_hit_ratio {
-        return Err(CliError::Usage(format!(
-            "net stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
-            opts.min_hit_ratio,
-        )));
+    let hit = zipf.hit_ratio();
+    if hit < cfg.min_hit_ratio {
+        return usage(format!(
+            "stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
+            cfg.min_hit_ratio,
+        ));
     }
     out.push_str(&format!(
         "hit-ratio gate: {hit:.3} >= {:.3} ok\n",
-        opts.min_hit_ratio
+        cfg.min_hit_ratio
     ));
-    if let Some(ceiling) = opts.max_p99_ms {
-        if wire_p99 > ceiling {
-            return Err(CliError::Usage(format!(
-                "net stress gate: wire p99 {wire_p99:.2} ms above the ceiling of {ceiling:.2} ms"
-            )));
+    if let Some(ceiling) = cfg.max_p99_ms {
+        let p99 = zipf.latency.percentile(99.0);
+        if p99 > ceiling {
+            return usage(format!(
+                "stress gate: closed-loop p99 {p99:.2} ms above the ceiling of {ceiling:.2} ms"
+            ));
         }
-        out.push_str(&format!(
-            "p99 gate: {wire_p99:.2} ms <= {ceiling:.2} ms ok\n"
-        ));
+        out.push_str(&format!("p99 gate: {p99:.2} ms <= {ceiling:.2} ms ok\n"));
     }
     if burst.rejected_full == 0 {
-        return Err(CliError::Usage(
-            "net stress gate: overload burst saw no typed queue-full rejection — admission \
+        return usage(
+            "stress gate: overload burst saw no typed queue-full rejection — admission \
              control did not engage"
                 .to_string(),
-        ));
+        );
     }
     out.push_str(&format!(
         "overload gate: {} typed queue-full rejections ok\n",
@@ -1699,6 +1306,7 @@ fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
 /// match for every completed decomposition, and no fit-residual increase
 /// across a resume boundary.
 pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
+    check_alpha(opts.cfg.alpha)?;
     let floors = match &opts.floors {
         Some(path) => parse_chaos_floors(path)?,
         None => ChaosFloors::default(),
@@ -1762,14 +1370,9 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         report.checkpoints,
     ));
     out.push_str(&format!(
-        "kernel traffic: {} issued, {} ok, {} rejected (full), {} shed (deadline), {} failed; probe: {}/{} queue-full\n",
-        report.kernel.issued,
-        report.kernel.ok,
-        report.kernel.rejected_full,
-        report.kernel.rejected_deadline,
-        report.kernel.failed,
-        report.kernel_probe.rejected_queue_full,
-        report.kernel_probe.submitted,
+        "kernel traffic: {}\nkernel burst: {}\n",
+        report.kernel.render(),
+        report.kernel_probe.render(),
     ));
     out.push_str(&format!(
         "determinism: {}/{} completed cp_als runs bitwise-match the uninterrupted reference, {} resume boundaries, {} residual violations\n",

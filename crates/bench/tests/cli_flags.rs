@@ -1,7 +1,8 @@
 //! Process-level checks of `tenbench`'s argument handling: a flag the
 //! subcommand does not read, a `--strategy` no cell takes, a `--block-bits`
-//! outside `1..=8`, and a `paper` artifact, dataset, `--reps` or `--scale`
-//! it cannot use are usage errors (exit code 2, the culprit named on
+//! outside `1..=8`, a `paper` artifact, dataset, `--reps` or `--scale` it
+//! cannot use, and a `stress`/`chaos` duration, Zipf skew or gate it
+//! cannot honour are usage errors (exit code 2, the culprit named on
 //! stderr, no panic, no output) — and well-formed calls still run.
 
 use std::process::{Command, Output};
@@ -43,6 +44,19 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
         ("paper stats --scale inf".to_string(), "--scale"),
         ("paper stats --scale NaN".to_string(), "--scale"),
         ("paper table1 --rank 4".to_string(), "--rank"),
+        ("stress --connections 2".to_string(), "--connections"),
+        ("stress --shards 9".to_string(), "--shards"),
+        ("stress --duration 1e30".to_string(), "--duration"),
+        ("stress --alpha 0".to_string(), "--alpha"),
+        ("chaos --alpha NaN".to_string(), "--alpha"),
+        (
+            "stress --duration 100ms --min-hit-ratio NaN".to_string(),
+            "--min-hit-ratio",
+        ),
+        (
+            "stress --duration 100ms --max-p99-ms NaN".to_string(),
+            "--max-p99-ms",
+        ),
     ] {
         let out = tenbench(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);

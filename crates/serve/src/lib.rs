@@ -25,8 +25,9 @@
 //! Execution itself goes through the [`service::Executor`] trait: the
 //! bench crate plugs in the watchdogged/validated supervisor, and
 //! [`service::DirectExecutor`] runs kernels inline for tests. The load
-//! generator in [`stress`] drives the service closed-loop with
-//! Zipf-skewed tensor popularity and probes overload behaviour.
+//! generator in [`stress`] drives the service — in process or over TCP —
+//! closed-loop with Zipf-skewed tensor popularity, then probes overload
+//! behaviour with a burst.
 //!
 //! The service also has a socket-facing shape: [`net`] puts N sharded
 //! `KernelService`s (partitioned by tensor fingerprint) behind a TCP
@@ -62,4 +63,4 @@ pub use service::{
     execute_direct, BatchJob, DirectExecutor, ExecOutcome, Executor, FormatKind, KernelService,
     RejectReason, Request, Response, ServeConfig, ServeError, ServeReport, Ticket,
 };
-pub use stress::{closed_loop, overload_probe, ClientTally, OverloadProbe, StressConfig};
+pub use stress::{burst, closed_loop, StressConfig, Tally, Transport, BURST_REQUESTS_PER_CLIENT};

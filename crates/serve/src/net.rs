@@ -304,7 +304,7 @@ pub fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
     }
 }
 
-fn status_of(err: &ServeError) -> WireStatus {
+pub(crate) fn status_of(err: &ServeError) -> WireStatus {
     match err {
         ServeError::Rejected(RejectReason::QueueFull { .. }) => WireStatus::QueueFull,
         ServeError::Rejected(RejectReason::DeadlineExpired { .. }) => WireStatus::DeadlineExpired,

@@ -1,19 +1,26 @@
-//! Load generation for the service: a closed-loop stress phase with
-//! Zipf-skewed tensor popularity, and an open burst that probes the
-//! admission boundary.
+//! Load generation for the service: a closed-loop phase with Zipf-skewed
+//! tensor popularity, and an overload burst that probes the admission
+//! boundary — over either transport.
 //!
 //! The closed loop models the serving workload PASTA's kernels sit
-//! inside: a fixed set of client workers, each submitting a request,
-//! waiting for the answer, and immediately submitting the next. Tensor
-//! choice is Zipf-distributed over the pool — a few tensors absorb most
-//! requests — which is exactly the popularity skew the format cache is
-//! built for. The overload probe instead fires a burst far larger than
-//! the queue bound without waiting, to demonstrate that excess load is
-//! refused with typed [`RejectReason::QueueFull`] rejections rather than
-//! queued without bound.
+//! inside: a fixed set of clients, each sending a request, waiting for
+//! the answer, and immediately sending the next. Tensor choice is
+//! Zipf-distributed over the pool — a few tensors absorb most requests —
+//! which is exactly the popularity skew the format cache is built for.
+//! The burst instead releases many clients at once against the tensors of
+//! one shard, to show that excess load is refused with typed queue-full
+//! rejections rather than queued without bound.
+//!
+//! Both phases run over a [`Transport`]: a [`KernelService`] in this
+//! process, or a [`crate::NetServer`] reached through [`NetClient`]. Every
+//! answer is bucketed by its [`WireStatus`] — in-process errors map
+//! through the table the server uses to answer on the wire — so both
+//! transports report one [`Tally`].
 
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -21,138 +28,330 @@ use rand::SeedableRng;
 use tenbench_core::coo::CooTensor;
 use tenbench_core::kernels::Kernel;
 use tenbench_gen::zipf::ZipfSampler;
+use tenbench_obs::json::json_f64;
+use tenbench_obs::LogHistogram;
 
-use crate::service::{FormatKind, KernelService, RejectReason, Request, ServeError};
+use crate::net::{status_of, NetClient, WireRequest, WireStatus};
+use crate::service::{FormatKind, KernelService, Request};
 
-/// Knobs for the closed-loop stress phase.
+/// One load-generator run: the tensor pool, the closed loop, the
+/// transport, and the gates `tenbench stress` applies to the result.
 #[derive(Debug, Clone)]
 pub struct StressConfig {
-    /// How long the phase runs.
+    /// Registry dataset id the pool is generated from.
+    pub dataset: String,
+    /// Nonzeros per pool tensor.
+    pub nnz: usize,
+    /// Pool size (distinct tensors; Zipf popularity ranges over these).
+    pub tensors: usize,
+    /// How long the closed loop runs.
     pub duration: Duration,
-    /// Concurrent closed-loop client workers.
+    /// Closed-loop clients (one connection each over TCP).
     pub concurrency: usize,
     /// Zipf skew of tensor popularity over the pool (larger = more skew).
-    pub zipf_alpha: f64,
+    pub alpha: f64,
     /// Factor rank for Ttm/Mttkrp requests.
     pub rank: usize,
     /// Per-request queue deadline in milliseconds (0 = none).
     pub deadline_ms: u64,
-    /// Base RNG seed; each worker derives its own stream from it.
+    /// Base RNG seed: pool tensor `i` and client `w` derive their seeds
+    /// from it.
     pub seed: u64,
+    /// `Some(n)`: serve over loopback TCP from `n` fingerprint-partitioned
+    /// shards. `None`: serve in this process.
+    pub shards: Option<usize>,
+    /// Fail if the closed-loop client p99 latency exceeds this many ms.
+    pub max_p99_ms: Option<f64>,
+    /// Fail if the closed-loop cache hit ratio falls below this.
+    pub min_hit_ratio: f64,
+    /// Write `BENCH_serve.json` here.
+    pub out_json: Option<PathBuf>,
 }
 
 impl Default for StressConfig {
     fn default() -> Self {
         StressConfig {
+            dataset: "s4".to_string(),
+            nnz: 20_000,
+            tensors: 12,
             duration: Duration::from_secs(5),
             concurrency: 4,
-            zipf_alpha: 1.1,
+            alpha: 1.1,
             rank: 16,
             deadline_ms: 0,
             seed: 42,
+            shards: None,
+            max_p99_ms: None,
+            min_hit_ratio: 0.5,
+            out_json: None,
         }
     }
 }
 
-/// What the closed-loop clients observed, summed over workers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClientTally {
-    /// Requests submitted.
+/// What a set of clients observed. Every issued request lands in exactly
+/// one bucket, so `issued == answered() + lost` balances, and `lost == 0`
+/// is the no-silent-drop gate.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Requests sent.
     pub issued: u64,
     /// Requests answered successfully.
     pub ok: u64,
-    /// Typed queue-full rejections at submit.
+    /// `ok` answers whose format preparation came from the cache.
+    pub cache_hits: u64,
+    /// Typed queue-full rejections at admission.
     pub rejected_full: u64,
     /// Typed deadline rejections at dequeue.
     pub rejected_deadline: u64,
-    /// Requests whose execution failed.
+    /// Typed shutting-down rejections (the client stops after one).
+    pub shutting_down: u64,
+    /// Requests whose execution failed or that the server could not decode.
     pub failed: u64,
-    /// Requests that timed out in [`crate::service::Ticket::wait_timeout`]
-    /// (typed [`ServeError::WorkerLost`]) — a lost worker, never silence.
+    /// Requests with no typed answer: the transport dropped them, or no
+    /// worker answered within the wait cap.
     pub lost: u64,
+    /// Client-side latency of the `ok` answers, milliseconds.
+    pub latency: LogHistogram,
 }
 
-impl ClientTally {
-    fn absorb(&mut self, other: ClientTally) {
-        self.issued += other.issued;
-        self.ok += other.ok;
-        self.rejected_full += other.rejected_full;
-        self.rejected_deadline += other.rejected_deadline;
-        self.failed += other.failed;
-        self.lost += other.lost;
+impl Tally {
+    fn absorb(&mut self, o: &Tally) {
+        self.issued += o.issued;
+        self.ok += o.ok;
+        self.cache_hits += o.cache_hits;
+        self.rejected_full += o.rejected_full;
+        self.rejected_deadline += o.rejected_deadline;
+        self.shutting_down += o.shutting_down;
+        self.failed += o.failed;
+        self.lost += o.lost;
+        self.latency.merge(&o.latency);
+    }
+
+    /// Requests that got a typed answer.
+    pub fn answered(&self) -> u64 {
+        self.ok + self.rejected_full + self.rejected_deadline + self.shutting_down + self.failed
+    }
+
+    /// Share of `ok` answers served from the format cache (0 with none).
+    pub fn hit_ratio(&self) -> f64 {
+        if self.ok == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / self.ok as f64
+        }
+    }
+
+    /// Send one request on `pool[idx]` through `client` and bucket the
+    /// answer. Returns `false` when the client should stop: the transport
+    /// is gone or the server is shutting down.
+    fn send(
+        &mut self,
+        client: &mut Client<'_>,
+        pool: &[Arc<CooTensor<f32>>],
+        idx: usize,
+        req: &WireRequest,
+    ) -> bool {
+        self.issued += 1;
+        let t0 = Instant::now();
+        let Some((status, cache_hit)) = client.call(pool, idx, req) else {
+            self.lost += 1;
+            return false;
+        };
+        match status {
+            WireStatus::Ok => {
+                self.ok += 1;
+                self.cache_hits += u64::from(cache_hit);
+                self.latency.record(t0.elapsed().as_secs_f64() * 1e3);
+            }
+            WireStatus::QueueFull => self.rejected_full += 1,
+            WireStatus::DeadlineExpired => self.rejected_deadline += 1,
+            WireStatus::ShuttingDown => {
+                self.shutting_down += 1;
+                return false;
+            }
+            WireStatus::WorkerLost => self.lost += 1,
+            WireStatus::Failed | WireStatus::BadRequest => self.failed += 1,
+        }
+        true
+    }
+
+    /// JSON object of the counts and the latency distribution.
+    pub fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"issued\": {}, \"ok\": {}, \"cache_hits\": {}, \"rejected_full\": {}, ",
+                "\"rejected_deadline\": {}, \"shutting_down\": {}, \"failed\": {}, ",
+                "\"lost\": {}, \"latency\": {{\"p50_ms\": {}, \"p90_ms\": {}, ",
+                "\"p99_ms\": {}, \"hist\": {}}}}}"
+            ),
+            self.issued,
+            self.ok,
+            self.cache_hits,
+            self.rejected_full,
+            self.rejected_deadline,
+            self.shutting_down,
+            self.failed,
+            self.lost,
+            json_f64(self.latency.percentile(50.0)),
+            json_f64(self.latency.percentile(90.0)),
+            json_f64(self.latency.percentile(99.0)),
+            self.latency.to_json(),
+        )
+    }
+
+    /// One-line human summary.
+    pub fn render(&self) -> String {
+        format!(
+            "issued {} ok {} ({} cache hits) rejected {} (full) + {} (deadline) + {} \
+             (shutting down), failed {}, lost {}; latency p50 {:.3} p90 {:.3} p99 {:.3} ms",
+            self.issued,
+            self.ok,
+            self.cache_hits,
+            self.rejected_full,
+            self.rejected_deadline,
+            self.shutting_down,
+            self.failed,
+            self.lost,
+            self.latency.percentile(50.0),
+            self.latency.percentile(90.0),
+            self.latency.percentile(99.0),
+        )
     }
 }
 
-/// Upper bound a stress/chaos client waits for any single response before
+/// Where the generator's clients send their requests.
+pub enum Transport<'a> {
+    /// Submit to a service in this process.
+    InProcess(&'a KernelService),
+    /// Send `TNF1` frames to a [`crate::NetServer`].
+    Tcp {
+        /// The server's bound address.
+        addr: SocketAddr,
+        /// The server's shard count (the burst targets one shard).
+        shards: usize,
+        /// The per-shard queue bound (sizes the burst).
+        queue_bound: usize,
+        /// Pool tensor `i` serialized once as `TNB2` bytes.
+        tnb2: Vec<Vec<u8>>,
+    },
+}
+
+impl Transport<'_> {
+    fn shards(&self) -> usize {
+        match self {
+            Transport::InProcess(_) => 1,
+            Transport::Tcp { shards, .. } => (*shards).max(1),
+        }
+    }
+
+    fn queue_bound(&self) -> usize {
+        match self {
+            Transport::InProcess(svc) => svc.report().queue_bound,
+            Transport::Tcp { queue_bound, .. } => *queue_bound,
+        }
+    }
+
+    fn connect(&self) -> Client<'_> {
+        match self {
+            Transport::InProcess(svc) => Client::InProcess(svc),
+            Transport::Tcp { addr, tnb2, .. } => match NetClient::connect(addr) {
+                Ok(c) => Client::Tcp(c, tnb2),
+                Err(_) => Client::Refused,
+            },
+        }
+    }
+}
+
+/// One client's link to the service.
+enum Client<'a> {
+    InProcess(&'a KernelService),
+    Tcp(NetClient, &'a [Vec<u8>]),
+    /// The connection was refused: every request on it is lost.
+    Refused,
+}
+
+/// Upper bound an in-process client waits for any single response before
 /// declaring the worker lost. Far above any legitimate kernel execution.
 const WAIT_CAP: Duration = Duration::from_secs(60);
 
-const KERNEL_MIX: [Kernel; 5] = [
-    Kernel::Mttkrp,
-    Kernel::Tew,
-    Kernel::Ttv,
-    Kernel::Ts,
-    Kernel::Ttm,
-];
+impl Client<'_> {
+    /// The typed status and cache-hit flag of one request on `pool[idx]`;
+    /// `None` when the transport lost it.
+    fn call(
+        &mut self,
+        pool: &[Arc<CooTensor<f32>>],
+        idx: usize,
+        req: &WireRequest,
+    ) -> Option<(WireStatus, bool)> {
+        match self {
+            Client::InProcess(svc) => {
+                let answer = svc
+                    .submit(Request {
+                        kernel: req.kernel,
+                        format: req.format,
+                        mode: usize::from(req.mode),
+                        rank: usize::from(req.rank),
+                        tensor: pool[idx].clone(),
+                        deadline: (req.deadline_ms > 0)
+                            .then(|| Duration::from_millis(u64::from(req.deadline_ms))),
+                    })
+                    // wait_timeout, not wait: a dead worker must surface
+                    // as a typed WorkerLost, not hang a client.
+                    .and_then(|t| t.wait_timeout(WAIT_CAP));
+                Some(match answer {
+                    Ok(resp) => (WireStatus::Ok, resp.cache_hit),
+                    Err(e) => (status_of(&e), false),
+                })
+            }
+            Client::Tcp(client, tnb2) => client
+                .request(req, &tnb2[idx])
+                .ok()
+                .map(|resp| (resp.status, resp.cache_hit)),
+            Client::Refused => None,
+        }
+    }
+}
 
 /// Drive the service closed-loop for `cfg.duration` from
-/// `cfg.concurrency` workers, picking tensors Zipf-skewed from `pool`.
-/// Each worker rotates through the kernel mix, alternates COO/HiCOO, and
+/// `cfg.concurrency` clients, picking tensors Zipf-skewed from `pool`.
+/// Each client rotates through [`Kernel::ALL`], alternates COO/HiCOO, and
 /// rotates the product mode, so the whole request space is exercised
 /// while tensor popularity stays skewed.
 pub fn closed_loop(
-    svc: &KernelService,
+    transport: &Transport<'_>,
     pool: &[Arc<CooTensor<f32>>],
     cfg: &StressConfig,
-) -> ClientTally {
+) -> Tally {
     assert!(!pool.is_empty(), "stress needs at least one tensor");
-    let zipf = ZipfSampler::new(pool.len() as u64, cfg.zipf_alpha);
+    let zipf = ZipfSampler::new(pool.len() as u64, cfg.alpha);
     let stop = AtomicBool::new(false);
-    let deadline = (cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms));
-    let mut total = ClientTally::default();
+    let mut total = Tally::default();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.concurrency.max(1))
             .map(|w| {
                 let zipf = &zipf;
                 let stop = &stop;
                 s.spawn(move || {
+                    let mut client = transport.connect();
                     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(w as u64));
-                    let mut tally = ClientTally::default();
+                    let mut tally = Tally::default();
                     let mut turn = w;
                     while !stop.load(Ordering::Relaxed) {
-                        let tensor = pool[zipf.sample_index(&mut rng) as usize].clone();
-                        let kernel = KERNEL_MIX[turn % KERNEL_MIX.len()];
-                        let format = if turn % 2 == 0 {
-                            FormatKind::Hicoo
-                        } else {
-                            FormatKind::Coo
-                        };
-                        let mode = turn % tensor.order();
-                        turn += 1;
-                        tally.issued += 1;
-                        let ticket = svc.submit(Request {
-                            kernel,
-                            format,
-                            mode,
-                            rank: cfg.rank,
-                            tensor,
-                            deadline,
-                        });
-                        // wait_timeout, not wait: a dead worker must
-                        // surface as a typed WorkerLost, not hang a client.
-                        match ticket.map(|t| t.wait_timeout(WAIT_CAP)) {
-                            Ok(Ok(_)) => tally.ok += 1,
-                            Ok(Err(e)) | Err(e) => match e {
-                                ServeError::Rejected(RejectReason::QueueFull { .. }) => {
-                                    tally.rejected_full += 1;
-                                }
-                                ServeError::Rejected(RejectReason::DeadlineExpired { .. }) => {
-                                    tally.rejected_deadline += 1
-                                }
-                                ServeError::Rejected(RejectReason::ShuttingDown) => break,
-                                ServeError::Failed(_) => tally.failed += 1,
-                                ServeError::WorkerLost { .. } => tally.lost += 1,
+                        let idx = zipf.sample_index(&mut rng) as usize;
+                        let req = WireRequest {
+                            kernel: Kernel::ALL[turn % Kernel::ALL.len()],
+                            format: if turn % 2 == 0 {
+                                FormatKind::Hicoo
+                            } else {
+                                FormatKind::Coo
                             },
+                            mode: (turn % pool[idx].order()) as u8,
+                            rank: cfg.rank.min(usize::from(u16::MAX)) as u16,
+                            deadline_ms: cfg.deadline_ms.min(u64::from(u32::MAX)) as u32,
+                        };
+                        turn += 1;
+                        if !tally.send(&mut client, pool, idx, &req) {
+                            break;
                         }
                     }
                     tally
@@ -162,69 +361,71 @@ pub fn closed_loop(
         std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Relaxed);
         for h in handles {
-            total.absorb(h.join().expect("stress worker"));
+            total.absorb(&h.join().expect("stress client"));
         }
     });
     total
 }
 
-/// What the overload burst observed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OverloadProbe {
-    /// Requests fired in the burst.
-    pub submitted: u64,
-    /// Refused at submit with [`RejectReason::QueueFull`].
-    pub rejected_queue_full: u64,
-    /// Shed at dequeue with [`RejectReason::DeadlineExpired`].
-    pub rejected_deadline: u64,
-    /// Admitted and answered successfully.
-    pub completed: u64,
-    /// Admitted but failed in execution.
-    pub failed: u64,
-    /// Admitted but never answered within the wait cap (worker lost).
-    pub lost: u64,
-}
+/// Requests each burst client sends, one at a time.
+pub const BURST_REQUESTS_PER_CLIENT: usize = 3;
 
-/// Fire a burst of at least 4× the queue bound without waiting between
-/// submissions, each with a tight deadline, and account for every typed
-/// outcome. Overload must surface as `rejected_queue_full > 0` — the
-/// bound, not memory, is the limit.
-pub fn overload_probe(svc: &KernelService, pool: &[Arc<CooTensor<f32>>]) -> OverloadProbe {
-    assert!(!pool.is_empty(), "overload probe needs at least one tensor");
-    let mut probe = OverloadProbe::default();
-    let burst = svc.report().queue_bound * 4 + 8;
-    let t0 = Instant::now();
-    let mut tickets = Vec::new();
-    for i in 0..burst {
-        probe.submitted += 1;
-        let tensor = pool[i % pool.len()].clone();
-        match svc.submit(Request {
-            kernel: KERNEL_MIX[i % KERNEL_MIX.len()],
-            format: FormatKind::Hicoo,
-            mode: i % tensor.order(),
-            rank: 8,
-            tensor,
-            deadline: Some(Duration::from_millis(50)),
-        }) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Rejected(RejectReason::QueueFull { .. })) => {
-                probe.rejected_queue_full += 1;
-            }
-            Err(_) => probe.failed += 1,
+/// The overload burst: clients released together by a barrier, enough of
+/// them (and at least `clients`) that their in-flight count dwarfs one
+/// shard's queue, each sending [`BURST_REQUESTS_PER_CLIENT`] HiCOO
+/// requests. Every request targets the tensors that route to one shard
+/// (`fingerprint % shards`, as the server routes), and none carries a
+/// deadline — deadline shedding drains a full queue almost as fast as it
+/// fills, so an undeadlined backlog is what makes the bound itself bind.
+/// Returns the client count and what they observed; overload must
+/// surface as `rejected_full > 0`.
+pub fn burst(
+    transport: &Transport<'_>,
+    pool: &[Arc<CooTensor<f32>>],
+    clients: usize,
+) -> (usize, Tally) {
+    assert!(!pool.is_empty(), "the burst needs at least one tensor");
+    let shards = transport.shards() as u64;
+    let target = pool[0].fingerprint() % shards;
+    let hot: Vec<usize> = (0..pool.len())
+        .filter(|&i| pool[i].fingerprint() % shards == target)
+        .collect();
+    let n = (transport.shards() * transport.queue_bound() * 2 + 16).max(clients);
+    let barrier = Barrier::new(n);
+    let mut total = Tally::default();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|w| {
+                let (barrier, hot) = (&barrier, &hot);
+                s.spawn(move || {
+                    let mut client = transport.connect();
+                    let mut tally = Tally::default();
+                    barrier.wait();
+                    for i in 0..BURST_REQUESTS_PER_CLIENT {
+                        let idx = hot[(w + i) % hot.len()];
+                        let req = WireRequest {
+                            kernel: Kernel::ALL[(w + i) % Kernel::ALL.len()],
+                            format: FormatKind::Hicoo,
+                            mode: ((w + i) % pool[idx].order()) as u8,
+                            // A wide rank makes each admitted execution
+                            // slow enough that the shard cannot drain its
+                            // queue as fast as the clients refill it.
+                            rank: 256,
+                            deadline_ms: 0,
+                        };
+                        if !tally.send(&mut client, pool, idx, &req) {
+                            break;
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        for h in handles {
+            total.absorb(&h.join().expect("burst client"));
         }
-    }
-    for t in tickets {
-        match t.wait_timeout(WAIT_CAP) {
-            Ok(_) => probe.completed += 1,
-            Err(ServeError::Rejected(RejectReason::DeadlineExpired { .. })) => {
-                probe.rejected_deadline += 1;
-            }
-            Err(ServeError::WorkerLost { .. }) => probe.lost += 1,
-            Err(_) => probe.failed += 1,
-        }
-    }
-    let _ = t0;
-    probe
+    });
+    (n, total)
 }
 
 #[cfg(test)]
@@ -258,6 +459,10 @@ mod tests {
             .collect()
     }
 
+    fn balanced(t: &Tally) -> bool {
+        t.issued == t.answered() + t.lost
+    }
+
     #[test]
     fn closed_loop_completes_and_hits_the_cache() {
         let svc = KernelService::start(
@@ -270,7 +475,7 @@ mod tests {
         );
         let pool = pool(6);
         let tally = closed_loop(
-            &svc,
+            &Transport::InProcess(&svc),
             &pool,
             &StressConfig {
                 duration: Duration::from_millis(400),
@@ -281,9 +486,18 @@ mod tests {
         assert!(tally.issued > 0);
         assert!(tally.ok > 0, "{tally:?}");
         assert_eq!(tally.failed, 0, "{tally:?}");
-        let report = svc.shutdown();
+        assert_eq!(tally.lost, 0, "{tally:?}");
+        assert!(balanced(&tally), "{tally:?}");
+        assert_eq!(tally.latency.count(), tally.ok);
         // Zipf skew concentrates requests on few tensors → the prepared
-        // formats are overwhelmingly reused.
+        // formats are overwhelmingly reused, seen by the clients and the
+        // service alike.
+        assert!(
+            tally.hit_ratio() > 0.5,
+            "hit ratio {:.2}",
+            tally.hit_ratio()
+        );
+        let report = svc.shutdown();
         assert!(
             report.cache.hit_ratio() > 0.5,
             "hit ratio {:.2}",
@@ -292,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_probe_sees_typed_queue_full() {
+    fn burst_sees_typed_queue_full() {
         let svc = KernelService::start(
             ServeConfig {
                 workers: 1,
@@ -304,17 +518,17 @@ mod tests {
             Box::new(DirectExecutor),
         );
         let pool = pool(2);
-        let probe = overload_probe(&svc, &pool);
-        assert!(probe.rejected_queue_full > 0, "{probe:?}");
+        let (clients, tally) = burst(&Transport::InProcess(&svc), &pool, 0);
+        assert_eq!(clients, 4 * 2 + 16);
         assert_eq!(
-            probe.submitted,
-            probe.rejected_queue_full
-                + probe.rejected_deadline
-                + probe.completed
-                + probe.failed
-                + probe.lost
+            tally.issued,
+            (clients * BURST_REQUESTS_PER_CLIENT) as u64,
+            "{tally:?}"
         );
+        assert!(tally.rejected_full > 0, "{tally:?}");
+        assert_eq!(tally.lost, 0, "{tally:?}");
+        assert!(balanced(&tally), "{tally:?}");
         let report = svc.shutdown();
-        assert_eq!(report.rejected_queue_full, probe.rejected_queue_full);
+        assert_eq!(report.rejected_queue_full, tally.rejected_full);
     }
 }
