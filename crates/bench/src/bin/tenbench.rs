@@ -65,7 +65,8 @@
 //! against the sequential reference), and on failure the run falls back
 //! (Mttkrp through the requested kernel, then `scheduled`, then `seq`;
 //! HiCOO Ttv/Ttm to the other HiCOO cell). `verify` runs the full integrity
-//! battery on one tensor file.
+//! battery on one tensor file. A watchdog budget (`--max-seconds`,
+//! `--max-step-seconds`) must be a finite number of seconds > 0.
 //!
 //! `stress` starts the batched kernel service (supervised executor,
 //! format/schedule cache, admission-controlled queue) — in this process,
@@ -93,10 +94,10 @@
 //! `--flight-dump-dir DIR` (on `stress` and `chaos`) routes
 //! flight-recorder fault dumps to DIR: the always-on per-thread ring of
 //! recent causal events is snapshotted into
-//! `DIR/flight-<seq>-<reason>.json` the moment the supervisor records a
-//! panic, watchdog timeout, or invalid output, or checkpoint corruption is
-//! detected on the resume path. `tenbench report <dump>` validates and
-//! pretty-prints a dump; under `chaos`, the run additionally fails unless
+//! `DIR/flight-<seq>-<reason>.json` the moment a guarded kernel attempt or
+//! job step panics or times out, the supervisor rejects an output, or
+//! checkpoint corruption is detected on the resume path. `tenbench report
+//! <dump>` validates and pretty-prints a dump; under `chaos`, the run additionally fails unless
 //! every observed fault kind produced at least one dump.
 
 use std::path::PathBuf;
@@ -228,10 +229,23 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             .filter(|b| (1..=8).contains(b))
             .ok_or_else(|| CliError::Usage(format!("bad --block-bits {v} (expected 1..=8)")))?,
     };
-    let max_seconds: Option<f64> = opts
-        .get("max-seconds")
-        .map(|v| v.parse().map_err(|_| "bad --max-seconds".to_string()))
-        .transpose()?;
+    // A watchdog budget that is not finite and > 0 would switch the
+    // watchdog off, so the flags that set one refuse it.
+    let get_budget = |key: &str| -> Result<Option<f64>, CliError> {
+        opts.get(key)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "bad --{key} {v} (expected a finite number of seconds > 0)"
+                        ))
+                    })
+            })
+            .transpose()
+    };
+    let max_seconds = get_budget("max-seconds")?;
     let fallback: Option<bool> = opts
         .get("fallback")
         .map(|v| match v.as_str() {
@@ -463,7 +477,8 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
                 rank: get_usize("rank", defaults.rank)?,
                 max_iters: get_usize("max-iters", defaults.max_iters)?,
                 fault_rate: get_f64("fault-rate", defaults.fault_rate)?,
-                max_step_seconds: get_f64("max-step-seconds", defaults.max_step_seconds)?,
+                max_step_seconds: get_budget("max-step-seconds")?
+                    .unwrap_or(defaults.max_step_seconds),
                 job_workers: get_usize("job-workers", defaults.job_workers)?,
                 max_recoveries: get_usize("max-recoveries", defaults.max_recoveries as usize)?
                     as u32,

@@ -3,7 +3,7 @@
 //! [`run_chaos`] stands up the full serving stack — a [`KernelService`]
 //! under Zipf-skewed closed-loop kernel traffic *and* a
 //! [`JobService`] running CP-ALS / power-method / TTM-chain decomposition
-//! jobs through the supervised step runner — then injects faults into the
+//! jobs, each step guarded by a watchdog — then injects faults into the
 //! jobs while they run: step panics, step hangs that trip the watchdog,
 //! checkpoint corruption that the resume path must detect, and queue-full
 //! submission bursts against both services.
@@ -43,7 +43,7 @@ use tenbench_serve::{
     Transport,
 };
 
-use crate::serve_exec::{SupervisedExecutor, SupervisedStepRunner};
+use crate::serve_exec::SupervisedExecutor;
 use crate::supervisor::SupervisorConfig;
 
 /// Knobs for one chaos run.
@@ -363,7 +363,7 @@ fn terminal_text(r: &Result<JobOutcome, JobError>) -> String {
 /// Uninterrupted in-process reference for one spec, at the same ambient
 /// thread count as the chaos run. Returns `None` if the clean run fails —
 /// which the caller counts as a mismatch, since the chaotic run completed.
-fn reference_outcome(spec: &JobSpec, cfg: &ChaosConfig) -> Option<JobOutcome> {
+fn reference_outcome(spec: &JobSpec) -> Option<JobOutcome> {
     let svc = JobService::start(
         JobConfig {
             workers: 1,
@@ -373,10 +373,8 @@ fn reference_outcome(spec: &JobSpec, cfg: &ChaosConfig) -> Option<JobOutcome> {
             keep_checkpoints: 2,
             threads: None,
         },
-        Arc::new(SupervisedStepRunner),
         None,
     );
-    let _ = cfg;
     let out = svc.submit(spec.clone()).ok()?.wait().ok();
     svc.shutdown();
     out
@@ -415,11 +413,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         keep_checkpoints: 2,
         threads: None,
     };
-    let jsvc = JobService::start(
-        job_cfg,
-        Arc::new(SupervisedStepRunner),
-        Some(injector.clone() as Arc<dyn FaultInjector>),
-    );
+    let jsvc = JobService::start(job_cfg, Some(injector.clone() as Arc<dyn FaultInjector>));
 
     let ksvc = KernelService::start(
         ServeConfig {
@@ -531,7 +525,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                     }
                     cp_checked += 1;
                     let accepted = accepted_progress(&out.progress);
-                    match reference_outcome(spec, cfg) {
+                    match reference_outcome(spec) {
                         Some(clean)
                             if clean.fit.to_bits() == out.fit.to_bits()
                                 && clean.final_checkpoint == out.final_checkpoint

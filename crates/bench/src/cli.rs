@@ -1316,12 +1316,12 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
             .map_err(|e| CliError::Usage(format!("--flight-dump-dir {}: {e}", dir.display())))?;
     }
 
-    // Injected panics are contained by the supervisor's catch_unwind and
-    // surface as typed step verdicts; silence their default stderr spew so
+    // Injected panics are contained by the guard's catch_unwind and
+    // surface as typed step faults; silence their default stderr spew so
     // the report stays readable. Panics on any other thread still print.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if std::thread::current().name() != Some("tenbench-supervised") {
+        if std::thread::current().name() != Some(tenbench_serve::guard::THREAD_NAME) {
             prev_hook(info);
         }
     }));
@@ -1721,7 +1721,10 @@ mod tests {
         // A cap short enough that the watchdog fires during the attempt on
         // any machine is impractical for these tiny kernels; instead check
         // the flag plumbing accepts a generous cap and still succeeds.
-        let cfg = SupervisorConfig::with_max_seconds(30.0);
+        let cfg = SupervisorConfig {
+            max_seconds: 30.0,
+            ..SupervisorConfig::default()
+        };
         let r = run_kernel_on(tiny(), "mttkrp", 0, 4, "coo", 3, 1, "atomic", Some(&cfg)).unwrap();
         assert!(r.contains("status ok"), "{r}");
         assert!(matches!(

@@ -19,8 +19,7 @@
 //! * [`metrics`] — observability glue: trace/counter capture lifecycle
 //!   and pool-telemetry snapshots merged into reports.
 //! * [`serve_exec`] — plugs the supervisor in as the execution backend of
-//!   the `tenbench-serve` kernel service and as the step runner of its
-//!   decomposition-job subsystem.
+//!   the `tenbench-serve` kernel service.
 //! * [`chaos`] — the fault-injection harness: a live service under load
 //!   with panics, hangs, checkpoint corruption, and queue-full bursts,
 //!   gated on zero lost jobs and bitwise resume determinism.

@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use tenbench_core::kernels::Kernel;
-use tenbench_serve::{
-    execute_direct, BatchJob, ExecOutcome, Executor, FormatKind, StepRunner, StepVerdict,
-};
+use tenbench_serve::{execute_direct, BatchJob, ExecOutcome, Executor, FormatKind};
 
 use crate::supervisor::{supervise, supervised_mttkrp, RunStatus, SupervisorConfig, Trial};
 
@@ -97,52 +95,6 @@ impl Executor for SupervisedExecutor {
 
 fn status_message(status: &RunStatus) -> String {
     format!("supervisor: {status}")
-}
-
-/// Runs decomposition-job iterations through the PR-2 supervisor: one
-/// watchdogged, panic-isolated attempt per step, with retry and strategy
-/// fallback disabled — the job engine owns recovery (checkpoint resume),
-/// so the supervisor here is pure containment.
-pub struct SupervisedStepRunner;
-
-impl StepRunner for SupervisedStepRunner {
-    fn run_step(
-        &self,
-        label: &str,
-        step: Arc<dyn Fn() -> Result<(), String> + Send + Sync>,
-        max_seconds: f64,
-    ) -> StepVerdict {
-        let cfg = SupervisorConfig {
-            max_seconds,
-            max_retries: 0,
-            fallback: false,
-            ..SupervisorConfig::default()
-        };
-        let trials = [Trial {
-            strategy: label.to_string(),
-            run: step,
-        }];
-        let cell = format!("job/{label}");
-        let (report, out) = supervise(&cell, &trials, |_: &()| Ok(None), &cfg);
-        match (out, report.status) {
-            (Some(()), _) => StepVerdict::Done,
-            (None, RunStatus::TimedOut) => StepVerdict::TimedOut,
-            (None, RunStatus::Panicked) => {
-                let detail = report
-                    .attempts
-                    .last()
-                    .and_then(|a| match &a.outcome {
-                        crate::supervisor::AttemptOutcome::Panicked { message } => {
-                            Some(message.clone())
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| "panic".to_string());
-                StepVerdict::Panicked(detail)
-            }
-            (None, status) => StepVerdict::Failed(status_message(&status)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //!
 //! ```text
 //! for strategy in chain {            // chain has length 1 if fallback off
-//!     for attempt in 0..=max_retries {
-//!         run on worker thread under catch_unwind, watchdog max_seconds
+//!     for attempt in 0..=MAX_RETRIES {
+//!         run_guarded: own thread, catch_unwind, watchdog max_seconds
 //!         Ok + valid output  -> report Ok (first attempt) or Recovered
 //!         Ok + invalid       -> next strategy   (deterministic failure)
 //!         panic              -> next strategy   (deterministic failure)
@@ -31,10 +31,8 @@
 //! all exhausted -> terminal status from the first attempt's failure
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
@@ -42,6 +40,20 @@ use tenbench_core::hicoo::HicooTensor;
 use tenbench_core::kernels::mttkrp;
 use tenbench_obs as obs;
 use tenbench_obs::json::escape_json;
+use tenbench_serve::guard::{run_guarded, Guarded};
+
+/// Extra attempts per strategy after a timeout or kernel error (transient
+/// failures). Panics and invalid outputs are treated as deterministic and
+/// skip straight to the next strategy.
+const MAX_RETRIES: usize = 1;
+
+/// Output rows sampled for checksum comparison.
+pub const SAMPLE_ROWS: usize = 64;
+
+/// Relative tolerance for checksum comparison against the sequential
+/// reference (parallel reduction orders legitimately differ in the last
+/// bits).
+pub const REL_TOL: f64 = 1e-4;
 
 /// Tuning knobs for supervised execution.
 #[derive(Debug, Clone)]
@@ -49,39 +61,16 @@ pub struct SupervisorConfig {
     /// Wall-clock cap per attempt in seconds (the whole attempt, including
     /// any internal repetitions). Non-finite or non-positive means no cap.
     pub max_seconds: f64,
-    /// Extra attempts per strategy after a timeout or kernel error
-    /// (transient failures). Panics and invalid outputs are treated as
-    /// deterministic and skip straight to the next strategy.
-    pub max_retries: usize,
     /// Whether to fall through to later strategies in the chain after the
     /// requested one fails. With `false` only the first trial is run.
     pub fallback: bool,
-    /// Number of output rows sampled for checksum comparison.
-    pub sample: usize,
-    /// Relative tolerance for checksum comparison against the sequential
-    /// reference (parallel reduction orders legitimately differ in the
-    /// last bits).
-    pub rel_tol: f64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_seconds: f64::INFINITY,
-            max_retries: 1,
             fallback: true,
-            sample: 64,
-            rel_tol: 1e-4,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Config with a wall-clock cap and defaults elsewhere.
-    pub fn with_max_seconds(max_seconds: f64) -> Self {
-        SupervisorConfig {
-            max_seconds,
-            ..Default::default()
         }
     }
 }
@@ -400,68 +389,6 @@ impl<T> Clone for Trial<T> {
     }
 }
 
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-enum Guarded<T> {
-    Done(Result<T, String>, f64),
-    Panicked(String),
-    TimedOut,
-}
-
-/// Run one closure on a worker thread under `catch_unwind` with a
-/// wall-clock watchdog. On timeout the worker is detached, not killed —
-/// Rust offers no safe thread cancellation — so a hung kernel keeps its
-/// CPU until it returns, but the supervisor (and the sweep) moves on.
-fn run_guarded<T: Send + 'static>(
-    run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
-    max_seconds: f64,
-) -> Guarded<T> {
-    let (tx, rx) = mpsc::channel();
-    // The watchdog worker is a fresh thread, and thread-locals do not
-    // inherit across spawns: relay the caller's trace context explicitly
-    // so the attempt's spans and flight events charge to the request.
-    let ctx = obs::ctx::current();
-    let spawned = std::thread::Builder::new()
-        .name("tenbench-supervised".into())
-        .spawn(move || {
-            let _ctx_guard = obs::ctx::install_opt(ctx);
-            let t0 = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| run()));
-            let dt = t0.elapsed().as_secs_f64();
-            // The receiver is gone iff the watchdog already fired.
-            let _ = tx.send((result, dt));
-        });
-    if let Err(e) = spawned {
-        return Guarded::Done(Err(format!("could not spawn worker thread: {e}")), 0.0);
-    }
-    let received = if max_seconds.is_finite() && max_seconds > 0.0 {
-        match rx.recv_timeout(Duration::from_secs_f64(max_seconds)) {
-            Ok(v) => v,
-            Err(mpsc::RecvTimeoutError::Timeout) => return Guarded::TimedOut,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Guarded::Panicked("worker thread died without reporting".into())
-            }
-        }
-    } else {
-        match rx.recv() {
-            Ok(v) => v,
-            Err(_) => return Guarded::Panicked("worker thread died without reporting".into()),
-        }
-    };
-    match received {
-        (Ok(r), dt) => Guarded::Done(r, dt),
-        (Err(p), _) => Guarded::Panicked(panic_message(p)),
-    }
-}
-
 /// Run a fallback chain of trials under supervision.
 ///
 /// `validate` inspects a finished output and either accepts it (optionally
@@ -479,7 +406,7 @@ pub fn supervise<T: Send + 'static>(
         if ti > 0 && !cfg.fallback {
             break;
         }
-        for _retry in 0..=cfg.max_retries {
+        for _retry in 0..=MAX_RETRIES {
             // Every attempt after the first — retry or fallback — counts
             // as a supervisor recovery action.
             if !attempts.is_empty() {
@@ -494,7 +421,12 @@ pub fn supervise<T: Send + 'static>(
             obs::flight::note(obs::flight::FlightKind::ExecBegin, ti as u64);
             let guarded = {
                 let _span = obs::span!("supervisor.attempt");
-                run_guarded(trial.run.clone(), cfg.max_seconds)
+                let run = trial.run.clone();
+                run_guarded(
+                    &format!("{cell}: strategy {}", trial.strategy),
+                    move || run(),
+                    cfg.max_seconds,
+                )
             };
             // Validation is timed on its own: the attempt's `time_s` is
             // the guarded closure alone, so checksum digests never leak
@@ -551,29 +483,10 @@ pub fn supervise<T: Send + 'static>(
                     }
                 },
                 Guarded::Done(Err(message), _) => AttemptOutcome::Error { message },
-                Guarded::Panicked(message) => {
-                    obs::flight::dump(
-                        "panic",
-                        obs::flight::FlightKind::Panic,
-                        obs::ctx::current_id(),
-                        &format!("{cell}: strategy {} panicked: {message}", trial.strategy),
-                    );
-                    AttemptOutcome::Panicked { message }
-                }
-                Guarded::TimedOut => {
-                    obs::flight::dump(
-                        "timeout",
-                        obs::flight::FlightKind::Timeout,
-                        obs::ctx::current_id(),
-                        &format!(
-                            "{cell}: strategy {} exceeded the {:.1}s watchdog",
-                            trial.strategy, cfg.max_seconds
-                        ),
-                    );
-                    AttemptOutcome::TimedOut {
-                        limit_s: cfg.max_seconds,
-                    }
-                }
+                Guarded::Panicked(message) => AttemptOutcome::Panicked { message },
+                Guarded::TimedOut => AttemptOutcome::TimedOut {
+                    limit_s: cfg.max_seconds,
+                },
             };
             // Panics and invalid outputs are deterministic: retrying the
             // same strategy would fail the same way, so move on.
@@ -629,13 +542,12 @@ pub fn matrix_row_digest(m: &DenseMatrix<f32>, sample: usize) -> Vec<f64> {
 }
 
 /// Validate a kernel output matrix: finite everywhere (on the full data,
-/// not just the sample) and row digests within `rel_tol` of the reference.
+/// not just the sample) and row digests within [`REL_TOL`] of the reference.
 /// On success returns the digest sum as the recorded checksum.
 pub fn validate_matrix(
     out: &DenseMatrix<f32>,
     reference: &[f64],
     sample: usize,
-    rel_tol: f64,
 ) -> Result<Option<f64>, String> {
     let bad = out.data().iter().filter(|v| !v.is_finite()).count();
     if bad > 0 {
@@ -651,7 +563,7 @@ pub fn validate_matrix(
     }
     for (i, (&got, &want)) in digest.iter().zip(reference).enumerate() {
         let scale = want.abs().max(1.0);
-        if (got - want).abs() > rel_tol * scale {
+        if (got - want).abs() > REL_TOL * scale {
             return Err(format!(
                 "checksum mismatch at sampled row {i}: got {got:.6e}, reference {want:.6e}"
             ));
@@ -749,7 +661,7 @@ pub fn supervised_mttkrp(
     requested: &str,
     cfg: &SupervisorConfig,
 ) -> (RunReport, Option<DenseMatrix<f32>>) {
-    let reference = match mttkrp_reference_digest(x, factors, mode, cfg.sample) {
+    let reference = match mttkrp_reference_digest(x, factors, mode, SAMPLE_ROWS) {
         Ok(r) => r,
         Err(e) => {
             return (
@@ -765,32 +677,33 @@ pub fn supervised_mttkrp(
     supervise(
         cell,
         &trials,
-        |out| validate_matrix(out, &reference, cfg.sample, cfg.rel_tol),
+        |out| validate_matrix(out, &reference, SAMPLE_ROWS),
         cfg,
     )
-}
-
-/// A shared counter for tests and demos that need a trial to fail a fixed
-/// number of times before succeeding.
-#[derive(Debug, Default)]
-pub struct FlakyCounter(AtomicUsize);
-
-impl FlakyCounter {
-    /// New counter at zero.
-    pub fn new() -> Arc<Self> {
-        Arc::new(FlakyCounter(AtomicUsize::new(0)))
-    }
-
-    /// Increment and return the pre-increment count.
-    pub fn bump(&self) -> usize {
-        self.0.fetch_add(1, Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
     use tenbench_core::shape::Shape;
+
+    /// A shared counter for trials that fail a fixed number of times
+    /// before succeeding.
+    #[derive(Debug, Default)]
+    struct FlakyCounter(AtomicUsize);
+
+    impl FlakyCounter {
+        fn new() -> Arc<Self> {
+            Arc::new(FlakyCounter(AtomicUsize::new(0)))
+        }
+
+        /// Increment and return the pre-increment count.
+        fn bump(&self) -> usize {
+            self.0.fetch_add(1, Ordering::SeqCst)
+        }
+    }
 
     fn cfg_fast() -> SupervisorConfig {
         SupervisorConfig {
@@ -843,8 +756,8 @@ mod tests {
         let (r, v) = supervise("cell", &trials, accept, &cfg_fast());
         assert_eq!(r.status, RunStatus::TimedOut);
         assert!(v.is_none());
-        // 1 + max_retries attempts, each capped at 0.25 s.
-        assert_eq!(r.attempts.len(), 2);
+        // 1 + MAX_RETRIES attempts, each capped at 0.25 s.
+        assert_eq!(r.attempts.len(), 1 + MAX_RETRIES);
         assert!(t0.elapsed().as_secs_f64() < 1.5);
     }
 
@@ -859,7 +772,6 @@ mod tests {
         ];
         let cfg = SupervisorConfig {
             max_seconds: 0.2,
-            max_retries: 0,
             ..Default::default()
         };
         let (r, v) = supervise("cell", &trials, accept, &cfg);
@@ -870,6 +782,8 @@ mod tests {
             }
         );
         assert_eq!(v, Some(2));
+        // A timeout is transient: "slow" is retried once before "fast".
+        assert_eq!(r.attempts.len(), 2 + MAX_RETRIES);
     }
 
     #[test]
@@ -1040,15 +954,15 @@ mod tests {
         let reference = mttkrp_reference_digest(&x, &factors, 0, 16).unwrap();
         let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
         let good = mttkrp::mttkrp_seq(&x, &frefs, 0).unwrap();
-        assert!(validate_matrix(&good, &reference, 16, 1e-4).is_ok());
+        assert!(validate_matrix(&good, &reference, 16).is_ok());
 
         let mut poisoned = good.clone();
         poisoned.data_mut()[0] = f32::NAN;
-        assert!(validate_matrix(&poisoned, &reference, 16, 1e-4).is_err());
+        assert!(validate_matrix(&poisoned, &reference, 16).is_err());
 
         let mut wrong = good.clone();
         wrong.data_mut()[0] += 100.0;
-        assert!(validate_matrix(&wrong, &reference, 16, 1e-4).is_err());
+        assert!(validate_matrix(&wrong, &reference, 16).is_err());
     }
 
     #[test]

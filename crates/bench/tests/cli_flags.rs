@@ -1,8 +1,9 @@
 //! Process-level checks of `tenbench`'s argument handling: a flag the
 //! subcommand does not read, a `--strategy` no cell takes, a `--block-bits`
 //! outside `1..=8`, a `paper` artifact, dataset, `--reps` or `--scale` it
-//! cannot use, and a `stress`/`chaos` duration, Zipf skew or gate it
-//! cannot honour are usage errors (exit code 2, the culprit named on
+//! cannot use, a `stress`/`chaos` duration, Zipf skew or gate it cannot
+//! honour, and a watchdog budget that is not finite and > 0 are usage
+//! errors (exit code 2, the culprit named on
 //! stderr, no panic, no output) — and well-formed calls still run.
 
 use std::process::{Command, Output};
@@ -56,6 +57,43 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
         (
             "stress --duration 100ms --max-p99-ms NaN".to_string(),
             "--max-p99-ms",
+        ),
+        (
+            format!("kernel mttkrp {file} --max-seconds NaN"),
+            "--max-seconds",
+        ),
+        (
+            format!("kernel mttkrp {file} --max-seconds -1"),
+            "--max-seconds",
+        ),
+        (
+            format!("kernel mttkrp {file} --max-seconds 0"),
+            "--max-seconds",
+        ),
+        (
+            format!("kernel mttkrp {file} --max-seconds inf"),
+            "--max-seconds",
+        ),
+        (format!("verify {file} --max-seconds NaN"), "--max-seconds"),
+        (
+            "stress --duration 100ms --max-seconds 0".to_string(),
+            "--max-seconds",
+        ),
+        (
+            "chaos --duration 100ms --max-step-seconds NaN".to_string(),
+            "--max-step-seconds",
+        ),
+        (
+            "chaos --duration 100ms --max-step-seconds -1".to_string(),
+            "--max-step-seconds",
+        ),
+        (
+            "chaos --duration 100ms --max-step-seconds 0".to_string(),
+            "--max-step-seconds",
+        ),
+        (
+            "chaos --duration 100ms --max-step-seconds inf".to_string(),
+            "--max-step-seconds",
         ),
     ] {
         let out = tenbench(&args);

@@ -11,7 +11,7 @@ use std::time::Duration;
 use tenbench_bench::suite::make_factors;
 use tenbench_bench::supervisor::{
     mttkrp_reference_digest, mttkrp_trials, supervise, supervised_mttkrp, validate_matrix,
-    RunReport, RunStatus, SupervisorConfig, SweepReport, Trial, HICOO_MTTKRP,
+    RunReport, RunStatus, SupervisorConfig, SweepReport, Trial, HICOO_MTTKRP, REL_TOL, SAMPLE_ROWS,
 };
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
@@ -44,11 +44,8 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
     let x = Arc::new(make_tensor(3));
     let factors = Arc::new(make_factors(&x, 4));
     let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
-    let cfg = SupervisorConfig {
-        max_retries: 0,
-        ..Default::default()
-    };
-    let reference = mttkrp_reference_digest(&x, &factors, 0, cfg.sample).unwrap();
+    let cfg = SupervisorConfig::default();
+    let reference = mttkrp_reference_digest(&x, &factors, 0, SAMPLE_ROWS).unwrap();
 
     // The real HiCOO chain with its first step replaced by an injected
     // fault.
@@ -60,7 +57,7 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
     let (report, out) = supervise(
         "mttkrp/hicoo/strategy-fault",
         &trials,
-        |m| validate_matrix(m, &reference, cfg.sample, cfg.rel_tol),
+        |m| validate_matrix(m, &reference, SAMPLE_ROWS),
         &cfg,
     );
     assert!(out.is_some(), "{}", report.summary());
@@ -72,7 +69,7 @@ fn injected_fault_recovers_on_the_next_strategy_with_reference_checksum() {
     assert_eq!(report.strategy.as_deref(), Some("seq"));
     let want: f64 = reference.iter().sum();
     let got = report.checksum.expect("accepted output carries a checksum");
-    assert!((got - want).abs() <= cfg.rel_tol * want.abs().max(1.0));
+    assert!((got - want).abs() <= REL_TOL * want.abs().max(1.0));
     let ran: Vec<&str> = report
         .attempts
         .iter()
@@ -104,7 +101,6 @@ fn sweep_survives_panic_timeout_and_corruption() {
 
     let cfg = SupervisorConfig {
         max_seconds: 0.3,
-        max_retries: 0,
         ..Default::default()
     };
     let mut sweep = SweepReport::default();
@@ -122,7 +118,7 @@ fn sweep_survives_panic_timeout_and_corruption() {
         };
         let factors = Arc::new(make_factors(&x, 4));
         let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
-        let reference = mttkrp_reference_digest(&x, &factors, 0, cfg.sample).unwrap();
+        let reference = mttkrp_reference_digest(&x, &factors, 0, SAMPLE_ROWS).unwrap();
 
         // Cell 1: injected panic in the first strategy; the seq
         // fallback must recover with a reference-matching checksum.
@@ -141,7 +137,7 @@ fn sweep_survives_panic_timeout_and_corruption() {
             let (report, out) = supervise(
                 &format!("{cell_base}/panic-cell"),
                 &trials,
-                |m| validate_matrix(m, &reference, cfg.sample, cfg.rel_tol),
+                |m| validate_matrix(m, &reference, SAMPLE_ROWS),
                 &cfg,
             );
             assert!(out.is_some(), "{}", report.summary());
@@ -164,6 +160,8 @@ fn sweep_survives_panic_timeout_and_corruption() {
                 &cfg,
             );
             assert!(out.is_none());
+            // A timeout is transient: the supervisor retries it once.
+            assert_eq!(report.attempts.len(), 2, "{}", report.summary());
             sweep.push(report);
         }
 

@@ -26,9 +26,7 @@ fn ctx_lock() -> MutexGuard<'static, ()> {
 fn quiet_cfg() -> SupervisorConfig {
     SupervisorConfig {
         max_seconds: 30.0,
-        max_retries: 1,
         fallback: true,
-        ..SupervisorConfig::default()
     }
 }
 
@@ -90,8 +88,8 @@ fn ctx_survives_watchdog_retry_and_strategy_demotion() {
 }
 
 /// Strategy fallback without a retry in between: the first trial panics,
-/// `max_retries: 0` sends the supervisor straight to the next strategy, and
-/// both attempts keep one causal identity.
+/// which sends the supervisor straight to the next strategy, and both
+/// attempts keep one causal identity.
 #[test]
 fn ctx_survives_strategy_fallback() {
     let _g = ctx_lock();
@@ -110,11 +108,12 @@ fn ctx_survives_strategy_fallback() {
         Ok(())
     });
 
-    let cfg = SupervisorConfig {
-        max_retries: 0,
-        ..quiet_cfg()
-    };
-    let (report, value) = supervise("test/fallback", &[first, second], |_: &()| Ok(None), &cfg);
+    let (report, value) = supervise(
+        "test/fallback",
+        &[first, second],
+        |_: &()| Ok(None),
+        &quiet_cfg(),
+    );
     assert!(matches!(report.status, RunStatus::Recovered { .. }));
     assert_eq!(report.strategy.as_deref(), Some("atomic"));
     assert_eq!(value, Some(()));
@@ -174,7 +173,6 @@ fn panic_under_supervision_writes_a_validating_flight_dump() {
     let _guard = obs::ctx::install(ctx);
     let boom = Trial::new("boom", || -> Result<(), String> { panic!("kaboom") });
     let cfg = SupervisorConfig {
-        max_retries: 0,
         fallback: false,
         ..quiet_cfg()
     };

@@ -146,11 +146,6 @@ impl<S: Scalar> DenseMatrix<S> {
         &mut self.buf[self.off..]
     }
 
-    /// Set every element to zero (reusing the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data_mut().fill(S::ZERO);
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> S {
         self.data().iter().map(|&x| x * x).sum::<S>().sqrt()

@@ -53,12 +53,6 @@ impl<S: Scalar> DenseVector<S> {
         &self.data
     }
 
-    /// Borrow the underlying slice mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [S] {
-        &mut self.data
-    }
-
     /// Euclidean norm.
     pub fn norm2(&self) -> S {
         self.data.iter().map(|&x| x * x).sum::<S>().sqrt()

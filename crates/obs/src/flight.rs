@@ -6,24 +6,25 @@
 //! of the last [`RING_CAPACITY`] events (admissions, batch claims, cache
 //! hits/misses/evictions, checkpoint writes, retries, fallbacks, steals,
 //! faults). A healthy-path record is one uncontended CAS claim plus a
-//! slot store — no locks, no allocation after the ring exists. When the
-//! supervisor records a panic/timeout/invalid-output, or checkpoint
-//! recovery detects corruption, [`dump`] snapshots *every* thread's ring
-//! into a JSON file under the configured dump directory (set via
-//! `--flight-dump-dir` on the CLI), so the fault ships with the last-N
-//! events of context that explain it.
+//! slot store — no locks, no allocation after the ring exists. When a
+//! guarded run panics or times out, the supervisor rejects an output, or
+//! checkpoint recovery detects corruption, [`dump`] snapshots *every*
+//! thread's ring into a JSON file under the configured dump directory
+//! (set via `--flight-dump-dir` on the CLI), so the fault ships with the
+//! last-N events of context that explain it.
 //!
-//! Rings mirror the claim discipline of [`mod@crate::span`]'s buffers: an
+//! Rings live in `claim` cells like [`mod@crate::span`]'s buffers: an
 //! `AtomicBool` CAS serializes the owner's push against a dump's
 //! snapshot. A push that loses the claim (a dump is copying this ring)
 //! increments a drop counter instead of spinning unboundedly.
 
-use std::cell::{OnceCell, UnsafeCell};
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::claim::{Claimed, Registry};
 use crate::ctx;
 use crate::json::{escape_json, Value};
 use crate::span::now_ns;
@@ -116,77 +117,30 @@ pub struct FlightEvent {
     pub arg: u64,
 }
 
-struct Ring {
-    tid: u64,
-    name: String,
-    busy: AtomicBool,
-    /// (next write index, slots); index only grows, slot = index & mask.
-    state: UnsafeCell<(u64, Box<[FlightEvent]>)>,
-}
+/// (next write index, slots); the index only grows, slot = index & mask.
+type Ring = (u64, Box<[FlightEvent]>);
 
-// SAFETY: `state` is only touched while `busy` is held via CAS, which
-// serializes the owning thread's pushes against a dump's snapshot.
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn try_with<R>(&self, f: impl FnOnce(&mut (u64, Box<[FlightEvent]>)) -> R) -> Option<R> {
-        for _ in 0..256 {
-            if self
-                .busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // SAFETY: the CAS above grants exclusive access.
-                let r = f(unsafe { &mut *self.state.get() });
-                self.busy.store(false, Ordering::Release);
-                return Some(r);
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-}
-
-static NEXT_RING_TID: AtomicU64 = AtomicU64::new(0);
-static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+static RINGS: Registry<Ring> = Registry::new();
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 thread_local! {
-    static LOCAL: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    static LOCAL: OnceCell<Arc<Claimed<Ring>>> = const { OnceCell::new() };
 }
 
-fn with_local<R>(f: impl FnOnce(&Ring) -> R) -> R {
-    LOCAL.with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let ring = Arc::new(Ring {
-                tid: NEXT_RING_TID.fetch_add(1, Ordering::Relaxed),
-                name: std::thread::current().name().unwrap_or("").to_string(),
-                busy: AtomicBool::new(false),
-                state: UnsafeCell::new((
-                    0,
-                    vec![
-                        FlightEvent {
-                            ts_ns: 0,
-                            kind: FlightKind::Admit,
-                            ctx: 0,
-                            arg: 0,
-                        };
-                        RING_CAPACITY
-                    ]
-                    .into_boxed_slice(),
-                )),
-            });
-            RINGS
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::clone(&ring));
-            ring
-        });
-        f(ring)
-    })
+fn with_local<R>(f: impl FnOnce(&Claimed<Ring>) -> R) -> R {
+    let empty = FlightEvent {
+        ts_ns: 0,
+        kind: FlightKind::Admit,
+        ctx: 0,
+        arg: 0,
+    };
+    RINGS.with_local(
+        &LOCAL,
+        || (0, vec![empty; RING_CAPACITY].into_boxed_slice()),
+        f,
+    )
 }
 
 /// Record an event in this thread's ring, charging it to the installed
@@ -235,25 +189,16 @@ pub struct ThreadFlight {
 /// Snapshot every thread's ring without clearing anything. Threads whose
 /// rings are empty are skipped.
 pub fn snapshot() -> Vec<ThreadFlight> {
-    let rings = RINGS.lock().unwrap_or_else(|e| e.into_inner());
+    let rings = RINGS.cells();
     let mut out = Vec::with_capacity(rings.len());
     for ring in rings.iter() {
-        // The owner holds the claim only across one slot store; spin
-        // until the snapshot wins it.
-        let taken = loop {
-            if let Some(t) = ring.try_with(|(head, slots)| {
-                let kept = (*head).min(RING_CAPACITY as u64);
-                let start = *head - kept;
-                let events: Vec<FlightEvent> = (start..*head)
-                    .map(|i| slots[(i as usize) & (RING_CAPACITY - 1)])
-                    .collect();
-                (*head, events)
-            }) {
-                break t;
-            }
-            std::thread::yield_now();
-        };
-        let (recorded, events) = taken;
+        let (recorded, events) = ring.with(|(head, slots)| {
+            let kept = (*head).min(RING_CAPACITY as u64);
+            let events: Vec<FlightEvent> = (*head - kept..*head)
+                .map(|i| slots[(i as usize) & (RING_CAPACITY - 1)])
+                .collect();
+            (*head, events)
+        });
         if recorded == 0 {
             continue;
         }

@@ -40,6 +40,7 @@
 //! ```
 #![warn(missing_docs)]
 
+mod claim;
 pub mod counters;
 pub mod ctx;
 pub mod flight;

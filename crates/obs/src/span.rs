@@ -1,16 +1,18 @@
 //! Lock-free per-thread span recording.
 //!
-//! Each thread owns a buffer of [`Event`]s guarded by an `AtomicBool`
-//! claim flag (the same single-owner pattern as the [`crate::flight`]
-//! rings): the owning thread claims it for the duration of a push, the drain in
+//! Each thread owns a buffer of [`Event`]s in a `claim` cell (the same
+//! single-owner claim as the [`crate::flight`] rings): the owning thread
+//! claims it for the duration of a push, the drain in
 //! [`crate::stop_trace`] claims it to `mem::take` the contents. There are
 //! no locks on the recording path; the registry mutex is touched only
 //! once per thread (registration) and once per drain.
 
-use std::cell::{OnceCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use crate::claim::{Claimed, Registry};
 
 /// Soft cap on buffered events per thread. `Begin` events past the cap
 /// are dropped (and counted); `End` events for already-recorded spans are
@@ -81,8 +83,7 @@ pub struct ThreadEvents {
 
 static TRACING: AtomicBool = AtomicBool::new(false);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
-static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-static REGISTRY: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
+static REGISTRY: Registry<Vec<Event>> = Registry::new();
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -108,60 +109,12 @@ pub(crate) fn dropped_and_reset() -> u64 {
     DROPPED.swap(0, Ordering::Relaxed)
 }
 
-struct ThreadBuf {
-    tid: u32,
-    name: String,
-    busy: AtomicBool,
-    events: UnsafeCell<Vec<Event>>,
-}
-
-// SAFETY: `events` is only touched while `busy` is held via CAS, which
-// serializes the owning thread's pushes against the drain.
-unsafe impl Send for ThreadBuf {}
-unsafe impl Sync for ThreadBuf {}
-
-impl ThreadBuf {
-    /// Claim the buffer and run `f`; returns `None` if the claim could
-    /// not be won within a short bounded spin (drain in progress).
-    fn try_with<R>(&self, f: impl FnOnce(&mut Vec<Event>) -> R) -> Option<R> {
-        for _ in 0..256 {
-            if self
-                .busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // SAFETY: the CAS above grants exclusive access.
-                let r = f(unsafe { &mut *self.events.get() });
-                self.busy.store(false, Ordering::Release);
-                return Some(r);
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-}
-
 thread_local! {
-    static LOCAL: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
+    static LOCAL: OnceCell<Arc<Claimed<Vec<Event>>>> = const { OnceCell::new() };
 }
 
-fn with_local<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
-    LOCAL.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = Arc::new(ThreadBuf {
-                tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                name: std::thread::current().name().unwrap_or("").to_string(),
-                busy: AtomicBool::new(false),
-                events: UnsafeCell::new(Vec::new()),
-            });
-            REGISTRY
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::clone(&buf));
-            buf
-        });
-        f(buf)
-    })
+fn with_local<R>(f: impl FnOnce(&Claimed<Vec<Event>>) -> R) -> R {
+    REGISTRY.with_local(&LOCAL, Vec::new, f)
 }
 
 /// Record a `Begin` edge; returns whether it was actually buffered.
@@ -269,21 +222,13 @@ pub fn enter(name: &'static str) -> SpanGuard {
 /// Drain every registered thread buffer, returning the recorded events
 /// and the number of events dropped since the last drain.
 pub(crate) fn drain_all() -> (Vec<ThreadEvents>, u64) {
-    let registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = REGISTRY.cells();
     let mut out = Vec::with_capacity(registry.len());
     for buf in registry.iter() {
-        // The owner only holds the claim across a single push, so spin
-        // until we win it.
-        let events = loop {
-            if let Some(ev) = buf.try_with(std::mem::take) {
-                break ev;
-            }
-            std::thread::yield_now();
-        };
         out.push(ThreadEvents {
-            tid: buf.tid,
+            tid: buf.tid as u32,
             name: buf.name.clone(),
-            events,
+            events: buf.with(std::mem::take),
         });
     }
     out.sort_by_key(|t| t.tid);

@@ -4,11 +4,11 @@
 //! decomposition methods (CP-ALS, the tensor power method, the TTM-chain)
 //! run for *many* iterations and must survive the faults a long run
 //! attracts: a panicking kernel, a hung sweep, a corrupted checkpoint.
-//! [`JobService`] runs them iteration by iteration through a pluggable
-//! [`StepRunner`] (the bench crate plugs in the PR-2 supervisor; tests and
-//! the in-crate default use [`InlineStepRunner`], a thread +
-//! `catch_unwind` + watchdog), checkpoints the factor state after every
-//! accepted iteration into an in-memory `TNC1` container
+//! [`JobService`] runs them iteration by iteration, each step under
+//! [`run_guarded`] (its own thread, `catch_unwind`, a watchdog — the same
+//! guard every supervised kernel attempt runs under), checkpoints the
+//! factor state after every accepted iteration into an in-memory `TNC1`
+//! container
 //! ([`tenbench_io::ckpt`]), and on any step fault resumes from the newest
 //! checkpoint that still passes its CRCs.
 //!
@@ -57,6 +57,7 @@ use tenbench_core::methods::{
 use tenbench_io::ckpt::{read_ckpt, write_ckpt, Checkpoint, CheckpointMatrix};
 use tenbench_obs as obs;
 
+use crate::guard::{panic_message, run_guarded, Guarded};
 use crate::queue::{Bounded, PushError};
 
 /// Which decomposition a job runs.
@@ -121,7 +122,8 @@ pub struct JobConfig {
     pub workers: usize,
     /// Admission bound of the job queue.
     pub queue_bound: usize,
-    /// Watchdog budget per iteration, in seconds.
+    /// Watchdog budget per iteration, in seconds; a budget that is not
+    /// finite and > 0 means no watchdog.
     pub max_step_seconds: f64,
     /// Fault budget per job: one more fault than this fails the job with
     /// [`JobError::RetriesExhausted`].
@@ -199,7 +201,7 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// One accepted iteration's progress sample, streamed through the ticket.
+/// One accepted iteration's progress sample (see [`JobOutcome::progress`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobProgress {
     /// Completed iterations after this step.
@@ -241,16 +243,10 @@ pub struct JobOutcome {
     pub progress: Vec<JobProgress>,
 }
 
-enum JobMsg {
-    Progress(JobProgress),
-    Done(Box<Result<JobOutcome, JobError>>),
-}
-
-/// Pollable handle to a submitted job.
+/// Handle to a submitted job.
 pub struct JobTicket {
     job_id: u64,
-    rx: mpsc::Receiver<JobMsg>,
-    progress: Vec<JobProgress>,
+    rx: mpsc::Receiver<Result<JobOutcome, JobError>>,
 }
 
 impl JobTicket {
@@ -259,98 +255,9 @@ impl JobTicket {
         self.job_id
     }
 
-    /// Drain any progress streamed so far without blocking; returns every
-    /// sample received since submission (cumulative).
-    pub fn poll_progress(&mut self) -> &[JobProgress] {
-        while let Ok(JobMsg::Progress(p)) = self.rx.try_recv() {
-            self.progress.push(p);
-        }
-        &self.progress
-    }
-
     /// Block until the job reaches a terminal state.
     pub fn wait(self) -> Result<JobOutcome, JobError> {
-        loop {
-            match self.rx.recv() {
-                Ok(JobMsg::Progress(_)) => {}
-                Ok(JobMsg::Done(r)) => return *r,
-                Err(_) => return Err(JobError::Lost),
-            }
-        }
-    }
-}
-
-/// Verdict of running one iteration through a [`StepRunner`].
-#[derive(Debug, Clone)]
-pub enum StepVerdict {
-    /// The step finished and published its output.
-    Done,
-    /// The step returned a typed error.
-    Failed(String),
-    /// The step panicked (caught).
-    Panicked(String),
-    /// The watchdog fired before the step reported.
-    TimedOut,
-}
-
-/// Runs one job iteration under supervision. The step closure owns every
-/// input it needs and publishes its output through a shared slot, so a
-/// runner may execute it on any thread; a step abandoned by its watchdog
-/// writes into a slot nobody reads.
-pub trait StepRunner: Send + Sync {
-    /// Execute `step` with a `max_seconds` wall-clock budget.
-    fn run_step(
-        &self,
-        label: &str,
-        step: Arc<dyn Fn() -> Result<(), String> + Send + Sync>,
-        max_seconds: f64,
-    ) -> StepVerdict;
-}
-
-/// Default [`StepRunner`]: a dedicated thread under
-/// [`std::panic::catch_unwind`] with an [`mpsc::Receiver::recv_timeout`]
-/// watchdog — the same guard shape as the bench supervisor, without its
-/// retry/fallback policy (the job engine owns recovery).
-pub struct InlineStepRunner;
-
-impl StepRunner for InlineStepRunner {
-    fn run_step(
-        &self,
-        label: &str,
-        step: Arc<dyn Fn() -> Result<(), String> + Send + Sync>,
-        max_seconds: f64,
-    ) -> StepVerdict {
-        let (tx, rx) = mpsc::channel();
-        let spawned = std::thread::Builder::new()
-            .name(format!("job-step-{label}"))
-            .spawn(move || {
-                let verdict = match catch_unwind(AssertUnwindSafe(|| step())) {
-                    Ok(Ok(())) => StepVerdict::Done,
-                    Ok(Err(e)) => StepVerdict::Failed(e),
-                    Err(p) => StepVerdict::Panicked(panic_message(p.as_ref())),
-                };
-                let _ = tx.send(verdict);
-            });
-        if let Err(e) = spawned {
-            return StepVerdict::Failed(format!("could not spawn step thread: {e}"));
-        }
-        match rx.recv_timeout(Duration::from_secs_f64(max_seconds.max(0.001))) {
-            Ok(v) => v,
-            Err(mpsc::RecvTimeoutError::Timeout) => StepVerdict::TimedOut,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                StepVerdict::Panicked("step thread died without reporting".into())
-            }
-        }
-    }
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        self.rx.recv().unwrap_or(Err(JobError::Lost))
     }
 }
 
@@ -415,17 +322,6 @@ const KIND_POWER: u8 = 2;
 const KIND_TTM: u8 = 3;
 
 #[derive(Clone)]
-enum StateSnap {
-    CpAls(CpAlsState<f32>),
-    Power(PowerMethodState<f32>),
-    Ttm(TtmChainState<f32>),
-}
-
-/// Output slot a step closure publishes into: the advanced state and the
-/// method's "finished" flag. Abandoned slots (watchdog fired) are dropped
-/// unread.
-type Slot = Arc<Mutex<Option<(StateSnap, bool)>>>;
-
 enum Method {
     CpAls {
         x: Arc<CooTensor<f32>>,
@@ -556,82 +452,21 @@ impl Method {
         }
     }
 
-    /// Build the closure that runs exactly one iteration. It captures a
-    /// *clone* of the current state and publishes the advanced state into
-    /// `slot`; the engine's own state only moves forward when the runner
-    /// reports [`StepVerdict::Done`], so a faulted attempt leaves the
-    /// engine exactly where the last checkpoint says it is.
-    fn make_step(
-        &self,
-        slot: Slot,
-        fault: Option<InjectedFault>,
-        threads: Option<usize>,
-    ) -> Arc<dyn Fn() -> Result<(), String> + Send + Sync> {
-        let body: Arc<dyn Fn() -> Result<(), String> + Send + Sync> = match self {
-            Method::CpAls { x, opts, state } => {
-                let (x, opts, state) = (x.clone(), opts.clone(), state.clone());
-                Arc::new(move || {
-                    let mut s = state.clone();
-                    let done = cp_als_step(&x, &opts, &mut s).map_err(|e| e.to_string())?;
-                    publish(&slot, StateSnap::CpAls(s), done);
-                    Ok(())
-                })
-            }
-            Method::Power { x, tol, state, .. } => {
-                let (x, tol, state) = (x.clone(), *tol, state.clone());
-                Arc::new(move || {
-                    let mut s = state.clone();
-                    let done = power_method_step(&x, tol, &mut s).map_err(|e| e.to_string())?;
-                    publish(&slot, StateSnap::Power(s), done);
-                    Ok(())
-                })
-            }
+    /// Advance a copy of the method by exactly one iteration; returns it
+    /// with the method's "finished" flag. The engine's own copy only moves
+    /// forward when the guarded step returns, so a faulted attempt leaves
+    /// the engine exactly where the last checkpoint says it is.
+    fn step(mut self) -> Result<(Method, bool), String> {
+        let done = match &mut self {
+            Method::CpAls { x, opts, state } => cp_als_step(x, opts, state),
+            Method::Power { x, tol, state, .. } => power_method_step(x, *tol, state),
             Method::Ttm { factors, state, .. } => {
-                let (factors, state) = (factors.clone(), state.clone());
-                Arc::new(move || {
-                    let mut s = state.clone();
-                    let modes: Vec<(usize, &DenseMatrix<f32>)> =
-                        factors.iter().enumerate().collect();
-                    let done = ttm_chain_step(&modes, &mut s).map_err(|e| e.to_string())?;
-                    publish(&slot, StateSnap::Ttm(s), done);
-                    Ok(())
-                })
+                let modes: Vec<(usize, &DenseMatrix<f32>)> = factors.iter().enumerate().collect();
+                ttm_chain_step(&modes, state)
             }
         };
-        // Faults fire *before* the math, so the retried iteration redoes
-        // the identical computation; the thread override wraps the whole
-        // step so every parallel region inside sees the pinned pool.
-        Arc::new(move || {
-            match fault {
-                Some(InjectedFault::PanicInStep) => panic!("chaos: injected step panic"),
-                Some(InjectedFault::HangInStep { ms }) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                _ => {}
-            }
-            match threads {
-                Some(n) => tenbench_core::par::with_threads(n, || body()),
-                None => body(),
-            }
-        })
-    }
-
-    fn install(&mut self, snap: StateSnap) -> Result<(), String> {
-        match (self, snap) {
-            (Method::CpAls { state, .. }, StateSnap::CpAls(s)) => {
-                *state = s;
-                Ok(())
-            }
-            (Method::Power { state, .. }, StateSnap::Power(s)) => {
-                *state = s;
-                Ok(())
-            }
-            (Method::Ttm { state, .. }, StateSnap::Ttm(s)) => {
-                *state = s;
-                Ok(())
-            }
-            _ => Err("step published a state of the wrong kind".into()),
-        }
+        let done = done.map_err(|e| e.to_string())?;
+        Ok((self, done))
     }
 
     /// Serialize the current state as `TNC1` bytes.
@@ -781,10 +616,6 @@ impl Method {
     }
 }
 
-fn publish(slot: &Slot, snap: StateSnap, done: bool) {
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some((snap, done));
-}
-
 // ------------------------------------------------------------------
 // The service.
 // ------------------------------------------------------------------
@@ -820,7 +651,6 @@ impl JobServiceReport {
 
 struct JobShared {
     cfg: JobConfig,
-    runner: Arc<dyn StepRunner>,
     injector: Option<Arc<dyn FaultInjector>>,
     tally: Mutex<JobServiceReport>,
 }
@@ -837,7 +667,7 @@ struct QueuedJob {
     /// checkpoint writes, faults, and recoveries are charged to this job.
     ctx: obs::TraceCtx,
     spec: JobSpec,
-    tx: mpsc::Sender<JobMsg>,
+    tx: mpsc::Sender<Result<JobOutcome, JobError>>,
 }
 
 /// Supervisor for long-running decomposition jobs: bounded admission,
@@ -852,15 +682,10 @@ pub struct JobService {
 impl JobService {
     /// Start the worker threads. `injector` is `None` in production; the
     /// chaos harness passes its fault source.
-    pub fn start(
-        cfg: JobConfig,
-        runner: Arc<dyn StepRunner>,
-        injector: Option<Arc<dyn FaultInjector>>,
-    ) -> Self {
+    pub fn start(cfg: JobConfig, injector: Option<Arc<dyn FaultInjector>>) -> Self {
         let queue = Arc::new(Bounded::new(cfg.queue_bound));
         let shared = Arc::new(JobShared {
             cfg,
-            runner,
             injector,
             tally: Mutex::new(JobServiceReport::default()),
         });
@@ -882,11 +707,6 @@ impl JobService {
         }
     }
 
-    /// Start with the default [`InlineStepRunner`] and no fault injection.
-    pub fn start_default(cfg: JobConfig) -> Self {
-        JobService::start(cfg, Arc::new(InlineStepRunner), None)
-    }
-
     /// Submit a job. Full queues reject with [`JobError::Rejected`]
     /// instead of queueing unboundedly — the same admission-control policy
     /// as the kernel service.
@@ -906,11 +726,7 @@ impl JobService {
                 obs::counters::JOB_SUBMITTED.add(1);
                 obs::ctx::async_begin("job", ctx);
                 obs::ctx::flow_send("job.queue", ctx);
-                Ok(JobTicket {
-                    job_id,
-                    rx,
-                    progress: Vec::new(),
-                })
+                Ok(JobTicket { job_id, rx })
             }
             Err((_, PushError::Full)) => {
                 self.shared.tally().rejected += 1;
@@ -966,16 +782,7 @@ fn worker_loop(queue: &Bounded<QueuedJob>, shared: &JobShared) {
                 }
             }
         }
-        let _ = tx.send(JobMsg::Done(Box::new(result)));
-    }
-}
-
-fn verdict_text(v: &StepVerdict) -> String {
-    match v {
-        StepVerdict::Done => "done".into(),
-        StepVerdict::Failed(e) => format!("failed: {e}"),
-        StepVerdict::Panicked(e) => format!("panicked: {e}"),
-        StepVerdict::TimedOut => "timed out".into(),
+        let _ = tx.send(result);
     }
 }
 
@@ -1024,47 +831,58 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
             _ => None,
         };
 
-        let slot: Slot = Arc::new(Mutex::new(None));
-        let step = method.make_step(slot.clone(), fault, cfg.threads);
-        let verdict = shared
-            .runner
-            .run_step(method.label(), step, cfg.max_step_seconds);
+        // Faults fire *before* the math, so the retried iteration redoes
+        // the identical computation; the thread override wraps the whole
+        // step so every parallel region inside sees the pinned pool.
+        let attempt = method.clone();
+        let threads = cfg.threads;
+        let name = format!(
+            "job {} ({}) iteration {}",
+            job.job_id,
+            method.label(),
+            method.iteration()
+        );
+        let step = move || {
+            match fault {
+                Some(InjectedFault::PanicInStep) => panic!("chaos: injected step panic"),
+                Some(InjectedFault::HangInStep { ms }) => {
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                _ => {}
+            }
+            match threads {
+                Some(n) => tenbench_core::par::with_threads(n, || attempt.step()),
+                None => attempt.step(),
+            }
+        };
 
-        let fault_text = match verdict {
-            StepVerdict::Done => {
-                let published = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-                match published {
-                    Some((snap, fin)) => match method.install(snap) {
-                        Ok(()) => {
-                            done = fin;
-                            let sample = JobProgress {
-                                iteration: method.iteration() as u64,
-                                fit: method.fit(),
-                                resumed: resumed_flag,
-                            };
-                            resumed_flag = false;
-                            progress.push(sample);
-                            let _ = job.tx.send(JobMsg::Progress(sample));
-                            match method.checkpoint_bytes() {
-                                Ok(mut bytes) => {
-                                    if let Some((byte, mask)) = ckpt_fault {
-                                        if !bytes.is_empty() {
-                                            let at = byte % bytes.len();
-                                            bytes[at] ^= mask;
-                                        }
-                                    }
-                                    push_ckpt(&mut ckpts, bytes, &mut checkpoints);
-                                    None
-                                }
-                                Err(e) => Some(format!("checkpoint write failed: {e}")),
+        let fault_text = match run_guarded(&name, step, cfg.max_step_seconds) {
+            Guarded::Done(Ok((advanced, fin)), _) => {
+                method = advanced;
+                done = fin;
+                progress.push(JobProgress {
+                    iteration: method.iteration() as u64,
+                    fit: method.fit(),
+                    resumed: resumed_flag,
+                });
+                resumed_flag = false;
+                match method.checkpoint_bytes() {
+                    Ok(mut bytes) => {
+                        if let Some((byte, mask)) = ckpt_fault {
+                            if !bytes.is_empty() {
+                                let at = byte % bytes.len();
+                                bytes[at] ^= mask;
                             }
                         }
-                        Err(e) => Some(e),
-                    },
-                    None => Some("step reported done without publishing a state".into()),
+                        push_ckpt(&mut ckpts, bytes, &mut checkpoints);
+                        None
+                    }
+                    Err(e) => Some(format!("checkpoint write failed: {e}")),
                 }
             }
-            other => Some(verdict_text(&other)),
+            Guarded::Done(Err(e), _) => Some(format!("failed: {e}")),
+            Guarded::Panicked(e) => Some(format!("panicked: {e}")),
+            Guarded::TimedOut => Some("timed out".to_string()),
         };
 
         if let Some(last) = fault_text {
@@ -1187,7 +1005,7 @@ mod tests {
     #[test]
     fn all_three_kinds_complete_without_faults() {
         let x = tensor(1);
-        let svc = JobService::start_default(quick_cfg());
+        let svc = JobService::start(quick_cfg(), None);
         let specs = [
             cp_spec(&x),
             JobSpec {
@@ -1223,7 +1041,7 @@ mod tests {
     #[test]
     fn progress_streams_per_iteration_fits() {
         let x = tensor(2);
-        let svc = JobService::start_default(quick_cfg());
+        let svc = JobService::start(quick_cfg(), None);
         let t = svc.submit(cp_spec(&x)).unwrap();
         let out = t.wait().unwrap();
         assert_eq!(out.progress.len(), out.iterations as usize);
@@ -1245,7 +1063,7 @@ mod tests {
     #[test]
     fn faulted_run_matches_clean_run_bitwise() {
         let x = tensor(3);
-        let clean_svc = JobService::start_default(quick_cfg());
+        let clean_svc = JobService::start(quick_cfg(), None);
         let clean = clean_svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
         clean_svc.shutdown();
 
@@ -1268,7 +1086,6 @@ mod tests {
                 max_recoveries: 4,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             Some(Arc::new(faults)),
         );
         let out = svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
@@ -1297,7 +1114,6 @@ mod tests {
                 max_step_seconds: 0.05,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             Some(Arc::new(faults)),
         );
         // With a 50 ms watchdog the clean steps must still fit; a tiny
@@ -1334,7 +1150,6 @@ mod tests {
                 max_recoveries: 2,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             Some(Arc::new(faults)),
         );
         let err = svc.submit(cp_spec(&x)).unwrap().wait().unwrap_err();
@@ -1370,14 +1185,13 @@ mod tests {
                 max_recoveries: 4,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             Some(Arc::new(faults)),
         );
         let out = svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
         assert_eq!(out.reinits, 1);
         assert_eq!(out.corrupt_detected, 2);
 
-        let clean_svc = JobService::start_default(quick_cfg());
+        let clean_svc = JobService::start(quick_cfg(), None);
         let clean = clean_svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
         clean_svc.shutdown();
         assert_eq!(out.final_checkpoint, clean.final_checkpoint);
@@ -1393,7 +1207,6 @@ mod tests {
                 queue_bound: 1,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             None,
         );
         let mut admitted = Vec::new();
@@ -1448,7 +1261,6 @@ mod tests {
                 queue_bound: 8,
                 ..quick_cfg()
             },
-            Arc::new(InlineStepRunner),
             None,
         );
         let tickets: Vec<JobTicket> = (0..4)

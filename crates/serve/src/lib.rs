@@ -24,7 +24,10 @@
 //!
 //! Execution itself goes through the [`service::Executor`] trait: the
 //! bench crate plugs in the watchdogged/validated supervisor, and
-//! [`service::DirectExecutor`] runs kernels inline for tests. The load
+//! [`service::DirectExecutor`] runs kernels inline for tests. The
+//! supervisor's attempts and the job engine's steps both run under
+//! [`guard::run_guarded`] — one thread, `catch_unwind` and watchdog
+//! primitive, which also writes the panic/timeout flight dumps. The load
 //! generator in [`stress`] drives the service — in process or over TCP —
 //! closed-loop with Zipf-skewed tensor popularity, then probes overload
 //! behaviour with a burst.
@@ -36,13 +39,14 @@
 //!
 //! Above single requests, [`job`] runs the multi-iteration decomposition
 //! methods (CP-ALS, the tensor power method, the TTM-chain) as
-//! long-running supervised jobs with per-iteration checkpoint/resume and
+//! long-running guarded jobs with per-iteration checkpoint/resume and
 //! bitwise-deterministic recovery — the substrate the chaos harness in
 //! the bench crate tries (and fails) to kill.
 
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod guard;
 pub mod job;
 pub mod net;
 pub mod queue;
@@ -51,9 +55,8 @@ pub mod stress;
 
 pub use cache::{CacheKey, CacheStats, PrepCache, PrepLayout, Prepared};
 pub use job::{
-    FaultInjector, InjectedFault, InlineStepRunner, JobConfig, JobError, JobKind, JobOutcome,
-    JobProgress, JobService, JobServiceReport, JobSpec, JobTicket, ScriptedFaults, StepRunner,
-    StepVerdict,
+    FaultInjector, InjectedFault, JobConfig, JobError, JobKind, JobOutcome, JobProgress,
+    JobService, JobServiceReport, JobSpec, JobTicket, ScriptedFaults,
 };
 pub use net::{
     decode_response, encode_request, NetClient, NetConfig, NetReport, NetServer, WireRequest,

@@ -99,14 +99,6 @@ impl WireStatus {
             WireStatus::BadRequest => "bad_request",
         }
     }
-
-    /// Whether this status is a typed load-shed (client should back off).
-    pub fn is_rejection(self) -> bool {
-        matches!(
-            self,
-            WireStatus::QueueFull | WireStatus::DeadlineExpired | WireStatus::ShuttingDown
-        )
-    }
 }
 
 fn kernel_code(k: Kernel) -> u8 {

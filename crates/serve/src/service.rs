@@ -22,6 +22,7 @@ use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
 use tenbench_obs as obs;
 
 use crate::cache::{CacheKey, CacheStats, PrepCache, PrepLayout};
+use crate::guard::panic_message;
 use crate::queue::{Bounded, PushError};
 
 /// Which storage format a request asks the kernel to run on.
@@ -403,16 +404,6 @@ struct Shared {
 /// unwind point, so a poisoned guard is safe to keep using.
 fn lock_tally(m: &Mutex<Tally>) -> MutexGuard<'_, Tally> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
 }
 
 /// The long-running in-process kernel service.

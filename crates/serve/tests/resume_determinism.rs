@@ -14,8 +14,7 @@ use std::sync::Arc;
 use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
 use tenbench_serve::{
-    InjectedFault, InlineStepRunner, JobConfig, JobKind, JobOutcome, JobService, JobSpec,
-    ScriptedFaults,
+    InjectedFault, JobConfig, JobKind, JobOutcome, JobService, JobSpec, ScriptedFaults,
 };
 
 fn tensor() -> Arc<CooTensor<f32>> {
@@ -58,7 +57,7 @@ fn cfg(threads: usize) -> JobConfig {
 }
 
 fn run_clean(x: &Arc<CooTensor<f32>>, threads: usize) -> JobOutcome {
-    let svc = JobService::start_default(cfg(threads));
+    let svc = JobService::start(cfg(threads), None);
     let out = svc.submit(spec(x)).unwrap().wait().unwrap();
     svc.shutdown();
     out
@@ -68,11 +67,7 @@ fn run_clean(x: &Arc<CooTensor<f32>>, threads: usize) -> JobOutcome {
 /// checkpoint written after iteration `k-1` and recomputes forward.
 fn run_interrupted(x: &Arc<CooTensor<f32>>, threads: usize, k: usize) -> JobOutcome {
     let faults = ScriptedFaults::new(vec![(1, k, InjectedFault::PanicInStep)]);
-    let svc = JobService::start(
-        cfg(threads),
-        Arc::new(InlineStepRunner),
-        Some(Arc::new(faults)),
-    );
+    let svc = JobService::start(cfg(threads), Some(Arc::new(faults)));
     let out = svc.submit(spec(x)).unwrap().wait().unwrap();
     let report = svc.shutdown();
     assert_eq!(report.lost(), 0);
