@@ -83,13 +83,14 @@
 //! queue-full rejection in the burst.
 //!
 //! `chaos` runs the fault-injection harness: kernel traffic plus
-//! long-running decomposition jobs on one live service stack, with
+//! long-running CP-ALS jobs on one live service stack, with
 //! injected step panics, watchdog-tripping hangs, checkpoint corruption,
 //! and queue-full bursts. It writes `BENCH_chaos.json` and fails the
 //! process unless every admitted job reaches a terminal state, at least
 //! `min_recoveries` faults were absorbed by checkpoint resume, every
-//! fault kind fired, and every completed CP-ALS job bitwise-matches an
-//! uninterrupted reference run.
+//! fault kind fired, at least one job completed, and every completed job
+//! bitwise-matches an uninterrupted reference run. `--fault-rate` must be
+//! in `[0, 1]` and `--rank` positive.
 //!
 //! `--flight-dump-dir DIR` (on `stress` and `chaos`) routes
 //! flight-recorder fault dumps to DIR: the always-on per-thread ring of

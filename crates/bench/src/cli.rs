@@ -1302,11 +1302,23 @@ fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
 /// apply the robustness gates (each a usage error on violation): zero lost
 /// jobs beyond the floor, at least `min_recoveries` checkpoint-resume
 /// recoveries, every injected fault kind exercised, at least one typed
-/// queue-full rejection from the job burst, bitwise CP-ALS reference
-/// match for every completed decomposition, and no fit-residual increase
-/// across a resume boundary.
+/// queue-full rejection from the job burst, at least one completed job
+/// and a bitwise reference match for every one, and no fit-residual
+/// increase across a resume boundary. A fault rate outside `[0, 1]` and a
+/// zero rank are usage errors before anything runs.
 pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     check_alpha(opts.cfg.alpha)?;
+    if !(0.0..=1.0).contains(&opts.cfg.fault_rate) {
+        return Err(CliError::Usage(format!(
+            "bad --fault-rate {} (expected a probability in [0, 1])",
+            opts.cfg.fault_rate
+        )));
+    }
+    if opts.cfg.rank == 0 {
+        return Err(CliError::Usage(
+            "bad --rank 0 (expected a positive rank)".to_string(),
+        ));
+    }
     let floors = match &opts.floors {
         Some(path) => parse_chaos_floors(path)?,
         None => ChaosFloors::default(),
@@ -1337,13 +1349,10 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         opts.cfg.alpha,
         opts.cfg.fault_rate,
     );
-    let mut table = TextTable::new(vec![
-        "job", "kind", "terminal", "iters", "fit", "recov", "resumes",
-    ]);
+    let mut table = TextTable::new(vec!["job", "terminal", "iters", "fit", "recov", "resumes"]);
     for l in &report.job_lines {
         table.row(vec![
             l.job_id.to_string(),
-            l.kind.to_string(),
             l.terminal.clone(),
             l.iterations.to_string(),
             if l.fit.is_finite() {
@@ -1375,9 +1384,9 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         report.kernel_probe.render(),
     ));
     out.push_str(&format!(
-        "determinism: {}/{} completed cp_als runs bitwise-match the uninterrupted reference, {} resume boundaries, {} residual violations\n",
-        report.cp_checked - report.cp_mismatched,
-        report.cp_checked,
+        "determinism: {}/{} completed jobs bitwise-match the uninterrupted reference, {} resume boundaries, {} residual violations\n",
+        report.completed - report.mismatched,
+        report.completed,
         report.resume_boundaries,
         report.residual_violations,
     ));
@@ -1455,16 +1464,21 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         "burst gate: {} typed queue-full rejections ok\n",
         report.burst_rejected
     ));
-    if report.cp_mismatched > 0 {
+    if report.completed == 0 {
+        return Err(CliError::Usage(
+            "chaos gate: no job completed, so determinism was never checked".to_string(),
+        ));
+    }
+    if report.mismatched > 0 {
         return Err(CliError::Usage(format!(
-            "chaos gate: {}/{} completed cp_als jobs do not bitwise-match their \
+            "chaos gate: {}/{} completed jobs do not bitwise-match their \
              uninterrupted reference",
-            report.cp_mismatched, report.cp_checked,
+            report.mismatched, report.completed,
         )));
     }
     out.push_str(&format!(
-        "determinism gate: {}/{} cp_als reference matches ok\n",
-        report.cp_checked, report.cp_checked
+        "determinism gate: {}/{} reference matches ok\n",
+        report.completed, report.completed
     ));
     if report.residual_violations > 0 {
         return Err(CliError::Usage(format!(

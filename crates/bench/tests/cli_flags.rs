@@ -2,9 +2,10 @@
 //! subcommand does not read, a `--strategy` no cell takes, a `--block-bits`
 //! outside `1..=8`, a `paper` artifact, dataset, `--reps` or `--scale` it
 //! cannot use, a `stress`/`chaos` duration, Zipf skew or gate it cannot
-//! honour, and a watchdog budget that is not finite and > 0 are usage
-//! errors (exit code 2, the culprit named on
-//! stderr, no panic, no output) — and well-formed calls still run.
+//! honour, a `chaos` fault rate outside `[0, 1]` or rank 0, and a
+//! watchdog budget that is not finite and > 0 are usage errors (exit code
+//! 2, the culprit named on stderr, no panic, no output); so is a `chaos`
+//! run in which no job completes — and well-formed calls still run.
 
 use std::process::{Command, Output};
 
@@ -50,6 +51,17 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
         ("stress --duration 1e30".to_string(), "--duration"),
         ("stress --alpha 0".to_string(), "--alpha"),
         ("chaos --alpha NaN".to_string(), "--alpha"),
+        ("chaos --fault-rate 2".to_string(), "--fault-rate"),
+        ("chaos --fault-rate NaN".to_string(), "--fault-rate"),
+        ("chaos --rank 0".to_string(), "--rank"),
+        (
+            // One job worker draws the faults in a fixed panic, hang,
+            // corruption cycle, so no job gets past its first iteration.
+            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 8 --nnz 200 \
+             --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.05"
+                .to_string(),
+            "no job completed",
+        ),
         (
             "stress --duration 100ms --min-hit-ratio NaN".to_string(),
             "--min-hit-ratio",

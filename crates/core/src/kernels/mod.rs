@@ -12,7 +12,6 @@
 //!   Mttkrp over nonzeros with atomic output updates, HiCOO Mttkrp over
 //!   blocks.
 
-pub mod contract;
 pub mod mttkrp;
 pub mod tew;
 pub mod ts;

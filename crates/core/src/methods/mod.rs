@@ -15,10 +15,8 @@ mod ttm_chain;
 pub use cp_als::{
     cp_als, cp_als_init, cp_als_step, CpAlsBackend, CpAlsOptions, CpAlsState, CpDecomposition,
 };
-pub use power_method::{
-    power_method_init, power_method_step, tensor_power_method, PowerMethodResult, PowerMethodState,
-};
-pub use ttm_chain::{ttm_chain, ttm_chain_init, ttm_chain_step, TtmChainState};
+pub use power_method::{tensor_power_method, PowerMethodResult};
+pub use ttm_chain::ttm_chain;
 
 /// A small deterministic xorshift64* generator used to initialize factor
 /// matrices without pulling a random-number dependency into the core crate.

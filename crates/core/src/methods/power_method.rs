@@ -37,23 +37,18 @@ fn contract_to_vector<S: Scalar>(x: &CooTensor<S>, v: &DenseVector<S>) -> Result
     Ok(w)
 }
 
-/// Resumable power-method state: the current iterate, the last Rayleigh
-/// quotient, and the iteration count. A state rebuilt from a checkpoint
-/// continues bitwise-identically to an uninterrupted run.
-#[derive(Debug, Clone)]
-pub struct PowerMethodState<S: Scalar> {
-    /// Current unit iterate.
-    pub v: DenseVector<S>,
-    /// Rayleigh quotient after the last completed iteration.
-    pub eigenvalue: S,
-    /// Number of completed iterations.
-    pub iteration: usize,
-    /// `true` once the eigenvalue change fell below the tolerance.
-    pub converged: bool,
-}
-
-/// Validate the tensor and seed the initial iterate (iteration 0).
-pub fn power_method_init<S: Scalar>(x: &CooTensor<S>, seed: u64) -> Result<PowerMethodState<S>> {
+/// Run the tensor power method on a cubical tensor: iterate
+/// `v <- normalize(X(·, v, …, v))` until the Rayleigh quotient stabilizes.
+///
+/// The method assumes a (near-)symmetric tensor to converge to an
+/// eigen-pair; on arbitrary tensors it still converges to a fixed point of
+/// the iteration and serves as a realistic Ttv workload.
+pub fn tensor_power_method<S: Scalar>(
+    x: &CooTensor<S>,
+    max_iters: usize,
+    tol: f64,
+    seed: u64,
+) -> Result<PowerMethodResult<S>> {
     let dims = x.shape().dims();
     if dims.iter().any(|&d| d != dims[0]) {
         return Err(TensorError::InvalidStructure(
@@ -70,70 +65,34 @@ pub fn power_method_init<S: Scalar>(x: &CooTensor<S>, seed: u64) -> Result<Power
     let mut rng = XorShift64::new(seed);
     let mut v = DenseVector::from_fn(n, |_| S::from_f64(rng.next_f64() + 0.1));
     v.normalize();
-    Ok(PowerMethodState {
-        v,
-        eigenvalue: S::ZERO,
-        iteration: 0,
-        converged: false,
-    })
-}
-
-/// Run exactly one power iteration, advancing `state` in place.
-///
-/// Returns `Ok(true)` when converged (eigenvalue delta below `tol`, never
-/// on the first iteration, or on hitting the null space — matching
-/// [`tensor_power_method`]'s loop).
-pub fn power_method_step<S: Scalar>(
-    x: &CooTensor<S>,
-    tol: f64,
-    state: &mut PowerMethodState<S>,
-) -> Result<bool> {
-    let it = state.iteration;
-    state.iteration += 1;
-    let w = contract_to_vector(x, &state.v)?;
-    // Rayleigh quotient before normalization: λ = v · w.
-    let lambda = state.v.dot(&w);
-    let mut next = w;
-    let norm = next.normalize();
-    if norm == S::ZERO {
-        // Hit the null space; report the zero eigenvalue.
-        state.eigenvalue = S::ZERO;
-        state.converged = true;
-        return Ok(true);
-    }
-    let delta = (lambda.to_f64() - state.eigenvalue.to_f64()).abs();
-    state.eigenvalue = lambda;
-    state.v = next;
-    if it > 0 && delta < tol * (1.0 + state.eigenvalue.to_f64().abs()) {
-        state.converged = true;
-        return Ok(true);
-    }
-    Ok(false)
-}
-
-/// Run the tensor power method on a cubical tensor: iterate
-/// `v <- normalize(X(·, v, …, v))` until the Rayleigh quotient stabilizes.
-///
-/// The method assumes a (near-)symmetric tensor to converge to an
-/// eigen-pair; on arbitrary tensors it still converges to a fixed point of
-/// the iteration and serves as a realistic Ttv workload.
-pub fn tensor_power_method<S: Scalar>(
-    x: &CooTensor<S>,
-    max_iters: usize,
-    tol: f64,
-    seed: u64,
-) -> Result<PowerMethodResult<S>> {
-    let mut state = power_method_init(x, seed)?;
-    while state.iteration < max_iters {
-        if power_method_step(x, tol, &mut state)? {
+    let mut eigenvalue = S::ZERO;
+    let mut iterations = 0;
+    let mut converged = false;
+    for it in 0..max_iters {
+        iterations = it + 1;
+        let w = contract_to_vector(x, &v)?;
+        // Rayleigh quotient before normalization: λ = v · w.
+        let lambda = v.dot(&w);
+        let mut next = w;
+        if next.normalize() == S::ZERO {
+            // Hit the null space; report the zero eigenvalue.
+            eigenvalue = S::ZERO;
+            converged = true;
+            break;
+        }
+        let delta = (lambda.to_f64() - eigenvalue.to_f64()).abs();
+        eigenvalue = lambda;
+        v = next;
+        if it > 0 && delta < tol * (1.0 + eigenvalue.to_f64().abs()) {
+            converged = true;
             break;
         }
     }
     Ok(PowerMethodResult {
-        eigenvalue: state.eigenvalue,
-        eigenvector: state.v,
-        iterations: state.iteration,
-        converged: state.converged,
+        eigenvalue,
+        eigenvector: v,
+        iterations,
+        converged,
     })
 }
 

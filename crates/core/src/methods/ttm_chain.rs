@@ -17,46 +17,11 @@ pub fn ttm_chain<S: Scalar>(
     x: &CooTensor<S>,
     chain: &[(usize, &DenseMatrix<S>)],
 ) -> Result<CooTensor<S>> {
-    let mut state = ttm_chain_init(x);
-    while !ttm_chain_step(chain, &mut state)? {}
-    Ok(state.current)
-}
-
-/// Resumable TTM-chain state: the stage index and the COO intermediate
-/// after the last completed mode product.
-///
-/// Every intermediate is a COO tensor, so it can be checkpointed between
-/// stages; a run resumed from a checkpointed stage is bitwise-identical to
-/// an uninterrupted one (both fold the same COO intermediates).
-#[derive(Debug, Clone)]
-pub struct TtmChainState<S: Scalar> {
-    /// Number of completed mode products.
-    pub stage: usize,
-    /// The intermediate tensor after `stage` products (the input at stage 0).
-    pub current: CooTensor<S>,
-}
-
-/// Start a staged chain at stage 0.
-pub fn ttm_chain_init<S: Scalar>(x: &CooTensor<S>) -> TtmChainState<S> {
-    TtmChainState {
-        stage: 0,
-        current: x.clone(),
+    let mut current = x.clone();
+    for &(mode, u) in chain {
+        current = ttm(&current, u, mode)?.to_coo();
     }
-}
-
-/// Apply the next mode product in `chain`, advancing `state` in place.
-/// Returns `Ok(true)` when every stage has been applied.
-pub fn ttm_chain_step<S: Scalar>(
-    chain: &[(usize, &DenseMatrix<S>)],
-    state: &mut TtmChainState<S>,
-) -> Result<bool> {
-    if state.stage >= chain.len() {
-        return Ok(true);
-    }
-    let (mode, u) = chain[state.stage];
-    state.current = ttm(&state.current, u, mode)?.to_coo();
-    state.stage += 1;
-    Ok(state.stage >= chain.len())
+    Ok(current)
 }
 
 #[cfg(test)]

@@ -6,16 +6,13 @@
 //!
 //! ```text
 //! magic     [u8; 4] = b"TNC1"
-//! kind      u8           caller-defined job-kind tag
 //! vwidth    u8           value width in bytes (4 = f32, 8 = f64)
 //! iteration u64          completed iterations at checkpoint time
 //! fit       u64          f64 bits of the per-iteration progress metric
 //! nsec      u16          number of factor-matrix sections
-//! blob_len  u64          opaque blob byte length (e.g. a nested TNB2)
 //! secdims   [u32; 2*nsec] rows, cols per section
 //! hcrc      u32          CRC-32 of every header byte above
 //! per section: rows*cols values (vwidth each), then its CRC-32
-//! blob bytes, then its CRC-32
 //! ```
 //!
 //! A checkpoint is the unit of recovery for a supervised decomposition job,
@@ -55,22 +52,17 @@ pub struct CheckpointMatrix<S: Scalar> {
     pub data: Vec<S>,
 }
 
-/// A decomposition-job checkpoint: iteration counter, progress metric,
-/// factor matrices, and an opaque blob for states that are not matrices
-/// (the TTM-chain stores its COO intermediate as nested TNB2 bytes).
+/// A decomposition-job checkpoint: iteration counter, progress metric and
+/// factor matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<S: Scalar> {
-    /// Caller-defined job-kind tag, echoed back on read.
-    pub kind: u8,
     /// Completed iterations at checkpoint time.
     pub iteration: u64,
-    /// Progress metric (CP-ALS fit, power-method eigenvalue, …); stored as
-    /// raw f64 bits so round-trips are bitwise-exact.
+    /// Progress metric (the CP-ALS fit); stored as raw f64 bits so
+    /// round-trips are bitwise-exact.
     pub fit: f64,
     /// Factor matrices, in method-defined order.
     pub matrices: Vec<CheckpointMatrix<S>>,
-    /// Opaque extra payload (may be empty).
-    pub blob: Vec<u8>,
 }
 
 /// Serialize a checkpoint into the `TNC1` format.
@@ -81,14 +73,12 @@ pub fn write_ckpt<S: Scalar, W: Write>(c: &Checkpoint<S>, mut writer: W) -> Resu
             c.matrices.len()
         )));
     }
-    let mut header = BytesMut::with_capacity(32 + c.matrices.len() * 8);
+    let mut header = BytesMut::with_capacity(24 + c.matrices.len() * 8);
     header.put_slice(MAGIC);
-    header.put_u8(c.kind);
     header.put_u8(S::BYTES as u8);
     header.put_u64_le(c.iteration);
     header.put_u64_le(c.fit.to_bits());
     header.put_u16_le(c.matrices.len() as u16);
-    header.put_u64_le(c.blob.len() as u64);
     for m in &c.matrices {
         if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
             return Err(IoError::Parse(format!(
@@ -120,8 +110,6 @@ pub fn write_ckpt<S: Scalar, W: Write>(c: &Checkpoint<S>, mut writer: W) -> Resu
         writer.write_all(&sec)?;
         writer.write_all(&crc32(&sec).to_le_bytes())?;
     }
-    writer.write_all(&c.blob)?;
-    writer.write_all(&crc32(&c.blob).to_le_bytes())?;
     writer.flush()?;
     Ok(())
 }
@@ -135,7 +123,7 @@ pub fn read_ckpt<S: Scalar, R: Read>(reader: R) -> Result<Checkpoint<S>> {
 pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result<Checkpoint<S>> {
     // Never buffer more than the budget (plus header slack) even if the
     // input claims otherwise.
-    let header_slack = 64 + 8 * MAX_SECTIONS as u64 + 4 * (MAX_SECTIONS as u64 + 2);
+    let header_slack = 64 + 8 * MAX_SECTIONS as u64 + 4 * (MAX_SECTIONS as u64 + 1);
     let file_cap = opts.max_bytes.saturating_add(header_slack);
     let mut raw = Vec::new();
     reader.take(file_cap + 1).read_to_end(&mut raw)?;
@@ -152,7 +140,6 @@ pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Resul
     if &magic != MAGIC {
         return Err(IoError::Parse(format!("bad checkpoint magic {magic:?}")));
     }
-    let kind = cur.u8("header")?;
     let vwidth = cur.u8("header")?;
     if vwidth as u64 != S::BYTES {
         return Err(IoError::Parse(format!(
@@ -168,13 +155,12 @@ pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Resul
             "{nsec} sections exceed the supported maximum {MAX_SECTIONS}"
         )));
     }
-    let blob_len = cur.u64("header")?;
 
     // Sanity caps BEFORE any size-derived allocation: the payload the
     // header implies must fit both the remaining input and the budget.
     let overflow = || IoError::Tensor(tenbench_core::TensorError::SizeOverflow);
     let mut dims = Vec::with_capacity(nsec);
-    let mut payload = blob_len;
+    let mut payload = 0u64;
     for _ in 0..nsec {
         let rows = cur.u32("header")?;
         let cols = cur.u32("header")?;
@@ -190,7 +176,7 @@ pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Resul
             budget: opts.max_bytes,
         });
     }
-    let crc_overhead = 4 * (nsec as u64 + 1);
+    let crc_overhead = 4 * nsec as u64;
     if payload + crc_overhead > cur.remaining() as u64 {
         return Err(IoError::Corrupt {
             section: "header",
@@ -245,29 +231,17 @@ pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Resul
         });
     }
 
-    let start = cur.pos();
-    let blob = cur.take(blob_len as usize, "blob")?.to_vec();
-    let expect = cur.u32("blob")?;
-    let got = crc32(&raw[start..start + blob_len as usize]);
-    if got != expect {
-        return Err(IoError::Corrupt {
-            section: "blob",
-            detail: format!("crc mismatch: stored {expect:#010x}, computed {got:#010x}"),
-        });
-    }
     if cur.remaining() != 0 {
         return Err(IoError::Corrupt {
-            section: "blob",
+            section: "factors",
             detail: format!("{} trailing bytes after final crc", cur.remaining()),
         });
     }
 
     Ok(Checkpoint {
-        kind,
         iteration,
         fit,
         matrices,
-        blob,
     })
 }
 
@@ -277,7 +251,6 @@ mod tests {
 
     fn sample() -> Checkpoint<f32> {
         Checkpoint {
-            kind: 1,
             iteration: 7,
             fit: 0.987654321,
             matrices: vec![
@@ -292,7 +265,6 @@ mod tests {
                     data: vec![0.1, 0.2, 0.3, 0.4],
                 },
             ],
-            blob: b"nested-bytes".to_vec(),
         }
     }
 
@@ -306,10 +278,8 @@ mod tests {
     fn round_trip_is_bitwise_exact_f32() {
         let c = sample();
         let back: Checkpoint<f32> = read_ckpt(bytes_of(&c).as_slice()).unwrap();
-        assert_eq!(back.kind, c.kind);
         assert_eq!(back.iteration, c.iteration);
         assert_eq!(back.fit.to_bits(), c.fit.to_bits());
-        assert_eq!(back.blob, c.blob);
         for (a, b) in back.matrices.iter().zip(&c.matrices) {
             assert_eq!((a.rows, a.cols), (b.rows, b.cols));
             let ab: Vec<u32> = a.data.iter().map(|v| v.to_bits()).collect();
@@ -321,18 +291,15 @@ mod tests {
     #[test]
     fn round_trip_f64_and_empty() {
         let c = Checkpoint::<f64> {
-            kind: 3,
             iteration: 0,
             fit: std::f64::consts::PI,
             matrices: vec![],
-            blob: vec![],
         };
         let mut buf = Vec::new();
         write_ckpt(&c, &mut buf).unwrap();
         let back: Checkpoint<f64> = read_ckpt(buf.as_slice()).unwrap();
         assert_eq!(back.fit.to_bits(), c.fit.to_bits());
         assert!(back.matrices.is_empty());
-        assert!(back.blob.is_empty());
     }
 
     #[test]
@@ -380,21 +347,15 @@ mod tests {
 
     #[test]
     fn rejects_allocation_bomb_headers() {
-        // A tiny input whose header claims gigantic sections or blob: must
-        // be rejected before any size-derived allocation.
-        for (rows, cols, blob) in [
-            (u32::MAX, u32::MAX, 0u64),
-            (1 << 30, 1 << 30, 0),
-            (1, 1, u64::MAX),
-        ] {
+        // A tiny input whose header claims gigantic sections: must be
+        // rejected before any size-derived allocation.
+        for (rows, cols) in [(u32::MAX, u32::MAX), (1 << 30, 1 << 30)] {
             let mut buf = Vec::new();
             buf.extend_from_slice(MAGIC);
-            buf.push(0);
             buf.push(4);
             buf.extend_from_slice(&0u64.to_le_bytes());
             buf.extend_from_slice(&0u64.to_le_bytes());
             buf.extend_from_slice(&1u16.to_le_bytes());
-            buf.extend_from_slice(&blob.to_le_bytes());
             buf.extend_from_slice(&rows.to_le_bytes());
             buf.extend_from_slice(&cols.to_le_bytes());
             let r: Result<Checkpoint<f32>> = read_ckpt(buf.as_slice());
@@ -405,7 +366,7 @@ mod tests {
                         | Err(IoError::BudgetExceeded { .. })
                         | Err(IoError::Tensor(_))
                 ),
-                "bomb ({rows}, {cols}, {blob}) accepted: {r:?}"
+                "bomb ({rows}, {cols}) accepted: {r:?}"
             );
         }
     }
@@ -414,7 +375,6 @@ mod tests {
     fn rejects_excessive_section_count() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.push(0);
         buf.push(4);
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());

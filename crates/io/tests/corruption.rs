@@ -213,7 +213,6 @@ fn allocation_bombs_are_rejected_within_budget() {
 
 fn sample_ckpt() -> Checkpoint<f32> {
     Checkpoint {
-        kind: 1,
         iteration: 5,
         fit: 0.875,
         matrices: vec![
@@ -228,7 +227,6 @@ fn sample_ckpt() -> Checkpoint<f32> {
                 data: vec![1.0, 0.5, 0.25, 0.125],
             },
         ],
-        blob: vec![7, 0, 1, 255, 3],
     }
 }
 
@@ -250,7 +248,7 @@ fn ckpt_truncation_at_every_offset_is_rejected() {
 
 #[test]
 fn ckpt_bit_flip_at_every_offset_is_rejected() {
-    // Header, every factor section, and the blob each carry a CRC-32, so
+    // The header and every factor section each carry a CRC-32, so
     // any single-bit flip anywhere in the container must be caught.
     let bytes = ckpt_bytes();
     for at in 0..bytes.len() {

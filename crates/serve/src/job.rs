@@ -1,10 +1,9 @@
-//! Long-running decomposition jobs with checkpoint/resume.
+//! Long-running CP-ALS jobs with checkpoint/resume.
 //!
-//! The kernel service answers single requests in milliseconds; the
-//! decomposition methods (CP-ALS, the tensor power method, the TTM-chain)
-//! run for *many* iterations and must survive the faults a long run
-//! attracts: a panicking kernel, a hung sweep, a corrupted checkpoint.
-//! [`JobService`] runs them iteration by iteration, each step under
+//! The kernel service answers single requests in milliseconds; a CP-ALS
+//! decomposition runs for *many* sweeps and must survive the faults a long
+//! run attracts: a panicking kernel, a hung sweep, a corrupted checkpoint.
+//! [`JobService`] runs it sweep by sweep, each step under
 //! [`run_guarded`] (its own thread, `catch_unwind`, a watchdog — the same
 //! guard every supervised kernel attempt runs under), checkpoints the
 //! factor state after every accepted iteration into an in-memory `TNC1`
@@ -19,10 +18,9 @@
 //!   `Ok(JobOutcome)` or `Err(JobError)` — never silence. A dropped
 //!   worker surfaces as [`JobError::Lost`], which the chaos gates require
 //!   to be zero.
-//! - **Bitwise resume determinism.** The method states
-//!   ([`CpAlsState`], [`PowerMethodState`], [`TtmChainState`]) carry
-//!   everything one iteration hands the next; derived quantities are
-//!   recomputed at step entry. `TNC1` round-trips `f32` factors and the
+//! - **Bitwise resume determinism.** [`CpAlsState`] carries everything
+//!   one sweep hands the next; derived quantities are recomputed at step
+//!   entry. `TNC1` round-trips `f32` factors and the
 //!   `f64` fit bit-exactly, so a run resumed from a checkpoint produces
 //!   factors bitwise-identical to an uninterrupted run at the same
 //!   iteration count — at any fixed thread count, because CP-ALS's COO
@@ -49,71 +47,34 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tenbench_core::coo::CooTensor;
-use tenbench_core::dense::{DenseMatrix, DenseVector};
-use tenbench_core::methods::{
-    cp_als_init, cp_als_step, power_method_init, power_method_step, ttm_chain_init, ttm_chain_step,
-    CpAlsBackend, CpAlsOptions, CpAlsState, PowerMethodState, TtmChainState,
-};
+use tenbench_core::dense::DenseMatrix;
+use tenbench_core::methods::{cp_als_init, cp_als_step, CpAlsBackend, CpAlsOptions, CpAlsState};
 use tenbench_io::ckpt::{read_ckpt, write_ckpt, Checkpoint, CheckpointMatrix};
 use tenbench_obs as obs;
 
 use crate::guard::{panic_message, run_guarded, Guarded};
 use crate::queue::{Bounded, PushError};
 
-/// Which decomposition a job runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JobKind {
-    /// CP-ALS via Mttkrp sweeps on the COO backend, whose
-    /// [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched) is
-    /// bitwise-deterministic, as the resume-determinism guarantee requires.
-    CpAls {
-        /// Decomposition rank.
-        rank: usize,
-        /// Maximum ALS sweeps.
-        max_iters: usize,
-        /// Fit-delta convergence tolerance.
-        tol: f64,
-        /// Factor initialization seed.
-        seed: u64,
-    },
-    /// Tensor power method via repeated Ttv (requires a cubical tensor).
-    PowerMethod {
-        /// Maximum iterations.
-        max_iters: usize,
-        /// Eigenvalue-delta convergence tolerance.
-        tol: f64,
-        /// Iterate initialization seed.
-        seed: u64,
-    },
-    /// Staged TTM-chain over every mode (a Tucker core computation); one
-    /// iteration per mode product.
-    TtmChain {
-        /// Core rank per mode.
-        rank: usize,
-        /// Factor generation seed.
-        seed: u64,
-    },
-}
-
-impl JobKind {
-    /// Stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobKind::CpAls { .. } => "cp_als",
-            JobKind::PowerMethod { .. } => "power_method",
-            JobKind::TtmChain { .. } => "ttm_chain",
-        }
-    }
-}
-
-/// A decomposition job: what to run and on which tensor.
+/// A CP-ALS job: the tensor and the decomposition's parameters. Sweeps
+/// run on the COO backend, whose
+/// [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched) is
+/// bitwise-deterministic, as the resume-determinism guarantee requires.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// The method and its parameters.
-    pub kind: JobKind,
     /// The input tensor (shared, never copied per job).
     pub tensor: Arc<CooTensor<f32>>,
+    /// Decomposition rank.
+    pub rank: usize,
+    /// Maximum ALS sweeps.
+    pub max_iters: usize,
+    /// Fit-delta convergence tolerance.
+    pub tol: f64,
+    /// Factor initialization seed.
+    pub seed: u64,
 }
+
+/// Checkpoint generations kept per job; recovery tries the newest first.
+const KEEP_CHECKPOINTS: usize = 2;
 
 /// Configuration of a [`JobService`].
 #[derive(Debug, Clone)]
@@ -128,8 +89,6 @@ pub struct JobConfig {
     /// Fault budget per job: one more fault than this fails the job with
     /// [`JobError::RetriesExhausted`].
     pub max_recoveries: u32,
-    /// Checkpoint generations kept per job (newest first wins recovery).
-    pub keep_checkpoints: usize,
     /// Thread count installed around every step (`None` = ambient pool).
     /// Fixing this makes CP-ALS runs bitwise-reproducible across hosts.
     pub threads: Option<usize>,
@@ -142,7 +101,6 @@ impl Default for JobConfig {
             queue_bound: 16,
             max_step_seconds: 30.0,
             max_recoveries: 8,
-            keep_checkpoints: 2,
             threads: None,
         }
     }
@@ -160,7 +118,7 @@ pub enum JobError {
     },
     /// The service is shutting down; nothing was enqueued.
     ShuttingDown,
-    /// The method rejected its input before the first iteration.
+    /// The spec was rejected before the first iteration.
     Init(String),
     /// The fault budget ran out; `last` is the final step verdict.
     RetriesExhausted {
@@ -206,7 +164,7 @@ impl std::error::Error for JobError {}
 pub struct JobProgress {
     /// Completed iterations after this step.
     pub iteration: u64,
-    /// Progress metric: CP-ALS fit, power-method eigenvalue, 0 for TTM.
+    /// CP-ALS fit after this sweep.
     pub fit: f64,
     /// `true` when this is the first accepted iteration after a
     /// checkpoint resume — the boundary the determinism gates inspect.
@@ -218,13 +176,11 @@ pub struct JobProgress {
 pub struct JobOutcome {
     /// Service-assigned job id.
     pub job_id: u64,
-    /// [`JobKind::label`] of the method.
-    pub kind: &'static str,
     /// Completed iterations.
     pub iterations: u64,
-    /// Final progress metric (CP-ALS fit, eigenvalue, 0 for TTM).
+    /// Final CP-ALS fit.
     pub fit: f64,
-    /// `true` when the method converged before its iteration cap.
+    /// `true` when the fit converged before the iteration cap.
     pub converged: bool,
     /// Faults absorbed via checkpoint resume or reinit.
     pub recoveries: u32,
@@ -314,306 +270,66 @@ impl FaultInjector for ScriptedFaults {
 }
 
 // ------------------------------------------------------------------
-// Method engine: the three decompositions behind one stepping interface.
+// CP-ALS state <-> `TNC1` bytes.
 // ------------------------------------------------------------------
 
-const KIND_CP_ALS: u8 = 1;
-const KIND_POWER: u8 = 2;
-const KIND_TTM: u8 = 3;
-
-#[derive(Clone)]
-enum Method {
-    CpAls {
-        x: Arc<CooTensor<f32>>,
-        opts: CpAlsOptions,
-        state: CpAlsState<f32>,
-    },
-    Power {
-        x: Arc<CooTensor<f32>>,
-        tol: f64,
-        max_iters: usize,
-        seed: u64,
-        state: PowerMethodState<f32>,
-    },
-    Ttm {
-        x: Arc<CooTensor<f32>>,
-        factors: Arc<Vec<DenseMatrix<f32>>>,
-        state: TtmChainState<f32>,
-    },
-}
-
-/// Deterministic TTM-chain factor matrices: a cheap integer hash of
-/// (seed, mode, row, col) keeps them reproducible without carrying them
-/// in checkpoints.
-fn ttm_factors(x: &CooTensor<f32>, rank: usize, seed: u64) -> Vec<DenseMatrix<f32>> {
-    (0..x.order())
-        .map(|m| {
-            DenseMatrix::from_fn(x.shape().dim(m) as usize, rank, |i, j| {
-                let mut h = seed
-                    ^ (m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ ((i as u64) << 32)
-                    ^ j as u64;
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                h ^= h >> 33;
-                ((h % 1000) as f32) * 1e-3 + 0.05
-            })
+/// Serialize a CP-ALS state as `TNC1` bytes: one section per factor, then
+/// lambda as a column.
+fn encode(state: &CpAlsState<f32>) -> Result<Vec<u8>, String> {
+    let mut matrices: Vec<CheckpointMatrix<f32>> = state
+        .factors
+        .iter()
+        .map(|f| CheckpointMatrix {
+            rows: f.rows(),
+            cols: f.cols(),
+            data: f.data().to_vec(),
         })
-        .collect()
+        .collect();
+    matrices.push(CheckpointMatrix {
+        rows: state.lambda.len(),
+        cols: 1,
+        data: state.lambda.clone(),
+    });
+    let ckpt = Checkpoint {
+        iteration: state.iteration as u64,
+        fit: state.fit,
+        matrices,
+    };
+    let mut bytes = Vec::new();
+    write_ckpt(&ckpt, &mut bytes).map_err(|e| e.to_string())?;
+    Ok(bytes)
 }
 
-fn cp_opts(rank: usize, max_iters: usize, tol: f64, seed: u64) -> CpAlsOptions {
-    CpAlsOptions {
-        rank,
-        max_iters,
-        tol,
-        seed,
-        backend: CpAlsBackend::Coo,
+/// Rebuild a CP-ALS state of `x` at `rank` from `TNC1` bytes. Any CRC
+/// failure, parse error, or shape mismatch is an `Err` — the caller falls
+/// back to an older generation, never resumes from damage.
+fn restore(x: &CooTensor<f32>, rank: usize, bytes: &[u8]) -> Result<CpAlsState<f32>, String> {
+    let ckpt: Checkpoint<f32> = read_ckpt(bytes).map_err(|e| e.to_string())?;
+    let order = x.order();
+    if ckpt.matrices.len() != order + 1 {
+        return Err(format!(
+            "cp_als checkpoint holds {} sections, want {}",
+            ckpt.matrices.len(),
+            order + 1
+        ));
     }
-}
-
-impl Method {
-    fn init(spec: &JobSpec) -> Result<Method, JobError> {
-        match spec.kind {
-            JobKind::CpAls {
-                rank,
-                max_iters,
-                tol,
-                seed,
-            } => {
-                if rank == 0 {
-                    return Err(JobError::Init("cp_als rank must be positive".into()));
-                }
-                let opts = cp_opts(rank, max_iters, tol, seed);
-                let state = cp_als_init(&spec.tensor, &opts);
-                Ok(Method::CpAls {
-                    x: spec.tensor.clone(),
-                    opts,
-                    state,
-                })
-            }
-            JobKind::PowerMethod {
-                max_iters,
-                tol,
-                seed,
-            } => {
-                let state = power_method_init(&spec.tensor, seed)
-                    .map_err(|e| JobError::Init(e.to_string()))?;
-                Ok(Method::Power {
-                    x: spec.tensor.clone(),
-                    tol,
-                    max_iters,
-                    seed,
-                    state,
-                })
-            }
-            JobKind::TtmChain { rank, seed } => {
-                if rank == 0 {
-                    return Err(JobError::Init("ttm_chain rank must be positive".into()));
-                }
-                Ok(Method::Ttm {
-                    x: spec.tensor.clone(),
-                    factors: Arc::new(ttm_factors(&spec.tensor, rank, seed)),
-                    state: ttm_chain_init(&spec.tensor),
-                })
-            }
+    let mut factors = Vec::with_capacity(order);
+    for (m, sec) in ckpt.matrices[..order].iter().enumerate() {
+        if sec.rows != x.shape().dim(m) as usize || sec.cols != rank {
+            return Err(format!("factor {m} has wrong dimensions"));
         }
+        factors.push(DenseMatrix::from_vec(sec.rows, sec.cols, sec.data.clone()));
     }
-
-    fn label(&self) -> &'static str {
-        match self {
-            Method::CpAls { .. } => "cp_als",
-            Method::Power { .. } => "power_method",
-            Method::Ttm { .. } => "ttm_chain",
-        }
+    let lam = &ckpt.matrices[order];
+    if lam.rows != rank || lam.cols != 1 {
+        return Err("lambda section has wrong dimensions".into());
     }
-
-    fn iteration(&self) -> usize {
-        match self {
-            Method::CpAls { state, .. } => state.iteration,
-            Method::Power { state, .. } => state.iteration,
-            Method::Ttm { state, .. } => state.stage,
-        }
-    }
-
-    fn max_iters(&self) -> usize {
-        match self {
-            Method::CpAls { opts, .. } => opts.max_iters,
-            Method::Power { max_iters, .. } => *max_iters,
-            Method::Ttm { factors, .. } => factors.len(),
-        }
-    }
-
-    fn fit(&self) -> f64 {
-        match self {
-            Method::CpAls { state, .. } => state.fit,
-            Method::Power { state, .. } => state.eigenvalue as f64,
-            Method::Ttm { .. } => 0.0,
-        }
-    }
-
-    /// Advance a copy of the method by exactly one iteration; returns it
-    /// with the method's "finished" flag. The engine's own copy only moves
-    /// forward when the guarded step returns, so a faulted attempt leaves
-    /// the engine exactly where the last checkpoint says it is.
-    fn step(mut self) -> Result<(Method, bool), String> {
-        let done = match &mut self {
-            Method::CpAls { x, opts, state } => cp_als_step(x, opts, state),
-            Method::Power { x, tol, state, .. } => power_method_step(x, *tol, state),
-            Method::Ttm { factors, state, .. } => {
-                let modes: Vec<(usize, &DenseMatrix<f32>)> = factors.iter().enumerate().collect();
-                ttm_chain_step(&modes, state)
-            }
-        };
-        let done = done.map_err(|e| e.to_string())?;
-        Ok((self, done))
-    }
-
-    /// Serialize the current state as `TNC1` bytes.
-    fn checkpoint_bytes(&self) -> Result<Vec<u8>, String> {
-        let ckpt = match self {
-            Method::CpAls { state, .. } => {
-                let mut matrices: Vec<CheckpointMatrix<f32>> = state
-                    .factors
-                    .iter()
-                    .map(|f| CheckpointMatrix {
-                        rows: f.rows(),
-                        cols: f.cols(),
-                        data: f.data().to_vec(),
-                    })
-                    .collect();
-                matrices.push(CheckpointMatrix {
-                    rows: state.lambda.len(),
-                    cols: 1,
-                    data: state.lambda.clone(),
-                });
-                Checkpoint {
-                    kind: KIND_CP_ALS,
-                    iteration: state.iteration as u64,
-                    fit: state.fit,
-                    matrices,
-                    blob: Vec::new(),
-                }
-            }
-            Method::Power { state, .. } => Checkpoint {
-                kind: KIND_POWER,
-                iteration: state.iteration as u64,
-                // f32 -> f64 is exact, so the eigenvalue round-trips
-                // bitwise through the f64 fit field.
-                fit: state.eigenvalue as f64,
-                matrices: vec![CheckpointMatrix {
-                    rows: state.v.len(),
-                    cols: 1,
-                    data: state.v.as_slice().to_vec(),
-                }],
-                blob: vec![u8::from(state.converged)],
-            },
-            Method::Ttm { state, .. } => {
-                let mut blob = Vec::new();
-                tenbench_io::bin::write_bin(&state.current, &mut blob)
-                    .map_err(|e| e.to_string())?;
-                Checkpoint {
-                    kind: KIND_TTM,
-                    iteration: state.stage as u64,
-                    fit: 0.0,
-                    matrices: Vec::new(),
-                    blob,
-                }
-            }
-        };
-        let mut bytes = Vec::new();
-        write_ckpt(&ckpt, &mut bytes).map_err(|e| e.to_string())?;
-        Ok(bytes)
-    }
-
-    /// Rebuild the state from `TNC1` bytes. Any CRC failure, parse error,
-    /// or structural mismatch is an `Err` — the caller falls back to an
-    /// older generation, never resumes from damage.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let ckpt: Checkpoint<f32> = read_ckpt(bytes).map_err(|e| e.to_string())?;
-        match self {
-            Method::CpAls { x, state, opts } => {
-                if ckpt.kind != KIND_CP_ALS {
-                    return Err(format!("checkpoint kind {} is not cp_als", ckpt.kind));
-                }
-                let order = x.order();
-                if ckpt.matrices.len() != order + 1 {
-                    return Err(format!(
-                        "cp_als checkpoint holds {} sections, want {}",
-                        ckpt.matrices.len(),
-                        order + 1
-                    ));
-                }
-                let mut factors = Vec::with_capacity(order);
-                for (m, sec) in ckpt.matrices[..order].iter().enumerate() {
-                    if sec.rows != x.shape().dim(m) as usize || sec.cols != opts.rank {
-                        return Err(format!("factor {m} has wrong dimensions"));
-                    }
-                    factors.push(DenseMatrix::from_vec(sec.rows, sec.cols, sec.data.clone()));
-                }
-                let lam = &ckpt.matrices[order];
-                if lam.rows != opts.rank || lam.cols != 1 {
-                    return Err("lambda section has wrong dimensions".into());
-                }
-                *state = CpAlsState {
-                    factors,
-                    lambda: lam.data.clone(),
-                    fit: ckpt.fit,
-                    iteration: ckpt.iteration as usize,
-                };
-                Ok(())
-            }
-            Method::Power { x, state, .. } => {
-                if ckpt.kind != KIND_POWER {
-                    return Err(format!("checkpoint kind {} is not power_method", ckpt.kind));
-                }
-                let [sec] = ckpt.matrices.as_slice() else {
-                    return Err("power checkpoint must hold exactly one section".into());
-                };
-                if sec.rows != x.shape().dim(0) as usize || sec.cols != 1 {
-                    return Err("iterate section has wrong dimensions".into());
-                }
-                let [converged] = ckpt.blob.as_slice() else {
-                    return Err("power checkpoint blob must hold the converged flag".into());
-                };
-                *state = PowerMethodState {
-                    v: DenseVector::from_vec(sec.data.clone()),
-                    eigenvalue: ckpt.fit as f32,
-                    iteration: ckpt.iteration as usize,
-                    converged: *converged != 0,
-                };
-                Ok(())
-            }
-            Method::Ttm { state, .. } => {
-                if ckpt.kind != KIND_TTM {
-                    return Err(format!("checkpoint kind {} is not ttm_chain", ckpt.kind));
-                }
-                let current =
-                    tenbench_io::bin::read_bin(ckpt.blob.as_slice()).map_err(|e| e.to_string())?;
-                *state = TtmChainState {
-                    stage: ckpt.iteration as usize,
-                    current,
-                };
-                Ok(())
-            }
-        }
-    }
-
-    /// Throw the state away and reseed from iteration 0 — the last resort
-    /// when every checkpoint generation is damaged. Deterministic: same
-    /// seed, same path as the original run.
-    fn reinit(&mut self) {
-        match self {
-            Method::CpAls { x, opts, state } => *state = cp_als_init(x, opts),
-            Method::Power { x, seed, state, .. } => {
-                // init validated the tensor once already; it cannot fail now.
-                if let Ok(s) = power_method_init(x, *seed) {
-                    *state = s;
-                }
-            }
-            Method::Ttm { x, state, .. } => *state = ttm_chain_init(x),
-        }
-    }
+    Ok(CpAlsState {
+        factors,
+        lambda: lam.data.clone(),
+        fit: ckpt.fit,
+        iteration: ckpt.iteration as usize,
+    })
 }
 
 // ------------------------------------------------------------------
@@ -631,9 +347,11 @@ pub struct JobServiceReport {
     pub completed: u64,
     /// Jobs that reached a typed `Err(JobError)`.
     pub failed: u64,
-    /// Faults absorbed via checkpoint resume.
+    /// Step faults, the one that exhausts a job's budget included.
     pub recoveries: u64,
-    /// Recoveries that restarted from iteration 0.
+    /// Faults absorbed by resuming from a valid checkpoint.
+    pub resumes: u64,
+    /// Faults absorbed by restarting from iteration 0.
     pub reinits: u64,
     /// Corrupted checkpoint generations detected.
     pub corrupt_detected: u64,
@@ -789,8 +507,19 @@ fn worker_loop(queue: &Bounded<QueuedJob>, shared: &JobShared) {
 /// The checkpoint/resume engine for one job.
 fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
     let cfg = &shared.cfg;
-    let mut method = Method::init(&job.spec)?;
-    let keep = cfg.keep_checkpoints.max(1);
+    let spec = &job.spec;
+    if spec.rank == 0 {
+        return Err(JobError::Init("cp_als rank must be positive".into()));
+    }
+    let x = spec.tensor.clone();
+    let opts = CpAlsOptions {
+        rank: spec.rank,
+        max_iters: spec.max_iters,
+        tol: spec.tol,
+        seed: spec.seed,
+        backend: CpAlsBackend::Coo,
+    };
+    let mut state = cp_als_init(&x, &opts);
 
     // Generation ring, oldest first. Iteration 0 is checkpointed too, so
     // even a fault on the very first step resumes instead of reinits.
@@ -798,7 +527,7 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
     let mut checkpoints = 0u64;
     let push_ckpt = |ckpts: &mut VecDeque<Vec<u8>>, bytes: Vec<u8>, count: &mut u64| {
         ckpts.push_back(bytes);
-        while ckpts.len() > keep {
+        while ckpts.len() > KEEP_CHECKPOINTS {
             ckpts.pop_front();
         }
         *count += 1;
@@ -806,7 +535,7 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
         obs::flight::note(obs::flight::FlightKind::CkptWrite, *count);
         shared.tally().checkpoints += 1;
     };
-    match method.checkpoint_bytes() {
+    match encode(&state) {
         Ok(b) => push_ckpt(&mut ckpts, b, &mut checkpoints),
         Err(e) => return Err(JobError::Init(format!("initial checkpoint failed: {e}"))),
     }
@@ -816,13 +545,13 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
     let mut corrupt_detected = 0u32;
     let mut progress: Vec<JobProgress> = Vec::new();
     let mut resumed_flag = false;
-    let mut done = method.max_iters() == 0;
+    let mut done = opts.max_iters == 0;
 
-    while !done && method.iteration() < method.max_iters() {
+    while !done && state.iteration < opts.max_iters {
         let fault = shared
             .injector
             .as_ref()
-            .and_then(|f| f.next_fault(job.job_id, method.iteration()));
+            .and_then(|f| f.next_fault(job.job_id, state.iteration));
         if fault.is_some() {
             obs::counters::CHAOS_FAULTS.add(1);
         }
@@ -833,15 +562,13 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
 
         // Faults fire *before* the math, so the retried iteration redoes
         // the identical computation; the thread override wraps the whole
-        // step so every parallel region inside sees the pinned pool.
-        let attempt = method.clone();
+        // step so every parallel region inside sees the pinned pool. The
+        // step advances a copy of the state: the engine's own copy only
+        // moves forward when the guarded step returns, so a faulted
+        // attempt leaves it exactly where the last checkpoint says it is.
+        let (step_x, step_opts, mut next) = (x.clone(), opts.clone(), state.clone());
         let threads = cfg.threads;
-        let name = format!(
-            "job {} ({}) iteration {}",
-            job.job_id,
-            method.label(),
-            method.iteration()
-        );
+        let name = format!("job {} iteration {}", job.job_id, state.iteration);
         let step = move || {
             match fault {
                 Some(InjectedFault::PanicInStep) => panic!("chaos: injected step panic"),
@@ -850,23 +577,26 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
                 }
                 _ => {}
             }
-            match threads {
-                Some(n) => tenbench_core::par::with_threads(n, || attempt.step()),
-                None => attempt.step(),
-            }
+            let done = match threads {
+                Some(n) => tenbench_core::par::with_threads(n, || {
+                    cp_als_step(&step_x, &step_opts, &mut next)
+                }),
+                None => cp_als_step(&step_x, &step_opts, &mut next),
+            };
+            done.map(|fin| (next, fin)).map_err(|e| e.to_string())
         };
 
         let fault_text = match run_guarded(&name, step, cfg.max_step_seconds) {
             Guarded::Done(Ok((advanced, fin)), _) => {
-                method = advanced;
+                state = advanced;
                 done = fin;
                 progress.push(JobProgress {
-                    iteration: method.iteration() as u64,
-                    fit: method.fit(),
+                    iteration: state.iteration as u64,
+                    fit: state.fit,
                     resumed: resumed_flag,
                 });
                 resumed_flag = false;
-                match method.checkpoint_bytes() {
+                match encode(&state) {
                     Ok(mut bytes) => {
                         if let Some((byte, mask)) = ckpt_fault {
                             if !bytes.is_empty() {
@@ -896,8 +626,9 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
             // fully damaged ring reinits from iteration 0.
             let mut restored = false;
             while let Some(bytes) = ckpts.pop_back() {
-                match method.restore(&bytes) {
-                    Ok(()) => {
+                match restore(&x, opts.rank, &bytes) {
+                    Ok(s) => {
+                        state = s;
                         ckpts.push_back(bytes);
                         restored = true;
                         break;
@@ -911,24 +642,24 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
                             obs::flight::FlightKind::CkptCorrupt,
                             job.ctx.id,
                             &format!(
-                                "job {} ({}): checkpoint generation rejected at iteration {}: {e}",
-                                job.job_id,
-                                method.label(),
-                                method.iteration()
+                                "job {}: checkpoint generation rejected at iteration {}: {e}",
+                                job.job_id, state.iteration
                             ),
                         );
                     }
                 }
             }
             if restored {
+                shared.tally().resumes += 1;
                 obs::counters::JOB_RESUMES.add(1);
-                obs::flight::note(obs::flight::FlightKind::Resume, method.iteration() as u64);
+                obs::flight::note(obs::flight::FlightKind::Resume, state.iteration as u64);
             } else {
-                method.reinit();
+                // Deterministic: same seed, same path as the original run.
+                state = cp_als_init(&x, &opts);
                 reinits += 1;
                 shared.tally().reinits += 1;
                 obs::flight::note(obs::flight::FlightKind::Reinit, reinits as u64);
-                match method.checkpoint_bytes() {
+                match encode(&state) {
                     Ok(b) => push_ckpt(&mut ckpts, b, &mut checkpoints),
                     Err(e) => return Err(JobError::Init(format!("reinit checkpoint failed: {e}"))),
                 }
@@ -938,17 +669,15 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
         }
     }
 
-    let fit = method.fit();
+    let fit = state.fit;
     if !fit.is_finite() {
         return Err(JobError::InvalidFit { fit });
     }
-    let final_checkpoint = method
-        .checkpoint_bytes()
-        .map_err(|e| JobError::Init(format!("final checkpoint failed: {e}")))?;
+    let final_checkpoint =
+        encode(&state).map_err(|e| JobError::Init(format!("final checkpoint failed: {e}")))?;
     Ok(JobOutcome {
         job_id: job.job_id,
-        kind: method.label(),
-        iterations: method.iteration() as u64,
+        iterations: state.iteration as u64,
         fit,
         converged: done,
         recoveries,
@@ -984,13 +713,11 @@ mod tests {
 
     fn cp_spec(x: &Arc<CooTensor<f32>>) -> JobSpec {
         JobSpec {
-            kind: JobKind::CpAls {
-                rank: 4,
-                max_iters: 6,
-                tol: 0.0,
-                seed: 42,
-            },
             tensor: x.clone(),
+            rank: 4,
+            max_iters: 6,
+            tol: 0.0,
+            seed: 42,
         }
     }
 
@@ -1003,38 +730,21 @@ mod tests {
     }
 
     #[test]
-    fn all_three_kinds_complete_without_faults() {
+    fn cp_als_job_completes_without_faults() {
         let x = tensor(1);
         let svc = JobService::start(quick_cfg(), None);
-        let specs = [
-            cp_spec(&x),
-            JobSpec {
-                kind: JobKind::PowerMethod {
-                    max_iters: 8,
-                    tol: 0.0,
-                    seed: 7,
-                },
-                tensor: x.clone(),
-            },
-            JobSpec {
-                kind: JobKind::TtmChain { rank: 3, seed: 9 },
-                tensor: x.clone(),
-            },
-        ];
-        let tickets: Vec<JobTicket> = specs
-            .iter()
-            .map(|s| svc.submit(s.clone()).expect("admitted"))
-            .collect();
-        for t in tickets {
-            let out = t.wait().expect("job completed");
-            assert!(out.iterations > 0);
-            assert!(out.fit.is_finite());
-            assert_eq!(out.recoveries, 0);
-            assert!(out.checkpoints as usize >= out.progress.len());
-            assert!(!out.final_checkpoint.is_empty());
-        }
+        let out = svc
+            .submit(cp_spec(&x))
+            .expect("admitted")
+            .wait()
+            .expect("job completed");
+        assert!(out.iterations > 0);
+        assert!(out.fit.is_finite());
+        assert_eq!(out.recoveries, 0);
+        assert!(out.checkpoints as usize >= out.progress.len());
+        assert!(!out.final_checkpoint.is_empty());
         let report = svc.shutdown();
-        assert_eq!(report.completed, 3);
+        assert_eq!(report.completed, 1);
         assert_eq!(report.lost(), 0);
     }
 
@@ -1120,13 +830,11 @@ mod tests {
         // tensor at rank 2 is well under that.
         let t = svc
             .submit(JobSpec {
-                kind: JobKind::CpAls {
-                    rank: 2,
-                    max_iters: 3,
-                    tol: 0.0,
-                    seed: 5,
-                },
                 tensor: x.clone(),
+                rank: 2,
+                max_iters: 3,
+                tol: 0.0,
+                seed: 5,
             })
             .unwrap();
         let out = t.wait().expect("job survives a hung step");
@@ -1181,7 +889,6 @@ mod tests {
         ]);
         let svc = JobService::start(
             JobConfig {
-                keep_checkpoints: 2,
                 max_recoveries: 4,
                 ..quick_cfg()
             },
@@ -1199,7 +906,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_full_rejects_typed_and_invalid_tensor_fails_init() {
+    fn queue_full_rejects_typed_and_invalid_spec_fails_init() {
         let x = tensor(7);
         let svc = JobService::start(
             JobConfig {
@@ -1223,22 +930,10 @@ mod tests {
         }
         assert!(rejected > 0, "queue bound never engaged");
 
-        // A non-cubical tensor is a typed init failure for the power
-        // method, not a crash.
-        let flat = Arc::new(
-            CooTensor::from_entries(
-                Shape::new(vec![4, 8]),
-                vec![(vec![0, 0], 1.0f32), (vec![3, 7], 2.0)],
-            )
-            .unwrap(),
-        );
+        // Rank 0 is a typed init failure, not a crash.
         match svc.submit(JobSpec {
-            kind: JobKind::PowerMethod {
-                max_iters: 4,
-                tol: 0.0,
-                seed: 1,
-            },
-            tensor: flat,
+            rank: 0,
+            ..cp_spec(&x)
         }) {
             Ok(t) => assert!(matches!(t.wait(), Err(JobError::Init(_)))),
             Err(JobError::Rejected { .. }) => rejected += 1,

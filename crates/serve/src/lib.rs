@@ -37,8 +37,7 @@
 //! accept loop speaking the `TNF1` frame protocol from `tenbench_io`,
 //! mapping every typed rejection onto a wire status code.
 //!
-//! Above single requests, [`job`] runs the multi-iteration decomposition
-//! methods (CP-ALS, the tensor power method, the TTM-chain) as
+//! Above single requests, [`job`] runs CP-ALS decompositions as
 //! long-running guarded jobs with per-iteration checkpoint/resume and
 //! bitwise-deterministic recovery — the substrate the chaos harness in
 //! the bench crate tries (and fails) to kill.
@@ -55,8 +54,8 @@ pub mod stress;
 
 pub use cache::{CacheKey, CacheStats, PrepCache, PrepLayout, Prepared};
 pub use job::{
-    FaultInjector, InjectedFault, JobConfig, JobError, JobKind, JobOutcome, JobProgress,
-    JobService, JobServiceReport, JobSpec, JobTicket, ScriptedFaults,
+    FaultInjector, InjectedFault, JobConfig, JobError, JobOutcome, JobProgress, JobService,
+    JobServiceReport, JobSpec, JobTicket, ScriptedFaults,
 };
 pub use net::{
     decode_response, encode_request, NetClient, NetConfig, NetReport, NetServer, WireRequest,

@@ -14,7 +14,7 @@ use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
 use tenbench_obs as obs;
 use tenbench_serve::{
-    FaultInjector, InjectedFault, JobConfig, JobKind, JobService, JobSpec, ScriptedFaults,
+    FaultInjector, InjectedFault, JobConfig, JobService, JobSpec, ScriptedFaults,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -36,13 +36,11 @@ fn cp_spec() -> JobSpec {
     )
     .unwrap();
     JobSpec {
-        kind: JobKind::CpAls {
-            rank: 3,
-            max_iters: 4,
-            tol: 0.0,
-            seed: 7,
-        },
         tensor: Arc::new(x),
+        rank: 3,
+        max_iters: 4,
+        tol: 0.0,
+        seed: 7,
     }
 }
 

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
-use tenbench_serve::{
-    InjectedFault, JobConfig, JobKind, JobOutcome, JobService, JobSpec, ScriptedFaults,
-};
+use tenbench_serve::{InjectedFault, JobConfig, JobOutcome, JobService, JobSpec, ScriptedFaults};
 
 fn tensor() -> Arc<CooTensor<f32>> {
     Arc::new(
@@ -36,13 +34,11 @@ fn tensor() -> Arc<CooTensor<f32>> {
 
 fn spec(x: &Arc<CooTensor<f32>>) -> JobSpec {
     JobSpec {
-        kind: JobKind::CpAls {
-            rank: 5,
-            max_iters: 7,
-            tol: 0.0,
-            seed: 42,
-        },
         tensor: x.clone(),
+        rank: 5,
+        max_iters: 7,
+        tol: 0.0,
+        seed: 42,
     }
 }
 

@@ -5,7 +5,7 @@ use tenbench::core::coo::CooTensor;
 use tenbench::core::csf::CsfTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
-use tenbench::core::kernels::{contract, mttkrp, tew, ts, ttm, ttv, EwOp};
+use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
 use tenbench::core::TensorError;
 use tenbench::io::{bin, tns, IoError};
 use tenbench::prelude::*;
@@ -103,8 +103,6 @@ fn kernel_operand_failures() {
         mttkrp::mttkrp(&x, &refs2, 0),
         Err(TensorError::FactorMismatch(_))
     ));
-    // Contraction extent mismatch (6 vs 7).
-    assert!(contract::contract(&x, 2, &y, 2).is_err());
 }
 
 #[test]
