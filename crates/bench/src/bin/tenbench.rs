@@ -57,7 +57,10 @@
 //! traced-vs-untraced cost of the capture.
 //!
 //! A flag the subcommand does not read is a usage error (exit code 2),
-//! not a silently dropped typo.
+//! not a silently dropped typo. A gate that fails (`stress`, `chaos`,
+//! `scale-bench --floors`, `obs-overhead --max-overhead-pct`) prints the
+//! full report to stdout and `tenbench: gate failed: <reason>` to stderr,
+//! and exits 1.
 //!
 //! `--max-seconds` or `--fallback` switch `kernel` to supervised mode:
 //! the run executes on a watchdogged worker thread under panic isolation,
@@ -117,8 +120,17 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
+            // A failed gate prints the report it judged, then exits 1;
+            // usage, I/O and tensor errors exit 2.
+            let code = match e.downcast_ref::<CliError>() {
+                Some(CliError::Gate { report, .. }) => {
+                    println!("{report}");
+                    1
+                }
+                _ => 2,
+            };
             eprintln!("tenbench: {e}");
-            ExitCode::from(2)
+            ExitCode::from(code)
         }
     }
 }

@@ -366,8 +366,7 @@ fn reference_outcome(spec: &JobSpec) -> Option<JobOutcome> {
 /// CLI layer applies the gates so a violated gate renders the full report
 /// first.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let _counters = obs::counters::counters_scope();
-    let snap0: Vec<(&'static str, u64)> = obs::counters::snapshot();
+    let snap0 = obs::counters::snapshot();
 
     // Cubical pool shared by kernel traffic and jobs: the job tensors are
     // the *same* Arcs the kernel service is hammering, so cache reuse and
@@ -460,18 +459,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // Close the counter window before the reference re-runs below, which
     // go through a `JobService` of their own.
     let (injected_panics, injected_hangs, injected_corruptions) = injector.counts();
-    let snap1 = obs::counters::snapshot();
-    let counters: Vec<(&'static str, u64)> = snap1
-        .iter()
+    let counters: Vec<(&'static str, u64)> = obs::counters::since(&snap0)
+        .into_iter()
         .filter(|(name, _)| name.starts_with("job.") || name.starts_with("chaos."))
-        .map(|&(name, v1)| {
-            let v0 = snap0
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, v)| v)
-                .unwrap_or(0);
-            (name, v1.saturating_sub(v0))
-        })
         .collect();
 
     // Gates evidence: terminal accounting, reference comparison, residual

@@ -31,6 +31,13 @@ use crate::supervisor::{self, RunReport, SupervisorConfig, Trial};
 pub enum CliError {
     /// Bad arguments or unsupported file extension.
     Usage(String),
+    /// A gate the finished run was checked against failed.
+    Gate {
+        /// Everything the run rendered: the evidence the gate judged.
+        report: String,
+        /// The gate that failed, with the measured value and its bound.
+        reason: String,
+    },
     /// I/O or parse failure.
     Io(tenbench_io::IoError),
     /// Kernel or format failure.
@@ -41,6 +48,7 @@ impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::Usage(m) => write!(f, "usage error: {m}"),
+            CliError::Gate { reason, .. } => write!(f, "gate failed: {reason}"),
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Tensor(e) => write!(f, "{e}"),
         }
@@ -70,6 +78,11 @@ impl From<std::io::Error> for CliError {
 /// Result alias for CLI operations.
 pub type CliResult<T> = Result<T, CliError>;
 
+/// Fail a gate, keeping the rendered `report` as its evidence.
+fn gate<T>(report: String, reason: String) -> CliResult<T> {
+    Err(CliError::Gate { report, reason })
+}
+
 /// Observability options shared by the measuring subcommands
 /// (`--trace <path>` and `--profile`).
 #[derive(Debug, Clone, Default)]
@@ -98,9 +111,13 @@ pub fn with_obs(opts: &ObsOptions, body: impl FnOnce() -> CliResult<String>) -> 
         return body();
     }
     let cap = crate::metrics::Capture::begin();
-    let result = body();
+    let mut result = body();
     let (trace, report) = cap.finish();
-    let mut out = result?;
+    // A failed gate's report is evidence too: it keeps the profile and trace.
+    let out = match &mut result {
+        Ok(out) | Err(CliError::Gate { report: out, .. }) => out,
+        Err(_) => return result,
+    };
     if opts.profile {
         out.push('\n');
         out.push_str(&trace.profile());
@@ -116,7 +133,7 @@ pub fn with_obs(opts: &ObsOptions, body: impl FnOnce() -> CliResult<String>) -> 
         std::fs::write(path, &json)?;
         out.push_str(&format!("\nwrote trace {}", path.display()));
     }
-    Ok(out)
+    result
 }
 
 /// Load a tensor by file extension: `.tns` (FROSTT text) or `.tnb`
@@ -631,11 +648,15 @@ fn parse_scaling_floors(origin: &str, text: &str) -> CliResult<Vec<Floor>> {
     Ok(floors)
 }
 
-/// Check every floor against the measured rows; returns one `gate` line per
-/// floor, or the list of violations. A floor naming a pool width above
-/// `host` is skipped.
-fn check_scaling_floors(floors: &[Floor], rows: &[ScaleRow], host: usize) -> CliResult<String> {
-    let mut out = String::new();
+/// Check every floor against the measured rows; appends one `gate` line per
+/// floor to the rendered report `out`, or fails the gate with the list of
+/// violations. A floor naming a pool width above `host` is skipped.
+fn check_scaling_floors(
+    floors: &[Floor],
+    rows: &[ScaleRow],
+    host: usize,
+    mut out: String,
+) -> CliResult<String> {
     let mut violations = Vec::new();
     let base_threads = rows.iter().map(|r| r.threads).min().unwrap_or(1);
     for f in floors {
@@ -672,10 +693,7 @@ fn check_scaling_floors(floors: &[Floor], rows: &[ScaleRow], host: usize) -> Cli
     if violations.is_empty() {
         Ok(out)
     } else {
-        Err(CliError::Usage(format!(
-            "scaling gate failed:\n  {}",
-            violations.join("\n  ")
-        )))
+        gate(out, format!("scaling gate:\n  {}", violations.join("\n  ")))
     }
 }
 
@@ -720,13 +738,9 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
                 // calibration call warm the pool and prefault outputs
                 // outside the telemetry window.
                 let p = cells::prepare(&inputs, cell, mode)?;
-                let mut prev = false;
-                let s = p.sample_with(reps, || {
-                    par::reset_pool_stats();
-                    prev = par::set_pool_telemetry(true);
-                });
-                par::set_pool_telemetry(prev);
-                Ok((s?, par::pool_snapshot()))
+                let mut before = obs::report::PoolSnapshot::default();
+                let s = p.sample_with(reps, || before = par::pool_snapshot());
+                Ok((s?, par::pool_snapshot().since(&before)))
             })?;
             // The caller lane is the snapshot's last entry; it never parks.
             let busy: u64 = stats.workers.iter().map(|w| w.busy_ns).sum();
@@ -807,8 +821,7 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
         out.push_str(&format!("wrote {}\n", path.display()));
     }
 
-    out.push_str(&check_scaling_floors(&floors, &rows, host)?);
-    Ok(out)
+    check_scaling_floors(&floors, &rows, host, out)
 }
 
 /// `report <trace.json | flight-dump.json>`: validate a previously
@@ -847,9 +860,10 @@ pub fn report(input: &Path) -> CliResult<String> {
 /// One traced-vs-untraced comparison of a workload.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOverhead {
-    /// Best untraced wall seconds.
+    /// Untraced wall seconds of the median pair.
     pub untraced_s: f64,
-    /// Best wall seconds under a full [`crate::metrics::Capture`].
+    /// Wall seconds of the median pair under a full
+    /// [`crate::metrics::Capture`].
     pub traced_s: f64,
     /// Trace events the captures dropped, summed over the rounds.
     pub dropped_events: u64,
@@ -868,27 +882,39 @@ impl TraceOverhead {
     }
 }
 
-/// Run `workload` untraced and traced, interleaved, `rounds` times, keeping
-/// the best of each side so one-off scheduling noise cannot manufacture (or
-/// hide) overhead.
+/// Run `workload` untraced and traced in `rounds` adjacent pairs, which
+/// side runs first alternating from pair to pair, and keep the pair with the
+/// median traced/untraced ratio (the upper one of an even count). Host load
+/// that drifts between pairs cancels inside each pair, and one-off
+/// scheduling noise in either direction lands in the tails.
 pub fn trace_overhead(rounds: usize, mut workload: impl FnMut()) -> TraceOverhead {
-    let mut best = TraceOverhead {
-        untraced_s: f64::INFINITY,
-        traced_s: f64::INFINITY,
-        dropped_events: 0,
+    let mut dropped_events = 0;
+    let mut timed = |traced: bool| {
+        let cap = traced.then(crate::metrics::Capture::begin);
+        let t0 = Instant::now();
+        workload();
+        let s = t0.elapsed().as_secs_f64();
+        if let Some(cap) = cap {
+            dropped_events += cap.finish().0.dropped_events;
+        }
+        s
     };
-    for _ in 0..rounds.max(1) {
-        let t0 = Instant::now();
-        workload();
-        best.untraced_s = best.untraced_s.min(t0.elapsed().as_secs_f64());
-
-        let cap = crate::metrics::Capture::begin();
-        let t0 = Instant::now();
-        workload();
-        best.traced_s = best.traced_s.min(t0.elapsed().as_secs_f64());
-        best.dropped_events += cap.finish().0.dropped_events;
+    let mut pairs: Vec<[f64; 2]> = (0..rounds.max(1))
+        .map(|round| {
+            let mut secs = [0.0; 2]; // [untraced, traced]
+            for traced in [round % 2 == 1, round % 2 == 0] {
+                secs[traced as usize] = timed(traced);
+            }
+            secs
+        })
+        .collect();
+    pairs.sort_by(|a, b| (a[1] / a[0]).total_cmp(&(b[1] / b[0])));
+    let [untraced_s, traced_s] = pairs[pairs.len() / 2];
+    TraceOverhead {
+        untraced_s,
+        traced_s,
+        dropped_events,
     }
-    best
 }
 
 /// `obs-overhead`: measure the wall-time cost of full tracing over the
@@ -939,7 +965,7 @@ pub fn obs_overhead(
         ]);
     }
     let mut out = format!(
-        "Tracing overhead on {dataset} ({}, {} nnz, R = {rank}, B = {}, best of {rounds})\n",
+        "Tracing overhead on {dataset} ({}, {} nnz, R = {rank}, B = {}, median of {rounds} pairs)\n",
         x.shape(),
         fint(x.nnz() as u64),
         1u32 << block_bits,
@@ -971,10 +997,11 @@ pub fn obs_overhead(
 
     if let Some(ceiling) = max_overhead_pct {
         if let Some((threads, o)) = rows.iter().find(|(_, o)| o.overhead_pct() > ceiling) {
-            return Err(CliError::Usage(format!(
-                "tracing overhead regression: {:+.2}% at {threads} threads, above the ceiling of {ceiling:.2}%",
+            let too_slow = format!(
+                "overhead gate: {:+.2}% at {threads} threads, above the ceiling of {ceiling:.2}%",
                 o.overhead_pct(),
-            )));
+            );
+            return gate(out, too_slow);
         }
         out.push_str(&format!("overhead gate: all <= {ceiling:.2}% ok\n"));
     }
@@ -1010,7 +1037,7 @@ fn check_alpha(alpha: f64) -> CliResult<()> {
 /// drive it with [`tenbench_serve::closed_loop`] (Zipf-skewed tensor
 /// popularity from `cfg.concurrency` clients) and then
 /// [`tenbench_serve::burst`]. Writes `BENCH_serve.json`. Gates (each a
-/// usage error on violation, both transports alike): at least one
+/// [`CliError::Gate`] on violation, both transports alike): at least one
 /// completion; zero lost requests; zero server-side protocol errors;
 /// closed-loop cache hit ratio at or over `--min-hit-ratio`; closed-loop
 /// client p99 at or under `--max-p99-ms`; at least one typed queue-full
@@ -1186,27 +1213,29 @@ pub fn stress(
     // The gates. The full report above is built first so a violated gate
     // is judged against the same numbers the artifact records.
     if zipf.ok == 0 {
-        return usage("stress gate: no request completed in the closed-loop phase".to_string());
+        let reason = "stress gate: no request completed in the closed-loop phase".to_string();
+        return gate(out, reason);
     }
     let lost = zipf.lost + burst.lost;
     if lost > 0 {
-        return usage(format!(
-            "stress gate: {lost} requests lost without a typed answer"
-        ));
+        let reason = format!("stress gate: {lost} requests lost without a typed answer");
+        return gate(out, reason);
     }
     out.push_str("\nlost gate: every request answered (0 lost) ok\n");
     if server.protocol_errors > 0 {
-        return usage(format!(
+        let reason = format!(
             "stress gate: {} protocol errors on well-formed traffic",
             server.protocol_errors,
-        ));
+        );
+        return gate(out, reason);
     }
     let hit = zipf.hit_ratio();
     if hit < cfg.min_hit_ratio {
-        return usage(format!(
+        let reason = format!(
             "stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
             cfg.min_hit_ratio,
-        ));
+        );
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "hit-ratio gate: {hit:.3} >= {:.3} ok\n",
@@ -1215,18 +1244,18 @@ pub fn stress(
     if let Some(ceiling) = cfg.max_p99_ms {
         let p99 = zipf.latency.percentile(99.0);
         if p99 > ceiling {
-            return usage(format!(
+            let reason = format!(
                 "stress gate: closed-loop p99 {p99:.2} ms above the ceiling of {ceiling:.2} ms"
-            ));
+            );
+            return gate(out, reason);
         }
         out.push_str(&format!("p99 gate: {p99:.2} ms <= {ceiling:.2} ms ok\n"));
     }
     if burst.rejected_full == 0 {
-        return usage(
-            "stress gate: overload burst saw no typed queue-full rejection — admission \
-             control did not engage"
-                .to_string(),
-        );
+        let reason = "stress gate: overload burst saw no typed queue-full rejection — admission \
+                      control did not engage"
+            .to_string();
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "overload gate: {} typed queue-full rejections ok\n",
@@ -1299,7 +1328,7 @@ fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
 }
 
 /// `chaos`: run the fault-injection harness against a live service and
-/// apply the robustness gates (each a usage error on violation): zero lost
+/// apply the robustness gates (each a [`CliError::Gate`] on violation): zero lost
 /// jobs beyond the floor, at least `min_recoveries` checkpoint-resume
 /// recoveries, every injected fault kind exercised, at least one typed
 /// queue-full rejection from the job burst, at least one completed job
@@ -1424,21 +1453,23 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     // The gates. Render the full report above first so a violated gate
     // still leaves the evidence on screen.
     if report.lost > floors.max_lost_jobs {
-        return Err(CliError::Usage(format!(
+        let reason = format!(
             "chaos gate: {} jobs lost without a terminal state (floor {})",
             report.lost, floors.max_lost_jobs,
-        )));
+        );
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "lost-jobs gate: {} <= {} ok\n",
         report.lost, floors.max_lost_jobs
     ));
     if report.resumes < floors.min_recoveries {
-        return Err(CliError::Usage(format!(
+        let reason = format!(
             "chaos gate: only {} checkpoint-resume recoveries (floor {}) — the injector \
              or the resume path is dead",
             report.resumes, floors.min_recoveries,
-        )));
+        );
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "recovery gate: {} resumes >= {} ok\n",
@@ -1446,45 +1477,47 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     ));
     if report.injected_panics == 0 || report.injected_hangs == 0 || report.injected_corruptions == 0
     {
-        return Err(CliError::Usage(format!(
+        let reason = format!(
             "chaos gate: fault mix incomplete ({} panics, {} hangs, {} corruptions) — \
              raise --jobs, --max-iters, or --fault-rate",
             report.injected_panics, report.injected_hangs, report.injected_corruptions,
-        )));
+        );
+        return gate(out, reason);
     }
     out.push_str("fault-mix gate: panic + hang + corruption all injected ok\n");
     if report.burst_rejected == 0 {
-        return Err(CliError::Usage(
+        let reason =
             "chaos gate: the job-queue burst saw no typed queue-full rejection — admission \
              control did not engage"
-                .to_string(),
-        ));
+                .to_string();
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "burst gate: {} typed queue-full rejections ok\n",
         report.burst_rejected
     ));
     if report.completed == 0 {
-        return Err(CliError::Usage(
-            "chaos gate: no job completed, so determinism was never checked".to_string(),
-        ));
+        let reason = "chaos gate: no job completed, so determinism was never checked".to_string();
+        return gate(out, reason);
     }
     if report.mismatched > 0 {
-        return Err(CliError::Usage(format!(
+        let reason = format!(
             "chaos gate: {}/{} completed jobs do not bitwise-match their \
              uninterrupted reference",
             report.mismatched, report.completed,
-        )));
+        );
+        return gate(out, reason);
     }
     out.push_str(&format!(
         "determinism gate: {}/{} reference matches ok\n",
         report.completed, report.completed
     ));
     if report.residual_violations > 0 {
-        return Err(CliError::Usage(format!(
+        let reason = format!(
             "chaos gate: {} fit-residual increases across resume boundaries",
             report.residual_violations,
-        )));
+        );
+        return gate(out, reason);
     }
     out.push_str("residual gate: non-increasing across every resume boundary ok\n");
     // Flight-recorder gate: every fault kind that actually fired must have
@@ -1511,11 +1544,12 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         ] {
             let dumps = count_kind(reason)?;
             if fired > 0 && dumps == 0 {
-                return Err(CliError::Usage(format!(
+                let missing = format!(
                     "chaos gate: {fired} {reason} faults observed but no \
                      flight-*-{reason}.json dump in {}",
                     dir.display(),
-                )));
+                );
+                return gate(out, missing);
             }
             out.push_str(&format!(
                 "flight-dump gate: {reason} — {dumps} dumps for {fired} faults ok\n"
@@ -1653,7 +1687,8 @@ mod tests {
             row("convert.comparator", 1, 0.27),
         ];
         let check = |text: &str, host: usize| {
-            check_scaling_floors(&parse_scaling_floors("floors", text)?, &rows, host)
+            let floors = parse_scaling_floors("floors", text)?;
+            check_scaling_floors(&floors, &rows, host, "table\n".to_string())
         };
         // Self-speedup and ratio lines both bind.
         let out = check(
@@ -1674,7 +1709,13 @@ mod tests {
             "convert.radix@1/convert.comparator@1 5.0",
         ] {
             match check(text, 4) {
-                Err(CliError::Usage(m)) => assert!(m.contains("below floor"), "{m}"),
+                Err(CliError::Gate { report, reason }) => {
+                    assert!(reason.contains("below floor"), "{reason}");
+                    assert!(
+                        report.starts_with("table\n"),
+                        "the report is kept: {report}"
+                    );
+                }
                 other => panic!("{text}: expected a violation, got {other:?}"),
             }
         }
@@ -1689,7 +1730,9 @@ mod tests {
         }
         // A width that was not swept is a violation that says what to pass.
         match check("convert.comparator@2 1.0", 4) {
-            Err(CliError::Usage(m)) => assert!(m.contains("--threads including 2"), "{m}"),
+            Err(CliError::Gate { reason, .. }) => {
+                assert!(reason.contains("--threads including 2"), "{reason}")
+            }
             other => panic!("expected a violation, got {other:?}"),
         }
         // A name outside the table is its own error, whichever side.

@@ -1,37 +1,36 @@
-//! Capture lifecycle for the harness: spans, counters and pool telemetry
-//! behind one switch.
+//! Capture lifecycle for the harness: spans, plus the growth of the
+//! always-on counters and pool telemetry over the capture's window.
 //!
 //! `tenbench-obs` cannot depend on the pool (the pool instruments itself
-//! *with* obs), so the pool's snapshot is attached to the report here, in
-//! a crate that sees both sides.
+//! *with* obs), so the pool's delta is attached to the report here, in a
+//! crate that sees both sides.
 
 use tenbench_core::par;
 use tenbench_obs as obs;
-use tenbench_obs::report::MetricsReport;
+use tenbench_obs::report::{MetricsReport, PoolSnapshot};
 
-/// An in-flight observability capture: spans, counters, and pool
-/// telemetry all recording. End it with [`Capture::finish`].
+/// An in-flight observability capture: spans recording, counters and pool
+/// telemetry snapshotted. End it with [`Capture::finish`]. Captures run one
+/// at a time (they share [`obs::start_trace`]'s span sink and baseline).
 pub struct Capture {
-    telemetry_was_on: bool,
+    pool: PoolSnapshot,
 }
 
 impl Capture {
-    /// Start recording: clears previous pool telemetry and counter state.
+    /// Start recording: snapshot the pool telemetry and the counters.
     pub fn begin() -> Capture {
-        let telemetry_was_on = par::set_pool_telemetry(true);
-        par::reset_pool_stats();
         obs::counters::POOL_WORKERS.set(par::current_threads() as u64);
+        let pool = par::pool_snapshot();
         obs::start_trace();
-        Capture { telemetry_was_on }
+        Capture { pool }
     }
 
     /// Stop recording and return the drained trace plus the merged
-    /// metrics report (counters + span aggregates + pool snapshot).
+    /// metrics report (counter deltas + span aggregates + pool delta).
     pub fn finish(self) -> (obs::Trace, MetricsReport) {
         let trace = obs::stop_trace();
         let mut report = MetricsReport::from_trace(&trace);
-        report.pool = Some(par::pool_snapshot());
-        par::set_pool_telemetry(self.telemetry_was_on);
+        report.pool = Some(par::pool_snapshot().since(&self.pool));
         (trace, report)
     }
 }

@@ -188,14 +188,13 @@ impl CellMeasure {
     }
 }
 
-/// [`sample`] with counter accounting: enables the obs counters for the
-/// duration and reports the `kernel.flops` / `kernel.bytes` deltas
-/// alongside the mean call time. The kernels charge their Table 1 costs on
-/// entry, so the deltas are the *measured* work of exactly the calls this
-/// cell made (plus any concurrent charges — the counters are process-wide).
+/// [`sample`] with counter accounting: reports the `kernel.flops` /
+/// `kernel.bytes` deltas across the cell alongside the mean call time. The
+/// kernels charge their Table 1 costs on entry, so the deltas are the
+/// *measured* work of exactly the calls this cell made (plus any concurrent
+/// charges — the counters are process-wide).
 pub fn measure_cell<T>(reps: usize, mut f: impl FnMut() -> T) -> CellMeasure {
     use obs::counters as ctr;
-    let _scope = ctr::counters_scope();
     let f0 = ctr::FLOPS.get();
     let b0 = ctr::BYTES.get();
     let s = sample(reps, || (), |()| f(), || ());

@@ -4,11 +4,12 @@
 //! calls — not by `reps`. A closure that charges a fixed cost per call
 //! makes any mismatch visible as a wrong per-call quotient.
 //!
-//! This lives in its own integration-test binary because the obs counters
-//! are process-wide; sharing a process with other counter-charging tests
-//! would pollute the deltas. Its own two tests charge them too, and cargo
-//! runs them on parallel threads, so each holds [`COUNTERS`] while it
-//! measures.
+//! The obs counters are always on and `measure_cell` reads them by
+//! difference, so no other reader can switch them off or zero them under a
+//! cell. But they are process-wide: a delta also holds whatever concurrent
+//! work charged. The exact equalities below therefore need a binary with no
+//! other counter-charging tests, and its own two tests, which cargo runs on
+//! parallel threads, each hold [`COUNTERS`] while they measure.
 
 use std::sync::Mutex;
 use std::time::Duration;

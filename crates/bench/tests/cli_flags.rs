@@ -4,8 +4,9 @@
 //! cannot use, a `stress`/`chaos` duration, Zipf skew or gate it cannot
 //! honour, a `chaos` fault rate outside `[0, 1]` or rank 0, and a
 //! watchdog budget that is not finite and > 0 are usage errors (exit code
-//! 2, the culprit named on stderr, no panic, no output); so is a `chaos`
-//! run in which no job completes — and well-formed calls still run.
+//! 2, the culprit named on stderr, no panic, no output) — and well-formed
+//! calls still run. A run that trips a gate is not a usage error: it exits
+//! 1 with its report on stdout and the gate named on stderr.
 
 use std::process::{Command, Output};
 
@@ -54,14 +55,6 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
         ("chaos --fault-rate 2".to_string(), "--fault-rate"),
         ("chaos --fault-rate NaN".to_string(), "--fault-rate"),
         ("chaos --rank 0".to_string(), "--rank"),
-        (
-            // One job worker draws the faults in a fixed panic, hang,
-            // corruption cycle, so no job gets past its first iteration.
-            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 8 --nnz 200 \
-             --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.05"
-                .to_string(),
-            "no job completed",
-        ),
         (
             "stress --duration 100ms --min-hit-ratio NaN".to_string(),
             "--min-hit-ratio",
@@ -128,4 +121,44 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
     ));
     assert!(ok.status.success(), "well-formed call failed: {ok:?}");
     assert!(String::from_utf8_lossy(&ok.stdout).contains("mttkrp.hicoo_sched"));
+}
+
+#[test]
+fn a_tripped_gate_exits_1_and_keeps_its_report() {
+    let floors = std::env::temp_dir().join(format!("tenbench-floors-{}", std::process::id()));
+    std::fs::write(&floors, "convert.radix@1/convert.comparator@1 1000\n").unwrap();
+    for (args, reason, evidence) in [
+        (
+            // One job worker draws the faults in a fixed panic, hang,
+            // corruption cycle, so no job gets past its first iteration.
+            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 8 --nnz 200 \
+             --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.05"
+                .to_string(),
+            "chaos gate: no job completed",
+            ["lost-jobs gate: 0 <= 0 ok", "burst gate:"],
+        ),
+        (
+            // A floor no host meets; the `--profile` output is kept too.
+            format!(
+                "scale-bench --nnz 2000 --threads 1 --reps 1 --profile --floors {}",
+                floors.display()
+            ),
+            "scaling gate:",
+            ["Self-speedup", "counters:"],
+        ),
+    ] {
+        let out = tenbench(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.contains(&format!("tenbench: gate failed: {reason}")),
+            "{args}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        // The report the gate judged is on stdout.
+        for line in evidence {
+            assert!(stdout.contains(line), "{args}: no {line:?} in {stdout}");
+        }
+    }
 }

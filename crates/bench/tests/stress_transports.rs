@@ -38,7 +38,8 @@ fn stress_balances_loses_nothing_and_gates_on_both_transports() {
         let err = cli::stress(&cfg, serve, &SupervisorConfig::default())
             .expect_err("a 0 ms p99 ceiling must fail the gate");
         assert!(
-            matches!(&err, CliError::Usage(m) if m.contains("p99")),
+            matches!(&err, CliError::Gate { report, reason }
+                if reason.contains("p99") && report.contains("lost gate")),
             "{shards:?}: {err}"
         );
 

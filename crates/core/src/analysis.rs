@@ -33,6 +33,16 @@ impl KernelCost {
     pub fn oi(&self) -> f64 {
         self.flops as f64 / self.bytes as f64
     }
+
+    /// Charge one invocation of this cost to the obs counters
+    /// (`kernel.flops`, `kernel.bytes`, `kernel.calls`): three relaxed
+    /// `fetch_add`s, once per kernel call.
+    pub fn charge(self) {
+        use tenbench_obs::counters::{BYTES, FLOPS, KERNEL_CALLS};
+        FLOPS.add(self.flops);
+        BYTES.add(self.bytes);
+        KERNEL_CALLS.add(1);
+    }
 }
 
 /// Tew over two same-pattern tensors with `m` nonzeros: read two value

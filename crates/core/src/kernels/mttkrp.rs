@@ -44,28 +44,19 @@ use crate::simd;
 /// Charge one COO Mttkrp invocation to the obs counters using the paper's
 /// Table 1 cost model (`analysis::mttkrp_coo_cost`).
 fn charge_coo<S: Scalar>(x: &CooTensor<S>, r: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::mttkrp_coo_cost(x.order(), x.nnz() as u64, r as u64);
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::mttkrp_coo_cost(x.order(), x.nnz() as u64, r as u64).charge();
 }
 
 /// Charge one HiCOO Mttkrp invocation (`analysis::mttkrp_hicoo_cost`).
 fn charge_hicoo<S: Scalar>(h: &HicooTensor<S>, r: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::mttkrp_hicoo_cost(
-            h.order(),
-            h.nnz() as u64,
-            r as u64,
-            h.num_blocks() as u64,
-            1u64 << h.block_bits(),
-        );
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::mttkrp_hicoo_cost(
+        h.order(),
+        h.nnz() as u64,
+        r as u64,
+        h.num_blocks() as u64,
+        1u64 << h.block_bits(),
+    )
+    .charge();
 }
 
 /// Split `data` (a row-major matrix with `r` columns) into one `&mut` slice

@@ -73,12 +73,7 @@ fn check_same_shape<S: Scalar>(x: &CooTensor<S>, y: &CooTensor<S>) -> Result<()>
 /// Charge one Tew invocation over `m` value pairs (`analysis::tew_cost`,
 /// the same-pattern case Table 1 analyzes).
 fn charge(m: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::tew_cost(m as u64);
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::tew_cost(m as u64).charge();
 }
 
 /// The value loop of every parallel same-pattern Tew: `op` over two

@@ -33,12 +33,7 @@ fn check_scalar<S: Scalar>(op: EwOp, s: S) -> Result<()> {
 
 /// Charge one Ts invocation over `m` nonzeros (`analysis::ts_cost`).
 fn charge(m: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::ts_cost(m as u64);
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::ts_cost(m as u64).charge();
 }
 
 /// The value loop of every parallel Ts: `op` with `s` over a value array,

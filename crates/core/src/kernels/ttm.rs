@@ -41,12 +41,7 @@ fn check_operand<S: Scalar>(shape: &Shape, mode: usize, u: &DenseMatrix<S>) -> R
 /// Charge one Ttm invocation over `m` nonzeros folding into `mf` output
 /// fibers of dense stripe length `r` (`analysis::ttm_cost`).
 fn charge(order: usize, m: usize, mf: usize, r: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::ttm_cost(order, m as u64, mf as u64, r as u64);
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::ttm_cost(order, m as u64, mf as u64, r as u64).charge();
 }
 
 /// COO-Ttm over a mode-last-sorted tensor with a precomputed fiber

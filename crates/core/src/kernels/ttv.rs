@@ -47,12 +47,7 @@ fn check_operand<S: Scalar>(shape: &Shape, mode: usize, v: &DenseVector<S>) -> R
 /// Charge one Ttv invocation over `m` nonzeros folding into `mf` output
 /// fibers (`analysis::ttv_cost`).
 fn charge(order: usize, m: usize, mf: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::ttv_cost(order, m as u64, mf as u64);
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
+    analysis::ttv_cost(order, m as u64, mf as u64).charge();
 }
 
 /// COO-Ttv over a mode-last-sorted tensor with a precomputed fiber

@@ -16,9 +16,7 @@ use std::sync::Mutex;
 mod pool;
 mod sort;
 
-pub use pool::{
-    current_threads, pool_snapshot, reset_pool_stats, set_pool_telemetry, with_threads,
-};
+pub use pool::{current_threads, pool_snapshot, with_threads};
 pub use sort::sort_unstable_by;
 
 /// Loop scheduling strategy, mirroring OpenMP's `schedule(static)` /

@@ -17,7 +17,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -53,8 +53,9 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Telemetry for one pool participant. All relaxed: totals are read
-/// after the regions of interest have joined.
+/// Telemetry for one pool participant. All relaxed and monotone: a
+/// reader diffs two [`pool_snapshot`]s taken after the regions of
+/// interest have joined.
 struct StatCell {
     busy_ns: AtomicU64,
     park_ns: AtomicU64,
@@ -71,19 +72,8 @@ impl StatCell {
             chunks: AtomicU64::new(0),
         }
     }
-
-    fn reset(&self) {
-        self.busy_ns.store(0, Ordering::Relaxed);
-        self.park_ns.store(0, Ordering::Relaxed);
-        self.regions.store(0, Ordering::Relaxed);
-        self.chunks.store(0, Ordering::Relaxed);
-    }
 }
 
-/// Master switch for pool telemetry. Off (the default) costs one
-/// relaxed load per region/park; on adds two monotonic clock reads
-/// per participant per region.
-static TELEMETRY: AtomicBool = AtomicBool::new(false);
 /// Parallel regions executed (pool path and sequential fast path).
 static REGIONS: AtomicU64 = AtomicU64::new(0);
 /// Chunks scheduled across all regions.
@@ -100,32 +90,13 @@ fn worker_stats() -> &'static [StatCell] {
     CELLS.get_or_init(|| (0..MAX_WORKERS).map(|_| StatCell::new()).collect())
 }
 
-#[inline]
-fn telemetry_enabled() -> bool {
-    TELEMETRY.load(Ordering::Relaxed)
-}
-
-/// Enable or disable pool telemetry, returning the previous state.
-pub fn set_pool_telemetry(on: bool) -> bool {
-    TELEMETRY.swap(on, Ordering::Relaxed)
-}
-
-/// Zero the pool telemetry counters (e.g. at the start of a capture).
-pub fn reset_pool_stats() {
-    for cell in worker_stats() {
-        cell.reset();
-    }
-    CALLER_STATS.reset();
-    REGIONS.store(0, Ordering::Relaxed);
-    CHUNKS_TOTAL.store(0, Ordering::Relaxed);
-    CHUNKS_STOLEN.store(0, Ordering::Relaxed);
-}
-
-fn snap_cell(worker: usize, cell: &StatCell) -> WorkerSnap {
+/// One lane of a [`pool_snapshot`]; `open_park_ns` is the part of a park
+/// still in progress.
+fn snap_cell(worker: usize, cell: &StatCell, open_park_ns: u64) -> WorkerSnap {
     WorkerSnap {
         worker,
         busy_ns: cell.busy_ns.load(Ordering::Relaxed),
-        park_ns: cell.park_ns.load(Ordering::Relaxed),
+        park_ns: cell.park_ns.load(Ordering::Relaxed) + open_park_ns,
         regions: cell.regions.load(Ordering::Relaxed),
         chunks: cell.chunks.load(Ordering::Relaxed),
     }
@@ -134,17 +105,22 @@ fn snap_cell(worker: usize, cell: &StatCell) -> WorkerSnap {
 /// Snapshot the pool telemetry counters: one lane per worker spawned so
 /// far, in spawn order, then the aggregate lane of every submitting caller
 /// (main and test threads, workers submitting nested regions), labelled
-/// `usize::MAX`. Times are monotonic-clock nanoseconds accumulated while
-/// [`set_pool_telemetry`] was on.
+/// `usize::MAX`. Times are monotonic-clock nanoseconds, and a parked
+/// worker's lane includes its park so far. Every total only grows; read a
+/// window as `PoolSnapshot::since` its opening snapshot.
 pub fn pool_snapshot() -> PoolSnapshot {
-    let spawned = registry().queue.lock().unwrap().spawned;
+    // Parks begin and end under the registry lock, so holding it makes
+    // every lane's park time consistent with `now`.
+    let q = registry().queue.lock().unwrap();
+    let now = Instant::now();
+    let open_park = |i: usize| q.parked_at[i].map_or(0, |t0| (now - t0).as_nanos() as u64);
     PoolSnapshot {
         workers: worker_stats()
             .iter()
-            .take(spawned)
+            .take(q.spawned)
             .enumerate()
-            .map(|(i, cell)| snap_cell(i, cell))
-            .chain([snap_cell(usize::MAX, &CALLER_STATS)])
+            .map(|(i, cell)| snap_cell(i, cell, open_park(i)))
+            .chain([snap_cell(usize::MAX, &CALLER_STATS, 0)])
             .collect(),
         regions: REGIONS.load(Ordering::Relaxed),
         chunks_total: CHUNKS_TOTAL.load(Ordering::Relaxed),
@@ -240,6 +216,9 @@ struct Queue {
     idle: usize,
     /// Worker threads ever spawned (they never exit).
     spawned: usize,
+    /// When each worker parked, by worker id; `None` while it is not
+    /// parked.
+    parked_at: Vec<Option<Instant>>,
 }
 
 struct Registry {
@@ -254,6 +233,7 @@ fn registry() -> &'static Registry {
             jobs: Vec::new(),
             idle: 0,
             spawned: 0,
+            parked_at: vec![None; MAX_WORKERS],
         }),
         work: Condvar::new(),
     })
@@ -282,9 +262,9 @@ fn worker_loop(reg: &'static Registry, worker_id: usize) {
                     break job;
                 }
                 q.idle += 1;
-                let park_t0 = telemetry_enabled().then(Instant::now);
+                q.parked_at[worker_id] = Some(Instant::now());
                 q = reg.work.wait(q).unwrap();
-                if let Some(t0) = park_t0 {
+                if let Some(t0) = q.parked_at[worker_id].take() {
                     worker_stats()[worker_id]
                         .park_ns
                         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -295,19 +275,15 @@ fn worker_loop(reg: &'static Registry, worker_id: usize) {
 
         let prev_threads = CURRENT_THREADS.with(|c| c.replace(Some(job.threads)));
         let ctx_guard = tenbench_obs::ctx::install_opt(job.ctx);
-        let busy_t0 = telemetry_enabled().then(Instant::now);
+        let busy_t0 = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| job.drain()));
-        if let Some(t0) = busy_t0 {
-            let cell = &worker_stats()[worker_id];
-            cell.busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            cell.regions.fetch_add(1, Ordering::Relaxed);
-            if let Ok(executed) = &result {
-                cell.chunks.fetch_add(*executed, Ordering::Relaxed);
-                CHUNKS_STOLEN.fetch_add(*executed, Ordering::Relaxed);
-            }
-        }
+        let cell = &worker_stats()[worker_id];
+        cell.busy_ns
+            .fetch_add(busy_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        cell.regions.fetch_add(1, Ordering::Relaxed);
         if let Ok(executed) = &result {
+            cell.chunks.fetch_add(*executed, Ordering::Relaxed);
+            CHUNKS_STOLEN.fetch_add(*executed, Ordering::Relaxed);
             if *executed > 0 {
                 // One flight event per region-join, not per chunk.
                 tenbench_obs::flight::note(tenbench_obs::flight::FlightKind::Steal, *executed);
@@ -391,11 +367,9 @@ pub(super) fn run_region(len: usize, grain: usize, body: &(dyn Fn(Range<usize>) 
         .min(nchunks.saturating_sub(1))
         .min(MAX_WORKERS);
     if threads == 1 || len <= grain || helpers == 0 {
-        let t0 = telemetry_enabled().then(Instant::now);
+        let t0 = Instant::now();
         body(0..len);
-        if let Some(t0) = t0 {
-            note_caller_region(t0.elapsed().as_nanos() as u64, 1, 1);
-        }
+        note_caller_region(t0.elapsed().as_nanos() as u64, 1, 1);
         return;
     }
 
@@ -423,12 +397,10 @@ pub(super) fn run_region(len: usize, grain: usize, body: &(dyn Fn(Range<usize>) 
 
     // The caller is participant 0 and always drains; a region finishes
     // even if no worker ever picks it up.
-    let t0 = telemetry_enabled().then(Instant::now);
+    let t0 = Instant::now();
     let caller_result = catch_unwind(AssertUnwindSafe(|| job.drain()));
-    if let Some(t0) = t0 {
-        let executed = *caller_result.as_ref().ok().unwrap_or(&0);
-        note_caller_region(t0.elapsed().as_nanos() as u64, nchunks as u64, executed);
-    }
+    let executed = *caller_result.as_ref().ok().unwrap_or(&0);
+    note_caller_region(t0.elapsed().as_nanos() as u64, nchunks as u64, executed);
 
     retract(&job);
     {

@@ -1,8 +1,9 @@
 //! Tests of the pool behind `core::par` that read process-wide state: the
-//! telemetry switch and counters, the number of workers ever spawned, which
-//! OS threads serve a region. They get their own process and run one at a
-//! time; inside `tenbench-core`'s unit-test binary hundreds of kernel tests
-//! submit regions (and spawn workers) concurrently.
+//! telemetry totals (read as snapshot deltas), the number of workers ever
+//! spawned, which OS threads serve a region. They get their own process and
+//! run one at a time; inside `tenbench-core`'s unit-test binary hundreds of
+//! kernel tests submit regions (and spawn workers) concurrently, and their
+//! regions would land inside these tests' telemetry windows.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -164,16 +165,14 @@ fn pool_telemetry_accounts_regions_and_chunks() {
     let _g = lock();
     // Warm the pool up first so worker spawning isn't measured.
     par::with_threads(4, || par::for_each(1000, 1, |_| {}));
-    par::reset_pool_stats();
-    let prev = par::set_pool_telemetry(true);
+    let before = par::pool_snapshot();
     par::with_threads(4, || {
         par::for_each(100_000, 16, |i| {
             std::hint::black_box(i);
         });
     });
-    par::set_pool_telemetry(prev);
-    let stats = par::pool_snapshot();
-    assert!(stats.regions >= 1, "region counted");
+    let stats = par::pool_snapshot().since(&before);
+    assert_eq!(stats.regions, 1, "one region counted");
     assert!(stats.chunks_total >= 1, "chunks counted");
     let executed: u64 = stats.workers.iter().map(|w| w.chunks).sum();
     assert_eq!(
@@ -226,18 +225,19 @@ fn chunk_claims_balance_across_workers() {
 #[test]
 fn pool_telemetry_consistent_with_wall_time() {
     let _g = lock();
-    // Warm the pool so worker spawning isn't inside the window.
+    // Warm the pool so worker spawning isn't inside the window, then leave
+    // the workers parked for longer than the window lasts: a park that
+    // straddles the opening snapshot may only count its part inside.
     par::with_threads(4, || par::for_each(64, 1, |_| {}));
+    thread::sleep(Duration::from_millis(100));
     let outer_t0 = Instant::now();
-    par::reset_pool_stats();
-    let prev = par::set_pool_telemetry(true);
+    let before = par::pool_snapshot();
     let chunks = 64u64;
     let per_chunk = Duration::from_millis(1);
     par::with_threads(4, || {
         par::for_each(chunks as usize, 1, |_| thread::sleep(per_chunk));
     });
-    par::set_pool_telemetry(prev);
-    let stats = par::pool_snapshot();
+    let stats = par::pool_snapshot().since(&before);
     let outer = outer_t0.elapsed();
 
     // A worker is one OS thread, so neither its busy nor its park time
@@ -268,19 +268,6 @@ fn pool_telemetry_consistent_with_wall_time() {
         busy_total >= floor,
         "lanes under-report busy time: {busy_total}ns < {floor}ns"
     );
-}
-
-#[test]
-fn pool_telemetry_off_accumulates_nothing() {
-    let _g = lock();
-    let prev = par::set_pool_telemetry(false);
-    par::reset_pool_stats();
-    par::for_each(10_000, 8, |_| {});
-    let stats = par::pool_snapshot();
-    assert_eq!(stats.regions, 0);
-    assert_eq!(stats.chunks_total, 0);
-    assert_eq!(stats.workers.last().unwrap().busy_ns, 0);
-    par::set_pool_telemetry(prev);
 }
 
 /// The cut every loop function inherits from the pool: chunks of
@@ -327,14 +314,12 @@ fn chunk_geometry_is_pinned() {
         (64, 1, 1),
     ] {
         let mut v = vec![0usize; rows * width];
-        par::reset_pool_stats();
-        let prev = par::set_pool_telemetry(true);
+        let before = par::pool_snapshot();
         par::with_threads(threads, || {
             par::chunks_mut(&mut v, width, Schedule::Static, |row, s| s.fill(row + 1))
         });
-        par::set_pool_telemetry(prev);
         let pieces = rows.div_ceil(rows.div_ceil(threads));
-        let stats = par::pool_snapshot();
+        let stats = par::pool_snapshot().since(&before);
         assert_eq!(
             (stats.regions, stats.chunks_total),
             (1, pieces as u64),
@@ -359,13 +344,11 @@ fn sequential_ghicoo_ttv_opens_no_region() {
     let fp = g.fibers(2).unwrap();
     assert!(fp.num_fibers() > 64);
     let v = DenseVector::from_fn(4, |i| i as f32 + 1.0);
-    par::reset_pool_stats();
-    let prev = par::set_pool_telemetry(true);
+    let before = par::pool_snapshot();
     let out = par::with_threads(4, || ttv_ghicoo_seq(&g, &fp, &v)).unwrap();
-    par::set_pool_telemetry(prev);
     assert_eq!(out.nnz(), fp.num_fibers());
     assert_eq!(
-        par::pool_snapshot().regions,
+        par::pool_snapshot().since(&before).regions,
         0,
         "the sequential kernel submitted a parallel region"
     );

@@ -1,45 +1,18 @@
 //! Named monotonic counters and settable gauges.
 //!
-//! Counters are plain `AtomicU64`s behind a global enable flag: when
-//! counting is off, [`Counter::add`] is a single relaxed load. The hot
-//! kernels charge FLOP/byte amounts from `core::analysis`'s cost model
-//! here, which is what lets the bench suite compute *achieved*
-//! arithmetic intensity per cell instead of the modelled one.
+//! Counters are plain `AtomicU64`s that always accumulate: [`Counter::add`]
+//! is one relaxed `fetch_add`, and nothing ever resets them. A reader takes
+//! a [`snapshot`] when its window opens and reads the window as [`since`]
+//! that snapshot, so readers (a measured bench cell, a chaos run, a
+//! `scale-bench` window, one trace capture) can overlap in one process
+//! without silencing or zeroing each other. Trace captures themselves run
+//! one at a time: [`crate::start_trace`] drains the shared span sink and
+//! replaces the capture baseline. The hot kernels charge FLOP/byte amounts from
+//! `core::analysis`'s cost model here, once per call, which is what lets
+//! the bench suite compute *achieved* arithmetic intensity per cell
+//! instead of the modelled one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-/// Is counter accumulation currently enabled?
-#[inline]
-pub fn counters_enabled() -> bool {
-    COUNTING.load(Ordering::Relaxed)
-}
-
-/// Enable or disable counter accumulation; returns the previous state.
-pub fn set_counters(on: bool) -> bool {
-    COUNTING.swap(on, Ordering::Relaxed)
-}
-
-/// RAII scope that enables counters and restores the previous state on
-/// drop. Obtain with [`counters_scope`].
-pub struct CountersScope {
-    prev: bool,
-}
-
-impl Drop for CountersScope {
-    fn drop(&mut self) {
-        set_counters(self.prev);
-    }
-}
-
-/// Enable counters for the lifetime of the returned scope guard.
-#[must_use = "counters are disabled again when the scope guard drops"]
-pub fn counters_scope() -> CountersScope {
-    CountersScope {
-        prev: set_counters(true),
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named monotonic counter. Increments are relaxed; totals are only
 /// meaningful once concurrent writers have quiesced (e.g. after a
@@ -58,22 +31,15 @@ impl Counter {
         }
     }
 
-    /// Add `n` if counting is enabled; one relaxed load otherwise.
+    /// Add `n`: one relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if COUNTING.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current total.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 
     /// The counter's registered name.
@@ -193,9 +159,14 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// Reset every counter to zero (gauges are left alone).
-pub fn reset_all() {
-    for c in all() {
-        c.reset();
+/// Every counter's growth since `before` (an earlier [`snapshot`]), in
+/// [`snapshot`]'s order. Gauges are levels, so they keep their current
+/// value. The counters are process-wide: a window also sees what
+/// concurrent work charged while it was open.
+pub fn since(before: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    let mut out = snapshot();
+    for ((_, value), (_, v0)) in out.iter_mut().zip(before).take(all().len()) {
+        *value = value.wrapping_sub(*v0);
     }
+    out
 }

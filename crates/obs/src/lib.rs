@@ -9,9 +9,13 @@
 //!    Buffers register themselves in a process-wide sink and are drained
 //!    by [`stop_trace`].
 //! 2. **Counters** ([`counters`]): named monotonic `AtomicU64` counters
-//!    (FLOPs, bytes moved, retries, ...) and settable gauges. Disabled
-//!    counters are likewise a single relaxed load.
-//! 3. **Exporters** ([`trace`], [`report`]): a drained [`Trace`] renders
+//!    (FLOPs, bytes moved, retries, ...) and settable gauges. Counters
+//!    always accumulate (one relaxed `fetch_add`) and are never reset; a
+//!    reader snapshots them when its window opens and reads the window by
+//!    difference ([`counters::since`]), so overlapping readers cannot
+//!    switch each other off or zero each other.
+//! 3. **Exporters** ([`trace`], [`report`]): a drained [`Trace`] (spans
+//!    plus the counter deltas since [`start_trace`]) renders
 //!    to chrome-trace JSON (loadable in `chrome://tracing` / Perfetto), a
 //!    plain-text hierarchical profile (self/total time per span, per
 //!    thread), or a machine-readable [`report::MetricsReport`].

@@ -1,9 +1,10 @@
 //! Machine-readable metrics report.
 //!
-//! A [`MetricsReport`] condenses one capture — counter totals, per-span
-//! aggregates, and an optional pool-telemetry snapshot supplied by the
+//! A [`MetricsReport`] condenses one capture — counter deltas, per-span
+//! aggregates, and an optional pool-telemetry delta supplied by the
 //! embedder (`tenbench_core::par::pool_snapshot()` returns the
-//! [`PoolSnapshot`] defined here) — into a structure the supervisor can merge into its
+//! [`PoolSnapshot`] defined here, and [`PoolSnapshot::since`] diffs two of
+//! them) — into a structure the supervisor can merge into its
 //! `SweepReport` JSON and `tenbench report` can render.
 
 use std::fmt::Write as _;
@@ -26,7 +27,8 @@ pub struct WorkerSnap {
     pub chunks: u64,
 }
 
-/// A snapshot of the process-wide pool's telemetry.
+/// A snapshot of the process-wide pool's telemetry. The totals only grow:
+/// read a window as [`PoolSnapshot::since`] its opening snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct PoolSnapshot {
     /// Per-worker telemetry (spawned workers, then the caller lane).
@@ -40,10 +42,36 @@ pub struct PoolSnapshot {
     pub chunks_stolen: u64,
 }
 
+impl PoolSnapshot {
+    /// The growth from `before` (an earlier snapshot) to this one, lane by
+    /// lane. A worker spawned in between has no lane in `before` and counts
+    /// from zero.
+    pub fn since(&self, before: &PoolSnapshot) -> PoolSnapshot {
+        let zero = WorkerSnap::default();
+        let lane = |w: &WorkerSnap| {
+            let w0 = before.workers.iter().find(|b| b.worker == w.worker);
+            let w0 = w0.unwrap_or(&zero);
+            WorkerSnap {
+                worker: w.worker,
+                busy_ns: w.busy_ns.wrapping_sub(w0.busy_ns),
+                park_ns: w.park_ns.wrapping_sub(w0.park_ns),
+                regions: w.regions.wrapping_sub(w0.regions),
+                chunks: w.chunks.wrapping_sub(w0.chunks),
+            }
+        };
+        PoolSnapshot {
+            workers: self.workers.iter().map(lane).collect(),
+            regions: self.regions.wrapping_sub(before.regions),
+            chunks_total: self.chunks_total.wrapping_sub(before.chunks_total),
+            chunks_stolen: self.chunks_stolen.wrapping_sub(before.chunks_stolen),
+        }
+    }
+}
+
 /// One capture's metrics in machine-readable form.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsReport {
-    /// Counter/gauge totals at capture end.
+    /// Counter deltas over the capture (gauges at its end).
     pub counters: Vec<(String, u64)>,
     /// Per-span aggregates merged across threads, sorted by name.
     pub spans: Vec<SpanAgg>,

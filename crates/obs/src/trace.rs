@@ -2,42 +2,50 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 use crate::counters;
 use crate::json::escape_json;
 use crate::span::{self, Event, EventKind, ThreadEvents};
 
-/// A drained capture: per-thread event streams plus a counter snapshot.
+/// A drained capture: per-thread event streams plus counter deltas.
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// Per-thread event streams, ordered by trace-local thread id.
     pub threads: Vec<ThreadEvents>,
-    /// Counter totals at [`stop_trace`] time.
+    /// Counter growth from [`start_trace`] to [`stop_trace`] (gauges at
+    /// their [`stop_trace`] level).
     pub counters: Vec<(String, u64)>,
     /// Events dropped during capture (buffer full or claim contention).
     pub dropped_events: u64,
 }
 
-/// Begin a capture: clears stale buffers, resets counters, and enables
-/// both span recording and counter accumulation.
+/// Counter totals when the running capture started. There is one: trace
+/// captures run one at a time.
+static BASELINE: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
+
+/// Begin a capture: clears stale span buffers, snapshots the counters
+/// the capture's deltas are read against, and enables span recording.
+/// One capture at a time: a second `start_trace` before [`stop_trace`]
+/// drains the first one's spans and replaces its baseline. Counter-only
+/// readers ([`crate::counters::since`]) may overlap a capture freely.
 pub fn start_trace() {
     // Discard anything recorded since the previous capture.
     let _ = span::drain_all();
     let _ = span::dropped_and_reset();
-    counters::reset_all();
-    counters::set_counters(true);
+    *BASELINE.lock().unwrap_or_else(|e| e.into_inner()) = counters::snapshot();
     span::set_tracing(true);
 }
 
 /// End a capture and return the recorded [`Trace`]. Disables span
-/// recording and counter accumulation.
+/// recording; the counters keep accumulating.
 pub fn stop_trace() -> Trace {
     span::set_tracing(false);
-    counters::set_counters(false);
     let (threads, dropped) = span::drain_all();
+    let baseline = BASELINE.lock().unwrap_or_else(|e| e.into_inner());
     Trace {
         threads,
-        counters: counters::snapshot()
+        counters: counters::since(&baseline)
             .into_iter()
             .map(|(n, v)| (n.to_string(), v))
             .collect(),

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 use tenbench_obs as obs;
 use tenbench_obs::json::{validate_chrome_trace, Value};
-use tenbench_obs::report::MetricsReport;
+use tenbench_obs::report::{MetricsReport, PoolSnapshot, WorkerSnap};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -102,7 +102,7 @@ fn multithreaded_capture_produces_valid_chrome_trace() {
         .and_then(|o| o.get("kernel.flops"))
         .and_then(Value::as_f64)
         .unwrap();
-    assert!(flops >= 7.0);
+    assert_eq!(flops, 7.0, "the trace carries the delta since start_trace");
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn metrics_report_json_parses_and_renders() {
     assert!(report
         .counters
         .iter()
-        .any(|(n, v)| n == "kernel.bytes" && *v >= 4096));
+        .any(|(n, v)| n == "kernel.bytes" && *v == 4096));
     let json = report.to_json();
     let doc = Value::parse(&json).expect("report JSON parses");
     assert!(doc.get("counters").is_some());
@@ -246,6 +246,69 @@ fn metrics_report_json_parses_and_renders() {
     let text = report.render();
     assert!(text.contains("kernel.bytes"));
     assert!(text.contains("r.span"));
+}
+
+#[test]
+fn counter_windows_overlap_without_disturbing_each_other() {
+    let _g = obs_lock();
+    let outer = obs::counters::snapshot();
+    obs::counters::VALIDATIONS.add(2);
+    obs::start_trace();
+    obs::counters::VALIDATIONS.add(3);
+    let trace = obs::stop_trace();
+    obs::counters::VALIDATIONS.add(5);
+    let name = obs::counters::VALIDATIONS.name();
+    let traced = trace.counters.iter().find(|(n, _)| n == name);
+    assert_eq!(
+        traced.map(|(_, v)| *v),
+        Some(3),
+        "the trace reads its own window"
+    );
+    let enclosing = obs::counters::since(&outer);
+    assert_eq!(
+        enclosing.iter().find(|(n, _)| *n == name).map(|&(_, v)| v),
+        Some(10),
+        "the enclosing window still sees everything, the capture's included"
+    );
+}
+
+#[test]
+fn pool_snapshot_since_diffs_each_lane() {
+    let lane = |worker, busy_ns, park_ns| WorkerSnap {
+        worker,
+        busy_ns,
+        park_ns,
+        regions: busy_ns / 10,
+        chunks: busy_ns / 5,
+    };
+    let before = PoolSnapshot {
+        workers: vec![lane(0, 100, 50), lane(usize::MAX, 40, 0)],
+        regions: 3,
+        chunks_total: 30,
+        chunks_stolen: 10,
+    };
+    let after = PoolSnapshot {
+        workers: vec![lane(0, 150, 80), lane(1, 20, 5), lane(usize::MAX, 60, 0)],
+        regions: 5,
+        chunks_total: 44,
+        chunks_stolen: 15,
+    };
+    let d = after.since(&before);
+    let lanes: Vec<(usize, u64, u64, u64, u64)> = d
+        .workers
+        .iter()
+        .map(|w| (w.worker, w.busy_ns, w.park_ns, w.regions, w.chunks))
+        .collect();
+    // Worker 1 was spawned inside the window: it counts from zero.
+    assert_eq!(
+        lanes,
+        [
+            (0, 50, 30, 5, 10),
+            (1, 20, 5, 2, 4),
+            (usize::MAX, 20, 0, 2, 4)
+        ]
+    );
+    assert_eq!((d.regions, d.chunks_total, d.chunks_stolen), (2, 14, 5));
 }
 
 proptest! {
