@@ -15,9 +15,9 @@
 //! irregular.
 
 /// Bytes per index and per value (32-bit each, as in the paper).
-pub const IDX_BYTES: u64 = 4;
+pub(crate) const IDX_BYTES: u64 = 4;
 /// Bytes per single-precision value.
-pub const VAL_BYTES: u64 = 4;
+pub(crate) const VAL_BYTES: u64 = 4;
 
 /// Floating-point work and memory traffic of one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ impl KernelCost {
     /// Charge one invocation of this cost to the obs counters
     /// (`kernel.flops`, `kernel.bytes`, `kernel.calls`): three relaxed
     /// `fetch_add`s, once per kernel call.
-    pub fn charge(self) {
+    pub(crate) fn charge(self) {
         use tenbench_obs::counters::{BYTES, FLOPS, KERNEL_CALLS};
         FLOPS.add(self.flops);
         BYTES.add(self.bytes);

@@ -21,10 +21,6 @@ pub trait AtomicScalar: Sync + Send + Sized {
 
     /// Atomically add `v` to the cell and return the previous value.
     fn fetch_add(&self, v: Self::Value) -> Self::Value;
-    /// Atomically load the current value.
-    fn load(&self) -> Self::Value;
-    /// Atomically store a value.
-    fn store(&self, v: Self::Value);
     /// Reinterpret a mutable slice of plain values as a slice of cells.
     fn from_mut_slice(slice: &mut [Self::Value]) -> &[Self];
 }
@@ -34,13 +30,6 @@ macro_rules! atomic_float {
         #[doc = $doc]
         #[repr(transparent)]
         pub struct $name($atomic);
-
-        impl $name {
-            /// Create a cell holding `v`.
-            pub fn new(v: $float) -> Self {
-                Self(<$atomic>::new(v.to_bits()))
-            }
-        }
 
         impl AtomicScalar for $name {
             type Value = $float;
@@ -60,16 +49,6 @@ macro_rules! atomic_float {
                         Err(actual) => cur = actual,
                     }
                 }
-            }
-
-            #[inline]
-            fn load(&self) -> $float {
-                <$float>::from_bits(self.0.load(Ordering::Relaxed))
-            }
-
-            #[inline]
-            fn store(&self, v: $float) {
-                self.0.store(v.to_bits(), Ordering::Relaxed)
             }
 
             #[inline]
@@ -106,16 +85,10 @@ mod tests {
 
     #[test]
     fn fetch_add_returns_previous() {
-        let a = AtomicF32::new(1.5);
+        let mut data = [1.5f32];
+        let a = &AtomicF32::from_mut_slice(&mut data)[0];
         assert_eq!(a.fetch_add(2.0), 1.5);
-        assert_eq!(a.load(), 3.5);
-    }
-
-    #[test]
-    fn store_overwrites() {
-        let a = AtomicF64::new(0.0);
-        a.store(-7.25);
-        assert_eq!(a.load(), -7.25);
+        assert_eq!(data[0], 3.5);
     }
 
     #[test]
@@ -142,6 +115,6 @@ mod tests {
         let mut data = vec![1.0f32, 2.0, 3.0];
         let cells = AtomicF32::from_mut_slice(&mut data);
         assert_eq!(cells.len(), 3);
-        assert_eq!(cells[2].load(), 3.0);
+        assert_eq!(cells[2].fetch_add(0.0), 3.0);
     }
 }

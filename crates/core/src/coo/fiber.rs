@@ -41,15 +41,6 @@ impl FiberPartition {
             .max()
             .unwrap_or(0)
     }
-
-    /// Mean fiber length.
-    pub fn mean_fiber_len(&self) -> f64 {
-        if self.num_fibers() == 0 {
-            0.0
-        } else {
-            (self.fptr[self.num_fibers()] - self.fptr[0]) as f64 / self.num_fibers() as f64
-        }
-    }
 }
 
 pub(super) fn fibers<S: Scalar>(t: &mut CooTensor<S>, mode: usize) -> Result<FiberPartition> {
@@ -114,7 +105,6 @@ mod tests {
         assert_eq!(fp.fptr, vec![0, 2, 3, 5]);
         assert_eq!(fp.fiber_range(0), 0..2);
         assert_eq!(fp.max_fiber_len(), 2);
-        assert!((fp.mean_fiber_len() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,7 +127,6 @@ mod tests {
         let fp = t.fibers(1).unwrap();
         assert_eq!(fp.num_fibers(), 0);
         assert_eq!(fp.max_fiber_len(), 0);
-        assert_eq!(fp.mean_fiber_len(), 0.0);
     }
 
     #[test]

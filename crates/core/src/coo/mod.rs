@@ -10,12 +10,10 @@
 
 mod build;
 mod fiber;
-mod matricize;
 mod scoo;
 mod sort;
 
 pub use fiber::FiberPartition;
-pub use matricize::matricize;
 pub use scoo::SemiSparseTensor;
 pub use sort::{SortAlgo, SortState};
 
@@ -196,14 +194,14 @@ impl<S: Scalar> CooTensor<S> {
 
     /// Write the coordinate of nonzero `at` into `buf` (length = order).
     #[inline]
-    pub fn coord_into(&self, at: usize, buf: &mut [u32]) {
+    pub(crate) fn coord_into(&self, at: usize, buf: &mut [u32]) {
         for (m, arr) in self.inds.iter().enumerate() {
             buf[m] = arr[at];
         }
     }
 
     /// The coordinate of nonzero `at` as a fresh `Vec`.
-    pub fn coord(&self, at: usize) -> Vec<u32> {
+    pub(crate) fn coord(&self, at: usize) -> Vec<u32> {
         let mut buf = vec![0u32; self.order()];
         self.coord_into(at, &mut buf);
         buf
@@ -257,7 +255,7 @@ impl<S: Scalar> CooTensor<S> {
 
     /// Compute the mode-`n` fiber partition assuming the tensor is already
     /// mode-last sorted; errors if it is not.
-    pub fn fibers_sorted(&self, mode: usize) -> Result<FiberPartition> {
+    pub(crate) fn fibers_sorted(&self, mode: usize) -> Result<FiberPartition> {
         self.shape.check_mode(mode)?;
         if !self.sort.is_mode_last(self.order(), mode) {
             return Err(TensorError::InvalidStructure(format!(
@@ -317,26 +315,6 @@ impl<S: Scalar> CooTensor<S> {
             at += stride;
         }
         h
-    }
-
-    /// Frobenius norm (`sqrt` of the sum of squared values) — zeros outside
-    /// the pattern contribute nothing, so this is exact for sparse tensors.
-    pub fn frobenius_norm(&self) -> S {
-        self.vals.iter().map(|&v| v * v).sum::<S>().sqrt()
-    }
-
-    /// Inner product with a same-pattern tensor (`<X, Y> = Σ x_i y_i`),
-    /// the quantity tensor-method fit computations need.
-    pub fn inner_same_pattern(&self, other: &CooTensor<S>) -> Result<S> {
-        if !self.same_pattern(other) {
-            return Err(TensorError::PatternMismatch);
-        }
-        Ok(self
-            .vals
-            .iter()
-            .zip(other.vals())
-            .map(|(&a, &b)| a * b)
-            .sum())
     }
 
     /// Collect into a coordinate → value map (sums duplicates). Primarily a
@@ -557,21 +535,6 @@ mod tests {
         let c = CooTensor::from_entries(Shape::new(vec![4, 4, 4]), vec![(vec![0, 0, 1], 1.0f32)])
             .unwrap();
         assert!(!a.same_pattern(&c));
-    }
-
-    #[test]
-    fn norm_and_inner_product() {
-        let t =
-            CooTensor::from_entries(Shape::new(vec![4]), vec![(vec![0], 3.0f64), (vec![2], 4.0)])
-                .unwrap();
-        assert!((t.frobenius_norm() - 5.0).abs() < 1e-12);
-        // <X, X> = ||X||^2; mismatched pattern errors.
-        assert_eq!(t.inner_same_pattern(&t).unwrap(), 25.0);
-        let other = CooTensor::from_entries(Shape::new(vec![4]), vec![(vec![1], 1.0f64)]).unwrap();
-        assert!(matches!(
-            t.inner_same_pattern(&other),
-            Err(TensorError::PatternMismatch)
-        ));
     }
 
     #[test]

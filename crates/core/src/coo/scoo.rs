@@ -27,32 +27,6 @@ pub struct SemiSparseTensor<S: Scalar> {
 }
 
 impl<S: Scalar> SemiSparseTensor<S> {
-    /// Build from parts. `inds[dense_mode]` must be empty; every other index
-    /// array must have the same length `MF`, and `vals` must hold
-    /// `MF * shape.dim(dense_mode)` values.
-    pub fn from_parts(
-        shape: Shape,
-        dense_mode: usize,
-        inds: Vec<Vec<u32>>,
-        vals: Vec<S>,
-    ) -> Result<Self> {
-        shape.check_mode(dense_mode)?;
-        if inds.len() != shape.order() {
-            return Err(TensorError::OrderMismatch {
-                left: shape.order(),
-                right: inds.len(),
-            });
-        }
-        let t = SemiSparseTensor {
-            shape,
-            dense_mode,
-            inds,
-            vals,
-        };
-        t.validate()?;
-        Ok(t)
-    }
-
     pub(crate) fn from_parts_unchecked(
         shape: Shape,
         dense_mode: usize,
@@ -103,19 +77,6 @@ impl<S: Scalar> SemiSparseTensor<S> {
             .map_or(0, |(_, a)| a.len())
     }
 
-    /// Total stored values (`M_F * R`).
-    #[inline]
-    pub fn num_values(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Sparse index of fiber `f` in `mode` (must not be the dense mode).
-    #[inline]
-    pub fn fiber_index(&self, f: usize, mode: usize) -> u32 {
-        debug_assert_ne!(mode, self.dense_mode);
-        self.inds[mode][f]
-    }
-
     /// The index arrays (empty at the dense mode).
     #[inline]
     pub fn inds(&self) -> &[Vec<u32>] {
@@ -137,7 +98,7 @@ impl<S: Scalar> SemiSparseTensor<S> {
 
     /// Expand to plain COO (keeps every stored value, including numerical
     /// zeros inside dense stripes, because semi-sparse storage is positional).
-    pub fn to_coo(&self) -> CooTensor<S> {
+    pub(crate) fn to_coo(&self) -> CooTensor<S> {
         let r = self.dense_size();
         let mf = self.num_fibers();
         let order = self.order();
@@ -188,7 +149,7 @@ impl<S: Scalar> SemiSparseTensor<S> {
     }
 
     /// Check structural invariants.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let mf = self.num_fibers();
         if !self.inds[self.dense_mode].is_empty() {
             return Err(TensorError::InvalidStructure(
@@ -231,13 +192,12 @@ mod tests {
 
     fn sample() -> SemiSparseTensor<f32> {
         // 3x2x3 tensor, dense in mode 2 (size 3), two fibers: (0,1,:) and (2,0,:).
-        SemiSparseTensor::from_parts(
+        SemiSparseTensor::from_parts_unchecked(
             Shape::new(vec![3, 2, 3]),
             2,
             vec![vec![0, 2], vec![1, 0], vec![]],
             vec![1.0, 2.0, 3.0, 4.0, 0.0, 6.0],
         )
-        .unwrap()
     }
 
     #[test]
@@ -246,7 +206,6 @@ mod tests {
         assert_eq!(t.num_fibers(), 2);
         assert_eq!(t.dense_size(), 3);
         assert_eq!(t.fiber_vals(1), &[4.0, 0.0, 6.0]);
-        assert_eq!(t.fiber_index(1, 0), 2);
     }
 
     #[test]
@@ -274,24 +233,24 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_bad_value_count() {
-        let r = SemiSparseTensor::from_parts(
-            Shape::new(vec![3, 2, 3]),
-            2,
-            vec![vec![0], vec![1], vec![]],
-            vec![1.0f32, 2.0],
-        );
-        assert!(r.is_err());
+    fn validate_rejects_bad_value_count() {
+        let t = SemiSparseTensor {
+            shape: Shape::new(vec![3, 2, 3]),
+            dense_mode: 2,
+            inds: vec![vec![0], vec![1], vec![]],
+            vals: vec![1.0f32, 2.0],
+        };
+        assert!(t.validate().is_err());
     }
 
     #[test]
-    fn from_parts_rejects_index_array_on_dense_mode() {
-        let r = SemiSparseTensor::from_parts(
-            Shape::new(vec![3, 2]),
-            1,
-            vec![vec![0], vec![0]],
-            vec![1.0f32, 2.0],
-        );
-        assert!(r.is_err());
+    fn validate_rejects_index_array_on_dense_mode() {
+        let t = SemiSparseTensor {
+            shape: Shape::new(vec![3, 2]),
+            dense_mode: 1,
+            inds: vec![vec![0], vec![0]],
+            vals: vec![1.0f32, 2.0],
+        };
+        assert!(t.validate().is_err());
     }
 }

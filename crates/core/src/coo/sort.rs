@@ -61,12 +61,12 @@ impl SortState {
 
     /// `true` if sorted with `mode` innermost and the remaining modes in
     /// ascending order (the fiber-kernel requirement).
-    pub fn is_mode_last(&self, order: usize, mode: usize) -> bool {
+    pub(crate) fn is_mode_last(&self, order: usize, mode: usize) -> bool {
         self.is_lexicographic(&crate::shape::mode_last_order(order, mode))
     }
 
     /// `true` if Morton-sorted with the given block bits.
-    pub fn is_morton(&self, block_bits: u8) -> bool {
+    pub(crate) fn is_morton(&self, block_bits: u8) -> bool {
         matches!(self, SortState::Morton { block_bits: b } if *b == block_bits)
     }
 }

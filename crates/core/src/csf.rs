@@ -108,32 +108,20 @@ impl<S: Scalar> CsfTensor<S> {
         })
     }
 
-    /// The tensor shape.
-    #[inline]
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Number of modes.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.shape.order()
     }
 
     /// Number of stored nonzeros.
     #[inline]
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
     }
 
-    /// The root-to-leaf mode permutation.
-    #[inline]
-    pub fn mode_order(&self) -> &[usize] {
-        &self.mode_order
-    }
-
     /// Number of nodes at tree level `l` (level `order-1` is the leaves).
-    pub fn num_nodes(&self, l: usize) -> usize {
+    pub(crate) fn num_nodes(&self, l: usize) -> usize {
         self.fids[l].len()
     }
 
@@ -146,7 +134,7 @@ impl<S: Scalar> CsfTensor<S> {
     }
 
     /// Expand to COO (in the CSF's sorted order).
-    pub fn to_coo(&self) -> CooTensor<S> {
+    pub(crate) fn to_coo(&self) -> CooTensor<S> {
         let order = self.order();
         let m = self.nnz();
         let mut inds: Vec<Vec<u32>> = vec![vec![0u32; m]; order];

@@ -81,7 +81,7 @@ impl<S: Scalar> DenseMatrix<S> {
     /// in [`DenseMatrix::zeros`] is an Amdahl term in front of every
     /// scheduled kernel, and remote-node page placement penalizes every
     /// write after it.
-    pub fn zeros_par(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros_par(rows: usize, cols: usize) -> Self {
         let n = padded_len::<S>(rows * cols);
         Self::from_padded(rows, cols, par::first_touch_filled(n, S::ZERO))
     }
@@ -128,7 +128,7 @@ impl<S: Scalar> DenseMatrix<S> {
 
     /// Borrow one row mutably.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [S] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [S] {
         debug_assert!(i < self.rows);
         let lo = self.off + i * self.cols;
         &mut self.buf[lo..lo + self.cols]
@@ -146,13 +146,8 @@ impl<S: Scalar> DenseMatrix<S> {
         &mut self.buf[self.off..]
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> S {
-        self.data().iter().map(|&x| x * x).sum::<S>().sqrt()
-    }
-
     /// Gram matrix `A^T A` (`cols x cols`); used by CP-ALS.
-    pub fn gram(&self) -> DenseMatrix<S> {
+    pub(crate) fn gram(&self) -> DenseMatrix<S> {
         let r = self.cols;
         let mut g = DenseMatrix::zeros(r, r);
         let gd = g.data_mut();
@@ -172,7 +167,7 @@ impl<S: Scalar> DenseMatrix<S> {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &DenseMatrix<S>) -> DenseMatrix<S> {
+    pub(crate) fn hadamard(&self, other: &DenseMatrix<S>) -> DenseMatrix<S> {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let vals = self.data().iter().zip(other.data()).map(|(&a, &b)| a * b);
         Self::collect(self.rows, self.cols, vals)
@@ -180,7 +175,7 @@ impl<S: Scalar> DenseMatrix<S> {
 
     /// Normalize each column to unit 2-norm, returning the norms.
     /// Zero columns are left untouched and report norm 0.
-    pub fn normalize_columns(&mut self) -> Vec<S> {
+    pub(crate) fn normalize_columns(&mut self) -> Vec<S> {
         let mut norms = vec![S::ZERO; self.cols];
         for i in 0..self.rows {
             let row = self.row(i);
@@ -206,7 +201,7 @@ impl<S: Scalar> DenseMatrix<S> {
     /// symmetric positive (semi-)definite matrix, via Gauss–Jordan with
     /// partial pivoting and Tikhonov fallback. Used by CP-ALS where
     /// `self = hadamard of grams`. Returns `rhs * self^{-1}` row by row.
-    pub fn solve_spd_rhs(&self, rhs: &DenseMatrix<S>) -> DenseMatrix<S> {
+    pub(crate) fn solve_spd_rhs(&self, rhs: &DenseMatrix<S>) -> DenseMatrix<S> {
         assert_eq!(self.rows, self.cols, "system matrix must be square");
         assert_eq!(rhs.cols, self.rows, "rhs width must match system size");
         let r = self.rows;
@@ -371,12 +366,6 @@ mod tests {
         let rhs = DenseMatrix::from_vec(1, 2, vec![1.0, 1.0]);
         let x = sys.solve_spd_rhs(&rhs);
         assert!(x.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let a = DenseMatrix::from_vec(1, 2, vec![3.0f32, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

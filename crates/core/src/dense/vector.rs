@@ -12,7 +12,7 @@ pub struct DenseVector<S: Scalar> {
 
 impl<S: Scalar> DenseVector<S> {
     /// Zero-filled vector of length `n`.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         DenseVector {
             data: vec![S::ZERO; n],
         }
@@ -60,7 +60,7 @@ impl<S: Scalar> DenseVector<S> {
 
     /// Scale to unit norm; returns the original norm. A zero vector is left
     /// unchanged and reports norm 0.
-    pub fn normalize(&mut self) -> S {
+    pub(crate) fn normalize(&mut self) -> S {
         let n = self.norm2();
         if n != S::ZERO {
             for v in &mut self.data {
@@ -74,7 +74,7 @@ impl<S: Scalar> DenseVector<S> {
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn dot(&self, other: &DenseVector<S>) -> S {
+    pub(crate) fn dot(&self, other: &DenseVector<S>) -> S {
         assert_eq!(self.len(), other.len());
         self.data
             .iter()

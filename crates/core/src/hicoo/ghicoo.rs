@@ -63,14 +63,8 @@ impl GhFiberPartition {
 
     /// Half-open nonzero range of fiber `f`.
     #[inline]
-    pub fn fiber_range(&self, f: usize) -> std::ops::Range<usize> {
+    pub(crate) fn fiber_range(&self, f: usize) -> std::ops::Range<usize> {
         self.fptr[f]..self.fptr[f + 1]
-    }
-
-    /// Half-open fiber range of block `b`.
-    #[inline]
-    pub fn block_fibers(&self, b: usize) -> std::ops::Range<usize> {
-        self.block_fiber_ptr[b]..self.block_fiber_ptr[b + 1]
     }
 }
 
@@ -199,19 +193,19 @@ impl<S: Scalar> GHicooTensor<S> {
 
     /// The tensor shape.
     #[inline]
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
     /// Number of modes.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.shape.order()
     }
 
     /// Number of stored nonzeros.
     #[inline]
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
     }
 
@@ -223,32 +217,26 @@ impl<S: Scalar> GHicooTensor<S> {
 
     /// log2 of the block edge length.
     #[inline]
-    pub fn block_bits(&self) -> u8 {
+    pub(crate) fn block_bits(&self) -> u8 {
         self.block_bits
-    }
-
-    /// Per-mode compression flags.
-    #[inline]
-    pub fn compressed(&self) -> &[bool] {
-        &self.compressed
     }
 
     /// Half-open nonzero range of block `b`.
     #[inline]
-    pub fn block_range(&self, b: usize) -> std::ops::Range<usize> {
+    pub(crate) fn block_range(&self, b: usize) -> std::ops::Range<usize> {
         self.bptr[b] as usize..self.bptr[b + 1] as usize
     }
 
     /// Block coordinate of block `b` in a compressed `mode`.
     #[inline]
-    pub fn block_ind(&self, b: usize, mode: usize) -> u32 {
+    pub(crate) fn block_ind(&self, b: usize, mode: usize) -> u32 {
         debug_assert!(self.compressed[mode]);
         self.binds[mode][b]
     }
 
     /// Element index array of a compressed mode.
     #[inline]
-    pub fn eind(&self, mode: usize) -> &[u8] {
+    pub(crate) fn eind(&self, mode: usize) -> &[u8] {
         debug_assert!(self.compressed[mode]);
         &self.einds[mode]
     }
@@ -262,12 +250,12 @@ impl<S: Scalar> GHicooTensor<S> {
 
     /// The values.
     #[inline]
-    pub fn vals(&self) -> &[S] {
+    pub(crate) fn vals(&self) -> &[S] {
         &self.vals
     }
 
     /// Reconstruct the full coordinate of nonzero `x` inside block `b`.
-    pub fn coord_of(&self, b: usize, x: usize, buf: &mut [u32]) {
+    pub(crate) fn coord_of(&self, b: usize, x: usize, buf: &mut [u32]) {
         for mode in 0..self.order() {
             buf[mode] = if self.compressed[mode] {
                 (self.binds[mode][b] << self.block_bits) | self.einds[mode][x] as u32
@@ -527,7 +515,7 @@ mod tests {
         assert_eq!(total, coo.nnz());
         // Every block's fibers cover exactly its nonzero range.
         for b in 0..g.num_blocks() {
-            let fr = fp.block_fibers(b);
+            let fr = fp.block_fiber_ptr[b]..fp.block_fiber_ptr[b + 1];
             assert_eq!(fp.fptr[fr.start], g.block_range(b).start);
             assert_eq!(fp.fptr[fr.end], g.block_range(b).end);
         }

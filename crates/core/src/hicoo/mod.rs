@@ -18,7 +18,7 @@
 //! of sCOO).
 
 mod ghicoo;
-pub mod morton;
+pub(crate) mod morton;
 mod shicoo;
 
 pub use ghicoo::{GHicooTensor, GhFiberPartition};
@@ -208,7 +208,7 @@ impl<S: Scalar> HicooTensor<S> {
 
     /// The tensor shape.
     #[inline]
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
@@ -305,7 +305,7 @@ impl<S: Scalar> HicooTensor<S> {
 
     /// Reconstruct the full coordinate of nonzero `x` inside block `b`.
     #[inline]
-    pub fn coord_of(&self, b: usize, x: usize, buf: &mut [u32]) {
+    pub(crate) fn coord_of(&self, b: usize, x: usize, buf: &mut [u32]) {
         for mode in 0..self.order() {
             buf[mode] = (self.binds()[mode][b] << self.block_bits) | self.einds()[mode][x] as u32;
         }
@@ -452,11 +452,6 @@ impl<S: Scalar> HicooTensor<S> {
             }
         }
         Ok(())
-    }
-
-    /// Count NaN/Inf values (see [`CooTensor::nonfinite_count`]).
-    pub fn nonfinite_count(&self) -> usize {
-        self.vals.iter().filter(|v| !v.is_finite()).count()
     }
 }
 
@@ -611,15 +606,6 @@ mod tests {
             t.validate(),
             Err(TensorError::InvalidStructure(_))
         ));
-    }
-
-    #[test]
-    fn nonfinite_count_flags_poisoned_values() {
-        let mut h = HicooTensor::from_coo(&fig2_tensor(), 1).unwrap();
-        assert_eq!(h.nonfinite_count(), 0);
-        h.vals_mut()[2] = f32::NAN;
-        h.vals_mut()[5] = f32::INFINITY;
-        assert_eq!(h.nonfinite_count(), 2);
     }
 
     #[test]

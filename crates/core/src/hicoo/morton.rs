@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 ///
 /// # Panics
 /// Panics if `coords.len() > 4` (the packed key would overflow 128 bits).
-pub fn interleave_key(coords: &[u32]) -> u128 {
+pub(crate) fn interleave_key(coords: &[u32]) -> u128 {
     interleave_key_bits(coords, 32)
 }
 
@@ -27,7 +27,7 @@ pub fn interleave_key(coords: &[u32]) -> u128 {
 ///
 /// # Panics
 /// Panics if `coords.len() > 4` or if `bits * coords.len() > 128`.
-pub fn interleave_key_bits(coords: &[u32], bits: usize) -> u128 {
+pub(crate) fn interleave_key_bits(coords: &[u32], bits: usize) -> u128 {
     let order = coords.len();
     assert!(
         (1..=4).contains(&order),
@@ -54,7 +54,7 @@ fn less_msb(x: u32, y: u32) -> bool {
 /// Compare two coordinate tuples in Morton order without materializing keys.
 /// Works for any tensor order. Mode 0 is most significant at equal bit
 /// levels, matching [`interleave_key`].
-pub fn morton_cmp(a: &[u32], b: &[u32]) -> Ordering {
+pub(crate) fn morton_cmp(a: &[u32], b: &[u32]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     let mut msd = 0usize; // mode with the most significant differing bit
     let mut best = 0u32; // XOR value at that mode

@@ -11,8 +11,6 @@ use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
 use crate::shape::Shape;
 
-use super::check_block_bits;
-
 /// A semi-sparse tensor in HiCOO form: blocked sparse modes, one dense mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemiSparseHicooTensor<S: Scalar> {
@@ -30,32 +28,6 @@ pub struct SemiSparseHicooTensor<S: Scalar> {
 }
 
 impl<S: Scalar> SemiSparseHicooTensor<S> {
-    /// Build from parts, validating the structure.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        shape: Shape,
-        block_bits: u8,
-        dense_mode: usize,
-        bptr: Vec<u64>,
-        binds: Vec<Vec<u32>>,
-        einds: Vec<Vec<u8>>,
-        vals: Vec<S>,
-    ) -> Result<Self> {
-        check_block_bits(block_bits)?;
-        shape.check_mode(dense_mode)?;
-        let t = SemiSparseHicooTensor {
-            shape,
-            block_bits,
-            dense_mode,
-            bptr,
-            binds,
-            einds,
-            vals,
-        };
-        t.validate()?;
-        Ok(t)
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts_unchecked(
         shape: Shape,
@@ -79,34 +51,16 @@ impl<S: Scalar> SemiSparseHicooTensor<S> {
         t
     }
 
-    /// The tensor shape (the dense mode's size is the stripe length).
-    #[inline]
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Number of modes.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.shape.order()
-    }
-
-    /// Which mode is dense.
-    #[inline]
-    pub fn dense_mode(&self) -> usize {
-        self.dense_mode
     }
 
     /// Length of each dense stripe.
     #[inline]
-    pub fn dense_size(&self) -> usize {
+    pub(crate) fn dense_size(&self) -> usize {
         self.shape.dim(self.dense_mode) as usize
-    }
-
-    /// log2 of the block edge length.
-    #[inline]
-    pub fn block_bits(&self) -> u8 {
-        self.block_bits
     }
 
     /// Number of blocks.
@@ -126,15 +80,8 @@ impl<S: Scalar> SemiSparseHicooTensor<S> {
 
     /// Half-open fiber range of block `b`.
     #[inline]
-    pub fn block_fibers(&self, b: usize) -> std::ops::Range<usize> {
+    pub(crate) fn block_fibers(&self, b: usize) -> std::ops::Range<usize> {
         self.bptr[b] as usize..self.bptr[b + 1] as usize
-    }
-
-    /// The dense stripe of fiber `f`.
-    #[inline]
-    pub fn fiber_vals(&self, f: usize) -> &[S] {
-        let r = self.dense_size();
-        &self.vals[f * r..(f + 1) * r]
     }
 
     /// All values, fiber-major.
@@ -145,7 +92,7 @@ impl<S: Scalar> SemiSparseHicooTensor<S> {
 
     /// Reconstruct the sparse coordinate of fiber `f` in block `b`, writing
     /// into `buf` (the dense mode's slot is left untouched).
-    pub fn fiber_coord(&self, b: usize, f: usize, buf: &mut [u32]) {
+    pub(crate) fn fiber_coord(&self, b: usize, f: usize, buf: &mut [u32]) {
         for mode in 0..self.order() {
             if mode != self.dense_mode {
                 buf[mode] = (self.binds[mode][b] << self.block_bits) | self.einds[mode][f] as u32;
@@ -197,7 +144,7 @@ impl<S: Scalar> SemiSparseHicooTensor<S> {
     }
 
     /// Check structural invariants.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let mf = self.num_fibers();
         let nb = self.num_blocks();
         if self.bptr.first() != Some(&0) || *self.bptr.last().unwrap_or(&0) != mf as u64 {
@@ -253,7 +200,7 @@ mod tests {
     /// 2x2 blocks over modes (0,1): fibers (0,1,:), (1,0,:) in block (0,0)
     /// and (3,2,:) in block (1,1).
     fn sample() -> SemiSparseHicooTensor<f32> {
-        SemiSparseHicooTensor::from_parts(
+        SemiSparseHicooTensor::from_parts_unchecked(
             Shape::new(vec![4, 4, 3]),
             1,
             2,
@@ -262,7 +209,6 @@ mod tests {
             vec![vec![0, 1, 1], vec![1, 0, 0], vec![]],
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.0, 9.0],
         )
-        .unwrap()
     }
 
     #[test]
@@ -271,7 +217,6 @@ mod tests {
         assert_eq!(t.num_fibers(), 3);
         assert_eq!(t.num_blocks(), 2);
         assert_eq!(t.dense_size(), 3);
-        assert_eq!(t.fiber_vals(2), &[7.0, 0.0, 9.0]);
         assert_eq!(t.block_fibers(1), 2..3);
     }
 
@@ -296,16 +241,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_bptr() {
-        let r = SemiSparseHicooTensor::<f32>::from_parts(
-            Shape::new(vec![4, 4, 3]),
-            1,
-            2,
-            vec![0, 5],
-            vec![vec![0], vec![0], vec![]],
-            vec![vec![0], vec![1], vec![]],
-            vec![1.0, 2.0, 3.0],
-        );
-        assert!(r.is_err());
+        let t = SemiSparseHicooTensor::<f32> {
+            shape: Shape::new(vec![4, 4, 3]),
+            block_bits: 1,
+            dense_mode: 2,
+            bptr: vec![0, 5],
+            binds: vec![vec![0], vec![0], vec![]],
+            einds: vec![vec![0], vec![1], vec![]],
+            vals: vec![1.0, 2.0, 3.0],
+        };
+        assert!(t.validate().is_err());
     }
 
     #[test]

@@ -34,22 +34,12 @@ pub enum EwOp {
 impl EwOp {
     /// Apply the operation to a pair of values.
     #[inline]
-    pub fn apply<S: crate::scalar::Scalar>(self, a: S, b: S) -> S {
+    pub(crate) fn apply<S: crate::scalar::Scalar>(self, a: S, b: S) -> S {
         match self {
             EwOp::Add => a + b,
             EwOp::Sub => a - b,
             EwOp::Mul => a * b,
             EwOp::Div => a / b,
-        }
-    }
-
-    /// Short lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EwOp::Add => "add",
-            EwOp::Sub => "sub",
-            EwOp::Mul => "mul",
-            EwOp::Div => "div",
         }
     }
 }

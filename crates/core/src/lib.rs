@@ -67,7 +67,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod analysis;
-pub mod atomic;
+pub(crate) mod atomic;
 pub mod coo;
 pub mod csf;
 pub mod dense;
@@ -76,12 +76,12 @@ pub mod hicoo;
 pub mod kernels;
 pub mod methods;
 pub mod par;
-pub mod radix;
+pub(crate) mod radix;
 pub mod reorder;
 pub mod scalar;
 pub mod sched;
 pub mod shape;
-pub mod simd;
+pub(crate) mod simd;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
@@ -90,10 +90,8 @@ pub mod prelude {
     pub use crate::error::{Result, TensorError};
     pub use crate::hicoo::{GHicooTensor, HicooTensor, SemiSparseHicooTensor};
     pub use crate::kernels::{EwOp, Kernel};
-    pub use crate::scalar::Scalar;
     pub use crate::shape::Shape;
 }
 
 pub use crate::error::{Result, TensorError};
-pub use crate::scalar::Scalar;
 pub use crate::shape::Shape;

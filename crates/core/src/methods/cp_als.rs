@@ -112,22 +112,6 @@ pub struct CpDecomposition<S: Scalar> {
     pub iterations: usize,
 }
 
-impl<S: Scalar> CpDecomposition<S> {
-    /// Evaluate the model at one coordinate.
-    pub fn predict(&self, coord: &[u32]) -> S {
-        let r = self.lambda.len();
-        let mut acc = S::ZERO;
-        for k in 0..r {
-            let mut term = self.lambda[k];
-            for (m, f) in self.factors.iter().enumerate() {
-                term *= f[(coord[m] as usize, k)];
-            }
-            acc += term;
-        }
-        acc
-    }
-}
-
 /// Run CP-ALS on a sparse tensor.
 ///
 /// # Examples
@@ -300,6 +284,19 @@ mod tests {
 
     use super::*;
 
+    /// Evaluate the model at one coordinate.
+    fn predict(d: &CpDecomposition<f64>, coord: &[u32]) -> f64 {
+        (0..d.lambda.len())
+            .map(|k| {
+                let mut term = d.lambda[k];
+                for (m, f) in d.factors.iter().enumerate() {
+                    term *= f[(coord[m] as usize, k)];
+                }
+                term
+            })
+            .sum()
+    }
+
     /// Build an exactly rank-1 tensor: x_ijk = a_i b_j c_k over a dense-ish
     /// pattern.
     fn rank_one_tensor() -> CooTensor<f64> {
@@ -330,7 +327,7 @@ mod tests {
         assert!(d.fit > 0.999, "fit = {}", d.fit);
         // Predicted values match.
         for (c, v) in x.iter_entries() {
-            let p = d.predict(&c);
+            let p = predict(&d, &c);
             assert!((p - v).abs() < 1e-5 * v.abs().max(1.0), "{p} vs {v}");
         }
     }

@@ -6,7 +6,7 @@
 //! functions on top of it, one per loop shape the suite has:
 //! [`for_each`] and [`map_collect`] over an index range, [`map_chunks`] for
 //! ordered per-chunk results, [`chunks_mut`] for disjoint output rows under
-//! a [`Schedule`], and the comparator [`sort_unstable_by`]. Each passes its
+//! a [`Schedule`], and the comparator `sort_unstable_by`. Each passes its
 //! `(len, grain)` straight to the pool, so the way a loop is cut into chunks
 //! is decided in exactly one place.
 
@@ -17,7 +17,7 @@ mod pool;
 mod sort;
 
 pub use pool::{current_threads, pool_snapshot, with_threads};
-pub use sort::sort_unstable_by;
+pub(crate) use sort::sort_unstable_by;
 
 /// Loop scheduling strategy, mirroring OpenMP's `schedule(static)` /
 /// `schedule(dynamic, grain)` clauses that the paper tunes per kernel.
@@ -154,7 +154,7 @@ const FIRST_TOUCH_GRAIN: usize = 1 << 15;
 /// the scheduled kernel itself at 8 threads). Touching pages from the
 /// workers that will write them spreads both the fault cost and the page
 /// placement.
-pub fn first_touch_filled<T: Copy + Send + Sync>(n: usize, value: T) -> Vec<T> {
+pub(crate) fn first_touch_filled<T: Copy + Send + Sync>(n: usize, value: T) -> Vec<T> {
     let mut v: Vec<T> = Vec::with_capacity(n);
     let spare = &mut v.spare_capacity_mut()[..n];
     chunks_mut(spare, FIRST_TOUCH_GRAIN, Schedule::DYNAMIC, |_, chunk| {

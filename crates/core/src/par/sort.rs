@@ -39,7 +39,7 @@ where
 /// Sort `data` in place, unstably, on up to [`current_threads`] workers.
 /// The result is the same permutation at every width whenever `cmp` is a
 /// total order without ties (the COO sorts break ties by position).
-pub fn sort_unstable_by<T, F>(data: &mut [T], cmp: F)
+pub(crate) fn sort_unstable_by<T, F>(data: &mut [T], cmp: F)
 where
     T: Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,

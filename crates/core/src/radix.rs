@@ -36,7 +36,7 @@ const SCAN_PAR_MIN_CHUNKS: usize = 32;
 
 /// Number of 8-bit passes needed to cover `max_key`.
 #[inline]
-pub fn passes_for(max_key: u128) -> usize {
+pub(crate) fn passes_for(max_key: u128) -> usize {
     if max_key == 0 {
         0
     } else {
@@ -46,7 +46,7 @@ pub fn passes_for(max_key: u128) -> usize {
 
 /// Bits needed to represent every value in `0..=max_value`.
 #[inline]
-pub fn bits_for(max_value: u32) -> u32 {
+pub(crate) fn bits_for(max_value: u32) -> u32 {
     32 - max_value.leading_zeros()
 }
 
@@ -60,7 +60,7 @@ unsafe impl Send for RawOut {}
 /// `digit(p, pass)` must return byte `pass` (0 = least significant) of
 /// element `p`'s key and be pure: the engine may evaluate it repeatedly and
 /// from any thread. `passes` bounds the key width; use [`passes_for`].
-pub fn sort_perm_by_digits<D>(perm: &mut Vec<u32>, passes: usize, digit: D)
+pub(crate) fn sort_perm_by_digits<D>(perm: &mut Vec<u32>, passes: usize, digit: D)
 where
     D: Fn(u32, usize) -> u8 + Sync,
 {
@@ -217,7 +217,7 @@ where
 
 /// Stably sort `perm` by precomputed packed keys (`keys[p]`), processing
 /// only the bytes up to the highest set byte of `max_key`.
-pub fn sort_perm_by_u128_keys(perm: &mut Vec<u32>, keys: &[u128], max_key: u128) {
+pub(crate) fn sort_perm_by_u128_keys(perm: &mut Vec<u32>, keys: &[u128], max_key: u128) {
     let passes = passes_for(max_key);
     sort_perm_by_digits(perm, passes, |p, pass| {
         (keys[p as usize] >> (8 * pass)) as u8
@@ -226,7 +226,7 @@ pub fn sort_perm_by_u128_keys(perm: &mut Vec<u32>, keys: &[u128], max_key: u128)
 
 /// Stably sort `perm` by a `u32` key, processing only the bytes up to the
 /// highest set byte of `max_value`.
-pub fn sort_perm_by_u32_key<K>(perm: &mut Vec<u32>, key: K, max_value: u32)
+pub(crate) fn sort_perm_by_u32_key<K>(perm: &mut Vec<u32>, key: K, max_value: u32)
 where
     K: Fn(u32) -> u32 + Sync,
 {

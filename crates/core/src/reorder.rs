@@ -7,7 +7,7 @@
 //! together, which measurably raises cache hit rates on power-law tensors.
 
 use crate::coo::CooTensor;
-use crate::dense::{DenseMatrix, DenseVector};
+use crate::dense::DenseVector;
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
 
@@ -92,17 +92,6 @@ pub fn permute_vector<S: Scalar>(v: &DenseVector<S>, perm: &[u32]) -> Result<Den
     Ok(out)
 }
 
-/// Permute a factor matrix's rows to match a relabeled mode:
-/// `out.row(perm[i]) = m.row(i)`.
-pub fn permute_matrix_rows<S: Scalar>(m: &DenseMatrix<S>, perm: &[u32]) -> Result<DenseMatrix<S>> {
-    check_permutation(perm, m.rows() as u32)?;
-    let mut out = DenseMatrix::zeros(m.rows(), m.cols());
-    for (i, &p) in perm.iter().enumerate() {
-        out.row_mut(p as usize).copy_from_slice(m.row(i));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use crate::kernels::ttv::ttv;
@@ -166,14 +155,5 @@ mod tests {
         assert!(apply_mode_permutation(&mut x, 0, &[0, 0, 1, 2]).is_err()); // dup
         assert!(apply_mode_permutation(&mut x, 0, &[0, 1, 2, 9]).is_err()); // range
         assert!(apply_mode_permutation(&mut x, 5, &[0, 1, 2, 3]).is_err()); // mode
-    }
-
-    #[test]
-    fn permute_matrix_rows_moves_whole_rows() {
-        let m = DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f32);
-        let out = permute_matrix_rows(&m, &[2, 0, 1]).unwrap();
-        assert_eq!(out.row(2), m.row(0));
-        assert_eq!(out.row(0), m.row(1));
-        assert_eq!(out.row(1), m.row(2));
     }
 }

@@ -183,12 +183,6 @@ impl ModeSchedule {
         self.out_block.len()
     }
 
-    /// Total nonzeros covered by the schedule.
-    #[inline]
-    pub fn nnz(&self) -> u64 {
-        self.nnz_ptr[self.num_groups()]
-    }
-
     /// The group ranges of this call's parallel tasks, cut for
     /// [`current_threads`]: non-empty, ascending, and together covering
     /// every group.
@@ -198,37 +192,26 @@ impl ModeSchedule {
 
     /// Block ids of group `g`, ascending.
     #[inline]
-    pub fn group_blocks(&self, g: usize) -> &[u32] {
+    pub(crate) fn group_blocks(&self, g: usize) -> &[u32] {
         &self.blocks[self.gptr[g] as usize..self.gptr[g + 1] as usize]
-    }
-
-    /// Mode-`n` block index written by group `g`.
-    #[inline]
-    pub fn group_out_block(&self, g: usize) -> u32 {
-        self.out_block[g]
     }
 
     /// First output row of group `g`.
     #[inline]
-    pub fn group_row_base(&self, g: usize) -> usize {
+    pub(crate) fn group_row_base(&self, g: usize) -> usize {
         (self.out_block[g] as usize) << self.block_bits
     }
 
     /// Output row range written by the task owning `groups` (one range of
     /// [`ModeSchedule::tasks`]), clamped to `rows_n`. Ranges of successive
     /// tasks are disjoint and ascending (gaps stay zero).
-    pub fn task_row_range(&self, groups: &Range<usize>, rows_n: usize) -> Range<usize> {
+    pub(crate) fn task_row_range(&self, groups: &Range<usize>, rows_n: usize) -> Range<usize> {
         if groups.is_empty() {
             return 0..0;
         }
         let lo = self.group_row_base(groups.start);
         let hi = ((self.out_block[groups.end - 1] as usize + 1) << self.block_bits).min(rows_n);
         lo.min(rows_n)..hi
-    }
-
-    /// Approximate resident size in bytes (for DESIGN.md accounting).
-    pub fn storage_bytes(&self) -> usize {
-        4 * (self.blocks.len() + self.gptr.len() + self.out_block.len()) + 8 * self.nnz_ptr.len()
     }
 }
 
@@ -294,7 +277,7 @@ impl RowSchedule {
     /// Positions (into the original nonzero arrays) of row `i`'s nonzeros,
     /// in ascending original order.
     #[inline]
-    pub fn row_entries(&self, i: usize) -> &[u32] {
+    pub(crate) fn row_entries(&self, i: usize) -> &[u32] {
         &self.perm[self.rptr[i] as usize..self.rptr[i + 1] as usize]
     }
 }
@@ -345,13 +328,13 @@ impl ComplementSchedule {
 
     /// Number of output blocks (groups).
     #[inline]
-    pub fn num_groups(&self) -> usize {
+    pub(crate) fn num_groups(&self) -> usize {
         self.gptr.len() - 1
     }
 
     /// Block ids of group `g`, ascending.
     #[inline]
-    pub fn group_blocks(&self, g: usize) -> &[u32] {
+    pub(crate) fn group_blocks(&self, g: usize) -> &[u32] {
         &self.blocks[self.gptr[g] as usize..self.gptr[g + 1] as usize]
     }
 }
@@ -419,7 +402,7 @@ mod tests {
             seen.sort_unstable();
             let expect: Vec<u32> = (0..h.num_blocks() as u32).collect();
             assert_eq!(seen, expect, "mode {mode}");
-            assert_eq!(s.nnz(), h.nnz() as u64);
+            assert_eq!(s.nnz_ptr[s.num_groups()], h.nnz() as u64);
         }
     }
 
@@ -429,12 +412,12 @@ mod tests {
         let s = ModeSchedule::build(&h.binds()[0], h.bptr(), h.block_bits());
         for g in 0..s.num_groups() {
             for &b in s.group_blocks(g) {
-                assert_eq!(h.block_ind(b as usize, 0), s.group_out_block(g));
+                assert_eq!(h.block_ind(b as usize, 0), s.out_block[g]);
             }
         }
         // Groups strictly ascending.
         for g in 1..s.num_groups() {
-            assert!(s.group_out_block(g) > s.group_out_block(g - 1));
+            assert!(s.out_block[g] > s.out_block[g - 1]);
         }
     }
 
@@ -458,7 +441,7 @@ mod tests {
         let s = ModeSchedule::build(&[], &[0], 2);
         assert_eq!(s.num_groups(), 0);
         assert!(s.tasks().is_empty());
-        assert_eq!(s.nnz(), 0);
+        assert_eq!(s.nnz_ptr[s.num_groups()], 0);
         let rs = RowSchedule::build(&[], 5);
         assert_eq!(rs.row_entries(0), &[] as &[u32]);
         let cs = ComplementSchedule::build(&[vec![], vec![]], 0, 0);

@@ -52,12 +52,12 @@ impl Shape {
     /// Total number of positions (dense element count) as `f64`; `f64` is
     /// used because 4th-order shapes like `(8.3M)^4` overflow `u128` densities
     /// more gracefully in floating point.
-    pub fn dense_count(&self) -> f64 {
+    pub(crate) fn dense_count(&self) -> f64 {
         self.dims.iter().map(|&d| d as f64).product()
     }
 
     /// Density of a tensor with `nnz` nonzeros at this shape.
-    pub fn density(&self, nnz: usize) -> f64 {
+    pub(crate) fn density(&self, nnz: usize) -> f64 {
         nnz as f64 / self.dense_count()
     }
 
@@ -74,7 +74,7 @@ impl Shape {
     }
 
     /// Validate a single coordinate tuple against this shape.
-    pub fn check_coord(&self, coord: &[u32]) -> Result<()> {
+    pub(crate) fn check_coord(&self, coord: &[u32]) -> Result<()> {
         if coord.len() != self.order() {
             return Err(TensorError::OrderMismatch {
                 left: self.order(),
@@ -94,7 +94,7 @@ impl Shape {
     }
 
     /// The shape obtained by removing `mode` (the output shape of Ttv).
-    pub fn without_mode(&self, mode: usize) -> Result<Shape> {
+    pub(crate) fn without_mode(&self, mode: usize) -> Result<Shape> {
         self.check_mode(mode)?;
         if self.order() < 2 {
             return Err(TensorError::OrderTooSmall {
@@ -114,7 +114,7 @@ impl Shape {
 
     /// The shape obtained by replacing `mode`'s size with `r` (the output
     /// shape of Ttm with an `I_n x R` matrix).
-    pub fn with_mode_size(&self, mode: usize, r: u32) -> Result<Shape> {
+    pub(crate) fn with_mode_size(&self, mode: usize, r: u32) -> Result<Shape> {
         self.check_mode(mode)?;
         let mut dims = self.dims.clone();
         dims[mode] = r;
@@ -133,7 +133,7 @@ impl fmt::Display for Shape {
 /// keeping the remaining modes in ascending order. This is the sort order
 /// required by the fiber-based Ttv/Ttm kernels: nonzeros of one mode-`n`
 /// fiber become consecutive.
-pub fn mode_last_order(order: usize, mode: usize) -> Vec<usize> {
+pub(crate) fn mode_last_order(order: usize, mode: usize) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
     perm.push(mode);
     perm

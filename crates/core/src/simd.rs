@@ -16,17 +16,9 @@
 use crate::kernels::EwOp;
 use crate::scalar::Scalar;
 
-/// `dst[i] += src[i]` (the accumulate step of MTTKRP into an output row).
-#[inline]
-pub fn add_assign<S: Scalar>(dst: &mut [S], src: &[S]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// `dst[i] += src[i] * v` (the TTM stripe update).
 #[inline]
-pub fn axpy<S: Scalar>(dst: &mut [S], src: &[S], v: S) {
+pub(crate) fn axpy<S: Scalar>(dst: &mut [S], src: &[S], v: S) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s * v;
     }
@@ -36,7 +28,7 @@ pub fn axpy<S: Scalar>(dst: &mut [S], src: &[S], v: S) {
 /// MTTKRP body. The `rows` slice holds the non-mode factor rows in mode
 /// order, each at least as long as `dst`.
 #[inline]
-pub fn accum_rows<S: Scalar>(dst: &mut [S], val: S, rows: &[&[S]]) {
+pub(crate) fn accum_rows<S: Scalar>(dst: &mut [S], val: S, rows: &[&[S]]) {
     match rows {
         [a] => {
             for (d, &x) in dst.iter_mut().zip(a.iter()) {
@@ -75,7 +67,7 @@ pub fn accum_rows<S: Scalar>(dst: &mut [S], val: S, rows: &[&[S]]) {
 /// [`accum_rows`] for strategies whose combine step is atomic (the product
 /// lands in a scratch row first). Same per-element order.
 #[inline]
-pub fn product_rows<S: Scalar>(out: &mut [S], val: S, rows: &[&[S]]) {
+pub(crate) fn product_rows<S: Scalar>(out: &mut [S], val: S, rows: &[&[S]]) {
     match rows {
         [a] => {
             for (o, &x) in out.iter_mut().zip(a.iter()) {
@@ -116,7 +108,7 @@ pub fn product_rows<S: Scalar>(out: &mut [S], val: S, rows: &[&[S]]) {
 /// Nonzeros are visited in ascending `z`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn mttkrp_block3<S: Scalar>(
+pub(crate) fn mttkrp_block3<S: Scalar>(
     out: &mut [S],
     row_base: usize,
     r: usize,
@@ -145,7 +137,7 @@ pub fn mttkrp_block3<S: Scalar>(
 
 /// `out[i] = op(a[i], b[i])` (same-pattern TEW body).
 #[inline]
-pub fn ew_combine_into<S: Scalar>(op: EwOp, a: &[S], b: &[S], out: &mut [S]) {
+pub(crate) fn ew_combine_into<S: Scalar>(op: EwOp, a: &[S], b: &[S], out: &mut [S]) {
     for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(b)) {
         *o = op.apply(x, y);
     }
@@ -153,7 +145,7 @@ pub fn ew_combine_into<S: Scalar>(op: EwOp, a: &[S], b: &[S], out: &mut [S]) {
 
 /// `out[i] = op(src[i], s)` (TS body).
 #[inline]
-pub fn ew_scalar_into<S: Scalar>(op: EwOp, src: &[S], s: S, out: &mut [S]) {
+pub(crate) fn ew_scalar_into<S: Scalar>(op: EwOp, src: &[S], s: S, out: &mut [S]) {
     for (o, &x) in out.iter_mut().zip(src) {
         *o = op.apply(x, s);
     }
@@ -162,7 +154,7 @@ pub fn ew_scalar_into<S: Scalar>(op: EwOp, src: &[S], s: S, out: &mut [S]) {
 /// Ordered fiber dot product: `sum_m vals[m] * table[idx[m]]` with the
 /// accumulation performed in index order (the TTV inner loop).
 #[inline]
-pub fn fiber_dot<S: Scalar>(vals: &[S], idx: &[u32], table: &[S]) -> S {
+pub(crate) fn fiber_dot<S: Scalar>(vals: &[S], idx: &[u32], table: &[S]) -> S {
     debug_assert_eq!(vals.len(), idx.len());
     let mut acc = S::ZERO;
     for (m, &v) in vals.iter().enumerate() {
@@ -234,11 +226,8 @@ mod tests {
             }
             let mut y = a.clone();
             axpy(&mut y, &b, 0.75);
-            let mut s = a.clone();
-            add_assign(&mut s, &b);
             for i in 0..n {
                 assert_eq!(y[i].to_bits(), (a[i] + b[i] * 0.75).to_bits(), "axpy n={n}");
-                assert_eq!(s[i].to_bits(), (a[i] + b[i]).to_bits(), "add_assign n={n}");
             }
         }
     }
