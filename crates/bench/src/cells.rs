@@ -5,7 +5,7 @@
 //! parallelization strategy, or the COO→HiCOO conversion pipeline under a
 //! sort algorithm. [`Inputs`] holds everything the cells of one tensor
 //! read, [`prepare`] does a cell's untimed work and returns the timed call,
-//! and [`crate::suite::sample`] is the one loop that times it. Every
+//! and `crate::suite::sample` is the one loop that times it. Every
 //! consumer (`tenbench kernel`, `tenbench scale-bench`, `tenbench paper`)
 //! is a loop over [`CELLS`].
 
@@ -22,7 +22,7 @@ use crate::suite::{make_factors, make_partner, sample, Sample};
 use crate::supervisor::MttkrpFn;
 
 /// Scalar operand of Ts.
-pub const TS_SCALAR: f32 = 1.000_1;
+pub(crate) const TS_SCALAR: f32 = 1.000_1;
 
 /// The `--strategy` values; a cell lists the ones that select it.
 pub const STRATEGIES: [&str; 3] = ["seq", "atomic", "scheduled"];
@@ -257,7 +257,7 @@ impl Cell {
     }
 
     /// The cell with this name.
-    pub fn named(name: &str) -> Option<&'static Cell> {
+    pub(crate) fn named(name: &str) -> Option<&'static Cell> {
         CELLS.iter().find(|c| c.name == name)
     }
 }
@@ -340,17 +340,17 @@ impl Inputs {
     }
 
     /// `x` in HiCOO.
-    pub fn hx(&self) -> Result<Arc<HicooTensor<f32>>> {
+    pub(crate) fn hx(&self) -> Result<Arc<HicooTensor<f32>>> {
         lazy(&self.hx, || HicooTensor::from_coo(&self.x, self.block_bits))
     }
 
     /// The Tew partner in HiCOO.
-    pub fn hy(&self) -> Result<Arc<HicooTensor<f32>>> {
+    pub(crate) fn hy(&self) -> Result<Arc<HicooTensor<f32>>> {
         lazy(&self.hy, || HicooTensor::from_coo(&self.y, self.block_bits))
     }
 
     /// A copy of `x` sorted for `mode` and its fiber partition (COO Ttv/Ttm).
-    pub fn fibers(&self, mode: usize) -> Result<Arc<(CooTensor<f32>, FiberPartition)>> {
+    pub(crate) fn fibers(&self, mode: usize) -> Result<Arc<(CooTensor<f32>, FiberPartition)>> {
         lazy(&self.fibers[mode], || {
             let mut xm = (*self.x).clone();
             let fp = xm.fibers(mode)?;
@@ -359,7 +359,7 @@ impl Inputs {
     }
 
     /// `x` in gHiCOO laid out for `mode` and its fiber partition.
-    pub fn ghicoo(&self, mode: usize) -> Result<Arc<(GHicooTensor<f32>, GhFiberPartition)>> {
+    pub(crate) fn ghicoo(&self, mode: usize) -> Result<Arc<(GHicooTensor<f32>, GhFiberPartition)>> {
         lazy(&self.ghicoo[mode], || {
             let g = GHicooTensor::from_coo_for_mode(&self.x, self.block_bits, mode)?;
             let fp = g.fibers(mode)?;
@@ -368,7 +368,7 @@ impl Inputs {
     }
 
     /// Ttv's vector operand at `mode`.
-    pub fn vector(&self, mode: usize) -> DenseVector<f32> {
+    pub(crate) fn vector(&self, mode: usize) -> DenseVector<f32> {
         let n = self.x.shape().dim(mode) as usize;
         DenseVector::from_fn(n, |i| (i % 100) as f32 * 0.01)
     }
@@ -409,14 +409,14 @@ impl Prepared {
     }
 
     /// One call, set-up included: for validation and for
-    /// [`crate::suite::measure_cell`], which wraps [`sample`] in counters.
+    /// [`crate::suite::measure_cell`], which wraps `sample` in counters.
     pub fn call(&self) -> Result<Output> {
         (self.run)(self.scratch())
     }
 
     /// Time the cell with [`sample`]; `before_timed` runs between the
     /// calibration call and the timed batches.
-    pub fn sample_with(&self, reps: usize, before_timed: impl FnOnce()) -> Result<Sample> {
+    pub(crate) fn sample_with(&self, reps: usize, before_timed: impl FnOnce()) -> Result<Sample> {
         let mut failed = None;
         let s = sample(
             reps,
@@ -428,7 +428,7 @@ impl Prepared {
     }
 
     /// [`Prepared::sample_with`] with nothing to do before the timed batches.
-    pub fn sample(&self, reps: usize) -> Result<Sample> {
+    pub(crate) fn sample(&self, reps: usize) -> Result<Sample> {
         self.sample_with(reps, || ())
     }
 }

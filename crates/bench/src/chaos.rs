@@ -108,7 +108,7 @@ impl Default for ChaosConfig {
 /// Seeded random fault source. Each iteration draws against
 /// `fault_rate`; firing faults cycle panic → hang → corruption so a run
 /// with three or more faults provably exercises every kind.
-pub struct RandomFaults {
+pub(crate) struct RandomFaults {
     rng: Mutex<StdRng>,
     rate: f64,
     hang_ms: u64,
@@ -120,7 +120,7 @@ pub struct RandomFaults {
 
 impl RandomFaults {
     /// A fault source with the given per-iteration rate.
-    pub fn new(seed: u64, rate: f64, hang_ms: u64) -> Self {
+    pub(crate) fn new(seed: u64, rate: f64, hang_ms: u64) -> Self {
         RandomFaults {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             rate,
@@ -133,7 +133,7 @@ impl RandomFaults {
     }
 
     /// (panics, hangs, corruptions) injected so far.
-    pub fn counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64, u64) {
         (
             self.panics.load(Ordering::Relaxed),
             self.hangs.load(Ordering::Relaxed),

@@ -76,7 +76,7 @@ impl From<std::io::Error> for CliError {
 }
 
 /// Result alias for CLI operations.
-pub type CliResult<T> = Result<T, CliError>;
+pub(crate) type CliResult<T> = Result<T, CliError>;
 
 /// Fail a gate, keeping the rendered `report` as its evidence.
 fn gate<T>(report: String, reason: String) -> CliResult<T> {
@@ -96,7 +96,7 @@ pub struct ObsOptions {
 
 impl ObsOptions {
     /// `true` when any capture output was requested.
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.trace.is_some() || self.profile
     }
 }
@@ -150,7 +150,7 @@ pub fn load_tensor(path: &Path) -> CliResult<CooTensor<f32>> {
 }
 
 /// Save a tensor by file extension.
-pub fn save_tensor(t: &CooTensor<f32>, path: &Path) -> CliResult<()> {
+pub(crate) fn save_tensor(t: &CooTensor<f32>, path: &Path) -> CliResult<()> {
     let file = File::create(path)?;
     match path.extension().and_then(|e| e.to_str()) {
         Some("tns") => Ok(tenbench_io::tns::write_tns(t, BufWriter::new(file))?),
@@ -181,7 +181,7 @@ pub fn stats(input: &Path, block_bits: u8) -> CliResult<String> {
 }
 
 /// Render the statistics report for an in-memory tensor.
-pub fn stats_report(t: &CooTensor<f32>, block_bits: u8) -> CliResult<String> {
+pub(crate) fn stats_report(t: &CooTensor<f32>, block_bits: u8) -> CliResult<String> {
     let s = TensorStats::compute(t, block_bits)?;
     let mut out = String::new();
     out.push_str(&format!(
@@ -597,7 +597,7 @@ pub struct ScaleBenchOpts {
 /// Logical CPUs on this host. Scaling floors above this count are
 /// unenforceable — wall-clock self-speedup past the physical core count is
 /// not a real measurement — so the gate reports them as skipped.
-pub fn host_cpus() -> usize {
+pub(crate) fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -873,7 +873,7 @@ impl TraceOverhead {
     /// Traced over untraced, in percent. Guarded: a degenerate zero-time
     /// untraced baseline must not turn the overhead into a non-finite
     /// number (it would poison the JSON gate).
-    pub fn overhead_pct(&self) -> f64 {
+    pub(crate) fn overhead_pct(&self) -> f64 {
         if self.untraced_s > 0.0 && self.untraced_s.is_finite() && self.traced_s.is_finite() {
             (self.traced_s / self.untraced_s - 1.0) * 100.0
         } else {

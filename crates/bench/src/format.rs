@@ -2,14 +2,14 @@
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Start a table with the given column headers.
-    pub fn new<I: IntoIterator<Item = T>, T: Into<String>>(header: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = T>, T: Into<String>>(header: I) -> Self {
         TextTable {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,12 +17,12 @@ impl TextTable {
     }
 
     /// Append one row (short rows are padded with empty cells).
-    pub fn row<I: IntoIterator<Item = T>, T: Into<String>>(&mut self, cells: I) {
+    pub(crate) fn row<I: IntoIterator<Item = T>, T: Into<String>>(&mut self, cells: I) {
         self.rows.push(cells.into_iter().map(Into::into).collect());
     }
 
     /// Render with two spaces between columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self
             .rows
             .iter()
@@ -66,7 +66,7 @@ impl TextTable {
 
 /// An ASCII log-log scatter/line plot (used for the Figure 3 rooflines).
 #[derive(Debug)]
-pub struct AsciiPlot {
+pub(crate) struct AsciiPlot {
     width: usize,
     height: usize,
     x_range: (f64, f64),
@@ -76,7 +76,12 @@ pub struct AsciiPlot {
 
 impl AsciiPlot {
     /// Create a plot with log-scaled axes over the given ranges.
-    pub fn new(width: usize, height: usize, x_range: (f64, f64), y_range: (f64, f64)) -> Self {
+    pub(crate) fn new(
+        width: usize,
+        height: usize,
+        x_range: (f64, f64),
+        y_range: (f64, f64),
+    ) -> Self {
         assert!(
             x_range.0 > 0.0 && y_range.0 > 0.0,
             "log axes need positive ranges"
@@ -102,7 +107,7 @@ impl AsciiPlot {
     }
 
     /// Plot a point series with the given glyph.
-    pub fn series(&mut self, pts: &[(f64, f64)], glyph: char) {
+    pub(crate) fn series(&mut self, pts: &[(f64, f64)], glyph: char) {
         for &(x, y) in pts {
             if let Some((r, c)) = self.pos(x, y) {
                 self.grid[r][c] = glyph;
@@ -111,7 +116,7 @@ impl AsciiPlot {
     }
 
     /// Drop a labeled vertical marker at `x` (for kernel OI marks).
-    pub fn vmark(&mut self, x: f64, glyph: char) {
+    pub(crate) fn vmark(&mut self, x: f64, glyph: char) {
         if let Some((_, c)) = self.pos(x, self.y_range.0 * 1.0001) {
             for r in 0..self.height {
                 if self.grid[r][c] == ' ' {
@@ -122,7 +127,7 @@ impl AsciiPlot {
     }
 
     /// Render with axis annotations.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         for (i, row) in self.grid.iter().enumerate() {
             let y = if i == 0 {
@@ -150,7 +155,7 @@ impl AsciiPlot {
 }
 
 /// Format a float compactly for tables (3 significant-ish digits).
-pub fn fnum(v: f64) -> String {
+pub(crate) fn fnum(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1000.0 {
@@ -165,7 +170,7 @@ pub fn fnum(v: f64) -> String {
 }
 
 /// Format a u64 with thousands separators.
-pub fn fint(v: u64) -> String {
+pub(crate) fn fint(v: u64) -> String {
     let s = v.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {

@@ -7,7 +7,7 @@
 //!
 //! * [`paper`] — the paper's tables, figures and observations, one run
 //!   generating each selected dataset once, in memory.
-//! * [`mod@format`] — aligned text tables and ASCII log-log plots for terminal
+//! * `format` — aligned text tables and ASCII log-log plots for terminal
 //!   "figures".
 //! * [`cells`] — the kernel-cell table: every timed kernel × format ×
 //!   strategy and the conversion pipeline, with their prepared inputs.
@@ -34,7 +34,7 @@
 pub mod cells;
 pub mod chaos;
 pub mod cli;
-pub mod format;
+pub(crate) mod format;
 pub mod metrics;
 pub mod paper;
 pub mod serve_exec;

@@ -51,7 +51,7 @@ use crate::suite::{DEFAULT_BLOCK_BITS, DEFAULT_RANK};
 
 /// The `--quick` selection: one small dataset per family (regular
 /// Kronecker, irregular power-law, 4th-order, surrogate real).
-pub const QUICK_IDS: [&str; 6] = ["r1", "r10", "s1", "s4", "s7", "s13"];
+pub(crate) const QUICK_IDS: [&str; 6] = ["r1", "r10", "s1", "s4", "s7", "s13"];
 
 /// What a `paper` run measures, shared by every artifact of the run; built
 /// only through the validating [`PaperOpts::new`].
@@ -69,7 +69,7 @@ pub struct PaperOpts {
 
 impl PaperOpts {
     /// Validate the options: `ids` is a comma-separated dataset list (all
-    /// 30 when absent, [`QUICK_IDS`] under `quick`), and `scale` must be
+    /// 30 when absent, `QUICK_IDS` under `quick`), and `scale` must be
     /// finite and positive. Every failure is a usage error.
     pub fn new(
         ids: Option<&str>,

@@ -25,7 +25,7 @@ pub struct SupervisedExecutor {
 
 impl SupervisedExecutor {
     /// An executor with the given supervisor configuration.
-    pub fn new(cfg: SupervisorConfig) -> Self {
+    pub(crate) fn new(cfg: SupervisorConfig) -> Self {
         SupervisedExecutor { cfg }
     }
 }

@@ -24,9 +24,9 @@ use tenbench_roofline::model::{Ceiling, Roofline};
 use crate::cells::{self, Cell, Inputs, TS_SCALAR};
 
 /// Rank used for Ttm and Mttkrp, as in the paper.
-pub const DEFAULT_RANK: usize = 16;
+pub(crate) const DEFAULT_RANK: usize = 16;
 /// HiCOO block bits (B = 128), as in the paper.
-pub const DEFAULT_BLOCK_BITS: u8 = 7;
+pub(crate) const DEFAULT_BLOCK_BITS: u8 = 7;
 /// Repetitions per measurement, as in the paper.
 pub const DEFAULT_REPS: usize = 5;
 
@@ -43,7 +43,7 @@ pub struct MachineModel {
 
 impl MachineModel {
     /// Model for a simulated GPU.
-    pub fn from_device(dev: &DeviceSpec) -> Self {
+    pub(crate) fn from_device(dev: &DeviceSpec) -> Self {
         MachineModel {
             name: dev.name.to_string(),
             ert_dram_gbs: dev.dram_bw_gbs,
@@ -52,7 +52,7 @@ impl MachineModel {
     }
 
     /// The single-ceiling Roofline used to annotate measured cells.
-    pub fn roofline(&self) -> Roofline {
+    pub(crate) fn roofline(&self) -> Roofline {
         Roofline {
             name: self.name.clone(),
             peak_gflops: self.peak_gflops,
@@ -92,7 +92,7 @@ pub struct KernelResult {
 impl KernelResult {
     /// Performance efficiency vs the Roofline bound (can exceed 1 for
     /// cache-resident tensors).
-    pub fn efficiency(&self) -> f64 {
+    pub(crate) fn efficiency(&self) -> f64 {
         if self.bound_gflops > 0.0 {
             self.gflops / self.bound_gflops
         } else {
@@ -103,7 +103,7 @@ impl KernelResult {
 
 /// What [`sample`] measured.
 #[derive(Debug, Clone, Copy)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Mean seconds per call over the timed batches: the figure `tenbench
     /// paper` prints.
     pub mean_s: f64,
@@ -118,7 +118,7 @@ pub struct Sample {
 /// dominate), then `reps` batches are timed. `setup` builds what each call
 /// consumes and is never inside the timed region; `before_timed` runs
 /// between the calibration call and the first batch.
-pub fn sample<S, T>(
+pub(crate) fn sample<S, T>(
     reps: usize,
     mut setup: impl FnMut() -> S,
     mut run: impl FnMut(S) -> T,
@@ -157,23 +157,23 @@ pub fn sample<S, T>(
 /// One timed cell with its instrumented-counter deltas: the average call
 /// time plus the FLOPs, cost-model bytes, and kernel entries charged while
 /// the cell ran. Per-call figures divide by `calls`, which includes the
-/// calibration call [`sample`] makes.
+/// calibration call `sample` makes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CellMeasure {
-    /// Mean seconds per call ([`Sample::mean_s`]).
+    /// Mean seconds per call (`Sample::mean_s`).
     pub secs: f64,
     /// `kernel.flops` counter delta across the whole cell.
     pub flops: u64,
     /// `kernel.bytes` counter delta across the whole cell.
     pub bytes: u64,
-    /// Calls the cell made ([`Sample::calls`]).
+    /// Calls the cell made (`Sample::calls`).
     pub calls: u64,
 }
 
 impl CellMeasure {
     /// Fold another cell into this one (counters add; times add — divide
     /// `secs` yourself when averaging over modes).
-    pub fn accumulate(&mut self, other: &CellMeasure) {
+    pub(crate) fn accumulate(&mut self, other: &CellMeasure) {
         self.secs += other.secs;
         self.flops += other.flops;
         self.bytes += other.bytes;
@@ -182,13 +182,13 @@ impl CellMeasure {
 
     /// Place this measurement against a roofline using the per-call
     /// counter deltas (the achieved-GFLOPS / AI / %-of-roof annotation).
-    pub fn annotate(&self, roof: &Roofline) -> tenbench_roofline::model::Achieved {
+    pub(crate) fn annotate(&self, roof: &Roofline) -> tenbench_roofline::model::Achieved {
         let calls = self.calls.max(1);
         roof.annotate(self.flops / calls, self.bytes / calls, self.secs)
     }
 }
 
-/// [`sample`] with counter accounting: reports the `kernel.flops` /
+/// `sample` with counter accounting: reports the `kernel.flops` /
 /// `kernel.bytes` deltas across the cell alongside the mean call time. The
 /// kernels charge their Table 1 costs on entry, so the deltas are the
 /// *measured* work of exactly the calls this cell made (plus any concurrent
@@ -316,7 +316,7 @@ pub fn run_cpu_suite(
 }
 
 /// Run the full simulated GPU suite on one tensor.
-pub fn run_gpu_suite(
+pub(crate) fn run_gpu_suite(
     x: &CooTensor<f32>,
     dev: &DeviceSpec,
     r: usize,

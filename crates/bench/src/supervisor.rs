@@ -163,7 +163,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Machine-readable label, used in JSON and tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Recovered { .. } => "recovered",
@@ -175,7 +175,7 @@ impl RunStatus {
     }
 
     /// `true` for `Ok` and `Recovered` — the cell produced a trusted number.
-    pub fn is_success(&self) -> bool {
+    pub(crate) fn is_success(&self) -> bool {
         matches!(self, RunStatus::Ok | RunStatus::Recovered { .. })
     }
 }
@@ -529,7 +529,7 @@ pub fn supervise<T: Send + 'static>(
 /// Deterministic sample of row sums: `sample` rows at a fixed stride, each
 /// summed in `f64`. Two matrices computed by different (correct) parallel
 /// strategies agree on this digest to within reduction-order noise.
-pub fn matrix_row_digest(m: &DenseMatrix<f32>, sample: usize) -> Vec<f64> {
+pub(crate) fn matrix_row_digest(m: &DenseMatrix<f32>, sample: usize) -> Vec<f64> {
     let rows = m.rows();
     if rows == 0 || sample == 0 {
         return Vec::new();
@@ -573,11 +573,11 @@ pub fn validate_matrix(
 }
 
 /// A Mttkrp kernel over one tensor representation.
-pub type MttkrpFn<X> =
+pub(crate) type MttkrpFn<X> =
     fn(&X, &[&DenseMatrix<f32>], usize) -> tenbench_core::Result<DenseMatrix<f32>>;
 
 /// The COO Mttkrp kernels, by strategy label.
-pub const COO_MTTKRP: [(&str, MttkrpFn<CooTensor<f32>>); 3] = [
+pub(crate) const COO_MTTKRP: [(&str, MttkrpFn<CooTensor<f32>>); 3] = [
     ("seq", mttkrp::mttkrp_seq),
     ("atomic", mttkrp::mttkrp_atomic),
     ("scheduled", mttkrp::mttkrp_sched),
@@ -594,7 +594,7 @@ pub const HICOO_MTTKRP: [(&str, MttkrpFn<HicooTensor<f32>>); 3] = [
 /// label first, then `scheduled`, then `seq` (the trusted reference), each
 /// once; a label `kernels` lacks is skipped. The atomic kernel runs only
 /// when it is the one requested.
-pub fn mttkrp_chain<K: Copy>(
+pub(crate) fn mttkrp_chain<K: Copy>(
     kernels: &[(&'static str, K)],
     requested: &str,
 ) -> Vec<(&'static str, K)> {
@@ -607,7 +607,7 @@ pub fn mttkrp_chain<K: Copy>(
     chain
 }
 
-/// The Mttkrp trials for one mode: [`mttkrp_chain`] over `kernels`, or its
+/// The Mttkrp trials for one mode: `mttkrp_chain` over `kernels`, or its
 /// first step alone without `fallback`. Inputs are shared via `Arc` so
 /// detached (timed-out) workers cannot outlive their data.
 pub fn mttkrp_trials<X: Send + Sync + 'static>(
