@@ -24,7 +24,7 @@ pub struct Counter {
 
 impl Counter {
     /// Create a counter (normally used via the statics in this module).
-    pub const fn new(name: &'static str) -> Self {
+    pub(crate) const fn new(name: &'static str) -> Self {
         Counter {
             name,
             value: AtomicU64::new(0),
@@ -57,7 +57,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// Create a gauge (normally used via the statics in this module).
-    pub const fn new(name: &'static str) -> Self {
+    pub(crate) const fn new(name: &'static str) -> Self {
         Gauge {
             name,
             value: AtomicU64::new(0),
@@ -70,12 +70,12 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 
     /// The gauge's registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 }
@@ -127,7 +127,7 @@ pub static NET_BYTES_OUT: Counter = Counter::new("net.bytes_out");
 pub static POOL_WORKERS: Gauge = Gauge::new("pool.workers");
 
 /// All registered counters, in a stable order.
-pub fn all() -> [&'static Counter; 20] {
+pub(crate) fn all() -> [&'static Counter; 20] {
     [
         &FLOPS,
         &BYTES,

@@ -3,7 +3,7 @@
 //!
 //! Unlike span capture (off unless a trace is running), the recorder is
 //! **always on**: every thread that calls [`note`] owns a fixed-size ring
-//! of the last [`RING_CAPACITY`] events (admissions, batch claims, cache
+//! of the last `RING_CAPACITY` events (admissions, batch claims, cache
 //! hits/misses/evictions, checkpoint writes, retries, fallbacks, steals,
 //! faults). A healthy-path record is one uncontended CAS claim plus a
 //! slot store — no locks, no allocation after the ring exists. When a
@@ -30,9 +30,9 @@ use crate::json::{escape_json, Value};
 use crate::span::now_ns;
 
 /// Events kept per thread; a power of two so the ring index is a mask.
-pub const RING_CAPACITY: usize = 256;
+pub(crate) const RING_CAPACITY: usize = 256;
 
-/// What a [`FlightEvent`] records. Kept deliberately flat (no payload
+/// What a `FlightEvent` records. Kept deliberately flat (no payload
 /// strings) so a record is a fixed-size store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -79,7 +79,7 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// Stable lowercase name used in dumps.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FlightKind::Admit => "admit",
             FlightKind::Reject => "reject",
@@ -106,7 +106,7 @@ impl FlightKind {
 
 /// One recorded flight event.
 #[derive(Clone, Copy, Debug)]
-pub struct FlightEvent {
+pub(crate) struct FlightEvent {
     /// Nanoseconds since the trace epoch.
     pub ts_ns: u64,
     /// What happened.
@@ -175,7 +175,7 @@ pub fn note_ctx(kind: FlightKind, ctx: u64, arg: u64) {
 
 /// Events recorded by one thread, oldest first.
 #[derive(Clone, Debug)]
-pub struct ThreadFlight {
+pub(crate) struct ThreadFlight {
     /// Recorder-local thread id (registration order).
     pub tid: u64,
     /// OS thread name at registration, if any.
@@ -188,7 +188,7 @@ pub struct ThreadFlight {
 
 /// Snapshot every thread's ring without clearing anything. Threads whose
 /// rings are empty are skipped.
-pub fn snapshot() -> Vec<ThreadFlight> {
+pub(crate) fn snapshot() -> Vec<ThreadFlight> {
     let rings = RINGS.cells();
     let mut out = Vec::with_capacity(rings.len());
     for ring in rings.iter() {
@@ -214,7 +214,7 @@ pub fn snapshot() -> Vec<ThreadFlight> {
 }
 
 /// Events dropped because a push lost its claim to a concurrent dump.
-pub fn dropped() -> u64 {
+pub(crate) fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
@@ -230,12 +230,12 @@ pub fn set_dump_dir(dir: Option<PathBuf>) -> std::io::Result<()> {
 }
 
 /// The currently configured dump directory, if any.
-pub fn dump_dir() -> Option<PathBuf> {
+pub(crate) fn dump_dir() -> Option<PathBuf> {
     DUMP_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// Serialize a snapshot of every ring as a flight-dump JSON document.
-pub fn dump_json(reason: &str, ctx: u64, detail: &str) -> String {
+pub(crate) fn dump_json(reason: &str, ctx: u64, detail: &str) -> String {
     let threads = snapshot();
     let mut out = String::from("{\"flight_dump\":1,");
     let _ = write!(

@@ -14,13 +14,13 @@ use std::fmt::Write as _;
 use crate::json::json_f64;
 
 /// Sub-buckets per factor-of-two; bounds relative error at ~9%.
-pub const SUB_BUCKETS: usize = 8;
+pub(crate) const SUB_BUCKETS: usize = 8;
 /// Lower edge of the bucketed range (1 µs as milliseconds); smaller
 /// samples clamp into the first bucket.
-pub const LO_MS: f64 = 0.001;
+pub(crate) const LO_MS: f64 = 0.001;
 /// Upper edge of the bucketed range (10 minutes as milliseconds); larger
 /// samples clamp into the last bucket.
-pub const HI_MS: f64 = 600_000.0;
+pub(crate) const HI_MS: f64 = 600_000.0;
 
 /// log2(HI/LO) ≈ 29.2 octaves, rounded up.
 const OCTAVES: usize = 30;
@@ -50,7 +50,7 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> LogHistogram {
+    pub(crate) fn new() -> LogHistogram {
         LogHistogram {
             counts: Box::new([0; BUCKETS]),
             count: 0,
@@ -120,7 +120,7 @@ impl LogHistogram {
     }
 
     /// Exact mean of the recorded samples (tracked outside the buckets).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -129,7 +129,7 @@ impl LogHistogram {
     }
 
     /// Exact minimum sample, or 0 when empty.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

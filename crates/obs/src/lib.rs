@@ -14,12 +14,12 @@
 //!    reader snapshots them when its window opens and reads the window by
 //!    difference ([`counters::since`]), so overlapping readers cannot
 //!    switch each other off or zero each other.
-//! 3. **Exporters** ([`trace`], [`report`]): a drained [`Trace`] (spans
+//! 3. **Exporters** (`trace`, [`report`]): a drained [`Trace`] (spans
 //!    plus the counter deltas since [`start_trace`]) renders
 //!    to chrome-trace JSON (loadable in `chrome://tracing` / Perfetto), a
 //!    plain-text hierarchical profile (self/total time per span, per
 //!    thread), or a machine-readable [`report::MetricsReport`].
-//! 4. **Causal tracing** ([`ctx`], [`flight`], [`hist`]): request/job
+//! 4. **Causal tracing** ([`ctx`], [`flight`], `hist`): request/job
 //!    [`TraceCtx`] ids explicitly relayed across thread boundaries and
 //!    rendered as chrome-trace async/flow lanes; an always-on per-thread
 //!    flight-recorder ring snapshotted into a JSON dump when a fault is
@@ -48,11 +48,11 @@ mod claim;
 pub mod counters;
 pub mod ctx;
 pub mod flight;
-pub mod hist;
+pub(crate) mod hist;
 pub mod json;
 pub mod report;
 pub mod span;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use ctx::TraceCtx;
 pub use hist::LogHistogram;

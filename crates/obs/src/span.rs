@@ -1,6 +1,6 @@
 //! Lock-free per-thread span recording.
 //!
-//! Each thread owns a buffer of [`Event`]s in a `claim` cell (the same
+//! Each thread owns a buffer of `Event`s in a `claim` cell (the same
 //! single-owner claim as the [`crate::flight`] rings): the owning thread
 //! claims it for the duration of a push, the drain in
 //! [`crate::stop_trace`] claims it to `mem::take` the contents. There are
@@ -21,7 +21,7 @@ const MAX_EVENTS_PER_THREAD: usize = 1 << 20;
 
 /// What an [`Event`] marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A span was entered.
     Begin,
     /// A span was exited.
@@ -34,7 +34,7 @@ pub enum EventKind {
 /// to. Async begin/end pairs draw one logical lane per context id; flow
 /// send/recv pairs draw arrows between the threads that handed work off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowPhase {
+pub(crate) enum FlowPhase {
     /// Async event begin (`ph:"b"`).
     AsyncBegin,
     /// Async event end (`ph:"e"`).
@@ -47,7 +47,7 @@ pub enum FlowPhase {
 
 impl FlowPhase {
     /// The chrome-trace `ph` string for this phase.
-    pub fn ph(self) -> &'static str {
+    pub(crate) fn ph(self) -> &'static str {
         match self {
             FlowPhase::AsyncBegin => "b",
             FlowPhase::AsyncEnd => "e",
@@ -59,7 +59,7 @@ impl FlowPhase {
 
 /// One recorded span edge.
 #[derive(Clone, Copy, Debug)]
-pub struct Event {
+pub(crate) struct Event {
     /// Begin, end, or async/flow edge.
     pub kind: EventKind,
     /// The span name passed to [`enter`].
@@ -72,7 +72,7 @@ pub struct Event {
 
 /// The events recorded by one thread, in program order.
 #[derive(Clone, Debug)]
-pub struct ThreadEvents {
+pub(crate) struct ThreadEvents {
     /// Stable trace-local thread id (registration order, 0-based).
     pub tid: u32,
     /// The OS thread name at registration time, if any.
@@ -91,13 +91,13 @@ fn epoch() -> Instant {
 }
 
 /// Nanoseconds since the trace epoch (first call wins as time zero).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
 /// Is span recording currently enabled?
 #[inline]
-pub fn tracing_enabled() -> bool {
+pub(crate) fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 

@@ -12,7 +12,7 @@ use crate::span::{self, Event, EventKind, ThreadEvents};
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// Per-thread event streams, ordered by trace-local thread id.
-    pub threads: Vec<ThreadEvents>,
+    pub(crate) threads: Vec<ThreadEvents>,
     /// Counter growth from [`start_trace`] to [`stop_trace`] (gauges at
     /// their [`stop_trace`] level).
     pub counters: Vec<(String, u64)>,
