@@ -86,7 +86,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// `hits / (hits + misses)`, 0 when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -179,11 +179,6 @@ impl PrepCache {
                 collisions: 0,
             }),
         }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
     }
 
     /// Look up `key`, preparing (HiCOO conversion + factors) on a miss.
@@ -290,7 +285,7 @@ impl PrepCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let g = self.lock();
         debug_assert_eq!(
             g.bytes,
@@ -452,8 +447,8 @@ mod tests {
         };
         // Room for two entries; eight threads race over four distinct
         // keys so both the fresh-insert and the lost-race path run.
-        let cache = Arc::new(PrepCache::new(one_entry * 2 + one_entry / 2));
-        let budget = cache.budget_bytes();
+        let budget = one_entry * 2 + one_entry / 2;
+        let cache = Arc::new(PrepCache::new(budget));
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 let cache = cache.clone();

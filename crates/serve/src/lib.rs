@@ -10,15 +10,15 @@
 //!
 //! Three mechanisms do the work:
 //!
-//! - **Admission control** ([`queue`]): a bounded MPMC queue. A full
-//!   queue rejects at submit with a typed error ([`service::RejectReason`])
+//! - **Admission control** (`queue`): a bounded MPMC queue. A full
+//!   queue rejects at submit with a typed error (`service::RejectReason`)
 //!   instead of queueing unboundedly, and requests whose deadline passed
 //!   while queued are shed at dequeue.
-//! - **Format/schedule caching** ([`cache`]): an LRU keyed by tensor
+//! - **Format/schedule caching** (`cache`): an LRU keyed by tensor
 //!   fingerprint that holds the HiCOO conversion and factor matrices,
 //!   evicted by byte budget. The mode schedules live on the cached
 //!   tensors themselves, so every reuse of an entry reuses them too.
-//! - **Micro-batching** ([`service`]): same-tensor/same-kernel requests
+//! - **Micro-batching** (`service`): same-tensor/same-kernel requests
 //!   waiting in the queue coalesce into one supervised execution whose
 //!   result fans back out to every waiter.
 //!
@@ -28,41 +28,70 @@
 //! supervisor's attempts and the job engine's steps both run under
 //! [`guard::run_guarded`] — one thread, `catch_unwind` and watchdog
 //! primitive, which also writes the panic/timeout flight dumps. The load
-//! generator in [`stress`] drives the service — in process or over TCP —
+//! generator in `stress` drives the service — in process or over TCP —
 //! closed-loop with Zipf-skewed tensor popularity, then probes overload
 //! behaviour with a burst.
 //!
-//! The service also has a socket-facing shape: [`net`] puts N sharded
+//! The service also has a socket-facing shape: `net` puts N sharded
 //! `KernelService`s (partitioned by tensor fingerprint) behind a TCP
 //! accept loop speaking the `TNF1` frame protocol from `tenbench_io`,
 //! mapping every typed rejection onto a wire status code.
 //!
-//! Above single requests, [`job`] runs CP-ALS decompositions as
+//! Above single requests, `job` runs CP-ALS decompositions as
 //! long-running guarded jobs with per-iteration checkpoint/resume and
 //! bitwise-deterministic recovery — the substrate the chaos harness in
 //! the bench crate tries (and fails) to kill.
 
 #![warn(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod guard;
-pub mod job;
-pub mod net;
-pub mod queue;
-pub mod service;
-pub mod stress;
+pub(crate) mod job;
+pub(crate) mod net;
+pub(crate) mod queue;
+pub(crate) mod service;
+pub(crate) mod stress;
 
-pub use cache::{CacheKey, CacheStats, PrepCache, PrepLayout, Prepared};
-pub use job::{
-    FaultInjector, InjectedFault, JobConfig, JobError, JobOutcome, JobProgress, JobService,
-    JobServiceReport, JobSpec, JobTicket, ScriptedFaults,
-};
-pub use net::{
-    decode_response, encode_request, NetClient, NetConfig, NetReport, NetServer, WireRequest,
-    WireResponse, WireStatus,
-};
-pub use service::{
-    execute_direct, BatchJob, DirectExecutor, ExecOutcome, Executor, FormatKind, KernelService,
-    RejectReason, Request, Response, ServeConfig, ServeError, ServeReport, Ticket,
-};
-pub use stress::{burst, closed_loop, StressConfig, Tally, Transport, BURST_REQUESTS_PER_CLIENT};
+pub use cache::CacheKey;
+pub use cache::CacheStats;
+pub use cache::PrepCache;
+pub use cache::PrepLayout;
+pub use cache::Prepared;
+pub use job::FaultInjector;
+pub use job::InjectedFault;
+pub use job::JobConfig;
+pub use job::JobError;
+pub use job::JobOutcome;
+pub use job::JobProgress;
+pub use job::JobService;
+pub use job::JobServiceReport;
+pub use job::JobSpec;
+pub use job::JobTicket;
+pub use job::ScriptedFaults;
+pub use net::encode_request;
+pub use net::NetClient;
+pub use net::NetConfig;
+pub use net::NetReport;
+pub use net::NetServer;
+pub use net::WireRequest;
+pub use net::WireResponse;
+pub use net::WireStatus;
+pub use service::execute_direct;
+pub use service::BatchJob;
+pub use service::DirectExecutor;
+pub use service::ExecOutcome;
+pub use service::Executor;
+pub use service::FormatKind;
+pub use service::KernelService;
+pub use service::Request;
+pub use service::Response;
+pub use service::ServeConfig;
+pub use service::ServeError;
+pub use service::ServeReport;
+pub use service::Ticket;
+pub use stress::burst;
+pub use stress::closed_loop;
+pub use stress::StressConfig;
+pub use stress::Tally;
+pub use stress::Transport;
+pub use stress::BURST_REQUESTS_PER_CLIENT;

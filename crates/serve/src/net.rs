@@ -74,7 +74,7 @@ pub enum WireStatus {
 
 impl WireStatus {
     /// Decode a wire value.
-    pub fn from_u8(v: u8) -> Option<WireStatus> {
+    pub(crate) fn from_u8(v: u8) -> Option<WireStatus> {
         match v {
             0 => Some(WireStatus::Ok),
             1 => Some(WireStatus::QueueFull),
@@ -255,7 +255,7 @@ fn get_str(payload: &mut Bytes) -> Result<String, String> {
 }
 
 /// Decode a response payload (the client side of `encode_response`).
-pub fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
+pub(crate) fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
     if !payload.has_remaining() {
         return Err("empty response payload".into());
     }
@@ -686,15 +686,10 @@ impl NetClient {
         })
     }
 
-    /// The client's trace context.
-    pub fn ctx(&self) -> obs::TraceCtx {
-        self.ctx
-    }
-
     /// Send one encoded request payload and block for the answer.
     /// Server-side [`FrameKind::Error`] frames surface as `Err` with the
     /// server's message.
-    pub fn request_raw(&mut self, payload: &[u8]) -> Result<WireResponse, String> {
+    pub(crate) fn request_raw(&mut self, payload: &[u8]) -> Result<WireResponse, String> {
         obs::ctx::flow_send("net.request", self.ctx);
         write_frame(&mut self.stream, FrameKind::Request, self.ctx.id, payload)
             .map_err(|e| format!("send: {e}"))?;

@@ -15,7 +15,7 @@ use tenbench_obs::flight::{self, FlightKind};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
+pub(crate) enum PushError {
     /// The queue already held its bound of items.
     Full,
     /// The queue was closed by [`Bounded::close`].
@@ -30,7 +30,7 @@ struct Inner<T> {
 
 /// The bounded MPMC queue. `T` is typically the service's pending-request
 /// record.
-pub struct Bounded<T> {
+pub(crate) struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     bound: usize,
@@ -47,7 +47,7 @@ impl<T> Bounded<T> {
     }
 
     /// A queue admitting at most `bound` items (at least 1).
-    pub fn new(bound: usize) -> Self {
+    pub(crate) fn new(bound: usize) -> Self {
         Bounded {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -60,17 +60,17 @@ impl<T> Bounded<T> {
     }
 
     /// The admission bound.
-    pub fn bound(&self) -> usize {
+    pub(crate) fn bound(&self) -> usize {
         self.bound
     }
 
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.lock().items.len()
     }
 
     /// High-water mark of the queue depth since construction.
-    pub fn max_depth(&self) -> usize {
+    pub(crate) fn max_depth(&self) -> usize {
         self.lock().max_depth
     }
 
@@ -82,7 +82,7 @@ impl<T> Bounded<T> {
     /// [`tenbench_obs::TraceCtx`] (callers mint and install one before
     /// pushing), so a later fault dump shows when and how deep each
     /// request entered the system.
-    pub fn try_push(&self, item: T) -> Result<usize, (T, PushError)> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, (T, PushError)> {
         let mut g = self.lock();
         if g.closed {
             drop(g);
@@ -105,7 +105,7 @@ impl<T> Bounded<T> {
 
     /// Block until an item is available and dequeue it. Returns `None`
     /// once the queue is closed and drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut g = self.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
@@ -132,7 +132,7 @@ impl<T> Bounded<T> {
     /// soon as the batch is full, so admission (which contends on the same
     /// lock) is stalled for work proportional to the scanned depth, not
     /// for a full rebuild of the queue on every batch claim.
-    pub fn drain_where(&self, max: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+    pub(crate) fn drain_where(&self, max: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
         let mut g = self.lock();
         let len = g.items.len();
         let mut taken = Vec::new();
@@ -157,7 +157,7 @@ impl<T> Bounded<T> {
 
     /// Close the queue: future pushes fail with [`PushError::Closed`];
     /// consumers drain the remaining items and then observe `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
     }

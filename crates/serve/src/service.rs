@@ -42,15 +42,6 @@ impl FormatKind {
             FormatKind::Hicoo => "hicoo",
         }
     }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<FormatKind> {
-        match s {
-            "coo" => Some(FormatKind::Coo),
-            "hicoo" => Some(FormatKind::Hicoo),
-            _ => None,
-        }
-    }
 }
 
 /// One kernel request.
@@ -114,7 +105,7 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The executor ran and failed (after whatever supervision it does).
     Failed(String),
-    /// No answer arrived within a [`Ticket::wait_timeout`] window — the
+    /// No answer arrived within a `Ticket::wait_timeout` window — the
     /// worker that owed the response is presumed gone.
     WorkerLost {
         /// How long the caller waited, in milliseconds.
@@ -171,7 +162,7 @@ impl Ticket {
     /// [`Ticket::wait`] — which blocks forever if the worker owing this
     /// response dies between claiming the request and fanning out — a
     /// timeout surfaces as the typed [`ServeError::WorkerLost`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Response, ServeError> {
+    pub(crate) fn wait_timeout(self, timeout: Duration) -> Result<Response, ServeError> {
         let start = Instant::now();
         match self.rx.recv_timeout(timeout) {
             Ok(r) => r,
@@ -496,7 +487,7 @@ impl KernelService {
     }
 
     /// Snapshot the service metrics.
-    pub fn report(&self) -> ServeReport {
+    pub(crate) fn report(&self) -> ServeReport {
         let t = lock_tally(&self.shared.tally);
         ServeReport::build(
             &t,
