@@ -31,6 +31,9 @@ pub mod zipf;
 
 pub use kronecker::KroneckerGenerator;
 pub use powerlaw::PowerLawGenerator;
-pub use registry::{Dataset, DatasetKind, REAL_DATASETS, SYNTHETIC_DATASETS};
+pub use registry::Dataset;
+pub use registry::DatasetKind;
+pub use registry::REAL_DATASETS;
+pub use registry::SYNTHETIC_DATASETS;
 pub use stats::TensorStats;
 pub use stream::EdgeStream;

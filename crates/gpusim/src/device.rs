@@ -111,7 +111,7 @@ impl DeviceSpec {
 
     /// Concurrent thread-block slots across the device for blocks of
     /// `block_threads` threads.
-    pub fn block_slots(&self, block_threads: usize) -> usize {
+    pub(crate) fn block_slots(&self, block_threads: usize) -> usize {
         let per_sm = (self.max_threads_per_sm as usize / block_threads.max(1)).max(1);
         // Hardware also caps resident blocks per SM (32 on these parts).
         let per_sm = per_sm.min(32);

@@ -8,12 +8,12 @@
 //! effects the paper's GPU observations rest on:
 //!
 //! * **Coalescing** — every warp memory instruction is coalesced into
-//!   32-byte sectors ([`mem::MemoryTracker`]), so the column-major
+//!   32-byte sectors (`mem::MemoryTracker`), so the column-major
 //!   thread-block layout of Ttm/Mttkrp ("the x-dimension of thread blocks
 //!   represents matrix columns for GPU memory coalescing") genuinely moves
 //!   fewer bytes than an uncoalesced layout would.
 //! * **Cache capacity** — a two-level hierarchy of set-associative LRU
-//!   sector caches ([`mem::CacheModel`]): a block-private L1 (24 KB on
+//!   sector caches (`mem::CacheModel`): a block-private L1 (24 KB on
 //!   P100, 96 KB on Volta's unified array; atomics bypass it) in front of
 //!   the shared L2 (4 MB vs 6 MB) — the capacity edge that lets small
 //!   tensors "break the upper bound" on DGX-1V (Observation 2).
@@ -56,9 +56,8 @@
 
 pub mod device;
 pub mod kernels;
-pub mod mem;
-pub mod report;
-pub mod timing;
+pub(crate) mod mem;
+pub(crate) mod report;
+pub(crate) mod timing;
 
-pub use device::DeviceSpec;
 pub use report::GpuKernelStats;

@@ -7,19 +7,19 @@ use crate::device::DeviceSpec;
 /// Bump allocator handing out non-overlapping virtual buffers, so every
 /// tensor array gets distinct addresses in the trace.
 #[derive(Debug, Default)]
-pub struct AddressSpace {
+pub(crate) struct AddressSpace {
     next: u64,
 }
 
 impl AddressSpace {
     /// A fresh, empty address space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AddressSpace { next: 0 }
     }
 
     /// Allocate `bytes` with 256-byte alignment (CUDA's allocation
     /// guarantee), returning the base address.
-    pub fn alloc(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
         let base = (self.next + 255) & !255;
         self.next = base + bytes.max(1);
         base
@@ -28,7 +28,7 @@ impl AddressSpace {
 
 /// Kind of a memory instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Global load.
     Load,
     /// Global store.
@@ -39,7 +39,7 @@ pub enum AccessKind {
 
 /// Set-associative LRU cache over fixed-size sectors — the L2 model.
 #[derive(Debug)]
-pub struct CacheModel {
+pub(crate) struct CacheModel {
     sets: Vec<Vec<(u64, u64)>>, // (tag, stamp)
     ways: usize,
     set_mask: u64,
@@ -50,7 +50,7 @@ impl CacheModel {
     /// Build a cache of `capacity` bytes with `sector` bytes per line and
     /// `ways` associativity. The set count is rounded down to a power of
     /// two.
-    pub fn new(capacity: usize, sector: usize, ways: usize) -> Self {
+    pub(crate) fn new(capacity: usize, sector: usize, ways: usize) -> Self {
         let lines = (capacity / sector).max(ways);
         let sets = (lines / ways).next_power_of_two() / 2;
         let sets = sets.max(1);
@@ -64,14 +64,14 @@ impl CacheModel {
 
     /// Forget everything cached (used to flush the per-block L1 model at
     /// thread-block switches). Keeps the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for set in &mut self.sets {
             set.clear();
         }
     }
 
     /// Access one sector id (address / sector size); returns `true` on hit.
-    pub fn access(&mut self, sector_id: u64) -> bool {
+    pub(crate) fn access(&mut self, sector_id: u64) -> bool {
         self.stamp += 1;
         let set = &mut self.sets[(sector_id & self.set_mask) as usize];
         if let Some(entry) = set.iter_mut().find(|(tag, _)| *tag == sector_id) {
@@ -96,7 +96,7 @@ impl CacheModel {
 
 /// Per-thread-block accumulated cost, used by the scheduler makespan.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BlockCost {
+pub(crate) struct BlockCost {
     /// Issued warp instructions.
     pub instr: f64,
     /// L2 sectors touched (L1 misses).
@@ -111,7 +111,7 @@ pub struct BlockCost {
 /// Streams warp-level memory accesses through the coalescer and cache,
 /// accumulating global and per-block counters.
 #[derive(Debug)]
-pub struct MemoryTracker {
+pub(crate) struct MemoryTracker {
     sector_bytes: u64,
     cache: CacheModel,
     /// Per-block L1 model (`None` when the device disables it).
@@ -138,7 +138,7 @@ pub struct MemoryTracker {
 
 impl MemoryTracker {
     /// Build a tracker for a launch of `num_blocks` thread blocks on `dev`.
-    pub fn new(dev: &DeviceSpec, num_blocks: usize) -> Self {
+    pub(crate) fn new(dev: &DeviceSpec, num_blocks: usize) -> Self {
         MemoryTracker {
             sector_bytes: dev.sector_bytes as u64,
             cache: CacheModel::new(dev.l2_bytes, dev.sector_bytes, dev.l2_ways),
@@ -159,7 +159,7 @@ impl MemoryTracker {
 
     /// Switch the per-block accumulator to thread block `b`; a genuine
     /// switch flushes the (block-private) L1 model.
-    pub fn begin_block(&mut self, b: usize) {
+    pub(crate) fn begin_block(&mut self, b: usize) {
         if b != self.current {
             if let Some(l1) = &mut self.l1 {
                 l1.clear();
@@ -206,7 +206,7 @@ impl MemoryTracker {
     /// One warp instruction where `lanes` consecutive lanes access
     /// consecutive elements of `elem_bytes` starting at element `start` of
     /// the buffer at `base` — the fully-coalesced case.
-    pub fn access_contig(
+    pub(crate) fn access_contig(
         &mut self,
         kind: AccessKind,
         base: u64,
@@ -228,7 +228,7 @@ impl MemoryTracker {
     /// One warp instruction with arbitrary per-lane byte addresses (gathers
     /// and scatters). Sectors are deduplicated, as the hardware coalescer
     /// does.
-    pub fn access_gather(&mut self, kind: AccessKind, addrs: &[u64], elem_bytes: u64) {
+    pub(crate) fn access_gather(&mut self, kind: AccessKind, addrs: &[u64], elem_bytes: u64) {
         if addrs.is_empty() {
             return;
         }
@@ -262,7 +262,7 @@ impl MemoryTracker {
     /// same address serialize. Records the worst per-address multiplicity
     /// as the serialization depth, then traces the memory side like a
     /// gather.
-    pub fn atomic_gather(&mut self, addrs: &[u64], elem_bytes: u64) {
+    pub(crate) fn atomic_gather(&mut self, addrs: &[u64], elem_bytes: u64) {
         if addrs.is_empty() {
             return;
         }
@@ -287,22 +287,22 @@ impl MemoryTracker {
 
     /// Count `n` issued non-memory warp instructions (the arithmetic of the
     /// kernel body) against the current block.
-    pub fn instr(&mut self, n: f64) {
+    pub(crate) fn instr(&mut self, n: f64) {
         self.per_block[self.current].instr += n;
     }
 
     /// Bytes that reached DRAM (L2 misses at sector granularity).
-    pub fn dram_bytes(&self) -> u64 {
+    pub(crate) fn dram_bytes(&self) -> u64 {
         self.l2_misses * self.sector_bytes
     }
 
     /// Bytes served by the L2 (all sector touches).
-    pub fn l2_bytes(&self) -> u64 {
+    pub(crate) fn l2_bytes(&self) -> u64 {
         self.sectors * self.sector_bytes
     }
 
     /// The per-block cost table.
-    pub fn per_block(&self) -> &[BlockCost] {
+    pub(crate) fn per_block(&self) -> &[BlockCost] {
         &self.per_block
     }
 }

@@ -24,7 +24,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// The bottleneck resource's time — the modeled kernel time.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.dram_s
             .max(self.l2_s)
             .max(self.atomic_s)
@@ -32,7 +32,7 @@ impl TimeBreakdown {
     }
 
     /// Name of the bottleneck resource.
-    pub fn bottleneck(&self) -> &'static str {
+    pub(crate) fn bottleneck(&self) -> &'static str {
         let t = self.total();
         if t == self.dram_s {
             "dram"
@@ -48,7 +48,7 @@ impl TimeBreakdown {
 
 /// Compute the modeled time of a launch whose trace is in `tracker`, with
 /// thread blocks of `block_threads` threads.
-pub fn model_time(
+pub(crate) fn model_time(
     dev: &DeviceSpec,
     tracker: &MemoryTracker,
     block_threads: usize,

@@ -22,6 +22,9 @@ pub mod model;
 pub mod platform;
 
 pub use bounds::KernelBound;
-pub use ert::{ErtConfig, ErtReport};
+pub use ert::ErtConfig;
+pub use ert::ErtReport;
 pub use model::Roofline;
-pub use platform::{Platform, PlatformKind, PLATFORMS};
+pub use platform::Platform;
+pub use platform::PlatformKind;
+pub use platform::PLATFORMS;
