@@ -22,7 +22,11 @@ pub struct KernelBound {
 
 /// Compute the bound from a Table 1 cost under a machine's ERT-DRAM
 /// bandwidth and compute roof.
-pub fn bound_from_cost(cost: KernelCost, ert_dram_gbs: f64, peak_gflops: f64) -> KernelBound {
+pub(crate) fn bound_from_cost(
+    cost: KernelCost,
+    ert_dram_gbs: f64,
+    peak_gflops: f64,
+) -> KernelBound {
     let oi = cost.oi();
     KernelBound {
         oi,

@@ -22,9 +22,7 @@ pub mod model;
 pub mod platform;
 
 pub use bounds::KernelBound;
-pub use ert::ErtConfig;
 pub use ert::ErtReport;
 pub use model::Roofline;
 pub use platform::Platform;
-pub use platform::PlatformKind;
 pub use platform::PLATFORMS;

@@ -70,7 +70,7 @@ impl Roofline {
     }
 
     /// Attainable GFLOPS at operational intensity `oi` under ceiling `c`.
-    pub fn attainable(&self, oi: f64, ceiling: usize) -> f64 {
+    pub(crate) fn attainable(&self, oi: f64, ceiling: usize) -> f64 {
         (oi * self.ceilings[ceiling].gbs).min(self.peak_gflops)
     }
 
@@ -78,11 +78,6 @@ impl Roofline {
     /// performance".
     pub fn attainable_dram(&self, oi: f64) -> f64 {
         (oi * self.ert_dram_gbs()).min(self.peak_gflops)
-    }
-
-    /// OI at which a ceiling reaches the compute roof.
-    pub fn ridge_point(&self, ceiling: usize) -> f64 {
-        self.peak_gflops / self.ceilings[ceiling].gbs
     }
 
     /// Log-spaced `(oi, gflops)` samples of one ceiling's roofline between
@@ -191,8 +186,9 @@ mod tests {
         for p in crate::platform::PLATFORMS {
             let r = Roofline::from_platform(p);
             for (name, oi) in kernel_oi_marks() {
+                // The ridge point: the OI at which DRAM reaches the roof.
                 assert!(
-                    oi < r.ridge_point(1),
+                    oi < r.peak_gflops / r.ceilings[1].gbs,
                     "{name} on {} would be compute bound",
                     p.id
                 );

@@ -7,15 +7,6 @@
 //! line on every machine). The host platform is measured live by
 //! [`crate::ert`] instead.
 
-/// CPU or GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlatformKind {
-    /// Multicore CPU (the paper's NUMA Intel machines).
-    Cpu,
-    /// NVIDIA GPU.
-    Gpu,
-}
-
 /// One platform of Table 4.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -23,8 +14,6 @@ pub struct Platform {
     pub id: &'static str,
     /// Display name as in the paper.
     pub name: &'static str,
-    /// CPU or GPU.
-    pub kind: PlatformKind,
     /// Processor model.
     pub processor: &'static str,
     /// Microarchitecture.
@@ -53,7 +42,7 @@ pub struct Platform {
 
 impl Platform {
     /// Peak single-precision GFLOPS.
-    pub fn peak_sp_gflops(&self) -> f64 {
+    pub(crate) fn peak_sp_gflops(&self) -> f64 {
         self.peak_sp_tflops * 1000.0
     }
 }
@@ -68,7 +57,6 @@ pub static PLATFORMS: &[Platform] = &[
     Platform {
         id: "bluesky",
         name: "Bluesky",
-        kind: PlatformKind::Cpu,
         processor: "Intel Xeon Gold 6126",
         microarch: "Skylake",
         frequency_ghz: 2.60,
@@ -85,7 +73,6 @@ pub static PLATFORMS: &[Platform] = &[
     Platform {
         id: "wingtip",
         name: "Wingtip",
-        kind: PlatformKind::Cpu,
         processor: "Intel Xeon E7-4850 v3",
         microarch: "Haswell",
         frequency_ghz: 2.20,
@@ -102,7 +89,6 @@ pub static PLATFORMS: &[Platform] = &[
     Platform {
         id: "dgx1p",
         name: "DGX-1P",
-        kind: PlatformKind::Gpu,
         processor: "NVIDIA Tesla P100",
         microarch: "Pascal",
         frequency_ghz: 1.48,
@@ -119,7 +105,6 @@ pub static PLATFORMS: &[Platform] = &[
     Platform {
         id: "dgx1v",
         name: "DGX-1V",
-        kind: PlatformKind::Gpu,
         processor: "NVIDIA Tesla V100",
         microarch: "Volta",
         frequency_ghz: 1.53,
@@ -136,7 +121,8 @@ pub static PLATFORMS: &[Platform] = &[
 ];
 
 /// Look a platform up by id.
-pub fn find(id: &str) -> Option<&'static Platform> {
+#[cfg(test)]
+pub(crate) fn find(id: &str) -> Option<&'static Platform> {
     PLATFORMS.iter().find(|p| p.id == id)
 }
 
@@ -157,7 +143,10 @@ mod tests {
         // over CPUs by approximately 4-12x and 3-7x respectively."
         let cpu_min_peak = 1.0;
         let cpu_max_peak = 2.0;
-        for gpu in PLATFORMS.iter().filter(|p| p.kind == PlatformKind::Gpu) {
+        for gpu in PLATFORMS
+            .iter()
+            .filter(|p| matches!(p.id, "dgx1p" | "dgx1v"))
+        {
             let lo = gpu.peak_sp_tflops / cpu_max_peak;
             let hi = gpu.peak_sp_tflops / cpu_min_peak;
             assert!(lo >= 4.0 && hi <= 16.0, "{}", gpu.id);
