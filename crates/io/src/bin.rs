@@ -42,7 +42,7 @@ const MAGIC: &[u8; 4] = b"TNB2";
 /// Highest tensor order the binary reader accepts. The suite's kernels and
 /// generators top out at order 4; 16 leaves generous headroom while keeping
 /// a lying header from requesting gigabytes of index arrays.
-pub const MAX_ORDER: usize = 16;
+pub(crate) const MAX_ORDER: usize = 16;
 
 /// Options controlling how much a reader is willing to allocate.
 #[derive(Debug, Clone, Copy)]

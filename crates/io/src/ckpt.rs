@@ -39,7 +39,7 @@ const MAGIC: &[u8; 4] = b"TNC1";
 /// decomposition methods top out at one factor per mode plus a weight
 /// vector; 64 leaves generous headroom while keeping a lying header from
 /// requesting huge dimension tables.
-pub const MAX_SECTIONS: usize = 64;
+pub(crate) const MAX_SECTIONS: usize = 64;
 
 /// One checkpointed factor matrix (row-major). A vector is `cols == 1`.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +120,10 @@ pub fn read_ckpt<S: Scalar, R: Read>(reader: R) -> Result<Checkpoint<S>> {
 }
 
 /// Deserialize a checkpoint with an explicit allocation budget.
-pub fn read_ckpt_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result<Checkpoint<S>> {
+pub(crate) fn read_ckpt_with<S: Scalar, R: Read>(
+    reader: R,
+    opts: ReadOptions,
+) -> Result<Checkpoint<S>> {
     // Never buffer more than the budget (plus header slack) even if the
     // input claims otherwise.
     let header_slack = 64 + 8 * MAX_SECTIONS as u64 + 4 * (MAX_SECTIONS as u64 + 1);

@@ -127,7 +127,7 @@ pub struct FaultWriter<W> {
 
 impl<W: Write> FaultWriter<W> {
     /// Wrap `inner`, injecting `faults`.
-    pub fn new(inner: W, faults: Vec<Fault>) -> Self {
+    pub(crate) fn new(inner: W, faults: Vec<Fault>) -> Self {
         FaultWriter {
             inner,
             faults,

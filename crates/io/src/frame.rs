@@ -58,7 +58,7 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// Decode a wire discriminant.
-    pub fn from_u8(v: u8) -> Option<FrameKind> {
+    pub(crate) fn from_u8(v: u8) -> Option<FrameKind> {
         match v {
             1 => Some(FrameKind::Request),
             2 => Some(FrameKind::Response),

@@ -104,4 +104,4 @@ impl From<tenbench_core::TensorError> for IoError {
 }
 
 /// Convenience alias.
-pub type Result<T> = std::result::Result<T, IoError>;
+pub(crate) type Result<T> = std::result::Result<T, IoError>;
