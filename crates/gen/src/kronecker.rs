@@ -70,7 +70,7 @@ impl KroneckerGenerator {
     }
 
     /// Number of recursion levels needed to cover the largest dimension.
-    pub fn levels(&self) -> u32 {
+    pub(crate) fn levels(&self) -> u32 {
         let maxdim = self.shape.dims().iter().copied().max().unwrap_or(1);
         let mut levels = 0u32;
         let mut cover = 1u64;

@@ -17,7 +17,7 @@ use crate::powerlaw::PowerLawGenerator;
 
 /// Which generator family produces a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
+pub(crate) enum DatasetKind {
     /// Stochastic Kronecker ("Kron." in Table 3).
     Kronecker,
     /// Biased power law ("PL" in Table 3).
@@ -34,7 +34,7 @@ pub struct Dataset {
     /// Tensor name ("vast", "regS", …).
     pub name: &'static str,
     /// Generator family.
-    pub kind: DatasetKind,
+    pub(crate) kind: DatasetKind,
     /// Paper-scale dimensions.
     pub paper_dims: &'static [u64],
     /// Paper-scale nonzero count.
@@ -97,11 +97,6 @@ impl Dataset {
             h = h.wrapping_mul(0x100000001b3);
         }
         h
-    }
-
-    /// Generate the bench-scale tensor with the default seed.
-    pub fn generate(&self) -> CooTensor<f32> {
-        self.generate_with(self.bench_nnz(), self.default_seed())
     }
 
     /// Generate with an explicit nonzero count and seed (`tenbench

@@ -7,8 +7,7 @@
 //!
 //! [`EdgeStream`] is the unbounded packet source; [`stack_slices`] folds
 //! consecutive stream windows into the slices of a third-order tensor
-//! (values count packet multiplicity within a window, FireHose-style), and
-//! [`stack_epochs`] repeats that over epochs for a fourth-order tensor.
+//! (values count packet multiplicity within a window, FireHose-style).
 
 use std::collections::HashMap;
 
@@ -79,37 +78,6 @@ pub fn stack_slices(
     .expect("coordinates in range by construction")
 }
 
-/// Repeat [`stack_slices`] over `num_epochs` epochs to produce a
-/// fourth-order `src x dst x num_slices x num_epochs` tensor — the paper's
-/// "repeated on 3rd order tensors" construction.
-pub fn stack_epochs(
-    stream: &mut EdgeStream,
-    src_dim: u32,
-    dst_dim: u32,
-    edges_per_slice: usize,
-    num_slices: usize,
-    num_epochs: usize,
-) -> CooTensor<f32> {
-    let mut counts: HashMap<(u32, u32, u32, u32), u32> = HashMap::new();
-    for e in 0..num_epochs as u32 {
-        for k in 0..num_slices as u32 {
-            for _ in 0..edges_per_slice {
-                let (i, j) = stream.next().expect("stream is unbounded");
-                *counts.entry((i, j, k, e)).or_insert(0) += 1;
-            }
-        }
-    }
-    let entries: Vec<(Vec<u32>, f32)> = counts
-        .into_iter()
-        .map(|((i, j, k, e), c)| (vec![i, j, k, e], c as f32))
-        .collect();
-    CooTensor::from_entries(
-        Shape::new(vec![src_dim, dst_dim, num_slices as u32, num_epochs as u32]),
-        entries,
-    )
-    .expect("coordinates in range by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,16 +112,6 @@ mod tests {
         let max_count = t.vals().iter().cloned().fold(0.0f32, f32::max);
         assert!(max_count > 1.0, "no repeated packets at all?");
         assert!(t.nnz() < 20_000);
-    }
-
-    #[test]
-    fn epochs_produce_fourth_order() {
-        let mut s = EdgeStream::new(2048, 2048, 1.4, 5);
-        let t = stack_epochs(&mut s, 2048, 2048, 500, 4, 3);
-        assert_eq!(t.order(), 4);
-        assert_eq!(t.shape().dims()[2..], [4, 3]);
-        let total: f64 = t.vals().iter().map(|&v| v as f64).sum();
-        assert_eq!(total, (500 * 4 * 3) as f64);
     }
 
     #[test]

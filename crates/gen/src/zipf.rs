@@ -35,13 +35,8 @@ impl ZipfSampler {
         }
     }
 
-    /// The support size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draw one 1-based sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         loop {
             let u: f64 = rng.random::<f64>();
             let u = self.h_integral_n + u * (self.h_integral_x1 - self.h_integral_n);
