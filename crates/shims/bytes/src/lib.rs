@@ -91,33 +91,10 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    /// New empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// New empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Freeze into an immutable `Bytes`.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
         }
     }
 }
@@ -265,7 +242,7 @@ mod tests {
 
     #[test]
     fn bytesmut_derefs_to_slice() {
-        let mut w = BytesMut::new();
+        let mut w = BytesMut::with_capacity(3);
         w.put_slice(&[1, 2, 3]);
         let as_slice: &[u8] = &w;
         assert_eq!(as_slice, &[1, 2, 3]);

@@ -30,12 +30,12 @@ pub struct TestRng {
 
 impl TestRng {
     /// Seeded construction.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         TestRng { state: seed }
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -44,7 +44,7 @@ impl TestRng {
     }
 
     /// Uniform value in `[0, n)`; `n` must be nonzero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
