@@ -19,16 +19,11 @@ pub(crate) mod ts;
 pub(crate) mod ttm;
 pub(crate) mod ttv;
 
-pub use mttkrp::mttkrp_coo_gpu;
-pub use mttkrp::mttkrp_hicoo_gpu;
-pub use tew::tew_coo_gpu;
-pub use tew::tew_hicoo_gpu;
-pub use ts::ts_coo_gpu;
-pub use ts::ts_hicoo_gpu;
-pub use ttm::ttm_coo_gpu;
-pub use ttm::ttm_hicoo_gpu;
-pub use ttv::ttv_coo_gpu;
-pub use ttv::ttv_hicoo_gpu;
+pub use mttkrp::{mttkrp_coo_gpu, mttkrp_hicoo_gpu};
+pub use tew::{tew_coo_gpu, tew_hicoo_gpu};
+pub use ts::{ts_coo_gpu, ts_hicoo_gpu};
+pub use ttm::{ttm_coo_gpu, ttm_hicoo_gpu};
+pub use ttv::{ttv_coo_gpu, ttv_hicoo_gpu};
 
 /// Threads per 1D block (the paper: "M non-zeros are assigned to M/256
 /// thread blocks with 256 threads for each").

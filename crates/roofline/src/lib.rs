@@ -24,5 +24,4 @@ pub mod platform;
 pub use bounds::KernelBound;
 pub use ert::ErtReport;
 pub use model::Roofline;
-pub use platform::Platform;
-pub use platform::PLATFORMS;
+pub use platform::{Platform, PLATFORMS};

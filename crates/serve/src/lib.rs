@@ -52,46 +52,17 @@ pub(crate) mod queue;
 pub(crate) mod service;
 pub(crate) mod stress;
 
-pub use cache::CacheKey;
-pub use cache::CacheStats;
-pub use cache::PrepCache;
-pub use cache::PrepLayout;
-pub use cache::Prepared;
-pub use job::FaultInjector;
-pub use job::InjectedFault;
-pub use job::JobConfig;
-pub use job::JobError;
-pub use job::JobOutcome;
-pub use job::JobProgress;
-pub use job::JobService;
-pub use job::JobServiceReport;
-pub use job::JobSpec;
-pub use job::JobTicket;
-pub use job::ScriptedFaults;
-pub use net::encode_request;
-pub use net::NetClient;
-pub use net::NetConfig;
-pub use net::NetReport;
-pub use net::NetServer;
-pub use net::WireRequest;
-pub use net::WireResponse;
-pub use net::WireStatus;
-pub use service::execute_direct;
-pub use service::BatchJob;
-pub use service::DirectExecutor;
-pub use service::ExecOutcome;
-pub use service::Executor;
-pub use service::FormatKind;
-pub use service::KernelService;
-pub use service::Request;
-pub use service::Response;
-pub use service::ServeConfig;
-pub use service::ServeError;
-pub use service::ServeReport;
-pub use service::Ticket;
-pub use stress::burst;
-pub use stress::closed_loop;
-pub use stress::StressConfig;
-pub use stress::Tally;
-pub use stress::Transport;
-pub use stress::BURST_REQUESTS_PER_CLIENT;
+pub use cache::{CacheKey, CacheStats, PrepCache, PrepLayout, Prepared};
+pub use job::{
+    FaultInjector, InjectedFault, JobConfig, JobError, JobOutcome, JobProgress, JobService,
+    JobServiceReport, JobSpec, JobTicket, ScriptedFaults,
+};
+pub use net::{
+    encode_request, NetClient, NetConfig, NetReport, NetServer, WireRequest, WireResponse,
+    WireStatus,
+};
+pub use service::{
+    execute_direct, BatchJob, DirectExecutor, ExecOutcome, Executor, FormatKind, KernelService,
+    Request, Response, ServeConfig, ServeError, ServeReport, Ticket,
+};
+pub use stress::{burst, closed_loop, StressConfig, Tally, Transport, BURST_REQUESTS_PER_CLIENT};
