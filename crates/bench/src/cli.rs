@@ -428,16 +428,28 @@ fn render_supervised(
 
 /// `verify <file>`: hardened load, structural validation of both formats,
 /// NaN/Inf scan, and a supervised Mttkrp checksum comparison against the
-/// sequential reference. Returns a report ending in `VERIFY PASS` or
-/// `VERIFY FAIL`; load failures (corrupt file, oversized header) are
-/// reported as errors by the hardened reader itself.
+/// sequential reference. Returns a report ending in `VERIFY PASS`; a file
+/// the hardened reader rejects (corrupt section, oversized header) or a
+/// failed check is a [`CliError::Gate`] whose report ends in `VERIFY FAIL`.
 pub fn verify(
     input: &Path,
     block_bits: u8,
     rank: usize,
     cfg: &SupervisorConfig,
 ) -> CliResult<String> {
-    let t = load_tensor(input)?;
+    let t = match load_tensor(input) {
+        Err(CliError::Io(
+            e
+            @ (tenbench_io::IoError::Corrupt { .. } | tenbench_io::IoError::BudgetExceeded { .. }),
+        )) => {
+            let report = format!(
+                "verify {}\n  load: FAIL ({e})\nVERIFY FAIL\n",
+                input.display()
+            );
+            return gate(report, format!("verify {}: {e}", input.display()));
+        }
+        r => r?,
+    };
     let mut out = format!(
         "verify {}: {} tensor, {} nonzeros\n",
         input.display(),
@@ -556,7 +568,11 @@ pub fn verify(
             );
         }
     }
-    out.push_str(if ok { "VERIFY PASS\n" } else { "VERIFY FAIL\n" });
+    if !ok {
+        out.push_str("VERIFY FAIL\n");
+        return gate(out, format!("verify {}: a check failed", input.display()));
+    }
+    out.push_str("VERIFY PASS\n");
     Ok(out)
 }
 
@@ -1806,13 +1822,19 @@ mod tests {
         );
 
         // Flip one payload byte: the hardened reader must reject the file,
-        // so verify reports an error instead of validating garbage.
+        // so verify fails its gate instead of validating garbage.
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() / 2;
         bytes[at] ^= 0x10;
         let bad = dir.join("verify-bad.tnb");
         std::fs::write(&bad, &bytes).unwrap();
-        assert!(matches!(verify(&bad, 3, 4, &cfg), Err(CliError::Io(_))));
+        assert!(matches!(
+            verify(&bad, 3, 4, &cfg),
+            Err(CliError::Gate { report, .. }) if report.ends_with("VERIFY FAIL\n")
+        ));
+        // A missing file is an I/O error, not a failed verification.
+        let missing = dir.join("verify-missing.tnb");
+        assert!(matches!(verify(&missing, 3, 4, &cfg), Err(CliError::Io(_))));
     }
 
     #[test]

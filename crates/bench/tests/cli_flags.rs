@@ -5,8 +5,9 @@
 //! honour, a `chaos` fault rate outside `[0, 1]` or rank 0, and a
 //! watchdog budget that is not finite and > 0 are usage errors (exit code
 //! 2, the culprit named on stderr, no panic, no output) — and well-formed
-//! calls still run. A run that trips a gate is not a usage error: it exits
-//! 1 with its report on stdout and the gate named on stderr.
+//! calls still run. A run that trips a gate (a corrupt file under `verify`
+//! included) is not a usage error: it exits 1 with its report on stdout and
+//! the gate named on stderr.
 
 use std::process::{Command, Output};
 
@@ -127,6 +128,17 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
 fn a_tripped_gate_exits_1_and_keeps_its_report() {
     let floors = std::env::temp_dir().join(format!("tenbench-floors-{}", std::process::id()));
     std::fs::write(&floors, "convert.radix@1/convert.comparator@1 1000\n").unwrap();
+    // One flipped payload byte: the hardened reader's CRC rejects the file.
+    let corrupt = std::env::temp_dir().join(format!("tenbench-corrupt-{}.tnb", std::process::id()));
+    let made = tenbench(&format!(
+        "generate kron --dims 256,256,256 --nnz 2000 --seed 7 --out {}",
+        corrupt.display()
+    ));
+    assert!(made.status.success(), "generate failed: {made:?}");
+    let mut bytes = std::fs::read(&corrupt).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x10;
+    std::fs::write(&corrupt, &bytes).unwrap();
     for (args, reason, evidence) in [
         (
             // One job worker draws the faults in a fixed panic, hang,
@@ -145,6 +157,11 @@ fn a_tripped_gate_exits_1_and_keeps_its_report() {
             ),
             "scaling gate:",
             ["Self-speedup", "counters:"],
+        ),
+        (
+            format!("verify {}", corrupt.display()),
+            "verify ",
+            ["load: FAIL (corrupt", "VERIFY FAIL"],
         ),
     ] {
         let out = tenbench(&args);

@@ -483,7 +483,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &AtomicBo
                 lock(&st.conns).remove(&id);
             })
             .expect("spawn connection handler");
-        lock(&state.handlers).push(handle);
+        let mut handlers = lock(&state.handlers);
+        // Drop the handles of handlers that have exited (and so released
+        // their `Arc<ServerState>`): a long-lived server keeps only live ones.
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
     }
 }
 
@@ -785,6 +789,30 @@ mod tests {
         assert_eq!(report.protocol_errors, 0);
         let cache = report.cache();
         assert_eq!((cache.hits, cache.misses, cache.collisions), (1, 1, 0));
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_not_kept() {
+        let server = start_server();
+        let bytes = tnb2(&tensor(1));
+        let req = WireRequest {
+            kernel: Kernel::Mttkrp,
+            format: FormatKind::Hicoo,
+            mode: 0,
+            rank: 8,
+            deadline_ms: 0,
+        };
+        for _ in 0..32 {
+            let mut client = NetClient::connect(server.addr()).unwrap();
+            let resp = client.request(&req, &bytes).unwrap();
+            assert_eq!(resp.status, WireStatus::Ok, "{}", resp.detail);
+        }
+        // Each accept drops the handles of handlers that have exited; only
+        // the last few connections' handlers can still be winding down.
+        let kept = lock(&server.state.handlers).len();
+        assert!(kept <= 4, "{kept} handles kept after 32 closed connections");
+        let report = server.shutdown();
+        assert_eq!(report.requests, 32);
     }
 
     #[test]
