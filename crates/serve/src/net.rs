@@ -484,9 +484,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &AtomicBo
             })
             .expect("spawn connection handler");
         let mut handlers = lock(&state.handlers);
-        // Drop the handles of handlers that have exited (and so released
-        // their `Arc<ServerState>`): a long-lived server keeps only live ones.
-        handlers.retain(|h| !h.is_finished());
+        // Join the handlers that have exited (they have released their
+        // `Arc<ServerState>`), so a long-lived server keeps only live ones.
+        for done in handlers.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
         handlers.push(handle);
     }
 }
