@@ -809,7 +809,7 @@ mod tests {
             let resp = client.request(&req, &bytes).unwrap();
             assert_eq!(resp.status, WireStatus::Ok, "{}", resp.detail);
         }
-        // Each accept drops the handles of handlers that have exited; only
+        // Each accept joins the handlers that have exited; only
         // the last few connections' handlers can still be winding down.
         let kept = lock(&server.state.handlers).len();
         assert!(kept <= 4, "{kept} handles kept after 32 closed connections");
