@@ -58,9 +58,9 @@
 //!
 //! A flag the subcommand does not read is a usage error (exit code 2),
 //! not a silently dropped typo. A gate that fails (`stress`, `chaos`,
-//! `scale-bench --floors`, `obs-overhead --max-overhead-pct`) prints the
-//! full report to stdout and `tenbench: gate failed: <reason>` to stderr,
-//! and exits 1.
+//! `verify`, `scale-bench --floors`, `obs-overhead --max-overhead-pct`)
+//! prints the full report to stdout and `tenbench: gate failed: <reason>`
+//! to stderr, and exits 1.
 //!
 //! `--max-seconds` or `--fallback` switch `kernel` to supervised mode:
 //! the run executes on a watchdogged worker thread under panic isolation,
