@@ -29,12 +29,12 @@
 
 use std::io::{Read, Write};
 
-use bytes::{BufMut, BytesMut};
 use tenbench_core::coo::CooTensor;
 use tenbench_core::scalar::Scalar;
 use tenbench_core::shape::Shape;
 
 use crate::crc32::crc32;
+use crate::cursor::Cursor;
 use crate::{IoError, Result};
 
 const MAGIC: &[u8; 4] = b"TNB2";
@@ -61,65 +61,6 @@ impl Default for ReadOptions {
     }
 }
 
-/// A bounds-checked little-endian cursor over the raw file bytes. Every
-/// accessor returns `Err` on underflow instead of panicking, so corrupt
-/// input can never reach the panicking slice paths. Shared with the
-/// checkpoint reader in [`crate::ckpt`].
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize, section: &'static str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(IoError::Corrupt {
-                section,
-                detail: format!(
-                    "truncated: need {n} more bytes, {} remain",
-                    self.remaining()
-                ),
-            });
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self, section: &'static str) -> Result<u8> {
-        Ok(self.take(1, section)?[0])
-    }
-
-    pub(crate) fn u16(&mut self, section: &'static str) -> Result<u16> {
-        let b = self.take(2, section)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self, section: &'static str) -> Result<u32> {
-        let b = self.take(4, section)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self, section: &'static str) -> Result<u64> {
-        let b = self.take(8, section)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-}
-
 fn checked_payload_bytes(nnz: u64, order: usize, vwidth: u8) -> Result<u64> {
     let per_nnz = 4u64
         .checked_mul(order as u64)
@@ -134,27 +75,27 @@ pub fn write_bin<S: Scalar, W: Write>(tensor: &CooTensor<S>, mut writer: W) -> R
     let order = tensor.order();
     let nnz = tensor.nnz();
 
-    let mut header = BytesMut::with_capacity(18 + order * 4);
-    header.put_slice(MAGIC);
-    header.put_u8(S::BYTES as u8);
-    header.put_u8(order as u8);
+    let mut header = Vec::with_capacity(18 + order * 4);
+    header.extend_from_slice(MAGIC);
+    header.push(S::BYTES as u8);
+    header.push(order as u8);
     for &d in tensor.shape().dims() {
-        header.put_u32_le(d);
+        header.extend_from_slice(&d.to_le_bytes());
     }
-    header.put_u64_le(nnz as u64);
+    header.extend_from_slice(&(nnz as u64).to_le_bytes());
 
-    let mut inds = BytesMut::with_capacity(nnz * order * 4);
+    let mut inds = Vec::with_capacity(nnz * order * 4);
     for m in 0..order {
         for &i in tensor.mode_inds(m) {
-            inds.put_u32_le(i);
+            inds.extend_from_slice(&i.to_le_bytes());
         }
     }
 
-    let mut vals = BytesMut::with_capacity(nnz * S::BYTES as usize);
+    let mut vals = Vec::with_capacity(nnz * S::BYTES as usize);
     for &v in tensor.vals() {
         match S::BYTES {
-            4 => vals.put_u32_le((v.to_f64() as f32).to_bits()),
-            _ => vals.put_u64_le(v.to_f64().to_bits()),
+            4 => vals.extend_from_slice(&(v.to_f64() as f32).to_le_bytes()),
+            _ => vals.extend_from_slice(&v.to_f64().to_le_bytes()),
         }
     }
 
@@ -177,19 +118,29 @@ pub fn read_bin<S: Scalar, R: Read>(reader: R) -> Result<CooTensor<S>> {
 pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result<CooTensor<S>> {
     // Never buffer more than the budget (plus header slack) even if the
     // file claims otherwise: a multi-terabyte file cannot OOM the reader.
-    let file_cap = opts
-        .max_bytes
-        .saturating_add(64 + 4 * MAX_ORDER as u64 + 12);
     let mut raw = Vec::new();
-    reader.take(file_cap + 1).read_to_end(&mut raw)?;
-    if raw.len() as u64 > file_cap {
+    reader.take(input_cap(opts) + 1).read_to_end(&mut raw)?;
+    decode_bin(&raw, opts)
+}
+
+/// The most input bytes a reader with `opts` accepts: the budget plus
+/// header and CRC slack.
+fn input_cap(opts: ReadOptions) -> u64 {
+    opts.max_bytes
+        .saturating_add(64 + 4 * MAX_ORDER as u64 + 12)
+}
+
+/// Decode a tensor from `TNB2` bytes already in memory (a file read by
+/// [`read_bin_with`], or a frame payload), under the same budget.
+pub fn decode_bin<S: Scalar>(raw: &[u8], opts: ReadOptions) -> Result<CooTensor<S>> {
+    if raw.len() as u64 > input_cap(opts) {
         return Err(IoError::BudgetExceeded {
             needed: raw.len() as u64,
             budget: opts.max_bytes,
         });
     }
 
-    let mut cur = Cursor::new(&raw);
+    let mut cur = Cursor::new(raw);
     let mut magic = [0u8; 4];
     magic.copy_from_slice(cur.take(4, "header")?);
     if &magic != MAGIC {
@@ -242,7 +193,7 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
     }
     let nnz = nnz64 as usize;
 
-    let header_end = cur.pos;
+    let header_end = cur.pos();
     let expect = cur.u32("header")?;
     let got = crc32(&raw[..header_end]);
     if got != expect {
@@ -252,7 +203,7 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
         });
     }
 
-    let ind_start = cur.pos;
+    let ind_start = cur.pos();
     let mut inds: Vec<Vec<u32>> = Vec::with_capacity(order);
     for _ in 0..order {
         let sec = cur.take(nnz * 4, "indices")?;
@@ -271,7 +222,7 @@ pub fn read_bin_with<S: Scalar, R: Read>(reader: R, opts: ReadOptions) -> Result
         });
     }
 
-    let val_start = cur.pos;
+    let val_start = cur.pos();
     let vals: Vec<S> = match vwidth {
         4 => cur
             .take(nnz * 4, "values")?

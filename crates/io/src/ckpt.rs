@@ -26,11 +26,11 @@
 
 use std::io::{Read, Write};
 
-use bytes::{BufMut, BytesMut};
 use tenbench_core::scalar::Scalar;
 
-use crate::bin::{Cursor, ReadOptions};
+use crate::bin::ReadOptions;
 use crate::crc32::crc32;
+use crate::cursor::Cursor;
 use crate::{IoError, Result};
 
 const MAGIC: &[u8; 4] = b"TNC1";
@@ -73,12 +73,12 @@ pub fn write_ckpt<S: Scalar, W: Write>(c: &Checkpoint<S>, mut writer: W) -> Resu
             c.matrices.len()
         )));
     }
-    let mut header = BytesMut::with_capacity(24 + c.matrices.len() * 8);
-    header.put_slice(MAGIC);
-    header.put_u8(S::BYTES as u8);
-    header.put_u64_le(c.iteration);
-    header.put_u64_le(c.fit.to_bits());
-    header.put_u16_le(c.matrices.len() as u16);
+    let mut header = Vec::with_capacity(24 + c.matrices.len() * 8);
+    header.extend_from_slice(MAGIC);
+    header.push(S::BYTES as u8);
+    header.extend_from_slice(&c.iteration.to_le_bytes());
+    header.extend_from_slice(&c.fit.to_bits().to_le_bytes());
+    header.extend_from_slice(&(c.matrices.len() as u16).to_le_bytes());
     for m in &c.matrices {
         if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
             return Err(IoError::Parse(format!(
@@ -94,17 +94,17 @@ pub fn write_ckpt<S: Scalar, W: Write>(c: &Checkpoint<S>, mut writer: W) -> Resu
                 m.rows, m.cols
             )));
         }
-        header.put_u32_le(m.rows as u32);
-        header.put_u32_le(m.cols as u32);
+        header.extend_from_slice(&(m.rows as u32).to_le_bytes());
+        header.extend_from_slice(&(m.cols as u32).to_le_bytes());
     }
     writer.write_all(&header)?;
     writer.write_all(&crc32(&header).to_le_bytes())?;
     for m in &c.matrices {
-        let mut sec = BytesMut::with_capacity(m.data.len() * S::BYTES as usize);
+        let mut sec = Vec::with_capacity(m.data.len() * S::BYTES as usize);
         for &v in &m.data {
             match S::BYTES {
-                4 => sec.put_u32_le((v.to_f64() as f32).to_bits()),
-                _ => sec.put_u64_le(v.to_f64().to_bits()),
+                4 => sec.extend_from_slice(&(v.to_f64() as f32).to_le_bytes()),
+                _ => sec.extend_from_slice(&v.to_f64().to_le_bytes()),
             }
         }
         writer.write_all(&sec)?;

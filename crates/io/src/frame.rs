@@ -22,17 +22,15 @@
 //! mismatches surface as [`IoError::Corrupt`], and end-of-stream exactly
 //! on a frame boundary is the clean-close signal `Ok(None)` — anything
 //! mid-frame is corruption. The `ctx` word is how causal traces cross
-//! the socket: the client stamps its [`TraceCtx`] id, the server mints a
-//! child of it, and a flight-recorder dump stitches client → shard →
-//! pool worker.
-//!
-//! [`TraceCtx`]: https://docs.rs/ (tenbench_obs::TraceCtx)
+//! the socket: the client stamps its `tenbench_obs::TraceCtx` id, the
+//! server mints a child of it, and a flight-recorder dump stitches
+//! client → shard → pool worker.
 
 use std::io::{ErrorKind, Read, Write};
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Deref;
 
 use crate::crc32::crc32;
+use crate::cursor::Cursor;
 use crate::{IoError, Result};
 
 const MAGIC: &[u8; 4] = b"TNF1";
@@ -68,17 +66,34 @@ impl FrameKind {
     }
 }
 
-/// A decoded frame. The payload is an owned [`Bytes`] buffer so the
-/// receiver can hand it to a zero-copy parser ([`Bytes::chunk`]) without
-/// re-slicing or copying.
+/// A decoded frame.
 #[derive(Debug)]
 pub struct Frame {
     /// What the frame carries.
     pub kind: FrameKind,
     /// Trace-context id stamped by the sender (0 = none).
     pub ctx: u64,
-    /// The verified payload.
-    pub payload: Bytes,
+    /// The verified payload; it derefs to `&[u8]`, so parsers borrow it.
+    pub payload: Payload,
+}
+
+/// A frame's owned payload bytes. The inherent `chunk` exists only for
+/// `benchmark/src/serve.rs`; ROADMAP item 6(a) replaces this with `Vec<u8>`.
+#[derive(Debug)]
+pub struct Payload(Vec<u8>);
+
+impl Payload {
+    /// The payload as a slice.
+    pub fn chunk(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// Write one frame. The payload must fit a `u32` length prefix.
@@ -89,13 +104,13 @@ pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, ctx: u64, payload: &[u8
             payload.len()
         ))
     })?;
-    let mut head = BytesMut::with_capacity(FRAME_OVERHEAD);
-    head.put_slice(MAGIC);
-    head.put_u8(kind as u8);
-    head.put_u64_le(ctx);
-    head.put_u32_le(len);
+    let mut head = Vec::with_capacity(HEADER_BYTES);
+    head.extend_from_slice(MAGIC);
+    head.push(kind as u8);
+    head.extend_from_slice(&ctx.to_le_bytes());
+    head.extend_from_slice(&len.to_le_bytes());
     let hcrc = crc32(&head);
-    head.put_u32_le(hcrc);
+    head.extend_from_slice(&hcrc.to_le_bytes());
     w.write_all(&head)?;
     w.write_all(payload)?;
     w.write_all(&crc32(payload).to_le_bytes())?;
@@ -113,19 +128,18 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u64) -> Result<Option<Frame>>
     if !read_full(r, &mut head, "frame header")? {
         return Ok(None);
     }
-    let mut cur = Bytes::from(head.to_vec());
-    let mut magic = [0u8; 4];
-    cur.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut cur = Cursor::new(&head);
+    let magic = cur.take(4, "frame header")?;
+    if magic != MAGIC {
         return Err(IoError::Corrupt {
             section: "frame header",
             detail: format!("bad magic {magic:02x?}"),
         });
     }
-    let kind_raw = cur.get_u8();
-    let ctx = cur.get_u64_le();
-    let len = cur.get_u32_le();
-    let hcrc = cur.get_u32_le();
+    let kind_raw = cur.u8("frame header")?;
+    let ctx = cur.u64("frame header")?;
+    let len = cur.u32("frame header")?;
+    let hcrc = cur.u32("frame header")?;
     let computed = crc32(&head[..HEADER_BYTES - 4]);
     if hcrc != computed {
         return Err(IoError::Corrupt {
@@ -170,7 +184,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u64) -> Result<Option<Frame>>
     Ok(Some(Frame {
         kind,
         ctx,
-        payload: Bytes::from(payload),
+        payload: Payload(payload),
     }))
 }
 

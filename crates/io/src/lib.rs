@@ -15,6 +15,8 @@
 //!   networked serving tier, carrying the same CRC-32-per-section
 //!   discipline onto the socket.
 //! * [`crc32`] — the CRC-32 used by `TNB2`, `TNC1`, and `TNF1`.
+//! * [`cursor`] — the checked little-endian reader every binary decoder
+//!   (here and in the serving tier's payload codec) goes through.
 //! * [`fault`] — fault-injection `Read`/`Write` wrappers for corruption
 //!   testing.
 //!
@@ -28,6 +30,7 @@
 pub mod bin;
 pub mod ckpt;
 pub mod crc32;
+pub mod cursor;
 pub mod fault;
 pub mod frame;
 pub mod tns;

@@ -62,16 +62,16 @@ pub struct Prepared {
     pub factors: Arc<Vec<DenseMatrix<f32>>>,
     /// Bytes this entry charges against the budget (HiCOO + factors; the
     /// COO `Arc` is shared with the caller and not counted).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Counter snapshot for reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that had to prepare artifacts.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Entries evicted to fit the byte budget.
     pub evictions: u64,
     /// Fingerprint collisions detected on lookup: the key matched but the
@@ -79,7 +79,7 @@ pub struct CacheStats {
     /// never as another tensor's artifacts.
     pub collisions: u64,
     /// Entries resident right now.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Bytes resident right now.
     pub bytes: u64,
 }

@@ -174,23 +174,15 @@ pub struct JobProgress {
 /// Terminal state of a successful job.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
-    /// Service-assigned job id.
-    pub job_id: u64,
     /// Completed iterations.
     pub iterations: u64,
     /// Final CP-ALS fit.
     pub fit: f64,
-    /// `true` when the fit converged before the iteration cap.
-    pub converged: bool,
     /// Faults absorbed via checkpoint resume or reinit.
     pub recoveries: u32,
     /// Recoveries that found no valid checkpoint and restarted from
     /// iteration 0 (still bitwise-deterministic — same seed, same path).
     pub reinits: u32,
-    /// Corrupted checkpoint generations detected (CRC/parse rejection).
-    pub corrupt_detected: u32,
-    /// Checkpoints written.
-    pub checkpoints: u64,
     /// The final state serialized as `TNC1` bytes. Two runs of the same
     /// spec at the same thread count — interrupted or not — produce
     /// byte-identical values here; tests compare them directly.
@@ -342,11 +334,11 @@ pub struct JobServiceReport {
     /// Jobs admitted to the queue.
     pub submitted: u64,
     /// Jobs refused at submit (queue full).
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Jobs that reached `Ok(JobOutcome)`.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Jobs that reached a typed `Err(JobError)`.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Step faults, the one that exhausts a job's budget included.
     pub recoveries: u64,
     /// Faults absorbed by resuming from a valid checkpoint.
@@ -542,7 +534,6 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
 
     let mut recoveries = 0u32;
     let mut reinits = 0u32;
-    let mut corrupt_detected = 0u32;
     let mut progress: Vec<JobProgress> = Vec::new();
     let mut resumed_flag = false;
     let mut done = opts.max_iters == 0;
@@ -634,7 +625,6 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
                         break;
                     }
                     Err(e) => {
-                        corrupt_detected += 1;
                         shared.tally().corrupt_detected += 1;
                         obs::counters::JOB_CKPT_CORRUPT.add(1);
                         obs::flight::dump(
@@ -676,14 +666,10 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
     let final_checkpoint =
         encode(&state).map_err(|e| JobError::Init(format!("final checkpoint failed: {e}")))?;
     Ok(JobOutcome {
-        job_id: job.job_id,
         iterations: state.iteration as u64,
         fit,
-        converged: done,
         recoveries,
         reinits,
-        corrupt_detected,
-        checkpoints,
         final_checkpoint,
         progress,
     })
@@ -741,9 +727,9 @@ mod tests {
         assert!(out.iterations > 0);
         assert!(out.fit.is_finite());
         assert_eq!(out.recoveries, 0);
-        assert!(out.checkpoints as usize >= out.progress.len());
         assert!(!out.final_checkpoint.is_empty());
         let report = svc.shutdown();
+        assert!(report.checkpoints as usize >= out.progress.len());
         assert_eq!(report.completed, 1);
         assert_eq!(report.lost(), 0);
     }
@@ -802,7 +788,6 @@ mod tests {
         let report = svc.shutdown();
 
         assert_eq!(out.recoveries, 1, "panic absorbed via resume");
-        assert_eq!(out.corrupt_detected, 1, "damaged generation detected");
         assert_eq!(out.reinits, 0, "older generation was intact");
         assert!(out.progress.iter().any(|p| p.resumed));
         assert_eq!(out.iterations, clean.iterations);
@@ -811,7 +796,7 @@ mod tests {
             out.final_checkpoint, clean.final_checkpoint,
             "resumed factors are not bitwise-identical"
         );
-        assert_eq!(report.corrupt_detected, 1);
+        assert_eq!(report.corrupt_detected, 1, "damaged generation detected");
         assert_eq!(report.lost(), 0);
     }
 
@@ -896,13 +881,12 @@ mod tests {
         );
         let out = svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
         assert_eq!(out.reinits, 1);
-        assert_eq!(out.corrupt_detected, 2);
+        assert_eq!(svc.shutdown().corrupt_detected, 2);
 
         let clean_svc = JobService::start(quick_cfg(), None);
         let clean = clean_svc.submit(cp_spec(&x)).unwrap().wait().unwrap();
         clean_svc.shutdown();
         assert_eq!(out.final_checkpoint, clean.final_checkpoint);
-        svc.shutdown();
     }
 
     #[test]

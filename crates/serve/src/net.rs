@@ -38,11 +38,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tenbench_core::coo::CooTensor;
 use tenbench_core::kernels::Kernel;
-use tenbench_io::bin::{read_bin_with, ReadOptions};
+use tenbench_io::bin::{decode_bin, ReadOptions};
+use tenbench_io::cursor::Cursor;
 use tenbench_io::frame::{read_frame, write_frame, FrameKind};
+use tenbench_io::IoError;
 use tenbench_obs as obs;
 
 use crate::cache::CacheStats;
@@ -141,44 +142,41 @@ pub struct WireRequest {
 /// pre-serialized `TNB2` bytes (serialize once with
 /// [`tenbench_io::bin::write_bin`], reuse across requests).
 pub fn encode_request(req: &WireRequest, tensor_tnb2: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(9 + tensor_tnb2.len());
-    buf.put_u8(kernel_code(req.kernel));
-    buf.put_u8(match req.format {
+    let mut buf = Vec::with_capacity(9 + tensor_tnb2.len());
+    buf.push(kernel_code(req.kernel));
+    buf.push(match req.format {
         FormatKind::Coo => 0,
         FormatKind::Hicoo => 1,
     });
-    buf.put_u8(req.mode);
-    buf.put_u16_le(req.rank);
-    buf.put_u32_le(req.deadline_ms);
-    buf.put_slice(tensor_tnb2);
-    buf.into()
+    buf.push(req.mode);
+    buf.extend_from_slice(&req.rank.to_le_bytes());
+    buf.extend_from_slice(&req.deadline_ms.to_le_bytes());
+    buf.extend_from_slice(tensor_tnb2);
+    buf
 }
 
-/// Decode a request payload. The tensor parses zero-copy out of the
-/// frame's buffer ([`Bytes::chunk`]) under `max_tensor_bytes`.
-fn decode_request(payload: &mut Bytes, max_tensor_bytes: u64) -> Result<Request, String> {
-    if payload.remaining() < 9 {
-        return Err(format!(
-            "request header needs 9 bytes, got {}",
-            payload.remaining()
-        ));
-    }
-    let kernel = kernel_from(payload.get_u8()).ok_or("unknown kernel code")?;
-    let format = match payload.get_u8() {
+/// Decode a request payload. The tensor decodes straight from the
+/// frame's payload slice ([`decode_bin`]) under `max_tensor_bytes`.
+fn decode_request(payload: &[u8], max_tensor_bytes: u64) -> Result<Request, IoError> {
+    const HEADER: &str = "request header";
+    let mut cur = Cursor::new(payload);
+    let code = cur.u8(HEADER)?;
+    let kernel =
+        kernel_from(code).ok_or_else(|| IoError::Parse(format!("unknown kernel code {code}")))?;
+    let format = match cur.u8(HEADER)? {
         0 => FormatKind::Coo,
         1 => FormatKind::Hicoo,
-        other => return Err(format!("unknown format code {other}")),
+        other => return Err(IoError::Parse(format!("unknown format code {other}"))),
     };
-    let mode = payload.get_u8() as usize;
-    let rank = payload.get_u16_le() as usize;
-    let deadline_ms = payload.get_u32_le();
-    let tensor: CooTensor<f32> = read_bin_with(
-        payload.chunk(),
+    let mode = cur.u8(HEADER)? as usize;
+    let rank = cur.u16(HEADER)? as usize;
+    let deadline_ms = cur.u32(HEADER)?;
+    let tensor: CooTensor<f32> = decode_bin(
+        cur.rest(),
         ReadOptions {
             max_bytes: max_tensor_bytes,
         },
-    )
-    .map_err(|e| format!("embedded tensor: {e}"))?;
+    )?;
     Ok(Request {
         kernel,
         format,
@@ -211,89 +209,64 @@ pub struct WireResponse {
 }
 
 fn encode_response(status: WireStatus, resp: Option<&Response>, detail: &str) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + detail.len());
-    buf.put_u8(status as u8);
+    let mut buf = Vec::with_capacity(64 + detail.len());
+    buf.push(status as u8);
     match resp {
         Some(r) => {
-            buf.put_f64_le(r.digest);
-            buf.put_f64_le(r.queued_ms);
-            buf.put_f64_le(r.exec_ms);
-            buf.put_f64_le(r.total_ms);
-            buf.put_u32_le(r.batch_size as u32);
-            buf.put_u8(u8::from(r.cache_hit));
+            for v in [r.digest, r.queued_ms, r.exec_ms, r.total_ms] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            buf.extend_from_slice(&(r.batch_size as u32).to_le_bytes());
+            buf.push(u8::from(r.cache_hit));
             put_str(&mut buf, &r.strategy);
         }
         None => put_str(&mut buf, detail),
     }
-    buf.into()
+    buf
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     // Truncate on a char boundary to fit the u16 length prefix.
     let mut end = s.len().min(u16::MAX as usize);
     while !s.is_char_boundary(end) {
         end -= 1;
     }
-    buf.put_u16_le(end as u16);
-    buf.put_slice(&s.as_bytes()[..end]);
+    buf.extend_from_slice(&(end as u16).to_le_bytes());
+    buf.extend_from_slice(&s.as_bytes()[..end]);
 }
 
-fn get_str(payload: &mut Bytes) -> Result<String, String> {
-    if payload.remaining() < 2 {
-        return Err("truncated string length".into());
-    }
-    let len = payload.get_u16_le() as usize;
-    if payload.remaining() < len {
-        return Err(format!(
-            "string claims {len} bytes, {} remain",
-            payload.remaining()
-        ));
-    }
-    let s = String::from_utf8_lossy(&payload.chunk()[..len]).into_owned();
-    payload.advance(len);
-    Ok(s)
+fn get_str(cur: &mut Cursor<'_>) -> Result<String, IoError> {
+    let len = cur.u16("response detail")? as usize;
+    Ok(String::from_utf8_lossy(cur.take(len, "response detail")?).into_owned())
 }
 
 /// Decode a response payload (the client side of `encode_response`).
-pub(crate) fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
-    if !payload.has_remaining() {
-        return Err("empty response payload".into());
-    }
-    let status = WireStatus::from_u8(payload.get_u8()).ok_or("unknown status code")?;
+pub(crate) fn decode_response(payload: &[u8]) -> Result<WireResponse, IoError> {
+    const BODY: &str = "response";
+    let mut cur = Cursor::new(payload);
+    let code = cur.u8(BODY)?;
+    let status = WireStatus::from_u8(code)
+        .ok_or_else(|| IoError::Parse(format!("unknown status code {code}")))?;
+    let mut resp = WireResponse {
+        status,
+        digest: 0.0,
+        queued_ms: 0.0,
+        exec_ms: 0.0,
+        total_ms: 0.0,
+        batch_size: 0,
+        cache_hit: false,
+        detail: String::new(),
+    };
     if status == WireStatus::Ok {
-        if payload.remaining() < 8 * 4 + 4 + 1 {
-            return Err("truncated ok-response body".into());
-        }
-        let digest = payload.get_f64_le();
-        let queued_ms = payload.get_f64_le();
-        let exec_ms = payload.get_f64_le();
-        let total_ms = payload.get_f64_le();
-        let batch_size = payload.get_u32_le();
-        let cache_hit = payload.get_u8() != 0;
-        let detail = get_str(payload)?;
-        Ok(WireResponse {
-            status,
-            digest,
-            queued_ms,
-            exec_ms,
-            total_ms,
-            batch_size,
-            cache_hit,
-            detail,
-        })
-    } else {
-        let detail = get_str(payload)?;
-        Ok(WireResponse {
-            status,
-            digest: 0.0,
-            queued_ms: 0.0,
-            exec_ms: 0.0,
-            total_ms: 0.0,
-            batch_size: 0,
-            cache_hit: false,
-            detail,
-        })
+        resp.digest = f64::from_bits(cur.u64(BODY)?);
+        resp.queued_ms = f64::from_bits(cur.u64(BODY)?);
+        resp.exec_ms = f64::from_bits(cur.u64(BODY)?);
+        resp.total_ms = f64::from_bits(cur.u64(BODY)?);
+        resp.batch_size = cur.u32(BODY)?;
+        resp.cache_hit = cur.u8(BODY)? != 0;
     }
+    resp.detail = get_str(&mut cur)?;
+    Ok(resp)
 }
 
 pub(crate) fn status_of(err: &ServeError) -> WireStatus {
@@ -519,14 +492,13 @@ fn handle_conn(state: &ServerState, mut stream: TcpStream) {
                 let ctx = obs::TraceCtx::mint_with_parent("net.request", frame.ctx);
                 let _g = obs::ctx::install(ctx);
                 obs::ctx::flow_recv("net.request", ctx);
-                let mut payload = frame.payload;
-                let reply = match decode_request(&mut payload, state.cfg.max_request_bytes) {
-                    Err(msg) => {
+                let reply = match decode_request(&frame.payload, state.cfg.max_request_bytes) {
+                    Err(e) => {
                         // Frame boundaries are intact: answer typed and
                         // keep the connection.
                         state.wire.protocol_errors.fetch_add(1, Ordering::Relaxed);
                         obs::counters::NET_PROTOCOL_ERRORS.add(1);
-                        encode_response(WireStatus::BadRequest, None, &msg)
+                        encode_response(WireStatus::BadRequest, None, &e.to_string())
                     }
                     Ok(req) => {
                         let shard = (req.tensor.fingerprint() % state.shards.len() as u64) as usize;
@@ -703,13 +675,10 @@ impl NetClient {
             .map_err(|e| format!("recv: {e}"))?
             .ok_or("connection closed before the response")?;
         match frame.kind {
-            FrameKind::Response => {
-                let mut payload = frame.payload;
-                decode_response(&mut payload)
-            }
+            FrameKind::Response => decode_response(&frame.payload).map_err(|e| e.to_string()),
             FrameKind::Error => Err(format!(
                 "server protocol error: {}",
-                String::from_utf8_lossy(frame.payload.chunk())
+                String::from_utf8_lossy(&frame.payload)
             )),
             FrameKind::Request => Err("server sent a request frame".into()),
         }
@@ -761,6 +730,89 @@ mod tests {
             Box::new(DirectExecutor)
         })
         .unwrap()
+    }
+
+    #[test]
+    fn payload_codec_sweep_gives_typed_errors_never_a_panic() {
+        let small = CooTensor::from_entries(
+            Shape::new(vec![4, 4, 4]),
+            (0..6u32)
+                .map(|i| (vec![i % 4, (i + 1) % 4, (i * 3) % 4], i as f32 + 0.5))
+                .collect(),
+        )
+        .unwrap();
+        let wire = WireRequest {
+            kernel: Kernel::Ttm,
+            format: FormatKind::Hicoo,
+            mode: 2,
+            rank: 4,
+            deadline_ms: 250,
+        };
+        let request = encode_request(&wire, &tnb2(&small));
+        let resp = Response {
+            digest: 1.5,
+            strategy: "scheduled".into(),
+            queued_ms: 0.25,
+            exec_ms: 2.0,
+            total_ms: 3.0,
+            batch_size: 3,
+            cache_hit: true,
+        };
+        let ok = encode_response(WireStatus::Ok, Some(&resp), "");
+        let err = encode_response(WireStatus::QueueFull, None, "queue full: 16 queued");
+        let budget = 1 << 20;
+
+        let req = decode_request(&request, budget).unwrap();
+        assert_eq!((req.kernel, req.format), (Kernel::Ttm, FormatKind::Hicoo));
+        assert_eq!((req.mode, req.rank), (2, 4));
+        assert_eq!(req.deadline, Some(Duration::from_millis(250)));
+        assert_eq!(req.tensor.to_map(), small.to_map());
+        let r = decode_response(&ok).unwrap();
+        assert_eq!((r.status, r.detail.as_str()), (WireStatus::Ok, "scheduled"));
+        assert_eq!(
+            (r.digest, r.queued_ms, r.exec_ms, r.total_ms),
+            (1.5, 0.25, 2.0, 3.0)
+        );
+        assert_eq!((r.batch_size, r.cache_hit), (3, true));
+        let r = decode_response(&err).unwrap();
+        assert_eq!(
+            (r.status, r.detail.as_str()),
+            (WireStatus::QueueFull, "queue full: 16 queued")
+        );
+
+        // Every strict prefix lacks a field the layout requires.
+        for cut in 0..request.len() {
+            let r = decode_request(&request[..cut], budget);
+            assert!(r.is_err(), "request cut at {cut} decoded");
+        }
+        for payload in [&ok, &err] {
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_response(&payload[..cut]).is_err(),
+                    "response cut at {cut} decoded"
+                );
+            }
+        }
+        // A flipped bit in the 9-byte request header may still name a
+        // valid request; one in the tensor bytes fails a TNB2 check.
+        for bit in 0..request.len() * 8 {
+            let mut bad = request.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let r = decode_request(&bad, budget);
+            assert!(
+                bit < 9 * 8 || r.is_err(),
+                "flip of request bit {bit} decoded"
+            );
+        }
+        // Response bodies carry no checksum of their own (the frame's
+        // covers them): any flip decodes to some response or a typed error.
+        for payload in [&ok, &err] {
+            for bit in 0..payload.len() * 8 {
+                let mut bad = payload.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_response(&bad);
+            }
+        }
     }
 
     #[test]

@@ -133,15 +133,15 @@ pub struct Response {
     /// Strategy label the executor settled on (e.g. `"scheduled"`).
     pub strategy: String,
     /// Milliseconds spent queued before a worker claimed the request.
-    pub queued_ms: f64,
+    pub(crate) queued_ms: f64,
     /// Milliseconds of preparation + execution for the batch.
-    pub exec_ms: f64,
+    pub(crate) exec_ms: f64,
     /// Submit-to-response milliseconds for this request.
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
     /// How many requests the batch coalesced (≥ 1).
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Whether format preparation was answered from the cache.
-    pub cache_hit: bool,
+    pub(crate) cache_hit: bool,
 }
 
 /// Handle for one in-flight request; resolve with [`Ticket::wait`].
@@ -631,37 +631,37 @@ fn worker_loop(sh: &Shared) {
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Seconds the service has been up (or ran, after shutdown).
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     /// Requests answered successfully.
     pub completed: u64,
     /// Requests whose execution failed.
     pub failed: u64,
     /// Requests refused at submit because the queue was at its bound.
-    pub rejected_queue_full: u64,
+    pub(crate) rejected_queue_full: u64,
     /// Requests shed at dequeue because their deadline had expired.
-    pub rejected_deadline: u64,
+    pub(crate) rejected_deadline: u64,
     /// Executed batches.
     pub batches: u64,
     /// Mean coalesced batch size.
-    pub mean_batch: f64,
+    pub(crate) mean_batch: f64,
     /// Completed requests per second of uptime.
-    pub throughput_rps: f64,
+    pub(crate) throughput_rps: f64,
     /// Median submit-to-response latency, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// 90th-percentile latency, milliseconds.
-    pub p90_ms: f64,
+    pub(crate) p90_ms: f64,
     /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Worst observed latency, milliseconds.
-    pub max_ms: f64,
+    pub(crate) max_ms: f64,
     /// Configured admission bound.
-    pub queue_bound: usize,
+    pub(crate) queue_bound: usize,
     /// Queue depth high-water mark.
     pub max_queue_depth: usize,
     /// Worker thread count.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Format-cache counters.
-    pub cache: CacheStats,
+    pub(crate) cache: CacheStats,
 }
 
 impl ServeReport {

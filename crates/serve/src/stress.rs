@@ -98,15 +98,15 @@ pub struct Tally {
     /// Requests answered successfully.
     pub ok: u64,
     /// `ok` answers whose format preparation came from the cache.
-    pub cache_hits: u64,
+    pub(crate) cache_hits: u64,
     /// Typed queue-full rejections at admission.
     pub rejected_full: u64,
     /// Typed deadline rejections at dequeue.
-    pub rejected_deadline: u64,
+    pub(crate) rejected_deadline: u64,
     /// Typed shutting-down rejections (the client stops after one).
-    pub shutting_down: u64,
+    pub(crate) shutting_down: u64,
     /// Requests whose execution failed or that the server could not decode.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Requests with no typed answer: the transport dropped them, or no
     /// worker answered within the wait cap.
     pub lost: u64,
