@@ -8,6 +8,11 @@
 //! checkpoint corruption that the resume path must detect, and queue-full
 //! submission bursts against both services.
 //!
+//! The faults are data, not a shared random stream: the plan is a pure
+//! function of `(seed, job_id, iteration)`, built before any job runs and
+//! handed to the job service as a [`ScriptedFaults`], so a run's fault
+//! list replays from its seed, whatever the thread timing.
+//!
 //! The harness then checks the robustness contract the PR series builds
 //! toward (ROADMAP item 5):
 //!
@@ -30,19 +35,16 @@
 //! reference re-runs come after the closing snapshot), so they agree with
 //! the report's own totals.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
 use tenbench_core::coo::CooTensor;
 use tenbench_core::shape::Shape;
 use tenbench_gen::KroneckerGenerator;
 use tenbench_obs as obs;
 use tenbench_serve::{
-    burst, closed_loop, FaultInjector, InjectedFault, JobConfig, JobError, JobOutcome, JobProgress,
-    JobService, JobSpec, JobTicket, KernelService, ServeConfig, StressConfig, Tally, Transport,
+    burst, closed_loop, InjectedFault, JobConfig, JobError, JobOutcome, JobProgress, JobService,
+    JobSpec, JobTicket, KernelService, ScriptedFaults, ServeConfig, StressConfig, Tally, Transport,
 };
 
 use crate::serve_exec::SupervisedExecutor;
@@ -73,7 +75,9 @@ pub struct ChaosConfig {
     pub rank: usize,
     /// CP-ALS sweep budget per job.
     pub max_iters: usize,
-    /// Probability a job iteration draws a fault.
+    /// Probability that one job-iteration slot of the initial wave gets
+    /// one fault. Each planned fault fires once, so a retried iteration
+    /// runs clean.
     pub fault_rate: f64,
     /// Watchdog budget per job iteration, in seconds. Injected hangs
     /// sleep for twice this, so every hang trips the watchdog.
@@ -105,67 +109,70 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Seeded random fault source. Each iteration draws against
-/// `fault_rate`; firing faults cycle panic → hang → corruption so a run
-/// with three or more faults provably exercises every kind.
-pub(crate) struct RandomFaults {
-    rng: Mutex<StdRng>,
-    rate: f64,
-    hang_ms: u64,
-    fired: AtomicU64,
-    panics: AtomicU64,
-    hangs: AtomicU64,
-    corruptions: AtomicU64,
+/// SplitMix64's finaliser: a well-mixed hash of one word.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl RandomFaults {
-    /// A fault source with the given per-iteration rate.
-    pub(crate) fn new(seed: u64, rate: f64, hang_ms: u64) -> Self {
-        RandomFaults {
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            rate,
-            hang_ms,
-            fired: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            hangs: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-        }
-    }
-
-    /// (panics, hangs, corruptions) injected so far.
-    pub(crate) fn counts(&self) -> (u64, u64, u64) {
-        (
-            self.panics.load(Ordering::Relaxed),
-            self.hangs.load(Ordering::Relaxed),
-            self.corruptions.load(Ordering::Relaxed),
-        )
-    }
+/// The hash of one job-iteration slot under a seed.
+fn slot_hash(seed: u64, job_id: u64, iteration: usize) -> u64 {
+    [job_id, iteration as u64].iter().fold(mix(seed), |h, &w| {
+        mix(h ^ mix(w.wrapping_add(0x9E37_79B9_7F4A_7C15)))
+    })
 }
 
-impl FaultInjector for RandomFaults {
-    fn next_fault(&self, _job_id: u64, _iteration: usize) -> Option<InjectedFault> {
-        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-        if rng.random::<f64>() >= self.rate {
-            return None;
+/// The fault plan of one run, as `(job_id, iteration, fault)` entries: a
+/// pure function of the seed, the initial wave's job ids `1..=jobs`
+/// (assigned in submission order), `max_iters` and `fault_rate`. A slot
+/// is selected when its hash, read as a uniform draw in `[0, 1)`, falls
+/// under the rate; selected slots cycle panic → hang → corruption. A
+/// corruption at iteration `k` is always followed by a panic at `k + 1`,
+/// so the resume walk meets the damaged generation first and refuses it;
+/// a corruption that falls on a job's last iteration would never be read,
+/// so it waits for the next selected slot that has a successor.
+fn fault_plan(cfg: &ChaosConfig) -> Vec<(u64, usize, InjectedFault)> {
+    let hang = InjectedFault::HangInStep {
+        ms: (cfg.max_step_seconds * 2_000.0).max(100.0) as u64,
+    };
+    let mut plan = Vec::new();
+    let mut fired = 0u64;
+    for job_id in 1..=cfg.jobs.max(1) as u64 {
+        let mut k = 0;
+        while k < cfg.max_iters {
+            let h = slot_hash(cfg.seed, job_id, k);
+            if ((h >> 11) as f64 / (1u64 << 53) as f64) < cfg.fault_rate {
+                match fired % 3 {
+                    0 => plan.push((job_id, k, InjectedFault::PanicInStep)),
+                    1 => plan.push((job_id, k, hang)),
+                    _ if k + 1 < cfg.max_iters => {
+                        let h = mix(h);
+                        let (byte, mask) = (h as usize, (h % 255 + 1) as u8);
+                        plan.push((job_id, k, InjectedFault::CorruptCheckpoint { byte, mask }));
+                        plan.push((job_id, k + 1, InjectedFault::PanicInStep));
+                        fired += 1;
+                        k += 1;
+                    }
+                    _ => {
+                        k += 1;
+                        continue;
+                    }
+                }
+                fired += 1;
+            }
+            k += 1;
         }
-        let n = self.fired.fetch_add(1, Ordering::Relaxed);
-        match n % 3 {
-            0 => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
-                Some(InjectedFault::PanicInStep)
-            }
-            1 => {
-                self.hangs.fetch_add(1, Ordering::Relaxed);
-                Some(InjectedFault::HangInStep { ms: self.hang_ms })
-            }
-            _ => {
-                self.corruptions.fetch_add(1, Ordering::Relaxed);
-                Some(InjectedFault::CorruptCheckpoint {
-                    byte: rng.next_u64() as usize,
-                    mask: (rng.next_u64() % 255 + 1) as u8,
-                })
-            }
-        }
+    }
+    plan
+}
+
+/// A fault's short name in the report: `panic`, `hang` or `corrupt`.
+pub(crate) fn fault_name(fault: &InjectedFault) -> &'static str {
+    match fault {
+        InjectedFault::PanicInStep => "panic",
+        InjectedFault::HangInStep { .. } => "hang",
+        InjectedFault::CorruptCheckpoint { .. } => "corrupt",
     }
 }
 
@@ -184,6 +191,9 @@ pub struct ChaosJobLine {
     pub recoveries: u32,
     /// Progress samples flagged as resume boundaries.
     pub resume_boundaries: u32,
+    /// The faults planned for this job, as `(iteration, fault)` in
+    /// iteration order (empty for burst-admitted jobs, which run clean).
+    pub faults: Vec<(usize, InjectedFault)>,
 }
 
 /// Everything one chaos run observed; the CLI formats and gates it.
@@ -210,11 +220,12 @@ pub struct ChaosReport {
     pub corrupt_detected: u64,
     /// Checkpoints written across all jobs.
     pub checkpoints: u64,
-    /// Step panics injected.
+    /// Step panics planned (each fires once).
     pub injected_panics: u64,
-    /// Step hangs injected.
+    /// Step hangs planned.
     pub injected_hangs: u64,
-    /// Checkpoint corruptions injected.
+    /// Checkpoint corruptions planned; each is read by the resume its
+    /// following panic forces.
     pub injected_corruptions: u64,
     /// Kernel-traffic client tally from the closed-loop phase.
     pub kernel: Tally,
@@ -278,8 +289,14 @@ impl ChaosReport {
             .job_lines
             .iter()
             .map(|l| {
+                let faults = l
+                    .faults
+                    .iter()
+                    .map(|(k, f)| format!("{{\"iteration\": {k}, \"fault\": \"{}\"}}", fault_name(f)))
+                    .collect::<Vec<_>>()
+                    .join(", ");
                 format!(
-                    "{{\"job_id\": {}, \"terminal\": \"{}\", \"iterations\": {}, \"fit\": {}, \"recoveries\": {}, \"resume_boundaries\": {}}}",
+                    "{{\"job_id\": {}, \"terminal\": \"{}\", \"iterations\": {}, \"fit\": {}, \"recoveries\": {}, \"resume_boundaries\": {}, \"faults\": [{faults}]}}",
                     l.job_id,
                     obs::json::escape_json(&l.terminal),
                     l.iterations,
@@ -364,7 +381,8 @@ fn reference_outcome(spec: &JobSpec) -> Option<JobOutcome> {
 
 /// Run the chaos scenario and collect the evidence. Pure observation — the
 /// CLI layer applies the gates so a violated gate renders the full report
-/// first.
+/// first. The initial wave runs the faults of `fault_plan`; jobs the
+/// burst gets admitted run clean.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let snap0 = obs::counters::snapshot();
 
@@ -381,11 +399,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         })
         .collect();
 
-    let injector = Arc::new(RandomFaults::new(
-        cfg.seed,
-        cfg.fault_rate,
-        (cfg.max_step_seconds * 2_000.0).max(100.0) as u64,
-    ));
+    let plan = fault_plan(cfg);
     let job_cfg = JobConfig {
         workers: cfg.job_workers.max(1),
         queue_bound: cfg.jobs.max(1),
@@ -393,7 +407,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         max_recoveries: cfg.max_recoveries,
         threads: None,
     };
-    let jsvc = JobService::start(job_cfg, Some(injector.clone() as Arc<dyn FaultInjector>));
+    let jsvc = JobService::start(job_cfg, Some(Arc::new(ScriptedFaults::new(plan.clone()))));
 
     let ksvc = KernelService::start(
         ServeConfig {
@@ -410,8 +424,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     let ((kernel, kernel_probe), results) = std::thread::scope(|s| {
         // Kernel traffic + overload burst on a sibling thread while the
-        // jobs run and the fault thread (the injector, pulled from inside
-        // the job workers) fires.
+        // jobs run and the job workers pull their planned faults.
         let kernel_phase = s.spawn(|| {
             let transport = Transport::InProcess(&ksvc);
             let stress = StressConfig {
@@ -429,9 +442,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         });
 
         // The initial wave is sized to the queue bound, so all of it is
-        // admitted; the burst behind it slams the queue three times past
-        // its bound. Typed rejections are the expected, correct answer;
-        // anything admitted is tracked and must terminate like the rest.
+        // admitted, and this one thread submits it first, so it holds the
+        // ids `1..=jobs` the plan names. The burst behind it slams the
+        // queue three times past its bound. Typed rejections are the
+        // expected, correct answer; anything admitted is tracked and must
+        // terminate like the rest.
         let mut tickets: Vec<(JobSpec, JobTicket)> = Vec::new();
         for j in 0..cfg.jobs.max(1) * 4 {
             let spec = job_spec(cfg, &pool, j);
@@ -458,7 +473,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     // Close the counter window before the reference re-runs below, which
     // go through a `JobService` of their own.
-    let (injected_panics, injected_hangs, injected_corruptions) = injector.counts();
     let counters: Vec<(&'static str, u64)> = obs::counters::since(&snap0)
         .into_iter()
         .filter(|(name, _)| name.starts_with("job.") || name.starts_with("chaos."))
@@ -512,9 +526,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             fit,
             recoveries,
             resume_boundaries: boundaries,
+            faults: plan
+                .iter()
+                .filter(|e| e.0 == *job_id)
+                .map(|&(_, k, f)| (k, f))
+                .collect(),
         });
     }
 
+    let planned = |name| plan.iter().filter(|e| fault_name(&e.2) == name).count() as u64;
     ChaosReport {
         admitted: job_report.submitted,
         burst_rejected,
@@ -526,9 +546,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         reinits: job_report.reinits,
         corrupt_detected: job_report.corrupt_detected,
         checkpoints: job_report.checkpoints,
-        injected_panics,
-        injected_hangs,
-        injected_corruptions,
+        injected_panics: planned("panic"),
+        injected_hangs: planned("hang"),
+        injected_corruptions: planned("corrupt"),
         kernel,
         kernel_probe,
         mismatched,

@@ -431,12 +431,19 @@ fn render_supervised(
 /// sequential reference. Returns a report ending in `VERIFY PASS`; a file
 /// the hardened reader rejects (corrupt section, oversized header) or a
 /// failed check is a [`CliError::Gate`] whose report ends in `VERIFY FAIL`.
+/// The checks run without fallback whatever `cfg` says: a fallback would
+/// judge the sequential kernel against itself and pass a wrong parallel
+/// one.
 pub fn verify(
     input: &Path,
     block_bits: u8,
     rank: usize,
     cfg: &SupervisorConfig,
 ) -> CliResult<String> {
+    let cfg = &SupervisorConfig {
+        fallback: false,
+        ..cfg.clone()
+    };
     let t = match load_tensor(input) {
         Err(CliError::Io(
             e
@@ -1291,7 +1298,7 @@ pub struct ChaosOpts {
     /// `ci/chaos-floor.txt`-style file.
     pub floors: Option<PathBuf>,
     /// Write flight-recorder dumps here as faults fire, and gate on one
-    /// dump per observed fault kind at the end of the run.
+    /// dump per planned fault of each kind at the end of the run.
     pub flight_dump_dir: Option<PathBuf>,
 }
 
@@ -1348,8 +1355,9 @@ fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
 /// jobs beyond the floor, at least `min_recoveries` checkpoint-resume
 /// recoveries, every injected fault kind exercised, at least one typed
 /// queue-full rejection from the job burst, at least one completed job
-/// and a bitwise reference match for every one, and no fit-residual
-/// increase across a resume boundary. A fault rate outside `[0, 1]` and a
+/// and a bitwise reference match for every one, no fit-residual
+/// increase across a resume boundary, and, with a flight-dump directory,
+/// one dump per planned fault of each kind. A fault rate outside `[0, 1]` and a
 /// zero rank are usage errors before anything runs.
 pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     check_alpha(opts.cfg.alpha)?;
@@ -1394,8 +1402,15 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         opts.cfg.alpha,
         opts.cfg.fault_rate,
     );
-    let mut table = TextTable::new(vec!["job", "terminal", "iters", "fit", "recov", "resumes"]);
+    let mut table = TextTable::new(vec![
+        "job", "terminal", "iters", "fit", "recov", "resumes", "faults",
+    ]);
     for l in &report.job_lines {
+        let faults: Vec<String> = l
+            .faults
+            .iter()
+            .map(|(k, f)| format!("{}@{k}", crate::chaos::fault_name(f)))
+            .collect();
         table.row(vec![
             l.job_id.to_string(),
             l.terminal.clone(),
@@ -1407,6 +1422,11 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
             },
             l.recoveries.to_string(),
             l.resume_boundaries.to_string(),
+            if faults.is_empty() {
+                "-".to_string()
+            } else {
+                faults.join(" ")
+            },
         ]);
     }
     out.push_str(&table.render());
@@ -1415,7 +1435,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         report.admitted, report.completed, report.failed, report.lost, report.burst_rejected,
     ));
     out.push_str(&format!(
-        "faults injected: {} panics, {} hangs, {} checkpoint corruptions\n",
+        "faults planned: {} panics, {} hangs, {} checkpoint corruptions (replays from --seed, --jobs, --max-iters and --fault-rate)\n",
         report.injected_panics, report.injected_hangs, report.injected_corruptions,
     ));
     out.push_str(&format!(
@@ -1536,41 +1556,46 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         return gate(out, reason);
     }
     out.push_str("residual gate: non-increasing across every resume boundary ok\n");
-    // Flight-recorder gate: every fault kind that actually fired must have
-    // produced at least one dump of the matching reason. Hangs surface as
-    // watchdog timeouts; corruptions dump at detection time (the resume
-    // walk), so that kind is keyed on detections, not injections.
-    if let Some(dir) = &opts.flight_dump_dir {
-        let count_kind = |reason: &str| -> CliResult<usize> {
-            let suffix = format!("-{reason}.json");
-            let mut n = 0;
-            for entry in std::fs::read_dir(dir)? {
-                let name = entry?.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with("flight-") && name.ends_with(&suffix) {
-                    n += 1;
-                }
+    match &opts.flight_dump_dir {
+        Some(dir) => flight_dump_gate(
+            out,
+            dir,
+            [
+                ("panic", report.injected_panics),
+                ("timeout", report.injected_hangs),
+                ("ckpt_corrupt", report.injected_corruptions),
+            ],
+        ),
+        None => Ok(out),
+    }
+}
+
+/// The flight-recorder gate: `dir` must hold at least one
+/// `flight-*-<reason>.json` dump per planned fault of each kind. Hangs
+/// dump as watchdog timeouts; a corruption dumps when the resume its
+/// following panic forces refuses the damaged generation.
+fn flight_dump_gate(mut out: String, dir: &Path, planned: [(&str, u64); 3]) -> CliResult<String> {
+    for (reason, faults) in planned {
+        let suffix = format!("-{reason}.json");
+        let mut dumps = 0u64;
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("flight-") && name.ends_with(&suffix) {
+                dumps += 1;
             }
-            Ok(n)
-        };
-        for (reason, fired) in [
-            ("panic", report.injected_panics),
-            ("timeout", report.injected_hangs),
-            ("ckpt_corrupt", report.corrupt_detected),
-        ] {
-            let dumps = count_kind(reason)?;
-            if fired > 0 && dumps == 0 {
-                let missing = format!(
-                    "chaos gate: {fired} {reason} faults observed but no \
-                     flight-*-{reason}.json dump in {}",
-                    dir.display(),
-                );
-                return gate(out, missing);
-            }
-            out.push_str(&format!(
-                "flight-dump gate: {reason} — {dumps} dumps for {fired} faults ok\n"
-            ));
         }
+        if dumps < faults {
+            let missing = format!(
+                "chaos gate: {faults} {reason} faults planned but {dumps} \
+                 flight-*-{reason}.json dumps in {}",
+                dir.display(),
+            );
+            return gate(out, missing);
+        }
+        out.push_str(&format!(
+            "flight-dump gate: {reason} — {dumps} dumps for {faults} planned faults ok\n"
+        ));
     }
     Ok(out)
 }
@@ -1804,6 +1829,27 @@ mod tests {
             run_kernel_on(tiny(), "nope", 0, 4, "coo", 3, 1, "atomic", Some(&cfg)),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// A planned corruption that left no `ckpt_corrupt` dump trips the
+    /// gate: the dumps are counted against the plan, not against what
+    /// the resume path happened to detect.
+    #[test]
+    fn flight_dump_gate_counts_planned_corruptions() {
+        let dir = std::env::temp_dir().join(format!("tenbench-dump-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("flight-0000-panic.json"), "{}").unwrap();
+        let planned = |corruptions| [("panic", 1), ("timeout", 0), ("ckpt_corrupt", corruptions)];
+        let ok = flight_dump_gate(String::new(), &dir, planned(0)).unwrap();
+        assert!(
+            ok.contains("ckpt_corrupt — 0 dumps for 0 planned faults ok"),
+            "{ok}"
+        );
+        assert!(matches!(
+            flight_dump_gate(String::new(), &dir, planned(1)),
+            Err(CliError::Gate { reason, .. }) if reason.contains("1 ckpt_corrupt faults planned but 0")
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

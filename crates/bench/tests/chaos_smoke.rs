@@ -136,3 +136,29 @@ fn concurrent_counter_readers_keep_their_own_deltas() {
     assert!(report.admitted >= 1 && report.checkpoints >= 1);
     assert_counter_deltas_match(&report);
 }
+
+/// The fault plan is a function of the seed: two runs with one seed give
+/// every job of the initial wave the same fault list, another seed gives
+/// a different one, and each planned corruption is refused exactly once
+/// on the resume its following fault forces. (How many burst jobs get
+/// admitted depends on timing; they run clean.)
+#[test]
+fn the_seed_replays_the_fault_lists() {
+    let _jobs = JOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let faults = |seed: u64| {
+        let cfg = ChaosConfig { seed, ..small() };
+        let report = run_chaos(&cfg);
+        assert_eq!(report.corrupt_detected, report.injected_corruptions);
+        let lists: Vec<_> = report
+            .job_lines
+            .into_iter()
+            .filter(|l| l.job_id <= cfg.jobs as u64 || !l.faults.is_empty())
+            .map(|l| (l.job_id, l.faults))
+            .collect();
+        (lists, report.injected_corruptions)
+    };
+    let (first, corruptions) = faults(42);
+    assert!(corruptions >= 1, "seed 42 plans a corruption: {first:?}");
+    assert_eq!(faults(42).0, first);
+    assert_ne!(faults(7).0, first);
+}

@@ -81,6 +81,7 @@ fn bad_flags_are_usage_errors_and_good_calls_still_run() {
             "--max-seconds",
         ),
         (format!("verify {file} --max-seconds NaN"), "--max-seconds"),
+        (format!("verify {file} --fallback on"), "--fallback"),
         (
             "stress --duration 100ms --max-seconds 0".to_string(),
             "--max-seconds",
@@ -141,10 +142,13 @@ fn a_tripped_gate_exits_1_and_keeps_its_report() {
     std::fs::write(&corrupt, &bytes).unwrap();
     for (args, reason, evidence) in [
         (
-            // One job worker draws the faults in a fixed panic, hang,
-            // corruption cycle, so no job gets past its first iteration.
-            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 8 --nnz 200 \
-             --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.05"
+            // Every planned fault fires once, so faults alone no longer
+            // stop a job. A step of this tensor takes ~10 ms, twenty times
+            // the watchdog, so every step times out, burst-admitted jobs'
+            // included, and each job exhausts its one recovery.
+            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 96 \
+             --nnz 100000 --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.0005 \
+             --max-recoveries 1"
                 .to_string(),
             "chaos gate: no job completed",
             ["lost-jobs gate: 0 <= 0 ok", "burst gate:"],
