@@ -43,9 +43,9 @@ pub struct Cell {
     pub format: &'static str,
     /// The `--strategy` values that select it; empty for cells `tenbench
     /// kernel` does not reach.
-    pub strategies: &'static [&'static str],
+    pub(crate) strategies: &'static [&'static str],
     /// Sequential by construction: a thread sweep measures it once.
-    pub sequential: bool,
+    pub(crate) sequential: bool,
     prepare: fn(&Inputs, usize) -> Result<Prepared>,
 }
 
@@ -300,16 +300,16 @@ impl Output {
 /// shared by the cells that read them.
 pub struct Inputs {
     /// The tensor.
-    pub x: Arc<CooTensor<f32>>,
+    pub(crate) x: Arc<CooTensor<f32>>,
     /// Its same-pattern Tew partner.
-    pub y: Arc<CooTensor<f32>>,
+    pub(crate) y: Arc<CooTensor<f32>>,
     /// One rank-`rank` factor matrix per mode: Mttkrp's operands, and
     /// Ttm's at the contracted mode.
     pub factors: Arc<Vec<DenseMatrix<f32>>>,
     /// Columns of the factor matrices.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// HiCOO block bits.
-    pub block_bits: u8,
+    pub(crate) block_bits: u8,
     hx: Lazy<HicooTensor<f32>>,
     hy: Lazy<HicooTensor<f32>>,
     fibers: Vec<Lazy<(CooTensor<f32>, FiberPartition)>>,

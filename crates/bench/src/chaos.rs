@@ -184,13 +184,13 @@ pub struct ChaosJobLine {
     /// `"completed"` or `"failed: <typed error>"` — never anything else.
     pub terminal: String,
     /// Iterations completed (0 for failed jobs).
-    pub iterations: u64,
+    pub(crate) iterations: u64,
     /// Final fit (NaN for failed jobs; completed jobs are gated finite).
-    pub fit: f64,
+    pub(crate) fit: f64,
     /// Faults this job absorbed.
-    pub recoveries: u32,
+    pub(crate) recoveries: u32,
     /// Progress samples flagged as resume boundaries.
-    pub resume_boundaries: u32,
+    pub(crate) resume_boundaries: u32,
     /// The faults planned for this job, as `(iteration, fault)` in
     /// iteration order (empty for burst-admitted jobs, which run clean).
     pub faults: Vec<(usize, InjectedFault)>,
@@ -211,31 +211,31 @@ pub struct ChaosReport {
     pub lost: u64,
     /// Step faults (checkpoint resumes + reinits + the faults that
     /// exhausted a job's budget).
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Recoveries that resumed from a valid checkpoint.
     pub resumes: u64,
     /// Recoveries that found every generation damaged and restarted.
-    pub reinits: u64,
+    pub(crate) reinits: u64,
     /// Corrupted checkpoint generations detected and refused.
     pub corrupt_detected: u64,
     /// Checkpoints written across all jobs.
     pub checkpoints: u64,
     /// Step panics planned (each fires once).
-    pub injected_panics: u64,
+    pub(crate) injected_panics: u64,
     /// Step hangs planned.
-    pub injected_hangs: u64,
+    pub(crate) injected_hangs: u64,
     /// Checkpoint corruptions planned; each is read by the resume its
     /// following panic forces.
     pub injected_corruptions: u64,
     /// Kernel-traffic client tally from the closed-loop phase.
-    pub kernel: Tally,
+    pub(crate) kernel: Tally,
     /// Kernel overload burst against the service.
-    pub kernel_probe: Tally,
+    pub(crate) kernel_probe: Tally,
     /// Completed jobs whose uninterrupted re-run differs bitwise (gate:
     /// 0). Every completed job is re-run.
     pub mismatched: u64,
     /// Resume boundaries observed across all completed jobs.
-    pub resume_boundaries: u64,
+    pub(crate) resume_boundaries: u64,
     /// Fit-residual increases across a resume boundary (gate: 0).
     pub residual_violations: u64,
     /// Per-job terminal lines, in submission order.

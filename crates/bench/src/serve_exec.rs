@@ -20,7 +20,7 @@ use crate::supervisor::{supervise, supervised_mttkrp, RunStatus, SupervisorConfi
 /// dispatch under the watchdog with a finite-digest validation.
 pub struct SupervisedExecutor {
     /// Supervision knobs applied to every batch.
-    pub cfg: SupervisorConfig,
+    pub(crate) cfg: SupervisorConfig,
 }
 
 impl SupervisedExecutor {

@@ -70,15 +70,15 @@ pub struct KernelResult {
     /// Which kernel.
     pub kernel: Kernel,
     /// "COO" or "HiCOO".
-    pub format: &'static str,
+    pub(crate) format: &'static str,
     /// Average kernel time in seconds (measured or modeled).
     pub time_s: f64,
     /// Achieved GFLOPS (Table 1 work over time).
     pub gflops: f64,
     /// Exact operational intensity used for the bound.
-    pub oi: f64,
+    pub(crate) oi: f64,
     /// Roofline performance bound in GFLOPS.
-    pub bound_gflops: f64,
+    pub(crate) bound_gflops: f64,
     /// Arithmetic intensity from the instrumented FLOP/byte counters
     /// charged by the kernel itself (per-call delta over the timed cell).
     pub ai_measured: f64,
@@ -106,11 +106,11 @@ impl KernelResult {
 pub(crate) struct Sample {
     /// Mean seconds per call over the timed batches: the figure `tenbench
     /// paper` prints.
-    pub mean_s: f64,
+    pub(crate) mean_s: f64,
     /// Seconds per call of the fastest batch: the figure the gates use.
-    pub min_s: f64,
+    pub(crate) min_s: f64,
     /// Calls made: the calibration call plus `reps` batches.
-    pub calls: u64,
+    pub(crate) calls: u64,
 }
 
 /// The one timing loop. One call is timed alone to warm up and to size the
@@ -161,7 +161,7 @@ pub(crate) fn sample<S, T>(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CellMeasure {
     /// Mean seconds per call (`Sample::mean_s`).
-    pub secs: f64,
+    pub(crate) secs: f64,
     /// `kernel.flops` counter delta across the whole cell.
     pub flops: u64,
     /// `kernel.bytes` counter delta across the whole cell.

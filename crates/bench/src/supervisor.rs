@@ -294,7 +294,7 @@ pub struct SweepReport {
     pub reports: Vec<RunReport>,
     /// Observability capture for the sweep (counter totals, span
     /// aggregates, pool telemetry), when the sweep ran traced.
-    pub metrics: Option<obs::report::MetricsReport>,
+    pub(crate) metrics: Option<obs::report::MetricsReport>,
 }
 
 impl SweepReport {
@@ -364,7 +364,7 @@ pub struct Trial<T> {
     /// Strategy label for reports.
     pub strategy: String,
     /// The work. `Fn` (not `FnOnce`) so retries can re-run it.
-    pub run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
+    pub(crate) run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
 }
 
 impl<T> Trial<T> {

@@ -23,9 +23,9 @@ pub(crate) const VAL_BYTES: u64 = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCost {
     /// Floating-point operations.
-    pub flops: u64,
+    pub(crate) flops: u64,
     /// Bytes moved to/from memory under the Table 1 model.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl KernelCost {

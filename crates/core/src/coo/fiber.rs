@@ -13,7 +13,7 @@ use super::CooTensor;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiberPartition {
     /// The product mode `n`.
-    pub mode: usize,
+    pub(crate) mode: usize,
     /// Start offset of each fiber, plus a final sentinel equal to `nnz`.
     /// Length is `num_fibers() + 1` (`M_F + 1` in the paper).
     pub fptr: Vec<usize>,

@@ -47,11 +47,11 @@ pub struct GHicooTensor<S: Scalar> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GhFiberPartition {
     /// The product mode.
-    pub mode: usize,
+    pub(crate) mode: usize,
     /// Start offset of each fiber plus a final sentinel (`M_F + 1` entries).
     pub fptr: Vec<usize>,
     /// Start fiber of each block plus a final sentinel (`n_b + 1` entries).
-    pub block_fiber_ptr: Vec<usize>,
+    pub(crate) block_fiber_ptr: Vec<usize>,
 }
 
 impl GhFiberPartition {

@@ -24,17 +24,17 @@ use tenbench_core::shape::Shape;
 pub struct KroneckerGenerator {
     /// Target tensor shape (need not be a power of the initiator dimension;
     /// out-of-range coordinates are stripped off).
-    pub shape: Shape,
+    pub(crate) shape: Shape,
     /// Edge length of the cubical initiator tensor (2 in Graph500).
-    pub initiator_dim: u32,
+    pub(crate) initiator_dim: u32,
     /// Initiator cell weights in row-major order over
     /// `initiator_dim^order` cells; normalized internally.
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// Number of distinct nonzeros to generate.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Multiplicative per-level weight noise in `[0, 1)` (the "smoothing"
     /// used by SKG implementations to avoid staircase artifacts).
-    pub noise: f64,
+    pub(crate) noise: f64,
 }
 
 impl KroneckerGenerator {

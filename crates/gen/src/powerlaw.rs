@@ -22,15 +22,15 @@ use crate::zipf::ZipfSampler;
 #[derive(Debug, Clone)]
 pub struct PowerLawGenerator {
     /// Target tensor shape.
-    pub shape: Shape,
+    pub(crate) shape: Shape,
     /// Modes whose indices follow the power law (the hypersparse,
     /// equidimensional modes).
-    pub sparse_modes: Vec<usize>,
+    pub(crate) sparse_modes: Vec<usize>,
     /// Power-law exponent for the sparse modes (FireHose biases around
     /// 1.3–2.0; larger is more skewed).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Number of distinct nonzeros to generate.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
 }
 
 impl PowerLawGenerator {

@@ -40,7 +40,7 @@ pub struct Dataset {
     /// Paper-scale nonzero count.
     pub paper_nnz: u64,
     /// Power-law exponent used for surrogate generation.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
 }
 
 /// Dimensions above this stay power-law sparse in surrogates; smaller modes

@@ -14,43 +14,41 @@ pub struct DeviceSpec {
     /// Device name.
     pub name: &'static str,
     /// Streaming multiprocessor count.
-    pub sms: u32,
-    /// Lanes per warp.
-    pub warp_size: u32,
+    pub(crate) sms: u32,
     /// Maximum resident threads per SM (bounds block concurrency).
-    pub max_threads_per_sm: u32,
+    pub(crate) max_threads_per_sm: u32,
     /// Core clock in GHz.
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// Peak single-precision GFLOPS.
     pub peak_sp_gflops: f64,
     /// Obtainable global-memory bandwidth in GB/s.
     pub dram_bw_gbs: f64,
     /// L2 cache capacity in bytes.
-    pub l2_bytes: usize,
+    pub(crate) l2_bytes: usize,
     /// L2 sector (transaction) size in bytes.
-    pub sector_bytes: usize,
+    pub(crate) sector_bytes: usize,
     /// L2 associativity used by the cache model.
-    pub l2_ways: usize,
+    pub(crate) l2_ways: usize,
     /// Aggregate L2 bandwidth in GB/s.
-    pub l2_bw_gbs: f64,
+    pub(crate) l2_bw_gbs: f64,
     /// Per-thread-block L1/texture cache capacity in bytes (0 disables the
     /// L1 level). Modeled private per block and flushed at block switch,
     /// which under-approximates sharing but never over-credits reuse.
-    pub l1_bytes: usize,
+    pub(crate) l1_bytes: usize,
     /// L1 associativity.
-    pub l1_ways: usize,
+    pub(crate) l1_ways: usize,
     /// Issue cycles a warp pays per sector served from the L1.
-    pub l1_issue_cycles: f64,
+    pub(crate) l1_issue_cycles: f64,
     /// Aggregate global atomic throughput in Gop/s (independent addresses).
-    pub atomic_gops: f64,
+    pub(crate) atomic_gops: f64,
     /// Serialized same-address atomic throughput in Gop/s (one hot address).
-    pub atomic_serial_gops: f64,
+    pub(crate) atomic_serial_gops: f64,
     /// Issued instructions per cycle per SM (warp instructions).
-    pub ipc_per_sm: f64,
+    pub(crate) ipc_per_sm: f64,
     /// Extra issue cycles a warp pays per L2 sector it touches.
-    pub sector_issue_cycles: f64,
+    pub(crate) sector_issue_cycles: f64,
     /// Serialization cycles per conflicting atomic lane.
-    pub atomic_replay_cycles: f64,
+    pub(crate) atomic_replay_cycles: f64,
 }
 
 impl DeviceSpec {
@@ -59,7 +57,6 @@ impl DeviceSpec {
         DeviceSpec {
             name: "P100",
             sms: 56,
-            warp_size: 32,
             max_threads_per_sm: 2048,
             clock_ghz: 1.48,
             peak_sp_gflops: 10_600.0,
@@ -87,7 +84,6 @@ impl DeviceSpec {
         DeviceSpec {
             name: "V100",
             sms: 80,
-            warp_size: 32,
             max_threads_per_sm: 2048,
             clock_ghz: 1.53,
             peak_sp_gflops: 14_900.0,

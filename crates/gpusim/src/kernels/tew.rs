@@ -21,7 +21,7 @@ fn trace_elementwise<S: Scalar>(
     m: usize,
     arrays_in: usize,
     val_bytes: u64,
-) -> (MemoryTracker, usize) {
+) -> MemoryTracker {
     let _ = std::marker::PhantomData::<S>;
     let grid = m.div_ceil(BLOCK_THREADS).max(1);
     let mut space = AddressSpace::new();
@@ -41,7 +41,7 @@ fn trace_elementwise<S: Scalar>(
         t.instr(1.0); // the arithmetic instruction
         e += 32;
     }
-    (t, grid)
+    t
 }
 
 /// COO-Tew-GPU over two same-pattern tensors.
@@ -52,13 +52,12 @@ pub fn tew_coo_gpu<S: Scalar>(
     op: EwOp,
 ) -> Result<(CooTensor<S>, GpuKernelStats)> {
     let out = tew_same_pattern_seq(x, y, op)?;
-    let (tracker, grid) = trace_elementwise::<S>(dev, x.nnz(), 2, S::BYTES);
+    let tracker = trace_elementwise::<S>(dev, x.nnz(), 2, S::BYTES);
     let stats = GpuKernelStats::from_tracker(
         "Tew",
         "COO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Tew.flops(x.order(), x.nnz() as u64, 0),
     );
@@ -75,13 +74,12 @@ pub fn tew_hicoo_gpu<S: Scalar>(
     op: EwOp,
 ) -> Result<(HicooTensor<S>, GpuKernelStats)> {
     let out = tew_hicoo_same_pattern(x, y, op)?;
-    let (tracker, grid) = trace_elementwise::<S>(dev, x.nnz(), 2, S::BYTES);
+    let tracker = trace_elementwise::<S>(dev, x.nnz(), 2, S::BYTES);
     let stats = GpuKernelStats::from_tracker(
         "Tew",
         "HiCOO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Tew.flops(x.order(), x.nnz() as u64, 0),
     );
@@ -134,7 +132,7 @@ mod tests {
         let dev = DeviceSpec::p100();
         let (_, stats) = tew_coo_gpu(&dev, &x, &y, EwOp::Mul).unwrap();
         // 3 arrays x 4 bytes x M, cold: sectors = 3 * M * 4 / 32.
-        let expect = 3 * stats.loads.max(1) / 2 * 4 / 32; // loads = 2M
+        let expect = 3 * x.nnz() as u64 * 4 / 32;
         assert_eq!(stats.sectors, expect);
         assert_eq!(stats.l2_hits, 0); // streaming, no reuse
     }

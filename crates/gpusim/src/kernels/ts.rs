@@ -14,7 +14,7 @@ use crate::report::GpuKernelStats;
 
 use super::BLOCK_THREADS;
 
-fn trace_ts(dev: &DeviceSpec, m: usize, val_bytes: u64) -> (MemoryTracker, usize) {
+fn trace_ts(dev: &DeviceSpec, m: usize, val_bytes: u64) -> MemoryTracker {
     let grid = m.div_ceil(BLOCK_THREADS).max(1);
     let mut space = AddressSpace::new();
     let input = space.alloc(m as u64 * val_bytes);
@@ -29,7 +29,7 @@ fn trace_ts(dev: &DeviceSpec, m: usize, val_bytes: u64) -> (MemoryTracker, usize
         t.instr(1.0);
         e += 32;
     }
-    (t, grid)
+    t
 }
 
 /// COO-Ts-GPU.
@@ -40,13 +40,12 @@ pub fn ts_coo_gpu<S: Scalar>(
     op: EwOp,
 ) -> Result<(CooTensor<S>, GpuKernelStats)> {
     let out = ts_seq(x, s, op)?;
-    let (tracker, grid) = trace_ts(dev, x.nnz(), S::BYTES);
+    let tracker = trace_ts(dev, x.nnz(), S::BYTES);
     let stats = GpuKernelStats::from_tracker(
         "Ts",
         "COO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Ts.flops(x.order(), x.nnz() as u64, 0),
     );
@@ -61,13 +60,12 @@ pub fn ts_hicoo_gpu<S: Scalar>(
     op: EwOp,
 ) -> Result<(HicooTensor<S>, GpuKernelStats)> {
     let out = ts_hicoo(x, s, op)?;
-    let (tracker, grid) = trace_ts(dev, x.nnz(), S::BYTES);
+    let tracker = trace_ts(dev, x.nnz(), S::BYTES);
     let stats = GpuKernelStats::from_tracker(
         "Ts",
         "HiCOO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Ts.flops(x.order(), x.nnz() as u64, 0),
     );

@@ -26,7 +26,7 @@ fn trace_ttm<S: Scalar>(
     urows: usize,
     r: usize,
     out_index_bytes: u64,
-) -> (MemoryTracker, usize) {
+) -> MemoryTracker {
     let mf = fiber_starts.len().saturating_sub(1);
     let m = prod_inds.len();
     let rx = column_lanes(r);
@@ -115,7 +115,7 @@ fn trace_ttm<S: Scalar>(
         );
         f0 += nf;
     }
-    (t, grid)
+    t
 }
 
 /// COO-Ttm-GPU.
@@ -128,7 +128,7 @@ pub fn ttm_coo_gpu<S: Scalar>(
     let mut xs = x.clone();
     let fp = xs.fibers(mode)?;
     let out = ttm_prepared_seq(&xs, &fp, u)?;
-    let (tracker, grid) = trace_ttm::<S>(
+    let tracker = trace_ttm::<S>(
         dev,
         &fp.fptr,
         xs.mode_inds(mode),
@@ -142,7 +142,6 @@ pub fn ttm_coo_gpu<S: Scalar>(
         "COO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Ttm.flops(x.order(), x.nnz() as u64, u.cols() as u64),
     );
@@ -159,7 +158,7 @@ pub fn ttm_hicoo_gpu<S: Scalar>(
     let g = GHicooTensor::from_coo_for_mode(&h.to_coo(), h.block_bits(), mode)?;
     let fp = g.fibers(mode)?;
     let out = ttm_ghicoo(&g, &fp, u, Schedule::default())?;
-    let (tracker, grid) = trace_ttm::<S>(
+    let tracker = trace_ttm::<S>(
         dev,
         &fp.fptr,
         g.find(mode),
@@ -173,7 +172,6 @@ pub fn ttm_hicoo_gpu<S: Scalar>(
         "HiCOO",
         dev,
         &tracker,
-        grid,
         BLOCK_THREADS,
         Kernel::Ttm.flops(h.order(), h.nnz() as u64, u.cols() as u64),
     );
@@ -231,18 +229,6 @@ mod tests {
         for (k, v) in &cm {
             assert!((hm[k] - v).abs() <= 1e-4 * v.abs().max(1.0), "{k:?}");
         }
-    }
-
-    #[test]
-    fn coalesced_columns_beat_an_uncoalesced_estimate() {
-        // With rx = 16 column lanes, a matrix-row warp access touches
-        // ~2 sectors per fiber instead of 16: sectors per inner step must be
-        // far below lane count.
-        let x = sample(6000);
-        let dev = DeviceSpec::p100();
-        let u = DenseMatrix::constant(41, 16, 1.0f32);
-        let (_, stats) = ttm_coo_gpu(&dev, &x, &u, 2).unwrap();
-        assert!(stats.sectors < stats.loads / 2, "{stats:?}");
     }
 
     #[test]

@@ -98,14 +98,14 @@ impl CacheModel {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct BlockCost {
     /// Issued warp instructions.
-    pub instr: f64,
+    pub(crate) instr: f64,
     /// L2 sectors touched (L1 misses).
-    pub sectors: u64,
+    pub(crate) sectors: u64,
     /// Sectors served by the per-block L1.
-    pub l1_sectors: u64,
+    pub(crate) l1_sectors: u64,
     /// Serialized atomic replays (sum of per-warp max same-address
     /// multiplicity minus one).
-    pub atomic_replays: f64,
+    pub(crate) atomic_replays: f64,
 }
 
 /// Streams warp-level memory accesses through the coalescer and cache,
@@ -116,22 +116,16 @@ pub(crate) struct MemoryTracker {
     cache: CacheModel,
     /// Per-block L1 model (`None` when the device disables it).
     l1: Option<CacheModel>,
-    /// Lane-level loads.
-    pub loads: u64,
-    /// Lane-level stores.
-    pub stores: u64,
     /// Lane-level atomics.
-    pub atomics: u64,
+    pub(crate) atomics: u64,
     /// Warp memory sectors that reached the L2 (after L1 filtering).
-    pub sectors: u64,
-    /// Sectors served by the per-block L1.
-    pub l1_hits: u64,
+    pub(crate) sectors: u64,
     /// L2 hits (sector granularity).
-    pub l2_hits: u64,
+    pub(crate) l2_hits: u64,
     /// L2 misses (sector granularity) — these go to DRAM.
-    pub l2_misses: u64,
+    pub(crate) l2_misses: u64,
     /// Sum over warp atomics of the worst same-address multiplicity.
-    pub atomic_conflict_depth: u64,
+    pub(crate) atomic_conflict_depth: u64,
     per_block: Vec<BlockCost>,
     current: usize,
 }
@@ -144,11 +138,8 @@ impl MemoryTracker {
             cache: CacheModel::new(dev.l2_bytes, dev.sector_bytes, dev.l2_ways),
             l1: (dev.l1_bytes > 0)
                 .then(|| CacheModel::new(dev.l1_bytes, dev.sector_bytes, dev.l1_ways)),
-            loads: 0,
-            stores: 0,
             atomics: 0,
             sectors: 0,
-            l1_hits: 0,
             l2_hits: 0,
             l2_misses: 0,
             atomic_conflict_depth: 0,
@@ -169,10 +160,8 @@ impl MemoryTracker {
     }
 
     fn count_kind(&mut self, kind: AccessKind, lanes: u64) {
-        match kind {
-            AccessKind::Load => self.loads += lanes,
-            AccessKind::Store => self.stores += lanes,
-            AccessKind::Atomic => self.atomics += lanes,
+        if kind == AccessKind::Atomic {
+            self.atomics += lanes;
         }
     }
 
@@ -182,7 +171,6 @@ impl MemoryTracker {
         if through_l1 {
             if let Some(l1) = &mut self.l1 {
                 if l1.access(s) {
-                    self.l1_hits += 1;
                     self.per_block[self.current].l1_sectors += 1;
                     return;
                 }
@@ -330,7 +318,6 @@ mod tests {
         // 32 lanes x 4 bytes = 128 bytes = 4 sectors of 32 bytes.
         let mut t = tracker(1);
         t.access_contig(AccessKind::Load, 0, 0, 32, 4);
-        assert_eq!(t.loads, 32);
         assert_eq!(t.sectors, 4);
         assert_eq!(t.l2_misses, 4);
     }
@@ -402,7 +389,7 @@ mod tests {
         // Second pass within the same block is absorbed by the L1.
         t.access_contig(AccessKind::Load, 0, 0, 32, 4);
         assert_eq!(t.l2_misses, 4);
-        assert_eq!(t.l1_hits, 4);
+        assert_eq!(t.per_block()[0].l1_sectors, 4);
         assert_eq!(t.l2_hits, 0);
         assert_eq!(t.dram_bytes(), 128);
         assert_eq!(t.l2_bytes(), 128);
@@ -415,7 +402,7 @@ mod tests {
         t.begin_block(1);
         t.access_contig(AccessKind::Load, 0, 0, 32, 4);
         // The new block misses its (fresh) L1 but hits the shared L2.
-        assert_eq!(t.l1_hits, 0);
+        assert_eq!(t.per_block()[1].l1_sectors, 0);
         assert_eq!(t.l2_hits, 4);
         assert_eq!(t.l2_misses, 4);
     }
@@ -426,7 +413,7 @@ mod tests {
         let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
         t.atomic_gather(&addrs, 4);
         t.atomic_gather(&addrs, 4); // repeats still reach the L2
-        assert_eq!(t.l1_hits, 0);
+        assert_eq!(t.per_block()[0].l1_sectors, 0);
         assert_eq!(t.l2_hits, 4);
     }
 }

@@ -11,22 +11,10 @@ pub struct GpuKernelStats {
     pub kernel: &'static str,
     /// Format ("COO" or "HiCOO").
     pub format: &'static str,
-    /// Device the launch was modeled on.
-    pub device: &'static str,
-    /// Thread blocks launched.
-    pub grid_blocks: usize,
-    /// Threads per block.
-    pub block_threads: usize,
-    /// Lane-level global loads.
-    pub loads: u64,
-    /// Lane-level global stores.
-    pub stores: u64,
     /// Lane-level global atomics.
     pub atomics: u64,
     /// Sectors that reached the L2 after coalescing and L1 filtering.
     pub sectors: u64,
-    /// Sectors served by the per-block L1.
-    pub l1_hits: u64,
     /// L2 hits.
     pub l2_hits: u64,
     /// L2 misses (DRAM transactions).
@@ -50,7 +38,6 @@ impl GpuKernelStats {
         format: &'static str,
         dev: &DeviceSpec,
         tracker: &MemoryTracker,
-        grid_blocks: usize,
         block_threads: usize,
         flops: u64,
     ) -> Self {
@@ -58,14 +45,8 @@ impl GpuKernelStats {
         GpuKernelStats {
             kernel,
             format,
-            device: dev.name,
-            grid_blocks,
-            block_threads,
-            loads: tracker.loads,
-            stores: tracker.stores,
             atomics: tracker.atomics,
             sectors: tracker.sectors,
-            l1_hits: tracker.l1_hits,
             l2_hits: tracker.l2_hits,
             l2_misses: tracker.l2_misses,
             dram_bytes: tracker.dram_bytes(),
@@ -111,14 +92,8 @@ mod tests {
         GpuKernelStats {
             kernel: "Tew",
             format: "COO",
-            device: "P100",
-            grid_blocks: 1,
-            block_threads: 256,
-            loads: 0,
-            stores: 0,
             atomics: 0,
             sectors: l2_hits + l2_misses,
-            l1_hits: 0,
             l2_hits,
             l2_misses,
             dram_bytes: l2_misses * 32,

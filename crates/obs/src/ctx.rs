@@ -30,9 +30,9 @@ pub struct TraceCtx {
     /// Process-unique id (never 0).
     pub id: u64,
     /// Id of the causing context, or 0 for a root.
-    pub parent: u64,
+    pub(crate) parent: u64,
     /// What kind of work this names (`"request"`, `"job"`, ...).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
 }
 
 impl TraceCtx {

@@ -108,13 +108,13 @@ impl FlightKind {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FlightEvent {
     /// Nanoseconds since the trace epoch.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// What happened.
-    pub kind: FlightKind,
+    pub(crate) kind: FlightKind,
     /// The causal context id it happened to (0 = none installed).
-    pub ctx: u64,
+    pub(crate) ctx: u64,
     /// One kind-specific detail (queue depth, iteration, bytes, ...).
-    pub arg: u64,
+    pub(crate) arg: u64,
 }
 
 /// (next write index, slots); the index only grows, slot = index & mask.
@@ -177,13 +177,13 @@ pub fn note_ctx(kind: FlightKind, ctx: u64, arg: u64) {
 #[derive(Clone, Debug)]
 pub(crate) struct ThreadFlight {
     /// Recorder-local thread id (registration order).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// OS thread name at registration, if any.
-    pub name: String,
+    pub(crate) name: String,
     /// Total events ever recorded by this thread (≥ `events.len()`).
-    pub recorded: u64,
+    pub(crate) recorded: u64,
     /// The retained tail of the ring, oldest first.
-    pub events: Vec<FlightEvent>,
+    pub(crate) events: Vec<FlightEvent>,
 }
 
 /// Snapshot every thread's ring without clearing anything. Threads whose
@@ -309,9 +309,9 @@ pub struct FlightDumpSummary {
     /// Free-form fault detail.
     pub detail: String,
     /// Threads with at least one retained event.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Total retained events across threads.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Retained events charged to the faulting context id.
     pub ctx_events: usize,
 }

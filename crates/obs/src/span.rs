@@ -61,24 +61,24 @@ impl FlowPhase {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Event {
     /// Begin, end, or async/flow edge.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// The span name passed to [`enter`].
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Nanoseconds since the process-wide trace epoch.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Context id for [`EventKind::Flow`] events; 0 for span edges.
-    pub id: u64,
+    pub(crate) id: u64,
 }
 
 /// The events recorded by one thread, in program order.
 #[derive(Clone, Debug)]
 pub(crate) struct ThreadEvents {
     /// Stable trace-local thread id (registration order, 0-based).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// The OS thread name at registration time, if any.
-    pub name: String,
+    pub(crate) name: String,
     /// Recorded events, oldest first.
-    pub events: Vec<Event>,
+    pub(crate) events: Vec<Event>,
 }
 
 static TRACING: AtomicBool = AtomicBool::new(false);

@@ -16,14 +16,14 @@ use tenbench_core::par::{self, Schedule};
 #[derive(Debug, Clone)]
 pub struct ErtConfig {
     /// Smallest working set in bytes (sampled per power of two).
-    pub min_working_set: usize,
+    pub(crate) min_working_set: usize,
     /// Largest working set in bytes.
-    pub max_working_set: usize,
+    pub(crate) max_working_set: usize,
     /// Trials per point; the best (highest-bandwidth) trial is kept, as in
     /// STREAM.
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Approximate measurement time per point in seconds.
-    pub target_seconds: f64,
+    pub(crate) target_seconds: f64,
 }
 
 impl Default for ErtConfig {

@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn attainable_is_min_of_bw_and_peak() {
-        let r = Roofline::from_platform(find("bluesky").unwrap());
+        let r = Roofline::from_platform(find("Bluesky").unwrap());
         // At tiny OI the bandwidth line rules.
         let low = r.attainable_dram(1.0 / 12.0);
         assert!((low - 205.0 / 12.0).abs() < 1e-9);
@@ -190,7 +190,7 @@ mod tests {
                 assert!(
                     oi < r.peak_gflops / r.ceilings[1].gbs,
                     "{name} on {} would be compute bound",
-                    p.id
+                    p.name
                 );
             }
         }
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn series_is_monotone_nondecreasing() {
-        let r = Roofline::from_platform(find("dgx1v").unwrap());
+        let r = Roofline::from_platform(find("DGX-1V").unwrap());
         let s = r.series(1, 0.01, 100.0, 32);
         assert_eq!(s.len(), 32);
         for w in s.windows(2) {
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn annotate_places_measurements_against_the_model() {
-        let r = Roofline::from_platform(find("bluesky").unwrap());
+        let r = Roofline::from_platform(find("Bluesky").unwrap());
         // Memory-bound: Mttkrp-like OI of 1/4 at some achieved rate.
         let a = r.annotate(1_000_000_000, 4_000_000_000, 0.1);
         assert_eq!(a.gflops, 10.0);

@@ -10,8 +10,6 @@
 /// One platform of Table 4.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    /// Short identifier ("bluesky", "wingtip", "dgx1p", "dgx1v").
-    pub id: &'static str,
     /// Display name as in the paper.
     pub name: &'static str,
     /// Processor model.
@@ -30,8 +28,6 @@ pub struct Platform {
     pub mem_gib: f64,
     /// Memory type.
     pub mem_type: &'static str,
-    /// Memory frequency in GHz.
-    pub mem_freq_ghz: f64,
     /// Theoretical memory bandwidth in GB/s.
     pub mem_bw_gbs: f64,
     /// Modeled obtainable (ERT-DRAM) bandwidth in GB/s.
@@ -55,7 +51,6 @@ impl Platform {
 /// more efficient than P100's — the same ordering Figure 3 shows).
 pub static PLATFORMS: &[Platform] = &[
     Platform {
-        id: "bluesky",
         name: "Bluesky",
         processor: "Intel Xeon Gold 6126",
         microarch: "Skylake",
@@ -65,13 +60,11 @@ pub static PLATFORMS: &[Platform] = &[
         llc_mib: 19.0,
         mem_gib: 196.0,
         mem_type: "DDR4",
-        mem_freq_ghz: 2.666,
         mem_bw_gbs: 256.0,
         ert_dram_gbs: 205.0,
         compiler: "gcc 7.1.0",
     },
     Platform {
-        id: "wingtip",
         name: "Wingtip",
         processor: "Intel Xeon E7-4850 v3",
         microarch: "Haswell",
@@ -81,13 +74,11 @@ pub static PLATFORMS: &[Platform] = &[
         llc_mib: 35.0,
         mem_gib: 2114.0,
         mem_type: "DDR4",
-        mem_freq_ghz: 2.133,
         mem_bw_gbs: 273.0,
         ert_dram_gbs: 218.0,
         compiler: "gcc 5.5.0",
     },
     Platform {
-        id: "dgx1p",
         name: "DGX-1P",
         processor: "NVIDIA Tesla P100",
         microarch: "Pascal",
@@ -97,13 +88,11 @@ pub static PLATFORMS: &[Platform] = &[
         llc_mib: 4.0,
         mem_gib: 16.0,
         mem_type: "HBM2",
-        mem_freq_ghz: 0.715,
         mem_bw_gbs: 732.0,
         ert_dram_gbs: 571.0,
         compiler: "CUDA Tkit 9.1",
     },
     Platform {
-        id: "dgx1v",
         name: "DGX-1V",
         processor: "NVIDIA Tesla V100",
         microarch: "Volta",
@@ -113,17 +102,16 @@ pub static PLATFORMS: &[Platform] = &[
         llc_mib: 6.0,
         mem_gib: 16.0,
         mem_type: "HBM2",
-        mem_freq_ghz: 0.877,
         mem_bw_gbs: 900.0,
         ert_dram_gbs: 792.0,
         compiler: "CUDA Tkit 9.0",
     },
 ];
 
-/// Look a platform up by id.
+/// Look a platform up by its display name.
 #[cfg(test)]
-pub(crate) fn find(id: &str) -> Option<&'static Platform> {
-    PLATFORMS.iter().find(|p| p.id == id)
+pub(crate) fn find(name: &str) -> Option<&'static Platform> {
+    PLATFORMS.iter().find(|p| p.name == name)
 }
 
 #[cfg(test)]
@@ -145,11 +133,11 @@ mod tests {
         let cpu_max_peak = 2.0;
         for gpu in PLATFORMS
             .iter()
-            .filter(|p| matches!(p.id, "dgx1p" | "dgx1v"))
+            .filter(|p| matches!(p.name, "DGX-1P" | "DGX-1V"))
         {
             let lo = gpu.peak_sp_tflops / cpu_max_peak;
             let hi = gpu.peak_sp_tflops / cpu_min_peak;
-            assert!(lo >= 4.0 && hi <= 16.0, "{}", gpu.id);
+            assert!(lo >= 4.0 && hi <= 16.0, "{}", gpu.name);
             assert!(gpu.mem_bw_gbs / 273.0 >= 2.5 && gpu.mem_bw_gbs / 256.0 <= 7.0);
         }
     }
@@ -157,14 +145,14 @@ mod tests {
     #[test]
     fn obtainable_bandwidth_is_below_theoretical() {
         for p in PLATFORMS {
-            assert!(p.ert_dram_gbs < p.mem_bw_gbs, "{}", p.id);
-            assert!(p.ert_dram_gbs > 0.5 * p.mem_bw_gbs, "{}", p.id);
+            assert!(p.ert_dram_gbs < p.mem_bw_gbs, "{}", p.name);
+            assert!(p.ert_dram_gbs > 0.5 * p.mem_bw_gbs, "{}", p.name);
         }
     }
 
     #[test]
-    fn find_by_id() {
-        assert_eq!(find("dgx1p").unwrap().microarch, "Pascal");
+    fn find_by_name() {
+        assert_eq!(find("DGX-1P").unwrap().microarch, "Pascal");
         assert!(find("nope").is_none());
     }
 
@@ -172,8 +160,8 @@ mod tests {
     fn v100_llc_is_twice_p100() {
         // Observation 2 leans on this: "V100 GPU architecture has a twice
         // larger LLC than P100".
-        let p = find("dgx1p").unwrap();
-        let v = find("dgx1v").unwrap();
+        let p = find("DGX-1P").unwrap();
+        let v = find("DGX-1V").unwrap();
         assert!((v.llc_mib / p.llc_mib - 1.5).abs() <= 0.5);
     }
 }
