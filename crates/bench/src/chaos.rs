@@ -6,12 +6,9 @@
 //! a watchdog — then injects faults into the
 //! jobs while they run: step panics, step hangs that trip the watchdog,
 //! checkpoint corruption that the resume path must detect, and queue-full
-//! submission bursts against both services.
-//!
-//! The faults are data, not a shared random stream: the plan is a pure
-//! function of `(seed, job_id, iteration)`, built before any job runs and
-//! handed to the job service as a [`ScriptedFaults`], so a run's fault
-//! list replays from its seed, whatever the thread timing.
+//! submission bursts against both services. The job faults are a plan
+//! derived from the seed alone, run through [`ScriptedFaults`], so a run's
+//! fault lists replay from its seed whatever the thread timing.
 //!
 //! The harness then checks the robustness contract the PR series builds
 //! toward (ROADMAP item 5):
@@ -76,8 +73,7 @@ pub struct ChaosConfig {
     /// CP-ALS sweep budget per job.
     pub max_iters: usize,
     /// Probability that one job-iteration slot of the initial wave gets
-    /// one fault. Each planned fault fires once, so a retried iteration
-    /// runs clean.
+    /// one fault (which fires once: a retried iteration runs clean).
     pub fault_rate: f64,
     /// Watchdog budget per job iteration, in seconds. Injected hangs
     /// sleep for twice this, so every hang trips the watchdog.
@@ -128,52 +124,38 @@ fn slot_hash(seed: u64, job_id: u64, iteration: usize) -> u64 {
 /// (assigned in submission order), `max_iters` and `fault_rate`. A slot
 /// is selected when its hash, read as a uniform draw in `[0, 1)`, falls
 /// under the rate; selected slots cycle panic → hang → corruption. A
-/// corruption at iteration `k` is always followed by a panic at `k + 1`,
-/// so the resume walk meets the damaged generation first and refuses it;
-/// a corruption that falls on a job's last iteration would never be read,
-/// so it waits for the next selected slot that has a successor.
+/// corruption at iteration `k` is followed by a panic at `k + 1`, so the
+/// resume walk meets the damaged generation first and refuses it; one
+/// that would fall on a job's last iteration waits for a later slot.
 fn fault_plan(cfg: &ChaosConfig) -> Vec<(u64, usize, InjectedFault)> {
     let hang = InjectedFault::HangInStep {
         ms: (cfg.max_step_seconds * 2_000.0).max(100.0) as u64,
     };
     let mut plan = Vec::new();
-    let mut fired = 0u64;
     for job_id in 1..=cfg.jobs.max(1) as u64 {
         let mut k = 0;
         while k < cfg.max_iters {
             let h = slot_hash(cfg.seed, job_id, k);
             if ((h >> 11) as f64 / (1u64 << 53) as f64) < cfg.fault_rate {
-                match fired % 3 {
+                // Each planned entry, a corruption's panic too, is one
+                // step of the cycle.
+                match plan.len() % 3 {
                     0 => plan.push((job_id, k, InjectedFault::PanicInStep)),
                     1 => plan.push((job_id, k, hang)),
                     _ if k + 1 < cfg.max_iters => {
                         let h = mix(h);
                         let (byte, mask) = (h as usize, (h % 255 + 1) as u8);
                         plan.push((job_id, k, InjectedFault::CorruptCheckpoint { byte, mask }));
-                        plan.push((job_id, k + 1, InjectedFault::PanicInStep));
-                        fired += 1;
                         k += 1;
+                        plan.push((job_id, k, InjectedFault::PanicInStep));
                     }
-                    _ => {
-                        k += 1;
-                        continue;
-                    }
+                    _ => {}
                 }
-                fired += 1;
             }
             k += 1;
         }
     }
     plan
-}
-
-/// A fault's short name in the report: `panic`, `hang` or `corrupt`.
-pub(crate) fn fault_name(fault: &InjectedFault) -> &'static str {
-    match fault {
-        InjectedFault::PanicInStep => "panic",
-        InjectedFault::HangInStep { .. } => "hang",
-        InjectedFault::CorruptCheckpoint { .. } => "corrupt",
-    }
 }
 
 /// One job's terminal line in the report.
@@ -191,9 +173,9 @@ pub struct ChaosJobLine {
     pub(crate) recoveries: u32,
     /// Progress samples flagged as resume boundaries.
     pub(crate) resume_boundaries: u32,
-    /// The faults planned for this job, as `(iteration, fault)` in
-    /// iteration order (empty for burst-admitted jobs, which run clean).
-    pub faults: Vec<(usize, InjectedFault)>,
+    /// The faults planned for this job as `kind@iteration` labels in
+    /// iteration order, e.g. `corrupt@4` (none for burst-admitted jobs).
+    pub faults: Vec<String>,
 }
 
 /// Everything one chaos run observed; the CLI formats and gates it.
@@ -220,13 +202,6 @@ pub struct ChaosReport {
     pub corrupt_detected: u64,
     /// Checkpoints written across all jobs.
     pub checkpoints: u64,
-    /// Step panics planned (each fires once).
-    pub(crate) injected_panics: u64,
-    /// Step hangs planned.
-    pub(crate) injected_hangs: u64,
-    /// Checkpoint corruptions planned; each is read by the resume its
-    /// following panic forces.
-    pub injected_corruptions: u64,
     /// Kernel-traffic client tally from the closed-loop phase.
     pub(crate) kernel: Tally,
     /// Kernel overload burst against the service.
@@ -246,6 +221,14 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// Planned `[panics, hangs, corruptions]`, counted from the job lines.
+    pub fn planned(&self) -> [u64; 3] {
+        ["panic@", "hang@", "corrupt@"].map(|kind| {
+            let faults = self.job_lines.iter().flat_map(|l| &l.faults);
+            faults.filter(|f| f.starts_with(kind)).count() as u64
+        })
+    }
+
     /// Machine-readable JSON object (validated by the caller before disk).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
@@ -265,13 +248,10 @@ impl ChaosReport {
         field("reinits", self.reinits.to_string(), false);
         field("corrupt_detected", self.corrupt_detected.to_string(), false);
         field("checkpoints", self.checkpoints.to_string(), false);
-        field("injected_panics", self.injected_panics.to_string(), false);
-        field("injected_hangs", self.injected_hangs.to_string(), false);
-        field(
-            "injected_corruptions",
-            self.injected_corruptions.to_string(),
-            false,
-        );
+        let [panics, hangs, corruptions] = self.planned();
+        field("injected_panics", panics.to_string(), false);
+        field("injected_hangs", hangs.to_string(), false);
+        field("injected_corruptions", corruptions.to_string(), false);
         field("kernel", self.kernel.to_json(), false);
         field("kernel_probe", self.kernel_probe.to_json(), false);
         field("mismatched", self.mismatched.to_string(), false);
@@ -289,20 +269,16 @@ impl ChaosReport {
             .job_lines
             .iter()
             .map(|l| {
-                let faults = l
-                    .faults
-                    .iter()
-                    .map(|(k, f)| format!("{{\"iteration\": {k}, \"fault\": \"{}\"}}", fault_name(f)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let faults: Vec<String> = l.faults.iter().map(|f| format!("\"{f}\"")).collect();
                 format!(
-                    "{{\"job_id\": {}, \"terminal\": \"{}\", \"iterations\": {}, \"fit\": {}, \"recoveries\": {}, \"resume_boundaries\": {}, \"faults\": [{faults}]}}",
+                    "{{\"job_id\": {}, \"terminal\": \"{}\", \"iterations\": {}, \"fit\": {}, \"recoveries\": {}, \"resume_boundaries\": {}, \"faults\": [{}]}}",
                     l.job_id,
                     obs::json::escape_json(&l.terminal),
                     l.iterations,
                     obs::json::json_f64(l.fit),
                     l.recoveries,
-                    l.resume_boundaries
+                    l.resume_boundaries,
+                    faults.join(", ")
                 )
             })
             .collect::<Vec<_>>()
@@ -529,12 +505,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             faults: plan
                 .iter()
                 .filter(|e| e.0 == *job_id)
-                .map(|&(_, k, f)| (k, f))
+                .map(|(_, k, f)| match f {
+                    InjectedFault::PanicInStep => format!("panic@{k}"),
+                    InjectedFault::HangInStep { .. } => format!("hang@{k}"),
+                    InjectedFault::CorruptCheckpoint { .. } => format!("corrupt@{k}"),
+                })
                 .collect(),
         });
     }
 
-    let planned = |name| plan.iter().filter(|e| fault_name(&e.2) == name).count() as u64;
     ChaosReport {
         admitted: job_report.submitted,
         burst_rejected,
@@ -546,9 +525,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         reinits: job_report.reinits,
         corrupt_detected: job_report.corrupt_detected,
         checkpoints: job_report.checkpoints,
-        injected_panics: planned("panic"),
-        injected_hangs: planned("hang"),
-        injected_corruptions: planned("corrupt"),
         kernel,
         kernel_probe,
         mismatched,

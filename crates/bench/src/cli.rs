@@ -1392,6 +1392,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     }));
     let report = crate::chaos::run_chaos(&opts.cfg);
     let _ = std::panic::take_hook();
+    let planned = report.planned();
 
     let mut out = format!(
         "chaos run: seed {}, {} jobs + kernel traffic ({} clients, {:.1}s, alpha {}), fault rate {}\n\n",
@@ -1406,11 +1407,6 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         "job", "terminal", "iters", "fit", "recov", "resumes", "faults",
     ]);
     for l in &report.job_lines {
-        let faults: Vec<String> = l
-            .faults
-            .iter()
-            .map(|(k, f)| format!("{}@{k}", crate::chaos::fault_name(f)))
-            .collect();
         table.row(vec![
             l.job_id.to_string(),
             l.terminal.clone(),
@@ -1422,11 +1418,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
             },
             l.recoveries.to_string(),
             l.resume_boundaries.to_string(),
-            if faults.is_empty() {
-                "-".to_string()
-            } else {
-                faults.join(" ")
-            },
+            l.faults.join(" "),
         ]);
     }
     out.push_str(&table.render());
@@ -1436,7 +1428,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     ));
     out.push_str(&format!(
         "faults planned: {} panics, {} hangs, {} checkpoint corruptions (replays from --seed, --jobs, --max-iters and --fault-rate)\n",
-        report.injected_panics, report.injected_hangs, report.injected_corruptions,
+        planned[0], planned[1], planned[2],
     ));
     out.push_str(&format!(
         "recovery: {} total ({} checkpoint resumes, {} reinits), {} corrupt checkpoints detected, {} checkpoints written\n",
@@ -1511,12 +1503,11 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         "recovery gate: {} resumes >= {} ok\n",
         report.resumes, floors.min_recoveries
     ));
-    if report.injected_panics == 0 || report.injected_hangs == 0 || report.injected_corruptions == 0
-    {
+    if planned.contains(&0) {
         let reason = format!(
             "chaos gate: fault mix incomplete ({} panics, {} hangs, {} corruptions) — \
              raise --jobs, --max-iters, or --fault-rate",
-            report.injected_panics, report.injected_hangs, report.injected_corruptions,
+            planned[0], planned[1], planned[2],
         );
         return gate(out, reason);
     }
@@ -1556,35 +1547,26 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         return gate(out, reason);
     }
     out.push_str("residual gate: non-increasing across every resume boundary ok\n");
-    match &opts.flight_dump_dir {
-        Some(dir) => flight_dump_gate(
-            out,
-            dir,
-            [
-                ("panic", report.injected_panics),
-                ("timeout", report.injected_hangs),
-                ("ckpt_corrupt", report.injected_corruptions),
-            ],
-        ),
-        None => Ok(out),
-    }
+    flight_dump_gate(out, opts.flight_dump_dir.as_deref(), planned)
 }
 
-/// The flight-recorder gate: `dir` must hold at least one
-/// `flight-*-<reason>.json` dump per planned fault of each kind. Hangs
-/// dump as watchdog timeouts; a corruption dumps when the resume its
-/// following panic forces refuses the damaged generation.
-fn flight_dump_gate(mut out: String, dir: &Path, planned: [(&str, u64); 3]) -> CliResult<String> {
-    for (reason, faults) in planned {
+/// The flight-recorder gate: `dir`, when given, must hold one dump per
+/// planned panic (`panic`), hang (a watchdog `timeout`) and corruption
+/// (`ckpt_corrupt`, written when the resume its following panic forces
+/// refuses the damaged generation).
+fn flight_dump_gate(mut out: String, dir: Option<&Path>, planned: [u64; 3]) -> CliResult<String> {
+    let Some(dir) = dir else { return Ok(out) };
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        names.push(entry?.file_name().to_string_lossy().into_owned());
+    }
+    for (reason, faults) in ["panic", "timeout", "ckpt_corrupt"]
+        .into_iter()
+        .zip(planned)
+    {
         let suffix = format!("-{reason}.json");
-        let mut dumps = 0u64;
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("flight-") && name.ends_with(&suffix) {
-                dumps += 1;
-            }
-        }
+        let is_dump = |n: &&String| n.starts_with("flight-") && n.ends_with(&suffix);
+        let dumps = names.iter().filter(is_dump).count() as u64;
         if dumps < faults {
             let missing = format!(
                 "chaos gate: {faults} {reason} faults planned but {dumps} \
@@ -1839,14 +1821,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tenbench-dump-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("flight-0000-panic.json"), "{}").unwrap();
-        let planned = |corruptions| [("panic", 1), ("timeout", 0), ("ckpt_corrupt", corruptions)];
-        let ok = flight_dump_gate(String::new(), &dir, planned(0)).unwrap();
+        let ok = flight_dump_gate(String::new(), Some(&dir), [1, 0, 0]).unwrap();
         assert!(
             ok.contains("ckpt_corrupt — 0 dumps for 0 planned faults ok"),
             "{ok}"
         );
         assert!(matches!(
-            flight_dump_gate(String::new(), &dir, planned(1)),
+            flight_dump_gate(String::new(), Some(&dir), [1, 0, 1]),
             Err(CliError::Gate { reason, .. }) if reason.contains("1 ckpt_corrupt faults planned but 0")
         ));
         std::fs::remove_dir_all(&dir).unwrap();

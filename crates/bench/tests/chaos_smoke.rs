@@ -148,14 +148,15 @@ fn the_seed_replays_the_fault_lists() {
     let faults = |seed: u64| {
         let cfg = ChaosConfig { seed, ..small() };
         let report = run_chaos(&cfg);
-        assert_eq!(report.corrupt_detected, report.injected_corruptions);
+        let corruptions = report.planned()[2];
+        assert_eq!(report.corrupt_detected, corruptions);
         let lists: Vec<_> = report
             .job_lines
             .into_iter()
             .filter(|l| l.job_id <= cfg.jobs as u64 || !l.faults.is_empty())
             .map(|l| (l.job_id, l.faults))
             .collect();
-        (lists, report.injected_corruptions)
+        (lists, corruptions)
     };
     let (first, corruptions) = faults(42);
     assert!(corruptions >= 1, "seed 42 plans a corruption: {first:?}");
