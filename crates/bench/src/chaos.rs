@@ -1,17 +1,16 @@
 //! The chaos harness: try to kill a live service, prove nothing is lost.
 //!
 //! [`run_chaos`] stands up the full serving stack — a [`KernelService`]
-//! under Zipf-skewed closed-loop kernel traffic *and* a
-//! [`JobService`] running CP-ALS decomposition jobs, each step guarded by
-//! a watchdog — then injects faults into the
-//! jobs while they run: step panics, step hangs that trip the watchdog,
-//! checkpoint corruption that the resume path must detect, and queue-full
-//! submission bursts against both services. The job faults are a plan
-//! derived from the seed alone, run through [`ScriptedFaults`], so a run's
-//! fault lists replay from its seed whatever the thread timing.
+//! under Zipf-skewed closed-loop kernel traffic *and* a [`JobService`]
+//! running CP-ALS decomposition jobs, each step guarded by a watchdog —
+//! then injects faults into the jobs while they run: step panics, step
+//! hangs that trip the watchdog, checkpoint corruption that the resume
+//! path must detect, and queue-full submission bursts against both
+//! services. The job faults are a plan derived from the seed alone, run
+//! through [`ScriptedFaults`], so a run's fault lists replay from its seed
+//! whatever the thread timing.
 //!
-//! The harness then checks the robustness contract the PR series builds
-//! toward (ROADMAP item 5):
+//! The harness then checks the robustness contract (ROADMAP item 5):
 //!
 //! - **Zero lost jobs**: every admitted job reaches a terminal state —
 //!   completed with a finite fit or failed with a typed [`JobError`].
@@ -124,22 +123,22 @@ fn slot_hash(seed: u64, job_id: u64, iteration: usize) -> u64 {
 /// (assigned in submission order), `max_iters` and `fault_rate`. A slot
 /// is selected when its hash, read as a uniform draw in `[0, 1)`, falls
 /// under the rate; selected slots cycle panic → hang → corruption. A
-/// corruption at iteration `k` is followed by a panic at `k + 1`, so the
-/// resume walk meets the damaged generation first and refuses it; one
-/// that would fall on a job's last iteration waits for a later slot.
+/// corruption at iteration `k` is followed by a panic at `k + 1` that is
+/// not a step of the cycle, so the resume walk meets the damaged
+/// generation first and refuses it; a corruption that would fall on a
+/// job's last iteration waits for a later slot.
 fn fault_plan(cfg: &ChaosConfig) -> Vec<(u64, usize, InjectedFault)> {
     let hang = InjectedFault::HangInStep {
         ms: (cfg.max_step_seconds * 2_000.0).max(100.0) as u64,
     };
     let mut plan = Vec::new();
+    let mut picked = 0usize;
     for job_id in 1..=cfg.jobs.max(1) as u64 {
         let mut k = 0;
         while k < cfg.max_iters {
             let h = slot_hash(cfg.seed, job_id, k);
             if ((h >> 11) as f64 / (1u64 << 53) as f64) < cfg.fault_rate {
-                // Each planned entry, a corruption's panic too, is one
-                // step of the cycle.
-                match plan.len() % 3 {
+                match picked % 3 {
                     0 => plan.push((job_id, k, InjectedFault::PanicInStep)),
                     1 => plan.push((job_id, k, hang)),
                     _ if k + 1 < cfg.max_iters => {
@@ -149,13 +148,27 @@ fn fault_plan(cfg: &ChaosConfig) -> Vec<(u64, usize, InjectedFault)> {
                         k += 1;
                         plan.push((job_id, k, InjectedFault::PanicInStep));
                     }
-                    _ => {}
+                    _ => {
+                        k += 1;
+                        continue;
+                    }
                 }
+                picked += 1;
             }
             k += 1;
         }
     }
     plan
+}
+
+/// A fault's kind: its index in `[panics, hangs, corruptions]` and its
+/// name in labels.
+fn fault_kind(fault: &InjectedFault) -> (usize, &'static str) {
+    match fault {
+        InjectedFault::PanicInStep => (0, "panic"),
+        InjectedFault::HangInStep { .. } => (1, "hang"),
+        InjectedFault::CorruptCheckpoint { .. } => (2, "corrupt"),
+    }
 }
 
 /// One job's terminal line in the report.
@@ -173,9 +186,17 @@ pub struct ChaosJobLine {
     pub(crate) recoveries: u32,
     /// Progress samples flagged as resume boundaries.
     pub(crate) resume_boundaries: u32,
-    /// The faults planned for this job as `kind@iteration` labels in
-    /// iteration order, e.g. `corrupt@4` (none for burst-admitted jobs).
-    pub faults: Vec<String>,
+    /// The faults planned for this job as `(iteration, fault)` in
+    /// iteration order (none for burst-admitted jobs).
+    pub faults: Vec<(usize, InjectedFault)>,
+}
+
+impl ChaosJobLine {
+    /// The planned faults as `kind@iteration` labels, e.g. `corrupt@4`.
+    pub(crate) fn fault_labels(&self) -> Vec<String> {
+        let label = |(k, f): &(usize, InjectedFault)| format!("{}@{k}", fault_kind(f).1);
+        self.faults.iter().map(label).collect()
+    }
 }
 
 /// Everything one chaos run observed; the CLI formats and gates it.
@@ -200,6 +221,11 @@ pub struct ChaosReport {
     pub(crate) reinits: u64,
     /// Corrupted checkpoint generations detected and refused.
     pub corrupt_detected: u64,
+    /// Planned `[panics, hangs, corruptions]`.
+    pub planned: [u64; 3],
+    /// Planned faults that fired, `[panics, hangs, corruptions]`: a step
+    /// asked for them. A job that fails first leaves its later ones unfired.
+    pub injected: [u64; 3],
     /// Checkpoints written across all jobs.
     pub checkpoints: u64,
     /// Kernel-traffic client tally from the closed-loop phase.
@@ -221,55 +247,13 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// Planned `[panics, hangs, corruptions]`, counted from the job lines.
-    pub fn planned(&self) -> [u64; 3] {
-        ["panic@", "hang@", "corrupt@"].map(|kind| {
-            let faults = self.job_lines.iter().flat_map(|l| &l.faults);
-            faults.filter(|f| f.starts_with(kind)).count() as u64
-        })
-    }
-
     /// Machine-readable JSON object (validated by the caller before disk).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let mut field = |name: &str, v: String, first: bool| {
-            if !first {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {v}"));
-        };
-        field("admitted", self.admitted.to_string(), true);
-        field("burst_rejected", self.burst_rejected.to_string(), false);
-        field("completed", self.completed.to_string(), false);
-        field("failed", self.failed.to_string(), false);
-        field("lost", self.lost.to_string(), false);
-        field("recoveries", self.recoveries.to_string(), false);
-        field("resumes", self.resumes.to_string(), false);
-        field("reinits", self.reinits.to_string(), false);
-        field("corrupt_detected", self.corrupt_detected.to_string(), false);
-        field("checkpoints", self.checkpoints.to_string(), false);
-        let [panics, hangs, corruptions] = self.planned();
-        field("injected_panics", panics.to_string(), false);
-        field("injected_hangs", hangs.to_string(), false);
-        field("injected_corruptions", corruptions.to_string(), false);
-        field("kernel", self.kernel.to_json(), false);
-        field("kernel_probe", self.kernel_probe.to_json(), false);
-        field("mismatched", self.mismatched.to_string(), false);
-        field(
-            "resume_boundaries",
-            self.resume_boundaries.to_string(),
-            false,
-        );
-        field(
-            "residual_violations",
-            self.residual_violations.to_string(),
-            false,
-        );
-        let jobs = self
+        let jobs: Vec<String> = self
             .job_lines
             .iter()
             .map(|l| {
-                let faults: Vec<String> = l.faults.iter().map(|f| format!("\"{f}\"")).collect();
+                let faults: Vec<String> = l.fault_labels().iter().map(|f| format!("\"{f}\"")).collect();
                 format!(
                     "{{\"job_id\": {}, \"terminal\": \"{}\", \"iterations\": {}, \"fit\": {}, \"recoveries\": {}, \"resume_boundaries\": {}, \"faults\": [{}]}}",
                     l.job_id,
@@ -281,18 +265,40 @@ impl ChaosReport {
                     faults.join(", ")
                 )
             })
-            .collect::<Vec<_>>()
-            .join(", ");
-        field("jobs", format!("[{jobs}]"), false);
-        let counters = self
+            .collect();
+        let counters: Vec<String> = self
             .counters
             .iter()
             .map(|(n, v)| format!("{{\"name\": \"{n}\", \"delta\": {v}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        field("counters", format!("[{counters}]"), false);
-        s.push('}');
-        s
+            .collect();
+        let [panics, hangs, corruptions] = self.injected;
+        let fields = [
+            ("admitted", self.admitted.to_string()),
+            ("burst_rejected", self.burst_rejected.to_string()),
+            ("completed", self.completed.to_string()),
+            ("failed", self.failed.to_string()),
+            ("lost", self.lost.to_string()),
+            ("recoveries", self.recoveries.to_string()),
+            ("resumes", self.resumes.to_string()),
+            ("reinits", self.reinits.to_string()),
+            ("corrupt_detected", self.corrupt_detected.to_string()),
+            ("checkpoints", self.checkpoints.to_string()),
+            ("injected_panics", panics.to_string()),
+            ("injected_hangs", hangs.to_string()),
+            ("injected_corruptions", corruptions.to_string()),
+            ("kernel", self.kernel.to_json()),
+            ("kernel_probe", self.kernel_probe.to_json()),
+            ("mismatched", self.mismatched.to_string()),
+            ("resume_boundaries", self.resume_boundaries.to_string()),
+            ("residual_violations", self.residual_violations.to_string()),
+            ("jobs", format!("[{}]", jobs.join(", "))),
+            ("counters", format!("[{}]", counters.join(", "))),
+        ];
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(n, v)| format!("\"{n}\": {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
     }
 }
 
@@ -329,13 +335,6 @@ fn accepted_progress(raw: &[JobProgress]) -> Vec<JobProgress> {
     out
 }
 
-fn terminal_text(r: &Result<JobOutcome, JobError>) -> String {
-    match r {
-        Ok(_) => "completed".to_string(),
-        Err(e) => format!("failed: {e}"),
-    }
-}
-
 /// Uninterrupted in-process reference for one spec, at the same ambient
 /// thread count as the chaos run. Returns `None` if the clean run fails —
 /// which the caller counts as a mismatch, since the chaotic run completed.
@@ -365,14 +364,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // Cubical pool shared by kernel traffic and jobs: the job tensors are
     // the *same* Arcs the kernel service is hammering, so cache reuse and
     // decomposition state coexist.
-    let shape = vec![cfg.dim.max(2); 3];
+    let generator = KroneckerGenerator::rmat_like(Shape::new(vec![cfg.dim.max(2); 3]), cfg.nnz);
     let pool: Vec<Arc<CooTensor<f32>>> = (0..cfg.tensors.max(1) as u64)
-        .map(|i| {
-            Arc::new(
-                KroneckerGenerator::rmat_like(Shape::new(shape.clone()), cfg.nnz)
-                    .generate(cfg.seed.wrapping_add(i)),
-            )
-        })
+        .map(|i| Arc::new(generator.generate(cfg.seed.wrapping_add(i))))
         .collect();
 
     let plan = fault_plan(cfg);
@@ -383,7 +377,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         max_recoveries: cfg.max_recoveries,
         threads: None,
     };
-    let jsvc = JobService::start(job_cfg, Some(Arc::new(ScriptedFaults::new(plan.clone()))));
+    let injector = Arc::new(ScriptedFaults::new(plan.clone()));
+    let jsvc = JobService::start(job_cfg, Some(injector.clone()));
 
     let ksvc = KernelService::start(
         ServeConfig {
@@ -446,6 +441,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     let job_report = jsvc.shutdown();
     ksvc.shutdown();
+    let (mut planned, unfired) = ([0u64; 3], injector.unfired());
+    let mut injected = planned;
+    for e in &plan {
+        planned[fault_kind(&e.2).0] += 1;
+        injected[fault_kind(&e.2).0] += !unfired.contains(e) as u64;
+    }
 
     // Close the counter window before the reference re-runs below, which
     // go through a `JobService` of their own.
@@ -464,7 +465,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut job_lines = Vec::with_capacity(results.len());
 
     for (spec, job_id, result) in &results {
-        let (iterations, fit, recoveries, boundaries) = match result {
+        let (terminal, iterations, fit, recoveries, boundaries) = match result {
             Ok(out) => {
                 completed += 1;
                 let boundaries = out.progress.iter().filter(|p| p.resumed).count() as u32;
@@ -488,16 +489,23 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                             }) => {}
                     _ => mismatched += 1,
                 }
-                (out.iterations, out.fit, out.recoveries, boundaries)
+                let terminal = "completed".to_string();
+                (
+                    terminal,
+                    out.iterations,
+                    out.fit,
+                    out.recoveries,
+                    boundaries,
+                )
             }
-            Err(_) => {
+            Err(e) => {
                 failed += 1;
-                (0, f64::NAN, 0, 0)
+                (format!("failed: {e}"), 0, f64::NAN, 0, 0)
             }
         };
         job_lines.push(ChaosJobLine {
             job_id: *job_id,
-            terminal: terminal_text(result),
+            terminal,
             iterations,
             fit,
             recoveries,
@@ -505,11 +513,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             faults: plan
                 .iter()
                 .filter(|e| e.0 == *job_id)
-                .map(|(_, k, f)| match f {
-                    InjectedFault::PanicInStep => format!("panic@{k}"),
-                    InjectedFault::HangInStep { .. } => format!("hang@{k}"),
-                    InjectedFault::CorruptCheckpoint { .. } => format!("corrupt@{k}"),
-                })
+                .map(|&(_, k, f)| (k, f))
                 .collect(),
         });
     }
@@ -524,6 +528,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         resumes: job_report.resumes,
         reinits: job_report.reinits,
         corrupt_detected: job_report.corrupt_detected,
+        planned,
+        injected,
         checkpoints: job_report.checkpoints,
         kernel,
         kernel_probe,

@@ -1298,7 +1298,7 @@ pub struct ChaosOpts {
     /// `ci/chaos-floor.txt`-style file.
     pub floors: Option<PathBuf>,
     /// Write flight-recorder dumps here as faults fire, and gate on one
-    /// dump per planned fault of each kind at the end of the run.
+    /// dump per fired fault of each kind at the end of the run.
     pub flight_dump_dir: Option<PathBuf>,
 }
 
@@ -1353,11 +1353,11 @@ fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
 /// `chaos`: run the fault-injection harness against a live service and
 /// apply the robustness gates (each a [`CliError::Gate`] on violation): zero lost
 /// jobs beyond the floor, at least `min_recoveries` checkpoint-resume
-/// recoveries, every injected fault kind exercised, at least one typed
+/// recoveries, every fault kind fired, at least one typed
 /// queue-full rejection from the job burst, at least one completed job
 /// and a bitwise reference match for every one, no fit-residual
 /// increase across a resume boundary, and, with a flight-dump directory,
-/// one dump per planned fault of each kind. A fault rate outside `[0, 1]` and a
+/// one dump per fired fault of each kind. A fault rate outside `[0, 1]` and a
 /// zero rank are usage errors before anything runs.
 pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     check_alpha(opts.cfg.alpha)?;
@@ -1392,7 +1392,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     }));
     let report = crate::chaos::run_chaos(&opts.cfg);
     let _ = std::panic::take_hook();
-    let planned = report.planned();
+    let (planned, injected) = (report.planned, report.injected);
 
     let mut out = format!(
         "chaos run: seed {}, {} jobs + kernel traffic ({} clients, {:.1}s, alpha {}), fault rate {}\n\n",
@@ -1418,7 +1418,7 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
             },
             l.recoveries.to_string(),
             l.resume_boundaries.to_string(),
-            l.faults.join(" "),
+            l.fault_labels().join(" "),
         ]);
     }
     out.push_str(&table.render());
@@ -1427,8 +1427,8 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         report.admitted, report.completed, report.failed, report.lost, report.burst_rejected,
     ));
     out.push_str(&format!(
-        "faults planned: {} panics, {} hangs, {} checkpoint corruptions (replays from --seed, --jobs, --max-iters and --fault-rate)\n",
-        planned[0], planned[1], planned[2],
+        "faults planned: {} panics, {} hangs, {} checkpoint corruptions (replays from --seed, --jobs, --max-iters and --fault-rate); fired: {}, {}, {}\n",
+        planned[0], planned[1], planned[2], injected[0], injected[1], injected[2],
     ));
     out.push_str(&format!(
         "recovery: {} total ({} checkpoint resumes, {} reinits), {} corrupt checkpoints detected, {} checkpoints written\n",
@@ -1503,21 +1503,18 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         "recovery gate: {} resumes >= {} ok\n",
         report.resumes, floors.min_recoveries
     ));
-    if planned.contains(&0) {
+    if injected.contains(&0) {
         let reason = format!(
-            "chaos gate: fault mix incomplete ({} panics, {} hangs, {} corruptions) — \
+            "chaos gate: fault mix incomplete ({} panics, {} hangs, {} corruptions fired) — \
              raise --jobs, --max-iters, or --fault-rate",
-            planned[0], planned[1], planned[2],
+            injected[0], injected[1], injected[2],
         );
         return gate(out, reason);
     }
-    out.push_str("fault-mix gate: panic + hang + corruption all injected ok\n");
+    out.push_str("fault-mix gate: panic + hang + corruption all fired ok\n");
     if report.burst_rejected == 0 {
-        let reason =
-            "chaos gate: the job-queue burst saw no typed queue-full rejection — admission \
-             control did not engage"
-                .to_string();
-        return gate(out, reason);
+        let reason = "chaos gate: the job-queue burst saw no typed queue-full rejection";
+        return gate(out, format!("{reason} — admission control did not engage"));
     }
     out.push_str(&format!(
         "burst gate: {} typed queue-full rejections ok\n",
@@ -1547,36 +1544,34 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
         return gate(out, reason);
     }
     out.push_str("residual gate: non-increasing across every resume boundary ok\n");
-    flight_dump_gate(out, opts.flight_dump_dir.as_deref(), planned)
+    flight_dump_gate(out, opts.flight_dump_dir.as_deref(), injected)
 }
 
-/// The flight-recorder gate: `dir`, when given, must hold one dump per
-/// planned panic (`panic`), hang (a watchdog `timeout`) and corruption
+/// The flight-recorder gate: `dir`, when given, must hold exactly one dump
+/// per fired panic (`panic`), hang (a watchdog `timeout`) and corruption
 /// (`ckpt_corrupt`, written when the resume its following panic forces
-/// refuses the damaged generation).
-fn flight_dump_gate(mut out: String, dir: Option<&Path>, planned: [u64; 3]) -> CliResult<String> {
+/// refuses the damaged generation), so a stale dump cannot stand in for
+/// a missing one. A corruption whose job fails before that resume trips it.
+fn flight_dump_gate(mut out: String, dir: Option<&Path>, fired: [u64; 3]) -> CliResult<String> {
     let Some(dir) = dir else { return Ok(out) };
     let mut names = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         names.push(entry?.file_name().to_string_lossy().into_owned());
     }
-    for (reason, faults) in ["panic", "timeout", "ckpt_corrupt"]
-        .into_iter()
-        .zip(planned)
-    {
+    for (reason, faults) in ["panic", "timeout", "ckpt_corrupt"].into_iter().zip(fired) {
         let suffix = format!("-{reason}.json");
         let is_dump = |n: &&String| n.starts_with("flight-") && n.ends_with(&suffix);
         let dumps = names.iter().filter(is_dump).count() as u64;
-        if dumps < faults {
-            let missing = format!(
-                "chaos gate: {faults} {reason} faults planned but {dumps} \
+        if dumps != faults {
+            let mismatch = format!(
+                "chaos gate: {faults} {reason} faults fired but {dumps} \
                  flight-*-{reason}.json dumps in {}",
                 dir.display(),
             );
-            return gate(out, missing);
+            return gate(out, mismatch);
         }
         out.push_str(&format!(
-            "flight-dump gate: {reason} — {dumps} dumps for {faults} planned faults ok\n"
+            "flight-dump gate: {reason} — {dumps} dumps for {faults} fired faults ok\n"
         ));
     }
     Ok(out)
@@ -1813,22 +1808,26 @@ mod tests {
         ));
     }
 
-    /// A planned corruption that left no `ckpt_corrupt` dump trips the
-    /// gate: the dumps are counted against the plan, not against what
-    /// the resume path happened to detect.
+    /// A fired corruption that left no `ckpt_corrupt` dump trips the
+    /// gate: the dumps are counted against the faults, not against what
+    /// the resume path happened to detect. A stale extra dump trips it too.
     #[test]
-    fn flight_dump_gate_counts_planned_corruptions() {
+    fn flight_dump_gate_counts_fired_corruptions() {
         let dir = std::env::temp_dir().join(format!("tenbench-dump-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("flight-0000-panic.json"), "{}").unwrap();
         let ok = flight_dump_gate(String::new(), Some(&dir), [1, 0, 0]).unwrap();
         assert!(
-            ok.contains("ckpt_corrupt — 0 dumps for 0 planned faults ok"),
+            ok.contains("ckpt_corrupt — 0 dumps for 0 fired faults ok"),
             "{ok}"
         );
         assert!(matches!(
             flight_dump_gate(String::new(), Some(&dir), [1, 0, 1]),
-            Err(CliError::Gate { reason, .. }) if reason.contains("1 ckpt_corrupt faults planned but 0")
+            Err(CliError::Gate { reason, .. }) if reason.contains("1 ckpt_corrupt faults fired but 0")
+        ));
+        assert!(matches!(
+            flight_dump_gate(String::new(), Some(&dir), [0, 0, 0]),
+            Err(CliError::Gate { reason, .. }) if reason.contains("0 panic faults fired but 1")
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }

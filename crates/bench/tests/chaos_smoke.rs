@@ -148,7 +148,8 @@ fn the_seed_replays_the_fault_lists() {
     let faults = |seed: u64| {
         let cfg = ChaosConfig { seed, ..small() };
         let report = run_chaos(&cfg);
-        let corruptions = report.planned()[2];
+        let corruptions = report.planned[2];
+        assert_eq!(report.injected, report.planned, "every planned fault fired");
         assert_eq!(report.corrupt_detected, corruptions);
         let lists: Vec<_> = report
             .job_lines

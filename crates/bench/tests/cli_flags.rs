@@ -145,9 +145,11 @@ fn a_tripped_gate_exits_1_and_keeps_its_report() {
             // Every planned fault fires once, so faults alone no longer
             // stop a job. A step of this tensor takes ~10 ms, twenty times
             // the watchdog, so every step times out, burst-admitted jobs'
-            // included, and each job exhausts its one recovery.
-            "chaos --fault-rate 1 --duration 100ms --jobs 2 --job-workers 1 --dim 96 \
-             --nnz 100000 --tensors 1 --clients 1 --max-iters 2 --max-step-seconds 0.0005 \
+            // included, and each job exhausts its one recovery at
+            // iteration 0. The plan puts a panic, a corruption and a hang
+            // on iteration 0 of jobs 1, 2 and 3, so all three kinds fire.
+            "chaos --fault-rate 1 --duration 100ms --jobs 3 --job-workers 1 --dim 96 \
+             --nnz 100000 --tensors 1 --clients 1 --max-iters 3 --max-step-seconds 0.0005 \
              --max-recoveries 1"
                 .to_string(),
             "chaos gate: no job completed",

@@ -232,6 +232,20 @@ mod tests {
     }
 
     #[test]
+    fn coalesced_columns_beat_an_uncoalesced_estimate() {
+        // With rx = 16 column lanes, a matrix-row warp access touches
+        // ~2 sectors per fiber instead of 16: sectors must stay far below
+        // the lane count (16 column lanes plus a value and an index lane
+        // per nonzero).
+        let x = sample(6000);
+        let dev = DeviceSpec::p100();
+        let u = DenseMatrix::constant(41, 16, 1.0f32);
+        let (_, stats) = ttm_coo_gpu(&dev, &x, &u, 2).unwrap();
+        let lanes = x.nnz() as u64 * (16 + 2);
+        assert!(stats.sectors < lanes / 2, "{stats:?}");
+    }
+
+    #[test]
     fn higher_rank_means_more_work_and_traffic() {
         let x = sample(3000);
         let dev = DeviceSpec::p100();

@@ -226,4 +226,19 @@ mod tests {
                 .unwrap();
         assert!(ttv_stats.sectors > ts_stats.sectors);
     }
+
+    #[test]
+    fn vector_reuse_hits_the_cache_hierarchy() {
+        // The dense vector is tiny; its repeated gathers must be served by
+        // the L1 (within a block) or the L2 (across blocks), not DRAM.
+        let mut x = sample(5000);
+        let dev = DeviceSpec::p100();
+        let fp = x.fibers(2).unwrap();
+        let t = trace_fiber_kernel::<f32>(&dev, &fp.fptr, x.mode_inds(2), 2, 61, 4);
+        let l1_hits: u64 = t.per_block().iter().map(|b| b.l1_sectors).sum();
+        let touches = l1_hits + t.sectors;
+        let hit = (l1_hits + t.l2_hits) as f64 / touches as f64;
+        assert!(hit > 0.1, "hierarchy hit rate {hit}");
+        assert!(l1_hits > 0);
+    }
 }

@@ -249,6 +249,15 @@ impl ScriptedFaults {
             plan: Mutex::new(plan),
         }
     }
+
+    /// The entries no step has asked for yet: faults planned for
+    /// iterations a job never attempted (it failed first, or never ran).
+    pub fn unfired(&self) -> Vec<(u64, usize, InjectedFault)> {
+        self.plan
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
 }
 
 impl FaultInjector for ScriptedFaults {
