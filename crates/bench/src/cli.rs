@@ -896,7 +896,7 @@ impl TraceOverhead {
     /// Traced over untraced, in percent. Guarded: a degenerate zero-time
     /// untraced baseline must not turn the overhead into a non-finite
     /// number (it would poison the JSON gate).
-    pub(crate) fn overhead_pct(&self) -> f64 {
+    pub fn overhead_pct(&self) -> f64 {
         if self.untraced_s > 0.0 && self.untraced_s.is_finite() && self.traced_s.is_finite() {
             (self.traced_s / self.untraced_s - 1.0) * 100.0
         } else {

@@ -210,7 +210,7 @@ impl<S: Scalar> CooTensor<S> {
     /// Iterate `(coordinate, value)` pairs (allocates one `Vec` per entry —
     /// convenience for tests and small tensors; kernels use the SoA arrays
     /// directly).
-    pub fn iter_entries(&self) -> impl Iterator<Item = (Vec<u32>, S)> + '_ {
+    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (Vec<u32>, S)> + '_ {
         (0..self.nnz()).map(move |i| (self.coord(i), self.vals[i]))
     }
 

@@ -12,8 +12,6 @@ use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
 use crate::shape::Shape;
 
-use super::{CooTensor, SortState};
-
 /// A semi-sparse tensor: sparse in all modes except `dense_mode`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemiSparseTensor<S: Scalar> {
@@ -94,29 +92,6 @@ impl<S: Scalar> SemiSparseTensor<S> {
     #[inline]
     pub fn vals(&self) -> &[S] {
         &self.vals
-    }
-
-    /// Expand to plain COO (keeps every stored value, including numerical
-    /// zeros inside dense stripes, because semi-sparse storage is positional).
-    pub(crate) fn to_coo(&self) -> CooTensor<S> {
-        let r = self.dense_size();
-        let mf = self.num_fibers();
-        let order = self.order();
-        let mut inds: Vec<Vec<u32>> = vec![Vec::with_capacity(mf * r); order];
-        let mut vals = Vec::with_capacity(mf * r);
-        for f in 0..mf {
-            for c in 0..r {
-                for m in 0..order {
-                    if m == self.dense_mode {
-                        inds[m].push(c as u32);
-                    } else {
-                        inds[m].push(self.inds[m][f]);
-                    }
-                }
-            }
-            vals.extend_from_slice(self.fiber_vals(f));
-        }
-        CooTensor::from_parts_unchecked(self.shape.clone(), inds, vals, SortState::Unsorted)
     }
 
     /// Coordinate → value map of the *numerically nonzero* values; test
@@ -206,14 +181,6 @@ mod tests {
         assert_eq!(t.num_fibers(), 2);
         assert_eq!(t.dense_size(), 3);
         assert_eq!(t.fiber_vals(1), &[4.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn to_coo_expands_all_positions() {
-        let t = sample();
-        let c = t.to_coo();
-        assert_eq!(c.nnz(), 6);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

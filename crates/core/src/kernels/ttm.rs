@@ -362,7 +362,7 @@ mod tests {
         let u = DenseMatrix::constant(5, 2, 1.0f32);
         let y = ttm_prepared(&x, &fp, &u, Schedule::default()).unwrap();
         assert_eq!(y.num_fibers(), fp.num_fibers());
-        assert_eq!(y.to_coo().nnz(), fp.num_fibers() * 2);
+        assert_eq!(y.vals().len(), fp.num_fibers() * 2);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! * [`hicoo::GHicooTensor`] — generalized HiCOO where each mode is either
 //!   block-compressed or kept as a plain COO index array.
 //! * [`hicoo::SemiSparseHicooTensor`] — sHiCOO, the semi-sparse HiCOO variant.
-//! * [`csf::CsfTensor`] — compressed sparse fiber, listed by the paper as
-//!   future work and provided here as an extension.
 //!
 //! ## Kernels
 //!
@@ -31,9 +29,8 @@
 //! * [`kernels::mttkrp`] — matricized tensor times Khatri–Rao product.
 //!
 //! [`analysis`] implements the paper's Table 1 work/memory/operational-
-//! intensity accounting, and [`methods`] builds complete tensor methods
-//! (CP-ALS, the tensor power method, a Tucker-style TTM-chain) on top of the
-//! kernels.
+//! intensity accounting, and [`methods`] builds CP-ALS, the decomposition
+//! the job engine runs, on the scheduled COO Mttkrp.
 //!
 //! ## Quick example
 //!
@@ -69,7 +66,6 @@
 pub mod analysis;
 pub(crate) mod atomic;
 pub mod coo;
-pub mod csf;
 pub mod dense;
 pub mod error;
 pub mod hicoo;

@@ -2,33 +2,12 @@
 //! the method whose bottleneck is Mttkrp (paper §2.5).
 
 use crate::coo::CooTensor;
-use crate::csf::{mttkrp_csf, CsfTensor};
 use crate::dense::DenseMatrix;
 use crate::error::Result;
-use crate::hicoo::HicooTensor;
-use crate::kernels::mttkrp::{mttkrp_hicoo_sched, mttkrp_sched};
+use crate::kernels::mttkrp::mttkrp_sched;
 use crate::scalar::Scalar;
 
 use super::XorShift64;
-
-/// Which Mttkrp implementation drives the ALS sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CpAlsBackend {
-    /// COO Mttkrp over the tensor's output-row schedule
-    /// ([`mttkrp_sched`]).
-    #[default]
-    Coo,
-    /// HiCOO Mttkrp over the blocks' output-row-block schedule
-    /// ([`mttkrp_hicoo_sched`]); one mode-generic representation serves all
-    /// modes ("only one tensor representation is needed for all tensor
-    /// computations, even in different modes", §3).
-    Hicoo {
-        /// log2 of the HiCOO block edge.
-        block_bits: u8,
-    },
-    /// CSF Mttkrp; one tree per mode (CSF is mode-specific), SPLATT-style.
-    Csf,
-}
 
 /// Options for [`cp_als`].
 #[derive(Debug, Clone)]
@@ -41,8 +20,6 @@ pub struct CpAlsOptions {
     pub tol: f64,
     /// Seed for the factor initialization.
     pub seed: u64,
-    /// Format backend for the Mttkrp sweeps.
-    pub backend: CpAlsBackend,
 }
 
 impl Default for CpAlsOptions {
@@ -52,49 +29,6 @@ impl Default for CpAlsOptions {
             max_iters: 50,
             tol: 1e-5,
             seed: 0x5EED,
-            backend: CpAlsBackend::Coo,
-        }
-    }
-}
-
-/// Pre-built per-format tensor representations shared by all sweeps.
-enum Backend<S: Scalar> {
-    Coo,
-    Hicoo(HicooTensor<S>),
-    Csf(Vec<CsfTensor<S>>),
-}
-
-impl<S: Scalar> Backend<S> {
-    fn build(x: &CooTensor<S>, b: CpAlsBackend) -> Result<Self> {
-        Ok(match b {
-            CpAlsBackend::Coo => Backend::Coo,
-            CpAlsBackend::Hicoo { block_bits } => {
-                Backend::Hicoo(HicooTensor::from_coo(x, block_bits)?)
-            }
-            CpAlsBackend::Csf => {
-                let order = x.order();
-                let trees = (0..order)
-                    .map(|mode| {
-                        let mut mo: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
-                        mo.insert(0, mode);
-                        CsfTensor::from_coo(x, Some(mo))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Backend::Csf(trees)
-            }
-        })
-    }
-
-    fn mttkrp(
-        &self,
-        x: &CooTensor<S>,
-        factors: &[&DenseMatrix<S>],
-        mode: usize,
-    ) -> Result<DenseMatrix<S>> {
-        match self {
-            Backend::Coo => mttkrp_sched(x, factors, mode),
-            Backend::Hicoo(h) => mttkrp_hicoo_sched(h, factors, mode),
-            Backend::Csf(trees) => mttkrp_csf(&trees[mode], factors, mode),
         }
     }
 }
@@ -135,10 +69,9 @@ pub struct CpDecomposition<S: Scalar> {
 /// `‖X‖^2 + ‖model‖^2 - 2 <X, model>` where the inner product reuses the
 /// last Mttkrp result.
 pub fn cp_als<S: Scalar>(x: &CooTensor<S>, opts: &CpAlsOptions) -> Result<CpDecomposition<S>> {
-    let backend = Backend::build(x, opts.backend)?;
     let mut state = cp_als_init(x, opts);
     while state.iteration < opts.max_iters {
-        if step_on(x, &backend, opts, &mut state)? {
+        if cp_als_step(x, opts, &mut state)? {
             break;
         }
     }
@@ -195,21 +128,10 @@ pub fn cp_als_init<S: Scalar>(x: &CooTensor<S>, opts: &CpAlsOptions) -> CpAlsSta
 ///
 /// Returns `Ok(true)` when the run has converged (fit delta below
 /// `opts.tol`, never on the first sweep — matching [`cp_als`]'s loop).
-/// Rebuilds the format backend on every call; long-running callers that
-/// step a `Coo` backend (the job subsystem) pay nothing for this, while
-/// [`cp_als`] itself reuses a prebuilt backend across sweeps.
+/// Each mode's Mttkrp is the COO kernel over the tensor's output-row
+/// schedule ([`mttkrp_sched`]), which the tensor builds once and keeps.
 pub fn cp_als_step<S: Scalar>(
     x: &CooTensor<S>,
-    opts: &CpAlsOptions,
-    state: &mut CpAlsState<S>,
-) -> Result<bool> {
-    let backend = Backend::build(x, opts.backend)?;
-    step_on(x, &backend, opts, state)
-}
-
-fn step_on<S: Scalar>(
-    x: &CooTensor<S>,
-    backend: &Backend<S>,
     opts: &CpAlsOptions,
     state: &mut CpAlsState<S>,
 ) -> Result<bool> {
@@ -223,7 +145,7 @@ fn step_on<S: Scalar>(
     let mut last_m: Option<DenseMatrix<S>> = None;
     for n in 0..order {
         let frefs: Vec<&DenseMatrix<S>> = state.factors.iter().collect();
-        let mkr = backend.mttkrp(x, &frefs, n)?;
+        let mkr = mttkrp_sched(x, &frefs, n)?;
         // V = Hadamard product of the other modes' grams.
         let mut v = DenseMatrix::constant(r, r, S::ONE);
         for (m, g) in grams.iter().enumerate() {
@@ -380,33 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_reach_the_same_fit() {
-        let x = rank_one_tensor();
-        let mk = |backend| CpAlsOptions {
-            rank: 1,
-            max_iters: 25,
-            backend,
-            ..Default::default()
-        };
-        let coo = cp_als(&x, &mk(CpAlsBackend::Coo)).unwrap();
-        let hic = cp_als(&x, &mk(CpAlsBackend::Hicoo { block_bits: 3 })).unwrap();
-        let csf = cp_als(&x, &mk(CpAlsBackend::Csf)).unwrap();
-        assert!(coo.fit > 0.999);
-        assert!(
-            (coo.fit - hic.fit).abs() < 1e-6,
-            "{} vs {}",
-            coo.fit,
-            hic.fit
-        );
-        assert!(
-            (coo.fit - csf.fit).abs() < 1e-6,
-            "{} vs {}",
-            coo.fit,
-            csf.fit
-        );
-    }
-
-    #[test]
     fn stepwise_run_matches_wrapper_bitwise() {
         let x = rank_one_tensor();
         let opts = CpAlsOptions {
@@ -474,34 +369,31 @@ mod tests {
             .collect();
         let x = CooTensor::from_entries(Shape::new(vec![64, 61, 59]), entries).unwrap();
         assert!(x.nnz() > 4096);
-        for backend in [CpAlsBackend::Coo, CpAlsBackend::Hicoo { block_bits: 3 }] {
-            let opts = CpAlsOptions {
-                rank: 4,
-                max_iters: 3,
-                tol: 0.0,
-                backend,
-                ..Default::default()
-            };
-            let run = |threads| {
-                crate::par::with_threads(threads, || {
-                    let mut st = cp_als_init(&x, &opts);
-                    for _ in 0..opts.max_iters {
-                        cp_als_step(&x, &opts, &mut st).unwrap();
-                    }
-                    st
-                })
-            };
-            let (a, b) = (run(1), run(4));
-            let bits = |st: &CpAlsState<f64>| -> (Vec<u64>, Vec<u64>, u64) {
-                let f = st
-                    .factors
-                    .iter()
-                    .flat_map(|f| f.data())
-                    .map(|v| v.to_bits());
-                let l = st.lambda.iter().map(|v| v.to_bits());
-                (f.collect(), l.collect(), st.fit.to_bits())
-            };
-            assert_eq!(bits(&a), bits(&b), "{backend:?}");
-        }
+        let opts = CpAlsOptions {
+            rank: 4,
+            max_iters: 3,
+            tol: 0.0,
+            ..Default::default()
+        };
+        let run = |threads| {
+            crate::par::with_threads(threads, || {
+                let mut st = cp_als_init(&x, &opts);
+                for _ in 0..opts.max_iters {
+                    cp_als_step(&x, &opts, &mut st).unwrap();
+                }
+                st
+            })
+        };
+        let (a, b) = (run(1), run(4));
+        let bits = |st: &CpAlsState<f64>| -> (Vec<u64>, Vec<u64>, u64) {
+            let f = st
+                .factors
+                .iter()
+                .flat_map(|f| f.data())
+                .map(|v| v.to_bits());
+            let l = st.lambda.iter().map(|v| v.to_bits());
+            (f.collect(), l.collect(), st.fit.to_bits())
+        };
+        assert_eq!(bits(&a), bits(&b));
     }
 }

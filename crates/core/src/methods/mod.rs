@@ -1,22 +1,14 @@
-//! Complete tensor methods built on top of the benchmark kernels.
+//! CP-ALS, the tensor method built on top of the benchmark kernels.
 //!
-//! The paper motivates its kernels through these methods (§2): Mttkrp is
-//! the bottleneck of CANDECOMP/PARAFAC decomposition, Ttv of the tensor
-//! power method, and Ttm of the Tucker decomposition's TTM-chain. The paper
-//! lists "more complete tensor methods, such as CANDECOMP/PARAFAC and
-//! Tucker" as future work for the suite; this module provides them as
-//! extensions so the examples can exercise the kernels in their natural
-//! applications.
+//! The paper motivates Mttkrp as the bottleneck of CANDECOMP/PARAFAC
+//! decomposition (§2.5) and lists complete tensor methods as future work
+//! (§7). CP-ALS is here because the job engine (`tenbench-serve`'s
+//! checkpointed decomposition jobs) runs it; its sweeps call the scheduled
+//! COO Mttkrp, the kernel the suite measures.
 
 mod cp_als;
-mod power_method;
-mod ttm_chain;
 
-pub use cp_als::{
-    cp_als, cp_als_init, cp_als_step, CpAlsBackend, CpAlsOptions, CpAlsState, CpDecomposition,
-};
-pub use power_method::{tensor_power_method, PowerMethodResult};
-pub use ttm_chain::ttm_chain;
+pub use cp_als::{cp_als, cp_als_init, cp_als_step, CpAlsOptions, CpAlsState, CpDecomposition};
 
 /// A small deterministic xorshift64* generator used to initialize factor
 /// matrices without pulling a random-number dependency into the core crate.

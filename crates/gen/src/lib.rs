@@ -26,7 +26,6 @@ pub(crate) mod kronecker;
 pub(crate) mod powerlaw;
 pub mod registry;
 pub(crate) mod stats;
-pub mod stream;
 pub mod zipf;
 
 pub use kronecker::KroneckerGenerator;

@@ -23,8 +23,8 @@
 //!   entry. `TNC1` round-trips `f32` factors and the
 //!   `f64` fit bit-exactly, so a run resumed from a checkpoint produces
 //!   factors bitwise-identical to an uninterrupted run at the same
-//!   iteration count — at any fixed thread count, because CP-ALS's COO
-//!   backend runs the deterministic
+//!   iteration count — at any fixed thread count, because every CP-ALS
+//!   sweep runs the deterministic
 //!   [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched).
 //! - **Injectable faults.** A [`FaultInjector`] decides, per (job,
 //!   iteration), whether the step panics, hangs, or the checkpoint written
@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use tenbench_core::coo::CooTensor;
 use tenbench_core::dense::DenseMatrix;
-use tenbench_core::methods::{cp_als_init, cp_als_step, CpAlsBackend, CpAlsOptions, CpAlsState};
+use tenbench_core::methods::{cp_als_init, cp_als_step, CpAlsOptions, CpAlsState};
 use tenbench_io::ckpt::{read_ckpt, write_ckpt, Checkpoint, CheckpointMatrix};
 use tenbench_obs as obs;
 
@@ -56,9 +56,9 @@ use crate::guard::{panic_message, run_guarded, Guarded};
 use crate::queue::{Bounded, PushError};
 
 /// A CP-ALS job: the tensor and the decomposition's parameters. Sweeps
-/// run on the COO backend, whose
-/// [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched) is
-/// bitwise-deterministic, as the resume-determinism guarantee requires.
+/// run the scheduled COO Mttkrp,
+/// [`mttkrp_sched`](tenbench_core::kernels::mttkrp::mttkrp_sched), which
+/// is bitwise-deterministic, as the resume-determinism guarantee requires.
 #[derive(Clone)]
 pub struct JobSpec {
     /// The input tensor (shared, never copied per job).
@@ -518,7 +518,6 @@ fn run_job(job: QueuedJob, shared: &JobShared) -> Result<JobOutcome, JobError> {
         max_iters: spec.max_iters,
         tol: spec.tol,
         seed: spec.seed,
-        backend: CpAlsBackend::Coo,
     };
     let mut state = cp_als_init(&x, &opts);
 

@@ -32,7 +32,6 @@ fn main() {
             max_iters: 20,
             tol: 1e-4,
             seed: 7,
-            backend: Default::default(),
         };
         let t0 = Instant::now();
         let d = cp_als(&x, &opts).expect("cp-als");

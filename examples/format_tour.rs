@@ -5,7 +5,6 @@
 //! cargo run --release --example format_tour
 //! ```
 
-use tenbench::core::csf::CsfTensor;
 use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench::gen::registry::find;
 use tenbench::gen::TensorStats;
@@ -43,8 +42,6 @@ fn main() {
         "  gHiCOO : {:>9} bytes (product mode uncompressed)",
         g.storage_bytes()
     );
-    let c = CsfTensor::from_coo(&x, None).expect("csf");
-    println!("  CSF    : {:>9} bytes", c.storage_bytes());
 
     // Round-trips through both I/O formats.
     let mut text = Vec::new();
@@ -68,6 +65,5 @@ fn main() {
     // Every format agrees on the data.
     assert_eq!(h.to_map(), x.to_map());
     assert_eq!(g.to_map(), x.to_map());
-    assert_eq!(c.to_map(), x.to_map());
     println!("\nall formats agree on {} entries", x.nnz());
 }

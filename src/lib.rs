@@ -5,7 +5,7 @@
 //! (Li et al., 2020). Re-exports every sub-crate under one roof so examples
 //! and downstream users need a single dependency.
 //!
-//! * [`core`] — sparse tensor formats (COO/sCOO/HiCOO/gHiCOO/sHiCOO/CSF) and
+//! * [`core`] — sparse tensor formats (COO/sCOO/HiCOO/gHiCOO/sHiCOO) and
 //!   the five parallel kernels (Tew, Ts, Ttv, Ttm, Mttkrp).
 //! * [`gen`] — synthetic tensor generators (stochastic Kronecker, biased
 //!   power law) and the Tables 2–3 dataset registry.

@@ -4,7 +4,6 @@
 //! single-precision tolerances.
 
 use tenbench::core::coo::CooTensor;
-use tenbench::core::csf::CsfTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::HicooTensor;
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
@@ -28,7 +27,6 @@ fn sample() -> CooTensor<f64> {
 fn formats_round_trip_in_f64() {
     let x = sample();
     assert_eq!(HicooTensor::from_coo(&x, 3).unwrap().to_map(), x.to_map());
-    assert_eq!(CsfTensor::from_coo(&x, None).unwrap().to_map(), x.to_map());
     // Binary I/O preserves f64 bit patterns.
     let mut blob = Vec::new();
     tenbench::io::bin::write_bin(&x, &mut blob).unwrap();

@@ -2,7 +2,6 @@
 //! a descriptive error instead of panicking or computing garbage.
 
 use tenbench::core::coo::CooTensor;
-use tenbench::core::csf::CsfTensor;
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
@@ -58,8 +57,6 @@ fn format_conversion_failures() {
         GHicooTensor::from_coo(&x, 4, &[true, false]),
         Err(TensorError::InvalidCompressionPlan { .. })
     ));
-    assert!(CsfTensor::from_coo(&x, Some(vec![0, 1])).is_err());
-    assert!(CsfTensor::from_coo(&x, Some(vec![0, 1, 1])).is_err());
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Cross-crate consistency: every implementation of every kernel —
-//! sequential, parallel, HiCOO, gHiCOO, CSF, and the simulated GPU
+//! sequential, parallel, HiCOO, gHiCOO, and the simulated GPU
 //! variants — must agree on generated datasets from both generator
 //! families.
 
 use tenbench::core::coo::CooTensor;
-use tenbench::core::csf::{mttkrp_csf, CsfTensor};
 use tenbench::core::dense::{DenseMatrix, DenseVector};
 use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench::core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
@@ -184,13 +183,6 @@ fn mttkrp_agrees_across_everything() {
                 let got = kernel(&hx, &frefs, mode).unwrap();
                 assert_mat_eq(&got, &base, 1e-3, &format!("{name} mode {mode}"));
             }
-
-            // CSF rooted at this mode.
-            let mut order: Vec<usize> = (0..x.order()).filter(|&m| m != mode).collect();
-            order.insert(0, mode);
-            let csf = CsfTensor::from_coo(&x, Some(order)).unwrap();
-            let cgot = mttkrp_csf(&csf, &frefs, mode).unwrap();
-            assert_mat_eq(&cgot, &base, 1e-3, &format!("csf mode {mode}"));
 
             let (ggot, _) = gpuk::mttkrp_coo_gpu(&dev, &x, &frefs, mode).unwrap();
             assert_mat_eq(&ggot, &base, 1e-3, &format!("gpu mode {mode}"));

@@ -4,9 +4,9 @@
 //! suite actually runs.
 
 use tenbench::core::hicoo::HicooTensor;
-use tenbench::core::methods::{cp_als, tensor_power_method, CpAlsOptions};
+use tenbench::core::methods::{cp_als, CpAlsOptions};
 use tenbench::gen::registry::{find, REAL_DATASETS, SYNTHETIC_DATASETS};
-use tenbench::gen::{KroneckerGenerator, TensorStats};
+use tenbench::gen::TensorStats;
 use tenbench::gpusim::device::DeviceSpec;
 use tenbench::gpusim::kernels::mttkrp_coo_gpu;
 use tenbench::io::{bin, tns};
@@ -52,7 +52,6 @@ fn cp_als_runs_on_every_generator_family() {
                 max_iters: 8,
                 tol: 1e-4,
                 seed: 1,
-                backend: Default::default(),
             },
         )
         .unwrap();
@@ -60,22 +59,6 @@ fn cp_als_runs_on_every_generator_family() {
         assert!((0.0..=1.0 + 1e-9).contains(&d.fit), "{id}: fit {}", d.fit);
         assert_eq!(d.factors.len(), x.order());
     }
-}
-
-#[test]
-fn power_method_runs_on_kronecker_tensor() {
-    // Cubical Kronecker tensor; the method converges to *some* fixed point
-    // with a finite Rayleigh quotient.
-    let g = KroneckerGenerator::rmat_like(Shape::cubical(3, 64), 1_500);
-    let x64 = g.generate(17);
-    let x: tenbench::core::coo::CooTensor<f64> = tenbench::core::coo::CooTensor::from_entries(
-        x64.shape().clone(),
-        x64.iter_entries().map(|(c, v)| (c, v as f64)).collect(),
-    )
-    .unwrap();
-    let r = tensor_power_method(&x, 60, 1e-9, 5).unwrap();
-    assert!(r.eigenvalue.is_finite());
-    assert!((r.eigenvector.norm2() - 1.0).abs() < 1e-6);
 }
 
 #[test]

@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 use tenbench::core::coo::CooTensor;
-use tenbench::core::csf::CsfTensor;
 use tenbench::core::hicoo::{GHicooTensor, HicooTensor};
 use tenbench::io::{bin, tns};
 use tenbench::prelude::*;
@@ -46,17 +45,6 @@ proptest! {
         let g = GHicooTensor::from_coo(&x, bits, &compressed).unwrap();
         prop_assert!(g.validate().is_ok());
         prop_assert_eq!(g.to_map(), x.to_map());
-    }
-
-    #[test]
-    fn csf_round_trip_any_root(x in arb_tensor(), root in 0usize..5) {
-        let order = x.order();
-        let root = root % order;
-        let mut mo: Vec<usize> = (0..order).filter(|&m| m != root).collect();
-        mo.insert(0, root);
-        let c = CsfTensor::from_coo(&x, Some(mo)).unwrap();
-        prop_assert!(c.validate().is_ok());
-        prop_assert_eq!(c.to_map(), x.to_map());
     }
 
     #[test]
