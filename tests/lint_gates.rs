@@ -75,7 +75,7 @@ fn has_word(line: &str, word: &str) -> bool {
 /// `path:line: text` of every non-comment line that contains the word
 /// `unsafe`. A comment line is one whose first non-blank characters are
 /// `//` (doc comments included).
-fn unsafe_lines(files: &[(String, String)]) -> Vec<String> {
+fn unsafe_lines<'a>(files: impl IntoIterator<Item = &'a (String, String)>) -> Vec<String> {
     let mut hits = Vec::new();
     for (path, text) in files {
         for (i, line) in text.lines().enumerate() {
@@ -112,12 +112,11 @@ const UNSAFE_FILES: [&str; 5] = [
 
 /// Gate 2: `unsafe` only in [`UNSAFE_FILES`].
 fn unsafe_scope_gate(files: &[(String, String)]) -> Result<(), String> {
-    let stray: Vec<(String, String)> = files
-        .iter()
-        .filter(|(path, _)| !UNSAFE_FILES.contains(&path.as_str()))
-        .cloned()
-        .collect();
-    let hits = unsafe_lines(&stray);
+    let hits = unsafe_lines(
+        files
+            .iter()
+            .filter(|(path, _)| !UNSAFE_FILES.contains(&path.as_str())),
+    );
     if hits.is_empty() {
         Ok(())
     } else {
